@@ -113,32 +113,43 @@ def _mock_network(net: Network, mock: MockConfig) -> Network:
 def _apply_mock_noise(
     batch: BatchTrace, mock: MockConfig, t_max: float, seeds: Sequence[int]
 ) -> BatchTrace:
-    """Jitter/drop internal spikes per sample, then re-sort and re-pad."""
-    neurons = batch.neurons.copy()
-    times = batch.times.copy()
-    kinds = batch.kinds.copy()
-    b, m = times.shape
-    for row in range(b):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seeds[row]), 0xE5)))
-        internal = kinds[row] == int(SpikeKind.INTERNAL)
-        n_int = int(internal.sum())
+    """Jitter/drop internal spikes per sample, then re-sort and re-pad.
+
+    Each row draws from its own generator seeded by its sample seed, so a
+    row's noise does not depend on the rest of the batch.
+    """
+    internal = batch.kinds == int(SpikeKind.INTERNAL)
+    counts = internal.sum(axis=1)
+    jit = []
+    lost = []
+    for row, n_int in enumerate(counts):
         if n_int == 0:
             continue
+        rng = np.random.default_rng(np.random.SeedSequence((int(seeds[row]), 0xE5)))
         if mock.jitter_sigma > 0.0:
-            jit = rng.normal(0.0, mock.jitter_sigma, size=n_int)
-            times[row, internal] = np.clip(times[row, internal] + jit, 0.0, t_max)
+            jit.append(rng.normal(0.0, mock.jitter_sigma, size=n_int))
         if mock.spike_loss_prob > 0.0:
-            drop = rng.random(n_int) < mock.spike_loss_prob
-            lost = np.nonzero(internal)[0][drop]
-            times[row, lost] = np.inf
-            neurons[row, lost] = DUMMY_NEURON
-            kinds[row, lost] = int(SpikeKind.DUMMY)
-        order = np.argsort(times[row], kind="stable")
-        neurons[row] = neurons[row, order]
-        times[row] = times[row, order]
-        kinds[row] = kinds[row, order]
+            lost.append(rng.random(n_int) < mock.spike_loss_prob)
+    # boolean-mask assignment walks the rows in order, matching the draws
+    times = batch.times.copy()
+    if jit:
+        times[internal] = np.clip(times[internal] + np.concatenate(jit), 0.0, t_max)
+    drop = np.zeros_like(internal)
+    if lost:
+        drop[internal] = np.concatenate(lost)
+    times[drop] = np.inf
+    order = np.argsort(times, axis=1, kind="stable")
+    dropped = np.take_along_axis(drop, order, axis=1)
     return BatchTrace(
-        neurons, times, kinds, None, batch.final_v, batch.final_i, batch.final_t
+        np.where(dropped, DUMMY_NEURON, np.take_along_axis(batch.neurons, order, axis=1)),
+        np.take_along_axis(times, order, axis=1),
+        np.where(
+            dropped, int(SpikeKind.DUMMY), np.take_along_axis(batch.kinds, order, axis=1)
+        ).astype(np.int8),
+        None,
+        batch.final_v,
+        batch.final_i,
+        batch.final_t,
     )
 
 

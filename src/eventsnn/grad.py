@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import EventTrace, InvalidParameter, Network, NeuronState, Spike, SpikeKind
 from .lif import propagate_arrays
+from .sim import FanOut
 
 # |dV/dt| below this at a spike counts as a degenerate (grazing) crossing
 EPS_VDOT = 1e-6
@@ -76,32 +77,47 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
 
     Returns (B, m) with the spiking neuron's synaptic current just before
     each internal event (zero for input/dummy slots) and the final (i, t).
+    Like the simulator, an event decays and updates only the lanes it
+    fans out to, each from its own last update time; every lane is decayed
+    to its row's last event once at the end.
     """
     b, m = times.shape
     n = net.n_total
     ts = net.params.tau_syn
-    i_cur = np.zeros((b, n))
-    t_prev = np.zeros(b)
+    fan = FanOut.of(net)
+    active = kinds != int(SpikeKind.DUMMY)
+    # seen[:, k]: time of the row's last real event before slot k (0 if none)
+    last = np.maximum.accumulate(np.where(active, np.arange(m), -1), axis=1)
+    seen = np.where(last >= 0, np.take_along_axis(times, np.maximum(last, 0), axis=1), 0.0)
+    seen = np.concatenate([np.zeros((b, 1)), seen], axis=1)
+    if np.any(active & (times - seen[:, :-1] < -1e-12)):
+        raise InvalidParameter("trace times must be non-decreasing")
+    t_end = seen[:, -1]
+
+    i_cur = np.zeros((b, n + 1))
+    t_ref = np.zeros((b, n + 1))
     out = np.zeros((b, m))
-    rows = np.arange(b)
-    for k in range(m):
-        kind = kinds[:, k]
-        active = kind != int(SpikeKind.DUMMY)
-        tk = times[:, k]
-        delta = np.where(active, tk - t_prev, 0.0)
-        if np.any(delta < -1e-12):
-            raise InvalidParameter("trace times must be non-decreasing")
-        i_cur *= np.exp(-np.maximum(delta, 0.0) / ts)[:, None]
-        t_prev = np.where(active, tk, t_prev)
-        nk = np.clip(neurons[:, k], 0, None)
-        int_mask = kind == int(SpikeKind.INTERNAL)
-        inp_mask = kind == int(SpikeKind.INPUT)
-        if int_mask.any():
-            out[int_mask, k] = i_cur[int_mask, nk[int_mask]]
-            i_cur[int_mask] += net.weights[nk[int_mask]]
-        if inp_mask.any():
-            i_cur[inp_mask] += net.input_weights[nk[inp_mask]]
-    return out, i_cur, t_prev
+    internal = kinds == int(SpikeKind.INTERNAL)
+    external = kinds == int(SpikeKind.INPUT)
+    for k in range(int(last.max(initial=-1)) + 1):
+        for mask, table, weights, spiking in (
+            (internal[:, k], fan.internal, fan.w, True),
+            (external[:, k], fan.inputs, fan.w_in, False),
+        ):
+            r = np.flatnonzero(mask)
+            if r.size == 0:
+                continue
+            src = neurons[r, k]
+            lanes = table[src]
+            rr = r[:, None]
+            tk = times[r, k, None]
+            i_lanes = i_cur[rr, lanes] * np.exp(-np.maximum(tk - t_ref[rr, lanes], 0.0) / ts)
+            if spiking:
+                out[r, k] = i_lanes[:, 0]
+            i_cur[rr, lanes] = i_lanes + weights[src[:, None], lanes]
+            t_ref[rr, lanes] = tk
+    i_cur = i_cur[:, :n] * np.exp(-np.maximum(t_end[:, None] - t_ref[:, :n], 0.0) / ts)
+    return out, i_cur, t_end
 
 
 def reconstruct_currents(trace: EventTrace, net: Network) -> np.ndarray:

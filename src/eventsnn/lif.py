@@ -11,9 +11,10 @@ the Lambert W function.  Branch choices (larger quadratic root in (0, 1),
 principal W branch) were fixed against a forward-Euler oracle; the test suite
 re-verifies both.
 
-All solvers here are NaN-safe in the vectorized form: every lane is computed
-speculatively with guarded divisions/logs and invalid lanes are masked to the
-+inf "no crossing" sentinel, so degenerate inputs can never leak a NaN.
+All solvers here are NaN-safe in the vectorized form: every lane passed in is
+evaluated on both candidate roots with guarded divisions/logs, and invalid
+lanes are masked to the +inf "no crossing" sentinel, so degenerate inputs can
+never leak a NaN.  The simulator passes only the lanes an event touched.
 """
 from __future__ import annotations
 

@@ -1,18 +1,29 @@
 """Event-driven simulation loop with a fixed event budget.
 
-Each iteration finds the next event: the earliest analytic threshold
-crossing across all neurons competes with the head of the input queue, and
-min(t_input, t_internal) wins (input first on exact ties, lowest index among
-simultaneous internal candidates).  The state is propagated to that time and
-the transition applied: internal spike -> V[ix] = v_reset and I += weights[ix],
-input spike -> I += input_weights[source].  When no event exists before t_max
-a dummy spike (-1, inf) is emitted and the state freezes at t_max; dummies
-then fill the remaining budget, so every trace has exactly m entries.
+Each lane (one neuron of one batch row) keeps its own (v, i) at its own
+timestamp, plus its absolute next threshold-crossing time.  Free flow does
+not move an absolute crossing time, so a lane is touched only when an event
+reaches it.  Each iteration takes the earliest crossing of a row and the head
+of its input queue; min(t_input, t_internal) wins, the input first on an
+exact tie and the lowest index first among simultaneous crossings.  Only the
+event's fan-out lanes are then propagated to its time, updated and re-solved:
+an internal spike of j touches j itself (V_j = v_reset) and every neuron with
+weights[j, k] != 0 (I_k += weights[j, k]); an input spike touches the
+neurons with input_weights[source, k] != 0.  A neuron that sits exactly at
+threshold when another one spikes therefore keeps its crossing, so tied
+spikes are all emitted.
 
-The engine is written over batched (B, N) state arrays; the public
-single-sample API wraps the same code path with B = 1, so batched and
-sequential execution agree bitwise.  ``dense_oracle`` is an independent
-fixed-grid forward-Euler integrator used by the test suite.
+When no event exists before t_max a row is done: it emits a dummy spike
+(-1, inf) and its state freezes at t_max.  Dummies fill the rest of its
+budget, so every trace has exactly m entries, and the loop stops as soon as
+every row is done.  At the end every lane is propagated once to its row's
+final time: t_max, or the last event of a row that used its whole budget.
+
+The engine is written over batched (B, N) state arrays and every operation
+acts on its own row only; the public single-sample API wraps the same code
+path with B = 1, so batched and sequential execution agree bitwise.
+``dense_oracle`` is an independent fixed-grid forward-Euler integrator used
+by the test suite.
 """
 from __future__ import annotations
 
@@ -113,6 +124,46 @@ def _check_inputs(net: Network, inputs: Sequence[Spike]) -> None:
         last = s.time
 
 
+def _lane_table(mask: np.ndarray) -> np.ndarray:
+    """(S, W) table: row s lists the columns set in ``mask[s]``, ascending,
+    padded with the sentinel lane ``mask.shape[1]``."""
+    s, n = mask.shape
+    rr, cc = np.nonzero(mask)
+    counts = np.bincount(rr, minlength=s)
+    table = np.full((s, int(counts.max(initial=0))), n, dtype=np.int64)
+    table[rr, np.arange(rr.size) - (np.cumsum(counts) - counts)[rr]] = cc
+    return table
+
+
+@dataclass(frozen=True)
+class FanOut:
+    """The lanes an event touches, from the nonzero entries of the weights.
+
+    ``internal[j]`` is neuron j itself followed by its targets; ``inputs[c]``
+    lists the targets of input channel c.  Rows are padded with a sentinel
+    lane n, whose columns of the widened weights ``w``/``w_in`` are zero, so
+    state arrays carry n + 1 lanes and the sentinel stays at rest.
+    """
+
+    internal: np.ndarray  # (N, W) int64
+    inputs: np.ndarray  # (n_in, W_in) int64
+    w: np.ndarray  # (N, N + 1)
+    w_in: np.ndarray  # (n_in, N + 1)
+
+    @staticmethod
+    def of(net: Network) -> "FanOut":
+        n = net.n_total
+        targets = net.weights != 0.0
+        np.fill_diagonal(targets, False)
+        internal = np.concatenate([np.arange(n)[:, None], _lane_table(targets)], axis=1)
+        return FanOut(
+            internal,
+            _lane_table(net.input_weights != 0.0),
+            np.pad(net.weights, ((0, 0), (0, 1))),
+            np.pad(net.input_weights, ((0, 0), (0, 1))),
+        )
+
+
 def simulate_batch(
     net: Network,
     in_neurons: np.ndarray,
@@ -123,7 +174,7 @@ def simulate_batch(
     i0: np.ndarray | None = None,
     t0: np.ndarray | None = None,
 ) -> BatchTrace:
-    """Run B independent event loops of m iterations over shared weights."""
+    """Run B independent event loops of at most m iterations over shared weights."""
     if m <= 0:
         raise InvalidBudget(f"event budget m={m} must be positive")
     p = net.params
@@ -135,9 +186,16 @@ def simulate_batch(
     in_neurons = np.concatenate([in_neurons, np.full((b, 1), DUMMY_NEURON, np.int64)], axis=1)
     in_times = np.concatenate([in_times, np.full((b, 1), np.inf)], axis=1)
 
-    v = np.zeros((b, n)) if v0 is None else np.array(v0, dtype=np.float64)
-    i = np.zeros((b, n)) if i0 is None else np.array(i0, dtype=np.float64)
+    fan = FanOut.of(net)
+    v = np.zeros((b, n + 1))
+    i = np.zeros((b, n + 1))
+    if v0 is not None:
+        v[:, :n] = v0
+    if i0 is not None:
+        i[:, :n] = i0
     t = np.zeros(b) if t0 is None else np.array(t0, dtype=np.float64)
+    tref = np.repeat(t[:, None], n + 1, axis=1)
+    tc = tref + next_crossing_safe(v, i, p)
     ptr = np.zeros(b, dtype=np.int64)
     done = np.zeros(b, dtype=bool)
 
@@ -147,42 +205,55 @@ def simulate_batch(
     out_kinds = np.full((b, m), int(SpikeKind.DUMMY), dtype=np.int8)
     out_ispike = np.zeros((b, m))
 
-    w = net.weights
-    w_in = net.input_weights
+    def advance(r, lanes, tn):
+        rr = r[:, None]
+        vv, ii = propagate_arrays(v[rr, lanes], i[rr, lanes], tn - tref[rr, lanes], p)
+        return rr, vv, ii
+
+    def commit(rr, lanes, tn, vv, ii):
+        v[rr, lanes] = vv
+        i[rr, lanes] = ii
+        tref[rr, lanes] = tn
+        tc[rr, lanes] = tn + next_crossing_safe(vv, ii, p)
 
     for k in range(m):
-        dt_cross = next_crossing_safe(v, i, p)
-        t_int = t[:, None] + dt_cross
-        ix = np.argmin(t_int, axis=1)
-        t_ix = t_int[rows, ix]
+        ix = np.argmin(tc, axis=1)
+        t_ix = tc[rows, ix]
         t_in = in_times[rows, ptr]
         is_input = t_in <= t_ix
         t_next = np.where(is_input, t_in, t_ix)
-        emit_dummy = done | np.isinf(t_next) | (t_next > t_max)
-        dt = np.where(emit_dummy, t_max - t, t_next - t)
-        v, i = propagate_arrays(v, i, dt[:, None], p)
+        done |= np.isinf(t_next) | (t_next > t_max)
+        if done.all():
+            break
+        live = ~done
+        out_times[live, k] = t_next[live]
 
-        src = in_neurons[rows, ptr]
-        inp_mask = ~emit_dummy & is_input
-        int_mask = ~emit_dummy & ~is_input
+        r = np.flatnonzero(live & ~is_input)
+        if r.size:
+            src = ix[r]
+            lanes = fan.internal[src]
+            tn = t_next[r, None]
+            rr, vv, ii = advance(r, lanes, tn)
+            out_neurons[r, k] = src
+            out_kinds[r, k] = int(SpikeKind.INTERNAL)
+            out_ispike[r, k] = ii[:, 0]
+            vv[:, 0] = p.v_reset
+            commit(rr, lanes, tn, vv, ii + fan.w[src[:, None], lanes])
 
-        out_neurons[:, k] = np.where(emit_dummy, DUMMY_NEURON, np.where(is_input, src, ix))
-        out_times[:, k] = np.where(emit_dummy, np.inf, t_next)
-        out_kinds[:, k] = np.where(
-            emit_dummy,
-            int(SpikeKind.DUMMY),
-            np.where(is_input, int(SpikeKind.INPUT), int(SpikeKind.INTERNAL)),
-        )
-        if int_mask.any():
-            out_ispike[int_mask, k] = i[int_mask, ix[int_mask]]
-            v[int_mask, ix[int_mask]] = p.v_reset
-            i[int_mask] += w[ix[int_mask]]
-        if inp_mask.any():
-            i[inp_mask] += w_in[src[inp_mask]]
-            ptr = ptr + inp_mask
-        t = np.where(emit_dummy, t_max, t_next)
-        done |= emit_dummy
+        r = np.flatnonzero(live & is_input)
+        if r.size:
+            src = in_neurons[r, ptr[r]]
+            lanes = fan.inputs[src]
+            tn = t_next[r, None]
+            rr, vv, ii = advance(r, lanes, tn)
+            out_neurons[r, k] = src
+            out_kinds[r, k] = int(SpikeKind.INPUT)
+            commit(rr, lanes, tn, vv, ii + fan.w_in[src[:, None], lanes])
+            ptr[r] += 1
 
+    # a row still running used every slot; its state stays at its last event
+    t = np.where(done, t_max, out_times[:, -1])
+    v, i = propagate_arrays(v[:, :n], i[:, :n], t[:, None] - tref[:, :n], p)
     trace = BatchTrace(out_neurons, out_times, out_kinds, out_ispike, v, i, t)
     if net.record_set is not None and len(net.record_set) != net.n_total:
         trace = _filter_record_set(trace, net)
@@ -200,20 +271,21 @@ def _filter_record_set(trace: BatchTrace, net: Network) -> BatchTrace:
     hide = (trace.kinds == int(SpikeKind.INTERNAL)) & ~recorded[
         np.clip(trace.neurons, 0, net.n_total - 1)
     ]
-    b, m = trace.times.shape
-    neurons = np.full_like(trace.neurons, DUMMY_NEURON)
-    times = np.full_like(trace.times, np.inf)
-    kinds = np.full_like(trace.kinds, int(SpikeKind.DUMMY))
-    ispike = np.zeros_like(trace.i_spike_recorded)
-    for row in range(b):
-        keep = ~hide[row]
-        cnt = int(keep.sum())
-        neurons[row, :cnt] = trace.neurons[row, keep]
-        times[row, :cnt] = trace.times[row, keep]
-        kinds[row, :cnt] = trace.kinds[row, keep]
-        ispike[row, :cnt] = trace.i_spike_recorded[row, keep]
+    # kept records first, in their original order; hidden ones become dummies
+    order = np.argsort(hide, axis=1, kind="stable")
+    gone = np.take_along_axis(hide, order, axis=1)
+
+    def repack(a, blank):
+        return np.where(gone, blank, np.take_along_axis(a, order, axis=1))
+
     return BatchTrace(
-        neurons, times, kinds, ispike, trace.final_v, trace.final_i, trace.final_t
+        repack(trace.neurons, DUMMY_NEURON),
+        repack(trace.times, np.inf),
+        repack(trace.kinds, int(SpikeKind.DUMMY)).astype(np.int8),
+        repack(trace.i_spike_recorded, 0.0),
+        trace.final_v,
+        trace.final_i,
+        trace.final_t,
     )
 
 

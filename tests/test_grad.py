@@ -285,27 +285,79 @@ class TestFudSpikeTimeGrad:
 
 
 class TestFudNetwork:
+    M, T_MAX = 24, 3.0
+    CHUNK, ROWS = 256, 32  # candidates per screening run, batch rows it uses
+
+    @staticmethod
+    def draw_candidate(rng):
+        w_in = rng.uniform(1.2, 2.2, size=(2, 3))
+        w_ho = rng.uniform(0.8, 1.6, size=(3, 2))
+        net = Network.feedforward(w_in, w_ho, P2)
+        inputs = [in_spike(0, 0.0), in_spike(1, float(rng.uniform(0.1, 0.5)))]
+        return net, inputs
+
+    def accept(self, net, inputs):
+        """The trace if every neuron spikes exactly once, well above grazing."""
+        trace = simulate(net, inputs, self.M, self.T_MAX)
+        counts = {}
+        for s in trace:
+            if s.kind == SpikeKind.INTERNAL:
+                counts[s.neuron] = counts.get(s.neuron, 0) + 1
+        if not trace[-1].is_dummy or any(c > 1 for c in counts.values()):
+            return None
+        if len(counts) != net.n_total:  # everyone spikes exactly once
+            return None
+        if min_vdot(net, trace) < 0.12:
+            return None
+        return trace
+
+    def screen(self, cands):
+        """Mask of the candidates ``accept`` may take, from one batched run.
+
+        Candidate k is block k of a block-diagonal net, driven in row
+        k % ROWS only.  Blocks evolve independently (see
+        test_block_diagonal_equals_independent_runs), so in an untruncated
+        row a candidate passes exactly when each of its neurons spikes once;
+        every candidate of a truncated row passes.
+        """
+        c, n = len(cands), cands[0][0].n_total
+        w = np.zeros((n * c, n * c))
+        w_in = np.zeros((2 * c, n * c))
+        row_inputs = [[] for _ in range(self.ROWS)]
+        for k, (net, inputs) in enumerate(cands):
+            w[n * k : n * (k + 1), n * k : n * (k + 1)] = net.weights
+            w_in[2 * k : 2 * (k + 1), n * k : n * (k + 1)] = net.input_weights
+            row_inputs[k % self.ROWS] += [in_spike(s.neuron + 2 * k, s.time) for s in inputs]
+        combined = Network(n_total=n * c, weights=w, input_weights=w_in, params=P2)
+        idx, times = pack_inputs([sorted(r, key=lambda s: s.time) for r in row_inputs])
+        m = self.M * math.ceil(c / self.ROWS)
+        batch = simulate_batch(combined, idx[:, :-1], times[:, :-1], m, self.T_MAX)
+        internal = batch.kinds == int(SpikeKind.INTERNAL)
+        counts = np.zeros((self.ROWS, n * c), dtype=np.int64)
+        np.add.at(counts, (np.nonzero(internal)[0], batch.neurons[internal]), 1)
+        truncated = batch.kinds[:, -1] != int(SpikeKind.DUMMY)
+        row = np.arange(c) % self.ROWS
+        once = (counts.reshape(self.ROWS, c, n)[row, np.arange(c)] == 1).all(axis=1)
+        return once | truncated[row]
+
     def build_single_spike_net(self, rng):
-        """Feedforward net + inputs where every neuron spikes at most once."""
+        """Feedforward net + inputs where every neuron spikes exactly once.
+
+        Candidates are drawn in chunks and screened in one batched run; the
+        generator is then rewound and advanced past the accepted candidate,
+        so it ends where drawing one candidate at a time would leave it.
+        """
         while True:
-            n_in, n_h, n_o = 2, 3, 2
-            w_in = rng.uniform(1.2, 2.2, size=(n_in, n_h))
-            w_ho = rng.uniform(0.8, 1.6, size=(n_h, n_o))
-            net = Network.feedforward(w_in, w_ho, P2)
-            inputs = [in_spike(0, 0.0), in_spike(1, float(rng.uniform(0.1, 0.5)))]
-            t_max, m = 3.0, 24
-            trace = simulate(net, inputs, m, t_max)
-            counts = {}
-            for s in trace:
-                if s.kind == SpikeKind.INTERNAL:
-                    counts[s.neuron] = counts.get(s.neuron, 0) + 1
-            if not trace[-1].is_dummy or any(c > 1 for c in counts.values()):
-                continue
-            if len(counts) != n_h + n_o:  # everyone spikes exactly once
-                continue
-            if min_vdot(net, trace) < 0.12:
-                continue
-            return net, inputs, trace, m, t_max
+            start = rng.bit_generator.state
+            cands = [self.draw_candidate(rng) for _ in range(self.CHUNK)]
+            for k in np.flatnonzero(self.screen(cands)):
+                net, inputs = cands[k]
+                trace = self.accept(net, inputs)
+                if trace is not None:
+                    rng.bit_generator.state = start
+                    for _ in range(k + 1):
+                        self.draw_candidate(rng)
+                    return net, inputs, trace, self.M, self.T_MAX
 
     def test_forward_agrees_with_simulator_in_single_spike_regime(self, rng):
         for _ in range(5):

@@ -34,6 +34,25 @@ def in_spike(neuron, t):
     return Spike(neuron, t, SpikeKind.INPUT)
 
 
+def assert_batch_matches_solo(net, batch_inputs, m, t_max):
+    idx, times = pack_inputs(batch_inputs)
+    batch = simulate_batch(net, idx[:, :-1], times[:, :-1], m=m, t_max=t_max)
+    for b, inputs in enumerate(batch_inputs):
+        solo = simulate(net, inputs, m=m, t_max=t_max)
+        got = batch.sample(b)
+        np.testing.assert_array_equal(got.neurons, solo.neurons)
+        np.testing.assert_array_equal(got.times, solo.times)
+        np.testing.assert_array_equal(got.kinds, solo.kinds)
+        np.testing.assert_array_equal(got.final_state.v, solo.final_state.v)
+        np.testing.assert_array_equal(got.final_state.i, solo.final_state.i)
+        assert got.final_state.t == solo.final_state.t
+    return batch
+
+
+def internal_spikes(trace):
+    return [(s.neuron, s.time) for s in trace if s.kind == SpikeKind.INTERNAL]
+
+
 class TestStep:
     def test_zero_weights_passes_input_through(self):
         net = Network(
@@ -156,15 +175,7 @@ class TestBatchedEngine:
     def test_batch_matches_sequential_bitwise(self, rng):
         nets = random_network(rng, n_max=6)
         batch_inputs = [random_inputs(rng, nets) for _ in range(16)]
-        idx, times = pack_inputs(batch_inputs)
-        batch = simulate_batch(nets, idx[:, :-1], times[:, :-1], m=14, t_max=3.0)
-        for b, inputs in enumerate(batch_inputs):
-            solo = simulate(nets, inputs, m=14, t_max=3.0)
-            got = batch.sample(b)
-            np.testing.assert_array_equal(got.neurons, solo.neurons)
-            np.testing.assert_array_equal(got.times, solo.times)
-            np.testing.assert_array_equal(got.kinds, solo.kinds)
-            np.testing.assert_array_equal(got.final_state.v, solo.final_state.v)
+        assert_batch_matches_solo(nets, batch_inputs, m=14, t_max=3.0)
 
     def test_block_diagonal_equals_independent_runs(self, rng):
         # k disconnected subnets in one matrix == k independent simulations;
@@ -259,3 +270,146 @@ class TestDenseOracle:
             for a, b in zip(ev, dn):
                 if not a.is_dummy:
                     assert abs(a.time - b.time) <= 1e-3
+
+
+class TestSimultaneousCrossings:
+    # two identical neurons on one input cross threshold at the same instant;
+    # an engine that re-solves every neuron at each spike finds the second one
+    # sitting exactly at threshold, with no upward crossing left, and drops it
+    def twin_net(self):
+        return Network(
+            n_total=2,
+            weights=np.zeros((2, 2)),
+            input_weights=np.array([[3.0, 3.0]]),
+            params=P2,
+            output_set=(1,),
+        )
+
+    def test_both_spike_lowest_index_first(self):
+        net = self.twin_net()
+        inputs = [in_spike(0, 0.0)]
+        tr = simulate(net, inputs, m=6, t_max=1.0)
+        got = internal_spikes(tr)
+        assert [nrn for nrn, _ in got] == [0, 1]
+        assert got[0][1] == got[1][1]
+        dn = dense_oracle(net, inputs, dt=1e-5, t_max=1.0, m=6)
+        assert [nrn for nrn, _ in internal_spikes(dn)] == [0, 1]
+        for (_, a), (_, b) in zip(got, internal_spikes(dn)):
+            assert abs(a - b) <= 1e-3
+
+    def test_mock_backend_keeps_tied_spikes(self):
+        from eventsnn.backend import BackendConfig, MockConfig, forward
+
+        cfg = BackendConfig(kind="mock", mock=MockConfig(jitter_sigma=0.0, weight_bits=6))
+        tr = forward(cfg, self.twin_net(), [in_spike(0, 0.0)], 6, 4.0, seed=3)
+        got = internal_spikes(tr)
+        assert [nrn for nrn, _ in got] == [0, 1]
+        assert got[0][1] == got[1][1]
+
+
+class TestEngineEdgeCases:
+    def test_self_loop(self, rng):
+        w = rng.uniform(-2.0, 2.0, size=(3, 3))
+        np.fill_diagonal(w, [1.5, -2.0, 0.7])
+        net = Network(
+            n_total=3,
+            weights=w,
+            input_weights=rng.uniform(1.0, 5.0, size=(2, 3)),
+            params=P2,
+            output_set=(2,),
+        )
+        batch_inputs = [random_inputs(rng, net, k_max=6) for _ in range(8)]
+        assert_batch_matches_solo(net, batch_inputs, m=30, t_max=3.0)
+        # the self-loop current lands on the spiking neuron itself
+        single = single_neuron_net(w_in=4.0, w_rec=2.0)
+        ev = simulate(single, [in_spike(0, 0.0)], m=12, t_max=3.0)
+        dn = dense_oracle(single, [in_spike(0, 0.0)], dt=1e-5, t_max=3.0, m=12)
+        assert [s.kind for s in ev] == [s.kind for s in dn]
+        assert len(internal_spikes(ev)) >= 2
+        for a, b in zip(ev, dn):
+            if not a.is_dummy:
+                assert abs(a.time - b.time) <= 1e-3
+
+    def test_zero_input_row_and_zero_weight_row(self, rng):
+        w = rng.uniform(-2.0, 3.0, size=(4, 4))
+        w[1] = 0.0  # neuron 1 drives nobody
+        w_in = rng.uniform(1.0, 5.0, size=(3, 4))
+        w_in[2] = 0.0  # input channel 2 drives nobody
+        net = Network(n_total=4, weights=w, input_weights=w_in, params=P2, output_set=(3,))
+        batch_inputs = [random_inputs(rng, net, k_max=8) for _ in range(8)]
+        batch_inputs.append([in_spike(2, 0.1), in_spike(2, 0.4)])
+        batch = assert_batch_matches_solo(net, batch_inputs, m=30, t_max=3.0)
+        silent = batch.sample(len(batch_inputs) - 1)
+        assert [s.kind for s in silent][:3] == [
+            SpikeKind.INPUT, SpikeKind.INPUT, SpikeKind.DUMMY,
+        ]
+        np.testing.assert_array_equal(silent.final_state.i, np.zeros(4))
+
+    def test_record_set_subset(self, rng):
+        base = random_network(rng, n_max=6)
+        while base.n_total < 3:
+            base = random_network(rng, n_max=6)
+        recorded = tuple(range(0, base.n_total, 2))
+        net = Network(
+            n_total=base.n_total,
+            weights=base.weights,
+            input_weights=base.input_weights,
+            params=base.params,
+            output_set=base.output_set,
+            record_set=recorded,
+        )
+        batch_inputs = [random_inputs(rng, net) for _ in range(8)]
+        batch = assert_batch_matches_solo(net, batch_inputs, m=20, t_max=2.5)
+        idx, times = pack_inputs(batch_inputs)
+        full = simulate_batch(base, idx[:, :-1], times[:, :-1], m=20, t_max=2.5)
+        for b in range(len(batch_inputs)):
+            want = [
+                s for s in full.sample(b)
+                if not (s.kind == SpikeKind.INTERNAL and s.neuron not in recorded)
+            ]
+            got = list(batch.sample(b))
+            assert got[: len(want)] == want
+            assert all(s.is_dummy for s in got[len(want) :])
+
+
+class TestEarlyStopAndFinalState:
+    def test_wide_budget_only_adds_trailing_dummies(self, rng):
+        net = random_network(rng, n_max=6)
+        batch_inputs = [random_inputs(rng, net) for _ in range(8)]
+        idx, times = pack_inputs(batch_inputs)
+        wide = simulate_batch(net, idx[:, :-1], times[:, :-1], m=400, t_max=2.5)
+        real = wide.kinds != int(SpikeKind.DUMMY)
+        n_real = real.sum(axis=1)
+        assert 2 * n_real.max() < 400  # the budget is far above the activity
+        for b in range(len(batch_inputs)):
+            assert real[b, : n_real[b]].all() and not real[b, n_real[b] :].any()
+        tight_m = int(n_real.max()) + 1
+        tight = simulate_batch(net, idx[:, :-1], times[:, :-1], m=tight_m, t_max=2.5)
+        np.testing.assert_array_equal(wide.neurons[:, :tight_m], tight.neurons)
+        np.testing.assert_array_equal(wide.times[:, :tight_m], tight.times)
+        np.testing.assert_array_equal(wide.kinds[:, :tight_m], tight.kinds)
+        np.testing.assert_array_equal(wide.final_v, tight.final_v)
+        assert np.all(wide.final_t == 2.5) and np.all(tight.final_t == 2.5)
+
+    def test_truncated_row_keeps_time_of_last_event(self):
+        net = single_neuron_net(w_in=4.0, w_rec=1.0)
+        batch_inputs = [[in_spike(0, 0.0)], []]
+        idx, times = pack_inputs(batch_inputs)
+        batch = simulate_batch(net, idx[:, :-1], times[:, :-1], m=3, t_max=5.0)
+        assert batch.kinds[0, -1] == int(SpikeKind.INTERNAL)
+        assert batch.final_t[0] == batch.times[0, -1] < 5.0
+        assert batch.final_v[0, 0] == P2.v_reset
+        assert batch.final_t[1] == 5.0
+
+    def test_final_state_matches_replay(self, rng):
+        from eventsnn.grad import replay_state
+
+        for _ in range(10):
+            net = random_network(rng, n_max=6)
+            inputs = random_inputs(rng, net)
+            tr = simulate(net, inputs, m=300, t_max=2.5)
+            assert tr[-1].is_dummy
+            want = replay_state(tr, net, 2.5)
+            assert tr.final_state.t == want.t
+            np.testing.assert_allclose(tr.final_state.v, want.v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tr.final_state.i, want.i, rtol=0, atol=1e-12)
