@@ -34,7 +34,6 @@ from .sim import (
     SimDiagnostics,
     StepOutput,
     UnsortedInput,
-    dense_oracle,
     simulate,
     step,
 )

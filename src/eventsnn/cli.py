@@ -220,21 +220,6 @@ def write_gradients(path, grad_w, grad_w_in) -> None:
             f.write(" ".join(format_time(x) for x in row) + "\n")
 
 
-def read_gradients(path):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != GRADIENTS_MAGIC:
-        raise InvalidParameter(f"not a gradients file: {path}")
-    vals = lines[1].split()
-    n_in, n_total = int(vals[1]), int(vals[3])
-    assert lines[2] == "grad_input_weights"
-    g_in = np.array([[float(x) for x in lines[3 + r].split()] for r in range(n_in)])
-    assert lines[3 + n_in] == "grad_weights"
-    g_w = np.array(
-        [[float(x) for x in lines[4 + n_in + r].split()] for r in range(n_total)]
-    )
-    return g_w, g_in
-
-
 def cmd_plot(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)

@@ -2,16 +2,28 @@
 
 Two estimators share the trace-only interface:
 
-* ``eventprop_backward`` integrates the adjoint pair (lambda_v, lambda_i)
-  backward through the trace.  Between events the adjoints follow the linear
-  flow mirroring the forward dynamics; at each internal spike lambda_v of the
-  spiking neuron receives a jump proportional to 1/dV/dt at the crossing,
-  combining the loss derivative for that spike time with the transfer of
-  downstream adjoints through the spiking neuron's weight row.  Every spike
-  of presynaptic j contributes -tau_syn * lambda_i to its weight-row
-  gradient.  The binding contract is agreement with central finite
-  differences of the loss under the ideal event-driven dynamics; the test
-  suite enforces it.
+* ``eventprop_backward_batch`` runs the EventProp adjoint pair
+  (lambda_v, lambda_i) backward through the trace.  Between events the pair
+  follows a closed-form linear flow, so each lane keeps it as two
+  coefficients (D, Q) in an exponential frame anchored at a time A:
+
+      lambda_v(t) = D e^{(t-A)/tau_m}
+      lambda_i(t) = kappa D e^{(t-A)/tau_m} + Q e^{(t-A)/tau_s},
+      kappa = 1 / (tau_s (1/tau_s - 1/tau_m)),
+
+  or lambda_i(t) = (Q - D (t-A)/tau_s) e^{(t-A)/tau_s} when tau_m = tau_s.
+  Free flow leaves (D, Q) unchanged and costs nothing.  At an internal spike
+  of neuron j, lambda_v of j is set to the loss derivative for that spike
+  time, plus the transfer of the downstream adjoints through j's weight
+  row, plus lambda_v (I - v_reset/tau_m), all over dV/dt at the crossing.
+  The jump reads only j's fan-out lanes (``sim.FanOut``) and rewrites only
+  j's (D, Q), keeping lambda_i continuous.  Every event of presynaptic j
+  adds -tau_s lambda_i(t) to row j of its weight gradient; that row stays
+  dense on purpose, because the gradient of a weight that is zero today is
+  still defined and the finite-difference tests check it.  It costs a few
+  multiplications by per-row frame factors and no exp per lane.  The
+  binding contract is agreement with central finite differences of the
+  loss under the ideal event-driven dynamics.
 
 * ``fud_spike_time_grad`` differentiates the closed-form first-crossing
   condition for tau_mem = 2 tau_syn directly (implicit differentiation of
@@ -19,8 +31,14 @@ Two estimators share the trace-only interface:
   feedforward first-spike networks.
 
 Both consume only the trace plus weights: synaptic currents at spike times
-are reconstructed by replaying the trace through the current dynamics, so a
-foreign (hardware/replay) trace takes the identical code path.
+are reconstructed by replaying the trace through the current dynamics, in
+the same kind of frame (i(t) = c e^{-(t-A)/tau_s}), so a foreign
+(hardware/replay) trace takes the identical code path.
+
+A single anchor per row would overflow e^{|t-A|/tau} on long traces, so the
+anchor of an event is the start of its time window of ANCHOR_WINDOW times
+the shorter time constant; when a row moves to another window its
+coefficients are rescaled by a factor of at most 1.
 """
 from __future__ import annotations
 
@@ -36,6 +54,9 @@ from .sim import FanOut
 
 # |dV/dt| below this at a spike counts as a degenerate (grazing) crossing
 EPS_VDOT = 1e-6
+# frame anchors sit on a grid of this many shorter time constants, which
+# bounds every frame factor by e^ANCHOR_WINDOW
+ANCHOR_WINDOW = 100.0
 
 
 class DegenerateCrossing(RuntimeError):
@@ -46,45 +67,40 @@ class NoSpike(RuntimeError):
     """The analytic path needs the target neuron to actually spike."""
 
 
-@dataclass(frozen=True)
-class AdjointState:
-    """Adjoint pair plus accumulated weight gradients (diagnostic container)."""
-
-    lambda_v: np.ndarray
-    lambda_i: np.ndarray
-    grad_w: np.ndarray
-    grad_w_in: np.ndarray
+def _anchor(t, params):
+    """Start of the frame window that time t falls in."""
+    width = ANCHOR_WINDOW * min(params.tau_mem, params.tau_syn)
+    return np.floor(t / width) * width
 
 
-def _adjoint_flow(lam_v, lam_i, delta, params):
-    """Flow the adjoint pair backward over a gap of length delta (>= 0).
-
-    Backward in time: lambda_v decays with tau_mem, lambda_i relaxes toward
-    lambda_v with tau_syn -- the mirror image of the forward (I, V) flow.
-    """
-    tm, ts = params.tau_mem, params.tau_syn
-    es = np.exp(-delta / ts)
-    if params.is_equal_tau:
-        lam_i_new = (lam_i + lam_v * delta / ts) * es
-    else:
-        em = np.exp(-delta / tm)
-        lam_i_new = lam_i * es + (lam_v / ts) * (em - es) / (1.0 / ts - 1.0 / tm)
-    return lam_v * np.exp(-delta / tm), lam_i_new
+def _stacked_source(neurons, kinds, net: Network):
+    """Row of each slot's source in the stacked weights [w; w_in; 0]:
+    neuron j -> j, input channel c -> N + c, a dummy -> the zero row."""
+    n = net.n_total
+    return np.where(
+        kinds == int(SpikeKind.INTERNAL),
+        neurons,
+        np.where(kinds == int(SpikeKind.INPUT), n + neurons, n + net.n_in),
+    )
 
 
 def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     """Replay trace transitions through the current dynamics only.
 
     Returns (B, m) with the spiking neuron's synaptic current just before
-    each internal event (zero for input/dummy slots) and the final (i, t).
-    Like the simulator, an event decays and updates only the lanes it
-    fans out to, each from its own last update time; every lane is decayed
-    to its row's last event once at the end.
+    each internal event (zero for input/dummy slots), the final currents at
+    each row's last event and that time t_end (0 for an empty row).
+
+    Each row keeps its currents as coefficients c in the frame
+    i(t) = c e^{-(t-A)/tau_s}, so decay between events costs nothing: an
+    event at t_e adds its stacked weight row [w; w_in][src] e^{(t_e-A)/tau_s}
+    and the spiking neuron's current is read as c_j e^{-(t_e-A)/tau_s}.  The
+    anchor A moves with the row's time window (see the module docstring);
+    on a window change c is scaled by e^{-(A'-A)/tau_s} <= 1.
     """
     b, m = times.shape
     n = net.n_total
     ts = net.params.tau_syn
-    fan = FanOut.of(net)
     active = kinds != int(SpikeKind.DUMMY)
     # seen[:, k]: time of the row's last real event before slot k (0 if none)
     last = np.maximum.accumulate(np.where(active, np.arange(m), -1), axis=1)
@@ -94,30 +110,26 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
         raise InvalidParameter("trace times must be non-decreasing")
     t_end = seen[:, -1]
 
-    i_cur = np.zeros((b, n + 1))
-    t_ref = np.zeros((b, n + 1))
+    # a dummy slot keeps the row's time and anchor and adds the zero row
+    anchor = _anchor(seen, net.params)
+    grow = np.exp((seen[:, 1:] - anchor[:, 1:]) / ts)
+    shrink = np.exp(-(seen[:, 1:] - anchor[:, 1:]) / ts)
+    moved = (anchor[:, 1:] != anchor[:, :-1]).any(axis=0)
+    rescale = np.exp(-(anchor[:, 1:] - anchor[:, :-1]) / ts)
+    wstack = np.concatenate([net.weights, net.input_weights, np.zeros((1, n))])
+    src = _stacked_source(neurons, kinds, net)
+    spiking = np.clip(neurons, 0, n - 1)
+
+    rows = np.arange(b)
+    c = np.zeros((b, n))
     out = np.zeros((b, m))
-    internal = kinds == int(SpikeKind.INTERNAL)
-    external = kinds == int(SpikeKind.INPUT)
     for k in range(int(last.max(initial=-1)) + 1):
-        for mask, table, weights, spiking in (
-            (internal[:, k], fan.internal, fan.w, True),
-            (external[:, k], fan.inputs, fan.w_in, False),
-        ):
-            r = np.flatnonzero(mask)
-            if r.size == 0:
-                continue
-            src = neurons[r, k]
-            lanes = table[src]
-            rr = r[:, None]
-            tk = times[r, k, None]
-            i_lanes = i_cur[rr, lanes] * np.exp(-np.maximum(tk - t_ref[rr, lanes], 0.0) / ts)
-            if spiking:
-                out[r, k] = i_lanes[:, 0]
-            i_cur[rr, lanes] = i_lanes + weights[src[:, None], lanes]
-            t_ref[rr, lanes] = tk
-    i_cur = i_cur[:, :n] * np.exp(-np.maximum(t_end[:, None] - t_ref[:, :n], 0.0) / ts)
-    return out, i_cur, t_end
+        if moved[k]:
+            c *= rescale[:, k, None]
+        out[:, k] = c[rows, spiking[:, k]] * shrink[:, k]
+        c += wstack[src[:, k]] * grow[:, k, None]
+    out = np.where(kinds == int(SpikeKind.INTERNAL), out, 0.0)
+    return out, c * shrink[:, -1, None], t_end
 
 
 def reconstruct_currents(trace: EventTrace, net: Network) -> np.ndarray:
@@ -148,6 +160,71 @@ def replay_state(trace: EventTrace, net: Network, t_max: float) -> NeuronState:
     return NeuronState(v, i, max(t_max, t))
 
 
+def _adjoint_coefficients(neurons, times, kinds, net: Network, loss_grads, strict, vdot_floor):
+    """Everything the adjoint loop uses that does not depend on the adjoint.
+
+    In the frame of slot k (anchor A, e_m = e^{(t-A)/tau_m}) a lane with
+    coefficients (D, Q) has lambda_v = D e_m, its gradient row -tau_s
+    lambda_i is a_v D + a_q Q, and lambda_v - lambda_i = t_v D + t_q Q.  A
+    jump of the spiking neuron j sets D_j = (transfer + gain D_j + loss)
+    * scale, where transfer sums t_v D + t_q Q over j's fan-out weighted by
+    j's weights, and keeps lambda_i by Q_j += s_q (D_old - D_new).
+
+    Returns coef (m, 8, B, 1), holding a_v, a_q, t_v, t_q, gain, loss, scale
+    and s_q of each slot in one contiguous block; shift (m, B), the anchor
+    change A' - A <= 0 on entering each slot; and to_window(D, Q, shift),
+    which re-expresses (D, Q) in the new frame.
+    """
+    p = net.params
+    b, m = times.shape
+    ts, tm = p.tau_syn, p.tau_mem
+    i_rec, _, t_end = reconstruct_currents_batch(neurons, times, kinds, net)
+    internal = kinds == int(SpikeKind.INTERNAL)
+    vdot = i_rec - p.v_th / tm
+    ok = np.abs(vdot) >= EPS_VDOT
+    if strict and np.any(internal & ~ok):
+        raise DegenerateCrossing(
+            f"|dV/dt| = {np.abs(vdot[internal]).min():.3g} < {EPS_VDOT} at a spike"
+        )
+    if vdot_floor > 0.0:
+        vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
+
+    # frame time of slot k: the row's next real event at or after k (t_end
+    # past its last one), so a dummy slot leaves time and anchor unchanged
+    real = kinds != int(SpikeKind.DUMMY)
+    nxt = np.minimum.accumulate(np.where(real, np.arange(m), m)[:, ::-1], axis=1)[:, ::-1]
+    t_frame = np.take_along_axis(times, np.minimum(nxt, m - 1), axis=1)
+    t_frame = np.concatenate([np.where(nxt < m, t_frame, t_end[:, None]), t_end[:, None]], axis=1)
+    anchor = _anchor(t_frame, p)
+    u = t_frame[:, :-1] - anchor[:, :-1]
+
+    coef = np.empty((m, 8, b, 1))
+    a_v, a_q, t_v, t_q, gain, loss, scale, s_q = (coef[:, c, :, 0].T for c in range(8))
+    if p.is_equal_tau:
+        x = u / ts
+        e_m = np.exp(x)
+        a_v[...], a_q[...] = ts * x * e_m, -ts * e_m
+        t_v[...], t_q[...] = e_m * (1.0 + x), -e_m
+        s_q[...] = -x
+
+        def to_window(d, q, sh):
+            f = np.exp(sh / ts)
+            return f * d, f * (q - d * sh / ts)
+    else:
+        kappa = 1.0 / (ts * (1.0 / ts - 1.0 / tm))
+        e_m, e_s = np.exp(u / tm), np.exp(u / ts)
+        a_v[...], a_q[...] = -ts * kappa * e_m, -ts * e_s
+        t_v[...], t_q[...] = (1.0 - kappa) * e_m, -e_s
+        s_q[...] = kappa * e_m / e_s
+
+        def to_window(d, q, sh):
+            return np.exp(sh / tm) * d, np.exp(sh / ts) * q
+    gain[...] = e_m * (i_rec - p.v_reset / tm)
+    loss[...] = np.where(internal, loss_grads, 0.0)
+    scale[...] = np.where(internal & ok, 1.0 / np.where(ok, vdot, 1.0), 0.0) / e_m
+    return coef, (anchor[:, :-1] - anchor[:, 1:]).T, to_window
+
+
 def eventprop_backward_batch(
     neurons,
     times,
@@ -166,54 +243,54 @@ def eventprop_backward_batch(
     near-grazing crossing otherwise injects an arbitrarily large, noisy
     contribution whose true value is ill-conditioned anyway.  The default 0
     keeps the estimator exact.
+
+    Everything that does not depend on the adjoint is computed for all
+    slots before the loop (``_adjoint_coefficients``).  The loop body is the
+    same for every row: a slot that is not an internal event has the
+    sentinel source (no fan-out, zero weights, zero jump scale), and its
+    gradient row goes to the sink row of the stacked [w; w_in; sink]
+    accumulator, which takes one bincount per slot.
     """
-    p = net.params
     b, m = times.shape
-    n = net.n_total
-    ts, tm = p.tau_syn, p.tau_mem
-    i_rec, _, _ = reconstruct_currents_batch(neurons, times, kinds, net)
+    n, n_in = net.n_total, net.n_in
+    coef, shift, to_window = _adjoint_coefficients(
+        neurons, times, kinds, net, loss_grads, strict, vdot_floor
+    )
+    moved = (shift != 0.0).any(axis=1)
 
-    lam_v = np.zeros((b, n))
-    lam_i = np.zeros((b, n))
-    grad_w = np.zeros((n, n))
-    grad_w_in = np.zeros((net.n_in, n))
-    real = kinds != int(SpikeKind.DUMMY)
-    t_cur = np.where(real.any(axis=1), np.max(np.where(real, times, -np.inf), axis=1), 0.0)
+    # Fan-out lanes and weights of each slot's spiking neuron; row n of the
+    # tables is the sentinel source, all of whose lanes are the sentinel n.
+    # The state is (B, N + 1), and lanes index it flat.
+    fan = FanOut.of(net)
+    table = np.concatenate([fan.internal, np.full((1, fan.internal.shape[1]), n)])
+    wtab = np.concatenate([fan.w, np.zeros((1, n + 1))])
+    src = np.where(kinds == int(SpikeKind.INTERNAL), neurons, n).T
+    lanes = table[src]
+    w_lanes = wtab[src[..., None], lanes]
+    lanes += (np.arange(b) * (n + 1))[:, None]
+    size = (n + n_in + 1) * (n + 1)
+    base = (_stacked_source(neurons, kinds, net) * (n + 1)).T[..., None].copy()
+    cols = np.arange(n + 1)
+    last_real = int(np.flatnonzero((kinds != int(SpikeKind.DUMMY)).any(axis=0)).max(initial=-1))
 
-    for k in range(m - 1, -1, -1):
-        kind = kinds[:, k]
-        active = kind != int(SpikeKind.DUMMY)
-        if not active.any():
-            continue
-        tk = times[:, k]
-        delta = np.where(active, t_cur - tk, 0.0)
-        lam_v, lam_i = _adjoint_flow(lam_v, lam_i, delta[:, None], p)
-        t_cur = np.where(active, tk, t_cur)
-
-        nk = np.clip(neurons[:, k], 0, None)
-        inp = kind == int(SpikeKind.INPUT)
-        if inp.any():
-            np.add.at(grad_w_in, nk[inp], -ts * lam_i[inp])
-        itn = kind == int(SpikeKind.INTERNAL)
-        if itn.any():
-            rows = nk[itn]
-            np.add.at(grad_w, rows, -ts * lam_i[itn])
-            i_spk = i_rec[itn, k]
-            vdot = i_spk - p.v_th / tm
-            ok = np.abs(vdot) >= EPS_VDOT
-            if strict and not ok.all():
-                raise DegenerateCrossing(
-                    f"|dV/dt| = {np.abs(vdot).min():.3g} < {EPS_VDOT} at a spike"
-                )
-            if vdot_floor > 0.0:
-                vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
-            w_rows = net.weights[rows]
-            transfer = np.einsum("bn,bn->b", w_rows, lam_v[itn] - lam_i[itn])
-            lam_v_n = lam_v[itn, rows]
-            d = transfer + lam_v_n * (i_spk - p.v_reset / tm) + loss_grads[itn, k]
-            jump = np.where(ok, d / np.where(ok, vdot, 1.0), 0.0)
-            lam_v[itn, rows] = jump
-    return grad_w, grad_w_in
+    d_co = np.zeros((b, n + 1))
+    q_co = np.zeros((b, n + 1))
+    d_flat, q_flat = d_co.reshape(-1), q_co.reshape(-1)
+    grad = np.zeros(size)
+    for k in range(last_real, -1, -1):
+        if moved[k]:
+            d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
+        a_v, a_q, t_v, t_q, gain, loss, scale, s_q = coef[k]
+        grad += np.bincount((base[k] + cols).ravel(), (a_v * d_co + a_q * q_co).ravel(), size)
+        ln = lanes[k]
+        d_l = d_flat[ln]
+        q_l = q_flat[ln]
+        transfer = np.einsum("bw,bw->b", w_lanes[k], t_v * d_l + t_q * q_l)
+        d_new = (transfer + gain[:, 0] * d_l[:, 0] + loss[:, 0]) * scale[:, 0]
+        q_flat[ln[:, 0]] = q_l[:, 0] + s_q[:, 0] * (d_l[:, 0] - d_new)
+        d_flat[ln[:, 0]] = d_new
+    grad = grad.reshape(n + n_in + 1, n + 1)
+    return grad[:n, :n].copy(), grad[n : n + n_in, :n].copy()
 
 
 def eventprop_backward(

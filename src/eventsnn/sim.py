@@ -22,13 +22,11 @@ final time: t_max, or the last event of a row that used its whole budget.
 The engine is written over batched (B, N) state arrays and every operation
 acts on its own row only; the public single-sample API wraps the same code
 path with B = 1, so batched and sequential execution agree bitwise.
-``dense_oracle`` is an independent fixed-grid forward-Euler integrator used
-by the test suite.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -364,65 +362,3 @@ def step(
         np.array([state.t]),
     )
     return StepOutput(state=batch.sample(0).final_state, spike=batch.sample(0)[0])
-
-
-def dense_oracle(
-    net: Network,
-    inputs: Sequence[Spike],
-    dt: float,
-    t_max: float,
-    m: int | None = None,
-) -> EventTrace:
-    """Fixed-grid forward-Euler reference integrator (test oracle).
-
-    Crossings are detected by sign change against v_th and refined with one
-    linear interpolation inside the step.  Input times split grid steps so
-    external events land exactly.  With ``m`` given, the trace follows the
-    budget contract of ``simulate`` (truncation + dummy padding).
-    """
-    if not dt > 0.0:
-        raise InvalidParameter(f"dt={dt} must be positive")
-    validate_network(net, require_analytic=False)
-    _check_inputs(net, inputs)
-    p = net.params
-    n = net.n_total
-    v = np.zeros(n)
-    i = np.zeros(n)
-    t = 0.0
-    queue = [s for s in inputs if s.time <= t_max]
-    qp = 0
-    events: list[Spike] = []
-    k_grid = 1
-
-    while t < t_max:
-        t_grid = min(k_grid * dt, t_max)
-        t_next = min(queue[qp].time, t_grid) if qp < len(queue) else t_grid
-        h = t_next - t
-        if h > 0.0:
-            v_new = v + h * (-v / p.tau_mem + i)
-            i_new = i * (1.0 - h / p.tau_syn)
-            crossed = np.nonzero((v < p.v_th) & (v_new >= p.v_th))[0]
-            if crossed.size:
-                frac = (p.v_th - v[crossed]) / (v_new[crossed] - v[crossed])
-                order = np.argsort(frac, kind="stable")
-                for j in order:
-                    nrn = int(crossed[j])
-                    events.append(Spike(nrn, t + h * float(frac[j]), SpikeKind.INTERNAL))
-                    v_new[nrn] = p.v_reset
-                    i_new += net.weights[nrn]
-            v, i = v_new, i_new
-            t = t_next
-        if qp < len(queue) and queue[qp].time == t_next:
-            s = queue[qp]
-            events.append(Spike(s.neuron, s.time, SpikeKind.INPUT))
-            i = i + net.input_weights[s.neuron]
-            qp += 1
-        if t_next == t_grid and t_grid == k_grid * dt:
-            k_grid += 1
-        if m is not None and len(events) >= m:
-            break
-
-    final = NeuronState(v, i, min(t, t_max))
-    if m is not None:
-        events = events[:m] + [Spike.dummy()] * max(0, m - len(events))
-    return EventTrace.from_spikes(events, final)

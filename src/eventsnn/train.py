@@ -626,27 +626,44 @@ def write_checkpoint(path, net: Network, n_hidden: int) -> None:
             f.write(" ".join(format_time(x) for x in row) + "\n")
 
 
+def _weight_block(lines, at: int, name: str, rows: int, width: int, path) -> np.ndarray:
+    """The ``rows`` x ``width`` matrix that follows the line ``name`` at ``at``."""
+    if lines[at : at + 1] != [name] or len(lines) < at + 1 + rows:
+        raise InvalidParameter(
+            f"checkpoint {path}: expected {rows} rows of {name} at line {at + 1}"
+        )
+    try:
+        block = [[float(x) for x in line.split()] for line in lines[at + 1 : at + 1 + rows]]
+    except ValueError as e:
+        raise InvalidParameter(f"checkpoint {path}: bad {name} entry: {e}") from e
+    for r, row in enumerate(block):
+        if len(row) != width:
+            raise InvalidParameter(
+                f"checkpoint {path}: {name} row {r} has {len(row)} entries, expected {width}"
+            )
+    return np.array(block).reshape(rows, width)
+
+
 def read_checkpoint(path) -> tuple[Network, int]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise InvalidParameter(f"not a checkpoint file: {path}")
-    pvals = lines[1].split()
-    params = LifParams(
-        tau_mem=float(pvals[1]),
-        tau_syn=float(pvals[3]),
-        v_th=float(pvals[5]),
-        v_reset=float(pvals[7]),
-    )
-    svals = lines[2].split()
-    n_in, n_total, n_hidden = int(svals[1]), int(svals[3]), int(svals[5])
-    assert lines[3] == "input_weights"
-    w_in = np.array(
-        [[float(x) for x in lines[4 + r].split()] for r in range(n_in)]
-    )
-    assert lines[4 + n_in] == "weights"
-    w = np.array(
-        [[float(x) for x in lines[5 + n_in + r].split()] for r in range(n_total)]
-    )
+    try:
+        pvals = lines[1].split()
+        params = LifParams(
+            tau_mem=float(pvals[1]),
+            tau_syn=float(pvals[3]),
+            v_th=float(pvals[5]),
+            v_reset=float(pvals[7]),
+        )
+        svals = lines[2].split()
+        n_in, n_total, n_hidden = int(svals[1]), int(svals[3]), int(svals[5])
+    except (IndexError, ValueError) as e:
+        raise InvalidParameter(f"checkpoint {path}: bad header: {e}") from e
+    if n_in < 0 or not 0 <= n_hidden <= n_total:
+        raise InvalidParameter(f"checkpoint {path}: bad sizes {lines[2]!r}")
+    w_in = _weight_block(lines, 3, "input_weights", n_in, n_total, path)
+    w = _weight_block(lines, 4 + n_in, "weights", n_total, n_total, path)
     net = Network(
         n_total=n_total,
         weights=w,

@@ -1,13 +1,23 @@
 """Shared oracles and generators for the test suite.
 
-The oracles are deliberately primitive: plain forward-Euler loops and
-bracket-and-bisect root finding, independent of the closed-form solver path
-they are used to check.
+The oracles are deliberately primitive: plain forward-Euler loops, dense
+per-event decays of every lane and bracket-and-bisect root finding,
+independent of the closed-form and event-driven paths they are used to check.
 """
 import numpy as np
 import pytest
 
-from eventsnn.core import LifParams, Network, Spike, SpikeKind
+from eventsnn.core import (
+    EventTrace,
+    InvalidParameter,
+    LifParams,
+    Network,
+    NeuronState,
+    Spike,
+    SpikeKind,
+    validate_network,
+)
+from eventsnn.grad import EPS_VDOT, DegenerateCrossing
 
 
 def euler_first_crossing(v0, i0, params: LifParams, dt=1e-6, t_hi=20.0):
@@ -58,6 +68,163 @@ def random_inputs(rng: np.random.Generator, net: Network, t_span=1.5, k_max=10):
     return [
         Spike(int(nrn), float(t), SpikeKind.INPUT) for nrn, t in zip(neurons, times)
     ]
+
+
+def dense_oracle(net: Network, inputs, dt: float, t_max: float, m: int | None = None):
+    """Fixed-grid forward-Euler reference integrator.
+
+    Crossings are detected by sign change against v_th and refined with one
+    linear interpolation inside the step.  Input times split grid steps so
+    external events land exactly.  With ``m`` given, the trace follows the
+    budget contract of ``simulate`` (truncation + dummy padding).  The state
+    is kept in Python floats; every lane goes through the same IEEE operations
+    in the same order as an elementwise numpy step would.
+    """
+    if not dt > 0.0:
+        raise InvalidParameter(f"dt={dt} must be positive")
+    validate_network(net, require_analytic=False)
+    p = net.params
+    tm, ts, v_th, v_reset = p.tau_mem, p.tau_syn, p.v_th, p.v_reset
+    w, w_in = net.weights.tolist(), net.input_weights.tolist()
+    v = [0.0] * net.n_total
+    i = [0.0] * net.n_total
+    t = 0.0
+    queue = [s for s in inputs if s.time <= t_max]
+    q_times = [s.time for s in queue] + [np.inf]
+    qp = 0
+    budget = np.inf if m is None else m
+    events: list[Spike] = []
+    k_grid = 1
+
+    while t < t_max:
+        t_grid = min(k_grid * dt, t_max)
+        t_next = min(q_times[qp], t_grid)
+        h = t_next - t
+        if h > 0.0:
+            decay = 1.0 - h / ts
+            v_new = [a + h * (-a / tm + b) for a, b in zip(v, i)]
+            i_new = [b * decay for b in i]
+            if max(v_new) >= v_th:  # cheap pre-filter for the exact test below
+                # (frac, neuron) pairs sort as a stable argsort of frac does
+                crossed = sorted(
+                    ((v_th - a) / (c - a), k)
+                    for k, (a, c) in enumerate(zip(v, v_new))
+                    if a < v_th <= c
+                )
+                for frac, nrn in crossed:
+                    events.append(Spike(nrn, t + h * frac, SpikeKind.INTERNAL))
+                    v_new[nrn] = v_reset
+                    i_new = [b + c for b, c in zip(i_new, w[nrn])]
+            v, i = v_new, i_new
+            t = t_next
+        if q_times[qp] == t_next:
+            s = queue[qp]
+            events.append(Spike(s.neuron, s.time, SpikeKind.INPUT))
+            i = [b + c for b, c in zip(i, w_in[s.neuron])]
+            qp += 1
+        if t_next == t_grid and t_grid == k_grid * dt:
+            k_grid += 1
+        if len(events) >= budget:
+            break
+
+    final = NeuronState(np.array(v), np.array(i), min(t, t_max))
+    if m is not None:
+        events = events[:m] + [Spike.dummy()] * max(0, m - len(events))
+    return EventTrace.from_spikes(events, final)
+
+
+def dense_currents(neurons, times, kinds, net: Network):
+    """(B, m) current of the spiking neuron just before each internal event.
+
+    Every lane of a row decays to every real event of that row; input and
+    dummy slots read zero.
+    """
+    b, m = times.shape
+    ts = net.params.tau_syn
+    i = np.zeros((b, net.n_total))
+    t = np.zeros(b)
+    out = np.zeros((b, m))
+    for k in range(m):
+        tk = np.where(kinds[:, k] != int(SpikeKind.DUMMY), times[:, k], t)
+        i = i * np.exp(-(tk - t) / ts)[:, None]
+        t = tk
+        nk = np.clip(neurons[:, k], 0, None)
+        itn = kinds[:, k] == int(SpikeKind.INTERNAL)
+        inp = kinds[:, k] == int(SpikeKind.INPUT)
+        out[itn, k] = i[itn, nk[itn]]
+        i[itn] += net.weights[nk[itn]]
+        i[inp] += net.input_weights[nk[inp]]
+    return out
+
+
+def _adjoint_flow(lam_v, lam_i, delta, params):
+    """Flow the adjoint pair backward over a gap of length delta (>= 0).
+
+    Backward in time: lambda_v decays with tau_mem, lambda_i relaxes toward
+    lambda_v with tau_syn -- the mirror image of the forward (I, V) flow.
+    """
+    tm, ts = params.tau_mem, params.tau_syn
+    es = np.exp(-delta / ts)
+    if params.is_equal_tau:
+        lam_i_new = (lam_i + lam_v * delta / ts) * es
+    else:
+        em = np.exp(-delta / tm)
+        lam_i_new = lam_i * es + (lam_v / ts) * (em - es) / (1.0 / ts - 1.0 / tm)
+    return lam_v * np.exp(-delta / tm), lam_i_new
+
+
+def dense_adjoint(
+    neurons, times, kinds, net: Network, loss_grads, strict=False, vdot_floor=0.0
+):
+    """EventProp backward pass that flows the whole (B, N) adjoint pair to
+    every event; same contract as ``grad.eventprop_backward_batch``."""
+    p = net.params
+    b, m = times.shape
+    n = net.n_total
+    ts, tm = p.tau_syn, p.tau_mem
+    i_rec = dense_currents(neurons, times, kinds, net)
+
+    lam_v = np.zeros((b, n))
+    lam_i = np.zeros((b, n))
+    grad_w = np.zeros((n, n))
+    grad_w_in = np.zeros((net.n_in, n))
+    real = kinds != int(SpikeKind.DUMMY)
+    t_cur = np.where(real.any(axis=1), np.max(np.where(real, times, -np.inf), axis=1), 0.0)
+
+    for k in range(m - 1, -1, -1):
+        kind = kinds[:, k]
+        active = kind != int(SpikeKind.DUMMY)
+        if not active.any():
+            continue
+        tk = times[:, k]
+        delta = np.where(active, t_cur - tk, 0.0)
+        lam_v, lam_i = _adjoint_flow(lam_v, lam_i, delta[:, None], p)
+        t_cur = np.where(active, tk, t_cur)
+
+        nk = np.clip(neurons[:, k], 0, None)
+        inp = kind == int(SpikeKind.INPUT)
+        if inp.any():
+            np.add.at(grad_w_in, nk[inp], -ts * lam_i[inp])
+        itn = kind == int(SpikeKind.INTERNAL)
+        if itn.any():
+            rows = nk[itn]
+            np.add.at(grad_w, rows, -ts * lam_i[itn])
+            i_spk = i_rec[itn, k]
+            vdot = i_spk - p.v_th / tm
+            ok = np.abs(vdot) >= EPS_VDOT
+            if strict and not ok.all():
+                raise DegenerateCrossing(
+                    f"|dV/dt| = {np.abs(vdot).min():.3g} < {EPS_VDOT} at a spike"
+                )
+            if vdot_floor > 0.0:
+                vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
+            w_rows = net.weights[rows]
+            transfer = np.einsum("bn,bn->b", w_rows, lam_v[itn] - lam_i[itn])
+            lam_v_n = lam_v[itn, rows]
+            d = transfer + lam_v_n * (i_spk - p.v_reset / tm) + loss_grads[itn, k]
+            jump = np.where(ok, d / np.where(ok, vdot, 1.0), 0.0)
+            lam_v[itn, rows] = jump
+    return grad_w, grad_w_in
 
 
 @pytest.fixture

@@ -9,17 +9,20 @@ from eventsnn.grad import (
     DegenerateCrossing,
     NoSpike,
     eventprop_backward,
+    eventprop_backward_batch,
     fud_feedforward,
     fud_feedforward_grads,
     fud_spike_time_grad,
     reconstruct_currents,
+    reconstruct_currents_batch,
 )
 from eventsnn.lif import next_crossing_double_tau
 from eventsnn.sim import pack_inputs, simulate, simulate_batch
 
-from conftest import random_inputs, random_network
+from conftest import dense_adjoint, random_inputs, random_network
 
 P2 = LifParams(tau_mem=2.0)
+P1 = LifParams(tau_mem=1.0)
 
 
 def in_spike(neuron, t):
@@ -230,6 +233,164 @@ class TestEventProp:
             eventprop_backward(trace, net, slot_g, strict=True)
         g_w, g_w_in = eventprop_backward(trace, net, slot_g, strict=False)
         assert np.all(np.isfinite(g_w)) and np.all(np.isfinite(g_w_in))
+
+
+def random_batch(rng, net, b=8, m=30, t_max=2.5):
+    """A simulated batch and random loss derivatives on its internal slots."""
+    idx, times = pack_inputs([random_inputs(rng, net) for _ in range(b)])
+    batch = simulate_batch(net, idx[:, :-1], times[:, :-1], m=m, t_max=t_max)
+    g = rng.normal(size=batch.times.shape) * (batch.kinds == int(SpikeKind.INTERNAL))
+    return batch, g
+
+
+def summand_scale(batch, net, loss_grads, **kw):
+    """Per matrix, the largest entry of sum_b |gradient of row b|.
+
+    The batch gradient is a sum over rows that can cancel far below its
+    terms, so agreement is measured against the size of the terms.
+    """
+    scale = [0.0, 0.0]
+    for r in range(batch.batch_size):
+        one = dense_adjoint(
+            batch.neurons[r : r + 1], batch.times[r : r + 1], batch.kinds[r : r + 1],
+            net, loss_grads[r : r + 1], **kw,
+        )
+        scale = [s + np.abs(g) for s, g in zip(scale, one)]
+    return [float(np.max(s, initial=0.0)) for s in scale]
+
+
+def assert_matches_dense(batch, net, loss_grads, **kw):
+    args = (batch.neurons, batch.times, batch.kinds, net, loss_grads)
+    got = eventprop_backward_batch(*args, **kw)
+    want = dense_adjoint(*args, **kw)
+    scales = summand_scale(batch, net, loss_grads, **kw)
+    for g, d, s in zip(got, want, scales):
+        assert np.all(np.isfinite(g))
+        assert np.max(np.abs(g - d), initial=0.0) <= 1e-12 * max(s, np.max(np.abs(d), initial=0.0))
+    return got
+
+
+def chain_net(params):
+    return Network(
+        n_total=2,
+        weights=np.array([[0.0, 2.5], [0.0, 0.0]]),
+        input_weights=np.array([[4.0, 0.0]]),
+        params=params,
+        output_set=(1,),
+    )
+
+
+LONG_SPAN_INPUTS = (0.0, 99.8, 900.0, 1800.0)
+
+
+def long_span_batch(params):
+    """Bursts of a 2-neuron chain driven at t = 0, 99.8, 900 and 1800.
+
+    exp((t - A) / tau) over the whole span overflows, so one frame anchor
+    per row fails; the burst at 99.8 straddles the window edge at t = 100.
+    """
+    idx, times = pack_inputs([[in_spike(0, t) for t in LONG_SPAN_INPUTS]])
+    return simulate_batch(chain_net(params), idx[:, :-1], times[:, :-1], m=32, t_max=2000.0)
+
+
+class TestEventDrivenAdjoint:
+    """The frame-coefficient backward pass against the dense adjoint flow."""
+
+    @pytest.mark.parametrize("params", [P2, P1], ids=["tau_ratio_2", "tau_ratio_1"])
+    def test_random_recurrent_nets_match_dense(self, rng, params):
+        self_loops = zero_weights = 0
+        for _ in range(25):
+            net = random_network(rng, params=params)
+            self_loops += int(np.any(np.diag(net.weights) != 0.0))
+            zero_weights += int(np.any(net.weights == 0.0))
+            batch, g = random_batch(rng, net)
+            assert_matches_dense(batch, net, g)
+        assert self_loops > 0 and zero_weights > 0
+
+    @pytest.mark.parametrize("params", [P2, P1], ids=["tau_ratio_2", "tau_ratio_1"])
+    def test_vdot_floor_matches_dense(self, rng, params):
+        for _ in range(10):
+            net = random_network(rng, params=params)
+            batch, g = random_batch(rng, net)
+            assert_matches_dense(batch, net, g, vdot_floor=0.5)
+
+    def degenerate_batch(self, rng):
+        """Row 0: a spike with dV/dt = 0 up to rounding; rows 1-3 are regular."""
+        net = Network(
+            n_total=1,
+            weights=np.zeros((1, 1)),
+            input_weights=np.array([[1.0]]),
+            params=P2,
+            output_set=(0,),
+        )
+        batch, _ = random_batch(rng, net, b=4, m=3)
+        batch.neurons[0] = [0, 0, -1]
+        batch.times[0] = [0.0, math.log(2.0), np.inf]
+        batch.kinds[0] = [int(SpikeKind.INPUT), int(SpikeKind.INTERNAL), int(SpikeKind.DUMMY)]
+        g = np.where(batch.kinds == int(SpikeKind.INTERNAL), 1.0, 0.0)
+        return batch, net, g
+
+    def test_degenerate_crossing_non_strict_matches_dense(self, rng):
+        batch, net, g = self.degenerate_batch(rng)
+        assert_matches_dense(batch, net, g, strict=False)
+
+    def test_degenerate_crossing_strict_raises_like_dense(self, rng):
+        batch, net, g = self.degenerate_batch(rng)
+        args = (batch.neurons, batch.times, batch.kinds, net, g)
+        with pytest.raises(DegenerateCrossing):
+            dense_adjoint(*args, strict=True)
+        with pytest.raises(DegenerateCrossing):
+            eventprop_backward_batch(*args, strict=True)
+        # the regular rows alone pass the strict check
+        rest = (a[1:] for a in (batch.neurons, batch.times, batch.kinds))
+        eventprop_backward_batch(*rest, net, g[1:], strict=True)
+
+    @pytest.mark.parametrize("params", [P2, P1], ids=["tau_ratio_2", "tau_ratio_1"])
+    def test_batch_equals_sum_of_single_rows(self, rng, params):
+        for _ in range(10):
+            net = random_network(rng, params=params)
+            batch, g = random_batch(rng, net)
+            whole = eventprop_backward_batch(batch.neurons, batch.times, batch.kinds, net, g)
+            rows = [
+                eventprop_backward_batch(
+                    batch.neurons[r : r + 1], batch.times[r : r + 1],
+                    batch.kinds[r : r + 1], net, g[r : r + 1],
+                )
+                for r in range(batch.batch_size)
+            ]
+            scales = summand_scale(batch, net, g)
+            for m_idx in range(2):
+                total = sum(r[m_idx] for r in rows)
+                np.testing.assert_allclose(
+                    whole[m_idx], total, rtol=1e-12, atol=1e-12 * scales[m_idx]
+                )
+
+    @pytest.mark.parametrize("params", [P2, P1], ids=["tau_ratio_2", "tau_ratio_1"])
+    def test_long_span_gradients_finite_and_match_dense(self, params):
+        batch = long_span_batch(params)
+        assert batch.times[0, -1] == np.inf  # every burst fits the budget
+        assert np.sum(batch.kinds == int(SpikeKind.INPUT)) == len(LONG_SPAN_INPUTS)
+        assert np.any((batch.times > 100.0) & (batch.times < 101.0))
+        g = np.where(batch.kinds == int(SpikeKind.INTERNAL), 1.0, 0.0)
+        got = assert_matches_dense(batch, chain_net(params), g)
+        assert np.all(got[0][0] != 0.0) and got[1][0, 0] != 0.0
+
+    @pytest.mark.parametrize("params", [P2, P1], ids=["tau_ratio_2", "tau_ratio_1"])
+    def test_long_span_currents_match_engine(self, params):
+        batch = long_span_batch(params)
+        out, i_end, t_end = reconstruct_currents_batch(
+            batch.neurons, batch.times, batch.kinds, chain_net(params)
+        )
+        internal = batch.kinds == int(SpikeKind.INTERNAL)
+        assert np.all(np.isfinite(out)) and np.all(out[~internal] == 0.0)
+        np.testing.assert_allclose(
+            out[internal], batch.i_spike_recorded[internal], rtol=0, atol=1e-12
+        )
+        # the engine propagates to t_max; replay stops at the last event
+        last = np.max(batch.times[np.isfinite(batch.times)])
+        assert t_end[0] == last
+        decay = np.exp(-(batch.final_t[0] - last) / params.tau_syn)
+        np.testing.assert_allclose(i_end[0] * decay, batch.final_i[0], rtol=1e-12, atol=1e-300)
 
 
 class TestFudSpikeTimeGrad:

@@ -8,14 +8,13 @@ from eventsnn.sim import (
     InvalidBudget,
     SimDiagnostics,
     UnsortedInput,
-    dense_oracle,
     pack_inputs,
     simulate,
     simulate_batch,
     step,
 )
 
-from conftest import euler_first_crossing, random_inputs, random_network
+from conftest import dense_oracle, euler_first_crossing, random_inputs, random_network
 
 P2 = LifParams(tau_mem=2.0)
 

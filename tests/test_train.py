@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from eventsnn.config import ExperimentConfig, apply_overrides, load_config, save_config
-from eventsnn.core import EventTrace, LifParams, Network, NeuronState, Spike, SpikeKind
+from eventsnn.core import (
+    EventTrace,
+    InvalidParameter,
+    LifParams,
+    Network,
+    NeuronState,
+    Spike,
+    SpikeKind,
+)
 from eventsnn.train import (
     AdamState,
     ShapeMismatch,
@@ -176,6 +184,36 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.input_weights, net.input_weights)
         assert back.output_set == net.output_set
         assert back.params == net.params
+
+    def written(self, tmp_path, rng):
+        net = Network.feedforward(rng.normal(size=(5, 6)), rng.normal(size=(6, 2)), P2)
+        path = tmp_path / "ck.txt"
+        write_checkpoint(path, net, n_hidden=6)
+        return path, path.read_text().splitlines()
+
+    def test_truncated_file_raises_typed_error(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        for keep in (2, 3, 6, len(lines) - 1):
+            path.write_text("\n".join(lines[:keep]) + "\n")
+            with pytest.raises(InvalidParameter):
+                read_checkpoint(path)
+
+    def test_short_row_raises_typed_error(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        for row in (5, len(lines) - 1):  # an input-weight row, the last weight row
+            bad = list(lines)
+            bad[row] = " ".join(bad[row].split()[:-1])
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(InvalidParameter, match="entries"):
+                read_checkpoint(path)
+
+    def test_cli_eval_on_bad_checkpoint_exits_2(self, tmp_path, rng, capsys):
+        from eventsnn.cli import main
+
+        path, lines = self.written(tmp_path, rng)
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestTrainingLoop:
