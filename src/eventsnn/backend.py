@@ -1,21 +1,22 @@
 """Pluggable forward-pass providers behind one trace-producing interface.
 
-Three backends return an ``EventTrace`` the gradient path can consume
-unchanged:
+``forward_batch`` runs a batch of samples through one of three backends and
+returns one ``EventTrace`` of (B, m) slot arrays that the gradient path
+consumes unchanged; ``forward`` is row 0 of a one-sample batch.
 
 * ``numeric`` delegates to the in-process event-driven simulator,
 * ``mock`` simulates substrate non-idealities: weights are quantized and
   saturated before the run, emitted internal spike times get Gaussian jitter
   and may be dropped, then the trace is re-sorted and re-padded,
-* ``replay`` loads a previously exported trace from file (the stand-in for a
-  physical substrate), validating shape and ordering.
+* ``replay`` reads previously exported traces from a file (the stand-in for
+  a physical substrate) and gives each row the block recorded for its
+  inputs, validating shape, ordering and the inputs.
 
 The backward pass always assumes the ideal dynamics with the caller's float
 weights, whatever produced the spikes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -24,19 +25,20 @@ import numpy as np
 
 from .core import (
     DUMMY_NEURON,
+    SPIKE_FILE_HEADER,
     EventTrace,
     InvalidParameter,
     Network,
     Spike,
     SpikeKind,
     classify_records,
-    format_spike,
+    format_records,
     format_time,
-    parse_spike_record,
+    parse_records,
     validate_network,
 )
 from .grad import replay_state
-from .sim import BatchTrace, pack_inputs, simulate_batch
+from .sim import pack_inputs, simulate_batch
 
 
 class ReplayShapeMismatch(ValueError):
@@ -70,6 +72,8 @@ class BackendConfig:
 def _check_config(cfg: BackendConfig) -> None:
     if cfg.kind not in ("numeric", "mock", "replay"):
         raise InvalidParameter(f"unknown backend kind {cfg.kind!r}")
+    if cfg.kind == "replay" and not str(cfg.replay.trace_path):
+        raise InvalidParameter("the replay backend needs backend.replay.trace_path")
     if cfg.mock.weight_bits < 2:
         raise InvalidParameter("weight_bits must be >= 2")
     if not 0.0 <= cfg.mock.spike_loss_prob <= 1.0:
@@ -111,8 +115,8 @@ def _mock_network(net: Network, mock: MockConfig) -> Network:
 
 
 def _apply_mock_noise(
-    batch: BatchTrace, mock: MockConfig, t_max: float, seeds: Sequence[int]
-) -> BatchTrace:
+    batch: EventTrace, mock: MockConfig, t_max: float, seeds: Sequence[int]
+) -> EventTrace:
     """Jitter/drop internal spikes per sample, then re-sort and re-pad.
 
     Each row draws from its own generator seeded by its sample seed, so a
@@ -140,13 +144,12 @@ def _apply_mock_noise(
     times[drop] = np.inf
     order = np.argsort(times, axis=1, kind="stable")
     dropped = np.take_along_axis(drop, order, axis=1)
-    return BatchTrace(
+    return EventTrace(
         np.where(dropped, DUMMY_NEURON, np.take_along_axis(batch.neurons, order, axis=1)),
         np.take_along_axis(times, order, axis=1),
         np.where(
             dropped, int(SpikeKind.DUMMY), np.take_along_axis(batch.kinds, order, axis=1)
         ).astype(np.int8),
-        None,
         batch.final_v,
         batch.final_i,
         batch.final_t,
@@ -161,8 +164,12 @@ def forward_batch(
     m: int,
     t_max: float,
     seeds: Sequence[int],
-) -> BatchTrace:
-    """Batched forward dispatch for the numeric and mock backends."""
+) -> EventTrace:
+    """Batched forward pass through the configured backend.
+
+    ``in_neurons``/``in_times`` are (B, K) time-sorted inputs per row, padded
+    with -1 / inf; ``seeds`` gives each row's mock-noise seed.
+    """
     _check_config(cfg)
     validate_network(net)
     if cfg.kind == "numeric":
@@ -171,7 +178,12 @@ def forward_batch(
         run_net = _mock_network(net, cfg.mock)
         batch = simulate_batch(run_net, in_neurons, in_times, m, t_max)
         return _apply_mock_noise(batch, cfg.mock, t_max, seeds)
-    raise InvalidParameter("replay backend has no batched forward; use forward()")
+    rf = read_replay_file(cfg.replay.trace_path)
+    check_manifest(rf, m, t_max)
+    pick = [_block_of(rf, nrow, trow, t_max) for nrow, trow in zip(in_neurons, in_times)]
+    return replay_block_to_trace(
+        rf.neurons[pick], rf.times[pick], net, in_neurons, in_times, t_max
+    )
 
 
 def forward(
@@ -182,14 +194,9 @@ def forward(
     t_max: float,
     seed: int = 0,
 ) -> EventTrace:
-    """Single-sample forward pass through the configured backend."""
-    _check_config(cfg)
-    validate_network(net)
-    if cfg.kind == "replay":
-        return _replay_forward(cfg, net, inputs, m, t_max)
+    """Single-sample forward pass: row 0 of ``forward_batch``."""
     idx, times = pack_inputs([list(inputs)])
-    batch = forward_batch(cfg, net, idx[:, :-1], times[:, :-1], m, t_max, [seed])
-    return batch.sample(0)
+    return forward_batch(cfg, net, idx[:, :-1], times[:, :-1], m, t_max, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -197,26 +204,31 @@ def forward(
 # spike-file block (header + exactly m records) per sample.
 
 
-def write_replay_file(
-    path, traces: Sequence[EventTrace], m: int, t_max: float
-) -> None:
+def write_replay_file(path, traces: EventTrace, m: int, t_max: float) -> None:
+    """Write each row of a (S, m) trace as one block."""
+    if traces.times.shape[1] != m:
+        raise ReplayShapeMismatch(
+            f"trace has {traces.times.shape[1]} records, manifest says m={m}"
+        )
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"m={m} t_max={format_time(t_max)} samples={len(traces)}\n")
-        for trace in traces:
-            if len(trace) != m:
-                raise ReplayShapeMismatch(
-                    f"trace has {len(trace)} records, manifest says m={m}"
-                )
-            f.write("neuron,time\n")
-            for s in trace:
-                f.write(format_spike(s) + "\n")
+        for neurons, times in zip(traces.neurons, traces.times):
+            f.write(format_records(neurons, times))
 
 
 @dataclass(frozen=True)
 class ReplayFile:
     m: int
     t_max: float
-    blocks: tuple  # tuple of tuples of (neuron, time) records
+    neurons: np.ndarray  # (S, m) int64
+    times: np.ndarray  # (S, m) float64
+
+    @property
+    def blocks(self) -> tuple:
+        """Per sample, its (neuron, time) records."""
+        return tuple(
+            tuple(zip(n, t)) for n, t in zip(self.neurons.tolist(), self.times.tolist())
+        )
 
 
 def read_replay_file(path) -> ReplayFile:
@@ -234,84 +246,90 @@ def read_replay_file(path) -> ReplayFile:
         raise ReplayShapeMismatch(f"bad replay header {lines[0]!r}") from e
     body = lines[1:]
     expected = n_samples * (m + 1)
-    if len(body) != expected:
+    if m < 1 or len(body) != expected:
         raise ReplayShapeMismatch(
             f"replay body has {len(body)} lines, expected {expected} "
             f"({n_samples} samples x (1 + m={m}))"
         )
-    blocks = []
-    for s in range(n_samples):
-        chunk = body[s * (m + 1) : (s + 1) * (m + 1)]
-        if chunk[0] != "neuron,time":
+    for s, line in enumerate(body[:: m + 1]):
+        if line != SPIKE_FILE_HEADER:
             raise ReplayShapeMismatch(f"sample {s} missing the spike-file header")
-        blocks.append(tuple(parse_spike_record(ln) for ln in chunk[1:]))
-    return ReplayFile(m=m, t_max=t_max, blocks=tuple(blocks))
+    del body[:: m + 1]
+    neurons, times = parse_records(body)
+    return ReplayFile(m, t_max, neurons.reshape(n_samples, m), times.reshape(n_samples, m))
 
 
-def replay_block_to_trace(
-    records: Sequence[tuple[int, float]],
-    net: Network,
-    inputs: Sequence[Spike],
-    m: int,
-    t_max: float,
-) -> EventTrace:
-    """Validate one replay block and rebuild an EventTrace from it.
-
-    Input spikes are recognized by matching against the supplied ones; the
-    final state is reconstructed by replaying the ideal dynamics over the
-    foreign spike train.
-    """
-    if len(records) != m:
-        raise ReplayShapeMismatch(f"block has {len(records)} records, expected {m}")
-    spikes = classify_records(records, inputs)
-    last = -math.inf
-    seen_dummy = False
-    for s in spikes:
-        if s.is_dummy:
-            seen_dummy = True
-            continue
-        if seen_dummy:
-            raise ReplayShapeMismatch("real spike after a dummy record")
-        if s.time < last:
-            raise ReplayUnsorted(f"spike at t={s.time} after t={last}")
-        last = s.time
-        if s.time > t_max:
-            raise ReplayShapeMismatch(f"spike time {s.time} beyond t_max={t_max}")
-        if s.kind == SpikeKind.INTERNAL and not 0 <= s.neuron < net.n_total:
-            raise ReplayShapeMismatch(f"internal neuron {s.neuron} out of range")
-    from .core import NeuronState
-
-    draft = EventTrace.from_spikes(spikes, NeuronState.zeros(net.n_total))
-    final = replay_state(draft, net, t_max)
-    return EventTrace(draft.neurons, draft.times, draft.kinds, final)
-
-
-def _replay_forward(
-    cfg: BackendConfig, net: Network, inputs: Sequence[Spike], m: int, t_max: float
-) -> EventTrace:
-    rf = read_replay_file(cfg.replay.trace_path)
+def check_manifest(rf: ReplayFile, m: int, t_max: float) -> None:
+    """The file must have been written for this budget and horizon."""
     if rf.m != m:
         raise ReplayShapeMismatch(f"manifest m={rf.m} but caller expects m={m}")
     if rf.t_max != t_max:
         raise ReplayShapeMismatch(
             f"manifest t_max={rf.t_max} but caller expects t_max={t_max}"
         )
-    eligible = [(s.neuron, s.time) for s in inputs if s.time <= t_max]
 
-    def input_records(records):
-        return [
-            (s.neuron, s.time)
-            for s in classify_records(records, inputs)
-            if s.kind == SpikeKind.INPUT
-        ]
 
-    # prefer a block carrying exactly this sample's inputs; fall back to a
-    # budget-truncated prefix
-    for records in rf.blocks:
-        if input_records(records) == eligible:
-            return replay_block_to_trace(records, net, inputs, m, t_max)
-    for records in rf.blocks:
-        got = input_records(records)
-        if got and got == eligible[: len(got)]:
-            return replay_block_to_trace(records, net, inputs, m, t_max)
+def _input_match(kinds, in_times, t_max):
+    """Per row, whether its input records are all of its inputs up to t_max
+    (full) or a nonempty prefix of them, as a budget-truncated trace holds.
+
+    ``classify_records`` matches inputs in order, so a row's input records
+    are always a prefix of its inputs; only their count decides.
+    """
+    got = np.sum(kinds == int(SpikeKind.INPUT), axis=-1)
+    want = np.sum(in_times <= t_max, axis=-1)
+    return got == want, (got >= 1) & (got < want)
+
+
+def _block_of(rf: ReplayFile, in_neurons, in_times, t_max: float) -> int:
+    """The block that replays one sample: the first whose input records are
+    all of its inputs, else the first holding a prefix of them."""
+    s, k = rf.times.shape[0], in_times.shape[0]
+    kinds = classify_records(
+        rf.neurons, rf.times,
+        np.broadcast_to(in_neurons, (s, k)), np.broadcast_to(in_times, (s, k)),
+    )
+    for match in _input_match(kinds, in_times, t_max):
+        if match.any():
+            return int(np.argmax(match))
     raise ReplayShapeMismatch("no replay block matches the supplied input spikes")
+
+
+def replay_block_to_trace(
+    neurons: np.ndarray,
+    times: np.ndarray,
+    net: Network,
+    in_neurons: np.ndarray,
+    in_times: np.ndarray,
+    t_max: float,
+) -> EventTrace:
+    """Validate (B, m) replayed records and rebuild their trace.
+
+    Row b must be the record of a run on the inputs ``in_neurons[b]``/
+    ``in_times[b]``: its input records are recognized by matching against
+    them and must be all of them up to t_max, or a nonempty prefix.  Real
+    records form a time-sorted prefix within [0, t_max], every other record
+    is the dummy (-1, inf), and internal records name simulated neurons.
+    The final state is reconstructed by replaying the ideal dynamics over
+    the foreign spike train.
+    """
+    kinds = classify_records(neurons, times, in_neurons, in_times)
+    dummy = kinds == int(SpikeKind.DUMMY)
+    if np.any(dummy & ~np.isposinf(times)):
+        raise ReplayShapeMismatch("a record of neuron -1 must be the dummy (-1, inf)")
+    if np.any(dummy[:, :-1] & ~dummy[:, 1:]):
+        raise ReplayShapeMismatch("real spike after a dummy record")
+    if np.any(~dummy & ~((times >= 0.0) & (times <= t_max))):
+        raise ReplayShapeMismatch(f"spike time outside [0, t_max={t_max}]")
+    if np.any(np.diff(np.where(dummy, t_max, times), axis=1) < 0.0):
+        raise ReplayUnsorted("replayed spike times must be non-decreasing")
+    internal = kinds == int(SpikeKind.INTERNAL)
+    if np.any(internal & ~((neurons >= 0) & (neurons < net.n_total))):
+        raise ReplayShapeMismatch("internal neuron out of range")
+    full, prefix = _input_match(kinds, in_times, t_max)
+    if not np.all(full | prefix):
+        raise ReplayShapeMismatch(
+            "replayed input records are not the sample's input spikes"
+        )
+    v, i, t = replay_state(neurons, times, kinds, net, t_max)
+    return EventTrace(neurons, times, kinds, v, i, t)

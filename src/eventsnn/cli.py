@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: generate, train, eval, export-traces, replay-train, plot.
+Subcommands: generate, train, eval, export-traces, replay-train.
 Every run is reproducible from its config file; the effective config is
 echoed into each output directory.  Exit codes: 0 success, 2 config error,
 3 runtime error.
@@ -15,8 +15,8 @@ import numpy as np
 
 from . import data as data_mod
 from .backend import (
-    BackendConfig,
-    ReplayConfig,
+    check_manifest,
+    forward_batch,
     read_replay_file,
     replay_block_to_trace,
     write_replay_file,
@@ -67,20 +67,6 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
     save_config(cfg, out / "config_used.txt")
 
 
-def _dataset(cfg: ExperimentConfig):
-    enc = data_mod.EncodingConfig(
-        t_early=cfg.dataset.t_early,
-        t_late=cfg.dataset.t_late,
-        t_bias=cfg.dataset.t_bias,
-        bias_enabled=cfg.dataset.bias_enabled,
-    )
-    train_pts = data_mod.generate(cfg.dataset.seed, cfg.dataset.n_train, cfg.dataset.r_small)
-    test_pts = data_mod.generate(
-        cfg.dataset.seed + 1, cfg.dataset.n_test, cfg.dataset.r_small
-    )
-    return enc, train_pts, test_pts
-
-
 def _network_for(cfg: ExperimentConfig, args, ds, m):
     if getattr(args, "checkpoint", None):
         net, _ = read_checkpoint(args.checkpoint)
@@ -92,7 +78,7 @@ def _network_for(cfg: ExperimentConfig, args, ds, m):
 def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    enc, train_pts, test_pts = _dataset(cfg)
+    enc, train_pts, test_pts = data_mod.build_dataset(cfg.dataset)
     data_mod.write_dataset(out / "train.csv", train_pts)
     data_mod.write_dataset(out / "test.csv", test_pts)
     data_mod.write_encoded_set(
@@ -123,7 +109,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     net, n_hidden = read_checkpoint(args.checkpoint)
     validate_network(net)
-    enc, _, test_pts = _dataset(cfg)
+    enc, _, test_pts = data_mod.build_dataset(cfg.dataset)
     ds_test = pack_samples(data_mod.encode_dataset(test_pts, enc))
     m = cfg.sim.budget(enc.n_inputs, net.n_total)
     acc = evaluate(cfg, net, ds_test, m)
@@ -134,20 +120,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_traces(args) -> int:
-    from .backend import forward
-
     cfg = _load_cfg(args)
+    if args.samples < 1:
+        raise ConfigError(f"--samples {args.samples}: export at least one sample")
     out = _out_dir(args)
-    enc, train_pts, _ = _dataset(cfg)
-    samples = data_mod.encode_dataset(train_pts, enc)[: args.samples]
-    ds = pack_samples(samples)
+    enc, train_pts, _ = data_mod.build_dataset(cfg.dataset)
+    ds = pack_samples(data_mod.encode_dataset(train_pts[: args.samples], enc))
     m = cfg.sim.budget(enc.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
     net = _network_for(cfg, args, ds, m)
-    traces = []
-    for k, s in enumerate(samples):
-        traces.append(
-            forward(cfg.backend, net, s.sorted_spikes(), m, cfg.sim.t_max, seed=k)
-        )
+    traces = forward_batch(
+        cfg.backend, net, ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max,
+        seeds=range(len(ds)),
+    )
     path = out / "traces.replay"
     write_replay_file(path, traces, m, cfg.sim.t_max)
     if not getattr(args, "checkpoint", None):
@@ -161,39 +145,35 @@ def cmd_replay_train(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     rf = read_replay_file(args.traces)
-    enc, train_pts, _ = _dataset(cfg)
-    samples = data_mod.encode_dataset(train_pts, enc)[: len(rf.blocks)]
-    if len(samples) < len(rf.blocks):
+    n = rf.times.shape[0]
+    enc, train_pts, _ = data_mod.build_dataset(cfg.dataset)
+    if len(train_pts) < n:
         raise InvalidParameter(
-            f"replay file holds {len(rf.blocks)} samples but the dataset only {len(samples)}"
+            f"replay file holds {n} samples but the dataset only {len(train_pts)}"
         )
-    ds = pack_samples(samples)
+    ds = pack_samples(data_mod.encode_dataset(train_pts[:n], enc))
     m = cfg.sim.budget(enc.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
-    if rf.m != m:
-        from .backend import ReplayShapeMismatch
-
-        raise ReplayShapeMismatch(f"manifest m={rf.m}, config expects m={m}")
+    t_max = cfg.sim.t_max
+    check_manifest(rf, m, t_max)
     net = _network_for(cfg, args, ds, m)
     loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
-    n = net.n_total
-    g_w_sum = np.zeros((n, n))
-    g_w_in_sum = np.zeros((net.n_in, n))
-    for block, sample in zip(rf.blocks, samples):
+    g_w_sum = np.zeros((net.n_total, net.n_total))
+    g_w_in_sum = np.zeros((net.n_in, net.n_total))
+    for s in range(n):
+        block = slice(s, s + 1)
         trace = replay_block_to_trace(
-            block, net, sample.sorted_spikes(), m, cfg.sim.t_max
+            rf.neurons[block], rf.times[block], net,
+            ds.sorted_neurons[block], ds.sorted_times[block], t_max,
         )
         _, g_w, g_w_in = gradient_from_trace(
-            net, trace, int(sample.label), loss_cfg, cfg.sim.t_max
+            net, trace[0], int(ds.labels[s]), loss_cfg, t_max
         )
         g_w_sum += g_w
         g_w_in_sum += g_w_in
     mask_w, mask_w_in = structure_masks(
         enc.n_inputs, cfg.network.n_hidden, cfg.network.n_out
     )
-    grads = (
-        g_w_sum * mask_w / len(rf.blocks),
-        g_w_in_sum * mask_w_in / len(rf.blocks),
-    )
+    grads = (g_w_sum * mask_w / n, g_w_in_sum * mask_w_in / n)
     params = (np.array(net.weights), np.array(net.input_weights))
     new_params, _ = adam_step(
         params, grads, AdamState.init(params), cfg.train.lr,
@@ -204,7 +184,7 @@ def cmd_replay_train(args) -> int:
         out / "checkpoint.txt", replace_weights(net, new_params), cfg.network.n_hidden
     )
     _echo_config(cfg, out)
-    print(f"applied one optimizer step from {len(rf.blocks)} replayed traces")
+    print(f"applied one optimizer step from {n} replayed traces")
     return 0
 
 
@@ -218,35 +198,6 @@ def write_gradients(path, grad_w, grad_w_in) -> None:
         f.write("grad_weights\n")
         for row in grad_w:
             f.write(" ".join(format_time(x) for x in row) + "\n")
-
-
-def cmd_plot(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    wrote = []
-    if args.dataset:
-        points = data_mod.read_dataset(args.dataset)
-        if not points:
-            raise InvalidParameter(f"dataset file {args.dataset} holds no points")
-        path = out / "dataset_scatter.csv"
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("x,y,label\n")
-            for p in points:
-                f.write(f"{format_time(p.x)},{format_time(p.y)},{p.label.name.lower()}\n")
-        wrote.append(path)
-    if args.metrics:
-        lines = Path(args.metrics).read_text(encoding="utf-8").splitlines()
-        if len(lines) < 2:
-            raise InvalidParameter(f"metrics file {args.metrics} holds no rows")
-        path = out / "metrics_curves.csv"
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        wrote.append(path)
-    if not wrote:
-        raise ConfigError("plot needs --dataset and/or --metrics")
-    _echo_config(cfg, out)
-    for p in wrote:
-        print(f"wrote {p}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--traces", required=True)
     sp.add_argument("--checkpoint", default=None)
     sp.set_defaults(fn=cmd_replay_train)
-
-    sp = sub.add_parser("plot", help="emit plot-ready CSV data")
-    common(sp)
-    sp.add_argument("--dataset", default=None, help="dataset csv to scatter")
-    sp.add_argument("--metrics", default=None, help="metrics csv to re-emit")
-    sp.set_defaults(fn=cmd_plot)
     return p
 
 

@@ -8,18 +8,19 @@ Conventions, fixed once and used everywhere:
     the synaptic current of postsynaptic neuron i (row = presynaptic),
   * input neurons live in their own index space [0, n_in) separate from the
     simulated neurons [0, n_total),
-  * a dummy spike (neuron -1, time +inf) pads a trace once activity stops.
+  * a dummy spike (neuron -1, time +inf) pads a trace once activity stops,
+  * ``Spike`` is the type of one input event; a forward pass is recorded as
+    an ``EventTrace`` of slot arrays, batched or one row of a batch.
 
-All types are immutable value types after construction and safe to share
-between threads.
+All types except the trace are immutable value types after construction and
+safe to share between threads.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,9 +55,10 @@ class SpikeKind(enum.IntEnum):
 class Spike:
     """One event: which neuron fired and when.
 
-    ``neuron`` indexes the simulated population for internal spikes and the
-    input population for input spikes.  A dummy spike is always encoded as
-    (-1, +inf) and marks an exhausted event budget.
+    Forward passes take their inputs as Spikes and record their events in an
+    ``EventTrace``.  ``neuron`` indexes the simulated population for internal
+    spikes and the input population for input spikes.  A dummy spike is
+    always encoded as (-1, +inf) and marks an exhausted event budget.
     """
 
     neuron: int
@@ -198,48 +200,50 @@ class Network:
 
 @dataclass(frozen=True)
 class EventTrace:
-    """Fixed-length record of one forward pass.
+    """Struct-of-arrays record of forward passes, the one trace type.
 
-    Stored as parallel arrays (neurons, times, kinds) of length m; dummy
-    entries trail the real events so times are non-decreasing throughout.
+    A batch of B passes holds (B, m) slot arrays ``neurons``/``times``/
+    ``kinds``, (B, N) final voltages and currents and (B,) final times; its
+    row ``trace[b]`` is the single-sample trace, the same class with (m,)
+    slot arrays, (N,) final state and a scalar final time.  Dummy slots
+    trail the real events of a row, so its times are non-decreasing.
+    ``i_spike_recorded`` is the engine's diagnostic record of the spiking
+    neuron's synaptic current just before each internal event (None when the
+    spikes did not come from the engine); the gradient path ignores it and
+    reconstructs currents from the trace.  The arrays are not locked.
     """
 
-    neurons: np.ndarray
-    times: np.ndarray
-    kinds: np.ndarray
-    final_state: NeuronState
+    neurons: np.ndarray  # (B, m) or (m,) int64
+    times: np.ndarray  # (B, m) or (m,) float64
+    kinds: np.ndarray  # (B, m) or (m,) int8
+    final_v: np.ndarray  # (B, N) or (N,)
+    final_i: np.ndarray  # (B, N) or (N,)
+    final_t: np.ndarray  # (B,) or scalar
+    i_spike_recorded: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "neurons", _frozen_array(self.neurons, np.int64))
-        object.__setattr__(self, "times", _frozen_array(self.times, np.float64))
-        object.__setattr__(self, "kinds", _frozen_array(self.kinds, np.int8))
         if not (self.neurons.shape == self.times.shape == self.kinds.shape):
             raise DimensionMismatch("trace arrays must share one shape")
 
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def __getitem__(self, k: int) -> Spike:
-        return Spike(int(self.neurons[k]), float(self.times[k]), SpikeKind(int(self.kinds[k])))
-
-    def __iter__(self) -> Iterator[Spike]:
-        return (self[k] for k in range(len(self)))
-
     @property
-    def spikes(self) -> tuple:
-        return tuple(self)
+    def batch_size(self) -> int:
+        return len(self)
 
-    @property
-    def n_real(self) -> int:
-        return int(np.sum(self.kinds != SpikeKind.DUMMY))
-
-    @staticmethod
-    def from_spikes(spikes: Sequence[Spike], final_state: NeuronState) -> "EventTrace":
+    def __getitem__(self, b) -> "EventTrace":
+        if self.times.ndim != 2:
+            raise DimensionMismatch("a single-sample trace has no rows")
+        rec = self.i_spike_recorded
         return EventTrace(
-            np.array([s.neuron for s in spikes], dtype=np.int64),
-            np.array([s.time for s in spikes], dtype=np.float64),
-            np.array([int(s.kind) for s in spikes], dtype=np.int8),
-            final_state,
+            self.neurons[b],
+            self.times[b],
+            self.kinds[b],
+            self.final_v[b],
+            self.final_i[b],
+            self.final_t[b],
+            None if rec is None else rec[b],
         )
 
 
@@ -285,15 +289,29 @@ def validate_network(net: Network, require_analytic: bool = True) -> None:
 # ---------------------------------------------------------------------------
 # spike-file format: UTF-8 text, header "neuron,time", one "index,repr(time)"
 # record per line, dummy written as "-1,inf".  repr round-trips float64
-# exactly, so a write/read cycle is the identity on (neuron, time).
+# exactly, so a write/read cycle is the identity on (neuron, time).  Replay
+# files are made of such blocks.
 
 
 def format_time(t: float) -> str:
     return repr(float(t))
 
 
-def format_spike(s: Spike) -> str:
-    return f"{s.neuron},{format_time(s.time)}"
+def format_records(neurons, times) -> str:
+    """A spike-file block: the header line, then one line per record."""
+    pairs = zip(np.asarray(neurons).tolist(), np.asarray(times, dtype=np.float64).tolist())
+    return SPIKE_FILE_HEADER + "\n" + "".join(f"{n},{t!r}\n" for n, t in pairs)
+
+
+def parse_records(lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(neurons, times) arrays of "neuron,time" record lines, header excluded."""
+    try:
+        pairs = [ln.split(",") for ln in lines]
+        neurons = np.array([int(n) for n, _ in pairs], dtype=np.int64)
+        times = np.array([float(t) for _, t in pairs], dtype=np.float64)
+    except ValueError as e:
+        raise InvalidParameter(f"malformed spike record: {e}") from e
+    return neurons, times
 
 
 def _open(path_or_io, mode: str):
@@ -302,52 +320,17 @@ def _open(path_or_io, mode: str):
     return open(path_or_io, mode, encoding="utf-8"), True
 
 
-def write_spike_file(path_or_io, spikes: Iterable[Spike]) -> None:
+def write_spike_file(path_or_io, neurons, times) -> None:
     f, close = _open(path_or_io, "w")
     try:
-        f.write(SPIKE_FILE_HEADER + "\n")
-        for s in spikes:
-            f.write(format_spike(s) + "\n")
+        f.write(format_records(neurons, times))
     finally:
         if close:
             f.close()
 
 
-def parse_spike_record(line: str) -> tuple[int, float]:
-    try:
-        neuron_s, time_s = line.split(",")
-        return int(neuron_s), float(time_s)
-    except ValueError as e:
-        raise InvalidParameter(f"malformed spike record {line!r}") from e
-
-
-def classify_records(
-    records: Sequence[tuple[int, float]],
-    inputs: Sequence[Spike] | None = None,
-) -> list[Spike]:
-    """Rebuild Spike objects from raw (neuron, time) records.
-
-    The file format carries no kind column: dummies are recognized by the
-    (-1, inf) encoding, and input spikes by matching against the ``inputs``
-    the caller fed the forward pass (records equal to the next unconsumed
-    input, walked in time order, are classified as inputs).  Without
-    ``inputs`` every non-dummy record comes back as internal.
-    """
-    pending = list(inputs) if inputs else []
-    p = 0
-    out = []
-    for neuron, time in records:
-        if neuron == DUMMY_NEURON:
-            out.append(Spike.dummy())
-        elif p < len(pending) and pending[p].neuron == neuron and pending[p].time == time:
-            out.append(Spike(neuron, time, SpikeKind.INPUT))
-            p += 1
-        else:
-            out.append(Spike(neuron, time, SpikeKind.INTERNAL))
-    return out
-
-
-def read_spike_file(path_or_io, inputs: Sequence[Spike] | None = None) -> list[Spike]:
+def read_records(path_or_io) -> tuple[np.ndarray, np.ndarray]:
+    """(neurons, times) of a file in the spike-file format, as written."""
     f, close = _open(path_or_io, "r")
     try:
         lines = [ln.strip() for ln in f if ln.strip()]
@@ -356,4 +339,50 @@ def read_spike_file(path_or_io, inputs: Sequence[Spike] | None = None) -> list[S
             f.close()
     if not lines or lines[0] != SPIKE_FILE_HEADER:
         raise InvalidParameter("spike file must start with the 'neuron,time' header")
-    return classify_records([parse_spike_record(ln) for ln in lines[1:]], inputs)
+    return parse_records(lines[1:])
+
+
+def read_spike_file(path_or_io) -> tuple[np.ndarray, np.ndarray]:
+    """(neurons, times) of a spike file.
+
+    A record is the dummy (-1, inf) or a neuron index >= 0 at a finite time
+    >= 0; anything else raises InvalidParameter.
+    """
+    neurons, times = read_records(path_or_io)
+    real_ok = (neurons >= 0) & (times >= 0.0) & np.isfinite(times)
+    bad = np.flatnonzero(~np.where(neurons == DUMMY_NEURON, np.isposinf(times), real_ok))
+    if bad.size:
+        k = bad[0]
+        raise InvalidParameter(f"bad spike record ({neurons[k]}, {times[k]})")
+    return neurons, times
+
+
+def classify_records(neurons, times, in_neurons, in_times) -> np.ndarray:
+    """Kinds of raw (B, m) (neuron, time) records, given each row's inputs.
+
+    The file format carries no kind column: a record of neuron -1 is a dummy,
+    and input spikes are recognized by matching against the (B, K) inputs the
+    caller fed the forward pass (padded with -1 / inf): walking a row's
+    records in order, a record equal to the next unmatched input is that
+    input.  Every other record is internal.
+    """
+    b, m = times.shape
+    dummy = neurons == DUMMY_NEURON
+    kinds = np.where(dummy, SpikeKind.DUMMY, SpikeKind.INTERNAL).astype(np.int8)
+    slots = np.arange(m)
+    rows = np.arange(b)  # rows whose inputs matched so far
+    last = np.full(b, -1)  # slot of each row's last matched input
+    for p in range(in_times.shape[1]):
+        hit = (
+            (neurons[rows] == in_neurons[rows, p, None])
+            & (times[rows] == in_times[rows, p, None])
+            & (kinds[rows] == SpikeKind.INTERNAL)
+            & (slots > last[rows, None])
+        )
+        found = hit.any(axis=1)
+        rows, at = rows[found], hit.argmax(axis=1)[found]
+        if not rows.size:
+            break
+        kinds[rows, at] = SpikeKind.INPUT
+        last[rows] = at
+    return kinds

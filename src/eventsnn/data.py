@@ -19,7 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidParameter, Spike, SpikeKind, format_time
+from .core import (
+    InvalidParameter,
+    Spike,
+    SpikeKind,
+    format_time,
+    read_records,
+    write_spike_file,
+)
 
 R_BIG = 0.5
 _CENTER = (0.5, 0.5)
@@ -131,8 +138,19 @@ class EncodedSample:
     spikes: tuple
     label: YinYangLabel
 
-    def sorted_spikes(self) -> list[Spike]:
-        return sorted(self.spikes, key=lambda s: (s.time, s.neuron))
+
+def build_dataset(dcfg) -> tuple[EncodingConfig, list[YinYangPoint], list[YinYangPoint]]:
+    """Encoding plus train and test points of a config's ``dataset`` section;
+    the test set is drawn with seed + 1."""
+    enc = EncodingConfig(
+        t_early=dcfg.t_early,
+        t_late=dcfg.t_late,
+        t_bias=dcfg.t_bias,
+        bias_enabled=dcfg.bias_enabled,
+    )
+    train = generate(dcfg.seed, dcfg.n_train, dcfg.r_small)
+    test = generate(dcfg.seed + 1, dcfg.n_test, dcfg.r_small)
+    return enc, train, test
 
 
 def encode_dataset(
@@ -166,35 +184,24 @@ def read_dataset(path) -> list[YinYangPoint]:
 
 def write_encoded_set(path, samples: Sequence[EncodedSample]) -> None:
     """Spike-file format with a separator record (-2, label) before each sample."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("neuron,time\n")
-        for s in samples:
-            f.write(f"{SEPARATOR_NEURON},{format_time(float(int(s.label)))}\n")
-            for spike in s.spikes:
-                f.write(f"{spike.neuron},{format_time(spike.time)}\n")
+    neurons, times = [], []
+    for s in samples:
+        neurons += [SEPARATOR_NEURON] + [spike.neuron for spike in s.spikes]
+        times += [float(int(s.label))] + [spike.time for spike in s.spikes]
+    write_spike_file(path, neurons, times)
 
 
 def read_encoded_set(path) -> list[EncodedSample]:
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != "neuron,time":
-        raise InvalidParameter("encoded set must start with the 'neuron,time' header")
-    samples: list[EncodedSample] = []
-    spikes: list[Spike] = []
-    label: YinYangLabel | None = None
-
-    def flush():
-        if label is not None:
-            samples.append(EncodedSample(spikes=tuple(spikes), label=label))
-
-    for ln in lines[1:]:
-        neuron_s, time_s = ln.split(",")
-        neuron = int(neuron_s)
-        if neuron == SEPARATOR_NEURON:
-            flush()
-            label = YinYangLabel(int(float(time_s)))
-            spikes = []
-        else:
-            spikes.append(Spike(neuron, float(time_s), SpikeKind.INPUT))
-    flush()
-    return samples
+    neurons, times = read_records(path)
+    starts = np.flatnonzero(neurons == SEPARATOR_NEURON)
+    ends = np.append(starts[1:], len(neurons))
+    return [
+        EncodedSample(
+            spikes=tuple(
+                Spike(n, t, SpikeKind.INPUT)
+                for n, t in zip(neurons[a + 1 : b].tolist(), times[a + 1 : b].tolist())
+            ),
+            label=YinYangLabel(int(times[a])),
+        )
+        for a, b in zip(starts, ends)
+    ]

@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EventTrace, InvalidParameter, Network, NeuronState, Spike, SpikeKind
+from .core import EventTrace, InvalidParameter, Network, Spike, SpikeKind
 from .lif import propagate_arrays
 from .sim import FanOut
 
@@ -133,31 +133,50 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
 
 
 def reconstruct_currents(trace: EventTrace, net: Network) -> np.ndarray:
-    """Per-spike synaptic current of the spiking neuron at its spike time."""
+    """Per-slot synaptic current of the spiking neuron of a one-sample trace."""
     out, _, _ = reconstruct_currents_batch(
         trace.neurons[None, :], trace.times[None, :], trace.kinds[None, :], net
     )
     return out[0]
 
 
-def replay_state(trace: EventTrace, net: Network, t_max: float) -> NeuronState:
-    """Final (v, i) obtained by replaying a trace under the ideal dynamics."""
+def replay_state(neurons, times, kinds, net: Network, t_max: float):
+    """Final (v, i, t) of each row of a (B, m) trace, replayed under the
+    ideal dynamics from rest at t = 0 to max(t_max, last event).
+
+    The free flow is linear in (v, i), so its coefficients over every gap
+    come from ``propagate_arrays`` in one call before the loop.  The state
+    carries a sentinel lane n: a slot that is not an internal event resets
+    it instead, and a dummy slot adds the zero row of [w; w_in; 0].
+    """
     p = net.params
-    v = np.zeros(net.n_total)
-    i = np.zeros(net.n_total)
-    t = 0.0
-    for s in trace:
-        if s.is_dummy:
-            break
-        v, i = propagate_arrays(v, i, s.time - t, p)
-        t = s.time
-        if s.kind == SpikeKind.INTERNAL:
-            v[s.neuron] = p.v_reset
-            i = i + net.weights[s.neuron]
-        else:
-            i = i + net.input_weights[s.neuron]
-    v, i = propagate_arrays(v, i, max(t_max - t, 0.0), p)
-    return NeuronState(v, i, max(t_max, t))
+    b, m = times.shape
+    n = net.n_total
+    real = kinds != int(SpikeKind.DUMMY)
+    seen = np.maximum.accumulate(np.where(real, times, 0.0), axis=1)
+    dt = np.diff(seen, axis=1, prepend=0.0)
+    v_from_v, _ = propagate_arrays(1.0, 0.0, dt, p)
+    v_from_i, i_from_i = propagate_arrays(0.0, 1.0, dt, p)
+    # per slot k, (B, 1) columns and flat lane indices
+    vv, vi, ii = (np.ascontiguousarray(c.T)[..., None] for c in (v_from_v, v_from_i, i_from_i))
+    lane = np.where(kinds == int(SpikeKind.INTERNAL), neurons, n)
+    reset = (lane + (n + 1) * np.arange(b)[:, None]).T.copy()
+    src = _stacked_source(neurons, kinds, net).T.copy()
+    wstack = np.zeros((n + net.n_in + 1, n + 1))
+    wstack[:n, :n] = net.weights
+    wstack[n : n + net.n_in, :n] = net.input_weights
+    v = np.zeros((b, n + 1))
+    i = np.zeros((b, n + 1))
+    v_flat = v.reshape(-1)
+    for k in range(int(np.flatnonzero(real.any(axis=0)).max(initial=-1)) + 1):
+        v *= vv[k]
+        v += i * vi[k]
+        i *= ii[k]
+        v_flat[reset[k]] = p.v_reset
+        i += wstack[src[k]]
+    t = seen[:, -1]
+    v, i = propagate_arrays(v[:, :n], i[:, :n], np.maximum(t_max - t, 0.0)[:, None], p)
+    return v, i, np.maximum(t_max, t)
 
 
 def _adjoint_coefficients(neurons, times, kinds, net: Network, loss_grads, strict, vdot_floor):
@@ -299,7 +318,7 @@ def eventprop_backward(
     loss_grads,
     strict: bool = True,
 ):
-    """Adjoint backward pass for one trace; returns (grad_w, grad_w_in)."""
+    """Adjoint backward pass for a one-sample trace; returns (grad_w, grad_w_in)."""
     loss_grads = np.asarray(loss_grads, dtype=np.float64)
     if loss_grads.shape != trace.times.shape:
         raise InvalidParameter(

@@ -176,42 +176,3 @@ def next_crossing_equal_tau(v0: float, i0: float, params: LifParams) -> Crossing
     if not params.is_equal_tau:
         raise UnsupportedTauRatio("next_crossing_equal_tau requires tau_mem = tau_syn")
     return _scalar_crossing(v0, i0, params)
-
-
-def voltage_at(v0, i0, dt, params: LifParams):
-    """V(dt) along the free flow; convenience for oracles and residual checks."""
-    v, _ = propagate_arrays(v0, i0, dt, params)
-    return v
-
-
-def bisect_crossing(
-    v0: float,
-    i0: float,
-    params: LifParams,
-    t_hi: float = 40.0,
-    scan_dt: float = 1e-3,
-    tol: float = 1e-12,
-) -> float | None:
-    """Generic bracket-and-bisect crossing finder (test utility, any tau ratio).
-
-    Scans for the first sign change of V - v_th on a uniform grid, then
-    bisects.  Excluded from the differentiable path by design.
-    """
-    grid = np.arange(0.0, t_hi + scan_dt, scan_dt)
-    vals = voltage_at(v0, i0, grid, params) - params.v_th
-    below = vals[:-1] < 0.0
-    above = vals[1:] >= 0.0
-    hits = np.nonzero(below & above)[0]
-    if len(hits) == 0:
-        return None
-    lo, hi = grid[hits[0]], grid[hits[0] + 1]
-    f = lambda t: float(voltage_at(v0, i0, t, params) - params.v_th)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)

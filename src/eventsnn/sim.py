@@ -20,8 +20,9 @@ every row is done.  At the end every lane is propagated once to its row's
 final time: t_max, or the last event of a row that used its whole budget.
 
 The engine is written over batched (B, N) state arrays and every operation
-acts on its own row only; the public single-sample API wraps the same code
-path with B = 1, so batched and sequential execution agree bitwise.
+acts on its own row only.  It returns one ``EventTrace`` of (B, m) slot
+arrays; the single-sample API runs the same code path with B = 1 and
+returns row 0, so batched and sequential execution agree bitwise.
 """
 from __future__ import annotations
 
@@ -63,36 +64,6 @@ class SimDiagnostics:
 class StepOutput:
     state: NeuronState
     spike: Spike
-
-
-@dataclass
-class BatchTrace:
-    """Struct-of-arrays trace for a batch of independent forward passes.
-
-    ``i_spike_recorded`` is the engine's diagnostic record of the spiking
-    neuron's synaptic current just before each internal event; the gradient
-    path deliberately ignores it and reconstructs currents from the trace.
-    """
-
-    neurons: np.ndarray  # (B, m) int64
-    times: np.ndarray  # (B, m) float64
-    kinds: np.ndarray  # (B, m) int8
-    i_spike_recorded: np.ndarray | None
-    final_v: np.ndarray  # (B, N)
-    final_i: np.ndarray  # (B, N)
-    final_t: np.ndarray  # (B,)
-
-    @property
-    def batch_size(self) -> int:
-        return self.times.shape[0]
-
-    def sample(self, b: int) -> EventTrace:
-        return EventTrace(
-            self.neurons[b],
-            self.times[b],
-            self.kinds[b],
-            NeuronState(self.final_v[b], self.final_i[b], float(self.final_t[b])),
-        )
 
 
 def pack_inputs(batches: Sequence[Sequence[Spike]]):
@@ -171,7 +142,7 @@ def simulate_batch(
     v0: np.ndarray | None = None,
     i0: np.ndarray | None = None,
     t0: np.ndarray | None = None,
-) -> BatchTrace:
+) -> EventTrace:
     """Run B independent event loops of at most m iterations over shared weights."""
     if m <= 0:
         raise InvalidBudget(f"event budget m={m} must be positive")
@@ -252,13 +223,13 @@ def simulate_batch(
     # a row still running used every slot; its state stays at its last event
     t = np.where(done, t_max, out_times[:, -1])
     v, i = propagate_arrays(v[:, :n], i[:, :n], t[:, None] - tref[:, :n], p)
-    trace = BatchTrace(out_neurons, out_times, out_kinds, out_ispike, v, i, t)
+    trace = EventTrace(out_neurons, out_times, out_kinds, v, i, t, out_ispike)
     if net.record_set is not None and len(net.record_set) != net.n_total:
         trace = _filter_record_set(trace, net)
     return trace
 
 
-def _filter_record_set(trace: BatchTrace, net: Network) -> BatchTrace:
+def _filter_record_set(trace: EventTrace, net: Network) -> EventTrace:
     """Drop internal spikes of unrecorded neurons, repacking dummies at the end.
 
     Unobserved events still consumed budget iterations; only their records
@@ -276,14 +247,14 @@ def _filter_record_set(trace: BatchTrace, net: Network) -> BatchTrace:
     def repack(a, blank):
         return np.where(gone, blank, np.take_along_axis(a, order, axis=1))
 
-    return BatchTrace(
+    return EventTrace(
         repack(trace.neurons, DUMMY_NEURON),
         repack(trace.times, np.inf),
         repack(trace.kinds, int(SpikeKind.DUMMY)).astype(np.int8),
-        repack(trace.i_spike_recorded, 0.0),
         trace.final_v,
         trace.final_i,
         trace.final_t,
+        repack(trace.i_spike_recorded, 0.0),
     )
 
 
@@ -295,10 +266,11 @@ def simulate(
     initial: NeuronState | None = None,
     diag: SimDiagnostics | None = None,
 ) -> EventTrace:
-    """Event-driven forward pass: exactly m trace slots, dummies trailing.
+    """Event-driven forward pass of one sample: row 0 of ``simulate_batch``.
 
-    Inputs must be sorted by time; inputs that do not fit the budget are
-    silently truncated (counted in ``diag`` when a collector is passed).
+    Exactly m trace slots, dummies trailing.  Inputs must be sorted by time;
+    inputs that do not fit the budget are silently truncated (counted in
+    ``diag`` when a collector is passed).
     """
     validate_network(net)
     if m <= 0:
@@ -320,12 +292,11 @@ def simulate(
         v0 = initial.v[None, :]
         i0 = initial.i[None, :]
         t0 = np.array([initial.t])
-    batch = simulate_batch(net, idx[:, :-1], times[:, :-1], m, t_max, v0, i0, t0)
+    trace = simulate_batch(net, idx[:, :-1], times[:, :-1], m, t_max, v0, i0, t0)[0]
     if diag is not None:
-        consumed = int(np.sum(batch.kinds[0] == int(SpikeKind.INPUT)))
-        eligible = sum(1 for s in inputs if s.time <= t_max)
-        diag.truncated_inputs += eligible - consumed
-    return batch.sample(0)
+        consumed = int(np.sum(trace.kinds == int(SpikeKind.INPUT)))
+        diag.truncated_inputs += int(np.sum(times <= t_max)) - consumed
+    return trace
 
 
 def step(
@@ -351,7 +322,7 @@ def step(
         _check_inputs(net, [input_queue_head])
         head = [input_queue_head]
     idx, times = pack_inputs([head])
-    batch = simulate_batch(
+    row = simulate_batch(
         net,
         idx[:, :-1],
         times[:, :-1],
@@ -360,5 +331,8 @@ def step(
         state.v[None, :],
         state.i[None, :],
         np.array([state.t]),
+    )[0]
+    return StepOutput(
+        state=NeuronState(row.final_v, row.final_i, float(row.final_t)),
+        spike=Spike(int(row.neurons[0]), float(row.times[0]), SpikeKind(int(row.kinds[0]))),
     )
-    return StepOutput(state=batch.sample(0).final_state, spike=batch.sample(0)[0])

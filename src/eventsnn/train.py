@@ -31,7 +31,6 @@ from .grad import (
     fud_feedforward,
     fud_feedforward_grads,
 )
-from .sim import BatchTrace
 
 METRICS_HEADER = "epoch,train_loss,train_acc,test_acc,seconds"
 CHECKPOINT_MAGIC = "eventsnn-checkpoint v1"
@@ -104,7 +103,7 @@ def ttfs_loss(
     cfg: TtfsLoss = TtfsLoss(),
     t_max: float | None = None,
 ):
-    """Loss plus per-trace-slot time derivatives for one sample.
+    """Loss plus per-trace-slot time derivatives for a one-sample trace.
 
     The returned gradient vector aligns with the trace: the derivative with
     respect to output k's first spike lands on that spike's slot, every other
@@ -113,17 +112,12 @@ def ttfs_loss(
     if not output_set:
         raise InvalidParameter("output_set must be nonempty")
     if t_max is None:
-        t_max = float(trace.final_state.t)
+        t_max = float(trace.final_t)
     t_first, slots = first_spike_times_batch(
         trace.neurons[None, :], trace.times[None, :], trace.kinds[None, :], output_set
     )
     loss, g = ttfs_from_times(t_first, np.array([label]), cfg, t_max)
-    slot_grads = np.zeros(len(trace))
-    for col in range(len(output_set)):
-        s = int(slots[0, col])
-        if s >= 0:
-            slot_grads[s] += g[0, col]
-    return float(loss[0]), slot_grads
+    return float(loss[0]), scatter_slot_grads(slots, g, len(trace))[0]
 
 
 def scatter_slot_grads(slots, grads, m: int):
@@ -398,16 +392,7 @@ def evaluate(
 def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     """Train per config; returns per-epoch metrics and the best checkpoint."""
     t_start = _time.time()
-    enc_cfg = data_mod.EncodingConfig(
-        t_early=cfg.dataset.t_early,
-        t_late=cfg.dataset.t_late,
-        t_bias=cfg.dataset.t_bias,
-        bias_enabled=cfg.dataset.bias_enabled,
-    )
-    points_train = data_mod.generate(cfg.dataset.seed, cfg.dataset.n_train, cfg.dataset.r_small)
-    points_test = data_mod.generate(
-        cfg.dataset.seed + 1, cfg.dataset.n_test, cfg.dataset.r_small
-    )
+    enc_cfg, points_train, points_test = data_mod.build_dataset(cfg.dataset)
     ds_train = pack_samples(data_mod.encode_dataset(points_train, enc_cfg))
     ds_test = pack_samples(data_mod.encode_dataset(points_test, enc_cfg))
 
@@ -565,7 +550,8 @@ def _eventprop_batch(cfg, net, ds, idx, m, loss_cfg, epoch):
 
 
 def gradient_from_trace(net, trace: EventTrace, label: int, loss_cfg: TtfsLoss, t_max: float):
-    """Loss and EventProp weight gradients for one externally produced trace."""
+    """Loss and EventProp weight gradients of one externally produced
+    one-sample trace."""
     from .grad import eventprop_backward
 
     loss, slot_g = ttfs_loss(trace, net.output_set, label, loss_cfg, t_max)

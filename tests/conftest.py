@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from eventsnn.core import (
+    DUMMY_NEURON,
     EventTrace,
     InvalidParameter,
     LifParams,
     Network,
-    NeuronState,
     Spike,
     SpikeKind,
     validate_network,
 )
 from eventsnn.grad import EPS_VDOT, DegenerateCrossing
+from eventsnn.lif import propagate_arrays
 
 
 def euler_first_crossing(v0, i0, params: LifParams, dt=1e-6, t_hi=20.0):
@@ -34,6 +35,45 @@ def euler_first_crossing(v0, i0, params: LifParams, dt=1e-6, t_hi=20.0):
             return t - dt + dt * (vth - v) / (v_new - v)
         v, i = v_new, i_new
     return None
+
+
+def voltage_at(v0, i0, dt, params: LifParams):
+    """V(dt) along the free flow; convenience for oracles and residual checks."""
+    v, _ = propagate_arrays(v0, i0, dt, params)
+    return v
+
+
+def bisect_crossing(
+    v0: float,
+    i0: float,
+    params: LifParams,
+    t_hi: float = 40.0,
+    scan_dt: float = 1e-3,
+    tol: float = 1e-12,
+) -> float | None:
+    """Generic bracket-and-bisect crossing finder (any tau ratio).
+
+    Scans for the first sign change of V - v_th on a uniform grid, then
+    bisects.
+    """
+    grid = np.arange(0.0, t_hi + scan_dt, scan_dt)
+    vals = voltage_at(v0, i0, grid, params) - params.v_th
+    below = vals[:-1] < 0.0
+    above = vals[1:] >= 0.0
+    hits = np.nonzero(below & above)[0]
+    if len(hits) == 0:
+        return None
+    lo, hi = grid[hits[0]], grid[hits[0] + 1]
+    f = lambda t: float(voltage_at(v0, i0, t, params) - params.v_th)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
 
 
 def random_network(
@@ -93,7 +133,7 @@ def dense_oracle(net: Network, inputs, dt: float, t_max: float, m: int | None = 
     q_times = [s.time for s in queue] + [np.inf]
     qp = 0
     budget = np.inf if m is None else m
-    events: list[Spike] = []
+    events: list[tuple] = []  # (neuron, time, kind)
     k_grid = 1
 
     while t < t_max:
@@ -112,14 +152,14 @@ def dense_oracle(net: Network, inputs, dt: float, t_max: float, m: int | None = 
                     if a < v_th <= c
                 )
                 for frac, nrn in crossed:
-                    events.append(Spike(nrn, t + h * frac, SpikeKind.INTERNAL))
+                    events.append((nrn, t + h * frac, SpikeKind.INTERNAL))
                     v_new[nrn] = v_reset
                     i_new = [b + c for b, c in zip(i_new, w[nrn])]
             v, i = v_new, i_new
             t = t_next
         if q_times[qp] == t_next:
             s = queue[qp]
-            events.append(Spike(s.neuron, s.time, SpikeKind.INPUT))
+            events.append((s.neuron, s.time, SpikeKind.INPUT))
             i = [b + c for b, c in zip(i, w_in[s.neuron])]
             qp += 1
         if t_next == t_grid and t_grid == k_grid * dt:
@@ -127,10 +167,52 @@ def dense_oracle(net: Network, inputs, dt: float, t_max: float, m: int | None = 
         if len(events) >= budget:
             break
 
-    final = NeuronState(np.array(v), np.array(i), min(t, t_max))
     if m is not None:
-        events = events[:m] + [Spike.dummy()] * max(0, m - len(events))
-    return EventTrace.from_spikes(events, final)
+        dummy = (DUMMY_NEURON, np.inf, SpikeKind.DUMMY)
+        events = events[:m] + [dummy] * max(0, m - len(events))
+    neurons, times, kinds = list(zip(*events)) or [(), (), ()]
+    return EventTrace(
+        np.array(neurons, dtype=np.int64),
+        np.array(times, dtype=np.float64),
+        np.array(kinds, dtype=np.int8),
+        np.array(v),
+        np.array(i),
+        min(t, t_max),
+    )
+
+
+def classify_walk(records, inputs):
+    """Kinds of one row of (neuron, time) records, walking them in order
+    against the inputs: a dummy for neuron -1, the next unmatched input when
+    equal to it, internal otherwise."""
+    kinds, p = [], 0
+    for neuron, time in records:
+        if neuron == DUMMY_NEURON:
+            kinds.append(SpikeKind.DUMMY)
+        elif p < len(inputs) and inputs[p] == (neuron, time):
+            kinds.append(SpikeKind.INPUT)
+            p += 1
+        else:
+            kinds.append(SpikeKind.INTERNAL)
+    return kinds
+
+
+def replay_walk(trace: EventTrace, net: Network, t_max: float):
+    """Final (v, i, t) of a one-sample trace, one propagation per event."""
+    p = net.params
+    v, i, t = np.zeros(net.n_total), np.zeros(net.n_total), 0.0
+    for neuron, time, kind in zip(trace.neurons, trace.times, trace.kinds):
+        if kind == SpikeKind.DUMMY:
+            break
+        v, i = propagate_arrays(v, i, time - t, p)
+        t = time
+        if kind == SpikeKind.INTERNAL:
+            v[neuron] = p.v_reset
+            i = i + net.weights[neuron]
+        else:
+            i = i + net.input_weights[neuron]
+    v, i = propagate_arrays(v, i, max(t_max - t, 0.0), p)
+    return v, i, max(t_max, t)
 
 
 def dense_currents(neurons, times, kinds, net: Network):

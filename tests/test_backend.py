@@ -14,13 +14,15 @@ from eventsnn.backend import (
     replay_block_to_trace,
     write_replay_file,
 )
+from eventsnn.cli import build_parser
 from eventsnn.core import InvalidParameter, LifParams, Network, Spike, SpikeKind
 from eventsnn.grad import eventprop_backward
-from eventsnn.sim import pack_inputs, simulate
+from eventsnn.sim import pack_inputs, simulate, simulate_batch
 
-from conftest import random_inputs, random_network
+from conftest import random_inputs, random_network, replay_walk
 
 P2 = LifParams(tau_mem=2.0)
+INTERNAL, INPUT, DUMMY = int(SpikeKind.INTERNAL), int(SpikeKind.INPUT), int(SpikeKind.DUMMY)
 
 
 def in_spike(neuron, t):
@@ -112,7 +114,7 @@ class TestMockBackend:
         )
         tr = forward(cfg, net, inputs, 15, 2.5, seed=1)
         assert len(tr) == 15
-        real = [s.time for s in tr if not s.is_dummy]
+        real = tr.times[tr.kinds != DUMMY].tolist()
         assert real == sorted(real)
         assert all(0.0 <= t <= 2.5 for t in real)
 
@@ -124,8 +126,8 @@ class TestMockBackend:
         got = forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 12, 2.5, seeds=list(range(6)))
         for b, inputs in enumerate(batches):
             solo = forward(cfg, net, inputs, 12, 2.5, seed=b)
-            np.testing.assert_array_equal(got.sample(b).times, solo.times)
-            np.testing.assert_array_equal(got.sample(b).neurons, solo.neurons)
+            np.testing.assert_array_equal(got[b].times, solo.times)
+            np.testing.assert_array_equal(got[b].neurons, solo.neurons)
 
     def test_invalid_mock_params_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -150,56 +152,155 @@ class TestReplayBackend:
     def make_traces(self, rng, n_samples=4, m=14, t_max=2.5):
         net = random_network(rng)
         sample_inputs = [random_inputs(rng, net, k_max=5) for _ in range(n_samples)]
-        traces = [simulate(net, ins, m, t_max) for ins in sample_inputs]
+        idx, times = pack_inputs(sample_inputs)
+        traces = simulate_batch(net, idx[:, :-1], times[:, :-1], m, t_max)
         return net, sample_inputs, traces
 
-    def test_loopback_gradients_identical(self, rng, tmp_path):
-        # the hardware-in-the-loop seam: dump traces, reload, same gradients
+    def replay_cfg(self, rng, tmp_path):
         net, sample_inputs, traces = self.make_traces(rng)
         path = tmp_path / "t.replay"
         write_replay_file(path, traces, m=14, t_max=2.5)
-        cfg = BackendConfig(kind="replay", replay=ReplayConfig(trace_path=path))
-        for inputs, trace in zip(sample_inputs, traces):
+        return net, sample_inputs, traces, BackendConfig(
+            kind="replay", replay=ReplayConfig(trace_path=path)
+        )
+
+    def test_loopback_gradients_identical(self, rng, tmp_path):
+        # the hardware-in-the-loop seam: dump traces, reload, same gradients
+        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
+        for b, inputs in enumerate(sample_inputs):
+            trace = traces[b]
             re_trace = forward(cfg, net, inputs, 14, 2.5)
             np.testing.assert_array_equal(re_trace.times, trace.times)
             g = np.zeros(14)
-            g[[k for k, s in enumerate(trace) if s.kind == SpikeKind.INTERNAL][:1]] = 1.0
+            g[np.flatnonzero(trace.kinds == INTERNAL)[:1]] = 1.0
             a_w, a_in = eventprop_backward(trace, net, g, strict=False)
             b_w, b_in = eventprop_backward(re_trace, net, g, strict=False)
             assert np.max(np.abs(a_w - b_w)) <= 1e-12
             assert np.max(np.abs(a_in - b_in)) <= 1e-12
 
-    def test_manifest_budget_mismatch(self, rng, tmp_path):
-        net, sample_inputs, traces = self.make_traces(rng)
+    def test_batched_replay_matches_each_row_to_its_block(self, rng, tmp_path):
+        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
+        order = [2, 0, 3, 1, 2]
+        idx, times = pack_inputs([sample_inputs[b] for b in order])
+        got = forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 14, 2.5, seeds=order)
+        for row, b in enumerate(order):
+            for field in ("neurons", "times", "kinds"):
+                want = getattr(traces, field)[b]
+                np.testing.assert_array_equal(getattr(got, field)[row], want)
+            solo = forward(cfg, net, sample_inputs[b], 14, 2.5)
+            np.testing.assert_array_equal(got.final_v[row], solo.final_v)
+            np.testing.assert_array_equal(got.final_i[row], solo.final_i)
+
+    def test_block_with_all_inputs_preferred_over_a_prefix(self, tmp_path):
+        net = Network(
+            n_total=2,
+            weights=np.zeros((2, 2)),
+            input_weights=np.full((1, 2), 0.1),
+            params=P2,
+            output_set=(1,),
+        )
+        inputs = [in_spike(0, 0.1), in_spike(0, 0.4)]
+        idx, times = pack_inputs([inputs[:1], inputs])
+        traces = simulate_batch(net, idx[:, :-1], times[:, :-1], 4, 2.5)
         path = tmp_path / "t.replay"
-        write_replay_file(path, traces, m=14, t_max=2.5)
+        write_replay_file(path, traces, m=4, t_max=2.5)
         cfg = BackendConfig(kind="replay", replay=ReplayConfig(trace_path=path))
+        got = forward(cfg, net, inputs, 4, 2.5)
+        assert got.kinds.tolist() == [INPUT, INPUT, DUMMY, DUMMY]
+        np.testing.assert_array_equal(got.times, traces.times[1])
+
+    def test_final_state_matches_the_event_walk(self, rng):
+        for _ in range(5):
+            net, sample_inputs, traces = self.make_traces(rng, n_samples=8)
+            idx, in_times = pack_inputs(sample_inputs)
+            got = replay_block_to_trace(traces.neurons, traces.times, net, idx, in_times, 2.5)
+            for b in range(len(sample_inputs)):
+                v, i, t = replay_walk(traces[b], net, 2.5)
+                np.testing.assert_allclose(got.final_v[b], v, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(got.final_i[b], i, rtol=1e-12, atol=1e-12)
+                assert got.final_t[b] == t
+
+    def test_manifest_budget_mismatch(self, rng, tmp_path):
+        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
         with pytest.raises(ReplayShapeMismatch):
             forward(cfg, net, sample_inputs[0], 13, 2.5)
+        with pytest.raises(ReplayShapeMismatch):
+            forward(cfg, net, sample_inputs[0], 14, 2.0)
 
     def test_truncated_file_rejected(self, rng, tmp_path):
-        net, sample_inputs, traces = self.make_traces(rng)
-        path = tmp_path / "t.replay"
-        write_replay_file(path, traces, m=14, t_max=2.5)
-        body = path.read_text().splitlines()
+        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
+        body = cfg.replay.trace_path.read_text().splitlines()
         (tmp_path / "bad.replay").write_text("\n".join(body[:-3]) + "\n")
         with pytest.raises(ReplayShapeMismatch):
             read_replay_file(tmp_path / "bad.replay")
 
     def test_unsorted_block_rejected(self, rng):
         net, sample_inputs, traces = self.make_traces(rng)
-        records = [(s.neuron, s.time) for s in traces[0]]
-        real = [r for r in records if r[0] != -1]
-        if len(real) >= 2:
-            records[0], records[1] = records[1], records[0]
+        neurons, times = traces.neurons[:1].copy(), traces.times[:1].copy()
+        idx, in_times = pack_inputs(sample_inputs[:1])
+        if np.sum(traces.kinds[0] != DUMMY) >= 2:
+            neurons[0, :2] = neurons[0, 1::-1]
+            times[0, :2] = times[0, 1::-1]
             with pytest.raises((ReplayUnsorted, ReplayShapeMismatch)):
-                replay_block_to_trace(records, net, sample_inputs[0], 14, 2.5)
+                replay_block_to_trace(neurons, times, net, idx, in_times, 2.5)
 
     def test_no_matching_block(self, rng, tmp_path):
-        net, sample_inputs, traces = self.make_traces(rng)
-        path = tmp_path / "t.replay"
-        write_replay_file(path, traces, m=14, t_max=2.5)
-        cfg = BackendConfig(kind="replay", replay=ReplayConfig(trace_path=path))
+        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
         foreign = [in_spike(0, 0.123456)]
         with pytest.raises(ReplayShapeMismatch):
             forward(cfg, net, foreign, 14, 2.5)
+
+
+class TestReplayTrainValidation:
+    """replay-train checks a file against the config and the dataset as
+    strictly as the replay backend does."""
+
+    CONFIG = (
+        "dataset.n_train = 24\ndataset.n_test = 6\nnetwork.n_hidden = 6\n"
+        "sim.t_max = 4.0\n"
+    )
+
+    def run(self, argv):
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+
+    def exported(self, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "export"
+        argv = ["export-traces", "--samples", "4", "--config", str(cfg), "--out", str(out)]
+        assert self.run(argv) == 0
+        capsys.readouterr()
+        return cfg, out / "traces.replay", out / "checkpoint.txt"
+
+    def replay(self, tmp_path, cfg, traces, checkpoint):
+        return self.run([
+            "replay-train", "--traces", str(traces), "--checkpoint", str(checkpoint),
+            "--config", str(cfg), "--out", str(tmp_path / "replay"),
+        ])
+
+    def test_accepts_its_own_export(self, tmp_path, capsys):
+        cfg, traces, checkpoint = self.exported(tmp_path, capsys)
+        assert self.replay(tmp_path, cfg, traces, checkpoint) == 0
+
+    def test_rejects_other_t_max(self, tmp_path, capsys):
+        cfg, traces, checkpoint = self.exported(tmp_path, capsys)
+        cfg.write_text(self.CONFIG.replace("sim.t_max = 4.0", "sim.t_max = 5.0"))
+        with pytest.raises(ReplayShapeMismatch, match="t_max"):
+            self.replay(tmp_path, cfg, traces, checkpoint)
+
+    def test_rejects_blocks_of_other_samples(self, tmp_path, capsys):
+        cfg, traces, checkpoint = self.exported(tmp_path, capsys)
+        cfg.write_text(self.CONFIG + "dataset.seed = 7\n")
+        with pytest.raises(ReplayShapeMismatch, match="input"):
+            self.replay(tmp_path, cfg, traces, checkpoint)
+
+    def test_rejects_minus_one_record_with_a_time(self, tmp_path, capsys):
+        cfg, traces, checkpoint = self.exported(tmp_path, capsys)
+        lines = traces.read_text().splitlines()
+        m = int(lines[0].split()[0].split("=")[1])
+        last = 1 + m  # the last record of the first block
+        lines[last] = "-1,0.5"
+        traces.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReplayShapeMismatch, match="-1"):
+            self.replay(tmp_path, cfg, traces, checkpoint)

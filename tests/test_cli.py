@@ -1,0 +1,68 @@
+"""The CLI's exit-code contract: 0 success, 2 config error, 3 runtime error."""
+import pytest
+
+from eventsnn.cli import main
+
+TINY = (
+    "dataset.n_train = 30\n"
+    "dataset.n_test = 12\n"
+    "network.n_hidden = 6\n"
+    "train.epochs = 1\n"
+    "train.batch = 10\n"
+)
+
+
+@pytest.fixture
+def tiny(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text(TINY)
+    return path
+
+
+def run(*argv, config):
+    return main([*map(str, argv), "--config", str(config)])
+
+
+def test_smoke_chain_and_exit_codes(tmp_path, tiny, capsys):
+    assert run("generate", "--out", tmp_path / "data", config=tiny) == 0
+    assert run("train", "--out", tmp_path / "train", config=tiny) == 0
+    checkpoint = tmp_path / "train" / "checkpoint.txt"
+    assert run("eval", "--checkpoint", checkpoint, "--out", tmp_path / "eval", config=tiny) == 0
+    for backend in ("numeric", "mock"):
+        out = tmp_path / f"export-{backend}"
+        assert run(
+            "export-traces", "--samples", 5, "--checkpoint", checkpoint,
+            "--backend", backend, "--out", out, config=tiny,
+        ) == 0
+        assert run(
+            "replay-train", "--traces", out / "traces.replay", "--checkpoint", checkpoint,
+            "--out", tmp_path / f"replay-{backend}", config=tiny,
+        ) == 0
+    traces = tmp_path / "export-numeric" / "traces.replay"
+
+    bogus = tmp_path / "bogus.txt"
+    bogus.write_text(TINY + "network.bogus = 1\n")
+    assert run("eval", "--checkpoint", checkpoint, "--out", tmp_path / "x", config=bogus) == 2
+
+    truncated = tmp_path / "truncated.replay"
+    truncated.write_text("\n".join(traces.read_text().splitlines()[:-3]) + "\n")
+    assert run(
+        "replay-train", "--traces", truncated, "--checkpoint", checkpoint,
+        "--out", tmp_path / "x", config=tiny,
+    ) == 3
+
+    other_seed = tmp_path / "seed.txt"
+    other_seed.write_text(TINY + "dataset.seed = 7\n")
+    assert run(
+        "replay-train", "--traces", traces, "--checkpoint", checkpoint,
+        "--out", tmp_path / "x", config=other_seed,
+    ) == 3
+    assert "input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_export_needs_a_positive_sample_count(tmp_path, tiny, capsys, samples):
+    out = tmp_path / "export"
+    assert run("export-traces", "--samples", samples, "--out", out, config=tiny) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (out / "traces.replay").exists()

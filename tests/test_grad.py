@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from eventsnn.core import LifParams, Network, Spike, SpikeKind, read_spike_file, write_spike_file
+from eventsnn.core import (
+    EventTrace,
+    LifParams,
+    Network,
+    Spike,
+    SpikeKind,
+    classify_records,
+    read_spike_file,
+    write_spike_file,
+)
 from eventsnn.grad import (
     DegenerateCrossing,
     NoSpike,
@@ -23,6 +32,7 @@ from conftest import dense_adjoint, random_inputs, random_network
 
 P2 = LifParams(tau_mem=2.0)
 P1 = LifParams(tau_mem=1.0)
+INTERNAL, INPUT, DUMMY = int(SpikeKind.INTERNAL), int(SpikeKind.INPUT), int(SpikeKind.DUMMY)
 
 
 def in_spike(neuron, t):
@@ -46,13 +56,14 @@ def first_spike_loss(net, inputs, m, t_max, coeffs):
     total = 0.0
     slot_grads = np.zeros(m)
     seen = set()
-    for slot, s in enumerate(trace):
-        if s.kind != SpikeKind.INTERNAL or s.neuron in seen:
+    slots = zip(trace.neurons.tolist(), trace.times.tolist(), trace.kinds.tolist())
+    for slot, (neuron, time, kind) in enumerate(slots):
+        if kind != INTERNAL or neuron in seen:
             continue
-        seen.add(s.neuron)
-        if s.neuron in net.output_set:
-            k = net.output_set.index(s.neuron)
-            total += coeffs[k] * s.time
+        seen.add(neuron)
+        if neuron in net.output_set:
+            k = net.output_set.index(neuron)
+            total += coeffs[k] * time
             slot_grads[slot] = coeffs[k]
     for k, neuron in enumerate(net.output_set):
         if neuron not in seen:
@@ -76,13 +87,8 @@ def fd_weight_grad(net, inputs, m, t_max, coeffs, matrix, j, i, eps=1e-4):
 
 
 def min_vdot(net, trace):
-    i_spk = reconstruct_currents(trace, net)
-    vals = [
-        abs(i_spk[k] - net.params.v_th / net.params.tau_mem)
-        for k, s in enumerate(trace)
-        if s.kind == SpikeKind.INTERNAL
-    ]
-    return min(vals) if vals else math.inf
+    i_spk = reconstruct_currents(trace, net)[trace.kinds == INTERNAL]
+    return float(np.min(np.abs(i_spk - net.params.v_th / net.params.tau_mem), initial=math.inf))
 
 
 def rel_err(a, b, floor=1e-4):
@@ -101,7 +107,7 @@ class TestReconstructCurrents:
             inputs = random_inputs(rng, net)
             idx, times = pack_inputs([inputs])
             batch = simulate_batch(net, idx[:, :-1], times[:, :-1], m=16, t_max=2.5)
-            rec = reconstruct_currents(batch.sample(0), net)
+            rec = reconstruct_currents(batch[0], net)
             internal = batch.kinds[0] == int(SpikeKind.INTERNAL)
             np.testing.assert_allclose(
                 rec[internal], batch.i_spike_recorded[0][internal], atol=1e-12
@@ -112,12 +118,14 @@ class TestReconstructCurrents:
         inputs = random_inputs(rng, net)
         trace = simulate(net, inputs, m=16, t_max=2.5)
         buf = io.StringIO()
-        write_spike_file(buf, trace.spikes)
+        write_spike_file(buf, trace.neurons, trace.times)
         buf.seek(0)
-        loaded = read_spike_file(buf, inputs=inputs)
-        from eventsnn.core import EventTrace, NeuronState
-
-        trace2 = EventTrace.from_spikes(loaded, NeuronState.zeros(net.n_total))
+        neurons, times = read_spike_file(buf)
+        idx, in_times = pack_inputs([inputs])
+        kinds = classify_records(neurons[None], times[None], idx, in_times)[0]
+        np.testing.assert_array_equal(kinds, trace.kinds)
+        zeros = np.zeros(net.n_total)
+        trace2 = EventTrace(neurons, times, kinds, zeros, zeros, 0.0)
         np.testing.assert_array_equal(
             reconstruct_currents(trace, net), reconstruct_currents(trace2, net)
         )
@@ -191,7 +199,7 @@ class TestEventProp:
             m, t_max = 30, 2.5
             coeffs = rng.choice([-1.0, 1.0], size=len(net.output_set))
             loss, slot_g, trace = first_spike_loss(net, inputs, m, t_max, coeffs)
-            if not trace[-1].is_dummy:
+            if trace.kinds[-1] != DUMMY:
                 continue  # budget must absorb every event
             if min_vdot(net, trace) < 0.12:
                 continue  # grazing crossing: gradient ill-conditioned
@@ -213,8 +221,6 @@ class TestEventProp:
     def test_degenerate_crossing_raises_in_strict_mode(self):
         # craft a trace whose reconstructed current at the spike makes
         # dV/dt = I - v_th/tau_mem vanish: I(T) = 1 * e^{-ln 2} = 0.5
-        from eventsnn.core import EventTrace, NeuronState
-
         net = Network(
             n_total=1,
             weights=np.zeros((1, 1)),
@@ -222,12 +228,14 @@ class TestEventProp:
             params=P2,
             output_set=(0,),
         )
-        spikes = [
-            in_spike(0, 0.0),
-            Spike(0, math.log(2.0), SpikeKind.INTERNAL),
-            Spike.dummy(),
-        ]
-        trace = EventTrace.from_spikes(spikes, NeuronState.zeros(1))
+        trace = EventTrace(
+            np.array([0, 0, -1]),
+            np.array([0.0, math.log(2.0), np.inf]),
+            np.array([INPUT, INTERNAL, DUMMY], dtype=np.int8),
+            np.zeros(1),
+            np.zeros(1),
+            0.0,
+        )
         slot_g = np.array([0.0, 1.0, 0.0])
         with pytest.raises(DegenerateCrossing):
             eventprop_backward(trace, net, slot_g, strict=True)
@@ -460,13 +468,10 @@ class TestFudNetwork:
     def accept(self, net, inputs):
         """The trace if every neuron spikes exactly once, well above grazing."""
         trace = simulate(net, inputs, self.M, self.T_MAX)
-        counts = {}
-        for s in trace:
-            if s.kind == SpikeKind.INTERNAL:
-                counts[s.neuron] = counts.get(s.neuron, 0) + 1
-        if not trace[-1].is_dummy or any(c > 1 for c in counts.values()):
+        counts = np.bincount(trace.neurons[trace.kinds == INTERNAL], minlength=net.n_total)
+        if trace.kinds[-1] != DUMMY or np.any(counts > 1):
             return None
-        if len(counts) != net.n_total:  # everyone spikes exactly once
+        if np.count_nonzero(counts) != net.n_total:  # everyone spikes exactly once
             return None
         if min_vdot(net, trace) < 0.12:
             return None
@@ -530,10 +535,8 @@ class TestFudNetwork:
             t_h, t_o = fud_feedforward(
                 t_by_neuron, net.input_weights[:, :n_h], net.weights[:n_h, n_h:], P2, t_max
             )
-            sim_times = {}
-            for s in trace:
-                if s.kind == SpikeKind.INTERNAL:
-                    sim_times[s.neuron] = s.time
+            internal = trace.kinds == INTERNAL
+            sim_times = dict(zip(trace.neurons[internal].tolist(), trace.times[internal]))
             for h in range(n_h):
                 assert t_h[0, h] == pytest.approx(sim_times[h], abs=1e-9)
             for o in range(2):

@@ -8,15 +8,13 @@ from eventsnn.lif import (
     EPS_LAMBERT,
     NegativeDt,
     _lambertw0,
-    bisect_crossing,
     next_crossing_double_tau,
     next_crossing_equal_tau,
     next_crossing_safe,
     propagate,
-    voltage_at,
 )
 
-from conftest import euler_first_crossing
+from conftest import bisect_crossing, euler_first_crossing, voltage_at
 
 P2 = LifParams(tau_mem=2.0)
 P1 = LifParams(tau_mem=1.0)

@@ -29,6 +29,9 @@ def single_neuron_net(w_in=4.0, w_rec=0.0):
     )
 
 
+INTERNAL, INPUT, DUMMY = int(SpikeKind.INTERNAL), int(SpikeKind.INPUT), int(SpikeKind.DUMMY)
+
+
 def in_spike(neuron, t):
     return Spike(neuron, t, SpikeKind.INPUT)
 
@@ -38,18 +41,23 @@ def assert_batch_matches_solo(net, batch_inputs, m, t_max):
     batch = simulate_batch(net, idx[:, :-1], times[:, :-1], m=m, t_max=t_max)
     for b, inputs in enumerate(batch_inputs):
         solo = simulate(net, inputs, m=m, t_max=t_max)
-        got = batch.sample(b)
+        got = batch[b]
         np.testing.assert_array_equal(got.neurons, solo.neurons)
         np.testing.assert_array_equal(got.times, solo.times)
         np.testing.assert_array_equal(got.kinds, solo.kinds)
-        np.testing.assert_array_equal(got.final_state.v, solo.final_state.v)
-        np.testing.assert_array_equal(got.final_state.i, solo.final_state.i)
-        assert got.final_state.t == solo.final_state.t
+        np.testing.assert_array_equal(got.final_v, solo.final_v)
+        np.testing.assert_array_equal(got.final_i, solo.final_i)
+        assert got.final_t == solo.final_t
     return batch
 
 
 def internal_spikes(trace):
-    return [(s.neuron, s.time) for s in trace if s.kind == SpikeKind.INTERNAL]
+    internal = trace.kinds == INTERNAL
+    return list(zip(trace.neurons[internal].tolist(), trace.times[internal].tolist()))
+
+
+def real_times(trace):
+    return trace.times[trace.kinds != DUMMY].tolist()
 
 
 class TestStep:
@@ -99,8 +107,7 @@ class TestSimulate:
             output_set=(1,),
         )
         tr = simulate(net, [in_spike(0, 0.1), in_spike(0, 0.4)], m=4, t_max=3.0)
-        kinds = [s.kind for s in tr]
-        assert kinds == [SpikeKind.INPUT, SpikeKind.INPUT, SpikeKind.DUMMY, SpikeKind.DUMMY]
+        assert tr.kinds.tolist() == [INPUT, INPUT, DUMMY, DUMMY]
 
     def test_truncation_keeps_budget_and_order(self):
         net = single_neuron_net(w_in=4.0)
@@ -108,7 +115,7 @@ class TestSimulate:
         diag = SimDiagnostics()
         tr = simulate(net, inputs, m=3, t_max=3.0, diag=diag)
         assert len(tr) == 3
-        times = [s.time for s in tr if not s.is_dummy]
+        times = real_times(tr)
         assert times == sorted(times)
         assert diag.truncated_inputs > 0
 
@@ -125,12 +132,12 @@ class TestSimulate:
             net = random_network(rng)
             inputs = random_inputs(rng, net)
             tr = simulate(net, inputs, m=12, t_max=2.5)
-            kinds = [s.kind for s in tr]
-            if SpikeKind.DUMMY in kinds:
-                first = kinds.index(SpikeKind.DUMMY)
-                assert all(k == SpikeKind.DUMMY for k in kinds[first:])
-            real_times = [s.time for s in tr if not s.is_dummy]
-            assert real_times == sorted(real_times)
+            kinds = tr.kinds.tolist()
+            if DUMMY in kinds:
+                first = kinds.index(DUMMY)
+                assert all(k == DUMMY for k in kinds[first:])
+            times = real_times(tr)
+            assert times == sorted(times)
             assert len(tr) == 12
 
     def test_input_priority_on_exact_tie(self):
@@ -158,7 +165,7 @@ class TestSimulate:
             output_set=(1,),
         )
         tr = simulate(net, [in_spike(0, 0.0)], m=9, t_max=40.0)
-        internal = [s.neuron for s in tr if s.kind == SpikeKind.INTERNAL]
+        internal = [nrn for nrn, _ in internal_spikes(tr)]
         assert len(internal) >= 6
         assert all(a != b for a, b in zip(internal, internal[1:]))
 
@@ -167,7 +174,7 @@ class TestSimulate:
         st = NeuronState(np.array([0.0]), np.array([4.0]), t=1.0)
         tr = simulate(net, [], m=2, t_max=5.0, initial=st)
         t_rel = euler_first_crossing(0.0, 4.0, P2, dt=1e-6)
-        assert tr[0].time == pytest.approx(1.0 + t_rel, abs=1e-4)
+        assert tr.times[0] == pytest.approx(1.0 + t_rel, abs=1e-4)
 
 
 class TestBatchedEngine:
@@ -187,7 +194,7 @@ class TestBatchedEngine:
             net = random_network(rng, n_max=3, n_in_max=2)
             inputs = random_inputs(rng, net, k_max=4, t_span=0.8)
             solo = simulate(net, inputs, m=300, t_max=1.5)
-            if not solo[-1].is_dummy:
+            if solo.kinds[-1] != DUMMY:
                 continue
             sub_nets.append(net)
             sub_inputs.append(inputs)
@@ -215,17 +222,13 @@ class TestBatchedEngine:
             key=lambda s: s.time,
         )
         tr = simulate(combined, merged, m=900, t_max=1.5)
-        assert tr[-1].is_dummy
+        assert tr.kinds[-1] == DUMMY
         for k, solo in enumerate(solos):
-            want = [
-                (sp.neuron, sp.time)
-                for sp in solo
-                if sp.kind == SpikeKind.INTERNAL
-            ]
+            want = internal_spikes(solo)
             got = [
-                (sp.neuron - off_n[k], sp.time)
-                for sp in tr
-                if sp.kind == SpikeKind.INTERNAL and off_n[k] <= sp.neuron < off_n[k + 1]
+                (nrn - off_n[k], t)
+                for nrn, t in internal_spikes(tr)
+                if off_n[k] <= nrn < off_n[k + 1]
             ]
             assert len(got) == len(want)
             for (gn, gt), (wn, wt) in zip(got, want):
@@ -243,8 +246,8 @@ class TestDenseOracle:
         )
         inputs = [in_spike(0, 0.3), in_spike(0, 0.9)]
         tr = dense_oracle(net, inputs, dt=1e-3, t_max=2.0)
-        assert [s.kind for s in tr] == [SpikeKind.INPUT, SpikeKind.INPUT]
-        assert [s.time for s in tr] == [0.3, 0.9]
+        assert tr.kinds.tolist() == [INPUT, INPUT]
+        assert tr.times.tolist() == [0.3, 0.9]
 
     def test_single_neuron_crossing_convergence(self):
         net = single_neuron_net(w_in=4.0)
@@ -252,8 +255,7 @@ class TestDenseOracle:
         errs = []
         for dt in (1e-3, 1e-4, 1e-5):
             tr = dense_oracle(net, [in_spike(0, 0.0)], dt=dt, t_max=2.0)
-            internal = [s for s in tr if s.kind == SpikeKind.INTERNAL]
-            errs.append(abs(internal[0].time - expected))
+            errs.append(abs(internal_spikes(tr)[0][1] - expected))
         assert errs[0] < 5e-3 and errs[2] < 5e-5
         assert errs[2] < errs[0]
 
@@ -263,12 +265,10 @@ class TestDenseOracle:
             inputs = random_inputs(rng, net, k_max=6)
             ev = simulate(net, inputs, m=24, t_max=2.0)
             dn = dense_oracle(net, inputs, dt=1e-5, t_max=2.0, m=24)
-            ev_real = [(s.neuron, s.kind) for s in ev if not s.is_dummy]
-            dn_real = [(s.neuron, s.kind) for s in dn if not s.is_dummy]
-            assert ev_real == dn_real
-            for a, b in zip(ev, dn):
-                if not a.is_dummy:
-                    assert abs(a.time - b.time) <= 1e-3
+            real = ev.kinds != DUMMY
+            assert ev.neurons[real].tolist() == dn.neurons[dn.kinds != DUMMY].tolist()
+            assert ev.kinds[real].tolist() == dn.kinds[dn.kinds != DUMMY].tolist()
+            assert np.all(np.abs(ev.times[real] - dn.times[real]) <= 1e-3)
 
 
 class TestSimultaneousCrossings:
@@ -323,11 +323,10 @@ class TestEngineEdgeCases:
         single = single_neuron_net(w_in=4.0, w_rec=2.0)
         ev = simulate(single, [in_spike(0, 0.0)], m=12, t_max=3.0)
         dn = dense_oracle(single, [in_spike(0, 0.0)], dt=1e-5, t_max=3.0, m=12)
-        assert [s.kind for s in ev] == [s.kind for s in dn]
+        assert ev.kinds.tolist() == dn.kinds.tolist()
         assert len(internal_spikes(ev)) >= 2
-        for a, b in zip(ev, dn):
-            if not a.is_dummy:
-                assert abs(a.time - b.time) <= 1e-3
+        real = ev.kinds != DUMMY
+        assert np.all(np.abs(ev.times[real] - dn.times[real]) <= 1e-3)
 
     def test_zero_input_row_and_zero_weight_row(self, rng):
         w = rng.uniform(-2.0, 3.0, size=(4, 4))
@@ -338,11 +337,9 @@ class TestEngineEdgeCases:
         batch_inputs = [random_inputs(rng, net, k_max=8) for _ in range(8)]
         batch_inputs.append([in_spike(2, 0.1), in_spike(2, 0.4)])
         batch = assert_batch_matches_solo(net, batch_inputs, m=30, t_max=3.0)
-        silent = batch.sample(len(batch_inputs) - 1)
-        assert [s.kind for s in silent][:3] == [
-            SpikeKind.INPUT, SpikeKind.INPUT, SpikeKind.DUMMY,
-        ]
-        np.testing.assert_array_equal(silent.final_state.i, np.zeros(4))
+        silent = batch[len(batch_inputs) - 1]
+        assert silent.kinds[:3].tolist() == [INPUT, INPUT, DUMMY]
+        np.testing.assert_array_equal(silent.final_i, np.zeros(4))
 
     def test_record_set_subset(self, rng):
         base = random_network(rng, n_max=6)
@@ -362,13 +359,12 @@ class TestEngineEdgeCases:
         idx, times = pack_inputs(batch_inputs)
         full = simulate_batch(base, idx[:, :-1], times[:, :-1], m=20, t_max=2.5)
         for b in range(len(batch_inputs)):
-            want = [
-                s for s in full.sample(b)
-                if not (s.kind == SpikeKind.INTERNAL and s.neuron not in recorded)
-            ]
-            got = list(batch.sample(b))
-            assert got[: len(want)] == want
-            assert all(s.is_dummy for s in got[len(want) :])
+            keep = ~((full.kinds[b] == INTERNAL) & ~np.isin(full.neurons[b], recorded))
+            n_kept = int(keep.sum())
+            for field in ("neurons", "times", "kinds"):
+                want = getattr(full, field)[b][keep]
+                np.testing.assert_array_equal(getattr(batch, field)[b][:n_kept], want)
+            assert np.all(batch.kinds[b][n_kept:] == DUMMY)
 
 
 class TestEarlyStopAndFinalState:
@@ -407,8 +403,8 @@ class TestEarlyStopAndFinalState:
             net = random_network(rng, n_max=6)
             inputs = random_inputs(rng, net)
             tr = simulate(net, inputs, m=300, t_max=2.5)
-            assert tr[-1].is_dummy
-            want = replay_state(tr, net, 2.5)
-            assert tr.final_state.t == want.t
-            np.testing.assert_allclose(tr.final_state.v, want.v, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(tr.final_state.i, want.i, rtol=0, atol=1e-12)
+            assert tr.kinds[-1] == DUMMY
+            v, i, t = replay_state(tr.neurons[None], tr.times[None], tr.kinds[None], net, 2.5)
+            assert tr.final_t == t[0]
+            np.testing.assert_allclose(tr.final_v, v[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tr.final_i, i[0], rtol=0, atol=1e-12)

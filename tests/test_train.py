@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from eventsnn.config import ExperimentConfig, apply_overrides, load_config, save_config
-from eventsnn.core import (
-    EventTrace,
-    InvalidParameter,
-    LifParams,
-    Network,
-    NeuronState,
-    Spike,
-    SpikeKind,
-)
+from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
 from eventsnn.train import (
     AdamState,
     ShapeMismatch,
@@ -30,12 +22,20 @@ from eventsnn.train import (
 P2 = LifParams(tau_mem=2.0)
 
 
-def trace_of(spikes, n=3):
-    return EventTrace.from_spikes(spikes, NeuronState.zeros(n, t=4.0))
+DUMMY_SLOT = (-1, math.inf, SpikeKind.DUMMY)
+
+
+def trace_of(slots, n=3):
+    """One-sample trace of (neuron, time, kind) slots, final time 4."""
+    neurons, times, kinds = zip(*slots)
+    return EventTrace(
+        np.array(neurons), np.array(times), np.array(kinds, dtype=np.int8),
+        np.zeros(n), np.zeros(n), 4.0,
+    )
 
 
 def out_spike(neuron, t):
-    return Spike(neuron, t, SpikeKind.INTERNAL)
+    return (neuron, t, SpikeKind.INTERNAL)
 
 
 class TestTtfsLoss:
@@ -79,7 +79,7 @@ class TestTtfsLoss:
                 out_spike(0, 0.5),
                 out_spike(1, 0.7),
                 out_spike(0, 0.9),  # second spike of 0 carries no gradient
-                Spike.dummy(),
+                DUMMY_SLOT,
             ]
         )
         loss, slot_g = ttfs_loss(tr, output_set=(0, 1, 2), label=0, t_max=4.0)
@@ -90,18 +90,18 @@ class TestTtfsLoss:
         from eventsnn.core import InvalidParameter
 
         with pytest.raises(InvalidParameter):
-            ttfs_loss(trace_of([Spike.dummy()]), output_set=(), label=0)
+            ttfs_loss(trace_of([DUMMY_SLOT]), output_set=(), label=0)
 
 
 class TestFirstSpikes:
     def test_first_spike_extraction(self):
         tr = trace_of(
             [
-                Spike(0, 0.1, SpikeKind.INPUT),
+                (0, 0.1, SpikeKind.INPUT),
                 out_spike(1, 0.4),
                 out_spike(1, 0.8),
                 out_spike(2, 0.9),
-                Spike.dummy(),
+                DUMMY_SLOT,
             ]
         )
         t, slots = first_spike_times_batch(
