@@ -38,7 +38,7 @@ from .core import (
     validate_network,
 )
 from .grad import replay_state
-from .sim import pack_inputs, simulate_batch
+from .sim import check_input_rows, pack_inputs, simulate_batch
 
 
 class ReplayShapeMismatch(ValueError):
@@ -168,7 +168,9 @@ def forward_batch(
     """Batched forward pass through the configured backend.
 
     ``in_neurons``/``in_times`` are (B, K) time-sorted inputs per row, padded
-    with -1 / inf; ``seeds`` gives each row's mock-noise seed.
+    with -1 / inf; ``seeds`` gives each row's mock-noise seed.  Malformed
+    rows raise ``InvalidParameter`` or ``UnsortedInput`` on every backend
+    (``sim.check_input_rows``).
     """
     _check_config(cfg)
     validate_network(net)
@@ -178,6 +180,9 @@ def forward_batch(
         run_net = _mock_network(net, cfg.mock)
         batch = simulate_batch(run_net, in_neurons, in_times, m, t_max)
         return _apply_mock_noise(batch, cfg.mock, t_max, seeds)
+    in_neurons = np.asarray(in_neurons, dtype=np.int64)
+    in_times = np.asarray(in_times, dtype=np.float64)
+    check_input_rows(net, in_neurons, in_times)
     rf = read_replay_file(cfg.replay.trace_path)
     check_manifest(rf, m, t_max)
     pick = [_block_of(rf, nrow, trow, t_max) for nrow, trow in zip(in_neurons, in_times)]

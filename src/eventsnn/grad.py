@@ -278,14 +278,13 @@ def eventprop_backward_batch(
     moved = (shift != 0.0).any(axis=1)
 
     # Fan-out lanes and weights of each slot's spiking neuron; row n of the
-    # tables is the sentinel source, all of whose lanes are the sentinel n.
+    # tables is the null source, all of whose lanes are the sentinel n.
     # The state is (B, N + 1), and lanes index it flat.
     fan = FanOut.of(net)
-    table = np.concatenate([fan.internal, np.full((1, fan.internal.shape[1]), n)])
-    wtab = np.concatenate([fan.w, np.zeros((1, n + 1))])
+    table, wtab = fan.table(np.append(np.arange(n), fan.null))
     src = np.where(kinds == int(SpikeKind.INTERNAL), neurons, n).T
     lanes = table[src]
-    w_lanes = wtab[src[..., None], lanes]
+    w_lanes = wtab[src]
     lanes += (np.arange(b) * (n + 1))[:, None]
     size = (n + n_in + 1) * (n + 1)
     base = (_stacked_source(neurons, kinds, net) * (n + 1)).T[..., None].copy()

@@ -12,9 +12,14 @@ principal W branch) were fixed against a forward-Euler oracle; the test suite
 re-verifies both.
 
 All solvers here are NaN-safe in the vectorized form: every lane passed in is
-evaluated on both candidate roots with guarded divisions/logs, and invalid
-lanes are masked to the +inf "no crossing" sentinel, so degenerate inputs can
-never leak a NaN.  The simulator passes only the lanes an event touched.
+evaluated on both candidate roots and invalid lanes end at the +inf "no
+crossing" sentinel, so degenerate inputs can never leak a NaN.  The
+tau_mem = 2 tau_syn solver divides, takes roots and logs unguarded under the
+``errstate`` of ``next_crossing_safe``: a NaN or infinite candidate root fails
+its window and direction comparisons, which are false on NaN, and a lane
+left with no root takes log(0), whose -inf gives the sentinel.  The Lambert W
+path keeps guarded divisions.  The simulator passes only the lanes an event
+touched, all of them in one call per event step.
 """
 from __future__ import annotations
 
@@ -84,29 +89,26 @@ def _crossing_dt_double_tau(v0, i0, params: LifParams):
     a x^2 + b x + c = 0, a = -2 ts i0, b = v0 + 2 ts i0, c = -v_th.
     The upward crossing is the larger root in (0, 1); dV/dt at a root is
     i0 x^2 - v_th/tau_mem, which filters downward crossings.
+
+    Runs under the caller's ``errstate``: a negative discriminant gives a
+    NaN root and a zero denominator an infinite or NaN one, and the window
+    and direction tests are comparisons that are false on NaN, so no root
+    survives from such a lane.  A lane with no root keeps x = 0, and
+    -2 ts log(0) is the +inf sentinel.
     """
     ts, tm, vth = params.tau_syn, params.tau_mem, params.v_th
     a = -2.0 * ts * i0
-    b = v0 + 2.0 * ts * i0
+    b = v0 - a
     c = -vth
-    disc = b * b - 4.0 * a * c
-    real = disc >= 0.0
-    sq = np.sqrt(np.where(real, disc, 0.0))
-    # numerically stable pair of roots: q/a and c/q
-    q = -0.5 * (b + np.where(b >= 0.0, sq, -sq))
-    x1, ok1 = _safe_div(q, a)
-    x2, ok2 = _safe_div(c, q)
+    # numerically stable pair of roots: q/a and c/q; copysign differs from a
+    # b >= 0 test only at b = -0, where a = +0, sq = 0 and no root survives
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
 
-    def pick(x, ok):
-        valid = real & ok & (x > 0.0) & (x < 1.0)
-        upward = (i0 * x * x - vth / tm) > 0.0
-        return np.where(valid & upward, x, 0.0)
+    def pick(x):
+        return np.where((x > 0.0) & (x < 1.0) & (i0 * x * x > vth / tm), x, 0.0)
 
     # larger surviving x == earlier crossing time
-    x_star = np.maximum(pick(x1, ok1), pick(x2, ok2))
-    hit = x_star > 0.0
-    dt = -2.0 * ts * np.log(np.where(hit, x_star, 0.5))
-    return np.where(hit, dt, np.inf)
+    return -2.0 * ts * np.log(np.maximum(pick(q / a), pick(c / q)))
 
 
 def _lambertw0(z):

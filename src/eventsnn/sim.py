@@ -13,6 +13,12 @@ neurons with input_weights[source, k] != 0.  A neuron that sits exactly at
 threshold when another one spikes therefore keeps its crossing, so tied
 spikes are all emitted.
 
+Every row's event is named by one stacked source (neuron j is j, input
+channel c is N + c; see ``FanOut``), so an iteration makes one pass whatever
+kind of event each row takes: the fan-out lanes of all live rows are gathered
+into one flat list, propagated in one call, reset and incremented on the
+flat arrays, re-solved in one call and scattered back once.
+
 When no event exists before t_max a row is done: it emits a dummy spike
 (-1, inf) and its state freezes at t_max.  Dummies fill the rest of its
 budget, so every trace has exactly m entries, and the loop stops as soon as
@@ -26,7 +32,6 @@ returns row 0, so batched and sequential execution agree bitwise.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +39,7 @@ import numpy as np
 
 from .core import (
     DUMMY_NEURON,
+    DimensionMismatch,
     EventTrace,
     InvalidParameter,
     Network,
@@ -79,58 +85,87 @@ def pack_inputs(batches: Sequence[Sequence[Spike]]):
     return idx, t
 
 
-def _check_inputs(net: Network, inputs: Sequence[Spike]) -> None:
-    last = -math.inf
-    for s in inputs:
-        if s.is_dummy:
-            raise InvalidParameter("dummy spikes are not valid inputs")
-        if not 0 <= s.neuron < net.n_in:
-            raise InvalidParameter(
-                f"input neuron {s.neuron} out of range [0, {net.n_in})"
-            )
-        if s.time < last:
-            raise UnsortedInput(f"input at t={s.time} after t={last}")
-        last = s.time
+def _reject_dummies(inputs: Sequence[Spike]) -> None:
+    # a dummy packs to the (-1, inf) padding, which the row check accepts
+    if any(s.is_dummy for s in inputs):
+        raise InvalidParameter("dummy spikes are not valid inputs")
 
 
-def _lane_table(mask: np.ndarray) -> np.ndarray:
-    """(S, W) table: row s lists the columns set in ``mask[s]``, ascending,
-    padded with the sentinel lane ``mask.shape[1]``."""
-    s, n = mask.shape
-    rr, cc = np.nonzero(mask)
-    counts = np.bincount(rr, minlength=s)
-    table = np.full((s, int(counts.max(initial=0))), n, dtype=np.int64)
-    table[rr, np.arange(rr.size) - (np.cumsum(counts) - counts)[rr]] = cc
-    return table
+def check_input_rows(net: Network, in_neurons, in_times, t0=None) -> None:
+    """Reject malformed (B, K) input rows before any event runs.
+
+    An entry with a finite time names a channel in [0, n_in); +inf marks
+    padding, which only trails.  No time is NaN, times do not decrease
+    along a row, and none lies before the row's start ``t0`` (default 0).
+    """
+    if in_neurons.shape != in_times.shape:
+        raise DimensionMismatch(
+            f"input ids {in_neurons.shape} and times {in_times.shape} differ in shape"
+        )
+    if np.isnan(in_times).any():
+        raise InvalidParameter("input times must not be NaN")
+    bad = np.isfinite(in_times) & ((in_neurons < 0) | (in_neurons >= net.n_in))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise InvalidParameter(
+            f"row {row}: input channel {in_neurons[row, col]} out of range [0, {net.n_in})"
+        )
+    if (in_times[:, 1:] < in_times[:, :-1]).any():
+        raise UnsortedInput("input times decrease along a row, or padding does not trail")
+    if in_times.shape[1] and (in_times[:, 0] < (0.0 if t0 is None else t0)).any():
+        raise UnsortedInput("input event earlier than its row's start time")
 
 
 @dataclass(frozen=True)
 class FanOut:
     """The lanes an event touches, from the nonzero entries of the weights.
 
-    ``internal[j]`` is neuron j itself followed by its targets; ``inputs[c]``
-    lists the targets of input channel c.  Rows are padded with a sentinel
-    lane n, whose columns of the widened weights ``w``/``w_in`` are zero, so
-    state arrays carry n + 1 lanes and the sentinel stays at rest.
+    Event sources are stacked: internal neuron j is source j and input
+    channel c is source N + c; the last source, N + n_in, is the null source
+    of a row that takes no event.  Source s touches the lanes
+    ``lanes[start[s] : start[s] + count[s]]`` and adds the ``weights`` at the
+    same positions to their currents.  An internal source lists the neuron
+    itself first (it is reset; its weight is the self-loop w[j, j]), then
+    every k != j with w[j, k] != 0, ascending; an input source lists the
+    neurons it drives, and may list none, like the null source.
     """
 
-    internal: np.ndarray  # (N, W) int64
-    inputs: np.ndarray  # (n_in, W_in) int64
-    w: np.ndarray  # (N, N + 1)
-    w_in: np.ndarray  # (n_in, N + 1)
+    n: int  # N, the lane ``table`` pads with
+    start: np.ndarray  # (N + n_in + 1,) int64
+    count: np.ndarray  # (N + n_in + 1,) int64
+    lanes: np.ndarray  # (L,) int64
+    weights: np.ndarray  # (L,)
 
     @staticmethod
     def of(net: Network) -> "FanOut":
-        n = net.n_total
-        targets = net.weights != 0.0
-        np.fill_diagonal(targets, False)
-        internal = np.concatenate([np.arange(n)[:, None], _lane_table(targets)], axis=1)
-        return FanOut(
-            internal,
-            _lane_table(net.input_weights != 0.0),
-            np.pad(net.weights, ((0, 0), (0, 1))),
-            np.pad(net.input_weights, ((0, 0), (0, 1))),
+        n, n_in = net.n_total, net.n_in
+        # column 0 stands for the source neuron itself, column 1 + k for lane k
+        touch = np.zeros((n + n_in + 1, n + 1), dtype=bool)
+        touch[:n, 1:] = net.weights != 0.0
+        touch[n:-1, 1:] = net.input_weights != 0.0
+        touch[np.arange(n), np.arange(n) + 1] = False
+        touch[:n, 0] = True
+        rows, cols = np.nonzero(touch)
+        lanes = np.where(cols == 0, rows, cols - 1)
+        count = touch.sum(axis=1)
+        k = int(count[:n].sum())  # rows are ascending: internal sources first
+        weights = np.concatenate(
+            [net.weights[rows[:k], lanes[:k]], net.input_weights[rows[k:] - n, lanes[k:]]]
         )
+        return FanOut(n, np.cumsum(count) - count, count, lanes, weights)
+
+    @property
+    def null(self) -> int:
+        return self.count.size - 1
+
+    def table(self, sources: np.ndarray):
+        """(S, W) tables of the lanes and weights of ``sources``, padded
+        with lane N and weight 0."""
+        count = self.count[sources]
+        col = np.arange(int(count.max(initial=0)))
+        real = col < count[:, None]
+        pos = np.where(real, self.start[sources][:, None] + col, 0)
+        return np.where(real, self.lanes[pos], self.n), np.where(real, self.weights[pos], 0.0)
 
 
 def simulate_batch(
@@ -148,82 +183,91 @@ def simulate_batch(
         raise InvalidBudget(f"event budget m={m} must be positive")
     p = net.params
     n = net.n_total
-    b = in_times.shape[0]
     in_neurons = np.asarray(in_neurons, dtype=np.int64)
     in_times = np.asarray(in_times, dtype=np.float64)
-    # one trailing inf column so the queue pointer can always be dereferenced
-    in_neurons = np.concatenate([in_neurons, np.full((b, 1), DUMMY_NEURON, np.int64)], axis=1)
-    in_times = np.concatenate([in_times, np.full((b, 1), np.inf)], axis=1)
-
+    b = in_times.shape[0]
+    check_input_rows(net, in_neurons, in_times, t0)
     fan = FanOut.of(net)
-    v = np.zeros((b, n + 1))
-    i = np.zeros((b, n + 1))
+    null = fan.null
+    # inputs as flat queues of stacked sources, padding as the null source,
+    # with one trailing inf column so a queue pointer can always be read
+    width = in_times.shape[1] + 1
+    in_src = np.where(np.isfinite(in_times), in_neurons + n, null)
+    in_src = np.concatenate([in_src, np.full((b, 1), null)], axis=1).ravel()
+    in_times = np.concatenate([in_times, np.full((b, 1), np.inf)], axis=1).ravel()
+
+    v = np.zeros((b, n))
+    i = np.zeros((b, n))
     if v0 is not None:
-        v[:, :n] = v0
+        v[:] = v0
     if i0 is not None:
-        i[:, :n] = i0
+        i[:] = i0
     t = np.zeros(b) if t0 is None else np.array(t0, dtype=np.float64)
-    tref = np.repeat(t[:, None], n + 1, axis=1)
+    tref = np.repeat(t[:, None], n, axis=1)
     tc = tref + next_crossing_safe(v, i, p)
-    ptr = np.zeros(b, dtype=np.int64)
+    # flat views: lane k of row r is entry r * N + k
+    v_f, i_f, tref_f, tc_f = v.reshape(-1), i.reshape(-1), tref.reshape(-1), tc.reshape(-1)
+    ptr = np.arange(b) * width
+    base = np.arange(b) * n
     done = np.zeros(b, dtype=bool)
 
-    rows = np.arange(b)
-    out_neurons = np.full((b, m), DUMMY_NEURON, dtype=np.int64)
-    out_times = np.full((b, m), np.inf)
-    out_kinds = np.full((b, m), int(SpikeKind.DUMMY), dtype=np.int8)
-    out_ispike = np.zeros((b, m))
-
-    def advance(r, lanes, tn):
-        rr = r[:, None]
-        vv, ii = propagate_arrays(v[rr, lanes], i[rr, lanes], tn - tref[rr, lanes], p)
-        return rr, vv, ii
-
-    def commit(rr, lanes, tn, vv, ii):
-        v[rr, lanes] = vv
-        i[rr, lanes] = ii
-        tref[rr, lanes] = tn
-        tc[rr, lanes] = tn + next_crossing_safe(vv, ii, p)
-
+    # slot k of every row, kept as (m, B) rows: the stacked source of its
+    # event (null once the row is done), its time, and the current of a
+    # spiking neuron just before it fired
+    src_k = np.full((m, b), null, dtype=np.int64)
+    time_k = np.full((m, b), np.inf)
+    ispike_k = np.zeros((m, b))
     for k in range(m):
         ix = np.argmin(tc, axis=1)
-        t_ix = tc[rows, ix]
-        t_in = in_times[rows, ptr]
+        t_ix = tc_f[base + ix]
+        t_in = in_times[ptr]
         is_input = t_in <= t_ix
         t_next = np.where(is_input, t_in, t_ix)
         done |= np.isinf(t_next) | (t_next > t_max)
         if done.all():
             break
-        live = ~done
-        out_times[live, k] = t_next[live]
+        is_input &= ~done
+        src = np.where(is_input, in_src[ptr], ix)
+        src[done] = null
+        src_k[k] = src
+        time_k[k] = t_next
+        ptr += is_input
 
-        r = np.flatnonzero(live & ~is_input)
-        if r.size:
-            src = ix[r]
-            lanes = fan.internal[src]
-            tn = t_next[r, None]
-            rr, vv, ii = advance(r, lanes, tn)
-            out_neurons[r, k] = src
-            out_kinds[r, k] = int(SpikeKind.INTERNAL)
-            out_ispike[r, k] = ii[:, 0]
-            vv[:, 0] = p.v_reset
-            commit(rr, lanes, tn, vv, ii + fan.w[src[:, None], lanes])
+        # one flat list of every row's fan-out lanes
+        count = fan.count[src]
+        end = count.cumsum()
+        first = end - count
+        pos = np.arange(end[-1]) + (fan.start[src] - first).repeat(count)
+        lanes = fan.lanes[pos] + base.repeat(count)
+        tn = t_next.repeat(count)
+        vv, ii = propagate_arrays(v_f[lanes], i_f[lanes], tn - tref_f[lanes], p)
+        spiking = (src < n).nonzero()[0]
+        own = first[spiking]
+        ispike_k[k, spiking] = ii[own]
+        vv[own] = p.v_reset
+        ii += fan.weights[pos]
+        v_f[lanes] = vv
+        i_f[lanes] = ii
+        tref_f[lanes] = tn
+        tc_f[lanes] = tn + next_crossing_safe(vv, ii, p)
 
-        r = np.flatnonzero(live & is_input)
-        if r.size:
-            src = in_neurons[r, ptr[r]]
-            lanes = fan.inputs[src]
-            tn = t_next[r, None]
-            rr, vv, ii = advance(r, lanes, tn)
-            out_neurons[r, k] = src
-            out_kinds[r, k] = int(SpikeKind.INPUT)
-            commit(rr, lanes, tn, vv, ii + fan.w_in[src[:, None], lanes])
-            ptr[r] += 1
-
+    # each stacked source as a trace record: its neuron or channel, and kind
+    neuron_of = np.concatenate([np.arange(n), np.arange(net.n_in), [DUMMY_NEURON]])
+    kind_of = np.full(null + 1, int(SpikeKind.INPUT), dtype=np.int8)
+    kind_of[:n] = int(SpikeKind.INTERNAL)
+    kind_of[null] = int(SpikeKind.DUMMY)
     # a row still running used every slot; its state stays at its last event
-    t = np.where(done, t_max, out_times[:, -1])
-    v, i = propagate_arrays(v[:, :n], i[:, :n], t[:, None] - tref[:, :n], p)
-    trace = EventTrace(out_neurons, out_times, out_kinds, v, i, t, out_ispike)
+    t = np.where(done, t_max, time_k[-1])
+    v, i = propagate_arrays(v, i, t[:, None] - tref, p)
+    trace = EventTrace(
+        np.ascontiguousarray(neuron_of[src_k.T]),
+        np.ascontiguousarray(np.where(src_k == null, np.inf, time_k).T),
+        np.ascontiguousarray(kind_of[src_k.T]),
+        v,
+        i,
+        t,
+        np.ascontiguousarray(ispike_k.T),
+    )
     if net.record_set is not None and len(net.record_set) != net.n_total:
         trace = _filter_record_set(trace, net)
     return trace
@@ -277,7 +321,7 @@ def simulate(
         raise InvalidBudget(f"event budget m={m} must be positive")
     if not t_max > 0.0:
         raise InvalidParameter(f"t_max={t_max} must be positive")
-    _check_inputs(net, inputs)
+    _reject_dummies(inputs)
     idx, times = pack_inputs([inputs])
     v0 = i0 = t0 = None
     if initial is not None:
@@ -287,8 +331,6 @@ def simulate(
             )
         if initial.t > t_max:
             raise InvalidParameter("initial time lies beyond t_max")
-        if inputs and inputs[0].time < initial.t:
-            raise UnsortedInput("input event earlier than the initial state time")
         v0 = initial.v[None, :]
         i0 = initial.i[None, :]
         t0 = np.array([initial.t])
@@ -313,14 +355,8 @@ def step(
     validate_network(net)
     if state.t > t_max:
         raise InvalidParameter(f"state time {state.t} beyond t_max={t_max}")
-    head: list[Spike] = []
-    if input_queue_head is not None:
-        if input_queue_head.time < state.t:
-            raise UnsortedInput(
-                f"input event at t={input_queue_head.time} earlier than state time {state.t}"
-            )
-        _check_inputs(net, [input_queue_head])
-        head = [input_queue_head]
+    head = [] if input_queue_head is None else [input_queue_head]
+    _reject_dummies(head)
     idx, times = pack_inputs([head])
     row = simulate_batch(
         net,

@@ -515,14 +515,11 @@ def replace_weights(net: Network, params) -> Network:
     )
 
 
-def _spike_counts(neurons, times, kinds, n_total):
+def _spike_counts(neurons, kinds, n_total):
     """(B, n_total) number of internal spikes per neuron and sample."""
-    b, m = times.shape
-    counts = np.zeros((b, n_total))
-    internal = kinds == int(SpikeKind.INTERNAL)
-    rows = np.repeat(np.arange(b), m).reshape(b, m)
-    np.add.at(counts, (rows[internal], neurons[internal]), 1.0)
-    return counts
+    b = neurons.shape[0]
+    flat = (np.arange(b)[:, None] * n_total + neurons)[kinds == int(SpikeKind.INTERNAL)]
+    return np.bincount(flat, minlength=b * n_total).reshape(b, n_total).astype(np.float64)
 
 
 def _eventprop_batch(cfg, net, ds, idx, m, loss_cfg, epoch):
@@ -545,7 +542,7 @@ def _eventprop_batch(cfg, net, ds, idx, m, loss_cfg, epoch):
         batch.neurons, batch.times, batch.kinds, net, slot_g,
         strict=False, vdot_floor=cfg.train.vdot_floor,
     )
-    counts = _spike_counts(batch.neurons, batch.times, batch.kinds, net.n_total)
+    counts = _spike_counts(batch.neurons, batch.kinds, net.n_total)
     return g_w, g_w_in, loss, predict_from_times(t_first), counts
 
 

@@ -76,6 +76,45 @@ def bisect_crossing(
     return 0.5 * (lo + hi)
 
 
+def _safe_div(num, den):
+    ok = den != 0.0
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0), ok
+
+
+def crossing_dt_double_tau_guarded(v0, i0, params: LifParams):
+    """Reference tau_mem = 2 tau_syn crossing solver with guarded operations.
+
+    Every division, square root and logarithm is fed only operands it
+    accepts, and invalid lanes are masked explicitly (a finite quotient may
+    still overflow to inf, unreported).  The production solver computes the
+    same arithmetic unguarded under an ``errstate`` and must agree with this
+    one bitwise.
+    """
+    ts, tm, vth = params.tau_syn, params.tau_mem, params.v_th
+    v0 = np.asarray(v0, dtype=np.float64)
+    i0 = np.asarray(i0, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        a = -2.0 * ts * i0
+        b = v0 + 2.0 * ts * i0
+        c = -vth
+        disc = b * b - 4.0 * a * c
+        real = disc >= 0.0
+        sq = np.sqrt(np.where(real, disc, 0.0))
+        q = -0.5 * (b + np.where(b >= 0.0, sq, -sq))
+        x1, ok1 = _safe_div(q, a)
+        x2, ok2 = _safe_div(c, q)
+
+        def pick(x, ok):
+            valid = real & ok & (x > 0.0) & (x < 1.0)
+            upward = (i0 * x * x - vth / tm) > 0.0
+            return np.where(valid & upward, x, 0.0)
+
+        x_star = np.maximum(pick(x1, ok1), pick(x2, ok2))
+        hit = x_star > 0.0
+        dt = -2.0 * ts * np.log(np.where(hit, x_star, 0.5))
+    return np.where(hit, dt, np.inf)
+
+
 def random_network(
     rng: np.random.Generator,
     n_max=8,

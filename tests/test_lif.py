@@ -14,7 +14,12 @@ from eventsnn.lif import (
     propagate,
 )
 
-from conftest import bisect_crossing, euler_first_crossing, voltage_at
+from conftest import (
+    bisect_crossing,
+    crossing_dt_double_tau_guarded,
+    euler_first_crossing,
+    voltage_at,
+)
 
 P2 = LifParams(tau_mem=2.0)
 P1 = LifParams(tau_mem=1.0)
@@ -108,6 +113,25 @@ class TestDoubleTauCrossing:
             grid = np.linspace(0.0, t_a * (1 - 1e-9), 2000)
             v = voltage_at(v0, i0, grid, P2)
             assert np.all(v <= P2.v_th + 1e-4)
+
+    def test_matches_guarded_reference_bitwise(self, rng):
+        # random grid plus edge lanes: signed zeros, v0 = v_th, an exactly
+        # zero discriminant ((v0 + 2 i0)^2 = 8 i0 with ts = v_th = 1), a ~ 0
+        v_grid = rng.uniform(-3.0, 1.5, size=400) * 10.0 ** rng.integers(-6, 2, size=400)
+        i_grid = rng.uniform(-5.0, 8.0, size=400) * 10.0 ** rng.integers(-6, 2, size=400)
+        v_edge = [0.0, -0.0, 1.0, 0.0, 1.0, -3.0, 0.75, -1.25, 0.5, 1.0 - 1e-16, 0.99]
+        i_edge = [0.0, -0.0, 2.0, 2.0, 0.5, 0.5, 0.125, 0.125, 1e-300, 5e-324, -5e-324]
+        vv, ii = np.meshgrid(
+            np.concatenate([v_grid[:40], v_edge]), np.concatenate([i_grid[:40], i_edge])
+        )
+        v0 = np.concatenate([v_grid, vv.ravel(), v_edge, [0.0, -0.0, -0.0, 1.0]])
+        i0 = np.concatenate([i_grid, ii.ravel(), i_edge, [-0.0, 0.0, -0.0, -0.0]])
+        got = next_crossing_safe(v0, i0, P2)
+        want = crossing_dt_double_tau_guarded(v0, i0, P2)
+        assert not np.isnan(got).any()
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.isfinite(got).sum() > 100 and np.isinf(got).sum() > 100
 
 
 class TestEqualTauCrossing:

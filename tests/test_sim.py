@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from eventsnn.core import LifParams, Network, NeuronState, Spike, SpikeKind
+from eventsnn.backend import BackendConfig, ReplayConfig, forward_batch
+from eventsnn.core import InvalidParameter, LifParams, Network, NeuronState, Spike, SpikeKind
+from eventsnn.lif import next_crossing_double_tau
 from eventsnn.sim import (
+    FanOut,
     InvalidBudget,
     SimDiagnostics,
     UnsortedInput,
@@ -49,6 +52,20 @@ def assert_batch_matches_solo(net, batch_inputs, m, t_max):
         np.testing.assert_array_equal(got.final_i, solo.final_i)
         assert got.final_t == solo.final_t
     return batch
+
+
+def assert_rows_match_dense(net, batch, batch_inputs, t_max):
+    """Each row against the Euler oracle: the same input records, and the
+    same internal spikes within 1e-3.  Kinds are compared separately, since
+    a tie of an input and a crossing may resolve either way on the grid."""
+    for b, inputs in enumerate(batch_inputs):
+        row = batch[b]
+        assert row.kinds[-1] == DUMMY  # untruncated, so both runs see all events
+        dn = dense_oracle(net, inputs, dt=1e-5, t_max=t_max)
+        for kind in (INPUT, INTERNAL):
+            ev, de = row.kinds == kind, dn.kinds == kind
+            assert row.neurons[ev].tolist() == dn.neurons[de].tolist()
+            assert np.all(np.abs(row.times[ev] - dn.times[de]) <= 1e-3)
 
 
 def internal_spikes(trace):
@@ -408,3 +425,140 @@ class TestEarlyStopAndFinalState:
             assert tr.final_t == t[0]
             np.testing.assert_allclose(tr.final_v, v[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(tr.final_i, i[0], rtol=0, atol=1e-12)
+
+
+class TestMixedKindIterations:
+    # one event step serves every row, whatever kind of event each row takes
+
+    def test_input_and_internal_rows_in_one_iteration(self):
+        net = Network(
+            n_total=3,
+            weights=np.array([[0.0, 0.0, 2.5], [0.0, 0.0, 2.5], [0.0, 0.0, 0.0]]),
+            input_weights=np.array([[0.5, 0.5, 0.0], [4.0, 0.0, 0.0]]),
+            params=P2,
+            output_set=(2,),
+        )
+        batch_inputs = [
+            [in_spike(0, 0.1 * k) for k in range(4)],
+            [in_spike(1, 0.0), in_spike(0, 1.2)],
+            [in_spike(1, 0.0), in_spike(1, 0.05), in_spike(0, 0.4)],
+        ]
+        batch = assert_batch_matches_solo(net, batch_inputs, m=24, t_max=2.0)
+        # slot 1: row 0 takes its second input while row 1's neuron 0 fires
+        assert batch.kinds[:, 1].tolist() == [INPUT, INTERNAL, INPUT]
+        mixed = [
+            k for k in range(24) if {INPUT, INTERNAL} <= set(batch.kinds[:, k].tolist())
+        ]
+        assert len(mixed) >= 2
+        assert_rows_match_dense(net, batch, batch_inputs, t_max=2.0)
+
+    def test_input_ties_an_internal_crossing_exactly(self):
+        # input 1 at t = 0 drives neuron 0 to cross at exactly t_x; input 0
+        # arrives at t_x too and only touches neuron 1, so both events stand
+        net = Network(
+            n_total=2,
+            weights=np.array([[0.0, 1.0], [0.0, 0.0]]),
+            input_weights=np.array([[0.0, 1.5], [4.0, 0.0]]),
+            params=P2,
+            output_set=(1,),
+        )
+        t_x = next_crossing_double_tau(0.0, 4.0, P2).time
+        batch_inputs = [
+            [in_spike(1, 0.0), in_spike(0, t_x)],
+            [in_spike(1, 0.0), in_spike(0, 0.5 * t_x)],
+        ]
+        batch = assert_batch_matches_solo(net, batch_inputs, m=12, t_max=2.0)
+        tie = batch[0]
+        assert tie.kinds[:3].tolist() == [INPUT, INPUT, INTERNAL]
+        assert tie.neurons[:3].tolist() == [1, 0, 0]
+        assert tie.times[1] == tie.times[2] == t_x
+        assert batch[1].kinds[:3].tolist() == [INPUT, INPUT, INTERNAL]
+        assert_rows_match_dense(net, batch, batch_inputs, t_max=2.0)
+
+    def test_output_neuron_without_targets(self, rng):
+        # feedforward 2-3-2: the outputs 3 and 4 drive nobody, so their
+        # spikes touch one lane, the neuron itself
+        w = np.zeros((5, 5))
+        w[:3, 3:] = rng.uniform(1.0, 3.0, size=(3, 2))
+        w_in = rng.uniform(1.5, 4.0, size=(2, 5))
+        w_in[:, 3:] = 0.0
+        net = Network(n_total=5, weights=w, input_weights=w_in, params=P2, output_set=(3, 4))
+        fan = FanOut.of(net)
+        assert fan.count[3] == fan.count[4] == 1
+        assert fan.lanes[fan.start[3]] == 3 and fan.lanes[fan.start[4]] == 4
+        batch_inputs = [random_inputs(rng, net, k_max=4, t_span=1.0) for _ in range(4)]
+        batch = assert_batch_matches_solo(net, batch_inputs, m=40, t_max=2.0)
+        out_spike = (batch.kinds == INTERNAL) & (batch.neurons >= 3)
+        other = (batch.kinds == INPUT) | ((batch.kinds == INTERNAL) & (batch.neurons < 3))
+        assert np.any(out_spike.any(axis=0) & other.any(axis=0))
+        assert_rows_match_dense(net, batch, batch_inputs, t_max=2.0)
+
+
+def two_input_net():
+    return Network(
+        n_total=2,
+        weights=np.zeros((2, 2)),
+        input_weights=np.array([[3.0, 0.0], [0.0, 3.0]]),
+        params=P2,
+        output_set=(1,),
+    )
+
+
+RUNNERS = {
+    "simulate_batch": lambda net, idx, t: simulate_batch(net, idx, t, 6, 3.0),
+    "numeric": lambda net, idx, t: forward_batch(
+        BackendConfig(), net, idx, t, 6, 3.0, [0] * len(t)
+    ),
+    "mock": lambda net, idx, t: forward_batch(
+        BackendConfig(kind="mock"), net, idx, t, 6, 3.0, [0] * len(t)
+    ),
+    # the rows are checked before the (absent) file is read
+    "replay": lambda net, idx, t: forward_batch(
+        BackendConfig(kind="replay", replay=ReplayConfig("absent.replay")),
+        net, idx, t, 6, 3.0, [0] * len(t),
+    ),
+}
+
+
+@pytest.mark.parametrize("run", RUNNERS.values(), ids=RUNNERS.keys())
+class TestMalformedInputRows:
+    def test_dummy_channel_at_finite_time(self, run):
+        with pytest.raises(InvalidParameter):
+            run(two_input_net(), np.array([[0, -1]]), np.array([[0.1, 0.2]]))
+
+    def test_channel_beyond_n_in(self, run):
+        with pytest.raises(InvalidParameter):
+            run(two_input_net(), np.array([[0, 2]]), np.array([[0.1, 0.2]]))
+
+    def test_unsorted_row(self, run):
+        with pytest.raises(UnsortedInput):
+            run(two_input_net(), np.array([[0, 1, 0]]), np.array([[0.5, 0.1, 0.3]]))
+
+    def test_nan_time(self, run):
+        with pytest.raises(InvalidParameter):
+            run(two_input_net(), np.array([[0, 1]]), np.array([[0.1, np.nan]]))
+
+    def test_padding_before_an_input(self, run):
+        with pytest.raises(UnsortedInput):
+            run(two_input_net(), np.array([[-1, 0]]), np.array([[np.inf, 0.5]]))
+
+    def test_time_before_the_start(self, run):
+        with pytest.raises(UnsortedInput):
+            run(two_input_net(), np.array([[0]]), np.array([[-0.1]]))
+
+
+@pytest.mark.parametrize("runner", ["simulate_batch", "numeric", "mock"])
+def test_padded_rows_accepted(runner):
+    idx = np.array([[0, 1, -1], [1, -1, -1]])
+    t = np.array([[0.1, 0.2, np.inf], [0.3, np.inf, np.inf]])
+    kinds = RUNNERS[runner](two_input_net(), idx, t).kinds
+    assert kinds[0, :2].tolist() == [INPUT, INPUT] and kinds[1, 0] == INPUT
+
+
+def test_input_before_initial_state_time_rejected():
+    net = single_neuron_net()
+    with pytest.raises(UnsortedInput):
+        simulate_batch(
+            net, np.array([[0]]), np.array([[0.5]]), 4, 3.0,
+            np.zeros((1, 1)), np.zeros((1, 1)), np.array([1.0]),
+        )

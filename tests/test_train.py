@@ -5,10 +5,12 @@ import pytest
 
 from eventsnn.config import ExperimentConfig, apply_overrides, load_config, save_config
 from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
+from eventsnn.sim import pack_inputs, simulate_batch
 from eventsnn.train import (
     AdamState,
     ShapeMismatch,
     TtfsLoss,
+    _spike_counts,
     adam_step,
     first_spike_times_batch,
     pack_samples,
@@ -18,6 +20,8 @@ from eventsnn.train import (
     ttfs_loss,
     write_checkpoint,
 )
+
+from conftest import random_inputs, random_network
 
 P2 = LifParams(tau_mem=2.0)
 
@@ -110,6 +114,18 @@ class TestFirstSpikes:
         assert math.isinf(t[0, 0])  # input spike of neuron 0 is not internal
         assert t[0, 1] == 0.4 and slots[0, 1] == 1
         assert t[0, 2] == 0.9 and slots[0, 2] == 3
+
+    def test_spike_counts_match_a_per_event_count(self, rng):
+        # input channels share ids with neurons; only internal events count
+        net = random_network(rng, n_max=6)
+        idx, times = pack_inputs([random_inputs(rng, net) for _ in range(8)])
+        tr = simulate_batch(net, idx[:, :-1], times[:, :-1], m=20, t_max=2.5)
+        want = np.zeros((8, net.n_total))
+        for b, k in zip(*np.nonzero(tr.kinds == int(SpikeKind.INTERNAL))):
+            want[b, tr.neurons[b, k]] += 1.0
+        got = _spike_counts(tr.neurons, tr.kinds, net.n_total)
+        assert got.dtype == np.float64 and want.sum() > 0
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAdam:
