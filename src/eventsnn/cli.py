@@ -157,6 +157,9 @@ def cmd_replay_train(args) -> int:
     check_manifest(rf, m, t_max)
     net = _network_for(cfg, args, ds, m)
     loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
+    mask_w, mask_w_in = structure_masks(
+        enc.n_inputs, cfg.network.n_hidden, cfg.network.n_out
+    )
     g_w_sum = np.zeros((net.n_total, net.n_total))
     g_w_in_sum = np.zeros((net.n_in, net.n_total))
     for s in range(n):
@@ -166,13 +169,10 @@ def cmd_replay_train(args) -> int:
             ds.sorted_neurons[block], ds.sorted_times[block], t_max,
         )
         _, g_w, g_w_in = gradient_from_trace(
-            net, trace[0], int(ds.labels[s]), loss_cfg, t_max
+            net, trace[0], int(ds.labels[s]), loss_cfg, t_max, (mask_w, mask_w_in)
         )
         g_w_sum += g_w
         g_w_in_sum += g_w_in
-    mask_w, mask_w_in = structure_masks(
-        enc.n_inputs, cfg.network.n_hidden, cfg.network.n_out
-    )
     grads = (g_w_sum * mask_w / n, g_w_in_sum * mask_w_in / n)
     params = (np.array(net.weights), np.array(net.input_weights))
     new_params, _ = adam_step(

@@ -18,6 +18,7 @@ safe to share between threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -169,6 +170,12 @@ class Network:
     def n_in(self) -> int:
         return self.input_weights.shape[0]
 
+    @functools.cached_property
+    def fan_out(self) -> "FanOut":
+        """The lanes each event source touches; the weights are read-only
+        copies, so this is built once per network."""
+        return FanOut.of(self)
+
     @staticmethod
     def feedforward(
         input_to_hidden: np.ndarray,
@@ -196,6 +203,63 @@ class Network:
             params=params if params is not None else LifParams(),
             output_set=tuple(range(n_hidden, n)),
         )
+
+
+@dataclass(frozen=True)
+class FanOut:
+    """The lanes an event touches, from the nonzero entries of the weights.
+
+    Event sources are stacked: internal neuron j is source j and input
+    channel c is source N + c; the last source, N + n_in, is the null source
+    of a row that takes no event.  Source s touches the lanes
+    ``lanes[start[s] : start[s] + count[s]]`` and adds the ``weights`` at the
+    same positions to their currents.  An internal source lists the neuron
+    itself first (it is reset; its weight is the self-loop w[j, j]), then
+    every k != j with w[j, k] != 0, ascending; an input source lists the
+    neurons it drives, and may list none, like the null source.
+    """
+
+    n: int  # N, the lane ``table`` pads with
+    start: np.ndarray  # (N + n_in + 1,) int64
+    count: np.ndarray  # (N + n_in + 1,) int64
+    lanes: np.ndarray  # (L,) int64
+    weights: np.ndarray  # (L,)
+
+    def __post_init__(self):
+        # shared through the Network's cache, so nobody may write to it
+        for a in (self.start, self.count, self.lanes, self.weights):
+            a.setflags(write=False)
+
+    @staticmethod
+    def of(net: Network) -> "FanOut":
+        n, n_in = net.n_total, net.n_in
+        # column 0 stands for the source neuron itself, column 1 + k for lane k
+        touch = np.zeros((n + n_in + 1, n + 1), dtype=bool)
+        touch[:n, 1:] = net.weights != 0.0
+        touch[n:-1, 1:] = net.input_weights != 0.0
+        touch[np.arange(n), np.arange(n) + 1] = False
+        touch[:n, 0] = True
+        rows, cols = np.nonzero(touch)
+        lanes = np.where(cols == 0, rows, cols - 1)
+        count = touch.sum(axis=1)
+        k = int(count[:n].sum())  # rows are ascending: internal sources first
+        weights = np.concatenate(
+            [net.weights[rows[:k], lanes[:k]], net.input_weights[rows[k:] - n, lanes[k:]]]
+        )
+        return FanOut(n, np.cumsum(count) - count, count, lanes, weights)
+
+    @property
+    def null(self) -> int:
+        return self.count.size - 1
+
+    def table(self, sources: np.ndarray):
+        """(S, W) tables of the lanes and weights of ``sources``, padded
+        with lane N and weight 0."""
+        count = self.count[sources]
+        col = np.arange(int(count.max(initial=0)))
+        real = col < count[:, None]
+        pos = np.where(real, self.start[sources][:, None] + col, 0)
+        return np.where(real, self.lanes[pos], self.n), np.where(real, self.weights[pos], 0.0)
 
 
 @dataclass(frozen=True)

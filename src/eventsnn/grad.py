@@ -16,14 +16,18 @@ Two estimators share the trace-only interface:
   of neuron j, lambda_v of j is set to the loss derivative for that spike
   time, plus the transfer of the downstream adjoints through j's weight
   row, plus lambda_v (I - v_reset/tau_m), all over dV/dt at the crossing.
-  The jump reads only j's fan-out lanes (``sim.FanOut``) and rewrites only
-  j's (D, Q), keeping lambda_i continuous.  Every event of presynaptic j
-  adds -tau_s lambda_i(t) to row j of its weight gradient; that row stays
-  dense on purpose, because the gradient of a weight that is zero today is
-  still defined and the finite-difference tests check it.  It costs a few
-  multiplications by per-row frame factors and no exp per lane.  The
-  binding contract is agreement with central finite differences of the
-  loss under the ideal event-driven dynamics.
+  The jump reads only j's fan-out lanes (``Network.fan_out``) and rewrites
+  only j's (D, Q), keeping lambda_i continuous.  Every event of presynaptic
+  j adds -tau_s lambda_i(t) to row j of its weight gradient, on the lanes
+  of a gradient support only.  Training passes the mask of the weights it
+  updates, so in a feedforward net a hidden spike adds to its output lanes,
+  an input spike to the hidden ones and an output spike to none.  Without a
+  support the row covers every lane, because the gradient of a weight that
+  is zero today is still defined and the finite-difference tests check it;
+  a support's result equals that full gradient times the mask exactly.
+  Either way the row costs a few multiplications by per-row frame factors
+  and no exp per lane.  The binding contract is agreement with central
+  finite differences of the loss under the ideal event-driven dynamics.
 
 * ``fud_spike_time_grad`` differentiates the closed-form first-crossing
   condition for tau_mem = 2 tau_syn directly (implicit differentiation of
@@ -32,8 +36,9 @@ Two estimators share the trace-only interface:
 
 Both consume only the trace plus weights: synaptic currents at spike times
 are reconstructed by replaying the trace through the current dynamics, in
-the same kind of frame (i(t) = c e^{-(t-A)/tau_s}), so a foreign
-(hardware/replay) trace takes the identical code path.
+the same kind of frame (i(t) = c e^{-(t-A)/tau_s}) and on each event's
+fan-out lanes only, so a foreign (hardware/replay) trace takes the
+identical code path.
 
 A single anchor per row would overflow e^{|t-A|/tau} on long traces, so the
 anchor of an event is the start of its time window of ANCHOR_WINDOW times
@@ -50,7 +55,6 @@ import numpy as np
 
 from .core import EventTrace, InvalidParameter, Network, Spike, SpikeKind
 from .lif import propagate_arrays
-from .sim import FanOut
 
 # |dV/dt| below this at a spike counts as a degenerate (grazing) crossing
 EPS_VDOT = 1e-6
@@ -84,6 +88,19 @@ def _stacked_source(neurons, kinds, net: Network):
     )
 
 
+def _flat_lists(start, count, sources):
+    """Per slot, where each row's entries sit in one flat list of all rows.
+
+    ``sources`` is (B, m) in CSR rows (``start``, ``count``).  Returns
+    (m, B) arrays: the entry count of each row, and the offset that maps
+    position p of the slot's flat list, in row r, to CSR position
+    p + offset[k, r].
+    """
+    cnt = count[sources.T]
+    end = cnt.cumsum(axis=1)
+    return cnt, start[sources.T] + cnt - end
+
+
 def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     """Replay trace transitions through the current dynamics only.
 
@@ -93,10 +110,12 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
 
     Each row keeps its currents as coefficients c in the frame
     i(t) = c e^{-(t-A)/tau_s}, so decay between events costs nothing: an
-    event at t_e adds its stacked weight row [w; w_in][src] e^{(t_e-A)/tau_s}
-    and the spiking neuron's current is read as c_j e^{-(t_e-A)/tau_s}.  The
-    anchor A moves with the row's time window (see the module docstring);
-    on a window change c is scaled by e^{-(A'-A)/tau_s} <= 1.
+    event at t_e adds w e^{(t_e-A)/tau_s} to the c of each of its fan-out
+    lanes (``Network.fan_out``), and the spiking neuron's current is read as
+    c_j e^{-(t_e-A)/tau_s}.  Each slot gathers the lanes of all rows into one
+    flat list, as ``simulate_batch`` does.  The anchor A moves with the
+    row's time window (see the module docstring); on a window change c is
+    scaled by e^{-(A'-A)/tau_s} <= 1.
     """
     b, m = times.shape
     n = net.n_total
@@ -110,26 +129,30 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
         raise InvalidParameter("trace times must be non-decreasing")
     t_end = seen[:, -1]
 
-    # a dummy slot keeps the row's time and anchor and adds the zero row
+    # a dummy slot keeps the row's time and anchor and touches no lane;
+    # per-slot arrays are (m, B) rows
     anchor = _anchor(seen, net.params)
-    grow = np.exp((seen[:, 1:] - anchor[:, 1:]) / ts)
-    shrink = np.exp(-(seen[:, 1:] - anchor[:, 1:]) / ts)
+    u = (seen[:, 1:] - anchor[:, 1:]).T / ts
+    grow, shrink = np.exp(u), np.exp(-u)
     moved = (anchor[:, 1:] != anchor[:, :-1]).any(axis=0)
     rescale = np.exp(-(anchor[:, 1:] - anchor[:, :-1]) / ts)
-    wstack = np.concatenate([net.weights, net.input_weights, np.zeros((1, n))])
-    src = _stacked_source(neurons, kinds, net)
-    spiking = np.clip(neurons, 0, n - 1)
-
+    fan = net.fan_out
+    count, offset = _flat_lists(fan.start, fan.count, _stacked_source(neurons, kinds, net))
     rows = np.arange(b)
+    spiking = (np.clip(neurons, 0, n - 1) + (rows * n)[:, None]).T
+
     c = np.zeros((b, n))
-    out = np.zeros((b, m))
+    c_flat = c.reshape(-1)
+    out = np.zeros((m, b))
     for k in range(int(last.max(initial=-1)) + 1):
         if moved[k]:
             c *= rescale[:, k, None]
-        out[:, k] = c[rows, spiking[:, k]] * shrink[:, k]
-        c += wstack[src[:, k]] * grow[:, k, None]
-    out = np.where(kinds == int(SpikeKind.INTERNAL), out, 0.0)
-    return out, c * shrink[:, -1, None], t_end
+        out[k] = c_flat[spiking[k]] * shrink[k]
+        row = rows.repeat(count[k])
+        pos = np.arange(row.size) + offset[k][row]
+        c_flat[fan.lanes[pos] + row * n] += fan.weights[pos] * grow[k][row]
+    out = np.where(kinds == int(SpikeKind.INTERNAL), out.T, 0.0)
+    return out, c * shrink[-1][:, None], t_end
 
 
 def reconstruct_currents(trace: EventTrace, net: Network) -> np.ndarray:
@@ -244,6 +267,24 @@ def _adjoint_coefficients(neurons, times, kinds, net: Network, loss_grads, stric
     return coef, (anchor[:, :-1] - anchor[:, 1:]).T, to_window
 
 
+def _support_rows(net: Network, support):
+    """The gradient support as stacked boolean rows [w; w_in; null]."""
+    n = net.n_total
+    keep = np.zeros((n + net.n_in + 1, n), dtype=bool)
+    if support is None:
+        keep[:-1] = True
+        return keep
+    masks = [np.asarray(s) for s in support]
+    shapes = [net.weights.shape, net.input_weights.shape]
+    if [s.shape for s in masks] != shapes:
+        raise InvalidParameter(
+            f"support shapes {[s.shape for s in masks]} != weight shapes {shapes}"
+        )
+    keep[:n] = masks[0] != 0
+    keep[n:-1] = masks[1] != 0
+    return keep
+
+
 def eventprop_backward_batch(
     neurons,
     times,
@@ -252,6 +293,7 @@ def eventprop_backward_batch(
     loss_grads,
     strict: bool = False,
     vdot_floor: float = 0.0,
+    support=None,
 ):
     """Batched adjoint backward pass; returns gradients summed over the batch.
 
@@ -263,15 +305,29 @@ def eventprop_backward_batch(
     contribution whose true value is ill-conditioned anyway.  The default 0
     keeps the estimator exact.
 
+    ``support`` is a pair of 0/1 masks shaped like (weights, input_weights);
+    the gradient is computed on its nonzero entries and is zero elsewhere.
+    None means every entry, including weights that are zero today: their
+    gradient is defined, and the finite-difference tests check it.  The
+    result on a support equals the full-support result times the mask.
+
     Everything that does not depend on the adjoint is computed for all
     slots before the loop (``_adjoint_coefficients``).  The loop body is the
     same for every row: a slot that is not an internal event has the
-    sentinel source (no fan-out, zero weights, zero jump scale), and its
-    gradient row goes to the sink row of the stacked [w; w_in; sink]
-    accumulator, which takes one bincount per slot.
+    sentinel source (no fan-out, zero weights, zero jump scale).  The
+    support is a CSR over the stacked sources [w; w_in], laid out like
+    ``core.FanOut``; each slot gathers the support lanes of its rows'
+    sources into one flat list and adds them to an accumulator over the
+    support's entries with one bincount.
     """
     b, m = times.shape
-    n, n_in = net.n_total, net.n_in
+    n = net.n_total
+    loss_grads = np.asarray(loss_grads, dtype=np.float64)
+    if loss_grads.shape != (b, m):
+        raise InvalidParameter(f"loss_grads shape {loss_grads.shape} != trace shape {(b, m)}")
+    if not np.all(np.isfinite(loss_grads)):
+        raise InvalidParameter("loss_grads must be finite")
+    keep = _support_rows(net, support)
     coef, shift, to_window = _adjoint_coefficients(
         neurons, times, kinds, net, loss_grads, strict, vdot_floor
     )
@@ -280,26 +336,37 @@ def eventprop_backward_batch(
     # Fan-out lanes and weights of each slot's spiking neuron; row n of the
     # tables is the null source, all of whose lanes are the sentinel n.
     # The state is (B, N + 1), and lanes index it flat.
-    fan = FanOut.of(net)
+    fan = net.fan_out
     table, wtab = fan.table(np.append(np.arange(n), fan.null))
     src = np.where(kinds == int(SpikeKind.INTERNAL), neurons, n).T
     lanes = table[src]
     w_lanes = wtab[src]
     lanes += (np.arange(b) * (n + 1))[:, None]
-    size = (n + n_in + 1) * (n + 1)
-    base = (_stacked_source(neurons, kinds, net) * (n + 1)).T[..., None].copy()
-    cols = np.arange(n + 1)
     last_real = int(np.flatnonzero((kinds != int(SpikeKind.DUMMY)).any(axis=0)).max(initial=-1))
+
+    # support entry e is flat[e] of the stacked rows; its lane is flat[e] % N
+    flat = np.flatnonzero(keep)
+    s_count = keep.sum(axis=1)
+    s_lanes = flat % n
+    count, offset = _flat_lists(
+        np.cumsum(s_count) - s_count, s_count, _stacked_source(neurons, kinds, net)
+    )
+    rows = np.arange(b)
+    a_v_rows, a_q_rows = coef[:, 0, :, 0], coef[:, 1, :, 0]  # (m, B)
 
     d_co = np.zeros((b, n + 1))
     q_co = np.zeros((b, n + 1))
     d_flat, q_flat = d_co.reshape(-1), q_co.reshape(-1)
-    grad = np.zeros(size)
+    acc = np.zeros(flat.size)
     for k in range(last_real, -1, -1):
         if moved[k]:
             d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
-        a_v, a_q, t_v, t_q, gain, loss, scale, s_q = coef[k]
-        grad += np.bincount((base[k] + cols).ravel(), (a_v * d_co + a_q * q_co).ravel(), size)
+        _, _, t_v, t_q, gain, loss, scale, s_q = coef[k]
+        row = rows.repeat(count[k])
+        pos = np.arange(row.size) + offset[k][row]
+        at = s_lanes[pos] + row * (n + 1)
+        g_row = a_v_rows[k][row] * d_flat[at] + a_q_rows[k][row] * q_flat[at]
+        acc += np.bincount(pos, g_row, flat.size)
         ln = lanes[k]
         d_l = d_flat[ln]
         q_l = q_flat[ln]
@@ -307,8 +374,10 @@ def eventprop_backward_batch(
         d_new = (transfer + gain[:, 0] * d_l[:, 0] + loss[:, 0]) * scale[:, 0]
         q_flat[ln[:, 0]] = q_l[:, 0] + s_q[:, 0] * (d_l[:, 0] - d_new)
         d_flat[ln[:, 0]] = d_new
-    grad = grad.reshape(n + n_in + 1, n + 1)
-    return grad[:n, :n].copy(), grad[n : n + n_in, :n].copy()
+    grad = np.zeros(keep.size)
+    grad[flat] = acc
+    grad = grad.reshape(keep.shape)
+    return grad[:n], grad[n:-1]
 
 
 def eventprop_backward(
@@ -316,22 +385,17 @@ def eventprop_backward(
     net: Network,
     loss_grads,
     strict: bool = True,
+    support=None,
 ):
     """Adjoint backward pass for a one-sample trace; returns (grad_w, grad_w_in)."""
-    loss_grads = np.asarray(loss_grads, dtype=np.float64)
-    if loss_grads.shape != trace.times.shape:
-        raise InvalidParameter(
-            f"loss_grads shape {loss_grads.shape} != trace length {trace.times.shape}"
-        )
-    if not np.all(np.isfinite(loss_grads)):
-        raise InvalidParameter("loss_grads must be finite")
     return eventprop_backward_batch(
         trace.neurons[None, :],
         trace.times[None, :],
         trace.kinds[None, :],
         net,
-        loss_grads[None, :],
+        np.asarray(loss_grads)[None],
         strict=strict,
+        support=support,
     )
 
 

@@ -14,10 +14,11 @@ threshold when another one spikes therefore keeps its crossing, so tied
 spikes are all emitted.
 
 Every row's event is named by one stacked source (neuron j is j, input
-channel c is N + c; see ``FanOut``), so an iteration makes one pass whatever
-kind of event each row takes: the fan-out lanes of all live rows are gathered
-into one flat list, propagated in one call, reset and incremented on the
-flat arrays, re-solved in one call and scattered back once.
+channel c is N + c; see ``core.FanOut``, built once per network as
+``Network.fan_out``), so an iteration makes one pass whatever kind of event
+each row takes: the fan-out lanes of all live rows are gathered into one
+flat list, propagated in one call, reset and incremented on the flat
+arrays, re-solved in one call and scattered back once.
 
 When no event exists before t_max a row is done: it emits a dummy spike
 (-1, inf) and its state freezes at t_max.  Dummies fill the rest of its
@@ -116,58 +117,6 @@ def check_input_rows(net: Network, in_neurons, in_times, t0=None) -> None:
         raise UnsortedInput("input event earlier than its row's start time")
 
 
-@dataclass(frozen=True)
-class FanOut:
-    """The lanes an event touches, from the nonzero entries of the weights.
-
-    Event sources are stacked: internal neuron j is source j and input
-    channel c is source N + c; the last source, N + n_in, is the null source
-    of a row that takes no event.  Source s touches the lanes
-    ``lanes[start[s] : start[s] + count[s]]`` and adds the ``weights`` at the
-    same positions to their currents.  An internal source lists the neuron
-    itself first (it is reset; its weight is the self-loop w[j, j]), then
-    every k != j with w[j, k] != 0, ascending; an input source lists the
-    neurons it drives, and may list none, like the null source.
-    """
-
-    n: int  # N, the lane ``table`` pads with
-    start: np.ndarray  # (N + n_in + 1,) int64
-    count: np.ndarray  # (N + n_in + 1,) int64
-    lanes: np.ndarray  # (L,) int64
-    weights: np.ndarray  # (L,)
-
-    @staticmethod
-    def of(net: Network) -> "FanOut":
-        n, n_in = net.n_total, net.n_in
-        # column 0 stands for the source neuron itself, column 1 + k for lane k
-        touch = np.zeros((n + n_in + 1, n + 1), dtype=bool)
-        touch[:n, 1:] = net.weights != 0.0
-        touch[n:-1, 1:] = net.input_weights != 0.0
-        touch[np.arange(n), np.arange(n) + 1] = False
-        touch[:n, 0] = True
-        rows, cols = np.nonzero(touch)
-        lanes = np.where(cols == 0, rows, cols - 1)
-        count = touch.sum(axis=1)
-        k = int(count[:n].sum())  # rows are ascending: internal sources first
-        weights = np.concatenate(
-            [net.weights[rows[:k], lanes[:k]], net.input_weights[rows[k:] - n, lanes[k:]]]
-        )
-        return FanOut(n, np.cumsum(count) - count, count, lanes, weights)
-
-    @property
-    def null(self) -> int:
-        return self.count.size - 1
-
-    def table(self, sources: np.ndarray):
-        """(S, W) tables of the lanes and weights of ``sources``, padded
-        with lane N and weight 0."""
-        count = self.count[sources]
-        col = np.arange(int(count.max(initial=0)))
-        real = col < count[:, None]
-        pos = np.where(real, self.start[sources][:, None] + col, 0)
-        return np.where(real, self.lanes[pos], self.n), np.where(real, self.weights[pos], 0.0)
-
-
 def simulate_batch(
     net: Network,
     in_neurons: np.ndarray,
@@ -187,7 +136,7 @@ def simulate_batch(
     in_times = np.asarray(in_times, dtype=np.float64)
     b = in_times.shape[0]
     check_input_rows(net, in_neurons, in_times, t0)
-    fan = FanOut.of(net)
+    fan = net.fan_out
     null = fan.null
     # inputs as flat queues of stacked sources, padding as the null source,
     # with one trailing inf column so a queue pointer can always be read

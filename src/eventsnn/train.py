@@ -436,7 +436,7 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
                 )
             else:
                 g_w, g_w_in, loss, preds, counts = _eventprop_batch(
-                    cfg, net, ds_train, idx, m, loss_cfg, epoch
+                    cfg, net, ds_train, idx, m, loss_cfg, epoch, (mask_w, mask_w_in)
                 )
             losses.append(float(loss.mean()))
             n_correct += int(np.sum(preds == ds_train.labels[idx]))
@@ -522,7 +522,7 @@ def _spike_counts(neurons, kinds, n_total):
     return np.bincount(flat, minlength=b * n_total).reshape(b, n_total).astype(np.float64)
 
 
-def _eventprop_batch(cfg, net, ds, idx, m, loss_cfg, epoch):
+def _eventprop_batch(cfg, net, ds, idx, m, loss_cfg, epoch, support):
     t_max = cfg.sim.t_max
     batch = backend_mod.forward_batch(
         cfg.backend,
@@ -540,19 +540,21 @@ def _eventprop_batch(cfg, net, ds, idx, m, loss_cfg, epoch):
     slot_g = scatter_slot_grads(slots, g_times, m)
     g_w, g_w_in = eventprop_backward_batch(
         batch.neurons, batch.times, batch.kinds, net, slot_g,
-        strict=False, vdot_floor=cfg.train.vdot_floor,
+        strict=False, vdot_floor=cfg.train.vdot_floor, support=support,
     )
     counts = _spike_counts(batch.neurons, batch.kinds, net.n_total)
     return g_w, g_w_in, loss, predict_from_times(t_first), counts
 
 
-def gradient_from_trace(net, trace: EventTrace, label: int, loss_cfg: TtfsLoss, t_max: float):
+def gradient_from_trace(
+    net, trace: EventTrace, label: int, loss_cfg: TtfsLoss, t_max: float, support=None
+):
     """Loss and EventProp weight gradients of one externally produced
-    one-sample trace."""
+    one-sample trace, on the gradient ``support`` (None: every weight)."""
     from .grad import eventprop_backward
 
     loss, slot_g = ttfs_loss(trace, net.output_set, label, loss_cfg, t_max)
-    g_w, g_w_in = eventprop_backward(trace, net, slot_g, strict=False)
+    g_w, g_w_in = eventprop_backward(trace, net, slot_g, strict=False, support=support)
     return loss, g_w, g_w_in
 
 

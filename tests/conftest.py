@@ -17,7 +17,13 @@ from eventsnn.core import (
     SpikeKind,
     validate_network,
 )
-from eventsnn.grad import EPS_VDOT, DegenerateCrossing
+from eventsnn.grad import (
+    EPS_VDOT,
+    DegenerateCrossing,
+    _adjoint_coefficients,
+    _anchor,
+    _stacked_source,
+)
 from eventsnn.lif import propagate_arrays
 
 
@@ -346,6 +352,87 @@ def dense_adjoint(
             jump = np.where(ok, d / np.where(ok, vdot, 1.0), 0.0)
             lam_v[itn, rows] = jump
     return grad_w, grad_w_in
+
+
+def dense_row_currents(neurons, times, kinds, net: Network):
+    """``grad.reconstruct_currents_batch`` with a dense weight row per slot.
+
+    Each row keeps its currents as frame coefficients c (same anchors and
+    rescales), and every slot adds the whole stacked row [w; w_in; 0][src]
+    e^{(t-A)/tau_s} to its row's c, touching every lane.
+    """
+    b, m = times.shape
+    n = net.n_total
+    ts = net.params.tau_syn
+    active = kinds != int(SpikeKind.DUMMY)
+    last = np.maximum.accumulate(np.where(active, np.arange(m), -1), axis=1)
+    seen = np.where(last >= 0, np.take_along_axis(times, np.maximum(last, 0), axis=1), 0.0)
+    seen = np.concatenate([np.zeros((b, 1)), seen], axis=1)
+    anchor = _anchor(seen, net.params)
+    grow = np.exp((seen[:, 1:] - anchor[:, 1:]) / ts)
+    shrink = np.exp(-(seen[:, 1:] - anchor[:, 1:]) / ts)
+    moved = (anchor[:, 1:] != anchor[:, :-1]).any(axis=0)
+    rescale = np.exp(-(anchor[:, 1:] - anchor[:, :-1]) / ts)
+    wstack = np.concatenate([net.weights, net.input_weights, np.zeros((1, n))])
+    src = _stacked_source(neurons, kinds, net)
+    spiking = np.clip(neurons, 0, n - 1)
+    rows = np.arange(b)
+    c = np.zeros((b, n))
+    out = np.zeros((b, m))
+    for k in range(int(last.max(initial=-1)) + 1):
+        if moved[k]:
+            c *= rescale[:, k, None]
+        out[:, k] = c[rows, spiking[:, k]] * shrink[:, k]
+        c += wstack[src[:, k]] * grow[:, k, None]
+    out = np.where(kinds == int(SpikeKind.INTERNAL), out, 0.0)
+    return out, c * shrink[:, -1, None], seen[:, -1]
+
+
+def dense_row_adjoint(
+    neurons, times, kinds, net: Network, loss_grads, strict=False, vdot_floor=0.0
+):
+    """``grad.eventprop_backward_batch`` with a dense gradient row per slot.
+
+    The same frame coefficients and jumps, but every slot adds its rows'
+    gradient rows a_v D + a_q Q over all N + 1 lanes to a stacked
+    (N + n_in + 1, N + 1) accumulator with one bincount: the full support
+    computed without a support list.
+    """
+    b, m = times.shape
+    n, n_in = net.n_total, net.n_in
+    coef, shift, to_window = _adjoint_coefficients(
+        neurons, times, kinds, net, loss_grads, strict, vdot_floor
+    )
+    moved = (shift != 0.0).any(axis=1)
+    fan = net.fan_out
+    table, wtab = fan.table(np.append(np.arange(n), fan.null))
+    src = np.where(kinds == int(SpikeKind.INTERNAL), neurons, n).T
+    lanes = table[src]
+    w_lanes = wtab[src]
+    lanes += (np.arange(b) * (n + 1))[:, None]
+    size = (n + n_in + 1) * (n + 1)
+    base = (_stacked_source(neurons, kinds, net) * (n + 1)).T[..., None].copy()
+    cols = np.arange(n + 1)
+    last_real = int(np.flatnonzero((kinds != int(SpikeKind.DUMMY)).any(axis=0)).max(initial=-1))
+
+    d_co = np.zeros((b, n + 1))
+    q_co = np.zeros((b, n + 1))
+    d_flat, q_flat = d_co.reshape(-1), q_co.reshape(-1)
+    grad = np.zeros(size)
+    for k in range(last_real, -1, -1):
+        if moved[k]:
+            d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
+        a_v, a_q, t_v, t_q, gain, loss, scale, s_q = coef[k]
+        grad += np.bincount((base[k] + cols).ravel(), (a_v * d_co + a_q * q_co).ravel(), size)
+        ln = lanes[k]
+        d_l = d_flat[ln]
+        q_l = q_flat[ln]
+        transfer = np.einsum("bw,bw->b", w_lanes[k], t_v * d_l + t_q * q_l)
+        d_new = (transfer + gain[:, 0] * d_l[:, 0] + loss[:, 0]) * scale[:, 0]
+        q_flat[ln[:, 0]] = q_l[:, 0] + s_q[:, 0] * (d_l[:, 0] - d_new)
+        d_flat[ln[:, 0]] = d_new
+    grad = grad.reshape(n + n_in + 1, n + 1)
+    return grad[:n, :n].copy(), grad[n : n + n_in, :n].copy()
 
 
 @pytest.fixture

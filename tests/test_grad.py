@@ -6,6 +6,7 @@ import pytest
 
 from eventsnn.core import (
     EventTrace,
+    InvalidParameter,
     LifParams,
     Network,
     Spike,
@@ -27,8 +28,15 @@ from eventsnn.grad import (
 )
 from eventsnn.lif import next_crossing_double_tau
 from eventsnn.sim import pack_inputs, simulate, simulate_batch
+from eventsnn.train import structure_masks
 
-from conftest import dense_adjoint, random_inputs, random_network
+from conftest import (
+    dense_adjoint,
+    dense_row_adjoint,
+    dense_row_currents,
+    random_inputs,
+    random_network,
+)
 
 P2 = LifParams(tau_mem=2.0)
 P1 = LifParams(tau_mem=1.0)
@@ -399,6 +407,149 @@ class TestEventDrivenAdjoint:
         assert t_end[0] == last
         decay = np.exp(-(batch.final_t[0] - last) / params.tau_syn)
         np.testing.assert_allclose(i_end[0] * decay, batch.final_i[0], rtol=1e-12, atol=1e-300)
+
+
+TAU_RATIOS = pytest.mark.parametrize("params", [P2, P1], ids=["tau_ratio_2", "tau_ratio_1"])
+
+
+def random_support(rng, net):
+    """0/1 masks with no block structure, shaped like the weights."""
+    return tuple(
+        (rng.random(w.shape) < 0.5).astype(np.float64) for w in (net.weights, net.input_weights)
+    )
+
+
+def assert_support_is_masked_full(batch, net, loss_grads, support, **kw):
+    args = (batch.neurons, batch.times, batch.kinds, net, loss_grads)
+    full = eventprop_backward_batch(*args, **kw)
+    got = eventprop_backward_batch(*args, support=support, **kw)
+    for g, f, mask in zip(got, full, support):
+        assert np.array_equal(g, f * mask)
+        assert np.all(g[mask == 0] == 0.0)
+    return got, full
+
+
+def assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+class TestGradientSupport:
+    """The gradient on a support equals the full-support gradient times the
+    mask, and the full support and the current replay equal the dense-row
+    loops, all bitwise."""
+
+    @TAU_RATIOS
+    def test_random_support_on_recurrent_nets(self, rng, params):
+        self_loops = zero_weights = 0
+        for _ in range(25):
+            net = random_network(rng, params=params)
+            self_loops += int(np.any(np.diag(net.weights) != 0.0))
+            zero_weights += int(np.any(net.weights == 0.0))
+            batch, g = random_batch(rng, net)
+            assert_support_is_masked_full(batch, net, g, random_support(rng, net))
+        assert self_loops > 0 and zero_weights > 0
+
+    @TAU_RATIOS
+    def test_random_support_with_vdot_floor(self, rng, params):
+        for _ in range(10):
+            net = random_network(rng, params=params)
+            batch, g = random_batch(rng, net)
+            support = random_support(rng, net)
+            assert_support_is_masked_full(batch, net, g, support, vdot_floor=0.5)
+
+    @TAU_RATIOS
+    def test_training_masks_on_5_8_3_nets(self, rng, params):
+        support = structure_masks(5, 8, 3)
+        feedforward = Network.feedforward(
+            rng.uniform(0.5, 3.0, size=(5, 8)), rng.uniform(-1.0, 3.0, size=(8, 3)), params
+        )
+        # a recurrent net of the same size has gradients off the support too
+        recurrent = Network(
+            n_total=11,
+            weights=rng.uniform(-1.0, 2.0, size=(11, 11)),
+            input_weights=rng.uniform(0.5, 3.0, size=(5, 11)),
+            params=params,
+            output_set=feedforward.output_set,
+        )
+        for net in (feedforward, recurrent):
+            batch, g = random_batch(rng, net, b=16, m=60)
+            internal = batch.kinds == INTERNAL
+            assert np.any(internal & (batch.neurons >= 8))
+            assert np.any(internal & (batch.neurons < 8))
+            got, full = assert_support_is_masked_full(batch, net, g, support)
+            assert all(np.any(x != 0.0) for x in got)
+        assert np.any(full[0][support[0] == 0] != 0.0)
+
+    def test_all_ones_support_is_the_default(self, rng):
+        net = random_network(rng)
+        batch, g = random_batch(rng, net)
+        args = (batch.neurons, batch.times, batch.kinds, net, g)
+        ones = (np.ones(net.weights.shape), np.ones(net.input_weights.shape))
+        got = eventprop_backward_batch(*args, support=ones)
+        assert_bitwise(got, eventprop_backward_batch(*args))
+
+    @TAU_RATIOS
+    def test_full_support_equals_dense_row_loop(self, rng, params):
+        cases = [(chain_net(params), long_span_batch(params))]
+        for _ in range(10):
+            net = random_network(rng, params=params)
+            cases.append((net, random_batch(rng, net)[0]))
+        for net, batch in cases:
+            g = rng.normal(size=batch.times.shape) * (batch.kinds == INTERNAL)
+            args = (batch.neurons, batch.times, batch.kinds, net, g)
+            for kw in ({}, {"vdot_floor": 0.5}):
+                got = eventprop_backward_batch(*args, **kw)
+                assert_bitwise(got, dense_row_adjoint(*args, **kw))
+
+    @TAU_RATIOS
+    def test_currents_equal_dense_row_replay(self, rng, params):
+        cases = [(chain_net(params), long_span_batch(params))]
+        for _ in range(10):
+            net = random_network(rng, params=params)
+            cases.append((net, random_batch(rng, net)[0]))
+        for net, batch in cases:
+            args = (batch.neurons, batch.times, batch.kinds, net)
+            assert_bitwise(reconstruct_currents_batch(*args), dense_row_currents(*args))
+
+
+class TestBackwardInputChecks:
+    """The batched backward pass rejects malformed loss grads and supports."""
+
+    @pytest.fixture
+    def case(self, rng):
+        net = random_network(rng)
+        batch, g = random_batch(rng, net, b=4)
+        return (batch.neurons, batch.times, batch.kinds, net), g
+
+    def test_one_row_of_loss_grads_for_a_batch_raises(self, case):
+        args, g = case
+        with pytest.raises(InvalidParameter):
+            eventprop_backward_batch(*args, g[0])
+
+    def test_single_sample_loss_grads_of_wrong_length_raise(self, case):
+        (neurons, times, kinds, net), g = case
+        zeros = np.zeros(net.n_total)
+        trace = EventTrace(neurons[0], times[0], kinds[0], zeros, zeros, 0.0)
+        with pytest.raises(InvalidParameter):
+            eventprop_backward(trace, net, g[0, :-1], strict=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_grads_raise(self, case, bad):
+        args, g = case
+        g[1, 2] = bad
+        with pytest.raises(InvalidParameter):
+            eventprop_backward_batch(*args, g)
+
+    def test_support_of_wrong_shape_raises(self, case):
+        args, g = case
+        n, n_in = args[3].n_total, args[3].n_in
+        mask_w, mask_in = np.ones((n, n)), np.ones((n_in, n))
+        wrong = ((np.ones((n + 1, n)), mask_in), (mask_w, np.ones((n_in, n + 1))), (mask_w,))
+        for support in wrong:
+            with pytest.raises(InvalidParameter):
+                eventprop_backward_batch(*args, g, support=support)
 
 
 class TestFudSpikeTimeGrad:

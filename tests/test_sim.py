@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from eventsnn.backend import BackendConfig, ReplayConfig, forward_batch
-from eventsnn.core import InvalidParameter, LifParams, Network, NeuronState, Spike, SpikeKind
+from eventsnn.core import (
+    FanOut,
+    InvalidParameter,
+    LifParams,
+    Network,
+    NeuronState,
+    Spike,
+    SpikeKind,
+)
 from eventsnn.lif import next_crossing_double_tau
 from eventsnn.sim import (
-    FanOut,
     InvalidBudget,
     SimDiagnostics,
     UnsortedInput,
