@@ -37,13 +37,7 @@ from .sim import (
     simulate,
     step,
 )
-from .grad import (
-    DegenerateCrossing,
-    NoSpike,
-    eventprop_backward,
-    fud_spike_time_grad,
-    reconstruct_currents,
-)
+from .grad import DegenerateCrossing, eventprop_backward, reconstruct_currents
 from .data import EncodingConfig, YinYangLabel, YinYangPoint, encode, generate
 from .backend import (
     BackendConfig,

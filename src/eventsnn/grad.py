@@ -1,6 +1,6 @@
 """Gradient estimation from event traces.
 
-Two estimators share the trace-only interface:
+Two estimators:
 
 * ``eventprop_backward_batch`` runs the EventProp adjoint pair
   (lambda_v, lambda_i) backward through the trace.  Between events the pair
@@ -29,16 +29,20 @@ Two estimators share the trace-only interface:
   and no exp per lane.  The binding contract is agreement with central
   finite differences of the loss under the ideal event-driven dynamics.
 
-* ``fud_spike_time_grad`` differentiates the closed-form first-crossing
-  condition for tau_mem = 2 tau_syn directly (implicit differentiation of
-  the quadratic crossing condition), giving exact spike-time derivatives for
-  feedforward first-spike networks.
+* The analytic Fast & Deep path (Göltz et al. 2021), for tau_mem =
+  2 tau_syn only, works on the first spike times of a feedforward net.
+  ``fud_first_spike_times`` solves a layer's first crossings in closed form:
+  without a reset before the first spike the membrane is linear in the
+  inputs, so the state at every inter-input interval comes from prefix sums
+  over the time-sorted inputs, and each block of postsynaptic neurons
+  solves all its intervals in one crossing call.  ``fud_feedforward_grads``
+  differentiates the crossing condition implicitly, layer by layer.
 
-Both consume only the trace plus weights: synaptic currents at spike times
-are reconstructed by replaying the trace through the current dynamics, in
-the same kind of frame (i(t) = c e^{-(t-A)/tau_s}) and on each event's
-fan-out lanes only, so a foreign (hardware/replay) trace takes the
-identical code path.
+EventProp consumes only the trace plus weights: synaptic currents at spike
+times are reconstructed by replaying the trace through the current dynamics,
+in the same kind of frame (i(t) = c e^{-(t-A)/tau_s}) and on each event's
+fan-out lanes only, so a foreign (hardware/replay) trace takes the identical
+code path.
 
 A single anchor per row would overflow e^{|t-A|/tau} on long traces, so the
 anchor of an event is the start of its time window of ANCHOR_WINDOW times
@@ -47,14 +51,10 @@ coefficients are rescaled by a factor of at most 1.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .core import EventTrace, InvalidParameter, Network, Spike, SpikeKind
-from .lif import propagate_arrays
+from .core import EventTrace, InvalidParameter, Network, SpikeKind, UnsupportedTauRatio
+from .lif import next_crossing_safe, propagate_arrays
 
 # |dV/dt| below this at a spike counts as a degenerate (grazing) crossing
 EPS_VDOT = 1e-6
@@ -65,10 +65,6 @@ ANCHOR_WINDOW = 100.0
 
 class DegenerateCrossing(RuntimeError):
     """A spike with |dV/dt| < EPS_VDOT makes the adjoint jump ill-defined."""
-
-
-class NoSpike(RuntimeError):
-    """The analytic path needs the target neuron to actually spike."""
 
 
 def _anchor(t, params):
@@ -414,11 +410,33 @@ def _psp_dot(s, ts):
     return -np.exp(-s / (2.0 * ts)) + 2.0 * np.exp(-s / ts)
 
 
-@dataclass(frozen=True)
-class FudSpikeGrad:
-    time: float
-    d_weights: np.ndarray
-    d_times: np.ndarray
+def _interval_frames(t, params, t_max):
+    """Per-row interval geometry and frame factors of sorted input times.
+
+    Returns (B, K, 1) arrays: ``start``, the start T of interval k (the
+    time of input k, the row's last input time on padding), and ``bound``:
+    a crossing at c spikes if c < bound, that is before the next input and
+    at or before t_max.  ``frames`` holds, per window a of the inputs'
+    anchors, each input's growth e^{(t_j-a)/tau} (0 outside the window)
+    and the decay e^{(min(a, A)-T)/tau} <= 1 that takes a sum in frame a to
+    the state at T (A = T's anchor; the sum is 0 where a > A), for tau_s
+    and tau_m.
+    """
+    b = t.shape[0]
+    real = np.isfinite(t)
+    start = np.maximum.accumulate(np.where(real, t, -np.inf), axis=1)
+    start = np.where(np.isfinite(start), start, 0.0)
+    anchor = _anchor(start, params)
+    end = np.concatenate([t[:, 1:], np.full((b, 1), np.inf)], axis=1)
+    bound = np.minimum(end, np.nextafter(t_max, np.inf))
+    frames = []
+    for a in np.unique(anchor[real]):
+        u = np.where(real & (anchor == a), t - a, -np.inf)[:, :, None]
+        d = (np.minimum(anchor, a) - start)[:, :, None]
+        frames.append(
+            tuple(np.exp(x / tau) for x in (u, d) for tau in (params.tau_syn, params.tau_mem))
+        )
+    return start[:, :, None], bound[:, :, None], frames
 
 
 def fud_first_spike_times(
@@ -435,75 +453,47 @@ def fud_first_spike_times(
     Returns (B, H) crossing times, +inf where a neuron stays silent up to
     t_max.  Only the first crossing matters in a first-spike code, so the
     membrane keeps evolving freely past threshold.
-    """
-    from .lif import next_crossing_safe
 
-    b, kk = in_times.shape
-    h = weights.shape[1]
-    v = np.zeros((b, h))
-    i = np.zeros((b, h))
-    t = np.zeros(b)
-    out = np.full((b, h), np.inf)
-    for k in range(kk + 1):
-        t_next = in_times[:, k] if k < kk else np.full(b, np.inf)
-        dt = next_crossing_safe(v, i, params)
-        cross_at = t[:, None] + dt
-        hit = np.isinf(out) & (cross_at < t_next[:, None]) & (cross_at <= t_max)
-        out = np.where(hit, cross_at, out)
-        if k == kk:
-            break
-        alive = np.isfinite(t_next)
-        if not alive.any():
-            break
-        gap = np.where(alive, t_next - t, 0.0)
-        v, i = propagate_arrays(v, i, gap[:, None], params)
-        w_rows = weights[np.clip(in_neurons[:, k], 0, weights.shape[0] - 1)]
-        i = i + np.where(alive[:, None], w_rows, 0.0)
-        t = np.where(alive, t_next, t)
-    return out
+    Interval k runs from input k to input k + 1 (+inf after the row's last
+    input).  Without a reset the membrane is linear in the inputs, so the
+    state at the start T of interval k comes from prefix sums over the inputs
+    j <= k, in the frame of T's anchor A (``_anchor``):
 
+        i = e^{-(T-A)/tau_s} sum_j w_j e^{(t_j-A)/tau_s},
+        v = 2 tau_s (e^{-(T-A)/tau_m} sum_j w_j e^{(t_j-A)/tau_m} - i).
 
-def fud_spike_time_grad(
-    input_spikes: Sequence[Spike] | np.ndarray,
-    weights_row: np.ndarray,
-    params,
-) -> FudSpikeGrad:
-    """Exact derivatives of one neuron's first spike time (tau_mem = 2 tau_syn).
-
-    Returns dT/dw_j and dT/dt_j for every input j; inputs arriving at or
-    after the spike have zero derivative.  Raises NoSpike when the neuron
-    never crosses threshold.
+    Inputs are summed per anchor window, so no factor exceeds
+    e^ANCHOR_WINDOW, and a window's sum reaches a later interval's state
+    through a factor of at most 1 (``_interval_frames``).  The postsynaptic
+    neurons are solved in blocks of max(1, H // K): each block's (B, K,
+    block) interval lanes take one ``next_crossing_safe`` call, so a call
+    covers about B max(K, H) lanes.  A lane spikes in its first interval
+    whose crossing lies strictly before the next input and at or before
+    t_max; crossings of later intervals come later, so that is the earliest
+    such crossing.
     """
     if not params.is_double_tau:
-        from .core import UnsupportedTauRatio
-
-        raise UnsupportedTauRatio("the analytic gradient path requires tau_mem = 2 tau_syn")
-    if hasattr(input_spikes, "dtype"):
-        t_in = np.asarray(input_spikes, dtype=np.float64)
-    else:
-        t_in = np.array([s.time for s in input_spikes], dtype=np.float64)
-    w = np.asarray(weights_row, dtype=np.float64)
-    order = np.argsort(t_in, kind="stable")
-    t_star = fud_first_spike_times(
-        order[None, :],
-        t_in[order][None, :],
-        w[:, None],
-        params,
-        t_max=np.inf,
-    )[0, 0]
-    if math.isinf(t_star):
-        raise NoSpike("neuron does not cross threshold for these inputs")
-    return _fud_grads_at(t_star, t_in, w, params)
-
-
-def _fud_grads_at(t_star: float, t_in, w, params) -> FudSpikeGrad:
+        raise UnsupportedTauRatio("the analytic forward requires tau_mem = 2 tau_syn")
     ts = params.tau_syn
-    causal = t_in < t_star
-    s = np.where(causal, t_star - t_in, 0.0)
-    vdot = float(np.sum(np.where(causal, w * _psp_dot(s, ts), 0.0)))
-    d_w = np.where(causal, -_psp(s, ts) / vdot, 0.0)
-    d_t = np.where(causal, w * _psp_dot(s, ts) / vdot, 0.0)
-    return FudSpikeGrad(time=float(t_star), d_weights=d_w, d_times=d_t)
+    t = np.asarray(in_times, dtype=np.float64)
+    b, kk = t.shape
+    n_pre, n_post = weights.shape
+    out = np.full((b, n_post), np.inf)
+    if kk == 0:
+        return out
+    start, bound, frames = _interval_frames(t, params, t_max)
+    rows = np.clip(in_neurons, 0, n_pre - 1)
+    block = max(1, n_post // kk)
+    for lo in range(0, n_post, block):
+        w = weights[:, lo : lo + block][rows]
+        # i0: the current at T; i_m: the same sums decayed with tau_m
+        i0 = i_m = 0.0
+        for grow_s, grow_m, decay_s, decay_m in frames:
+            i0 = i0 + np.cumsum(w * grow_s, axis=1) * decay_s
+            i_m = i_m + np.cumsum(w * grow_m, axis=1) * decay_m
+        cross = start + next_crossing_safe(2.0 * ts * (i_m - i0), i0, params)
+        out[:, lo : lo + block] = np.min(cross, axis=1, initial=np.inf, where=cross < bound)
+    return out
 
 
 def fud_feedforward(

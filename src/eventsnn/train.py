@@ -377,9 +377,27 @@ def _sample_seed(train_seed: int, tag: int, idx: int) -> int:
     return (train_seed * 1_000_003 + tag) * 1_000_003 + idx
 
 
+ESTIMATORS = ("eventprop", "fud")
+
+
+def _check_estimator(estimator: str, params: LifParams) -> None:
+    """Reject an unknown estimator, and the analytic one off tau_mem = 2 tau_syn,
+    the only ratio its forward and gradient kernels cover."""
+    if estimator not in ESTIMATORS:
+        raise InvalidParameter(
+            f"train.estimator = {estimator!r}: expected one of {', '.join(ESTIMATORS)}"
+        )
+    if estimator == "fud" and not params.is_double_tau:
+        raise InvalidParameter(
+            "train.estimator = fud requires tau_mem = 2 tau_syn, got tau_mem/tau_syn = "
+            f"{params.tau_mem / params.tau_syn:g}"
+        )
+
+
 def evaluate(
     cfg: ExperimentConfig, net: Network, ds: PackedDataset, m: int, seed_tag: int = 999_983
 ) -> float:
+    _check_estimator(cfg.train.estimator, net.params)
     correct = 0
     bs = max(cfg.train.batch, 256)
     for lo in range(0, len(ds), bs):
@@ -391,6 +409,7 @@ def evaluate(
 
 def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     """Train per config; returns per-epoch metrics and the best checkpoint."""
+    _check_estimator(cfg.train.estimator, LifParams(tau_mem=cfg.network.tau_mem_ratio))
     t_start = _time.time()
     enc_cfg, points_train, points_test = data_mod.build_dataset(cfg.dataset)
     ds_train = pack_samples(data_mod.encode_dataset(points_train, enc_cfg))

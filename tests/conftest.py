@@ -1,9 +1,13 @@
 """Shared oracles and generators for the test suite.
 
 The oracles are deliberately primitive: plain forward-Euler loops, dense
-per-event decays of every lane and bracket-and-bisect root finding,
-independent of the closed-form and event-driven paths they are used to check.
+per-event decays of every lane, bracket-and-bisect root finding and the
+input-by-input loop of the analytic forward, independent of the closed-form,
+event-driven and prefix-sum paths they are used to check.
 """
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -22,9 +26,12 @@ from eventsnn.grad import (
     DegenerateCrossing,
     _adjoint_coefficients,
     _anchor,
+    _psp,
+    _psp_dot,
     _stacked_source,
+    fud_first_spike_times,
 )
-from eventsnn.lif import propagate_arrays
+from eventsnn.lif import next_crossing_safe, propagate_arrays
 
 
 def euler_first_crossing(v0, i0, params: LifParams, dt=1e-6, t_hi=20.0):
@@ -433,6 +440,82 @@ def dense_row_adjoint(
         d_flat[ln[:, 0]] = d_new
     grad = grad.reshape(n + n_in + 1, n + 1)
     return grad[:n, :n].copy(), grad[n : n + n_in, :n].copy()
+
+
+def loop_first_spike_times(in_neurons, in_times, weights, params, t_max):
+    """Reference first crossings of one no-reset layer, one input at a time.
+
+    The state of every (row, neuron) lane is propagated from input to input;
+    before each input the interval's crossing is solved, and a lane spikes in
+    its first interval whose crossing lies strictly before the next input and
+    at or before t_max.  Same interface as ``grad.fud_first_spike_times``.
+    """
+    b, kk = in_times.shape
+    h = weights.shape[1]
+    v = np.zeros((b, h))
+    i = np.zeros((b, h))
+    t = np.zeros(b)
+    out = np.full((b, h), np.inf)
+    for k in range(kk + 1):
+        t_next = in_times[:, k] if k < kk else np.full(b, np.inf)
+        dt = next_crossing_safe(v, i, params)
+        cross_at = t[:, None] + dt
+        hit = np.isinf(out) & (cross_at < t_next[:, None]) & (cross_at <= t_max)
+        out = np.where(hit, cross_at, out)
+        if k == kk:
+            break
+        alive = np.isfinite(t_next)
+        if not alive.any():
+            break
+        gap = np.where(alive, t_next - t, 0.0)
+        v, i = propagate_arrays(v, i, gap[:, None], params)
+        w_rows = weights[np.clip(in_neurons[:, k], 0, weights.shape[0] - 1)]
+        i = i + np.where(alive[:, None], w_rows, 0.0)
+        t = np.where(alive, t_next, t)
+    return out
+
+
+class NoSpike(RuntimeError):
+    """The analytic derivative needs the target neuron to actually spike."""
+
+
+@dataclass(frozen=True)
+class FudSpikeGrad:
+    time: float
+    d_weights: np.ndarray
+    d_times: np.ndarray
+
+
+def fud_spike_time_grad(input_spikes, weights_row, params) -> FudSpikeGrad:
+    """Exact derivatives of one neuron's first spike time (tau_mem = 2 tau_syn).
+
+    Implicit differentiation of the crossing condition
+    sum_j w_j h(T - t_j) = v_th, h = ``grad._psp``, gives dT/dw_j and dT/dt_j
+    for every input j; inputs arriving at or after the spike have zero
+    derivative.  Raises NoSpike when the neuron never crosses threshold.
+    """
+    if hasattr(input_spikes, "dtype"):
+        t_in = np.asarray(input_spikes, dtype=np.float64)
+    else:
+        t_in = np.array([s.time for s in input_spikes], dtype=np.float64)
+    w = np.asarray(weights_row, dtype=np.float64)
+    order = np.argsort(t_in, kind="stable")
+    t_star = fud_first_spike_times(
+        order[None, :], t_in[order][None, :], w[:, None], params, t_max=np.inf
+    )[0, 0]
+    if math.isinf(t_star):
+        raise NoSpike("neuron does not cross threshold for these inputs")
+    return _fud_grads_at(t_star, t_in, w, params)
+
+
+def _fud_grads_at(t_star: float, t_in, w, params) -> FudSpikeGrad:
+    ts = params.tau_syn
+    causal = t_in < t_star
+    s = np.where(causal, t_star - t_in, 0.0)
+    vdot = float(np.sum(np.where(causal, w * _psp_dot(s, ts), 0.0)))
+    d_w = np.where(causal, -_psp(s, ts) / vdot, 0.0)
+    d_t = np.where(causal, w * _psp_dot(s, ts) / vdot, 0.0)
+    return FudSpikeGrad(time=float(t_star), d_weights=d_w, d_times=d_t)
 
 
 @pytest.fixture

@@ -66,3 +66,31 @@ def test_export_needs_a_positive_sample_count(tmp_path, tiny, capsys, samples):
     assert run("export-traces", "--samples", samples, "--out", out, config=tiny) == 2
     assert "--samples" in capsys.readouterr().err
     assert not (out / "traces.replay").exists()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        "train.estimator = fdu\n",
+        "train.estimator = fud\nnetwork.tau_mem_ratio = 1.0\n",
+    ],
+    ids=["unknown", "fud_at_tau_ratio_1"],
+)
+def test_train_rejects_an_estimator_it_cannot_run(tmp_path, keys, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(TINY + keys)
+    out = tmp_path / "train"
+    assert run("train", "--out", out, config=config) == 2
+    assert "train.estimator" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_eval_rejects_an_unknown_estimator(tmp_path, tiny, capsys):
+    assert run("train", "--out", tmp_path / "train", config=tiny) == 0
+    config = tmp_path / "config.txt"
+    config.write_text(TINY + "train.estimator = fdu\n")
+    checkpoint = tmp_path / "train" / "checkpoint.txt"
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", checkpoint, "--out", out, config=config) == 2
+    assert "train.estimator" in capsys.readouterr().err
+    assert not (out / "eval.txt").exists()

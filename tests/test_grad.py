@@ -11,18 +11,19 @@ from eventsnn.core import (
     Network,
     Spike,
     SpikeKind,
+    UnsupportedTauRatio,
     classify_records,
     read_spike_file,
     write_spike_file,
 )
 from eventsnn.grad import (
     DegenerateCrossing,
-    NoSpike,
+    _anchor,
     eventprop_backward,
     eventprop_backward_batch,
     fud_feedforward,
     fud_feedforward_grads,
-    fud_spike_time_grad,
+    fud_first_spike_times,
     reconstruct_currents,
     reconstruct_currents_batch,
 )
@@ -31,9 +32,12 @@ from eventsnn.sim import pack_inputs, simulate, simulate_batch
 from eventsnn.train import structure_masks
 
 from conftest import (
+    NoSpike,
     dense_adjoint,
     dense_row_adjoint,
     dense_row_currents,
+    fud_spike_time_grad,
+    loop_first_spike_times,
     random_inputs,
     random_network,
 )
@@ -550,6 +554,68 @@ class TestBackwardInputChecks:
         for support in wrong:
             with pytest.raises(InvalidParameter):
                 eventprop_backward_batch(*args, g, support=support)
+
+
+def random_layer(rng, b, k, n_pre, h, spans):
+    """A layer's sorted (B, K) inputs, each row's times drawn from one of
+    ``spans``, with +inf padding (id -1 or a real id, as fud_feedforward
+    pads) and mixed-sign (n_pre, h) weights."""
+    lo, hi = np.array(spans)[rng.integers(0, len(spans), size=(b, k))].transpose(2, 0, 1)
+    times = np.sort(rng.uniform(lo, hi), axis=1)
+    ids = rng.integers(0, n_pre, size=(b, k))
+    pad = np.arange(k) >= k - rng.integers(0, k + 1, size=b)[:, None]
+    times[pad] = np.inf
+    ids[pad] = rng.choice([-1, 0], size=int(pad.sum()))
+    return ids, times, rng.uniform(-1.5, 3.0, size=(n_pre, h))
+
+
+def assert_matches_loop(ids, times, w, t_max):
+    """Same silent/spiking pattern as the loop oracle, times within 1e-12."""
+    got = fud_first_spike_times(ids, times, w, P2, t_max)
+    want = loop_first_spike_times(ids, times, w, P2, t_max)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12)
+    return got
+
+
+class TestFudFirstSpikeTimes:
+    T_MAX = 4.0
+    # three anchor windows (0, 100, 200) with inputs on both sides of a border
+    WINDOWS = [(0.0, 3.0), (98.5, 101.5), (199.0, 203.0)]
+
+    def test_matches_loop_on_random_layers(self, rng):
+        seen = np.zeros(4, dtype=int)  # silent, spiking, padded, inputs past t_max
+        for _ in range(40):
+            b, k, n_pre, h = (int(rng.integers(1, x)) for x in (16, 11, 7, 26))
+            ids, times, w = random_layer(rng, b, k, n_pre, h, [(0.0, 6.0)])
+            out = assert_matches_loop(ids, times, w, self.T_MAX)
+            fin = np.isfinite(times)
+            seen += [np.isinf(out).sum(), np.isfinite(out).sum(), (~fin).sum(),
+                     (times[fin] > self.T_MAX).sum()]
+        assert np.all(seen > 0)
+
+    @pytest.mark.parametrize("k, h", [(1, 7), (9, 1), (1, 1)])
+    def test_single_input_or_single_neuron(self, rng, k, h):
+        for _ in range(10):
+            assert_matches_loop(*random_layer(rng, 12, k, 3, h, [(0.0, 3.0)]), self.T_MAX)
+
+    def test_inputs_across_three_anchor_windows(self, rng):
+        ids, times, w = random_layer(rng, 24, 12, 6, 30, self.WINDOWS)
+        assert np.unique(_anchor(times[np.isfinite(times)], P2)).size >= 3
+        out = assert_matches_loop(ids, times, w, np.inf)
+        assert np.unique(_anchor(out[np.isfinite(out)], P2)).size >= 3
+
+    def test_batch_rows_equal_single_rows_bitwise(self, rng):
+        ids, times, w = random_layer(rng, 16, 12, 5, 9, [(0.0, 6.0), *self.WINDOWS])
+        batch = fud_first_spike_times(ids, times, w, P2, np.inf)
+        for r in range(len(times)):
+            single = fud_first_spike_times(ids[r : r + 1], times[r : r + 1], w, P2, np.inf)
+            assert np.array_equal(batch[r], single[0])
+
+    def test_requires_double_tau(self):
+        with pytest.raises(UnsupportedTauRatio):
+            fud_first_spike_times(np.zeros((1, 1), int), np.zeros((1, 1)), np.ones((1, 1)), P1, 1.0)
 
 
 class TestFudSpikeTimeGrad:
