@@ -17,6 +17,8 @@ weights, whatever produced the spikes.
 """
 from __future__ import annotations
 
+import functools
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -104,10 +106,16 @@ def _mock_network(net: Network, mock: MockConfig) -> Network:
         clip = float(
             max(np.abs(net.weights).max(), np.abs(net.input_weights).max(), 1e-12)
         )
+
+    def quantize(w):  # zeros, -0.0 too, quantize to +0.0: only the rest is computed
+        out, nz = np.zeros(w.shape), np.flatnonzero(w)
+        out.flat[nz] = quantize_weights(w.flat[nz], mock.weight_bits, clip)
+        return out
+
     return Network(
         n_total=net.n_total,
-        weights=quantize_weights(net.weights, mock.weight_bits, clip),
-        input_weights=quantize_weights(net.input_weights, mock.weight_bits, clip),
+        weights=quantize(net.weights),
+        input_weights=quantize(net.input_weights),
         params=net.params,
         output_set=net.output_set,
         record_set=net.record_set,
@@ -183,9 +191,9 @@ def forward_batch(
     in_neurons = np.asarray(in_neurons, dtype=np.int64)
     in_times = np.asarray(in_times, dtype=np.float64)
     check_input_rows(net, in_neurons, in_times)
-    rf = read_replay_file(cfg.replay.trace_path)
-    check_manifest(rf, m, t_max)
-    pick = [_block_of(rf, nrow, trow, t_max) for nrow, trow in zip(in_neurons, in_times)]
+    rf, pick = replay_blocks(cfg, in_neurons, in_times, m, t_max)
+    if -1 in pick:
+        raise ReplayShapeMismatch("no replay block matches the supplied input spikes")
     return replay_block_to_trace(
         rf.neurons[pick], rf.times[pick], net, in_neurons, in_times, t_max
     )
@@ -237,8 +245,11 @@ class ReplayFile:
 
 
 def read_replay_file(path) -> ReplayFile:
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    return _parse_replay(Path(path).read_bytes())
+
+
+def _parse_replay(raw: bytes) -> ReplayFile:
+    lines = [ln.strip() for ln in io.StringIO(raw.decode("utf-8"), newline=None) if ln.strip()]
     if not lines:
         raise ReplayShapeMismatch("empty replay file")
     head = lines[0].split()
@@ -260,8 +271,42 @@ def read_replay_file(path) -> ReplayFile:
         if line != SPIKE_FILE_HEADER:
             raise ReplayShapeMismatch(f"sample {s} missing the spike-file header")
     del body[:: m + 1]
-    neurons, times = parse_records(body)
-    return ReplayFile(m, t_max, neurons.reshape(n_samples, m), times.reshape(n_samples, m))
+    neurons, times = (a.reshape(n_samples, m) for a in parse_records(body))
+    neurons.setflags(write=False)  # a parse may be shared through the cache below
+    times.setflags(write=False)
+    return ReplayFile(m, t_max, neurons, times)
+
+
+class _ReplayIndex:
+    """A parsed replay file and the block of each input row looked up so far."""
+
+    def __init__(self, rf: ReplayFile):
+        self.rf = rf
+        self._blocks: dict[tuple[bytes, bytes], int] = {}
+
+    def block_of(self, in_neurons: np.ndarray, in_times: np.ndarray) -> int:
+        key = (in_neurons.tobytes(), in_times.tobytes())
+        if key not in self._blocks:
+            self._blocks[key] = _block_of(self.rf, in_neurons, in_times, self.rf.t_max)
+        return self._blocks[key]
+
+
+@functools.lru_cache(maxsize=1)
+def _replay_index(raw: bytes) -> _ReplayIndex:
+    """One parse and one block lookup per input row, shared by a run's
+    batches for as long as the file's bytes stay the same."""
+    return _ReplayIndex(_parse_replay(raw))
+
+
+def replay_blocks(cfg: BackendConfig, in_neurons, in_times, m: int, t_max: float):
+    """The configured replay file, checked against m and t_max, and per row
+    of (B, K) inputs the index of its block, -1 where none matches."""
+    _check_config(cfg)
+    index = _replay_index(Path(cfg.replay.trace_path).read_bytes())
+    check_manifest(index.rf, m, t_max)
+    in_neurons = np.asarray(in_neurons, dtype=np.int64)
+    in_times = np.asarray(in_times, dtype=np.float64)
+    return index.rf, [index.block_of(nrow, trow) for nrow, trow in zip(in_neurons, in_times)]
 
 
 def check_manifest(rf: ReplayFile, m: int, t_max: float) -> None:
@@ -288,7 +333,7 @@ def _input_match(kinds, in_times, t_max):
 
 def _block_of(rf: ReplayFile, in_neurons, in_times, t_max: float) -> int:
     """The block that replays one sample: the first whose input records are
-    all of its inputs, else the first holding a prefix of them."""
+    all of its inputs, else the first holding a prefix of them, else -1."""
     s, k = rf.times.shape[0], in_times.shape[0]
     kinds = classify_records(
         rf.neurons, rf.times,
@@ -297,7 +342,7 @@ def _block_of(rf: ReplayFile, in_neurons, in_times, t_max: float) -> int:
     for match in _input_match(kinds, in_times, t_max):
         if match.any():
             return int(np.argmax(match))
-    raise ReplayShapeMismatch("no replay block matches the supplied input spikes")
+    return -1
 
 
 def replay_block_to_trace(

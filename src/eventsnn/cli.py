@@ -22,11 +22,12 @@ from .backend import (
     write_replay_file,
 )
 from .config import ExperimentConfig, load_config, save_config
-from .core import InvalidParameter, format_time, validate_network
+from .core import InvalidParameter, format_matrix, validate_network
 from .train import (
     AdamState,
     TtfsLoss,
     adam_step,
+    check_replay_covers,
     evaluate,
     gradient_from_trace,
     init_network,
@@ -112,6 +113,7 @@ def cmd_eval(args) -> int:
     enc, _, test_pts = data_mod.build_dataset(cfg.dataset)
     ds_test = pack_samples(data_mod.encode_dataset(test_pts, enc))
     m = cfg.sim.budget(enc.n_inputs, net.n_total)
+    check_replay_covers(cfg, m, ds_test)
     acc = evaluate(cfg, net, ds_test, m)
     (out / "eval.txt").write_text(f"test_acc {acc:.6f}\n", encoding="utf-8")
     _echo_config(cfg, out)
@@ -192,12 +194,8 @@ def write_gradients(path, grad_w, grad_w_in) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(GRADIENTS_MAGIC + "\n")
         f.write(f"n_in {grad_w_in.shape[0]} n_total {grad_w.shape[0]}\n")
-        f.write("grad_input_weights\n")
-        for row in grad_w_in:
-            f.write(" ".join(format_time(x) for x in row) + "\n")
-        f.write("grad_weights\n")
-        for row in grad_w:
-            f.write(" ".join(format_time(x) for x in row) + "\n")
+        f.writelines(format_matrix("grad_input_weights", grad_w_in))
+        f.writelines(format_matrix("grad_weights", grad_w))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -450,3 +450,37 @@ def classify_records(neurons, times, in_neurons, in_times) -> np.ndarray:
         kinds[rows, at] = SpikeKind.INPUT
         last[rows] = at
     return kinds
+
+
+# ---------------------------------------------------------------------------
+# matrix blocks, the body of checkpoint and gradients files: a name line,
+# then one line per row of space-separated repr floats.
+
+
+def format_matrix(name: str, matrix):
+    """Yield the lines of a matrix block, one row at a time."""
+    yield name + "\n"
+    for row in np.asarray(matrix, dtype=np.float64):
+        yield " ".join(map(repr, row.tolist())) + "\n"
+
+
+def parse_matrix(lines: Sequence[str], at: int, name: str, shape, source) -> np.ndarray:
+    """The ``shape`` matrix of the block named at ``lines[at]``; a bad block
+    raises InvalidParameter naming ``source``."""
+    rows, width = shape
+    body = lines[at + 1 : at + 1 + rows]
+    if lines[at : at + 1] != [name] or len(body) < rows:
+        raise InvalidParameter(f"{source}: expected {rows} rows of {name} at line {at + 1}")
+    block, err = None, None
+    try:
+        block = np.loadtxt(body, comments=None, ndmin=2) if rows else np.zeros(shape)
+    except ValueError as e:
+        err = e
+    if block is not None and block.shape == shape:
+        return block
+    for r, line in enumerate(body):  # the error path: name the first bad row
+        if len(line.split()) != width:
+            raise InvalidParameter(
+                f"{source}: {name} row {r} has {len(line.split())} entries, expected {width}"
+            )
+    raise InvalidParameter(f"{source}: bad {name} entry: {err}")

@@ -4,22 +4,22 @@ Between events the membrane obeys
 
     dV/dt = -V/tau_mem + I,      dI/dt = -I/tau_syn,
 
-which integrates to a two-exponential flow.  Crossings of v_th have closed
-forms for two tau ratios: tau_mem = 2*tau_syn reduces to a quadratic in
-x = exp(-dt / (2 tau_syn)), and tau_mem = tau_syn to the principal branch of
-the Lambert W function.  Branch choices (larger quadratic root in (0, 1),
-principal W branch) were fixed against a forward-Euler oracle; the test suite
-re-verifies both.
+which integrates to a two-exponential flow; at tau_mem = 2 tau_syn the
+synaptic factor is the square of the membrane factor, so that flow takes one
+exp.  Crossings of v_th have closed forms for two tau ratios: tau_mem =
+2*tau_syn reduces to a quadratic in x = exp(-dt / (2 tau_syn)), and
+tau_mem = tau_syn to the principal branch of the Lambert W function.  Branch
+choices were fixed against a forward-Euler oracle; the test suite re-verifies
+both.  Of the two quadratic roots the solver tests one candidate, the larger
+root below 1, and takes one log, with the bits of testing both.
 
-All solvers here are NaN-safe in the vectorized form: every lane passed in is
-evaluated on both candidate roots and invalid lanes end at the +inf "no
-crossing" sentinel, so degenerate inputs can never leak a NaN.  The
-tau_mem = 2 tau_syn solver divides, takes roots and logs unguarded under the
-``errstate`` of ``next_crossing_safe``: a NaN or infinite candidate root fails
-its window and direction comparisons, which are false on NaN, and a lane
-left with no root takes log(0), whose -inf gives the sentinel.  The Lambert W
-path keeps guarded divisions.  The simulator passes only the lanes an event
-touched, all of them in one call per event step.
+All solvers here are NaN-safe in the vectorized form: invalid lanes end at
+the +inf "no crossing" sentinel.  The tau_mem = 2 tau_syn solver divides,
+takes roots and logs unguarded under the ``errstate`` of
+``next_crossing_safe``: a NaN or infinite candidate fails its window and
+direction comparisons, which are false on NaN.  The Lambert W path keeps
+guarded divisions.  The simulator passes only the lanes an event touched,
+all of them in one call per event step.
 """
 from __future__ import annotations
 
@@ -59,14 +59,12 @@ def propagate_arrays(v, i, dt, params: LifParams):
     i = np.asarray(i, dtype=np.float64)
     dt = np.asarray(dt, dtype=np.float64)
     tm, ts = params.tau_mem, params.tau_syn
-    es = np.exp(-dt / ts)
     if params.is_equal_tau:
-        drive = np.where(np.isfinite(dt), i * dt, 0.0)
-        v_new = (v + drive) * es
-    else:
-        em = np.exp(-dt / tm)
-        v_new = v * em + i * (es - em) / (1.0 / tm - 1.0 / ts)
-    return v_new, i * es
+        es = np.exp(-dt / ts)
+        return (v + np.where(np.isfinite(dt), i * dt, 0.0)) * es, i * es
+    em = np.exp(-dt / tm)
+    es = em * em if params.is_double_tau else np.exp(-dt / ts)
+    return v * em + i * (es - em) / (1.0 / tm - 1.0 / ts), i * es
 
 
 def propagate(state: NeuronState, params: LifParams, dt: float) -> NeuronState:
@@ -86,15 +84,20 @@ def _crossing_dt_double_tau(v0, i0, params: LifParams):
     """Vectorized crossing solver for tau_mem = 2 tau_syn.
 
     With x = exp(-dt/(2 ts)) the condition V(dt) = v_th becomes
-    a x^2 + b x + c = 0, a = -2 ts i0, b = v0 + 2 ts i0, c = -v_th.
-    The upward crossing is the larger root in (0, 1); dV/dt at a root is
-    i0 x^2 - v_th/tau_mem, which filters downward crossings.
+    a x^2 + b x + c = 0, a = -2 ts i0, b = v0 + 2 ts i0, c = -v_th.  The
+    crossing is upward where dV/dt = i0 x^2 - v_th/tau_mem > 0, and the
+    earliest one is the surviving root with the larger x.  With v_th >= 0
+    the direction test needs i0 > 0, where it rises with x, so if the
+    smaller root passes it so does the larger: the one candidate is the
+    larger root below 1.  Below rest a falling current can pass it at the
+    smaller root only, so there the larger must pass it too.  Both
+    quotients are formed because near a tangent rounding can swap their
+    order.
 
     Runs under the caller's ``errstate``: a negative discriminant gives a
     NaN root and a zero denominator an infinite or NaN one, and the window
     and direction tests are comparisons that are false on NaN, so no root
-    survives from such a lane.  A lane with no root keeps x = 0, and
-    -2 ts log(0) is the +inf sentinel.
+    survives from such a lane; it ends at the +inf sentinel.
     """
     ts, tm, vth = params.tau_syn, params.tau_mem, params.v_th
     a = -2.0 * ts * i0
@@ -102,13 +105,18 @@ def _crossing_dt_double_tau(v0, i0, params: LifParams):
     c = -vth
     # numerically stable pair of roots: q/a and c/q; copysign differs from a
     # b >= 0 test only at b = -0, where a = +0, sq = 0 and no root survives
-    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-
-    def pick(x):
-        return np.where((x > 0.0) & (x < 1.0) & (i0 * x * x > vth / tm), x, 0.0)
-
-    # larger surviving x == earlier crossing time
-    return -2.0 * ts * np.log(np.maximum(pick(q / a), pick(c / q)))
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - (4.0 * c) * a), b))
+    x1, x2 = q / a, c / q
+    del a, b, q  # dead arrays, freed to bound a wide call's memory
+    hi = np.maximum(x1, x2)
+    take_hi = hi < 1.0
+    if vth < 0.0:
+        take_hi &= i0 * hi * hi > vth / tm
+    x = np.where(take_hi, hi, np.minimum(x1, x2))
+    del x1, x2, hi
+    # dt > 0 is the window 0 < x < 1; x = 0 gives dt = inf, no crossing
+    dt = -2.0 * ts * np.log(x)
+    return np.where((dt > 0.0) & (i0 * x * x > vth / tm), dt, np.inf)
 
 
 def _lambertw0(z):

@@ -3,15 +3,17 @@
 Each lane (one neuron of one batch row) keeps its own (v, i) at its own
 timestamp, plus its absolute next threshold-crossing time.  Free flow does
 not move an absolute crossing time, so a lane is touched only when an event
-reaches it.  Each iteration takes the earliest crossing of a row and the head
-of its input queue; min(t_input, t_internal) wins, the input first on an
-exact tie and the lowest index first among simultaneous crossings.  Only the
-event's fan-out lanes are then propagated to its time, updated and re-solved:
-an internal spike of j touches j itself (V_j = v_reset) and every neuron with
-weights[j, k] != 0 (I_k += weights[j, k]); an input spike touches the
-neurons with input_weights[source, k] != 0.  A neuron that sits exactly at
-threshold when another one spikes therefore keeps its crossing, so tied
-spikes are all emitted.
+reaches it.  A row holds 1 + N columns: column 0 is the head of its input
+queue, column 1 + k neuron k.  One argmin per row picks its event, and its
+lowest-column rule on an exact tie is the event order: the input first,
+then the lowest index among simultaneous crossings.  Column 0 is refilled
+from the queue after an input event.  Only the event's fan-out lanes are
+propagated to its time, updated and re-solved: an internal spike of j
+touches j itself (V_j = v_reset) and every neuron with weights[j, k] != 0
+(I_k += weights[j, k]); an input spike touches the neurons with
+input_weights[source, k] != 0.  A neuron that sits exactly at threshold when
+another one spikes therefore keeps its crossing, so tied spikes are all
+emitted.
 
 Every row's event is named by one stacked source (neuron j is j, input
 channel c is N + c; see ``core.FanOut``, built once per network as
@@ -26,10 +28,10 @@ budget, so every trace has exactly m entries, and the loop stops as soon as
 every row is done.  At the end every lane is propagated once to its row's
 final time: t_max, or the last event of a row that used its whole budget.
 
-The engine is written over batched (B, N) state arrays and every operation
-acts on its own row only.  It returns one ``EventTrace`` of (B, m) slot
-arrays; the single-sample API runs the same code path with B = 1 and
-returns row 0, so batched and sequential execution agree bitwise.
+The engine is written over batched (B, 1 + N) state arrays and every
+operation acts on its own row only.  It returns one ``EventTrace`` of
+(B, m) slot arrays; the single-sample API runs the same code path with
+B = 1 and returns row 0, so batched and sequential execution agree bitwise.
 """
 from __future__ import annotations
 
@@ -138,56 +140,70 @@ def simulate_batch(
     check_input_rows(net, in_neurons, in_times, t0)
     fan = net.fan_out
     null = fan.null
+    # each stacked source as a trace record: its neuron or channel, and kind
+    neuron_of = np.concatenate([np.arange(n), np.arange(net.n_in), [DUMMY_NEURON]])
+    kind_of = np.full(null + 1, int(SpikeKind.INPUT), dtype=np.int8)
+    kind_of[:n] = int(SpikeKind.INTERNAL)
+    kind_of[null] = int(SpikeKind.DUMMY)
+    is_input = kind_of == int(SpikeKind.INPUT)
     # inputs as flat queues of stacked sources, padding as the null source,
     # with one trailing inf column so a queue pointer can always be read
     width = in_times.shape[1] + 1
     in_src = np.where(np.isfinite(in_times), in_neurons + n, null)
     in_src = np.concatenate([in_src, np.full((b, 1), null)], axis=1).ravel()
     in_times = np.concatenate([in_times, np.full((b, 1), np.inf)], axis=1).ravel()
-
-    v = np.zeros((b, n))
-    i = np.zeros((b, n))
-    if v0 is not None:
-        v[:] = v0
-    if i0 is not None:
-        i[:] = i0
-    t = np.zeros(b) if t0 is None else np.array(t0, dtype=np.float64)
-    tref = np.repeat(t[:, None], n, axis=1)
-    tc = tref + next_crossing_safe(v, i, p)
-    # flat views: lane k of row r is entry r * N + k
-    v_f, i_f, tref_f, tc_f = v.reshape(-1), i.reshape(-1), tref.reshape(-1), tc.reshape(-1)
     ptr = np.arange(b) * width
-    base = np.arange(b) * n
-    done = np.zeros(b, dtype=bool)
+
+    # column 1 + k of a row is lane k; column 0 stands for the head of its
+    # input queue, whose time (tc) and stacked source (src_of) are read
+    v = np.zeros((b, 1 + n))
+    i = np.zeros((b, 1 + n))
+    if v0 is not None:
+        v[:, 1:] = v0
+    if i0 is not None:
+        i[:, 1:] = i0
+    t = np.zeros(b) if t0 is None else np.array(t0, dtype=np.float64)
+    tref = np.repeat(t[:, None], 1 + n, axis=1)
+    src_of = np.repeat(np.arange(-1, n, dtype=np.int32)[None, :], b, axis=0)
+    src_of[:, 0] = in_src[ptr]
+    # flat views: column c of row r is entry r * (1 + N) + c
+    v_f, i_f, tref_f, src_f = (a.reshape(-1) for a in (v, i, tref, src_of))
+    base = np.arange(b) * (1 + n)
+    lane0 = base + 1
+    # a time beyond t_lim ends its row; inf does so even at t_max = inf
+    t_lim = min(t_max, np.finfo(np.float64).max)
 
     # slot k of every row, kept as (m, B) rows: the stacked source of its
     # event (null once the row is done), its time, and the current of a
     # spiking neuron just before it fired
-    src_k = np.full((m, b), null, dtype=np.int64)
+    src_k = np.full((m, b), null, dtype=np.int32)
     time_k = np.full((m, b), np.inf)
     ispike_k = np.zeros((m, b))
+    tc = np.empty((b, 1 + n))
+    tc[:, 0] = in_times[ptr]
+    tc[:, 1:] = tref[:, 1:] + next_crossing_safe(v[:, 1:], i[:, 1:], p)
+    tc_f = tc.reshape(-1)
     for k in range(m):
-        ix = np.argmin(tc, axis=1)
-        t_ix = tc_f[base + ix]
-        t_in = in_times[ptr]
-        is_input = t_in <= t_ix
-        t_next = np.where(is_input, t_in, t_ix)
-        done |= np.isinf(t_next) | (t_next > t_max)
+        # one argmin per row: the input first on an exact tie, then the
+        # lowest neuron
+        at = base + tc.argmin(axis=1)
+        t_next = tc_f[at]
+        done = t_next > t_lim
         if done.all():
             break
-        is_input &= ~done
-        src = np.where(is_input, in_src[ptr], ix)
-        src[done] = null
+        src = np.where(done, null, src_f[at])
         src_k[k] = src
         time_k[k] = t_next
-        ptr += is_input
+        ptr += is_input[src]
+        tc[:, 0] = in_times[ptr]
+        src_of[:, 0] = in_src[ptr]
 
         # one flat list of every row's fan-out lanes
         count = fan.count[src]
         end = count.cumsum()
         first = end - count
         pos = np.arange(end[-1]) + (fan.start[src] - first).repeat(count)
-        lanes = fan.lanes[pos] + base.repeat(count)
+        lanes = fan.lanes[pos] + lane0.repeat(count)
         tn = t_next.repeat(count)
         vv, ii = propagate_arrays(v_f[lanes], i_f[lanes], tn - tref_f[lanes], p)
         spiking = (src < n).nonzero()[0]
@@ -200,14 +216,9 @@ def simulate_batch(
         tref_f[lanes] = tn
         tc_f[lanes] = tn + next_crossing_safe(vv, ii, p)
 
-    # each stacked source as a trace record: its neuron or channel, and kind
-    neuron_of = np.concatenate([np.arange(n), np.arange(net.n_in), [DUMMY_NEURON]])
-    kind_of = np.full(null + 1, int(SpikeKind.INPUT), dtype=np.int8)
-    kind_of[:n] = int(SpikeKind.INTERNAL)
-    kind_of[null] = int(SpikeKind.DUMMY)
     # a row still running used every slot; its state stays at its last event
     t = np.where(done, t_max, time_k[-1])
-    v, i = propagate_arrays(v, i, t[:, None] - tref, p)
+    v, i = propagate_arrays(v[:, 1:], i[:, 1:], t[:, None] - tref[:, 1:], p)
     trace = EventTrace(
         np.ascontiguousarray(neuron_of[src_k.T]),
         np.ascontiguousarray(np.where(src_k == null, np.inf, time_k).T),

@@ -24,7 +24,8 @@ import numpy as np
 from . import backend as backend_mod
 from . import data as data_mod
 from .config import ExperimentConfig
-from .core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind, format_time
+from .core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
+from .core import format_matrix, format_time, parse_matrix
 from .grad import (
     EPS_VDOT,
     eventprop_backward_batch,
@@ -394,6 +395,21 @@ def _check_estimator(estimator: str, params: LifParams) -> None:
         )
 
 
+def check_replay_covers(cfg: ExperimentConfig, m: int, ds: PackedDataset) -> None:
+    """Reject a run on the replay backend, before its first step, when the
+    file lacks the block of a test sample of ``ds``."""
+    if cfg.backend.kind != "replay" or cfg.train.estimator == "fud":
+        return
+    _, pick = backend_mod.replay_blocks(
+        cfg.backend, ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max
+    )
+    if -1 in pick:
+        raise InvalidParameter(
+            f"replay file {cfg.backend.replay.trace_path} holds no block for "
+            f"{pick.count(-1)} of {len(pick)} test samples (first: test sample {pick.index(-1)})"
+        )
+
+
 def evaluate(
     cfg: ExperimentConfig, net: Network, ds: PackedDataset, m: int, seed_tag: int = 999_983
 ) -> float:
@@ -420,6 +436,7 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     n_total = n_hidden + n_out
     m = cfg.sim.budget(n_in, n_total)
     t_max = cfg.sim.t_max
+    check_replay_covers(cfg, m, ds_test)
 
     rng = np.random.default_rng(cfg.train.seed)
     net = init_network(cfg, ds_train, rng, m, log=log)
@@ -622,30 +639,8 @@ def write_checkpoint(path, net: Network, n_hidden: int) -> None:
             f"n_in {net.n_in} n_total {net.n_total} n_hidden {n_hidden} "
             f"n_out {net.n_total - n_hidden}\n"
         )
-        f.write("input_weights\n")
-        for row in net.input_weights:
-            f.write(" ".join(format_time(x) for x in row) + "\n")
-        f.write("weights\n")
-        for row in net.weights:
-            f.write(" ".join(format_time(x) for x in row) + "\n")
-
-
-def _weight_block(lines, at: int, name: str, rows: int, width: int, path) -> np.ndarray:
-    """The ``rows`` x ``width`` matrix that follows the line ``name`` at ``at``."""
-    if lines[at : at + 1] != [name] or len(lines) < at + 1 + rows:
-        raise InvalidParameter(
-            f"checkpoint {path}: expected {rows} rows of {name} at line {at + 1}"
-        )
-    try:
-        block = [[float(x) for x in line.split()] for line in lines[at + 1 : at + 1 + rows]]
-    except ValueError as e:
-        raise InvalidParameter(f"checkpoint {path}: bad {name} entry: {e}") from e
-    for r, row in enumerate(block):
-        if len(row) != width:
-            raise InvalidParameter(
-                f"checkpoint {path}: {name} row {r} has {len(row)} entries, expected {width}"
-            )
-    return np.array(block).reshape(rows, width)
+        f.writelines(format_matrix("input_weights", net.input_weights))
+        f.writelines(format_matrix("weights", net.weights))
 
 
 def read_checkpoint(path) -> tuple[Network, int]:
@@ -666,8 +661,8 @@ def read_checkpoint(path) -> tuple[Network, int]:
         raise InvalidParameter(f"checkpoint {path}: bad header: {e}") from e
     if n_in < 0 or not 0 <= n_hidden <= n_total:
         raise InvalidParameter(f"checkpoint {path}: bad sizes {lines[2]!r}")
-    w_in = _weight_block(lines, 3, "input_weights", n_in, n_total, path)
-    w = _weight_block(lines, 4 + n_in, "weights", n_total, n_total, path)
+    w_in = parse_matrix(lines, 3, "input_weights", (n_in, n_total), f"checkpoint {path}")
+    w = parse_matrix(lines, 4 + n_in, "weights", (n_total, n_total), f"checkpoint {path}")
     net = Network(
         n_total=n_total,
         weights=w,

@@ -7,13 +7,17 @@ from eventsnn.backend import (
     ReplayConfig,
     ReplayShapeMismatch,
     ReplayUnsorted,
+    _mock_network,
+    _replay_index,
     forward,
     forward_batch,
     quantize_weights,
     read_replay_file,
+    replay_blocks,
     replay_block_to_trace,
     write_replay_file,
 )
+from eventsnn import backend as backend_mod
 from eventsnn.cli import build_parser
 from eventsnn.core import InvalidParameter, LifParams, Network, Spike, SpikeKind
 from eventsnn.grad import eventprop_backward
@@ -68,6 +72,23 @@ class TestQuantizeWeights:
     def test_bits_below_two_rejected(self):
         with pytest.raises(InvalidParameter):
             quantize_weights(np.zeros(1), 1, 1.0)
+
+
+class TestMockNetwork:
+    def test_sparse_quantize_equals_dense_bitwise(self, rng):
+        # mostly zero weights with -0.0, subnormals and entries beyond the clip
+        w = rng.normal(size=(40, 40)) * (rng.random((40, 40)) < 0.1)
+        w[0, :6] = [-0.0, 0.0, 5e-324, -5e-324, 9.0, -9.0]
+        w_in = np.where(rng.random((5, 40)) < 0.5, rng.normal(size=(5, 40)), -0.0)
+        net = Network(n_total=40, weights=w, input_weights=w_in, params=P2, output_set=(39,))
+        for clip in (None, 1.5):
+            mock = MockConfig(weight_bits=6, weight_clip=clip)
+            got = _mock_network(net, mock)
+            c = clip or max(np.abs(w).max(), np.abs(w_in).max())
+            for q, dense in ((got.weights, w), (got.input_weights, w_in)):
+                want = quantize_weights(dense, 6, c)
+                assert q.dtype == want.dtype
+                assert np.array_equal(q.view(np.int64), want.view(np.int64))
 
 
 class TestNumericBackend:
@@ -243,6 +264,44 @@ class TestReplayBackend:
             times[0, :2] = times[0, 1::-1]
             with pytest.raises((ReplayUnsorted, ReplayShapeMismatch)):
                 replay_block_to_trace(neurons, times, net, idx, in_times, 2.5)
+
+    def test_file_parsed_once_until_rewritten(self, rng, tmp_path):
+        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
+        idx, times = pack_inputs(sample_inputs)
+        _replay_index.cache_clear()
+        for _ in range(3):
+            got = forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 14, 2.5, seeds=range(4))
+            np.testing.assert_array_equal(got.times, traces.times)
+        assert _replay_index.cache_info().misses == 1
+        # rewritten in place with its blocks reordered (same size and, likely,
+        # the same mtime), then without sample 0's block: each is re-read
+        path = cfg.replay.trace_path
+        write_replay_file(path, traces[np.array([3, 0, 1, 2])], 14, 2.5)
+        got = forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 14, 2.5, seeds=range(4))
+        np.testing.assert_array_equal(got.times, traces.times)
+        assert _replay_index.cache_info().misses == 2
+        write_replay_file(path, traces[np.array([1, 2, 3])], 14, 2.5)
+        with pytest.raises(ReplayShapeMismatch, match="no replay block"):
+            forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 14, 2.5, seeds=range(4))
+
+    def test_each_row_is_looked_up_once(self, rng, tmp_path, monkeypatch):
+        # a run's batches and its up-front coverage check share one lookup
+        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
+        idx, times = pack_inputs(sample_inputs)
+        calls = []
+        real = backend_mod._block_of
+        monkeypatch.setattr(
+            backend_mod, "_block_of", lambda *a: calls.append(1) or real(*a)
+        )
+        _replay_index.cache_clear()
+        _, pick = replay_blocks(cfg, idx[:, :-1], times[:, :-1], 14, 2.5)
+        assert pick == [0, 1, 2, 3] and len(calls) == 4
+        for rows in (np.array([2, 0]), np.arange(4)):
+            got = forward_batch(
+                cfg, net, idx[rows, :-1], times[rows, :-1], 14, 2.5, seeds=range(len(rows))
+            )
+            np.testing.assert_array_equal(got.times, traces.times[rows])
+        assert len(calls) == 4
 
     def test_no_matching_block(self, rng, tmp_path):
         net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)

@@ -94,3 +94,25 @@ def test_eval_rejects_an_unknown_estimator(tmp_path, tiny, capsys):
     assert run("eval", "--checkpoint", checkpoint, "--out", out, config=config) == 2
     assert "train.estimator" in capsys.readouterr().err
     assert not (out / "eval.txt").exists()
+
+
+def test_replay_run_without_test_blocks_is_a_config_error(tmp_path, tiny, capsys):
+    # export-traces writes training samples only, so train and eval on the
+    # replay backend would find no block for the test set: both stop before
+    # their first step
+    export = tmp_path / "export"
+    assert run("export-traces", "--samples", 30, "--out", export, config=tiny) == 0
+    config = tmp_path / "replay.txt"
+    config.write_text(TINY + f"backend.replay.trace_path = {export / 'traces.replay'}\n")
+    capsys.readouterr()
+    out = tmp_path / "train"
+    assert run("train", "--backend", "replay", "--out", out, config=config) == 2
+    assert "no block for 12 of 12 test samples" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+    checkpoint = export / "checkpoint.txt"
+    assert run(
+        "eval", "--backend", "replay", "--checkpoint", checkpoint,
+        "--out", tmp_path / "eval", config=config,
+    ) == 2
+    assert "no block for 12 of 12 test samples" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "eval.txt").exists()

@@ -133,6 +133,49 @@ class TestDoubleTauCrossing:
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.isfinite(got).sum() > 100 and np.isinf(got).sum() > 100
 
+    @pytest.mark.parametrize(
+        "params",
+        [P2, LifParams(tau_mem=3.0, tau_syn=1.5, v_th=0.7),
+         LifParams(tau_mem=3.0, tau_syn=1.5, v_th=-0.7, v_reset=-1.0)],
+        ids=["P2", "scaled", "below_rest"],
+    )
+    def test_near_tangent_lanes_match_two_root_reference_bitwise(self, params, rng):
+        # lanes whose discriminant b^2 - 8 ts i0 v_th is within a few ulps of
+        # 0 on either side: the rounded roots q/a and c/q may swap order, so
+        # the one tested candidate must still be the one the two-root pick
+        # returns; both signs of b, and a -> +-0 through tiny currents.  A
+        # threshold below rest puts the tangent at falling currents.
+        ts, vth = params.tau_syn, params.v_th
+        i0 = rng.uniform(0.01, 10.0, size=4000) * 10.0 ** rng.integers(-3, 2, size=4000)
+        i0 *= np.sign(vth)
+        a = -2.0 * ts * i0
+        b = np.sqrt(8.0 * ts * i0 * vth) * rng.choice([-1.0, 1.0], size=i0.size)
+        v0 = b + a
+        v0 = v0 + rng.integers(-6, 7, size=i0.size) * np.spacing(v0)
+        tiny = np.array([5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 0.0, -0.0])
+        vv, ii = np.meshgrid(np.array([-1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, vth]), tiny)
+        v0 = np.concatenate([v0, vv.ravel()])
+        i0 = np.concatenate([i0, ii.ravel()])
+        disc = (v0 + 2.0 * ts * i0) ** 2 - 8.0 * ts * i0 * vth
+        near = np.abs(disc) <= 64 * np.spacing(8.0 * ts * np.abs(i0 * vth))
+        assert near[:4000].mean() > 0.5 and (disc[near] < 0).any() and (disc[near] > 0).any()
+        got = next_crossing_safe(v0, i0, params)
+        want = crossing_dt_double_tau_guarded(v0, i0, params)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.isfinite(got).sum() > 300 and np.isinf(got).sum() > 1000
+
+    def test_threshold_below_rest_matches_two_root_reference_bitwise(self, rng):
+        # below rest the direction test can fail at the larger root and pass
+        # at the smaller one, so the larger is taken only where it passes
+        p = LifParams(tau_mem=2.0, v_th=-0.5, v_reset=-1.0)
+        v0 = rng.normal(scale=2.0, size=200_000)
+        i0 = rng.normal(scale=2.0, size=200_000)
+        got = next_crossing_safe(v0, i0, p)
+        want = crossing_dt_double_tau_guarded(v0, i0, p)
+        np.testing.assert_array_equal(got, want)
+        assert np.isfinite(got).sum() > 1000
+
 
 class TestEqualTauCrossing:
     def test_monotone_decay_never_crosses(self):

@@ -201,6 +201,29 @@ class TestCheckpoint:
         assert back.output_set == net.output_set
         assert back.params == net.params
 
+    def test_roundtrip_keeps_every_bit(self, tmp_path, rng):
+        # random doubles of every magnitude, signed zeros, subnormals, extremes
+        bits = rng.integers(0, 2**63 - 2**52, size=(13, 8), dtype=np.int64)
+        w = bits.view(np.float64) * rng.choice([-1.0, 1.0], size=(13, 8))
+        w.flat[:10] = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                       -1e308, 1.7976931348623157e308, 0.1, -1 / 3]
+        net = Network(n_total=8, weights=w[5:], input_weights=w[:5], params=P2,
+                      output_set=tuple(range(6, 8)))
+        path = tmp_path / "ck.txt"
+        write_checkpoint(path, net, n_hidden=6)
+        back, _ = read_checkpoint(path)
+        for got, want in ((back.weights, net.weights), (back.input_weights, net.input_weights)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_entry_that_is_not_a_float_raises_typed_error(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        for junk in ("#", "0.5#", "x"):
+            bad = list(lines)
+            bad[5] = " ".join(bad[5].split()[:-1] + [junk])
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(InvalidParameter, match="bad input_weights entry"):
+                read_checkpoint(path)
+
     def written(self, tmp_path, rng):
         net = Network.feedforward(rng.normal(size=(5, 6)), rng.normal(size=(6, 2)), P2)
         path = tmp_path / "ck.txt"
