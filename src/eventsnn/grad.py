@@ -34,9 +34,11 @@ Two estimators:
   ``fud_first_spike_times`` solves a layer's first crossings in closed form:
   without a reset before the first spike the membrane is linear in the
   inputs, so the state at every inter-input interval comes from prefix sums
-  over the time-sorted inputs, and each block of postsynaptic neurons
-  solves all its intervals in one crossing call.  ``fud_feedforward_grads``
-  differentiates the crossing condition implicitly, layer by layer.
+  over the time-sorted inputs.  Each crossing call solves all intervals of
+  a block of postsynaptic neurons for a chunk of rows, at most
+  LANES_PER_CALL lanes (one row's intervals of one neuron, if that is
+  more).  ``fud_feedforward_grads`` differentiates the crossing condition
+  implicitly, layer by layer, with one exp per causal delay.
 
 EventProp consumes only the trace plus weights: synaptic currents at spike
 times are reconstructed by replaying the trace through the current dynamics,
@@ -61,6 +63,9 @@ EPS_VDOT = 1e-6
 # frame anchors sit on a grid of this many shorter time constants, which
 # bounds every frame factor by e^ANCHOR_WINDOW
 ANCHOR_WINDOW = 100.0
+# most (row, interval, neuron) lanes in one crossing call of the analytic
+# forward; a 5-120-3 training batch of 64 rows (7680 lanes a block) fits whole
+LANES_PER_CALL = 8192
 
 
 class DegenerateCrossing(RuntimeError):
@@ -329,23 +334,28 @@ def eventprop_backward_batch(
     )
     moved = (shift != 0.0).any(axis=1)
 
-    # Fan-out lanes and weights of each slot's spiking neuron; row n of the
-    # tables is the null source, all of whose lanes are the sentinel n.
-    # The state is (B, N + 1), and lanes index it flat.
+    # The adjoint is zero after the last internal slot with a loss derivative
+    # (a jump of zero adjoints with no loss leaves them zero), so the loop
+    # starts there.
+    internal = kinds == int(SpikeKind.INTERNAL)
+    stop = int(np.flatnonzero((internal & (loss_grads != 0.0)).any(axis=0)).max(initial=-1)) + 1
+
+    # Fan-out lanes and weights of each visited slot's spiking neuron; row n
+    # of the tables is the null source, all of whose lanes are the sentinel
+    # n.  The state is (B, N + 1), and lanes index it flat.
     fan = net.fan_out
     table, wtab = fan.table(np.append(np.arange(n), fan.null))
-    src = np.where(kinds == int(SpikeKind.INTERNAL), neurons, n).T
+    src = np.where(internal, neurons, n)[:, :stop].T
     lanes = table[src]
     w_lanes = wtab[src]
     lanes += (np.arange(b) * (n + 1))[:, None]
-    last_real = int(np.flatnonzero((kinds != int(SpikeKind.DUMMY)).any(axis=0)).max(initial=-1))
 
     # support entry e is flat[e] of the stacked rows; its lane is flat[e] % N
     flat = np.flatnonzero(keep)
     s_count = keep.sum(axis=1)
     s_lanes = flat % n
     count, offset = _flat_lists(
-        np.cumsum(s_count) - s_count, s_count, _stacked_source(neurons, kinds, net)
+        np.cumsum(s_count) - s_count, s_count, _stacked_source(neurons, kinds, net)[:, :stop]
     )
     rows = np.arange(b)
     a_v_rows, a_q_rows = coef[:, 0, :, 0], coef[:, 1, :, 0]  # (m, B)
@@ -354,7 +364,7 @@ def eventprop_backward_batch(
     q_co = np.zeros((b, n + 1))
     d_flat, q_flat = d_co.reshape(-1), q_co.reshape(-1)
     acc = np.zeros(flat.size)
-    for k in range(last_real, -1, -1):
+    for k in range(stop - 1, -1, -1):
         if moved[k]:
             d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
         _, _, t_v, t_q, gain, loss, scale, s_q = coef[k]
@@ -400,14 +410,8 @@ def eventprop_backward(
 # first-spike network are closed-form roots, so their derivatives follow from
 # implicit differentiation of the crossing condition
 #   sum_j w_j * h(T - t_j) = v_th,  h(s) = 2 ts (e^{-s/(2 ts)} - e^{-s/ts}).
-
-
-def _psp(s, ts):
-    return 2.0 * ts * (np.exp(-s / (2.0 * ts)) - np.exp(-s / ts))
-
-
-def _psp_dot(s, ts):
-    return -np.exp(-s / (2.0 * ts)) + 2.0 * np.exp(-s / ts)
+# With x = e^{-s/(2 ts)}, h = 2 ts (x - x^2) and dh/ds = x (2x - 1), so one
+# exp per delay gives both.
 
 
 def _interval_frames(t, params, t_max):
@@ -465,12 +469,15 @@ def fud_first_spike_times(
     Inputs are summed per anchor window, so no factor exceeds
     e^ANCHOR_WINDOW, and a window's sum reaches a later interval's state
     through a factor of at most 1 (``_interval_frames``).  The postsynaptic
-    neurons are solved in blocks of max(1, H // K): each block's (B, K,
-    block) interval lanes take one ``next_crossing_safe`` call, so a call
-    covers about B max(K, H) lanes.  A lane spikes in its first interval
-    whose crossing lies strictly before the next input and at or before
-    t_max; crossings of later intervals come later, so that is the earliest
-    such crossing.
+    neurons are solved in blocks of max(1, min(H, LANES_PER_CALL) // K) and
+    the rows in chunks of max(1, LANES_PER_CALL // (K block)) (``_call_shape``):
+    each chunk's (rows, K, block) interval lanes take one
+    ``next_crossing_safe`` call, so a call covers at most
+    max(LANES_PER_CALL, K) lanes however large B is.  Every row's arithmetic
+    is the same in any chunk.  A lane spikes in its first interval whose
+    crossing lies strictly before the next input and at or before t_max;
+    crossings of later intervals come later, so that is the earliest such
+    crossing.
     """
     if not params.is_double_tau:
         raise UnsupportedTauRatio("the analytic forward requires tau_mem = 2 tau_syn")
@@ -482,18 +489,30 @@ def fud_first_spike_times(
     if kk == 0:
         return out
     start, bound, frames = _interval_frames(t, params, t_max)
-    rows = np.clip(in_neurons, 0, n_pre - 1)
-    block = max(1, n_post // kk)
-    for lo in range(0, n_post, block):
-        w = weights[:, lo : lo + block][rows]
-        # i0: the current at T; i_m: the same sums decayed with tau_m
-        i0 = i_m = 0.0
-        for grow_s, grow_m, decay_s, decay_m in frames:
-            i0 = i0 + np.cumsum(w * grow_s, axis=1) * decay_s
-            i_m = i_m + np.cumsum(w * grow_m, axis=1) * decay_m
-        cross = start + next_crossing_safe(2.0 * ts * (i_m - i0), i0, params)
-        out[:, lo : lo + block] = np.min(cross, axis=1, initial=np.inf, where=cross < bound)
+    ids = np.clip(in_neurons, 0, n_pre - 1)
+    block, chunk = _call_shape(kk, n_post)
+    for r in range(0, b, chunk):
+        rows = slice(r, r + chunk)
+        for lo in range(0, n_post, block):
+            w = weights[:, lo : lo + block][ids[rows]]
+            # i0: the current at T; i_m: the same sums decayed with tau_m
+            i0 = i_m = 0.0
+            for grow_s, grow_m, decay_s, decay_m in frames:
+                i0 = i0 + np.cumsum(w * grow_s[rows], axis=1) * decay_s[rows]
+                i_m = i_m + np.cumsum(w * grow_m[rows], axis=1) * decay_m[rows]
+            cross = start[rows] + next_crossing_safe(2.0 * ts * (i_m - i0), i0, params)
+            out[rows, lo : lo + block] = np.min(
+                cross, axis=1, initial=np.inf, where=cross < bound[rows]
+            )
     return out
+
+
+def _call_shape(kk, n_post):
+    """Neurons per block and rows per chunk of one crossing call over K = kk
+    intervals: max(1, min(H, LANES_PER_CALL) // K) neurons and as many rows
+    as keep the call's rows x K x block lanes within LANES_PER_CALL."""
+    block = max(1, min(n_post, LANES_PER_CALL) // kk)
+    return block, max(1, LANES_PER_CALL // (kk * block))
 
 
 def fud_feedforward(
@@ -528,24 +547,27 @@ def _layer_grads(t_pre, t_post, w, d_t_post, params, vdot_floor: float = 0.0):
     Returns (grad_w summed over batch (P, Q), dL/dt_pre (B, P)).
     """
     ts = params.tau_syn
-    fin_pre = np.isfinite(t_pre)
     fin_post = np.isfinite(t_post)
-    tp = np.where(fin_pre, t_pre, 0.0)
-    tq = np.where(fin_post, t_post, 0.0)
-    causal = fin_pre[:, :, None] & fin_post[:, None, :] & (
-        tp[:, :, None] < tq[:, None, :]
-    )
-    s = np.where(causal, tq[:, None, :] - tp[:, :, None], 0.0)
-    kernel = np.where(causal, _psp(s, ts), 0.0)
-    kernel_dot = np.where(causal, _psp_dot(s, ts), 0.0)
+    # x = (t_pre - t_post) / (2 tau_s) = -s / (2 tau_s) is < 0 exactly on the
+    # causal pairs (a silent presynaptic time stays +inf, a silent
+    # postsynaptic one becomes -inf); in place it then becomes
+    # e^{-s/(2 tau_s)} there and 0 elsewhere
+    x = np.subtract(t_pre[:, :, None], np.where(fin_post, t_post, -np.inf)[:, None, :])
+    causal = x < 0.0
+    x /= 2.0 * ts
+    np.minimum(x, 0.0, out=x)
+    np.exp(x, out=x)
+    x *= causal
+    x2 = x * x
+    kernel = np.subtract(x, x2, out=x)  # h / (2 tau_s)
+    kernel_dot = np.subtract(x2, kernel, out=x2)  # x (2x - 1)
     vdot = np.einsum("pq,bpq->bq", w, kernel_dot)
     if vdot_floor > 0.0:
         vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
     live = fin_post & (np.abs(vdot) >= EPS_VDOT)
-    inv_vdot = np.where(live, 1.0 / np.where(live, vdot, 1.0), 0.0)
-    g = d_t_post * live
-    grad_w = np.einsum("bq,bpq->pq", -g * inv_vdot, kernel)
-    d_t_pre = np.einsum("bq,pq,bpq->bp", g * inv_vdot, w, kernel_dot)
+    c = np.where(live, d_t_post / np.where(live, vdot, 1.0), 0.0)
+    grad_w = np.einsum("bq,bpq->pq", -2.0 * ts * c, kernel)
+    d_t_pre = np.einsum("bq,pq,bpq->bp", c, w, kernel_dot)
     return grad_w, d_t_pre
 
 

@@ -26,8 +26,6 @@ from eventsnn.grad import (
     DegenerateCrossing,
     _adjoint_coefficients,
     _anchor,
-    _psp,
-    _psp_dot,
     _stacked_source,
     fud_first_spike_times,
 )
@@ -475,6 +473,39 @@ def loop_first_spike_times(in_neurons, in_times, weights, params, t_max):
     return out
 
 
+def _psp(s, ts):
+    """PSP kernel h(s) = 2 tau_s (e^{-s/(2 tau_s)} - e^{-s/tau_s}) of tau_mem = 2 tau_syn."""
+    return 2.0 * ts * (np.exp(-s / (2.0 * ts)) - np.exp(-s / ts))
+
+
+def _psp_dot(s, ts):
+    """dh/ds of ``_psp``."""
+    return -np.exp(-s / (2.0 * ts)) + 2.0 * np.exp(-s / ts)
+
+
+def two_exp_layer_grads(t_pre, t_post, w, d_t_post, params, vdot_floor=0.0):
+    """``grad._layer_grads`` with ``_psp`` and ``_psp_dot`` taken separately,
+    two exps each, on every causal (B, P, Q) delay."""
+    ts = params.tau_syn
+    fin_pre = np.isfinite(t_pre)
+    fin_post = np.isfinite(t_post)
+    tp = np.where(fin_pre, t_pre, 0.0)
+    tq = np.where(fin_post, t_post, 0.0)
+    causal = fin_pre[:, :, None] & fin_post[:, None, :] & (tp[:, :, None] < tq[:, None, :])
+    s = np.where(causal, tq[:, None, :] - tp[:, :, None], 0.0)
+    kernel = np.where(causal, _psp(s, ts), 0.0)
+    kernel_dot = np.where(causal, _psp_dot(s, ts), 0.0)
+    vdot = np.einsum("pq,bpq->bq", w, kernel_dot)
+    if vdot_floor > 0.0:
+        vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
+    live = fin_post & (np.abs(vdot) >= EPS_VDOT)
+    inv_vdot = np.where(live, 1.0 / np.where(live, vdot, 1.0), 0.0)
+    g = d_t_post * live
+    grad_w = np.einsum("bq,bpq->pq", -g * inv_vdot, kernel)
+    d_t_pre = np.einsum("bq,pq,bpq->bp", g * inv_vdot, w, kernel_dot)
+    return grad_w, d_t_pre
+
+
 class NoSpike(RuntimeError):
     """The analytic derivative needs the target neuron to actually spike."""
 
@@ -490,7 +521,7 @@ def fud_spike_time_grad(input_spikes, weights_row, params) -> FudSpikeGrad:
     """Exact derivatives of one neuron's first spike time (tau_mem = 2 tau_syn).
 
     Implicit differentiation of the crossing condition
-    sum_j w_j h(T - t_j) = v_th, h = ``grad._psp``, gives dT/dw_j and dT/dt_j
+    sum_j w_j h(T - t_j) = v_th, h = ``_psp``, gives dT/dw_j and dT/dt_j
     for every input j; inputs arriving at or after the spike have zero
     derivative.  Raises NoSpike when the neuron never crosses threshold.
     """

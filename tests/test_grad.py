@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import eventsnn.grad as grad
 from eventsnn.core import (
     EventTrace,
     InvalidParameter,
@@ -27,7 +28,7 @@ from eventsnn.grad import (
     reconstruct_currents,
     reconstruct_currents_batch,
 )
-from eventsnn.lif import next_crossing_double_tau
+from eventsnn.lif import next_crossing_double_tau, next_crossing_safe
 from eventsnn.sim import pack_inputs, simulate, simulate_batch
 from eventsnn.train import structure_masks
 
@@ -40,6 +41,7 @@ from conftest import (
     loop_first_spike_times,
     random_inputs,
     random_network,
+    two_exp_layer_grads,
 )
 
 P2 = LifParams(tau_mem=2.0)
@@ -502,10 +504,14 @@ class TestGradientSupport:
             cases.append((net, random_batch(rng, net)[0]))
         for net, batch in cases:
             g = rng.normal(size=batch.times.shape) * (batch.kinds == INTERNAL)
-            args = (batch.neurons, batch.times, batch.kinds, net, g)
-            for kw in ({}, {"vdot_floor": 0.5}):
-                got = eventprop_backward_batch(*args, **kw)
-                assert_bitwise(got, dense_row_adjoint(*args, **kw))
+            # the loop starts at the last slot with a loss derivative
+            tail = g.copy()
+            tail[:, batch.times.shape[1] // 2 + 1 :] = 0.0
+            for loss in (g, tail, np.zeros_like(g)):
+                args = (batch.neurons, batch.times, batch.kinds, net, loss)
+                for kw in ({}, {"vdot_floor": 0.5}):
+                    got = eventprop_backward_batch(*args, **kw)
+                    assert_bitwise(got, dense_row_adjoint(*args, **kw))
 
     @TAU_RATIOS
     def test_currents_equal_dense_row_replay(self, rng, params):
@@ -606,12 +612,25 @@ class TestFudFirstSpikeTimes:
         out = assert_matches_loop(ids, times, w, np.inf)
         assert np.unique(_anchor(out[np.isfinite(out)], P2)).size >= 3
 
-    def test_batch_rows_equal_single_rows_bitwise(self, rng):
-        ids, times, w = random_layer(rng, 16, 12, 5, 9, [(0.0, 6.0), *self.WINDOWS])
-        batch = fud_first_spike_times(ids, times, w, P2, np.inf)
-        for r in range(len(times)):
-            single = fud_first_spike_times(ids[r : r + 1], times[r : r + 1], w, P2, np.inf)
-            assert np.array_equal(batch[r], single[0])
+    def test_batch_rows_equal_single_rows_bitwise(self, rng, monkeypatch):
+        # B = 16 takes one row chunk; the larger B spans three chunks and a
+        # remainder.  No crossing call covers more than LANES_PER_CALL lanes.
+        block, chunk = grad._call_shape(12, 48)
+        for b, h, n_calls in ((16, 9, 9), (3 * chunk + chunk // 3, 48, 4 * (48 // block))):
+            ids, times, w = random_layer(rng, b, 12, 5, h, [(0.0, 6.0), *self.WINDOWS])
+            lanes = []
+
+            def counted(v0, i0, params):
+                lanes.append(v0.size)
+                return next_crossing_safe(v0, i0, params)
+
+            monkeypatch.setattr(grad, "next_crossing_safe", counted)
+            batch = fud_first_spike_times(ids, times, w, P2, np.inf)
+            monkeypatch.undo()
+            assert len(lanes) == n_calls and max(lanes) <= grad.LANES_PER_CALL
+            for r in range(b):
+                single = fud_first_spike_times(ids[r : r + 1], times[r : r + 1], w, P2, np.inf)
+                assert np.array_equal(batch[r], single[0])
 
     def test_requires_double_tau(self):
         with pytest.raises(UnsupportedTauRatio):
@@ -668,6 +687,30 @@ class TestFudSpikeTimeGrad:
             times, (1 - eps) * w, LifParams(tau_mem=2.0, v_th=(1 - eps) * P2.v_th)
         ).time
         assert abs((up - dn) / (2 * eps)) <= 1e-6
+
+
+class TestFudLayerGrads:
+    """One exp per delay gives the gradients of two exps per kernel."""
+
+    @pytest.mark.parametrize("vdot_floor", [0.0, 0.5])
+    def test_equals_two_exp_reference(self, rng, vdot_floor):
+        seen = np.zeros(3, dtype=int)  # silent inputs, silent neurons, acausal pairs
+        for _ in range(40):
+            b, n_in, h, o = (int(rng.integers(1, x)) for x in (20, 7, 30, 5))
+            t_in = rng.uniform(0.0, 2.0, size=(b, n_in))
+            t_in[rng.random(t_in.shape) < 0.1] = np.inf
+            w_in = rng.uniform(-1.0, 3.0, size=(n_in, h))
+            w_ho = rng.uniform(-1.0, 3.0, size=(h, o))
+            t_h, t_o = fud_feedforward(t_in, w_in, w_ho, P2, 4.0)
+            d_t_out = rng.normal(size=(b, o))
+            got = fud_feedforward_grads(t_in, t_h, t_o, w_in, w_ho, d_t_out, P2, vdot_floor)
+            want_ho, d_t_h = two_exp_layer_grads(t_h, t_o, w_ho, d_t_out, P2, vdot_floor)
+            want_in, _ = two_exp_layer_grads(t_in, t_h, w_in, d_t_h, P2, vdot_floor)
+            for g, want in zip(got, (want_ho, want_in)):
+                assert np.all(np.abs(g - want) <= 1e-13 * np.abs(want).max())
+            seen += [np.isinf(t_in).sum(), np.isinf(t_h).sum() + np.isinf(t_o).sum(),
+                     (t_in[:, :, None] >= t_h[:, None, :]).sum()]
+        assert np.all(seen > 0)
 
 
 class TestFudNetwork:
