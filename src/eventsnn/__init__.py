@@ -12,7 +12,6 @@ from .core import (
     InvalidParameter,
     LifParams,
     Network,
-    NeuronState,
     NonpositiveTimeConstant,
     Spike,
     SpikeKind,
@@ -23,21 +22,16 @@ from .core import (
 )
 from .lif import (
     CrossingResult,
-    NegativeDt,
     next_crossing_double_tau,
     next_crossing_equal_tau,
     next_crossing_safe,
-    propagate,
 )
 from .sim import (
     InvalidBudget,
-    SimDiagnostics,
-    StepOutput,
     UnsortedInput,
     simulate,
-    step,
 )
-from .grad import DegenerateCrossing, eventprop_backward, reconstruct_currents
+from .grad import DegenerateCrossing, eventprop_backward
 from .data import EncodingConfig, YinYangLabel, YinYangPoint, encode, generate
 from .backend import (
     BackendConfig,

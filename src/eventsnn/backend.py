@@ -118,7 +118,6 @@ def _mock_network(net: Network, mock: MockConfig) -> Network:
         input_weights=quantize(net.input_weights),
         params=net.params,
         output_set=net.output_set,
-        record_set=net.record_set,
     )
 
 

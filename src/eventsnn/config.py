@@ -42,6 +42,12 @@ class SimConfig:
     m: int = 0  # 0 -> n_inputs + n_neurons + 10
     t_max: float = 4.0
 
+    def __post_init__(self):
+        if self.m < 0:
+            raise InvalidParameter(f"sim.m={self.m} must be >= 0 (0 picks the default budget)")
+        if not self.t_max > 0.0:
+            raise InvalidParameter(f"sim.t_max={self.t_max} must be positive")
+
     def budget(self, n_inputs: int, n_neurons: int) -> int:
         return self.m if self.m > 0 else n_inputs + n_neurons + 10
 
@@ -95,15 +101,15 @@ def _coerce(raw: str, typ):
         if raw.lower() not in ("true", "false"):
             raise InvalidParameter(f"expected true/false, got {raw!r}")
         return raw.lower() == "true"
-    if raw.lower() in ("none", "auto"):
-        return None
     if typ is int:
         return int(raw)
     if typ is float:
         return float(raw)
     if typ is str or typ is Path:
         return raw
-    # optional numeric fields (float | None etc.): try int then float then str
+    # optional fields (float | None etc.): none/auto, else int, float or str
+    if raw.lower() in ("none", "auto"):
+        return None
     for cast in (int, float):
         try:
             return cast(raw)
@@ -147,7 +153,10 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
         base = {"int": int, "float": float, "str": str, "bool": bool}.get(
             str(typ).replace("builtins.", ""), None
         )
-        staged.setdefault(section, {})[leaf] = _coerce(raw, base)
+        try:
+            staged.setdefault(section, {})[leaf] = _coerce(raw, base)
+        except ValueError as e:
+            raise InvalidParameter(f"config key {key!r}: {e}") from e
     result = cfg
     for section, vals in staged.items():
         parts = section.split(".")

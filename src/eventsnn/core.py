@@ -10,7 +10,9 @@ Conventions, fixed once and used everywhere:
     simulated neurons [0, n_total),
   * a dummy spike (neuron -1, time +inf) pads a trace once activity stops,
   * ``Spike`` is the type of one input event; a forward pass is recorded as
-    an ``EventTrace`` of slot arrays, batched or one row of a batch.
+    an ``EventTrace`` of slot arrays, batched or one row of a batch,
+  * neuron state has no type of its own: the engine keeps it in batched
+    arrays, and a trace carries each row's final (v, i, t).
 
 All types except the trace are immutable value types after construction and
 safe to share between threads.
@@ -114,38 +116,13 @@ def _frozen_array(a, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NeuronState:
-    """Membrane voltages and synaptic currents of all neurons at time t."""
-
-    v: np.ndarray
-    i: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", _frozen_array(self.v, np.float64))
-        object.__setattr__(self, "i", _frozen_array(self.i, np.float64))
-        if self.v.shape != self.i.shape or self.v.ndim != 1:
-            raise DimensionMismatch(
-                f"state vectors must be equal-length 1-d, got {self.v.shape} / {self.i.shape}"
-            )
-
-    @staticmethod
-    def zeros(n: int, t: float = 0.0) -> "NeuronState":
-        return NeuronState(np.zeros(n), np.zeros(n), t)
-
-    @property
-    def n(self) -> int:
-        return self.v.shape[0]
-
-
-@dataclass(frozen=True)
 class Network:
     """Weight matrices plus neuron parameters for one simulated population.
 
     ``weights`` is n_total x n_total and may be recurrent (zero delay);
     ``input_weights`` is n_in x n_total. ``output_set`` lists the readout
-    neurons, ``record_set`` the neurons whose spikes enter the trace
-    (None = record everything, which the gradient path requires).
+    neurons.  Every neuron's spikes enter the trace, as the gradient path
+    requires.
     """
 
     n_total: int
@@ -153,7 +130,6 @@ class Network:
     input_weights: np.ndarray
     params: LifParams = field(default_factory=LifParams)
     output_set: tuple = ()
-    record_set: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _frozen_array(self.weights, np.float64))
@@ -161,10 +137,6 @@ class Network:
             self, "input_weights", _frozen_array(self.input_weights, np.float64)
         )
         object.__setattr__(self, "output_set", tuple(int(k) for k in self.output_set))
-        if self.record_set is not None:
-            object.__setattr__(
-                self, "record_set", tuple(int(k) for k in self.record_set)
-            )
 
     @property
     def n_in(self) -> int:
@@ -337,12 +309,11 @@ def validate_network(net: Network, require_analytic: bool = True) -> None:
         )
     if not np.all(np.isfinite(net.weights)) or not np.all(np.isfinite(net.input_weights)):
         raise InvalidParameter("weight matrices must be finite")
-    for name, idx in (("output_set", net.output_set), ("record_set", net.record_set or ())):
-        for k in idx:
-            if not 0 <= k < n:
-                raise InvalidParameter(f"{name} index {k} out of range [0, {n})")
-        if len(set(idx)) != len(idx):
-            raise InvalidParameter(f"{name} contains duplicates")
+    for k in net.output_set:
+        if not 0 <= k < n:
+            raise InvalidParameter(f"output_set index {k} out of range [0, {n})")
+    if len(set(net.output_set)) != len(net.output_set):
+        raise InvalidParameter("output_set contains duplicates")
     if require_analytic and not (p.is_equal_tau or p.is_double_tau):
         raise UnsupportedTauRatio(
             f"tau_mem/tau_syn = {p.tau_mem / p.tau_syn:g}: analytic solvers "

@@ -13,7 +13,6 @@ bias spike, yielding five input neurons: x, y, mirrored x, mirrored y, bias.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -171,14 +170,19 @@ def write_dataset(path, points: Sequence[YinYangPoint]) -> None:
 
 
 def read_dataset(path) -> list[YinYangPoint]:
+    """Points of a dataset file; a malformed row raises InvalidParameter
+    naming its line."""
     with open(path, encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != DATASET_HEADER:
+        lines = [(k, ln.strip()) for k, ln in enumerate(f, start=1) if ln.strip()]
+    if not lines or lines[0][1] != DATASET_HEADER:
         raise InvalidParameter("dataset file must start with the 'x,y,label' header")
     out = []
-    for ln in lines[1:]:
-        xs, ys, name = ln.split(",")
-        out.append(YinYangPoint(float(xs), float(ys), YinYangLabel[name.upper()]))
+    for k, ln in lines[1:]:
+        try:
+            xs, ys, name = ln.split(",")
+            out.append(YinYangPoint(float(xs), float(ys), YinYangLabel[name.upper()]))
+        except (ValueError, KeyError) as e:
+            raise InvalidParameter(f"{path}: line {k}: bad dataset row {ln!r}") from e
     return out
 
 
@@ -192,8 +196,19 @@ def write_encoded_set(path, samples: Sequence[EncodedSample]) -> None:
 
 
 def read_encoded_set(path) -> list[EncodedSample]:
+    """Samples of an encoded-set file.  Every record belongs to the sample of
+    the separator before it, whose time is a class index; anything else
+    raises InvalidParameter naming the line (the header is line 1, and blank
+    lines are not counted)."""
     neurons, times = read_records(path)
     starts = np.flatnonzero(neurons == SEPARATOR_NEURON)
+    if neurons.size and starts[:1].tolist() != [0]:
+        raise InvalidParameter(f"{path}: line 2: a record before the first separator")
+    bad = starts[~np.isin(times[starts], [float(c) for c in YinYangLabel])]
+    if bad.size:
+        raise InvalidParameter(
+            f"{path}: line {bad[0] + 2}: label {format_time(times[bad[0]])} is not a class index"
+        )
     ends = np.append(starts[1:], len(neurons))
     return [
         EncodedSample(

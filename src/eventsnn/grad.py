@@ -156,14 +156,6 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     return out, c * shrink[-1][:, None], t_end
 
 
-def reconstruct_currents(trace: EventTrace, net: Network) -> np.ndarray:
-    """Per-slot synaptic current of the spiking neuron of a one-sample trace."""
-    out, _, _ = reconstruct_currents_batch(
-        trace.neurons[None, :], trace.times[None, :], trace.kinds[None, :], net
-    )
-    return out[0]
-
-
 def replay_state(neurons, times, kinds, net: Network, t_max: float):
     """Final (v, i, t) of each row of a (B, m) trace, replayed under the
     ideal dynamics from rest at t = 0 to max(t_max, last event).

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LifParams, NeuronState, UnsupportedTauRatio
+from .core import LifParams, UnsupportedTauRatio
 
 # residual tolerance for |V(t*) - v_th| at solver-reported crossings
 EPS_ROOT = 1e-9
@@ -36,10 +36,6 @@ EPS_ROOT = 1e-9
 EPS_LAMBERT = 1e-12
 
 _INV_E = -math.exp(-1.0)
-
-
-class NegativeDt(ValueError):
-    """propagate() requires a non-negative time step."""
 
 
 @dataclass(frozen=True)
@@ -65,14 +61,6 @@ def propagate_arrays(v, i, dt, params: LifParams):
     em = np.exp(-dt / tm)
     es = em * em if params.is_double_tau else np.exp(-dt / ts)
     return v * em + i * (es - em) / (1.0 / tm - 1.0 / ts), i * es
-
-
-def propagate(state: NeuronState, params: LifParams, dt: float) -> NeuronState:
-    """Closed-form state propagation over a spike-free interval of length dt."""
-    if not dt >= 0.0:
-        raise NegativeDt(f"dt must be >= 0, got {dt}")
-    v, i = propagate_arrays(state.v, state.i, dt, params)
-    return NeuronState(v, i, state.t + dt)
 
 
 def _safe_div(num, den):

@@ -29,13 +29,13 @@ every row is done.  At the end every lane is propagated once to its row's
 final time: t_max, or the last event of a row that used its whole budget.
 
 The engine is written over batched (B, 1 + N) state arrays and every
-operation acts on its own row only.  It returns one ``EventTrace`` of
-(B, m) slot arrays; the single-sample API runs the same code path with
-B = 1 and returns row 0, so batched and sequential execution agree bitwise.
+operation acts on its own row only, so a row's trace does not depend on the
+rest of the batch.  Every row starts at rest at t = 0.  ``simulate_batch``
+returns one ``EventTrace`` of (B, m) slot arrays; ``simulate`` is row 0 of
+a batch of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ from .core import (
     EventTrace,
     InvalidParameter,
     Network,
-    NeuronState,
     Spike,
     SpikeKind,
     validate_network,
@@ -62,19 +61,6 @@ class InvalidBudget(ValueError):
     """The event budget m must be a positive integer."""
 
 
-@dataclass
-class SimDiagnostics:
-    """Counters the simulator fills in when passed as a collector."""
-
-    truncated_inputs: int = 0
-
-
-@dataclass(frozen=True)
-class StepOutput:
-    state: NeuronState
-    spike: Spike
-
-
 def pack_inputs(batches: Sequence[Sequence[Spike]]):
     """Pad per-sample input spike lists into (B, K) index/time arrays."""
     b = len(batches)
@@ -88,18 +74,12 @@ def pack_inputs(batches: Sequence[Sequence[Spike]]):
     return idx, t
 
 
-def _reject_dummies(inputs: Sequence[Spike]) -> None:
-    # a dummy packs to the (-1, inf) padding, which the row check accepts
-    if any(s.is_dummy for s in inputs):
-        raise InvalidParameter("dummy spikes are not valid inputs")
-
-
-def check_input_rows(net: Network, in_neurons, in_times, t0=None) -> None:
+def check_input_rows(net: Network, in_neurons, in_times) -> None:
     """Reject malformed (B, K) input rows before any event runs.
 
     An entry with a finite time names a channel in [0, n_in); +inf marks
     padding, which only trails.  No time is NaN, times do not decrease
-    along a row, and none lies before the row's start ``t0`` (default 0).
+    along a row, and none lies before t = 0.
     """
     if in_neurons.shape != in_times.shape:
         raise DimensionMismatch(
@@ -115,8 +95,8 @@ def check_input_rows(net: Network, in_neurons, in_times, t0=None) -> None:
         )
     if (in_times[:, 1:] < in_times[:, :-1]).any():
         raise UnsortedInput("input times decrease along a row, or padding does not trail")
-    if in_times.shape[1] and (in_times[:, 0] < (0.0 if t0 is None else t0)).any():
-        raise UnsortedInput("input event earlier than its row's start time")
+    if in_times.shape[1] and (in_times[:, 0] < 0.0).any():
+        raise UnsortedInput("input event before t = 0")
 
 
 def simulate_batch(
@@ -125,19 +105,18 @@ def simulate_batch(
     in_times: np.ndarray,
     m: int,
     t_max: float,
-    v0: np.ndarray | None = None,
-    i0: np.ndarray | None = None,
-    t0: np.ndarray | None = None,
 ) -> EventTrace:
     """Run B independent event loops of at most m iterations over shared weights."""
     if m <= 0:
         raise InvalidBudget(f"event budget m={m} must be positive")
+    if not t_max > 0.0:
+        raise InvalidParameter(f"t_max={t_max} must be positive")
     p = net.params
     n = net.n_total
     in_neurons = np.asarray(in_neurons, dtype=np.int64)
     in_times = np.asarray(in_times, dtype=np.float64)
     b = in_times.shape[0]
-    check_input_rows(net, in_neurons, in_times, t0)
+    check_input_rows(net, in_neurons, in_times)
     fan = net.fan_out
     null = fan.null
     # each stacked source as a trace record: its neuron or channel, and kind
@@ -158,12 +137,7 @@ def simulate_batch(
     # input queue, whose time (tc) and stacked source (src_of) are read
     v = np.zeros((b, 1 + n))
     i = np.zeros((b, 1 + n))
-    if v0 is not None:
-        v[:, 1:] = v0
-    if i0 is not None:
-        i[:, 1:] = i0
-    t = np.zeros(b) if t0 is None else np.array(t0, dtype=np.float64)
-    tref = np.repeat(t[:, None], 1 + n, axis=1)
+    tref = np.zeros((b, 1 + n))
     src_of = np.repeat(np.arange(-1, n, dtype=np.int32)[None, :], b, axis=0)
     src_of[:, 0] = in_src[ptr]
     # flat views: column c of row r is entry r * (1 + N) + c
@@ -181,7 +155,7 @@ def simulate_batch(
     ispike_k = np.zeros((m, b))
     tc = np.empty((b, 1 + n))
     tc[:, 0] = in_times[ptr]
-    tc[:, 1:] = tref[:, 1:] + next_crossing_safe(v[:, 1:], i[:, 1:], p)
+    tc[:, 1:] = next_crossing_safe(v[:, 1:], i[:, 1:], p)
     tc_f = tc.reshape(-1)
     for k in range(m):
         # one argmin per row: the input first on an exact tie, then the
@@ -219,7 +193,7 @@ def simulate_batch(
     # a row still running used every slot; its state stays at its last event
     t = np.where(done, t_max, time_k[-1])
     v, i = propagate_arrays(v[:, 1:], i[:, 1:], t[:, None] - tref[:, 1:], p)
-    trace = EventTrace(
+    return EventTrace(
         np.ascontiguousarray(neuron_of[src_k.T]),
         np.ascontiguousarray(np.where(src_k == null, np.inf, time_k).T),
         np.ascontiguousarray(kind_of[src_k.T]),
@@ -228,107 +202,17 @@ def simulate_batch(
         t,
         np.ascontiguousarray(ispike_k.T),
     )
-    if net.record_set is not None and len(net.record_set) != net.n_total:
-        trace = _filter_record_set(trace, net)
-    return trace
 
 
-def _filter_record_set(trace: EventTrace, net: Network) -> EventTrace:
-    """Drop internal spikes of unrecorded neurons, repacking dummies at the end.
-
-    Unobserved events still consumed budget iterations; only their records
-    are hidden, mirroring a substrate that reports a subset of units.
-    """
-    recorded = np.zeros(net.n_total, dtype=bool)
-    recorded[list(net.record_set)] = True
-    hide = (trace.kinds == int(SpikeKind.INTERNAL)) & ~recorded[
-        np.clip(trace.neurons, 0, net.n_total - 1)
-    ]
-    # kept records first, in their original order; hidden ones become dummies
-    order = np.argsort(hide, axis=1, kind="stable")
-    gone = np.take_along_axis(hide, order, axis=1)
-
-    def repack(a, blank):
-        return np.where(gone, blank, np.take_along_axis(a, order, axis=1))
-
-    return EventTrace(
-        repack(trace.neurons, DUMMY_NEURON),
-        repack(trace.times, np.inf),
-        repack(trace.kinds, int(SpikeKind.DUMMY)).astype(np.int8),
-        trace.final_v,
-        trace.final_i,
-        trace.final_t,
-        repack(trace.i_spike_recorded, 0.0),
-    )
-
-
-def simulate(
-    net: Network,
-    inputs: Sequence[Spike],
-    m: int,
-    t_max: float,
-    initial: NeuronState | None = None,
-    diag: SimDiagnostics | None = None,
-) -> EventTrace:
+def simulate(net: Network, inputs: Sequence[Spike], m: int, t_max: float) -> EventTrace:
     """Event-driven forward pass of one sample: row 0 of ``simulate_batch``.
 
     Exactly m trace slots, dummies trailing.  Inputs must be sorted by time;
-    inputs that do not fit the budget are silently truncated (counted in
-    ``diag`` when a collector is passed).
+    inputs that do not fit the budget are silently truncated.
     """
     validate_network(net)
-    if m <= 0:
-        raise InvalidBudget(f"event budget m={m} must be positive")
-    if not t_max > 0.0:
-        raise InvalidParameter(f"t_max={t_max} must be positive")
-    _reject_dummies(inputs)
+    # a dummy packs to the (-1, inf) padding, which the row check accepts
+    if any(s.is_dummy for s in inputs):
+        raise InvalidParameter("dummy spikes are not valid inputs")
     idx, times = pack_inputs([inputs])
-    v0 = i0 = t0 = None
-    if initial is not None:
-        if initial.n != net.n_total:
-            raise InvalidParameter(
-                f"initial state has {initial.n} neurons, network {net.n_total}"
-            )
-        if initial.t > t_max:
-            raise InvalidParameter("initial time lies beyond t_max")
-        v0 = initial.v[None, :]
-        i0 = initial.i[None, :]
-        t0 = np.array([initial.t])
-    trace = simulate_batch(net, idx[:, :-1], times[:, :-1], m, t_max, v0, i0, t0)[0]
-    if diag is not None:
-        consumed = int(np.sum(trace.kinds == int(SpikeKind.INPUT)))
-        diag.truncated_inputs += int(np.sum(times <= t_max)) - consumed
-    return trace
-
-
-def step(
-    state: NeuronState,
-    net: Network,
-    input_queue_head: Spike | None,
-    t_max: float,
-) -> StepOutput:
-    """One event-loop iteration from an explicit state.
-
-    The caller owns the input queue: if the returned spike is the input head,
-    pop it before the next call.
-    """
-    validate_network(net)
-    if state.t > t_max:
-        raise InvalidParameter(f"state time {state.t} beyond t_max={t_max}")
-    head = [] if input_queue_head is None else [input_queue_head]
-    _reject_dummies(head)
-    idx, times = pack_inputs([head])
-    row = simulate_batch(
-        net,
-        idx[:, :-1],
-        times[:, :-1],
-        1,
-        t_max,
-        state.v[None, :],
-        state.i[None, :],
-        np.array([state.t]),
-    )[0]
-    return StepOutput(
-        state=NeuronState(row.final_v, row.final_i, float(row.final_t)),
-        spike=Spike(int(row.neurons[0]), float(row.times[0]), SpikeKind(int(row.kinds[0]))),
-    )
+    return simulate_batch(net, idx[:, :-1], times[:, :-1], m, t_max)[0]

@@ -2,8 +2,8 @@
 
 The loss is a first-spike softmax cross-entropy: output logits are -t_k / xi
 where t_k is output k's first spike time (a silent output substitutes
-t_none, default t_max, and receives zero gradient).  An optional regularizer
-alpha * t_label rewards early correct spikes.
+t_max and receives zero gradient).  An optional regularizer alpha * t_label
+rewards early correct spikes.
 
 Training runs the forward pass through the configured backend in vectorized
 batches, estimates weight gradients per sample with EventProp (or the
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +27,6 @@ from .config import ExperimentConfig
 from .core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
 from .core import format_matrix, format_time, parse_matrix
 from .grad import (
-    EPS_VDOT,
     eventprop_backward_batch,
     fud_feedforward,
     fud_feedforward_grads,
@@ -46,11 +45,7 @@ class TtfsLoss:
     """First-spike softmax cross-entropy configuration."""
 
     xi: float = 0.5
-    t_none: float | None = None  # None -> t_max of the run
     alpha: float = 0.0
-
-    def substitute(self, t_max: float) -> float:
-        return t_max if self.t_none is None else self.t_none
 
 
 def first_spike_times_batch(neurons, times, kinds, ids: Sequence[int]):
@@ -80,7 +75,7 @@ def ttfs_from_times(t_first, labels, cfg: TtfsLoss, t_max: float):
     labels = np.asarray(labels, dtype=np.int64)
     b, n_out = t_first.shape
     spiked = np.isfinite(t_first)
-    t_eff = np.where(spiked, t_first, cfg.substitute(t_max))
+    t_eff = np.where(spiked, t_first, t_max)
     z = -t_eff / cfg.xi
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -101,8 +96,8 @@ def ttfs_loss(
     trace: EventTrace,
     output_set: Sequence[int],
     label: int,
-    cfg: TtfsLoss = TtfsLoss(),
-    t_max: float | None = None,
+    cfg: TtfsLoss,
+    t_max: float,
 ):
     """Loss plus per-trace-slot time derivatives for a one-sample trace.
 
@@ -112,8 +107,6 @@ def ttfs_loss(
     """
     if not output_set:
         raise InvalidParameter("output_set must be nonempty")
-    if t_max is None:
-        t_max = float(trace.final_t)
     t_first, slots = first_spike_times_batch(
         trace.neurons[None, :], trace.times[None, :], trace.kinds[None, :], output_set
     )
@@ -547,7 +540,6 @@ def replace_weights(net: Network, params) -> Network:
         input_weights=params[1],
         params=net.params,
         output_set=net.output_set,
-        record_set=net.record_set,
     )
 
 

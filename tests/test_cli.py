@@ -116,3 +116,16 @@ def test_replay_run_without_test_blocks_is_a_config_error(tmp_path, tiny, capsys
     ) == 2
     assert "no block for 12 of 12 test samples" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "eval.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["sim.t_max = -1", "sim.t_max = 0", "sim.t_max = nan", "sim.m = -5", "sim.m = auto"],
+)
+def test_train_rejects_a_bad_sim_section(tmp_path, key, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(TINY + key + "\n")
+    out = tmp_path / "train"
+    assert run("train", "--out", out, config=config) == 2
+    assert key.split(" =")[0] in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()

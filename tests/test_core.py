@@ -10,7 +10,6 @@ from eventsnn.core import (
     InvalidParameter,
     LifParams,
     Network,
-    NeuronState,
     NonpositiveTimeConstant,
     Spike,
     SpikeKind,
@@ -90,9 +89,6 @@ class TestImmutability:
         net = make_net()
         with pytest.raises(ValueError):
             net.weights[0, 0] = 1.0
-        st = NeuronState.zeros(3)
-        with pytest.raises(ValueError):
-            st.v[0] = 1.0
 
 
 class TestSpikeFile:

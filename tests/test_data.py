@@ -145,6 +145,35 @@ class TestFiles:
         write_encoded_set(path, samples)
         back = read_encoded_set(path)
         assert back == samples
+        write_encoded_set(path, [])
+        assert read_encoded_set(path) == []
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [("0.5,0.5", "line 3: bad dataset row '0.5,0.5'"), ("0.5,0.5,yan", "line 3: bad")],
+        ids=["short_row", "unknown_label"],
+    )
+    def test_malformed_dataset_row_names_its_line(self, tmp_path, row, match):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,y,label\n0.1,0.2,yin\n{row}\n0.3,0.4,dot\n")
+        with pytest.raises(InvalidParameter, match=match):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "records, match",
+        [
+            ("0,0.1\n1,0.2\n", "line 2: a record before the first separator"),
+            ("0,0.1\n-2,1.0\n1,0.2\n", "line 2: a record before the first separator"),
+            ("-2,0.0\n0,0.1\n-2,1.5\n1,0.2\n", "line 4: label 1.5 is not a class index"),
+            ("-2,3.0\n0,0.1\n", "line 2: label 3.0 is not a class index"),
+        ],
+        ids=["no_separator", "records_before_separator", "fractional_label", "label_out_of_range"],
+    )
+    def test_malformed_encoded_set_names_its_line(self, tmp_path, records, match):
+        path = tmp_path / "e.spikes"
+        path.write_text("neuron,time\n" + records)
+        with pytest.raises(InvalidParameter, match=match):
+            read_encoded_set(path)
 
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         for k in (1, 2):

@@ -25,7 +25,6 @@ from eventsnn.grad import (
     fud_feedforward,
     fud_feedforward_grads,
     fud_first_spike_times,
-    reconstruct_currents,
     reconstruct_currents_batch,
 )
 from eventsnn.lif import next_crossing_double_tau, next_crossing_safe
@@ -60,7 +59,6 @@ def with_weights(net, w=None, w_in=None):
         input_weights=net.input_weights if w_in is None else w_in,
         params=net.params,
         output_set=net.output_set,
-        record_set=net.record_set,
     )
 
 
@@ -100,8 +98,15 @@ def fd_weight_grad(net, inputs, m, t_max, coeffs, matrix, j, i, eps=1e-4):
     return (loss_with(eps) - loss_with(-eps)) / (2.0 * eps)
 
 
+def row_currents(trace, net):
+    """Per-slot current of the spiking neuron of a one-sample trace."""
+    return reconstruct_currents_batch(
+        trace.neurons[None], trace.times[None], trace.kinds[None], net
+    )[0][0]
+
+
 def min_vdot(net, trace):
-    i_spk = reconstruct_currents(trace, net)[trace.kinds == INTERNAL]
+    i_spk = row_currents(trace, net)[trace.kinds == INTERNAL]
     return float(np.min(np.abs(i_spk - net.params.v_th / net.params.tau_mem), initial=math.inf))
 
 
@@ -113,7 +118,7 @@ class TestReconstructCurrents:
     def test_no_inputs_all_zero(self):
         net = random_network(np.random.default_rng(0))
         trace = simulate(net, [], m=4, t_max=1.0)
-        assert np.all(reconstruct_currents(trace, net) == 0.0)
+        assert np.all(row_currents(trace, net) == 0.0)
 
     def test_matches_engine_record_exactly(self, rng):
         for _ in range(20):
@@ -121,10 +126,10 @@ class TestReconstructCurrents:
             inputs = random_inputs(rng, net)
             idx, times = pack_inputs([inputs])
             batch = simulate_batch(net, idx[:, :-1], times[:, :-1], m=16, t_max=2.5)
-            rec = reconstruct_currents(batch[0], net)
-            internal = batch.kinds[0] == int(SpikeKind.INTERNAL)
+            rec, _, _ = reconstruct_currents_batch(batch.neurons, batch.times, batch.kinds, net)
+            internal = batch.kinds == int(SpikeKind.INTERNAL)
             np.testing.assert_allclose(
-                rec[internal], batch.i_spike_recorded[0][internal], atol=1e-12
+                rec[internal], batch.i_spike_recorded[internal], atol=1e-12
             )
 
     def test_file_roundtrip_gives_identical_currents(self, rng):
@@ -140,9 +145,7 @@ class TestReconstructCurrents:
         np.testing.assert_array_equal(kinds, trace.kinds)
         zeros = np.zeros(net.n_total)
         trace2 = EventTrace(neurons, times, kinds, zeros, zeros, 0.0)
-        np.testing.assert_array_equal(
-            reconstruct_currents(trace, net), reconstruct_currents(trace2, net)
-        )
+        np.testing.assert_array_equal(row_currents(trace, net), row_currents(trace2, net))
 
 
 class TestEventProp:

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from eventsnn.core import LifParams, NeuronState, UnsupportedTauRatio
+from eventsnn.core import LifParams, UnsupportedTauRatio
 from eventsnn.lif import (
     EPS_LAMBERT,
-    NegativeDt,
     _lambertw0,
     next_crossing_double_tau,
     next_crossing_equal_tau,
     next_crossing_safe,
-    propagate,
+    propagate_arrays,
 )
 
 from conftest import (
@@ -27,40 +26,33 @@ P1 = LifParams(tau_mem=1.0)
 
 class TestPropagate:
     def test_dt_zero_is_identity(self):
-        st = NeuronState(np.array([0.3, -0.1]), np.array([1.0, 0.0]), t=0.5)
-        out = propagate(st, P2, 0.0)
-        np.testing.assert_array_equal(out.v, st.v)
-        np.testing.assert_array_equal(out.i, st.i)
-        assert out.t == st.t
+        v, i = np.array([0.3, -0.1]), np.array([1.0, 0.0])
+        v_out, i_out = propagate_arrays(v, i, 0.0, P2)
+        np.testing.assert_array_equal(v_out, v)
+        np.testing.assert_array_equal(i_out, i)
 
     def test_pure_exponential_decay(self):
         # V0=0.5, I0=0, tau_m=2: after dt = 2 ln 2 the voltage halves
-        st = NeuronState(np.array([0.5]), np.array([0.0]))
-        out = propagate(st, P2, 2.0 * math.log(2.0))
-        assert out.v[0] == pytest.approx(0.25, abs=1e-12)
-        assert out.i[0] == 0.0
+        v, i = propagate_arrays(np.array([0.5]), np.array([0.0]), 2.0 * math.log(2.0), P2)
+        assert v[0] == pytest.approx(0.25, abs=1e-12)
+        assert i[0] == 0.0
 
     def test_crossing_value_against_euler(self):
         # V0=0, I0=4 reaches threshold near dt=0.3166 (Euler oracle, dt=1e-6)
         t_star = euler_first_crossing(0.0, 4.0, P2, dt=1e-6)
-        st = NeuronState(np.array([0.0]), np.array([4.0]))
-        out = propagate(st, P2, t_star)
-        assert abs(out.v[0] - P2.v_th) < 1e-4
-
-    def test_negative_dt_rejected(self):
-        with pytest.raises(NegativeDt):
-            propagate(NeuronState.zeros(1), P2, -0.1)
+        v, _ = propagate_arrays(np.array([0.0]), np.array([4.0]), t_star, P2)
+        assert abs(v[0] - P2.v_th) < 1e-4
 
     @pytest.mark.parametrize("params", [P1, P2, LifParams(tau_mem=3.3)])
     def test_composition(self, params, rng):
         # propagate(dt1+dt2) == propagate(dt1) then propagate(dt2)
         for _ in range(50):
-            st = NeuronState(rng.normal(size=3) * 0.5, rng.normal(size=3))
+            v, i = rng.normal(size=3) * 0.5, rng.normal(size=3)
             dt1, dt2 = rng.uniform(0, 2, size=2)
-            once = propagate(st, params, dt1 + dt2)
-            twice = propagate(propagate(st, params, dt1), params, dt2)
-            np.testing.assert_allclose(once.v, twice.v, atol=1e-12)
-            np.testing.assert_allclose(once.i, twice.i, atol=1e-12)
+            once = propagate_arrays(v, i, dt1 + dt2, params)
+            twice = propagate_arrays(*propagate_arrays(v, i, dt1, params), dt2, params)
+            np.testing.assert_allclose(once[0], twice[0], atol=1e-12)
+            np.testing.assert_allclose(once[1], twice[1], atol=1e-12)
 
 
 class TestDoubleTauCrossing:

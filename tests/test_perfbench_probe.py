@@ -1,0 +1,39 @@
+"""The benchmark probe binds eventsnn functions by name: every name it
+traces must exist, and uninstalling must restore every original."""
+import importlib.util
+import time
+from pathlib import Path
+
+import eventsnn
+
+PROBE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+
+
+def load_probe_module():
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probe_installs_and_uninstalls_on_eventsnn():
+    probe_mod = load_probe_module()
+    homes = {
+        qual: importlib.import_module(f"eventsnn.{qual.split('.')[0]}")
+        for qual in probe_mod.TRACED
+    }
+    originals = {qual: getattr(homes[qual], qual.split(".")[1]) for qual in probe_mod.TRACED}
+    package_simulate = eventsnn.simulate
+    probe = probe_mod.Probe(time.perf_counter)
+    try:
+        probe.install()
+        for qual, home in homes.items():
+            wrapper = getattr(home, qual.split(".")[1])
+            assert wrapper is not originals[qual]
+            assert wrapper.__wrapped__ is originals[qual]
+        assert eventsnn.simulate.__wrapped__ is package_simulate
+    finally:
+        probe.uninstall()
+    for qual, home in homes.items():
+        assert getattr(home, qual.split(".")[1]) is originals[qual]
+    assert eventsnn.simulate is package_simulate

@@ -9,19 +9,16 @@ from eventsnn.core import (
     InvalidParameter,
     LifParams,
     Network,
-    NeuronState,
     Spike,
     SpikeKind,
 )
 from eventsnn.lif import next_crossing_double_tau
 from eventsnn.sim import (
     InvalidBudget,
-    SimDiagnostics,
     UnsortedInput,
     pack_inputs,
     simulate,
     simulate_batch,
-    step,
 )
 
 from conftest import dense_oracle, euler_first_crossing, random_inputs, random_network
@@ -84,7 +81,15 @@ def real_times(trace):
     return trace.times[trace.kinds != DUMMY].tolist()
 
 
+def run_rows(net, batch_inputs, m, t_max):
+    idx, times = pack_inputs(batch_inputs)
+    return simulate_batch(net, idx[:, :-1], times[:, :-1], m=m, t_max=t_max)
+
+
 class TestStep:
+    # a run with budget m stops after its m-th event step; its final state
+    # is taken at that event, or at t_max when the row ran out of events
+
     def test_zero_weights_passes_input_through(self):
         net = Network(
             n_total=2,
@@ -93,32 +98,26 @@ class TestStep:
             params=P2,
             output_set=(1,),
         )
-        out = step(NeuronState.zeros(2), net, in_spike(0, 0.2), t_max=3.0)
-        assert out.spike == in_spike(0, 0.2)
-        assert out.state.t == 0.2
+        out = run_rows(net, [[in_spike(0, 0.2)]], m=1, t_max=3.0)[0]
+        assert (out.neurons[0], out.times[0], out.kinds[0]) == (0, 0.2, INPUT)
+        assert out.final_t == 0.2
 
     def test_strong_input_then_internal_spike(self):
         net = single_neuron_net(w_in=4.0)
-        st = NeuronState.zeros(1)
-        out1 = step(st, net, in_spike(0, 0.0), t_max=5.0)
-        assert out1.spike.kind == SpikeKind.INPUT
-        assert out1.state.i[0] == 4.0
-        out2 = step(out1.state, net, None, t_max=5.0)
+        out1 = run_rows(net, [[in_spike(0, 0.0)]], m=1, t_max=5.0)[0]
+        assert out1.kinds[0] == INPUT
+        assert out1.final_i[0] == 4.0
+        out2 = run_rows(net, [[in_spike(0, 0.0)]], m=2, t_max=5.0)[0]
         t_expected = euler_first_crossing(0.0, 4.0, P2, dt=1e-6)
-        assert out2.spike.kind == SpikeKind.INTERNAL
-        assert out2.spike.time == pytest.approx(t_expected, abs=1e-4)
-        assert out2.state.v[0] == P2.v_reset
+        assert out2.kinds[1] == INTERNAL
+        assert out2.times[1] == pytest.approx(t_expected, abs=1e-4)
+        assert out2.final_v[0] == P2.v_reset
 
     def test_quiescent_network_emits_dummy(self):
         net = single_neuron_net()
-        out = step(NeuronState.zeros(1), net, None, t_max=3.0)
-        assert out.spike.is_dummy
-        assert out.state.t == 3.0
-
-    def test_spike_never_before_state_time(self):
-        net = single_neuron_net()
-        with pytest.raises(UnsortedInput):
-            step(NeuronState(np.zeros(1), np.zeros(1), t=1.0), net, in_spike(0, 0.5), 3.0)
+        out = run_rows(net, [[]], m=1, t_max=3.0)[0]
+        assert (out.neurons[0], out.times[0], out.kinds[0]) == (-1, math.inf, DUMMY)
+        assert out.final_t == 3.0
 
 
 class TestSimulate:
@@ -136,16 +135,20 @@ class TestSimulate:
     def test_truncation_keeps_budget_and_order(self):
         net = single_neuron_net(w_in=4.0)
         inputs = [in_spike(0, 0.1 * k) for k in range(8)]
-        diag = SimDiagnostics()
-        tr = simulate(net, inputs, m=3, t_max=3.0, diag=diag)
+        tr = simulate(net, inputs, m=3, t_max=3.0)
         assert len(tr) == 3
         times = real_times(tr)
         assert times == sorted(times)
-        assert diag.truncated_inputs > 0
+        assert int(np.sum(tr.kinds == INPUT)) < len(inputs)  # inputs were cut
 
     def test_invalid_budget(self):
         with pytest.raises(InvalidBudget):
             simulate(single_neuron_net(), [], m=0, t_max=1.0)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, np.nan])
+    def test_t_max_must_be_positive(self, t_max):
+        with pytest.raises(InvalidParameter, match="t_max"):
+            run_rows(single_neuron_net(), [[in_spike(0, 0.1)]], m=4, t_max=t_max)
 
     def test_unsorted_inputs_rejected(self):
         with pytest.raises(UnsortedInput):
@@ -165,19 +168,21 @@ class TestSimulate:
             assert len(tr) == 12
 
     def test_input_priority_on_exact_tie(self):
-        # internal crossing engineered at exactly t=0.5 via initial state,
-        # input at the same instant: input must be processed first
-        net = single_neuron_net(w_in=0.0)
-        t_int = euler_first_crossing(0.0, 4.0, P2, dt=1e-7)
-        st = NeuronState(np.array([0.0]), np.array([4.0]))
-        out = step(st, net, in_spike(0, t_int), t_max=3.0)
-        # analytic time may differ from euler time in the last digits; use
-        # the solver itself to build the exact tie
-        from eventsnn.lif import next_crossing_double_tau
-
+        # input 1 drives neuron 0 to cross at exactly t_exact, built with the
+        # solver itself; input 0 arrives at the same instant and touches no
+        # lane, so both events stand and the input must be processed first
+        net = Network(
+            n_total=1,
+            weights=np.zeros((1, 1)),
+            input_weights=np.array([[0.0], [4.0]]),
+            params=P2,
+            output_set=(0,),
+        )
         t_exact = next_crossing_double_tau(0.0, 4.0, P2).time
-        out = step(st, net, in_spike(0, t_exact), t_max=3.0)
-        assert out.spike.kind == SpikeKind.INPUT
+        out = run_rows(net, [[in_spike(1, 0.0), in_spike(0, t_exact)]], m=3, t_max=3.0)[0]
+        assert out.kinds.tolist() == [INPUT, INPUT, INTERNAL]
+        assert out.neurons.tolist() == [1, 0, 0]
+        assert out.times[1] == out.times[2] == t_exact
 
     def test_recurrent_two_neuron_alternation(self):
         # mutually excitatory pair: origins must alternate
@@ -192,13 +197,6 @@ class TestSimulate:
         internal = [nrn for nrn, _ in internal_spikes(tr)]
         assert len(internal) >= 6
         assert all(a != b for a, b in zip(internal, internal[1:]))
-
-    def test_initial_state_respected(self):
-        net = single_neuron_net()
-        st = NeuronState(np.array([0.0]), np.array([4.0]), t=1.0)
-        tr = simulate(net, [], m=2, t_max=5.0, initial=st)
-        t_rel = euler_first_crossing(0.0, 4.0, P2, dt=1e-6)
-        assert tr.times[0] == pytest.approx(1.0 + t_rel, abs=1e-4)
 
 
 class TestBatchedEngine:
@@ -364,31 +362,6 @@ class TestEngineEdgeCases:
         silent = batch[len(batch_inputs) - 1]
         assert silent.kinds[:3].tolist() == [INPUT, INPUT, DUMMY]
         np.testing.assert_array_equal(silent.final_i, np.zeros(4))
-
-    def test_record_set_subset(self, rng):
-        base = random_network(rng, n_max=6)
-        while base.n_total < 3:
-            base = random_network(rng, n_max=6)
-        recorded = tuple(range(0, base.n_total, 2))
-        net = Network(
-            n_total=base.n_total,
-            weights=base.weights,
-            input_weights=base.input_weights,
-            params=base.params,
-            output_set=base.output_set,
-            record_set=recorded,
-        )
-        batch_inputs = [random_inputs(rng, net) for _ in range(8)]
-        batch = assert_batch_matches_solo(net, batch_inputs, m=20, t_max=2.5)
-        idx, times = pack_inputs(batch_inputs)
-        full = simulate_batch(base, idx[:, :-1], times[:, :-1], m=20, t_max=2.5)
-        for b in range(len(batch_inputs)):
-            keep = ~((full.kinds[b] == INTERNAL) & ~np.isin(full.neurons[b], recorded))
-            n_kept = int(keep.sum())
-            for field in ("neurons", "times", "kinds"):
-                want = getattr(full, field)[b][keep]
-                np.testing.assert_array_equal(getattr(batch, field)[b][:n_kept], want)
-            assert np.all(batch.kinds[b][n_kept:] == DUMMY)
 
 
 class TestEarlyStopAndFinalState:
@@ -561,11 +534,3 @@ def test_padded_rows_accepted(runner):
     kinds = RUNNERS[runner](two_input_net(), idx, t).kinds
     assert kinds[0, :2].tolist() == [INPUT, INPUT] and kinds[1, 0] == INPUT
 
-
-def test_input_before_initial_state_time_rejected():
-    net = single_neuron_net()
-    with pytest.raises(UnsortedInput):
-        simulate_batch(
-            net, np.array([[0]]), np.array([[0.5]]), 4, 3.0,
-            np.zeros((1, 1)), np.zeros((1, 1)), np.array([1.0]),
-        )

@@ -13,7 +13,6 @@ from eventsnn.train import (
     _spike_counts,
     adam_step,
     first_spike_times_batch,
-    pack_samples,
     read_checkpoint,
     train,
     ttfs_from_times,
@@ -86,7 +85,7 @@ class TestTtfsLoss:
                 DUMMY_SLOT,
             ]
         )
-        loss, slot_g = ttfs_loss(tr, output_set=(0, 1, 2), label=0, t_max=4.0)
+        loss, slot_g = ttfs_loss(tr, output_set=(0, 1, 2), label=0, cfg=TtfsLoss(), t_max=4.0)
         assert slot_g[0] != 0.0 and slot_g[1] != 0.0
         assert slot_g[2] == 0.0 and slot_g[3] == 0.0
 
@@ -94,7 +93,7 @@ class TestTtfsLoss:
         from eventsnn.core import InvalidParameter
 
         with pytest.raises(InvalidParameter):
-            ttfs_loss(trace_of([DUMMY_SLOT]), output_set=(), label=0)
+            ttfs_loss(trace_of([DUMMY_SLOT]), output_set=(), label=0, cfg=TtfsLoss(), t_max=4.0)
 
 
 class TestFirstSpikes:
