@@ -32,7 +32,7 @@ from .sim import (
     simulate,
 )
 from .grad import DegenerateCrossing, eventprop_backward
-from .data import EncodingConfig, YinYangLabel, YinYangPoint, encode, generate
+from .data import EncodingConfig, LabelledRows, YinYangLabel, encode_dataset, generate
 from .backend import (
     BackendConfig,
     MockConfig,

@@ -79,15 +79,9 @@ def _network_for(cfg: ExperimentConfig, args, ds, m):
 def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    enc, train_pts, test_pts = data_mod.build_dataset(cfg.dataset)
+    _, train_pts, test_pts = data_mod.build_dataset(cfg.dataset)
     data_mod.write_dataset(out / "train.csv", train_pts)
     data_mod.write_dataset(out / "test.csv", test_pts)
-    data_mod.write_encoded_set(
-        out / "train_encoded.spikes", data_mod.encode_dataset(train_pts, enc)
-    )
-    data_mod.write_encoded_set(
-        out / "test_encoded.spikes", data_mod.encode_dataset(test_pts, enc)
-    )
     _echo_config(cfg, out)
     print(f"wrote {len(train_pts)} train / {len(test_pts)} test samples to {out}")
     return 0
@@ -213,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--out", default="out", help="output directory")
 
-    sp = sub.add_parser("generate", help="write dataset + encoded spike files")
+    sp = sub.add_parser("generate", help="write the train and test point sets")
     common(sp)
     sp.set_defaults(fn=cmd_generate)
 

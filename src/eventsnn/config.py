@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .backend import BackendConfig, MockConfig, ReplayConfig
 from .core import InvalidParameter
+from .data import R_SMALL_MAX
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,13 @@ class DatasetConfig:
     t_late: float = 1.5
     t_bias: float | None = None  # None -> 0.9 * t_late
     bias_enabled: bool = True
+
+    def __post_init__(self):
+        # no dot, or one past its lobe, can leave a class quota never filled
+        if not 0.0 < self.r_small <= R_SMALL_MAX:
+            raise InvalidParameter(
+                f"dataset.r_small={self.r_small} must lie in (0, {R_SMALL_MAX}]"
+            )
 
 
 @dataclass(frozen=True)

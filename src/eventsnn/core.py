@@ -12,7 +12,8 @@ Conventions, fixed once and used everywhere:
   * ``Spike`` is the type of one input event; a forward pass is recorded as
     an ``EventTrace`` of slot arrays, batched or one row of a batch,
   * neuron state has no type of its own: the engine keeps it in batched
-    arrays, and a trace carries each row's final (v, i, t).
+    arrays, and a trace carries each row's final (v, i, t); nor has a dataset
+    sample, which is one row of ``data.LabelledRows``.
 
 All types except the trace are immutable value types after construction and
 safe to share between threads.
@@ -364,8 +365,12 @@ def write_spike_file(path_or_io, neurons, times) -> None:
             f.close()
 
 
-def read_records(path_or_io) -> tuple[np.ndarray, np.ndarray]:
-    """(neurons, times) of a file in the spike-file format, as written."""
+def read_spike_file(path_or_io) -> tuple[np.ndarray, np.ndarray]:
+    """(neurons, times) of a spike file.
+
+    A record is the dummy (-1, inf) or a neuron index >= 0 at a finite time
+    >= 0; anything else raises InvalidParameter.
+    """
     f, close = _open(path_or_io, "r")
     try:
         lines = [ln.strip() for ln in f if ln.strip()]
@@ -374,16 +379,7 @@ def read_records(path_or_io) -> tuple[np.ndarray, np.ndarray]:
             f.close()
     if not lines or lines[0] != SPIKE_FILE_HEADER:
         raise InvalidParameter("spike file must start with the 'neuron,time' header")
-    return parse_records(lines[1:])
-
-
-def read_spike_file(path_or_io) -> tuple[np.ndarray, np.ndarray]:
-    """(neurons, times) of a spike file.
-
-    A record is the dummy (-1, inf) or a neuron index >= 0 at a finite time
-    >= 0; anything else raises InvalidParameter.
-    """
-    neurons, times = read_records(path_or_io)
+    neurons, times = parse_records(lines[1:])
     real_ok = (neurons >= 0) & (times >= 0.0) & np.isfinite(times)
     bad = np.flatnonzero(~np.where(neurons == DUMMY_NEURON, np.isposinf(times), real_ok))
     if bad.size:

@@ -9,31 +9,28 @@ outer circle.  Classes are balanced to n/3 by per-class rejection.
 Encoding maps (x, y) affinely onto [t_early, t_late], mirrors both times
 about the window (t + t_mirrored = t_early + t_late) and appends an optional
 bias spike, yielding five input neurons: x, y, mirrored x, mirrored y, bias.
+
+A set is ``LabelledRows`` from draw to batch: the (n, 2) points a set is
+drawn as, then the (n, n_in) input times they encode to, each with its
+(n,) labels.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    InvalidParameter,
-    Spike,
-    SpikeKind,
-    format_time,
-    read_records,
-    write_spike_file,
-)
+from .core import InvalidParameter, format_time
 
 R_BIG = 0.5
+R_SMALL_MAX = 0.5 * R_BIG  # a dot disk stays inside its lobe
 _CENTER = (0.5, 0.5)
 _LEFT_DOT = (0.25, 0.5)
 _RIGHT_DOT = (0.75, 0.5)
 
 DATASET_HEADER = "x,y,label"
-SEPARATOR_NEURON = -2  # marks "next sample, label = record time" in encoded files
 
 
 class YinYangLabel(enum.IntEnum):
@@ -43,10 +40,17 @@ class YinYangLabel(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class YinYangPoint:
-    x: float
-    y: float
-    label: YinYangLabel
+class LabelledRows:
+    """One row of values per sample, with its class index."""
+
+    values: np.ndarray  # (n, d) float64: (x, y) points or input spike times
+    labels: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def __getitem__(self, rows: slice) -> "LabelledRows":
+        return LabelledRows(self.values[rows], self.labels[rows])
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,16 @@ class EncodingConfig:
     t_late: float = 1.5
     t_bias: float | None = None  # None -> 0.9 * t_late
     bias_enabled: bool = True
+
+    def __post_init__(self):
+        # every input time must be finite and >= 0 (the engine starts at t = 0)
+        if not 0.0 <= self.t_early < self.t_late < math.inf:
+            raise InvalidParameter(
+                f"encoding window [{self.t_early}, {self.t_late}] needs "
+                "0 <= t_early < t_late < inf"
+            )
+        if self.bias_enabled and not 0.0 <= self.bias_time < math.inf:
+            raise InvalidParameter(f"bias time {self.bias_time} must be finite and >= 0")
 
     @property
     def bias_time(self) -> float:
@@ -78,67 +92,33 @@ def classify(x, y, r_small: float = 0.1):
     return np.where(in_dots, int(YinYangLabel.DOT), labels)
 
 
-def _quotas(n: int) -> list[int]:
-    base, rem = divmod(n, 3)
-    return [base + (1 if k < rem else 0) for k in range(3)]
+def generate(seed: int, n: int, r_small: float = 0.1) -> LabelledRows:
+    """Deterministic balanced sample of n (x, y) points, quota n/3 per class.
 
-
-def generate(seed: int, n: int, r_small: float = 0.1) -> list[YinYangPoint]:
-    """Deterministic balanced sample of n points (quota n/3 per class)."""
+    Each round draws 512 candidates and keeps, in draw order, those inside
+    the disk whose class quota is not yet full."""
     if n <= 0:
         raise InvalidParameter(f"n={n} must be positive")
+    if not 0.0 < r_small <= R_SMALL_MAX:
+        raise InvalidParameter(f"r_small={r_small} must lie in (0, {R_SMALL_MAX}]")
     rng = np.random.default_rng(seed)
-    quotas = _quotas(n)
-    counts = [0, 0, 0]
-    points: list[YinYangPoint] = []
-    while len(points) < n:
+    base, rem = divmod(n, 3)
+    left = base + (np.arange(3) < rem)  # free places per class
+    rounds = []
+    while left.any():
         xs = rng.uniform(0.0, 1.0, size=512)
         ys = rng.uniform(0.0, 1.0, size=512)
         inside = np.hypot(xs - _CENTER[0], ys - _CENTER[1]) <= R_BIG
         labels = classify(xs, ys, r_small)
-        for x, y, ok, lab in zip(xs, ys, inside, labels):
-            if not ok:
-                continue
-            lab = int(lab)
-            if counts[lab] >= quotas[lab]:
-                continue
-            counts[lab] += 1
-            points.append(YinYangPoint(float(x), float(y), YinYangLabel(lab)))
-            if len(points) == n:
-                break
-    return points
+        of_class = inside & (labels == np.arange(3)[:, None])  # (3, 512)
+        keep = (of_class & (np.cumsum(of_class, axis=1) <= left[:, None])).any(axis=0)
+        left -= np.bincount(labels[keep], minlength=3)
+        rounds.append((np.column_stack([xs[keep], ys[keep]]), labels[keep]))
+    points, labels = zip(*rounds)
+    return LabelledRows(np.concatenate(points), np.concatenate(labels).astype(np.int64))
 
 
-def encode(p: YinYangPoint, cfg: EncodingConfig = EncodingConfig()) -> "EncodedSample":
-    """Map one point to its input spikes: (x, y, mirrored x, mirrored y[, bias])."""
-    if not cfg.t_early < cfg.t_late:
-        raise InvalidParameter("t_early must precede t_late")
-    span = cfg.t_late - cfg.t_early
-    t_x = cfg.t_early + p.x * span
-    t_y = cfg.t_early + p.y * span
-    times = [t_x, t_y, cfg.t_early + cfg.t_late - t_x, cfg.t_early + cfg.t_late - t_y]
-    if cfg.bias_enabled:
-        times.append(cfg.bias_time)
-    spikes = tuple(
-        Spike(neuron, float(t), SpikeKind.INPUT) for neuron, t in enumerate(times)
-    )
-    return EncodedSample(spikes=spikes, label=p.label)
-
-
-def decode(sample: "EncodedSample", cfg: EncodingConfig = EncodingConfig()) -> tuple[float, float]:
-    """Invert the affine map on neurons 0 and 1."""
-    span = cfg.t_late - cfg.t_early
-    by_neuron = {s.neuron: s.time for s in sample.spikes}
-    return (by_neuron[0] - cfg.t_early) / span, (by_neuron[1] - cfg.t_early) / span
-
-
-@dataclass(frozen=True)
-class EncodedSample:
-    spikes: tuple
-    label: YinYangLabel
-
-
-def build_dataset(dcfg) -> tuple[EncodingConfig, list[YinYangPoint], list[YinYangPoint]]:
+def build_dataset(dcfg) -> tuple[EncodingConfig, LabelledRows, LabelledRows]:
     """Encoding plus train and test points of a config's ``dataset`` section;
     the test set is drawn with seed + 1."""
     enc = EncodingConfig(
@@ -152,71 +132,19 @@ def build_dataset(dcfg) -> tuple[EncodingConfig, list[YinYangPoint], list[YinYan
     return enc, train, test
 
 
-def encode_dataset(
-    points: Sequence[YinYangPoint], cfg: EncodingConfig = EncodingConfig()
-) -> list[EncodedSample]:
-    return [encode(p, cfg) for p in points]
+def encode_dataset(points: LabelledRows, cfg: EncodingConfig = EncodingConfig()) -> LabelledRows:
+    """Input spike times of each point, one column per input neuron:
+    (x, y, mirrored x, mirrored y[, bias])."""
+    t_xy = cfg.t_early + points.values * (cfg.t_late - cfg.t_early)
+    columns = [t_xy, (cfg.t_early + cfg.t_late) - t_xy]
+    if cfg.bias_enabled:
+        columns.append(np.full((len(points), 1), cfg.bias_time))
+    return LabelledRows(np.hstack(columns), points.labels)
 
 
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def write_dataset(path, points: Sequence[YinYangPoint]) -> None:
+def write_dataset(path, points: LabelledRows) -> None:
+    names = [label.name.lower() for label in YinYangLabel]
     with open(path, "w", encoding="utf-8") as f:
         f.write(DATASET_HEADER + "\n")
-        for p in points:
-            f.write(f"{format_time(p.x)},{format_time(p.y)},{p.label.name.lower()}\n")
-
-
-def read_dataset(path) -> list[YinYangPoint]:
-    """Points of a dataset file; a malformed row raises InvalidParameter
-    naming its line."""
-    with open(path, encoding="utf-8") as f:
-        lines = [(k, ln.strip()) for k, ln in enumerate(f, start=1) if ln.strip()]
-    if not lines or lines[0][1] != DATASET_HEADER:
-        raise InvalidParameter("dataset file must start with the 'x,y,label' header")
-    out = []
-    for k, ln in lines[1:]:
-        try:
-            xs, ys, name = ln.split(",")
-            out.append(YinYangPoint(float(xs), float(ys), YinYangLabel[name.upper()]))
-        except (ValueError, KeyError) as e:
-            raise InvalidParameter(f"{path}: line {k}: bad dataset row {ln!r}") from e
-    return out
-
-
-def write_encoded_set(path, samples: Sequence[EncodedSample]) -> None:
-    """Spike-file format with a separator record (-2, label) before each sample."""
-    neurons, times = [], []
-    for s in samples:
-        neurons += [SEPARATOR_NEURON] + [spike.neuron for spike in s.spikes]
-        times += [float(int(s.label))] + [spike.time for spike in s.spikes]
-    write_spike_file(path, neurons, times)
-
-
-def read_encoded_set(path) -> list[EncodedSample]:
-    """Samples of an encoded-set file.  Every record belongs to the sample of
-    the separator before it, whose time is a class index; anything else
-    raises InvalidParameter naming the line (the header is line 1, and blank
-    lines are not counted)."""
-    neurons, times = read_records(path)
-    starts = np.flatnonzero(neurons == SEPARATOR_NEURON)
-    if neurons.size and starts[:1].tolist() != [0]:
-        raise InvalidParameter(f"{path}: line 2: a record before the first separator")
-    bad = starts[~np.isin(times[starts], [float(c) for c in YinYangLabel])]
-    if bad.size:
-        raise InvalidParameter(
-            f"{path}: line {bad[0] + 2}: label {format_time(times[bad[0]])} is not a class index"
-        )
-    ends = np.append(starts[1:], len(neurons))
-    return [
-        EncodedSample(
-            spikes=tuple(
-                Spike(n, t, SpikeKind.INPUT)
-                for n, t in zip(neurons[a + 1 : b].tolist(), times[a + 1 : b].tolist())
-            ),
-            label=YinYangLabel(int(times[a])),
-        )
-        for a, b in zip(starts, ends)
-    ]
+        for (x, y), label in zip(points.values.tolist(), points.labels.tolist()):
+            f.write(f"{format_time(x)},{format_time(y)},{names[label]}\n")

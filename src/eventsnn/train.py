@@ -195,18 +195,11 @@ class PackedDataset:
         return self.labels.shape[0]
 
 
-def pack_samples(samples: Sequence[data_mod.EncodedSample]) -> PackedDataset:
-    n = len(samples)
-    n_in = len(samples[0].spikes)
-    by_neuron = np.zeros((n, n_in))
-    labels = np.zeros(n, dtype=np.int64)
-    for row, s in enumerate(samples):
-        for spike in s.spikes:
-            by_neuron[row, spike.neuron] = spike.time
-        labels[row] = int(s.label)
-    order = np.argsort(by_neuron, axis=1, kind="stable")
-    sorted_times = np.take_along_axis(by_neuron, order, axis=1)
-    return PackedDataset(order.astype(np.int64), sorted_times, by_neuron, labels)
+def pack_samples(encoded: data_mod.LabelledRows) -> PackedDataset:
+    """The engine's arrays of encoded samples: each row's inputs in time order."""
+    order = np.argsort(encoded.values, axis=1, kind="stable")
+    sorted_times = np.take_along_axis(encoded.values, order, axis=1)
+    return PackedDataset(order.astype(np.int64), sorted_times, encoded.values, encoded.labels)
 
 
 def build_network(

@@ -1,9 +1,10 @@
 """Shared oracles and generators for the test suite.
 
 The oracles are deliberately primitive: plain forward-Euler loops, dense
-per-event decays of every lane, bracket-and-bisect root finding and the
-input-by-input loop of the analytic forward, independent of the closed-form,
-event-driven and prefix-sum paths they are used to check.
+per-event decays of every lane, bracket-and-bisect root finding, the
+input-by-input loop of the analytic forward and the point-by-point data
+path, independent of the closed-form, event-driven, prefix-sum and
+whole-array paths they are used to check.
 """
 import math
 from dataclasses import dataclass
@@ -29,7 +30,9 @@ from eventsnn.grad import (
     _stacked_source,
     fud_first_spike_times,
 )
+from eventsnn.data import EncodingConfig, YinYangLabel, classify
 from eventsnn.lif import next_crossing_safe, propagate_arrays
+from eventsnn.train import PackedDataset
 
 
 def euler_first_crossing(v0, i0, params: LifParams, dt=1e-6, t_hi=20.0):
@@ -547,6 +550,46 @@ def _fud_grads_at(t_star: float, t_in, w, params) -> FudSpikeGrad:
     d_w = np.where(causal, -_psp(s, ts) / vdot, 0.0)
     d_t = np.where(causal, w * _psp_dot(s, ts) / vdot, 0.0)
     return FudSpikeGrad(time=float(t_star), d_weights=d_w, d_times=d_t)
+
+
+def per_point_data_path(seed: int, n: int, r_small: float, enc: EncodingConfig):
+    """The data path one sample at a time: keep each drawn candidate while its
+    class quota lasts, encode each kept point on its own and scatter its
+    spike times into the packed arrays.  Returns the packed dataset and the
+    text of its dataset file."""
+    rng = np.random.default_rng(seed)
+    quotas = [n // 3 + (k < n % 3) for k in range(3)]
+    counts = [0, 0, 0]
+    points = []
+    while len(points) < n:
+        xs = rng.uniform(0.0, 1.0, size=512)
+        ys = rng.uniform(0.0, 1.0, size=512)
+        inside = np.hypot(xs - 0.5, ys - 0.5) <= 0.5
+        labels = classify(xs, ys, r_small)
+        for x, y, ok, lab in zip(xs.tolist(), ys.tolist(), inside.tolist(), labels.tolist()):
+            if ok and counts[lab] < quotas[lab]:
+                counts[lab] += 1
+                points.append((x, y, lab))
+                if len(points) == n:
+                    break
+    span = enc.t_late - enc.t_early
+    by_neuron = np.zeros((n, enc.n_inputs))
+    text = "x,y,label\n"
+    for row, (x, y, lab) in enumerate(points):
+        t_x = enc.t_early + x * span
+        t_y = enc.t_early + y * span
+        times = [t_x, t_y, enc.t_early + enc.t_late - t_x, enc.t_early + enc.t_late - t_y]
+        if enc.bias_enabled:
+            times.append(enc.bias_time)
+        for neuron, t in enumerate(times):
+            by_neuron[row, neuron] = t
+        text += f"{x!r},{y!r},{YinYangLabel(lab).name.lower()}\n"
+    order = np.argsort(by_neuron, axis=1, kind="stable")
+    labels = np.array([lab for _, _, lab in points], dtype=np.int64)
+    packed = PackedDataset(
+        order.astype(np.int64), np.take_along_axis(by_neuron, order, axis=1), by_neuron, labels
+    )
+    return packed, text
 
 
 @pytest.fixture

@@ -25,6 +25,8 @@ def run(*argv, config):
 
 def test_smoke_chain_and_exit_codes(tmp_path, tiny, capsys):
     assert run("generate", "--out", tmp_path / "data", config=tiny) == 0
+    written = sorted(p.name for p in (tmp_path / "data").iterdir())
+    assert written == ["config_used.txt", "test.csv", "train.csv"]
     assert run("train", "--out", tmp_path / "train", config=tiny) == 0
     checkpoint = tmp_path / "train" / "checkpoint.txt"
     assert run("eval", "--checkpoint", checkpoint, "--out", tmp_path / "eval", config=tiny) == 0
@@ -129,3 +131,29 @@ def test_train_rejects_a_bad_sim_section(tmp_path, key, capsys):
     assert run("train", "--out", out, config=config) == 2
     assert key.split(" =")[0] in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan", "0.26", "0.71", "1.0"])
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_r_small_outside_its_lobe_is_a_config_error(tmp_path, command, value, capsys):
+    # a dot that leaves its lobe (or has no area) never fills some class quota
+    config = tmp_path / "config.txt"
+    config.write_text(TINY + f"dataset.r_small = {value}\n")
+    out = tmp_path / command
+    assert run(command, "--out", out, config=config) == 2
+    assert "dataset.r_small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    ["dataset.t_early = 1.0\ndataset.t_late = 0.5\n", "dataset.t_late = nan\n"],
+    ids=["reversed", "nan"],
+)
+def test_generate_rejects_a_bad_encoding_window(tmp_path, keys, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(TINY + keys)
+    out = tmp_path / "data"
+    assert run("generate", "--out", out, config=config) == 2
+    assert "encoding window" in capsys.readouterr().err
+    assert not (out / "train.csv").exists()

@@ -6,17 +6,21 @@ import pytest
 from eventsnn.core import InvalidParameter
 from eventsnn.data import (
     EncodingConfig,
+    LabelledRows,
     YinYangLabel,
     classify,
-    decode,
-    encode,
     encode_dataset,
     generate,
-    read_dataset,
-    read_encoded_set,
     write_dataset,
-    write_encoded_set,
 )
+from eventsnn.train import pack_samples
+
+from conftest import per_point_data_path
+
+
+def points(xy, label=YinYangLabel.YIN) -> LabelledRows:
+    xy = np.array(xy, dtype=np.float64).reshape(-1, 2)
+    return LabelledRows(xy, np.full(len(xy), int(label), dtype=np.int64))
 
 
 class TestGeometry:
@@ -36,30 +40,35 @@ class TestGeometry:
 
     def test_class_histogram_balanced(self):
         pts = generate(seed=7, n=3000)
-        counts = [0, 0, 0]
-        for p in pts:
-            counts[int(p.label)] += 1
-        assert counts == [1000, 1000, 1000]
+        assert np.bincount(pts.labels, minlength=3).tolist() == [1000, 1000, 1000]
 
     def test_quota_for_tiny_n(self):
         pts = generate(seed=7, n=3)
-        assert sorted(int(p.label) for p in pts) == [0, 1, 2]
+        assert sorted(pts.labels.tolist()) == [0, 1, 2]
 
     def test_all_points_inside_big_disk(self):
         pts = generate(seed=3, n=2000)
-        for p in pts:
-            assert math.hypot(p.x - 0.5, p.y - 0.5) <= 0.5 + 1e-12
+        x, y = pts.values.T
+        assert np.all(np.hypot(x - 0.5, y - 0.5) <= 0.5 + 1e-12)
 
     def test_determinism(self):
+        def same(p, q):
+            return np.array_equal(p.values, q.values) and np.array_equal(p.labels, q.labels)
+
         a = generate(seed=11, n=500)
         b = generate(seed=11, n=500)
-        assert a == b
+        assert same(a, b)
         c = generate(seed=12, n=500)
-        assert a != c
+        assert not same(a, c)
 
     def test_no_duplicate_coordinates(self):
         pts = generate(seed=5, n=10_000)
-        assert len({(p.x, p.y) for p in pts}) == len(pts)
+        assert len(set(map(tuple, pts.values.tolist()))) == len(pts)
+
+    @pytest.mark.parametrize("r_small", [0.0, -0.1, math.nan, 0.26, 0.71, 1.0])
+    def test_r_small_outside_its_lobe_rejected(self, r_small):
+        with pytest.raises(InvalidParameter, match="r_small"):
+            generate(seed=1, n=300, r_small=r_small)
 
     def test_dot_area_fraction_monte_carlo(self):
         # before balancing, the dot class covers 2*(r_small/R)^2 of the disk
@@ -82,98 +91,85 @@ class TestEncoding:
     CFG = EncodingConfig(t_early=0.0, t_late=1.5)
 
     def test_origin_boundary(self):
-        from eventsnn.data import YinYangPoint
-
-        s = encode(YinYangPoint(0.0, 0.0, YinYangLabel.YIN), self.CFG)
-        times = [sp.time for sp in s.spikes]
+        times = encode_dataset(points([0.0, 0.0]), self.CFG).values[0].tolist()
         assert times == [0.0, 0.0, 1.5, 1.5, pytest.approx(1.35)]
 
     def test_far_corner_symmetry(self):
-        from eventsnn.data import YinYangPoint
-
-        s = encode(YinYangPoint(1.0, 1.0, YinYangLabel.YIN), self.CFG)
-        times = [sp.time for sp in s.spikes]
+        times = encode_dataset(points([1.0, 1.0]), self.CFG).values[0].tolist()
         assert times == [1.5, 1.5, 0.0, 0.0, pytest.approx(1.35)]
 
     def test_mirror_identity_exact(self, rng):
-        from eventsnn.data import YinYangPoint
-
-        for _ in range(200):
-            p = YinYangPoint(float(rng.random()), float(rng.random()), YinYangLabel.YIN)
-            s = encode(p, self.CFG)
-            t = {sp.neuron: sp.time for sp in s.spikes}
-            assert t[0] + t[2] == self.CFG.t_early + self.CFG.t_late
-            assert t[1] + t[3] == self.CFG.t_early + self.CFG.t_late
+        t = encode_dataset(points(rng.random((200, 2))), self.CFG).values
+        assert np.all(t[:, 0] + t[:, 2] == self.CFG.t_early + self.CFG.t_late)
+        assert np.all(t[:, 1] + t[:, 3] == self.CFG.t_early + self.CFG.t_late)
 
     def test_encode_decode_roundtrip(self, rng):
-        from eventsnn.data import YinYangPoint
-
-        for _ in range(100):
-            p = YinYangPoint(float(rng.random()), float(rng.random()), YinYangLabel.DOT)
-            x, y = decode(encode(p, self.CFG), self.CFG)
-            assert abs(x - p.x) <= 1e-12 and abs(y - p.y) <= 1e-12
+        # the affine map inverts on neurons 0 and 1
+        pts = points(rng.random((100, 2)), YinYangLabel.DOT)
+        t = encode_dataset(pts, self.CFG).values
+        span = self.CFG.t_late - self.CFG.t_early
+        assert np.all(np.abs((t[:, :2] - self.CFG.t_early) / span - pts.values) <= 1e-12)
 
     def test_bias_disabled_gives_four_spikes(self):
-        from eventsnn.data import YinYangPoint
-
         cfg = EncodingConfig(bias_enabled=False)
-        s = encode(YinYangPoint(0.5, 0.5, YinYangLabel.YIN), cfg)
-        assert len(s.spikes) == 4
-        assert {sp.neuron for sp in s.spikes} == {0, 1, 2, 3}
+        encoded = encode_dataset(points([0.5, 0.5]), cfg)
+        assert encoded.values.shape == (1, 4)
+        assert set(pack_samples(encoded).sorted_neurons[0].tolist()) == {0, 1, 2, 3}
 
     def test_bad_window_rejected(self):
-        from eventsnn.data import YinYangPoint
+        windows = [
+            dict(t_early=1.0, t_late=0.5),
+            dict(t_early=1.0, t_late=1.0),
+            dict(t_early=0.0, t_late=math.nan),
+            dict(t_early=math.nan, t_late=1.5),
+            dict(t_early=-0.5, t_late=1.5),
+            dict(t_early=0.0, t_late=math.inf),
+            dict(t_bias=-1.0),
+            dict(t_bias=math.nan),
+        ]
+        for window in windows:
+            with pytest.raises(InvalidParameter):
+                EncodingConfig(**window)
+        # a bias time is only checked when the bias spike is sent
+        assert EncodingConfig(t_bias=-1.0, bias_enabled=False).n_inputs == 4
 
-        with pytest.raises(InvalidParameter):
-            encode(
-                YinYangPoint(0.5, 0.5, YinYangLabel.YIN),
-                EncodingConfig(t_early=1.0, t_late=0.5),
-            )
+
+class TestArraysMatchPerPointPath:
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("r_small", [0.1, 0.05])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 99, 1280, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 43])
+    def test_bitwise(self, tmp_path, seed, n, r_small, bias):
+        enc = EncodingConfig(bias_enabled=bias)
+        want, text = per_point_data_path(seed, n, r_small, enc)
+        pts = generate(seed, n, r_small)
+        got = pack_samples(encode_dataset(pts, enc))
+        for name in ("sorted_neurons", "sorted_times", "by_neuron_times", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        write_dataset(tmp_path / "d.csv", pts)
+        assert (tmp_path / "d.csv").read_bytes() == text.encode("utf-8")
+
+    def test_slice_packs_the_leading_rows(self):
+        encoded = encode_dataset(generate(seed=9, n=40))
+        whole, head = pack_samples(encoded), pack_samples(encoded[:7])
+        assert len(encoded[:7]) == len(head) == 7
+        assert np.array_equal(head.sorted_times, whole.sorted_times[:7])
+        assert np.array_equal(head.labels, whole.labels[:7])
 
 
 class TestFiles:
     def test_dataset_roundtrip(self, tmp_path):
+        # repr floats: the written file holds every point exactly
         pts = generate(seed=21, n=99)
         path = tmp_path / "d.csv"
         write_dataset(path, pts)
-        assert read_dataset(path) == pts
-
-    def test_encoded_set_roundtrip(self, tmp_path):
-        pts = generate(seed=22, n=30)
-        samples = encode_dataset(pts)
-        path = tmp_path / "e.spikes"
-        write_encoded_set(path, samples)
-        back = read_encoded_set(path)
-        assert back == samples
-        write_encoded_set(path, [])
-        assert read_encoded_set(path) == []
-
-    @pytest.mark.parametrize(
-        "row, match",
-        [("0.5,0.5", "line 3: bad dataset row '0.5,0.5'"), ("0.5,0.5,yan", "line 3: bad")],
-        ids=["short_row", "unknown_label"],
-    )
-    def test_malformed_dataset_row_names_its_line(self, tmp_path, row, match):
-        path = tmp_path / "d.csv"
-        path.write_text(f"x,y,label\n0.1,0.2,yin\n{row}\n0.3,0.4,dot\n")
-        with pytest.raises(InvalidParameter, match=match):
-            read_dataset(path)
-
-    @pytest.mark.parametrize(
-        "records, match",
-        [
-            ("0,0.1\n1,0.2\n", "line 2: a record before the first separator"),
-            ("0,0.1\n-2,1.0\n1,0.2\n", "line 2: a record before the first separator"),
-            ("-2,0.0\n0,0.1\n-2,1.5\n1,0.2\n", "line 4: label 1.5 is not a class index"),
-            ("-2,3.0\n0,0.1\n", "line 2: label 3.0 is not a class index"),
-        ],
-        ids=["no_separator", "records_before_separator", "fractional_label", "label_out_of_range"],
-    )
-    def test_malformed_encoded_set_names_its_line(self, tmp_path, records, match):
-        path = tmp_path / "e.spikes"
-        path.write_text("neuron,time\n" + records)
-        with pytest.raises(InvalidParameter, match=match):
-            read_encoded_set(path)
+        header, *rows = path.read_text().splitlines()
+        assert header == "x,y,label"
+        fields = [row.split(",") for row in rows]
+        assert np.array_equal(np.array([[float(x), float(y)] for x, y, _ in fields]), pts.values)
+        assert [YinYangLabel[name.upper()] for *_, name in fields] == pts.labels.tolist()
 
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         for k in (1, 2):

@@ -1,12 +1,17 @@
 """The benchmark probe binds eventsnn functions by name: every name it
-traces must exist, and uninstalling must restore every original."""
+traces must exist, and uninstalling must restore every original.  The
+benchmark's own self-test runs each workload on tiny sizes, so a changed
+call shape fails here too."""
 import importlib.util
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import eventsnn
 
-PROBE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+ROOT = Path(__file__).resolve().parents[1]
+PROBE_PATH = ROOT / "perfbench" / "probe.py"
 
 
 def load_probe_module():
@@ -37,3 +42,12 @@ def test_probe_installs_and_uninstalls_on_eventsnn():
     for qual, home in homes.items():
         assert getattr(home, qual.split(".")[1]) is originals[qual]
     assert eventsnn.simulate is package_simulate
+
+
+def test_perfbench_selftest_runs_every_workload():
+    # the wall-clock test (TestProbeAndClock) is left to the benchmark's own runs
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py", "TestSpec", "TestWorkloads"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
