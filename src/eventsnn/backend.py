@@ -4,16 +4,19 @@
 returns one ``EventTrace`` of (B, m) slot arrays that the gradient path
 consumes unchanged; ``forward`` is row 0 of a one-sample batch.
 
-* ``numeric`` delegates to the in-process event-driven simulator,
+* ``numeric`` delegates to the in-process event-driven simulator, which
+  ends each row once every output has fired (see ``sim``),
 * ``mock`` simulates substrate non-idealities: weights are quantized and
-  saturated before the run, emitted internal spike times get Gaussian jitter
-  and may be dropped, then the trace is re-sorted and re-padded,
+  saturated before the run, the internal spike times of the (stopped) trace
+  get Gaussian jitter and may be dropped, then the trace is re-sorted and
+  re-padded,
 * ``replay`` reads previously exported traces from a file (the stand-in for
   a physical substrate) and gives each row the block recorded for its
-  inputs, validating shape, ordering and the inputs.
+  inputs, validating shape, ordering and the inputs.  A block ends where
+  its run stopped, so its input records are often a prefix of the inputs.
 
-The backward pass always assumes the ideal dynamics with the caller's float
-weights, whatever produced the spikes.
+A trace carries events only.  The backward pass always assumes the ideal
+dynamics with the caller's float weights, whatever produced the spikes.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ from .core import (
     parse_records,
     validate_network,
 )
-from .grad import replay_state
 from .sim import check_input_rows, pack_inputs, simulate_batch
 
 
@@ -127,9 +129,12 @@ def _apply_mock_noise(
     """Jitter/drop internal spikes per sample, then re-sort and re-pad.
 
     Each row draws from its own generator seeded by its sample seed, so a
-    row's noise does not depend on the rest of the batch.
+    row's noise does not depend on the rest of the batch.  Only the first w
+    columns move, w the longest real prefix of the batch; the dummy tail
+    after them stays as it is.
     """
-    internal = batch.kinds == int(SpikeKind.INTERNAL)
+    w = int(np.sum(batch.kinds != int(SpikeKind.DUMMY), axis=1).max(initial=0))
+    internal = batch.kinds[:, :w] == int(SpikeKind.INTERNAL)
     counts = internal.sum(axis=1)
     jit = []
     lost = []
@@ -142,7 +147,7 @@ def _apply_mock_noise(
         if mock.spike_loss_prob > 0.0:
             lost.append(rng.random(n_int) < mock.spike_loss_prob)
     # boolean-mask assignment walks the rows in order, matching the draws
-    times = batch.times.copy()
+    times = batch.times[:, :w].copy()
     if jit:
         times[internal] = np.clip(times[internal] + np.concatenate(jit), 0.0, t_max)
     drop = np.zeros_like(internal)
@@ -151,16 +156,11 @@ def _apply_mock_noise(
     times[drop] = np.inf
     order = np.argsort(times, axis=1, kind="stable")
     dropped = np.take_along_axis(drop, order, axis=1)
-    return EventTrace(
-        np.where(dropped, DUMMY_NEURON, np.take_along_axis(batch.neurons, order, axis=1)),
-        np.take_along_axis(times, order, axis=1),
-        np.where(
-            dropped, int(SpikeKind.DUMMY), np.take_along_axis(batch.kinds, order, axis=1)
-        ).astype(np.int8),
-        batch.final_v,
-        batch.final_i,
-        batch.final_t,
-    )
+    out = [a.copy() for a in (batch.neurons, batch.times, batch.kinds)]
+    heads = (batch.neurons[:, :w], times, batch.kinds[:, :w])
+    for a, head, dummy in zip(out, heads, (DUMMY_NEURON, np.inf, int(SpikeKind.DUMMY))):
+        a[:, :w] = np.where(dropped, dummy, np.take_along_axis(head, order, axis=1))
+    return EventTrace(*out)
 
 
 def forward_batch(
@@ -359,8 +359,6 @@ def replay_block_to_trace(
     them and must be all of them up to t_max, or a nonempty prefix.  Real
     records form a time-sorted prefix within [0, t_max], every other record
     is the dummy (-1, inf), and internal records name simulated neurons.
-    The final state is reconstructed by replaying the ideal dynamics over
-    the foreign spike train.
     """
     kinds = classify_records(neurons, times, in_neurons, in_times)
     dummy = kinds == int(SpikeKind.DUMMY)
@@ -380,5 +378,4 @@ def replay_block_to_trace(
         raise ReplayShapeMismatch(
             "replayed input records are not the sample's input spikes"
         )
-    v, i, t = replay_state(neurons, times, kinds, net, t_max)
-    return EventTrace(neurons, times, kinds, v, i, t)
+    return EventTrace(neurons, times, kinds)

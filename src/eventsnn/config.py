@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .backend import BackendConfig, MockConfig, ReplayConfig
 from .core import InvalidParameter
-from .data import R_SMALL_MAX
+from .data import R_SMALL_MAX, EncodingConfig
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,16 @@ class DatasetConfig:
             raise InvalidParameter(
                 f"dataset.r_small={self.r_small} must lie in (0, {R_SMALL_MAX}]"
             )
+        self.encoding  # a bad window fails at load, before any output is written
+
+    @property
+    def encoding(self) -> EncodingConfig:
+        return EncodingConfig(
+            t_early=self.t_early,
+            t_late=self.t_late,
+            t_bias=self.t_bias,
+            bias_enabled=self.bias_enabled,
+        )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Conventions, fixed once and used everywhere:
   * ``Spike`` is the type of one input event; a forward pass is recorded as
     an ``EventTrace`` of slot arrays, batched or one row of a batch,
   * neuron state has no type of its own: the engine keeps it in batched
-    arrays, and a trace carries each row's final (v, i, t); nor has a dataset
+    arrays while a row runs, and a trace carries none; nor has a dataset
     sample, which is one row of ``data.LabelledRows``.
 
 All types except the trace are immutable value types after construction and
@@ -122,8 +122,9 @@ class Network:
 
     ``weights`` is n_total x n_total and may be recurrent (zero delay);
     ``input_weights`` is n_in x n_total. ``output_set`` lists the readout
-    neurons.  Every neuron's spikes enter the trace, as the gradient path
-    requires.
+    neurons; the engine ends a row once each of them has fired, and a net
+    without readout runs to t_max.  Every neuron's spikes up to then enter
+    the trace, as the gradient path requires.
     """
 
     n_total: int
@@ -240,10 +241,11 @@ class EventTrace:
     """Struct-of-arrays record of forward passes, the one trace type.
 
     A batch of B passes holds (B, m) slot arrays ``neurons``/``times``/
-    ``kinds``, (B, N) final voltages and currents and (B,) final times; its
-    row ``trace[b]`` is the single-sample trace, the same class with (m,)
-    slot arrays, (N,) final state and a scalar final time.  Dummy slots
-    trail the real events of a row, so its times are non-decreasing.
+    ``kinds``; its row ``trace[b]`` is the single-sample trace, the same
+    class with (m,) slot arrays.  Dummy slots trail the real events of a
+    row, so its times are non-decreasing.  A row ends at t_max, at its
+    budget or once every output has fired (see ``sim``), so a trace holds
+    events only: no neuron state at an end time.
     ``i_spike_recorded`` is the engine's diagnostic record of the spiking
     neuron's synaptic current just before each internal event (None when the
     spikes did not come from the engine); the gradient path ignores it and
@@ -253,9 +255,6 @@ class EventTrace:
     neurons: np.ndarray  # (B, m) or (m,) int64
     times: np.ndarray  # (B, m) or (m,) float64
     kinds: np.ndarray  # (B, m) or (m,) int8
-    final_v: np.ndarray  # (B, N) or (N,)
-    final_i: np.ndarray  # (B, N) or (N,)
-    final_t: np.ndarray  # (B,) or scalar
     i_spike_recorded: np.ndarray | None = None
 
     def __post_init__(self):
@@ -277,9 +276,6 @@ class EventTrace:
             self.neurons[b],
             self.times[b],
             self.kinds[b],
-            self.final_v[b],
-            self.final_i[b],
-            self.final_t[b],
             None if rec is None else rec[b],
         )
 

@@ -121,15 +121,9 @@ def generate(seed: int, n: int, r_small: float = 0.1) -> LabelledRows:
 def build_dataset(dcfg) -> tuple[EncodingConfig, LabelledRows, LabelledRows]:
     """Encoding plus train and test points of a config's ``dataset`` section;
     the test set is drawn with seed + 1."""
-    enc = EncodingConfig(
-        t_early=dcfg.t_early,
-        t_late=dcfg.t_late,
-        t_bias=dcfg.t_bias,
-        bias_enabled=dcfg.bias_enabled,
-    )
     train = generate(dcfg.seed, dcfg.n_train, dcfg.r_small)
     test = generate(dcfg.seed + 1, dcfg.n_test, dcfg.r_small)
-    return enc, train, test
+    return dcfg.encoding, train, test
 
 
 def encode_dataset(points: LabelledRows, cfg: EncodingConfig = EncodingConfig()) -> LabelledRows:

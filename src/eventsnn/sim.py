@@ -22,11 +22,16 @@ each row takes: the fan-out lanes of all live rows are gathered into one
 flat list, propagated in one call, reset and incremented on the flat
 arrays, re-solved in one call and scattered back once.
 
-When no event exists before t_max a row is done: it emits a dummy spike
-(-1, inf) and its state freezes at t_max.  Dummies fill the rest of its
-budget, so every trace has exactly m entries, and the loop stops as soon as
-every row is done.  At the end every lane is propagated once to its row's
-final time: t_max, or the last event of a row that used its whole budget.
+A row is done when no event exists before t_max, or once it is
+loss-complete: in the iteration where the last neuron of ``net.output_set``
+fires for the first time, the row retires.  The first-spike loss and the
+classifier read only each output's first spike, and the EventProp adjoint
+is zero past the last of them, so nothing later is simulated; a net without
+outputs runs to t_max.  A done row emits a dummy spike (-1, inf) and reads
+no more inputs.  Dummies fill the rest of its budget, so every trace has
+exactly m entries, and the loop stops as soon as every row is done.  Up to
+its stop, a row's trace is bitwise the prefix of the trace of the same net
+with an empty ``output_set``.  No state is kept past the last event.
 
 The engine is written over batched (B, 1 + N) state arrays and every
 operation acts on its own row only, so a row's trace does not depend on the
@@ -144,8 +149,16 @@ def simulate_batch(
     v_f, i_f, tref_f, src_f = (a.reshape(-1) for a in (v, i, tref, src_of))
     base = np.arange(b) * (1 + n)
     lane0 = base + 1
-    # a time beyond t_lim ends its row; inf does so even at t_max = inf
-    t_lim = min(t_max, np.finfo(np.float64).max)
+    # a time beyond its row's limit ends the row; inf does so even at
+    # t_max = inf, and a row's limit drops to -inf once it is loss-complete
+    lim = np.full(b, min(t_max, np.finfo(np.float64).max))
+    # the outputs each row has seen fire, one bit per output; beyond 63
+    # outputs the bits are Python ints, which have no width
+    n_out = len(net.output_set)
+    bit = np.zeros(null + 1, dtype=np.int64 if n_out <= 63 else object)
+    bit[list(net.output_set)] = [1 << k for k in range(n_out)]
+    full = (1 << n_out) - 1
+    seen = np.zeros(b, dtype=bit.dtype)
 
     # slot k of every row, kept as (m, B) rows: the stacked source of its
     # event (null once the row is done), its time, and the current of a
@@ -162,7 +175,7 @@ def simulate_batch(
         # lowest neuron
         at = base + tc.argmin(axis=1)
         t_next = tc_f[at]
-        done = t_next > t_lim
+        done = t_next > lim
         if done.all():
             break
         src = np.where(done, null, src_f[at])
@@ -189,17 +202,14 @@ def simulate_batch(
         i_f[lanes] = ii
         tref_f[lanes] = tn
         tc_f[lanes] = tn + next_crossing_safe(vv, ii, p)
+        if n_out:
+            seen |= bit[src]
+            lim[seen == full] = -np.inf
 
-    # a row still running used every slot; its state stays at its last event
-    t = np.where(done, t_max, time_k[-1])
-    v, i = propagate_arrays(v[:, 1:], i[:, 1:], t[:, None] - tref[:, 1:], p)
     return EventTrace(
         np.ascontiguousarray(neuron_of[src_k.T]),
         np.ascontiguousarray(np.where(src_k == null, np.inf, time_k).T),
         np.ascontiguousarray(kind_of[src_k.T]),
-        v,
-        i,
-        t,
         np.ascontiguousarray(ispike_k.T),
     )
 
@@ -207,8 +217,9 @@ def simulate_batch(
 def simulate(net: Network, inputs: Sequence[Spike], m: int, t_max: float) -> EventTrace:
     """Event-driven forward pass of one sample: row 0 of ``simulate_batch``.
 
-    Exactly m trace slots, dummies trailing.  Inputs must be sorted by time;
-    inputs that do not fit the budget are silently truncated.
+    Exactly m trace slots, dummies trailing.  Inputs must be sorted by time.
+    The row stops at t_max, at the budget or once every output has fired,
+    whichever comes first; inputs after the stop are not read.
     """
     validate_network(net)
     # a dummy packs to the (-1, inf) padding, which the row check accepts

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -235,10 +235,11 @@ def _activity(
     t_max: float,
     n_hidden: int,
 ):
-    """Fractions of (sample, neuron) pairs that spike, for hidden and output."""
+    """Fractions of (sample, neuron) pairs that spike before t_max, for hidden
+    and output: the traces run to t_max, as a net without outputs does."""
     batch = backend_mod.forward_batch(
         bcfg,
-        net,
+        replace(net, output_set=()),
         ds.sorted_neurons[idx],
         ds.sorted_times[idx],
         m,
@@ -537,7 +538,8 @@ def replace_weights(net: Network, params) -> Network:
 
 
 def _spike_counts(neurons, kinds, n_total):
-    """(B, n_total) number of internal spikes per neuron and sample."""
+    """(B, n_total) number of internal spikes per neuron and sample, up to
+    the sample's stop: the spikes after every output has fired go uncounted."""
     b = neurons.shape[0]
     flat = (np.arange(b)[:, None] * n_total + neurons)[kinds == int(SpikeKind.INTERNAL)]
     return np.bincount(flat, minlength=b * n_total).reshape(b, n_total).astype(np.float64)

@@ -6,6 +6,7 @@ input-by-input loop of the analytic forward and the point-by-point data
 path, independent of the closed-form, event-driven, prefix-sum and
 whole-array paths they are used to check.
 """
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -154,6 +155,39 @@ def random_network(
     )
 
 
+def without_outputs(net: Network) -> Network:
+    """The same net with an empty ``output_set``: the engine runs every row
+    to t_max or its budget, as it did before rows stopped at their outputs."""
+    return dataclasses.replace(net, output_set=())
+
+
+def stop_slots(full: EventTrace, output_set) -> np.ndarray:
+    """Per row of an unstopped (B, m) trace, the slots a stopped run keeps:
+    up to and including the first spike of the last output to fire, or all
+    m when some output never fires."""
+    m = full.times.shape[1]
+    internal = full.kinds == int(SpikeKind.INTERNAL)
+    end = np.zeros(full.times.shape[0], dtype=np.int64)
+    for k in output_set:
+        hit = internal & (full.neurons == k)
+        end = np.where(hit.any(axis=1), np.maximum(end, hit.argmax(axis=1) + 1), m)
+    return end
+
+
+def assert_stopped_prefix(stopped: EventTrace, full: EventTrace, output_set) -> np.ndarray:
+    """``stopped`` is bitwise ``full``'s prefix up to its stop slot, then
+    dummies; both are (B, m) or one-sample traces.  Returns the stop slots."""
+    rows = [np.atleast_2d(a) for a in (stopped.neurons, stopped.times, stopped.kinds)]
+    want = [np.atleast_2d(a) for a in (full.neurons, full.times, full.kinds)]
+    end = stop_slots(EventTrace(*want), output_set)
+    for r, e in enumerate(end):
+        for got, ref in zip(rows, want):
+            np.testing.assert_array_equal(got[r, :e], ref[r, :e])
+        assert np.all(rows[0][r, e:] == DUMMY_NEURON) and np.all(np.isposinf(rows[1][r, e:]))
+        assert np.all(rows[2][r, e:] == int(SpikeKind.DUMMY))
+    return end
+
+
 def random_inputs(rng: np.random.Generator, net: Network, t_span=1.5, k_max=10):
     k = int(rng.integers(1, k_max + 1))
     times = np.sort(rng.uniform(0.0, t_span, size=k))
@@ -228,9 +262,6 @@ def dense_oracle(net: Network, inputs, dt: float, t_max: float, m: int | None = 
         np.array(neurons, dtype=np.int64),
         np.array(times, dtype=np.float64),
         np.array(kinds, dtype=np.int8),
-        np.array(v),
-        np.array(i),
-        min(t, t_max),
     )
 
 

@@ -7,6 +7,7 @@ from eventsnn.backend import (
     ReplayConfig,
     ReplayShapeMismatch,
     ReplayUnsorted,
+    _apply_mock_noise,
     _mock_network,
     _replay_index,
     forward,
@@ -20,7 +21,7 @@ from eventsnn.backend import (
 from eventsnn import backend as backend_mod
 from eventsnn.cli import build_parser
 from eventsnn.core import InvalidParameter, LifParams, Network, Spike, SpikeKind
-from eventsnn.grad import eventprop_backward
+from eventsnn.grad import eventprop_backward, replay_state
 from eventsnn.sim import pack_inputs, simulate, simulate_batch
 
 from conftest import random_inputs, random_network, replay_walk
@@ -102,7 +103,52 @@ class TestNumericBackend:
         np.testing.assert_array_equal(tr_b.kinds, tr_s.kinds)
 
 
+def full_width_mock_noise(batch, mock, t_max, seeds):
+    """Mock noise sorted over every slot of each row: the same draws, one
+    per internal spike, and one stable sort of the whole row."""
+    internal = batch.kinds == INTERNAL
+    times = batch.times.copy()
+    drop = np.zeros_like(internal)
+    for row, n_int in enumerate(internal.sum(axis=1)):
+        if n_int == 0:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence((int(seeds[row]), 0xE5)))
+        at = np.flatnonzero(internal[row])
+        if mock.jitter_sigma > 0.0:
+            jit = rng.normal(0.0, mock.jitter_sigma, size=n_int)
+            times[row, at] = np.clip(times[row, at] + jit, 0.0, t_max)
+        if mock.spike_loss_prob > 0.0:
+            drop[row, at] = rng.random(n_int) < mock.spike_loss_prob
+    times[drop] = np.inf
+    order = np.argsort(times, axis=1, kind="stable")
+    dropped = np.take_along_axis(drop, order, axis=1)
+    neurons = np.take_along_axis(batch.neurons, order, axis=1)
+    kinds = np.take_along_axis(batch.kinds, order, axis=1)
+    return (
+        np.where(dropped, -1, neurons),
+        np.take_along_axis(times, order, axis=1),
+        np.where(dropped, DUMMY, kinds).astype(np.int8),
+    )
+
+
 class TestMockBackend:
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_noise_on_the_real_prefix_equals_the_full_width_sort(self, rng, loss):
+        mock = MockConfig(jitter_sigma=0.3, spike_loss_prob=loss)
+        tails = 0
+        for _ in range(10):
+            net = random_network(rng)
+            idx, times = pack_inputs([random_inputs(rng, net) for _ in range(8)])
+            batch = simulate_batch(net, idx[:, :-1], times[:, :-1], 60, 2.5)
+            seeds = rng.integers(0, 1000, size=8)
+            got = _apply_mock_noise(batch, mock, 2.5, seeds)
+            want = full_width_mock_noise(batch, mock, 2.5, seeds)
+            tails += np.sum(batch.kinds != DUMMY, axis=1).max() < 60
+            for a, b in zip((got.neurons, got.times, got.kinds), want):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        assert tails >= 5  # batches whose every row has a dummy tail
+
     def test_degenerate_noise_equals_numeric(self, rng):
         # sigma=0, many bits, no loss: the mock trace must match exactly
         net = random_network(rng)
@@ -209,8 +255,8 @@ class TestReplayBackend:
                 want = getattr(traces, field)[b]
                 np.testing.assert_array_equal(getattr(got, field)[row], want)
             solo = forward(cfg, net, sample_inputs[b], 14, 2.5)
-            np.testing.assert_array_equal(got.final_v[row], solo.final_v)
-            np.testing.assert_array_equal(got.final_i[row], solo.final_i)
+            for field in ("neurons", "times", "kinds"):
+                np.testing.assert_array_equal(getattr(got, field)[row], getattr(solo, field))
 
     def test_block_with_all_inputs_preferred_over_a_prefix(self, tmp_path):
         net = Network(
@@ -231,15 +277,18 @@ class TestReplayBackend:
         np.testing.assert_array_equal(got.times, traces.times[1])
 
     def test_final_state_matches_the_event_walk(self, rng):
+        # grad.replay_state, the state at t_max of a replayed trace, against
+        # one propagation per event
         for _ in range(5):
             net, sample_inputs, traces = self.make_traces(rng, n_samples=8)
             idx, in_times = pack_inputs(sample_inputs)
             got = replay_block_to_trace(traces.neurons, traces.times, net, idx, in_times, 2.5)
+            final_v, final_i, final_t = replay_state(got.neurons, got.times, got.kinds, net, 2.5)
             for b in range(len(sample_inputs)):
                 v, i, t = replay_walk(traces[b], net, 2.5)
-                np.testing.assert_allclose(got.final_v[b], v, rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(got.final_i[b], i, rtol=1e-12, atol=1e-12)
-                assert got.final_t[b] == t
+                np.testing.assert_allclose(final_v[b], v, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(final_i[b], i, rtol=1e-12, atol=1e-12)
+                assert final_t[b] == t
 
     def test_manifest_budget_mismatch(self, rng, tmp_path):
         net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)

@@ -1,7 +1,13 @@
 """The CLI's exit-code contract: 0 success, 2 config error, 3 runtime error."""
+import numpy as np
 import pytest
 
+from eventsnn.backend import BackendConfig, ReplayConfig, read_replay_file, replay_blocks
 from eventsnn.cli import main
+from eventsnn.config import load_config
+from eventsnn.core import SpikeKind, classify_records
+from eventsnn.data import build_dataset, encode_dataset
+from eventsnn.train import pack_samples
 
 TINY = (
     "dataset.n_train = 30\n"
@@ -157,3 +163,51 @@ def test_generate_rejects_a_bad_encoding_window(tmp_path, keys, capsys):
     assert run("generate", "--out", out, config=config) == 2
     assert "encoding window" in capsys.readouterr().err
     assert not (out / "train.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate"],
+        ["train"],
+        ["eval", "--checkpoint", "absent.txt"],
+        ["export-traces"],
+        ["replay-train", "--traces", "absent.replay"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_a_bad_encoding_window_leaves_no_output_directory(tmp_path, command, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text(TINY + "dataset.t_late = nan\n")
+    out = tmp_path / "out"
+    assert run(*command, "--out", out, config=config) == 2
+    assert "encoding window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
+    # each exported row stops once every output has fired; at 120 hidden
+    # neurons that is before the last input, so a block holds only a prefix
+    # of its sample's inputs, and replay must still give every sample its
+    # own block
+    wide = tmp_path / "wide.txt"
+    wide.write_text(TINY + "network.n_hidden = 120\n")
+    export = tmp_path / "export"
+    assert run("export-traces", "--samples", 30, "--out", export, config=wide) == 0
+    cfg = load_config(wide)
+    enc, points, _ = build_dataset(cfg.dataset)
+    ds = pack_samples(encode_dataset(points[:30], enc))
+    rf = read_replay_file(export / "traces.replay")
+    kinds = classify_records(rf.neurons, rf.times, ds.sorted_neurons, ds.sorted_times)
+    n_inputs = np.sum(kinds == int(SpikeKind.INPUT), axis=1)
+    assert np.sum(n_inputs < ds.sorted_times.shape[1]) >= 10
+    replay = BackendConfig(kind="replay", replay=ReplayConfig(export / "traces.replay"))
+    _, pick = replay_blocks(replay, ds.sorted_neurons, ds.sorted_times, rf.m, rf.t_max)
+    assert pick == list(range(30))
+    out = tmp_path / "replay"
+    assert run(
+        "replay-train", "--traces", export / "traces.replay",
+        "--checkpoint", export / "checkpoint.txt", "--out", out, config=wide,
+    ) == 0
+    lines = (out / "gradients.txt").read_text().split()
+    assert all(np.isfinite(float(x)) for x in lines if x[0] in "-0123456789")

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from eventsnn.backend import BackendConfig, ReplayConfig, forward_batch
+from eventsnn.config import load_config
 from eventsnn.core import (
     FanOut,
     InvalidParameter,
@@ -12,6 +14,7 @@ from eventsnn.core import (
     Spike,
     SpikeKind,
 )
+from eventsnn.data import build_dataset, encode_dataset
 from eventsnn.lif import next_crossing_double_tau
 from eventsnn.sim import (
     InvalidBudget,
@@ -20,8 +23,16 @@ from eventsnn.sim import (
     simulate,
     simulate_batch,
 )
+from eventsnn.train import init_network, pack_samples
 
-from conftest import dense_oracle, euler_first_crossing, random_inputs, random_network
+from conftest import (
+    assert_stopped_prefix,
+    dense_oracle,
+    euler_first_crossing,
+    random_inputs,
+    random_network,
+    without_outputs,
+)
 
 P2 = LifParams(tau_mem=2.0)
 
@@ -52,9 +63,6 @@ def assert_batch_matches_solo(net, batch_inputs, m, t_max):
         np.testing.assert_array_equal(got.neurons, solo.neurons)
         np.testing.assert_array_equal(got.times, solo.times)
         np.testing.assert_array_equal(got.kinds, solo.kinds)
-        np.testing.assert_array_equal(got.final_v, solo.final_v)
-        np.testing.assert_array_equal(got.final_i, solo.final_i)
-        assert got.final_t == solo.final_t
     return batch
 
 
@@ -86,9 +94,17 @@ def run_rows(net, batch_inputs, m, t_max):
     return simulate_batch(net, idx[:, :-1], times[:, :-1], m=m, t_max=t_max)
 
 
+def assert_unstopped_prefix(net, batch, batch_inputs, m, t_max):
+    """``batch`` of the readout net is the prefix of the same rows run with
+    no outputs; returns that unstopped batch for the oracle comparisons."""
+    full = assert_batch_matches_solo(without_outputs(net), batch_inputs, m, t_max)
+    assert_stopped_prefix(batch, full, net.output_set)
+    return full
+
+
 class TestStep:
-    # a run with budget m stops after its m-th event step; its final state
-    # is taken at that event, or at t_max when the row ran out of events
+    # a run with budget m stops after its m-th event step, when the row runs
+    # out of events before t_max, or once every output has fired
 
     def test_zero_weights_passes_input_through(self):
         net = Network(
@@ -100,24 +116,20 @@ class TestStep:
         )
         out = run_rows(net, [[in_spike(0, 0.2)]], m=1, t_max=3.0)[0]
         assert (out.neurons[0], out.times[0], out.kinds[0]) == (0, 0.2, INPUT)
-        assert out.final_t == 0.2
 
     def test_strong_input_then_internal_spike(self):
         net = single_neuron_net(w_in=4.0)
         out1 = run_rows(net, [[in_spike(0, 0.0)]], m=1, t_max=5.0)[0]
         assert out1.kinds[0] == INPUT
-        assert out1.final_i[0] == 4.0
         out2 = run_rows(net, [[in_spike(0, 0.0)]], m=2, t_max=5.0)[0]
         t_expected = euler_first_crossing(0.0, 4.0, P2, dt=1e-6)
         assert out2.kinds[1] == INTERNAL
         assert out2.times[1] == pytest.approx(t_expected, abs=1e-4)
-        assert out2.final_v[0] == P2.v_reset
 
     def test_quiescent_network_emits_dummy(self):
         net = single_neuron_net()
         out = run_rows(net, [[]], m=1, t_max=3.0)[0]
         assert (out.neurons[0], out.times[0], out.kinds[0]) == (-1, math.inf, DUMMY)
-        assert out.final_t == 3.0
 
 
 class TestSimulate:
@@ -193,10 +205,13 @@ class TestSimulate:
             params=P2,
             output_set=(1,),
         )
-        tr = simulate(net, [in_spike(0, 0.0)], m=9, t_max=40.0)
+        tr = simulate(without_outputs(net), [in_spike(0, 0.0)], m=9, t_max=40.0)
         internal = [nrn for nrn, _ in internal_spikes(tr)]
         assert len(internal) >= 6
         assert all(a != b for a, b in zip(internal, internal[1:]))
+        # the readout net stops at neuron 1's first spike, in slot 2
+        stopped = simulate(net, [in_spike(0, 0.0)], m=9, t_max=40.0)
+        assert assert_stopped_prefix(stopped, tr, net.output_set).tolist() == [3]
 
 
 class TestBatchedEngine:
@@ -213,7 +228,7 @@ class TestBatchedEngine:
         sub_inputs = []
         solos = []
         while len(sub_nets) < 3:
-            net = random_network(rng, n_max=3, n_in_max=2)
+            net = without_outputs(random_network(rng, n_max=3, n_in_max=2))
             inputs = random_inputs(rng, net, k_max=4, t_span=0.8)
             solo = simulate(net, inputs, m=300, t_max=1.5)
             if solo.kinds[-1] != DUMMY:
@@ -243,8 +258,9 @@ class TestBatchedEngine:
             ),
             key=lambda s: s.time,
         )
-        tr = simulate(combined, merged, m=900, t_max=1.5)
+        tr = simulate(without_outputs(combined), merged, m=900, t_max=1.5)
         assert tr.kinds[-1] == DUMMY
+        assert_stopped_prefix(simulate(combined, merged, m=900, t_max=1.5), tr, (0,))
         for k, solo in enumerate(solos):
             want = internal_spikes(solo)
             got = [
@@ -285,7 +301,8 @@ class TestDenseOracle:
         for _ in range(15):
             net = random_network(rng, n_max=5)
             inputs = random_inputs(rng, net, k_max=6)
-            ev = simulate(net, inputs, m=24, t_max=2.0)
+            ev = simulate(without_outputs(net), inputs, m=24, t_max=2.0)
+            assert_stopped_prefix(simulate(net, inputs, m=24, t_max=2.0), ev, net.output_set)
             dn = dense_oracle(net, inputs, dt=1e-5, t_max=2.0, m=24)
             real = ev.kinds != DUMMY
             assert ev.neurons[real].tolist() == dn.neurons[dn.kinds != DUMMY].tolist()
@@ -343,7 +360,9 @@ class TestEngineEdgeCases:
         assert_batch_matches_solo(net, batch_inputs, m=30, t_max=3.0)
         # the self-loop current lands on the spiking neuron itself
         single = single_neuron_net(w_in=4.0, w_rec=2.0)
-        ev = simulate(single, [in_spike(0, 0.0)], m=12, t_max=3.0)
+        ev = simulate(without_outputs(single), [in_spike(0, 0.0)], m=12, t_max=3.0)
+        stopped = simulate(single, [in_spike(0, 0.0)], m=12, t_max=3.0)
+        assert assert_stopped_prefix(stopped, ev, single.output_set).tolist() == [2]
         dn = dense_oracle(single, [in_spike(0, 0.0)], dt=1e-5, t_max=3.0, m=12)
         assert ev.kinds.tolist() == dn.kinds.tolist()
         assert len(internal_spikes(ev)) >= 2
@@ -361,7 +380,6 @@ class TestEngineEdgeCases:
         batch = assert_batch_matches_solo(net, batch_inputs, m=30, t_max=3.0)
         silent = batch[len(batch_inputs) - 1]
         assert silent.kinds[:3].tolist() == [INPUT, INPUT, DUMMY]
-        np.testing.assert_array_equal(silent.final_i, np.zeros(4))
 
 
 class TestEarlyStopAndFinalState:
@@ -380,31 +398,124 @@ class TestEarlyStopAndFinalState:
         np.testing.assert_array_equal(wide.neurons[:, :tight_m], tight.neurons)
         np.testing.assert_array_equal(wide.times[:, :tight_m], tight.times)
         np.testing.assert_array_equal(wide.kinds[:, :tight_m], tight.kinds)
-        np.testing.assert_array_equal(wide.final_v, tight.final_v)
-        assert np.all(wide.final_t == 2.5) and np.all(tight.final_t == 2.5)
 
     def test_truncated_row_keeps_time_of_last_event(self):
         net = single_neuron_net(w_in=4.0, w_rec=1.0)
         batch_inputs = [[in_spike(0, 0.0)], []]
-        idx, times = pack_inputs(batch_inputs)
-        batch = simulate_batch(net, idx[:, :-1], times[:, :-1], m=3, t_max=5.0)
-        assert batch.kinds[0, -1] == int(SpikeKind.INTERNAL)
-        assert batch.final_t[0] == batch.times[0, -1] < 5.0
-        assert batch.final_v[0, 0] == P2.v_reset
-        assert batch.final_t[1] == 5.0
+        full = run_rows(without_outputs(net), batch_inputs, m=3, t_max=5.0)
+        assert full.kinds[0, -1] == int(SpikeKind.INTERNAL)
+        assert full.times[0, -1] < 5.0
+        assert full.kinds[1].tolist() == [DUMMY] * 3
+        # the readout neuron's first spike ends the row before its budget
+        stopped = run_rows(net, batch_inputs, m=3, t_max=5.0)
+        assert assert_stopped_prefix(stopped, full, net.output_set).tolist() == [2, 3]
 
-    def test_final_state_matches_replay(self, rng):
-        from eventsnn.grad import replay_state
 
-        for _ in range(10):
-            net = random_network(rng, n_max=6)
-            inputs = random_inputs(rng, net)
-            tr = simulate(net, inputs, m=300, t_max=2.5)
-            assert tr.kinds[-1] == DUMMY
-            v, i, t = replay_state(tr.neurons[None], tr.times[None], tr.kinds[None], net, 2.5)
-            assert tr.final_t == t[0]
-            np.testing.assert_allclose(tr.final_v, v[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(tr.final_i, i[0], rtol=0, atol=1e-12)
+def with_outputs(rng, net):
+    """The net with a random nonempty subset of its neurons as outputs."""
+    k = int(rng.integers(1, net.n_total + 1))
+    outputs = rng.choice(net.n_total, size=k, replace=False)
+    return dataclasses.replace(net, output_set=tuple(outputs.tolist()))
+
+
+class TestLossCompleteStop:
+    # a row retires in the iteration where the last output fires for the
+    # first time; before that it is bitwise the row of a net without outputs
+
+    @pytest.mark.parametrize(
+        "kw",
+        [{"recurrent": False}, {}, {"params": LifParams(tau_mem=1.0)}],
+        ids=["feedforward", "recurrent", "equal_tau"],
+    )
+    def test_stopped_trace_is_the_unstopped_prefix(self, rng, kw):
+        early = 0
+        for _ in range(20):
+            net = with_outputs(rng, random_network(rng, n_max=6, **kw))
+            batch_inputs = [random_inputs(rng, net) for _ in range(6)]
+            stopped = assert_batch_matches_solo(net, batch_inputs, m=40, t_max=2.5)
+            full = run_rows(without_outputs(net), batch_inputs, m=40, t_max=2.5)
+            end = assert_stopped_prefix(stopped, full, net.output_set)
+            for r, e in enumerate(end):
+                real = int(np.sum(full.kinds[r] != DUMMY))
+                if e < 40:  # loss-complete: the last kept slot is an output
+                    assert stopped.kinds[r, e - 1] == INTERNAL
+                    assert stopped.neurons[r, e - 1] in net.output_set
+                early += e < real
+        assert early >= 20  # the stop cuts real events off many rows
+
+    @pytest.mark.parametrize("n_hidden, m", [(120, 138), (500, 2000)])
+    def test_benchmark_sized_batch(self, n_hidden, m):
+        # the benchmark's 5-120-3 training net at its budget, and its wide
+        # 5-500-3 evaluation net, at init on 64 Yin-Yang rows
+        cfg = load_config(None, {
+            "network.n_hidden": str(n_hidden), "sim.m": str(m),
+            "dataset.n_train": "64", "dataset.n_test": "3", "train.seed": "1",
+        })
+        enc, points, _ = build_dataset(cfg.dataset)
+        ds = pack_samples(encode_dataset(points, enc))
+        net = init_network(cfg, ds, np.random.default_rng(1), m)
+        args = (ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max)
+        stopped = simulate_batch(net, *args)
+        full = simulate_batch(without_outputs(net), *args)
+        end = assert_stopped_prefix(stopped, full, net.output_set)
+        real = np.sum(full.kinds != DUMMY, axis=1)
+        assert end.shape == (64,) and np.all(end <= real) and np.median(end) < np.median(real)
+
+    def test_rows_retire_apart_with_inputs_still_queued(self):
+        # input 0 drives the output across threshold about 0.5 later; the
+        # weak channel 1 keeps a queue of inputs past every row's stop
+        net = Network(
+            n_total=1,
+            weights=np.zeros((1, 1)),
+            input_weights=np.array([[4.0], [0.2]]),
+            params=P2,
+            output_set=(0,),
+        )
+        batch_inputs = [
+            sorted(
+                [in_spike(0, 0.13 * r + 0.05)] + [in_spike(1, 0.1 * j) for j in range(25)],
+                key=lambda s: s.time,
+            )
+            for r in range(6)
+        ]
+        stopped = assert_batch_matches_solo(net, batch_inputs, m=40, t_max=3.0)
+        full = run_rows(without_outputs(net), batch_inputs, m=40, t_max=3.0)
+        end = assert_stopped_prefix(stopped, full, net.output_set)
+        assert len(set(end.tolist())) == len(batch_inputs)  # six different iterations
+        assert np.all(np.sum(stopped.kinds == INPUT, axis=1) < 26)  # inputs left unread
+        assert np.all(np.sum(full.kinds == INPUT, axis=1) == 26)
+
+    def test_every_output_must_fire(self):
+        # a silent output keeps its row running to t_max
+        net = Network(
+            n_total=2,
+            weights=np.zeros((2, 2)),
+            input_weights=np.array([[4.0, 0.0]]),
+            params=P2,
+            output_set=(0, 1),
+        )
+        full = run_rows(without_outputs(net), [[in_spike(0, 0.0)]], m=8, t_max=3.0)
+        stopped = run_rows(net, [[in_spike(0, 0.0)]], m=8, t_max=3.0)
+        assert assert_stopped_prefix(stopped, full, net.output_set).tolist() == [8]
+        np.testing.assert_array_equal(stopped.times, full.times)
+
+    def test_more_outputs_than_a_bitmask_word(self, rng):
+        # 70 outputs, each driven by its own input: the row stops at the
+        # 70th distinct first spike, whatever fires in between
+        n = 72
+        w = rng.uniform(0.0, 0.3, size=(n, n)) * (rng.random((n, n)) < 0.3)
+        net = Network(
+            n_total=n,
+            weights=w,
+            input_weights=np.eye(n) * 4.0,
+            params=P2,
+            output_set=tuple(range(70)),
+        )
+        inputs = [in_spike(k, 0.01 * k) for k in range(n)]
+        full = simulate(without_outputs(net), inputs, m=400, t_max=3.0)
+        stopped = simulate(net, inputs, m=400, t_max=3.0)
+        end = assert_stopped_prefix(stopped, full, net.output_set)
+        assert end[0] < int(np.sum(full.kinds != DUMMY))
 
 
 class TestMixedKindIterations:
@@ -423,7 +534,8 @@ class TestMixedKindIterations:
             [in_spike(1, 0.0), in_spike(0, 1.2)],
             [in_spike(1, 0.0), in_spike(1, 0.05), in_spike(0, 0.4)],
         ]
-        batch = assert_batch_matches_solo(net, batch_inputs, m=24, t_max=2.0)
+        stopped = assert_batch_matches_solo(net, batch_inputs, m=24, t_max=2.0)
+        batch = assert_unstopped_prefix(net, stopped, batch_inputs, m=24, t_max=2.0)
         # slot 1: row 0 takes its second input while row 1's neuron 0 fires
         assert batch.kinds[:, 1].tolist() == [INPUT, INTERNAL, INPUT]
         mixed = [
@@ -447,7 +559,8 @@ class TestMixedKindIterations:
             [in_spike(1, 0.0), in_spike(0, t_x)],
             [in_spike(1, 0.0), in_spike(0, 0.5 * t_x)],
         ]
-        batch = assert_batch_matches_solo(net, batch_inputs, m=12, t_max=2.0)
+        stopped = assert_batch_matches_solo(net, batch_inputs, m=12, t_max=2.0)
+        batch = assert_unstopped_prefix(net, stopped, batch_inputs, m=12, t_max=2.0)
         tie = batch[0]
         assert tie.kinds[:3].tolist() == [INPUT, INPUT, INTERNAL]
         assert tie.neurons[:3].tolist() == [1, 0, 0]
@@ -467,7 +580,8 @@ class TestMixedKindIterations:
         assert fan.count[3] == fan.count[4] == 1
         assert fan.lanes[fan.start[3]] == 3 and fan.lanes[fan.start[4]] == 4
         batch_inputs = [random_inputs(rng, net, k_max=4, t_span=1.0) for _ in range(4)]
-        batch = assert_batch_matches_solo(net, batch_inputs, m=40, t_max=2.0)
+        stopped = assert_batch_matches_solo(net, batch_inputs, m=40, t_max=2.0)
+        batch = assert_unstopped_prefix(net, stopped, batch_inputs, m=40, t_max=2.0)
         out_spike = (batch.kinds == INTERNAL) & (batch.neurons >= 3)
         other = (batch.kinds == INPUT) | ((batch.kinds == INTERNAL) & (batch.neurons < 3))
         assert np.any(out_spike.any(axis=0) & other.any(axis=0))

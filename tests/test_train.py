@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from eventsnn.config import ExperimentConfig, apply_overrides, load_config, save_config
+from eventsnn.data import build_dataset, encode_dataset
 from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
 from eventsnn.sim import pack_inputs, simulate_batch
 from eventsnn.train import (
@@ -13,6 +15,8 @@ from eventsnn.train import (
     _spike_counts,
     adam_step,
     first_spike_times_batch,
+    init_network,
+    pack_samples,
     read_checkpoint,
     train,
     ttfs_from_times,
@@ -28,13 +32,10 @@ P2 = LifParams(tau_mem=2.0)
 DUMMY_SLOT = (-1, math.inf, SpikeKind.DUMMY)
 
 
-def trace_of(slots, n=3):
-    """One-sample trace of (neuron, time, kind) slots, final time 4."""
+def trace_of(slots):
+    """One-sample trace of (neuron, time, kind) slots."""
     neurons, times, kinds = zip(*slots)
-    return EventTrace(
-        np.array(neurons), np.array(times), np.array(kinds, dtype=np.int8),
-        np.zeros(n), np.zeros(n), 4.0,
-    )
+    return EventTrace(np.array(neurons), np.array(times), np.array(kinds, dtype=np.int8))
 
 
 def out_spike(neuron, t):
@@ -252,6 +253,38 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-2]) + "\n")
         assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+# sha256 prefixes of init_network's weights, recorded when every trace ran to
+# t_max: the probe asks whether each neuron spikes before t_max, so the stop
+# at the outputs must not change them
+INIT_WEIGHTS = {
+    ("train", 1): "e0efa3f594b2568b",
+    ("train", 2): "b04b0cf3016747e4",
+    ("train", 3): "86fb3eea41e3c728",
+    ("wide-mock", 1): "de49fb3e9a2ddf66",
+    ("wide-mock", 2): "59197438515cf3a3",
+    ("wide-mock", 3): "1b23b4cbde46c25c",
+}
+INIT_CONFIGS = {
+    # the benchmark's 5-120-3 training net and its 5-500-3 mock evaluation net
+    "train": {"network.n_hidden": "120", "sim.m": "138", "dataset.n_train": "1280"},
+    "wide-mock": {
+        "network.n_hidden": "500", "sim.m": "2000", "backend.kind": "mock",
+        "dataset.n_train": "64",
+    },
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(INIT_WEIGHTS))
+def test_init_weights_are_those_of_the_unstopped_probe(name, seed):
+    keys = {**INIT_CONFIGS[name], "dataset.n_test": "3"}
+    cfg = load_config(None, {**keys, "dataset.seed": str(seed), "train.seed": str(seed)})
+    enc, points, _ = build_dataset(cfg.dataset)
+    ds = pack_samples(encode_dataset(points, enc))
+    net = init_network(cfg, ds, np.random.default_rng(seed), cfg.sim.m)
+    digest = hashlib.sha256(net.weights.tobytes() + net.input_weights.tobytes())
+    assert digest.hexdigest()[:16] == INIT_WEIGHTS[name, seed]
 
 
 class TestTrainingLoop:
