@@ -60,6 +60,18 @@ class MockConfig:
     weight_clip: float | None = None  # None -> max |w| of the network
     spike_loss_prob: float = 0.0
 
+    def __post_init__(self):
+        if self.weight_bits < 2:
+            raise InvalidParameter(f"backend.mock.weight_bits={self.weight_bits} must be >= 2")
+        if not 0.0 <= self.spike_loss_prob <= 1.0:
+            raise InvalidParameter(
+                f"backend.mock.spike_loss_prob={self.spike_loss_prob} must lie in [0, 1]"
+            )
+        if not self.jitter_sigma >= 0.0:  # NaN fails too
+            raise InvalidParameter(
+                f"backend.mock.jitter_sigma={self.jitter_sigma} must be >= 0"
+            )
+
 
 @dataclass(frozen=True)
 class ReplayConfig:
@@ -78,12 +90,6 @@ def _check_config(cfg: BackendConfig) -> None:
         raise InvalidParameter(f"unknown backend kind {cfg.kind!r}")
     if cfg.kind == "replay" and not str(cfg.replay.trace_path):
         raise InvalidParameter("the replay backend needs backend.replay.trace_path")
-    if cfg.mock.weight_bits < 2:
-        raise InvalidParameter("weight_bits must be >= 2")
-    if not 0.0 <= cfg.mock.spike_loss_prob <= 1.0:
-        raise InvalidParameter("spike_loss_prob must lie in [0, 1]")
-    if cfg.mock.jitter_sigma < 0.0:
-        raise InvalidParameter("jitter_sigma must be >= 0")
 
 
 def quantize_weights(w: np.ndarray, bits: int, clip: float) -> np.ndarray:
@@ -103,21 +109,19 @@ def quantize_weights(w: np.ndarray, bits: int, clip: float) -> np.ndarray:
 
 
 def _mock_network(net: Network, mock: MockConfig) -> Network:
+    flat = (net.weights.ravel(), net.input_weights.ravel())
+    # zeros, -0.0 too, quantize to +0.0: only the rest is computed
+    nzs = [np.flatnonzero(w != 0.0) for w in flat]
     clip = mock.weight_clip
     if clip is None:
-        clip = float(
-            max(np.abs(net.weights).max(), np.abs(net.input_weights).max(), 1e-12)
-        )
-
-    def quantize(w):  # zeros, -0.0 too, quantize to +0.0: only the rest is computed
-        out, nz = np.zeros(w.shape), np.flatnonzero(w)
-        out.flat[nz] = quantize_weights(w.flat[nz], mock.weight_bits, clip)
-        return out
-
+        clip = max(1e-12, *(float(np.abs(w[nz]).max(initial=0.0)) for w, nz in zip(flat, nzs)))
+    out = [np.zeros(net.weights.shape), np.zeros(net.input_weights.shape)]
+    for q, w, nz in zip(out, flat, nzs):
+        q.ravel()[nz] = quantize_weights(w[nz], mock.weight_bits, clip)
     return Network(
         n_total=net.n_total,
-        weights=quantize(net.weights),
-        input_weights=quantize(net.input_weights),
+        weights=out[0],
+        input_weights=out[1],
         params=net.params,
         output_set=net.output_set,
     )

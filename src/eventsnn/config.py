@@ -9,6 +9,7 @@ reproducible from that file alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -54,6 +55,12 @@ class NetworkConfig:
     v_th: float = 1.0
     v_reset: float = 0.0
 
+    def __post_init__(self):
+        for key in ("n_hidden", "n_out"):
+            val = getattr(self, key)
+            if val < 1:
+                raise InvalidParameter(f"network.{key}={val} must be >= 1")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -91,6 +98,20 @@ class TrainSection:
     seed: int = 0
     estimator: str = "eventprop"  # eventprop | fud
     patience: int = 15
+
+    def __post_init__(self):
+        if self.batch < 1:
+            raise InvalidParameter(f"train.batch={self.batch} must be >= 1")
+        if self.epochs < 0:
+            raise InvalidParameter(f"train.epochs={self.epochs} must be >= 0")
+        for key in ("lr", "lr_decay"):
+            val = getattr(self, key)
+            if not 0.0 <= val < math.inf:
+                raise InvalidParameter(f"train.{key}={val} must be finite and >= 0")
+        for key in ("beta1", "beta2"):
+            val = getattr(self, key)
+            if not 0.0 <= val < 1.0:
+                raise InvalidParameter(f"train.{key}={val} must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -207,19 +207,21 @@ class FanOut:
     @staticmethod
     def of(net: Network) -> "FanOut":
         n, n_in = net.n_total, net.n_in
-        # column 0 stands for the source neuron itself, column 1 + k for lane k
-        touch = np.zeros((n + n_in + 1, n + 1), dtype=bool)
-        touch[:n, 1:] = net.weights != 0.0
-        touch[n:-1, 1:] = net.input_weights != 0.0
-        touch[np.arange(n), np.arange(n) + 1] = False
-        touch[:n, 0] = True
-        rows, cols = np.nonzero(touch)
-        lanes = np.where(cols == 0, rows, cols - 1)
-        count = touch.sum(axis=1)
-        k = int(count[:n].sum())  # rows are ascending: internal sources first
-        weights = np.concatenate(
-            [net.weights[rows[:k], lanes[:k]], net.input_weights[rows[k:] - n, lanes[k:]]]
+        # row-major nonzeros: by source, then ascending lane
+        src, lanes = np.divmod(np.flatnonzero(net.weights.ravel() != 0.0), n)
+        other = src != lanes
+        # each neuron's own entry, then the rest: a stable sort by source
+        # keeps the own entry first and the rest ascending
+        src = np.concatenate([np.arange(n), src[other]])
+        lanes = np.concatenate([np.arange(n), lanes[other]])
+        order = np.argsort(src, kind="stable")
+        src, lanes = src[order], lanes[order]
+        ch, ch_lanes = np.divmod(np.flatnonzero(net.input_weights.ravel() != 0.0), n)
+        count = np.concatenate(
+            [np.bincount(src, minlength=n), np.bincount(ch, minlength=n_in), [0]]
         )
+        weights = np.concatenate([net.weights[src, lanes], net.input_weights[ch, ch_lanes]])
+        lanes = np.concatenate([lanes, ch_lanes])
         return FanOut(n, np.cumsum(count) - count, count, lanes, weights)
 
     @property
@@ -421,10 +423,18 @@ def classify_records(neurons, times, in_neurons, in_times) -> np.ndarray:
 
 
 def format_matrix(name: str, matrix):
-    """Yield the lines of a matrix block, one row at a time."""
+    """Yield the lines of a matrix block, one row at a time.  An exact +0.0
+    is written as its repr "0.0" without calling ``repr``; -0.0 keeps its
+    own."""
+    m = np.asarray(matrix, dtype=np.float64)
     yield name + "\n"
-    for row in np.asarray(matrix, dtype=np.float64):
-        yield " ".join(map(repr, row.tolist())) + "\n"
+    zeros = ["0.0"] * m.shape[-1]
+    for row, other in zip(m, (m != 0.0) | np.signbit(m)):
+        text = zeros.copy()
+        cols = np.flatnonzero(other)
+        for c, x in zip(cols.tolist(), row[cols].tolist()):
+            text[c] = repr(x)
+        yield " ".join(text) + "\n"
 
 
 def parse_matrix(lines: Sequence[str], at: int, name: str, shape, source) -> np.ndarray:

@@ -3,41 +3,51 @@
 Each lane (one neuron of one batch row) keeps its own (v, i) at its own
 timestamp, plus its absolute next threshold-crossing time.  Free flow does
 not move an absolute crossing time, so a lane is touched only when an event
-reaches it.  A row holds 1 + N columns: column 0 is the head of its input
-queue, column 1 + k neuron k.  One argmin per row picks its event, and its
-lowest-column rule on an exact tie is the event order: the input first,
-then the lowest index among simultaneous crossings.  Column 0 is refilled
-from the queue after an input event.  Only the event's fan-out lanes are
-propagated to its time, updated and re-solved: an internal spike of j
-touches j itself (V_j = v_reset) and every neuron with weights[j, k] != 0
-(I_k += weights[j, k]); an input spike touches the neurons with
-input_weights[source, k] != 0.  A neuron that sits exactly at threshold when
-another one spikes therefore keeps its crossing, so tied spikes are all
-emitted.
+reaches it.
 
-Every row's event is named by one stacked source (neuron j is j, input
-channel c is N + c; see ``core.FanOut``, built once per network as
-``Network.fan_out``), so an iteration makes one pass whatever kind of event
-each row takes: the fan-out lanes of all live rows are gathered into one
-flat list, propagated in one call, reset and incremented on the flat
-arrays, re-solved in one call and scattered back once.
+A row of the crossing table ``tc`` holds K + N + 1 columns: column c < K is
+the row's input entry c at its time (+inf for padding), column K + k is
+neuron k at its next crossing, and the last column is the row's limit,
+t_max until the row is loss-complete and -inf after.  One argmin per row
+picks its event, and its lowest-column rule on an exact tie is the event
+order: inputs first, in their given order, then the lowest index among
+simultaneous crossings, and the limit last, so an event exactly at t_max
+still runs.  A row is done when its pick is the limit column: no event
+exists before t_max, or the row is loss-complete.  A taken input column is
+set to +inf; the limit column is written from the row's limit after that
+write in every iteration, so a done row stays done.
 
-A row is done when no event exists before t_max, or once it is
-loss-complete: in the iteration where the last neuron of ``net.output_set``
-fires for the first time, the row retires.  The first-spike loss and the
+Only the event's fan-out lanes are propagated to its time, updated and
+re-solved: an internal spike of j touches j itself (V_j = v_reset) and
+every neuron with weights[j, k] != 0 (I_k += weights[j, k]); an input
+spike touches the neurons with input_weights[source, k] != 0.  A neuron
+that sits exactly at threshold when another one spikes therefore keeps its
+crossing, so tied spikes are all emitted.  Every row's event is named by
+one stacked source (neuron j is j, input channel c is N + c, the limit is
+the null source that touches nothing; see ``core.FanOut``, built once per
+network as ``Network.fan_out``), so an iteration makes one pass whatever
+kind of event each row takes: the fan-out lanes of all live rows are
+gathered into one flat list, propagated in one call, reset and incremented
+on the flat arrays, re-solved in one call and scattered back once.  Every
+row starts at rest at t = 0, so the first crossings are one solve of one
+lane at rest, broadcast to every neuron column.
+
+A row is loss-complete in the iteration where the last neuron of
+``net.output_set`` fires for the first time.  The first-spike loss and the
 classifier read only each output's first spike, and the EventProp adjoint
-is zero past the last of them, so nothing later is simulated; a net without
-outputs runs to t_max.  A done row emits a dummy spike (-1, inf) and reads
-no more inputs.  Dummies fill the rest of its budget, so every trace has
-exactly m entries, and the loop stops as soon as every row is done.  Up to
-its stop, a row's trace is bitwise the prefix of the trace of the same net
-with an empty ``output_set``.  No state is kept past the last event.
+is zero past the last of them, so nothing later is simulated; a net
+without outputs runs to t_max.  The loop stops at the budget of m
+iterations or as soon as every row is done.  The trace is written once
+after the loop: the slot records of the iterations that ran, a done row's
+as dummy spikes (-1, inf), then dummies up to m, so every trace has
+exactly m entries.  Up to its stop, a row's trace is bitwise the prefix of
+the trace of the same net with an empty ``output_set``.  No state is kept
+past the last event.
 
-The engine is written over batched (B, 1 + N) state arrays and every
+The engine is written over batched (B, K + N + 1) arrays and every
 operation acts on its own row only, so a row's trace does not depend on the
-rest of the batch.  Every row starts at rest at t = 0.  ``simulate_batch``
-returns one ``EventTrace`` of (B, m) slot arrays; ``simulate`` is row 0 of
-a batch of one.
+rest of the batch.  ``simulate_batch`` returns one ``EventTrace`` of (B, m)
+slot arrays; ``simulate`` is row 0 of a batch of one.
 """
 from __future__ import annotations
 
@@ -120,7 +130,7 @@ def simulate_batch(
     n = net.n_total
     in_neurons = np.asarray(in_neurons, dtype=np.int64)
     in_times = np.asarray(in_times, dtype=np.float64)
-    b = in_times.shape[0]
+    b, k_in = in_times.shape
     check_input_rows(net, in_neurons, in_times)
     fan = net.fan_out
     null = fan.null
@@ -129,29 +139,29 @@ def simulate_batch(
     kind_of = np.full(null + 1, int(SpikeKind.INPUT), dtype=np.int8)
     kind_of[:n] = int(SpikeKind.INTERNAL)
     kind_of[null] = int(SpikeKind.DUMMY)
-    is_input = kind_of == int(SpikeKind.INPUT)
-    # inputs as flat queues of stacked sources, padding as the null source,
-    # with one trailing inf column so a queue pointer can always be read
-    width = in_times.shape[1] + 1
-    in_src = np.where(np.isfinite(in_times), in_neurons + n, null)
-    in_src = np.concatenate([in_src, np.full((b, 1), null)], axis=1).ravel()
-    in_times = np.concatenate([in_times, np.full((b, 1), np.inf)], axis=1).ravel()
-    ptr = np.arange(b) * width
 
-    # column 1 + k of a row is lane k; column 0 stands for the head of its
-    # input queue, whose time (tc) and stacked source (src_of) are read
-    v = np.zeros((b, 1 + n))
-    i = np.zeros((b, 1 + n))
-    tref = np.zeros((b, 1 + n))
-    src_of = np.repeat(np.arange(-1, n, dtype=np.int32)[None, :], b, axis=0)
-    src_of[:, 0] = in_src[ptr]
-    # flat views: column c of row r is entry r * (1 + N) + c
-    v_f, i_f, tref_f, src_f = (a.reshape(-1) for a in (v, i, tref, src_of))
-    base = np.arange(b) * (1 + n)
-    lane0 = base + 1
     # a time beyond its row's limit ends the row; inf does so even at
     # t_max = inf, and a row's limit drops to -inf once it is loss-complete
     lim = np.full(b, min(t_max, np.finfo(np.float64).max))
+    # the columns of a row: its K inputs, its N neurons, then its limit
+    width = k_in + n + 1
+    stop = width - 1
+    tc = np.empty((b, width))
+    tc[:, :k_in] = in_times
+    # every row starts at rest, so one lane at rest gives every first crossing
+    tc[:, k_in:stop] = next_crossing_safe(np.zeros(1), np.zeros(1), p)
+    tc[:, stop] = lim
+    src_of = np.empty((b, width), dtype=np.int32)
+    src_of[:, :k_in] = np.where(np.isfinite(in_times), in_neurons + n, null)
+    src_of[:, k_in:stop] = np.arange(n)
+    src_of[:, stop] = null
+    v = np.zeros((b, width))
+    i = np.zeros((b, width))
+    tref = np.zeros((b, width))
+    # flat views: column c of row r is entry r * width + c
+    tc_f, v_f, i_f, tref_f, src_f = (a.reshape(-1) for a in (tc, v, i, tref, src_of))
+    base = np.arange(b) * width
+    lane0 = base + k_in
     # the outputs each row has seen fire, one bit per output; beyond 63
     # outputs the bits are Python ints, which have no width
     n_out = len(net.output_set)
@@ -162,28 +172,24 @@ def simulate_batch(
 
     # slot k of every row, kept as (m, B) rows: the stacked source of its
     # event (null once the row is done), its time, and the current of a
-    # spiking neuron just before it fired
-    src_k = np.full((m, b), null, dtype=np.int32)
-    time_k = np.full((m, b), np.inf)
+    # spiking neuron just before it fired; only the slots run are read
+    src_k = np.empty((m, b), dtype=np.int32)
+    time_k = np.empty((m, b))
     ispike_k = np.zeros((m, b))
-    tc = np.empty((b, 1 + n))
-    tc[:, 0] = in_times[ptr]
-    tc[:, 1:] = next_crossing_safe(v[:, 1:], i[:, 1:], p)
-    tc_f = tc.reshape(-1)
+    ran = m
     for k in range(m):
-        # one argmin per row: the input first on an exact tie, then the
-        # lowest neuron
+        # one argmin per row: inputs first on an exact tie, then the lowest
+        # neuron, then the limit
         at = base + tc.argmin(axis=1)
-        t_next = tc_f[at]
-        done = t_next > lim
-        if done.all():
+        src = src_f[at]
+        if (src == null).all():
+            ran = k
             break
-        src = np.where(done, null, src_f[at])
+        t_next = tc_f[at]
         src_k[k] = src
         time_k[k] = t_next
-        ptr += is_input[src]
-        tc[:, 0] = in_times[ptr]
-        src_of[:, 0] = in_src[ptr]
+        # a taken input is consumed; a taken crossing is re-solved below
+        tc_f[at] = np.inf
 
         # one flat list of every row's fan-out lanes
         count = fan.count[src]
@@ -205,13 +211,19 @@ def simulate_batch(
         if n_out:
             seen |= bit[src]
             lim[seen == full] = -np.inf
+        # after tc_f[at] = inf, which also hit the limit column of each done row
+        tc[:, stop] = lim
 
-    return EventTrace(
-        np.ascontiguousarray(neuron_of[src_k.T]),
-        np.ascontiguousarray(np.where(src_k == null, np.inf, time_k).T),
-        np.ascontiguousarray(kind_of[src_k.T]),
-        np.ascontiguousarray(ispike_k.T),
-    )
+    src = src_k[:ran].T
+    neurons = np.full((b, m), DUMMY_NEURON, dtype=neuron_of.dtype)
+    times = np.full((b, m), np.inf)
+    kinds = np.full((b, m), int(SpikeKind.DUMMY), dtype=np.int8)
+    ispike = np.zeros((b, m))
+    neurons[:, :ran] = neuron_of[src]
+    times[:, :ran] = np.where(src == null, np.inf, time_k[:ran].T)
+    kinds[:, :ran] = kind_of[src]
+    ispike[:, :ran] = ispike_k[:ran].T
+    return EventTrace(neurons, times, kinds, ispike)
 
 
 def simulate(net: Network, inputs: Sequence[Spike], m: int, t_max: float) -> EventTrace:

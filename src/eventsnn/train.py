@@ -49,11 +49,18 @@ class TtfsLoss:
 
 
 def first_spike_times_batch(neurons, times, kinds, ids: Sequence[int]):
-    """(B, len(ids)) first internal spike time per listed neuron, inf if silent."""
+    """(B, len(ids)) first internal spike time per listed neuron, inf if silent,
+    and its slot, -1 if silent.  Only the slots up to the batch's last
+    internal record are read."""
     b, _ = times.shape
     out = np.full((b, len(ids)), np.inf)
     slots = np.full((b, len(ids)), -1, dtype=np.int64)
     internal = kinds == int(SpikeKind.INTERNAL)
+    hit = np.flatnonzero(internal.any(axis=0))
+    if not hit.size:
+        return out, slots
+    w = hit[-1] + 1
+    internal, neurons, times = internal[:, :w], neurons[:, :w], times[:, :w]
     for col, neuron in enumerate(ids):
         mask = internal & (neurons == neuron)
         masked = np.where(mask, times, np.inf)

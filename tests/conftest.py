@@ -4,7 +4,11 @@ The oracles are deliberately primitive: plain forward-Euler loops, dense
 per-event decays of every lane, bracket-and-bisect root finding, the
 input-by-input loop of the analytic forward and the point-by-point data
 path, independent of the closed-form, event-driven, prefix-sum and
-whole-array paths they are used to check.
+whole-array paths they are used to check.  Where a kernel was rewritten for
+speed with bitwise the same output, its previous form is kept here as a
+reference: the guarded crossing solver, the queue-pointer event loop with
+its dense fan-out scan, the float nonzero scan of the mock weights, the
+full-width first-spike scan and the repr-only matrix writer.
 """
 import dataclasses
 import math
@@ -13,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from eventsnn.backend import quantize_weights
 from eventsnn.core import (
     DUMMY_NEURON,
     EventTrace,
+    FanOut,
     InvalidParameter,
     LifParams,
     Network,
@@ -33,6 +39,7 @@ from eventsnn.grad import (
 )
 from eventsnn.data import EncodingConfig, YinYangLabel, classify
 from eventsnn.lif import next_crossing_safe, propagate_arrays
+from eventsnn.sim import check_input_rows
 from eventsnn.train import PackedDataset
 
 
@@ -621,6 +628,155 @@ def per_point_data_path(seed: int, n: int, r_small: float, enc: EncodingConfig):
         order.astype(np.int64), np.take_along_axis(by_neuron, order, axis=1), by_neuron, labels
     )
     return packed, text
+
+
+
+# ---------------------------------------------------------------------------
+# the event loop before inputs became columns of its crossing table: a
+# queue pointer per row with the queue head as column 0, an at-rest solve of
+# every lane, a dense touch matrix for the fan-out and a full-width gather
+# of the slot records.  The engine must match it bitwise.
+
+
+def fan_out_reference(net: Network) -> FanOut:
+    """``FanOut.of`` from a dense (sources, 1 + N) touch matrix."""
+    n, n_in = net.n_total, net.n_in
+    # column 0 stands for the source neuron itself, column 1 + k for lane k
+    touch = np.zeros((n + n_in + 1, n + 1), dtype=bool)
+    touch[:n, 1:] = net.weights != 0.0
+    touch[n:-1, 1:] = net.input_weights != 0.0
+    touch[np.arange(n), np.arange(n) + 1] = False
+    touch[:n, 0] = True
+    rows, cols = np.nonzero(touch)
+    lanes = np.where(cols == 0, rows, cols - 1)
+    count = touch.sum(axis=1)
+    k = int(count[:n].sum())  # rows are ascending: internal sources first
+    weights = np.concatenate(
+        [net.weights[rows[:k], lanes[:k]], net.input_weights[rows[k:] - n, lanes[k:]]]
+    )
+    return FanOut(n, np.cumsum(count) - count, count, lanes, weights)
+
+
+def simulate_batch_reference(net: Network, in_neurons, in_times, m: int, t_max: float):
+    """``simulate_batch`` with the inputs as flat queues read through a
+    pointer, on ``fan_out_reference``."""
+    p = net.params
+    n = net.n_total
+    in_neurons = np.asarray(in_neurons, dtype=np.int64)
+    in_times = np.asarray(in_times, dtype=np.float64)
+    b = in_times.shape[0]
+    check_input_rows(net, in_neurons, in_times)
+    fan = fan_out_reference(net)
+    null = fan.null
+    neuron_of = np.concatenate([np.arange(n), np.arange(net.n_in), [DUMMY_NEURON]])
+    kind_of = np.full(null + 1, int(SpikeKind.INPUT), dtype=np.int8)
+    kind_of[:n] = int(SpikeKind.INTERNAL)
+    kind_of[null] = int(SpikeKind.DUMMY)
+    is_input = kind_of == int(SpikeKind.INPUT)
+    width = in_times.shape[1] + 1
+    in_src = np.where(np.isfinite(in_times), in_neurons + n, null)
+    in_src = np.concatenate([in_src, np.full((b, 1), null)], axis=1).ravel()
+    in_times = np.concatenate([in_times, np.full((b, 1), np.inf)], axis=1).ravel()
+    ptr = np.arange(b) * width
+
+    v = np.zeros((b, 1 + n))
+    i = np.zeros((b, 1 + n))
+    tref = np.zeros((b, 1 + n))
+    src_of = np.repeat(np.arange(-1, n, dtype=np.int32)[None, :], b, axis=0)
+    src_of[:, 0] = in_src[ptr]
+    v_f, i_f, tref_f, src_f = (a.reshape(-1) for a in (v, i, tref, src_of))
+    base = np.arange(b) * (1 + n)
+    lane0 = base + 1
+    lim = np.full(b, min(t_max, np.finfo(np.float64).max))
+    n_out = len(net.output_set)
+    bit = np.zeros(null + 1, dtype=np.int64 if n_out <= 63 else object)
+    bit[list(net.output_set)] = [1 << k for k in range(n_out)]
+    full = (1 << n_out) - 1
+    seen = np.zeros(b, dtype=bit.dtype)
+
+    src_k = np.full((m, b), null, dtype=np.int32)
+    time_k = np.full((m, b), np.inf)
+    ispike_k = np.zeros((m, b))
+    tc = np.empty((b, 1 + n))
+    tc[:, 0] = in_times[ptr]
+    tc[:, 1:] = next_crossing_safe(v[:, 1:], i[:, 1:], p)
+    tc_f = tc.reshape(-1)
+    for k in range(m):
+        at = base + tc.argmin(axis=1)
+        t_next = tc_f[at]
+        done = t_next > lim
+        if done.all():
+            break
+        src = np.where(done, null, src_f[at])
+        src_k[k] = src
+        time_k[k] = t_next
+        ptr += is_input[src]
+        tc[:, 0] = in_times[ptr]
+        src_of[:, 0] = in_src[ptr]
+
+        count = fan.count[src]
+        end = count.cumsum()
+        first = end - count
+        pos = np.arange(end[-1]) + (fan.start[src] - first).repeat(count)
+        lanes = fan.lanes[pos] + lane0.repeat(count)
+        tn = t_next.repeat(count)
+        vv, ii = propagate_arrays(v_f[lanes], i_f[lanes], tn - tref_f[lanes], p)
+        spiking = (src < n).nonzero()[0]
+        own = first[spiking]
+        ispike_k[k, spiking] = ii[own]
+        vv[own] = p.v_reset
+        ii += fan.weights[pos]
+        v_f[lanes] = vv
+        i_f[lanes] = ii
+        tref_f[lanes] = tn
+        tc_f[lanes] = tn + next_crossing_safe(vv, ii, p)
+        if n_out:
+            seen |= bit[src]
+            lim[seen == full] = -np.inf
+
+    return EventTrace(
+        np.ascontiguousarray(neuron_of[src_k.T]),
+        np.ascontiguousarray(np.where(src_k == null, np.inf, time_k).T),
+        np.ascontiguousarray(kind_of[src_k.T]),
+        np.ascontiguousarray(ispike_k.T),
+    )
+
+
+def mock_weights_reference(net: Network, mock):
+    """The mock's quantized weight matrices, its clip taken from the dense
+    matrices and its nonzeros found by a float ``flatnonzero``."""
+    clip = mock.weight_clip
+    if clip is None:
+        clip = float(max(np.abs(net.weights).max(), np.abs(net.input_weights).max(), 1e-12))
+
+    def quantize(w):
+        out, nz = np.zeros(w.shape), np.flatnonzero(w)
+        out.flat[nz] = quantize_weights(w.flat[nz], mock.weight_bits, clip)
+        return out
+
+    return quantize(net.weights), quantize(net.input_weights)
+
+
+def first_spike_times_reference(neurons, times, kinds, ids):
+    """``first_spike_times_batch`` over every slot of the trace."""
+    b, _ = times.shape
+    out = np.full((b, len(ids)), np.inf)
+    slots = np.full((b, len(ids)), -1, dtype=np.int64)
+    internal = kinds == int(SpikeKind.INTERNAL)
+    for col, neuron in enumerate(ids):
+        masked = np.where(internal & (neurons == neuron), times, np.inf)
+        idx = np.argmin(masked, axis=1)
+        t = masked[np.arange(b), idx]
+        out[:, col] = t
+        slots[:, col] = np.where(np.isfinite(t), idx, -1)
+    return out, slots
+
+
+def format_matrix_reference(name: str, matrix):
+    """``core.format_matrix`` with every entry written by ``repr``."""
+    yield name + "\n"
+    for row in np.asarray(matrix, dtype=np.float64):
+        yield " ".join(map(repr, row.tolist())) + "\n"
 
 
 @pytest.fixture

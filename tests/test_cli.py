@@ -139,6 +139,37 @@ def test_train_rejects_a_bad_sim_section(tmp_path, key, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "train.batch = 0",
+        "train.batch = -5",
+        "train.epochs = -3",
+        "network.n_hidden = 0",
+        "network.n_out = 0",
+        "train.lr = nan",
+        "train.lr = -0.001",
+        "train.lr = inf",
+        "train.lr_decay = -0.5",
+        "train.lr_decay = nan",
+        "train.beta1 = 1.0",
+        "train.beta1 = -0.1",
+        "train.beta2 = 1.0",
+        "train.beta2 = nan",
+        "backend.mock.jitter_sigma = nan",
+        "backend.mock.jitter_sigma = -0.1",
+    ],
+)
+def test_train_rejects_a_value_that_breaks_the_run(tmp_path, key, capsys):
+    # each fails when the config loads, before the output directory exists
+    config = tmp_path / "config.txt"
+    config.write_text(TINY + "backend.kind = mock\n" + key + "\n")
+    out = tmp_path / "train"
+    assert run("train", "--out", out, config=config) == 2
+    assert key.split(" =")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-0.1", "nan", "0.26", "0.71", "1.0"])
 @pytest.mark.parametrize("command", ["generate", "train"])
 def test_r_small_outside_its_lobe_is_a_config_error(tmp_path, command, value, capsys):

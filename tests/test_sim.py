@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from eventsnn.backend import BackendConfig, ReplayConfig, forward_batch
+from eventsnn.backend import (
+    BackendConfig,
+    MockConfig,
+    ReplayConfig,
+    _mock_network,
+    forward_batch,
+)
 from eventsnn.config import load_config
 from eventsnn.core import (
     FanOut,
@@ -29,8 +35,11 @@ from conftest import (
     assert_stopped_prefix,
     dense_oracle,
     euler_first_crossing,
+    fan_out_reference,
+    mock_weights_reference,
     random_inputs,
     random_network,
+    simulate_batch_reference,
     without_outputs,
 )
 
@@ -648,3 +657,124 @@ def test_padded_rows_accepted(runner):
     kinds = RUNNERS[runner](two_input_net(), idx, t).kinds
     assert kinds[0, :2].tolist() == [INPUT, INPUT] and kinds[1, 0] == INPUT
 
+
+
+def layout_case(rng, case: int):
+    """A random net and (B, K) input rows for the crossing-table checks.
+
+    Weights are recurrent with self-loops; every third net has two neurons
+    with the same incoming and self weights, so they cross together; every
+    fifth has no outputs.  Rows tie input times, pad, and put an input
+    exactly at t_max or past it.
+    """
+    params = P2 if case % 2 else LifParams(tau_mem=1.0, tau_syn=1.0)
+    n, n_in = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    w = rng.uniform(-3.0, 3.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    w_in = rng.uniform(0.5, 6.0, (n_in, n)) * (rng.random((n_in, n)) < 0.8)
+    if n >= 2 and case % 3 == 0:
+        w_in[:, 1] = w_in[:, 0]
+        w[:, 1] = w[:, 0]
+        w[1, 1], w[0, 1], w[1, 0] = w[0, 0], 0.0, 0.0
+    outputs = () if case % 5 == 0 else tuple(
+        int(k) for k in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    )
+    net = Network(n_total=n, weights=w, input_weights=w_in, params=params, output_set=outputs)
+    t_max = float(rng.choice([1.0, 2.5, 4.0, np.inf]))
+    b, k = int(rng.integers(1, 7)), int(rng.integers(0, 9))
+    times = np.sort(rng.uniform(0.0, min(t_max, 3.0), (b, k)), axis=1)
+    neurons = rng.integers(0, n_in, (b, k))
+    if k >= 2:
+        times[0, 1] = times[0, 0]  # tied input times, on two channels or one
+    if b >= 2 and k >= 2:
+        neurons[1, k // 2:], times[1, k // 2:] = -1, np.inf  # a padded row
+    if b >= 3 and k >= 1 and np.isfinite(t_max):
+        times[2, -1] = t_max  # an input exactly at t_max
+    if b >= 4 and k >= 1 and np.isfinite(t_max):
+        times[3, -1] = t_max + 0.5  # an input no row reads
+    m = int(rng.integers(1, 60))
+    return net, neurons, times, m, t_max
+
+
+def layout_cases():
+    rng = np.random.default_rng(2026)
+    return [layout_case(rng, case) for case in range(320)]
+
+
+def stop_kind(ref, net, m: int) -> list:
+    """Why each row of a reference trace stopped."""
+    real = np.sum(ref.kinds != DUMMY, axis=1)
+    fired = [
+        all(np.any((ref.kinds[r] == INTERNAL) & (ref.neurons[r] == o)) for o in net.output_set)
+        for r in range(len(real))
+    ]
+    return [
+        "budget" if e == m else "loss" if net.output_set and f else "t_max"
+        for e, f in zip(real.tolist(), fired)
+    ]
+
+
+def assert_bitwise_trace(got, ref):
+    for f in ("neurons", "times", "kinds", "i_spike_recorded"):
+        a, want = getattr(got, f), getattr(ref, f)
+        assert a.dtype == want.dtype and a.shape == want.shape
+        assert a.tobytes() == want.tobytes()
+
+
+class TestCrossingTableLayout:
+    """Inputs as columns of the crossing table, one at-rest solve, the trace
+    written over the slots run, and the 1-D nonzero scans give bitwise the
+    traces, fan-outs and mock weights of the queue-pointer engine."""
+
+    def test_traces_equal_the_queue_engine(self):
+        stops, ties, at_t_max = [], 0, 0
+        for net, neurons, times, m, t_max in layout_cases():
+            ref = simulate_batch_reference(net, neurons, times, m, t_max)
+            assert_bitwise_trace(simulate_batch(net, neurons, times, m, t_max), ref)
+            stops += stop_kind(ref, net, m)
+            internal = np.where(ref.kinds == INTERNAL, ref.times, np.nan)
+            ties += int(np.sum(internal[:, 1:] == internal[:, :-1]))
+            at_t_max += int(np.sum((ref.kinds == INPUT) & (ref.times == t_max)))
+        assert min(stops.count(kind) for kind in ("budget", "loss", "t_max")) >= 50
+        assert ties >= 10 and at_t_max >= 10
+
+    @pytest.mark.parametrize("b, k", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_batch_or_no_inputs(self, rng, b, k):
+        net = random_network(rng, params=P2)
+        neurons, times = np.full((b, k), -1), np.full((b, k), np.inf)
+        ref = simulate_batch_reference(net, neurons, times, 5, 2.0)
+        assert_bitwise_trace(simulate_batch(net, neurons, times, 5, 2.0), ref)
+        assert ref.times.shape == (b, 5)
+
+    def test_fan_out_equals_the_touch_matrix(self, rng):
+        wide = Network.feedforward(
+            rng.normal(size=(5, 500)) * (rng.random((5, 500)) < 0.9),
+            rng.normal(size=(500, 3)) * (rng.random((500, 3)) < 0.9),
+            P2,
+        )
+        signed_zeros = Network(
+            n_total=3,
+            weights=np.array([[-0.0, 1.0, 0.0], [0.0, 2.0, -0.0], [0.5, 0.0, 0.0]]),
+            input_weights=np.array([[0.0, -0.0, 3.0]]),
+        )
+        nets = [case[0] for case in layout_cases()] + [wide, signed_zeros]
+        for net in nets:
+            got, want = FanOut.of(net), fan_out_reference(net)
+            assert got.n == want.n
+            for f in ("start", "count", "lanes", "weights"):
+                a, ref = getattr(got, f), getattr(want, f)
+                assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+
+    def test_mock_weights_equal_the_float_scan(self, rng):
+        wide = Network.feedforward(
+            rng.normal(size=(5, 500)),
+            rng.normal(size=(500, 3)) * (rng.random((500, 3)) < 0.5),
+            P2,
+        )
+        nets = [case[0] for case in layout_cases()] + [wide]
+        mocks = (MockConfig(), MockConfig(weight_bits=3, weight_clip=1.5))
+        for j, net in enumerate(nets):
+            mock = mocks[j % 2]
+            want = mock_weights_reference(net, mock)
+            got = _mock_network(net, mock)
+            assert got.weights.tobytes() == want[0].tobytes()
+            assert got.input_weights.tobytes() == want[1].tobytes()

@@ -24,7 +24,12 @@ from eventsnn.train import (
     write_checkpoint,
 )
 
-from conftest import random_inputs, random_network
+from conftest import (
+    first_spike_times_reference,
+    format_matrix_reference,
+    random_inputs,
+    random_network,
+)
 
 P2 = LifParams(tau_mem=2.0)
 
@@ -115,6 +120,58 @@ class TestFirstSpikes:
         assert t[0, 1] == 0.4 and slots[0, 1] == 1
         assert t[0, 2] == 0.9 and slots[0, 2] == 3
 
+    @staticmethod
+    def assert_like_full_width(neurons, times, kinds, ids):
+        got = first_spike_times_batch(neurons, times, kinds, ids)
+        want = first_spike_times_reference(neurons, times, kinds, ids)
+        for a, ref in zip(got, want):
+            assert a.dtype == ref.dtype and a.shape == ref.shape
+            assert a.tobytes() == ref.tobytes()
+        return got
+
+    def test_all_dummy_batch(self):
+        # no internal record: the prefix read is empty
+        shape = (4, 6)
+        t, slots = self.assert_like_full_width(
+            np.full(shape, -1), np.full(shape, np.inf),
+            np.full(shape, int(SpikeKind.DUMMY), dtype=np.int8), (0, 1, 2),
+        )
+        assert np.all(np.isposinf(t)) and np.all(slots == -1)
+
+    def test_input_only_rows(self):
+        # input records share ids with the outputs but never count
+        neurons = np.array([[0, 1, 2, -1], [2, 2, -1, -1], [-1, -1, -1, -1]])
+        times = np.where(neurons >= 0, [[0.1, 0.2, 0.3, 0.0]], np.inf)
+        kinds = np.where(neurons >= 0, int(SpikeKind.INPUT), int(SpikeKind.DUMMY))
+        kinds = kinds.astype(np.int8)
+        t, slots = self.assert_like_full_width(neurons, times, kinds, (0, 1, 2))
+        assert np.all(np.isposinf(t)) and np.all(slots == -1)
+        # one internal record in the middle: the prefix ends on it
+        kinds[1, 1] = int(SpikeKind.INTERNAL)
+        t, slots = self.assert_like_full_width(neurons, times, kinds, (0, 1, 2))
+        assert t[1, 2] == 0.2 and slots[1, 2] == 1 and np.sum(slots >= 0) == 1
+
+    def test_first_spike_in_the_last_slot(self, rng):
+        # the prefix is the full width; rows end at different slots
+        m = 7
+        neurons = rng.integers(0, 3, (5, m))
+        times = np.sort(rng.uniform(0.0, 2.0, (5, m)), axis=1)
+        kinds = np.full((5, m), int(SpikeKind.INPUT), dtype=np.int8)
+        kinds[0, -1] = int(SpikeKind.INTERNAL)
+        neurons[0, -1] = 2
+        kinds[1, 2:5] = int(SpikeKind.INTERNAL)
+        neurons[2, 3:], times[2, 3:], kinds[2, 3:] = -1, np.inf, int(SpikeKind.DUMMY)
+        t, slots = self.assert_like_full_width(neurons, times, kinds, (2, 0, 1))
+        assert slots[0, 0] == m - 1 and t[0, 0] == times[0, -1]
+
+    def test_simulated_batches(self, rng):
+        for _ in range(40):
+            net = random_network(rng, n_max=6)
+            idx, times = pack_inputs([random_inputs(rng, net) for _ in range(5)])
+            m = int(rng.integers(1, 30))
+            tr = simulate_batch(net, idx[:, :-1], times[:, :-1], m=m, t_max=2.5)
+            self.assert_like_full_width(tr.neurons, tr.times, tr.kinds, range(net.n_total))
+
     def test_spike_counts_match_a_per_event_count(self, rng):
         # input channels share ids with neurons; only internal events count
         net = random_network(rng, n_max=6)
@@ -187,6 +244,16 @@ class TestConfig:
             apply_overrides(ExperimentConfig(), {"network.bogus": "1"})
 
 
+def assert_blocks_written_by_repr(path, net):
+    """The checkpoint's weight blocks are byte for byte the repr writer's."""
+    want = "".join(
+        [*format_matrix_reference("input_weights", net.input_weights),
+         *format_matrix_reference("weights", net.weights)]
+    )
+    *_, blocks = path.read_text(encoding="utf-8").split("\n", 3)  # after 3 header lines
+    assert blocks == want and "-0.0" in blocks.split()
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
         w_in = rng.normal(size=(5, 8))
@@ -214,6 +281,17 @@ class TestCheckpoint:
         back, _ = read_checkpoint(path)
         for got, want in ((back.weights, net.weights), (back.input_weights, net.input_weights)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert_blocks_written_by_repr(path, net)
+
+    def test_wide_checkpoint_bytes_match_the_repr_writer(self, tmp_path, rng):
+        # the 5-500-3 layout: mostly exact +0.0, plus signed zeros
+        net = Network.feedforward(rng.normal(size=(5, 500)), rng.normal(size=(500, 3)), P2)
+        w = np.array(net.weights)
+        w[[0, 7, 502], [3, 500, 1]] = -0.0
+        net = Network(net.n_total, w, net.input_weights, P2, net.output_set)
+        path = tmp_path / "wide.txt"
+        write_checkpoint(path, net, n_hidden=500)
+        assert_blocks_written_by_repr(path, net)
 
     def test_entry_that_is_not_a_float_raises_typed_error(self, tmp_path, rng):
         path, lines = self.written(tmp_path, rng)
