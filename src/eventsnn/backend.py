@@ -71,11 +71,18 @@ class MockConfig:
             raise InvalidParameter(
                 f"backend.mock.jitter_sigma={self.jitter_sigma} must be >= 0"
             )
+        if self.weight_clip is not None and not 0.0 < self.weight_clip < np.inf:
+            raise InvalidParameter(
+                f"backend.mock.weight_clip={self.weight_clip} must be none, or finite and > 0"
+            )
 
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    trace_path: str | Path = ""
+    trace_path: str = ""
+
+
+KINDS = ("numeric", "mock", "replay")
 
 
 @dataclass(frozen=True)
@@ -84,12 +91,13 @@ class BackendConfig:
     mock: MockConfig = field(default_factory=MockConfig)
     replay: ReplayConfig = field(default_factory=ReplayConfig)
 
-
-def _check_config(cfg: BackendConfig) -> None:
-    if cfg.kind not in ("numeric", "mock", "replay"):
-        raise InvalidParameter(f"unknown backend kind {cfg.kind!r}")
-    if cfg.kind == "replay" and not str(cfg.replay.trace_path):
-        raise InvalidParameter("the replay backend needs backend.replay.trace_path")
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InvalidParameter(
+                f"backend.kind={self.kind!r}: expected one of {', '.join(KINDS)}"
+            )
+        if self.kind == "replay" and not self.replay.trace_path:
+            raise InvalidParameter("backend.kind=replay needs backend.replay.trace_path")
 
 
 def quantize_weights(w: np.ndarray, bits: int, clip: float) -> np.ndarray:
@@ -130,7 +138,8 @@ def _mock_network(net: Network, mock: MockConfig) -> Network:
 def _apply_mock_noise(
     batch: EventTrace, mock: MockConfig, t_max: float, seeds: Sequence[int]
 ) -> EventTrace:
-    """Jitter/drop internal spikes per sample, then re-sort and re-pad.
+    """Jitter/drop internal spikes per sample, then re-sort and re-pad, in
+    place: ``batch`` is the fresh trace of the mock's run, and is returned.
 
     Each row draws from its own generator seeded by its sample seed, so a
     row's noise does not depend on the rest of the batch.  Only the first w
@@ -151,7 +160,7 @@ def _apply_mock_noise(
         if mock.spike_loss_prob > 0.0:
             lost.append(rng.random(n_int) < mock.spike_loss_prob)
     # boolean-mask assignment walks the rows in order, matching the draws
-    times = batch.times[:, :w].copy()
+    times = batch.times[:, :w]
     if jit:
         times[internal] = np.clip(times[internal] + np.concatenate(jit), 0.0, t_max)
     drop = np.zeros_like(internal)
@@ -160,11 +169,11 @@ def _apply_mock_noise(
     times[drop] = np.inf
     order = np.argsort(times, axis=1, kind="stable")
     dropped = np.take_along_axis(drop, order, axis=1)
-    out = [a.copy() for a in (batch.neurons, batch.times, batch.kinds)]
-    heads = (batch.neurons[:, :w], times, batch.kinds[:, :w])
-    for a, head, dummy in zip(out, heads, (DUMMY_NEURON, np.inf, int(SpikeKind.DUMMY))):
-        a[:, :w] = np.where(dropped, dummy, np.take_along_axis(head, order, axis=1))
-    return EventTrace(*out)
+    for a, dummy in zip(
+        (batch.neurons, batch.times, batch.kinds), (DUMMY_NEURON, np.inf, int(SpikeKind.DUMMY))
+    ):
+        a[:, :w] = np.where(dropped, dummy, np.take_along_axis(a[:, :w], order, axis=1))
+    return batch
 
 
 def forward_batch(
@@ -183,7 +192,6 @@ def forward_batch(
     rows raise ``InvalidParameter`` or ``UnsortedInput`` on every backend
     (``sim.check_input_rows``).
     """
-    _check_config(cfg)
     validate_network(net)
     if cfg.kind == "numeric":
         return simulate_batch(net, in_neurons, in_times, m, t_max)
@@ -304,7 +312,6 @@ def _replay_index(raw: bytes) -> _ReplayIndex:
 def replay_blocks(cfg: BackendConfig, in_neurons, in_times, m: int, t_max: float):
     """The configured replay file, checked against m and t_max, and per row
     of (B, K) inputs the index of its block, -1 where none matches."""
-    _check_config(cfg)
     index = _replay_index(Path(cfg.replay.trace_path).read_bytes())
     check_manifest(index.rf, m, t_max)
     in_neurons = np.asarray(in_neurons, dtype=np.int64)

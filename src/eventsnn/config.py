@@ -2,19 +2,26 @@
 
 A config file holds ``key = value`` lines (``#`` starts a comment).  Keys are
 dotted paths into the sections below, e.g. ``network.n_hidden = 120`` or
-``backend.mock.jitter_sigma = 0.02``.  CLI flags override file keys; every
-command echoes the effective config into its output directory so a run is
-reproducible from that file alone.
+``backend.mock.jitter_sigma = 0.02``.  A value is read as the type of the
+field it names: an ``int`` as a decimal integer, a ``float`` as Python
+writes one (``0.005``, ``5e-3``, ``inf``), a ``bool`` as ``true`` or
+``false``, a ``str`` as the rest of the line, and an optional field takes
+``none`` (or ``auto``) for None, else its type's syntax.  Every check that
+reads config values alone runs when the config loads.  CLI flags override
+file keys; every command echoes the effective config into its output
+directory so a run is reproducible from that file alone.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .backend import BackendConfig, MockConfig, ReplayConfig
-from .core import InvalidParameter
+from .backend import BackendConfig
+from .core import InvalidParameter, LifParams
 from .data import R_SMALL_MAX, EncodingConfig
 
 
@@ -30,6 +37,10 @@ class DatasetConfig:
     bias_enabled: bool = True
 
     def __post_init__(self):
+        for key in ("n_train", "n_test"):
+            val = getattr(self, key)
+            if val < 1:
+                raise InvalidParameter(f"dataset.{key}={val} must be >= 1")
         # no dot, or one past its lobe, can leave a class quota never filled
         if not 0.0 < self.r_small <= R_SMALL_MAX:
             raise InvalidParameter(
@@ -60,6 +71,21 @@ class NetworkConfig:
             val = getattr(self, key)
             if val < 1:
                 raise InvalidParameter(f"network.{key}={val} must be >= 1")
+        # tau_syn = 1, so a ratio the solvers cover is positive too
+        if not self.params.is_analytic:
+            raise InvalidParameter(
+                f"network.tau_mem_ratio={self.tau_mem_ratio}: the solvers cover 1 and 2 only"
+            )
+        if not self.params.resets_below_threshold:
+            raise InvalidParameter(
+                f"network.v_reset={self.v_reset} must lie below network.v_th={self.v_th}"
+            )
+
+    @property
+    def params(self) -> LifParams:
+        return LifParams(
+            tau_mem=self.tau_mem_ratio, tau_syn=1.0, v_th=self.v_th, v_reset=self.v_reset
+        )
 
 
 @dataclass(frozen=True)
@@ -112,6 +138,11 @@ class TrainSection:
             val = getattr(self, key)
             if not 0.0 <= val < 1.0:
                 raise InvalidParameter(f"train.{key}={val} must lie in [0, 1)")
+        if not self.xi > 0.0:
+            raise InvalidParameter(f"train.xi={self.xi} must be > 0")
+
+
+ESTIMATORS = ("eventprop", "fud")
 
 
 @dataclass(frozen=True)
@@ -122,39 +153,39 @@ class ExperimentConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
     train: TrainSection = field(default_factory=TrainSection)
 
+    def __post_init__(self):
+        estimator = self.train.estimator
+        if estimator not in ESTIMATORS:
+            raise InvalidParameter(
+                f"train.estimator = {estimator!r}: expected one of {', '.join(ESTIMATORS)}"
+            )
+        # the analytic forward and gradient kernels cover this ratio only
+        if estimator == "fud" and not self.network.params.is_double_tau:
+            raise InvalidParameter(
+                "train.estimator = fud requires network.tau_mem_ratio = 2, got "
+                f"{self.network.tau_mem_ratio:g}"
+            )
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "network": NetworkConfig,
-    "sim": SimConfig,
-    "train": TrainSection,
-    "backend": BackendConfig,
-    "backend.mock": MockConfig,
-    "backend.replay": ReplayConfig,
-}
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
-def _coerce(raw: str, typ):
+def _coerce(key: str, raw: str, typ):
     raw = raw.strip()
-    if typ is bool or raw.lower() in ("true", "false"):
+    if type(None) in typing.get_args(typ):  # an optional field
+        if raw.lower() in ("none", "auto"):
+            return None
+        (typ,) = (t for t in typing.get_args(typ) if t is not type(None))
+    if typ is bool:
         if raw.lower() not in ("true", "false"):
-            raise InvalidParameter(f"expected true/false, got {raw!r}")
+            raise InvalidParameter(f"config key {key!r}: expected true/false, got {raw!r}")
         return raw.lower() == "true"
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    if typ is str or typ is Path:
-        return raw
-    # optional fields (float | None etc.): none/auto, else int, float or str
-    if raw.lower() in ("none", "auto"):
-        return None
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
+    try:
+        return typ(raw)
+    except ValueError as e:
+        raise InvalidParameter(f"config key {key!r}: {e}") from e
 
 
 def flatten(cfg: ExperimentConfig) -> dict[str, str]:
@@ -177,39 +208,27 @@ def flatten(cfg: ExperimentConfig) -> dict[str, str]:
     return out
 
 
-def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
-    """Return a copy of cfg with dotted-key overrides applied."""
-    staged: dict[str, dict] = {}
+def apply_overrides(cfg, overrides: dict[str, str], prefix: str = ""):
+    """Return a copy of cfg with dotted-key overrides applied.
+
+    Each key takes its type from the field it names; each section touched is
+    rebuilt once, so its checks see all of its new values together.
+    """
+    types = _field_types(type(cfg))
+    values: dict = {}
+    sections: dict[str, dict[str, str]] = {}
     for key, raw in overrides.items():
-        section, _, leaf = key.rpartition(".")
-        if section not in _SECTIONS:
-            raise InvalidParameter(f"unknown config key {key!r}")
-        cls = _SECTIONS[section]
-        names = {f.name: f for f in fields(cls)}
-        if leaf not in names:
-            raise InvalidParameter(f"unknown config key {key!r}")
-        typ = names[leaf].type
-        base = {"int": int, "float": float, "str": str, "bool": bool}.get(
-            str(typ).replace("builtins.", ""), None
-        )
-        try:
-            staged.setdefault(section, {})[leaf] = _coerce(raw, base)
-        except ValueError as e:
-            raise InvalidParameter(f"config key {key!r}: {e}") from e
-    result = cfg
-    for section, vals in staged.items():
-        parts = section.split(".")
-        if len(parts) == 1:
-            sub = getattr(result, parts[0])
-            sub = dataclasses.replace(sub, **vals)
-            result = dataclasses.replace(result, **{parts[0]: sub})
+        name, _, rest = key.partition(".")
+        typ = types.get(name)
+        if typ is None or dataclasses.is_dataclass(typ) != bool(rest):
+            raise InvalidParameter(f"unknown config key {prefix + key!r}")
+        if rest:
+            sections.setdefault(name, {})[rest] = raw
         else:
-            outer = getattr(result, parts[0])
-            inner = getattr(outer, parts[1])
-            inner = dataclasses.replace(inner, **vals)
-            outer = dataclasses.replace(outer, **{parts[1]: inner})
-            result = dataclasses.replace(result, **{parts[0]: outer})
-    return result
+            values[name] = _coerce(prefix + key, raw, typ)
+    for name, sub in sections.items():
+        values[name] = apply_overrides(getattr(cfg, name), sub, f"{prefix}{name}.")
+    return dataclasses.replace(cfg, **values)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -226,12 +245,9 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if path is not None:
-        cfg = apply_overrides(cfg, parse_config_text(Path(path).read_text(encoding="utf-8")))
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
+    """The defaults, then the keys of the file at ``path``, then ``overrides``."""
+    keys = {} if path is None else parse_config_text(Path(path).read_text(encoding="utf-8"))
+    return apply_overrides(ExperimentConfig(), {**keys, **(overrides or {})})
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

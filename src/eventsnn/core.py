@@ -109,6 +109,15 @@ class LifParams:
     def is_double_tau(self) -> bool:
         return math.isclose(self.tau_mem, 2.0 * self.tau_syn, rel_tol=1e-9)
 
+    @property
+    def is_analytic(self) -> bool:
+        """A tau ratio the production root solvers cover: 1 or 2."""
+        return self.is_equal_tau or self.is_double_tau
+
+    @property
+    def resets_below_threshold(self) -> bool:
+        return self.v_reset < self.v_th  # NaN fails too
+
 
 def _frozen_array(a, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
@@ -247,17 +256,14 @@ class EventTrace:
     class with (m,) slot arrays.  Dummy slots trail the real events of a
     row, so its times are non-decreasing.  A row ends at t_max, at its
     budget or once every output has fired (see ``sim``), so a trace holds
-    events only: no neuron state at an end time.
-    ``i_spike_recorded`` is the engine's diagnostic record of the spiking
-    neuron's synaptic current just before each internal event (None when the
-    spikes did not come from the engine); the gradient path ignores it and
-    reconstructs currents from the trace.  The arrays are not locked.
+    events only: no neuron state, neither at an event nor at an end time;
+    the gradient path reconstructs the currents from the events.  The
+    arrays are not locked.
     """
 
     neurons: np.ndarray  # (B, m) or (m,) int64
     times: np.ndarray  # (B, m) or (m,) float64
     kinds: np.ndarray  # (B, m) or (m,) int8
-    i_spike_recorded: np.ndarray | None = None
 
     def __post_init__(self):
         if not (self.neurons.shape == self.times.shape == self.kinds.shape):
@@ -273,13 +279,7 @@ class EventTrace:
     def __getitem__(self, b) -> "EventTrace":
         if self.times.ndim != 2:
             raise DimensionMismatch("a single-sample trace has no rows")
-        rec = self.i_spike_recorded
-        return EventTrace(
-            self.neurons[b],
-            self.times[b],
-            self.kinds[b],
-            None if rec is None else rec[b],
-        )
+        return EventTrace(self.neurons[b], self.times[b], self.kinds[b])
 
 
 def validate_network(net: Network, require_analytic: bool = True) -> None:
@@ -295,7 +295,7 @@ def validate_network(net: Network, require_analytic: bool = True) -> None:
         )
     if p.v_rest != 0.0:
         raise InvalidParameter("v_rest is fixed to 0 by normalization")
-    if not p.v_reset < p.v_th:
+    if not p.resets_below_threshold:
         raise InvalidParameter(f"v_reset={p.v_reset} must lie below v_th={p.v_th}")
     n = net.n_total
     if net.weights.shape != (n, n):
@@ -313,7 +313,7 @@ def validate_network(net: Network, require_analytic: bool = True) -> None:
             raise InvalidParameter(f"output_set index {k} out of range [0, {n})")
     if len(set(net.output_set)) != len(net.output_set):
         raise InvalidParameter("output_set contains duplicates")
-    if require_analytic and not (p.is_equal_tau or p.is_double_tau):
+    if require_analytic and not p.is_analytic:
         raise UnsupportedTauRatio(
             f"tau_mem/tau_syn = {p.tau_mem / p.tau_syn:g}: analytic solvers "
             "support only ratios 1 and 2"

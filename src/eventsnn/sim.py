@@ -171,11 +171,10 @@ def simulate_batch(
     seen = np.zeros(b, dtype=bit.dtype)
 
     # slot k of every row, kept as (m, B) rows: the stacked source of its
-    # event (null once the row is done), its time, and the current of a
-    # spiking neuron just before it fired; only the slots run are read
+    # event (null once the row is done) and its time; only the slots run
+    # are read
     src_k = np.empty((m, b), dtype=np.int32)
     time_k = np.empty((m, b))
-    ispike_k = np.zeros((m, b))
     ran = m
     for k in range(m):
         # one argmin per row: inputs first on an exact tie, then the lowest
@@ -199,10 +198,7 @@ def simulate_batch(
         lanes = fan.lanes[pos] + lane0.repeat(count)
         tn = t_next.repeat(count)
         vv, ii = propagate_arrays(v_f[lanes], i_f[lanes], tn - tref_f[lanes], p)
-        spiking = (src < n).nonzero()[0]
-        own = first[spiking]
-        ispike_k[k, spiking] = ii[own]
-        vv[own] = p.v_reset
+        vv[first[src < n]] = p.v_reset
         ii += fan.weights[pos]
         v_f[lanes] = vv
         i_f[lanes] = ii
@@ -218,12 +214,10 @@ def simulate_batch(
     neurons = np.full((b, m), DUMMY_NEURON, dtype=neuron_of.dtype)
     times = np.full((b, m), np.inf)
     kinds = np.full((b, m), int(SpikeKind.DUMMY), dtype=np.int8)
-    ispike = np.zeros((b, m))
     neurons[:, :ran] = neuron_of[src]
     times[:, :ran] = np.where(src == null, np.inf, time_k[:ran].T)
     kinds[:, :ran] = kind_of[src]
-    ispike[:, :ran] = ispike_k[:ran].T
-    return EventTrace(neurons, times, kinds, ispike)
+    return EventTrace(neurons, times, kinds)
 
 
 def simulate(net: Network, inputs: Sequence[Spike], m: int, t_max: float) -> EventTrace:

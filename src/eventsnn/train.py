@@ -274,12 +274,6 @@ def init_network(
     >= 90 % of hidden and output units spike on a probe batch at init.
     """
     ncfg = cfg.network
-    params = LifParams(
-        tau_mem=ncfg.tau_mem_ratio,
-        tau_syn=1.0,
-        v_th=ncfg.v_th,
-        v_reset=ncfg.v_reset,
-    )
     n_in = ds.by_neuron_times.shape[1]
     probe_idx = np.arange(min(64, len(ds)))
     mu_hidden, mu_out = 0.8, 0.15
@@ -288,7 +282,7 @@ def init_network(
     for _ in range(12):
         rng.bit_generator.state = seed_state
         net = build_network(
-            n_in, ncfg.n_hidden, ncfg.n_out, params, rng, mu_hidden, mu_out
+            n_in, ncfg.n_hidden, ncfg.n_out, ncfg.params, rng, mu_hidden, mu_out
         )
         frac_h, frac_o = _activity(
             cfg.backend, net, ds, probe_idx, m, cfg.sim.t_max, ncfg.n_hidden
@@ -343,16 +337,18 @@ def _forward_times(
     m: int,
     seed_tag: int,
 ):
-    """First-spike output times for a slice of the dataset (any estimator)."""
+    """First-spike output times for a slice of the dataset, beside what the
+    estimator's gradient reads: the analytic path's hidden times, or the
+    trace and the slots of those times."""
     t_max = cfg.sim.t_max
     if cfg.train.estimator == "fud":
         n_hidden = cfg.network.n_hidden
         w_in = net.input_weights[:, :n_hidden]
         w_ho = net.weights[:n_hidden, n_hidden:]
-        _, t_out = fud_feedforward(
+        t_hidden, t_out = fud_feedforward(
             ds.by_neuron_times[idx], w_in, w_ho, net.params, t_max
         )
-        return t_out, None
+        return t_out, t_hidden
     batch = backend_mod.forward_batch(
         cfg.backend,
         net,
@@ -370,23 +366,6 @@ def _forward_times(
 
 def _sample_seed(train_seed: int, tag: int, idx: int) -> int:
     return (train_seed * 1_000_003 + tag) * 1_000_003 + idx
-
-
-ESTIMATORS = ("eventprop", "fud")
-
-
-def _check_estimator(estimator: str, params: LifParams) -> None:
-    """Reject an unknown estimator, and the analytic one off tau_mem = 2 tau_syn,
-    the only ratio its forward and gradient kernels cover."""
-    if estimator not in ESTIMATORS:
-        raise InvalidParameter(
-            f"train.estimator = {estimator!r}: expected one of {', '.join(ESTIMATORS)}"
-        )
-    if estimator == "fud" and not params.is_double_tau:
-        raise InvalidParameter(
-            "train.estimator = fud requires tau_mem = 2 tau_syn, got tau_mem/tau_syn = "
-            f"{params.tau_mem / params.tau_syn:g}"
-        )
 
 
 def check_replay_covers(cfg: ExperimentConfig, m: int, ds: PackedDataset) -> None:
@@ -407,7 +386,12 @@ def check_replay_covers(cfg: ExperimentConfig, m: int, ds: PackedDataset) -> Non
 def evaluate(
     cfg: ExperimentConfig, net: Network, ds: PackedDataset, m: int, seed_tag: int = 999_983
 ) -> float:
-    _check_estimator(cfg.train.estimator, net.params)
+    # the config fixes the ratio of a net it builds, not of a checkpoint's
+    if cfg.train.estimator == "fud" and not net.params.is_double_tau:
+        raise InvalidParameter(
+            "train.estimator = fud requires tau_mem = 2 tau_syn, got tau_mem/tau_syn = "
+            f"{net.params.tau_mem / net.params.tau_syn:g}"
+        )
     correct = 0
     bs = max(cfg.train.batch, 256)
     for lo in range(0, len(ds), bs):
@@ -419,7 +403,6 @@ def evaluate(
 
 def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     """Train per config; returns per-epoch metrics and the best checkpoint."""
-    _check_estimator(cfg.train.estimator, LifParams(tau_mem=cfg.network.tau_mem_ratio))
     t_start = _time.time()
     enc_cfg, points_train, points_test = data_mod.build_dataset(cfg.dataset)
     ds_train = pack_samples(data_mod.encode_dataset(points_train, enc_cfg))
@@ -460,16 +443,18 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
         for lo in range(0, len(order), cfg.train.batch):
             idx = order[lo : lo + cfg.train.batch]
             net = replace_weights(net, params)
+            t_out, fwd = _forward_times(cfg, net, ds_train, idx, m, epoch)
+            loss, g_times = ttfs_from_times(t_out, ds_train.labels[idx], loss_cfg, t_max)
             if cfg.train.estimator == "fud":
-                g_w, g_w_in, loss, preds, counts = _fud_batch(
-                    cfg, net, ds_train, idx, loss_cfg
+                g_w, g_w_in, counts = _fud_batch(
+                    cfg, net, ds_train.by_neuron_times[idx], t_out, fwd, g_times
                 )
             else:
-                g_w, g_w_in, loss, preds, counts = _eventprop_batch(
-                    cfg, net, ds_train, idx, m, loss_cfg, epoch, (mask_w, mask_w_in)
+                g_w, g_w_in, counts = _eventprop_batch(
+                    cfg, net, *fwd, g_times, m, (mask_w, mask_w_in)
                 )
             losses.append(float(loss.mean()))
-            n_correct += int(np.sum(preds == ds_train.labels[idx]))
+            n_correct += int(np.sum(predict_from_times(t_out) == ds_train.labels[idx]))
             g_w = g_w / len(idx)
             g_w_in = g_w_in / len(idx)
             if cfg.train.gamma > 0.0:
@@ -552,28 +537,16 @@ def _spike_counts(neurons, kinds, n_total):
     return np.bincount(flat, minlength=b * n_total).reshape(b, n_total).astype(np.float64)
 
 
-def _eventprop_batch(cfg, net, ds, idx, m, loss_cfg, epoch, support):
-    t_max = cfg.sim.t_max
-    batch = backend_mod.forward_batch(
-        cfg.backend,
-        net,
-        ds.sorted_neurons[idx],
-        ds.sorted_times[idx],
-        m,
-        t_max,
-        seeds=[_sample_seed(cfg.train.seed, epoch, int(k)) for k in idx],
-    )
-    t_first, slots = first_spike_times_batch(
-        batch.neurons, batch.times, batch.kinds, net.output_set
-    )
-    loss, g_times = ttfs_from_times(t_first, ds.labels[idx], loss_cfg, t_max)
+def _eventprop_batch(cfg, net, batch, slots, g_times, m, support):
+    """EventProp weight gradients and spike counts of a forward's trace,
+    given the loss derivatives by the output first-spike times at ``slots``."""
     slot_g = scatter_slot_grads(slots, g_times, m)
     g_w, g_w_in = eventprop_backward_batch(
         batch.neurons, batch.times, batch.kinds, net, slot_g,
         strict=False, vdot_floor=cfg.train.vdot_floor, support=support,
     )
     counts = _spike_counts(batch.neurons, batch.kinds, net.n_total)
-    return g_w, g_w_in, loss, predict_from_times(t_first), counts
+    return g_w, g_w_in, counts
 
 
 def gradient_from_trace(
@@ -588,14 +561,12 @@ def gradient_from_trace(
     return loss, g_w, g_w_in
 
 
-def _fud_batch(cfg, net, ds, idx, loss_cfg):
+def _fud_batch(cfg, net, t_in, t_o, t_h, g_times):
+    """Analytic weight gradients and spike indicators of a forward from the
+    input times ``t_in`` to the hidden and output times ``t_h``/``t_o``."""
     n_hidden = cfg.network.n_hidden
-    t_max = cfg.sim.t_max
     w_in = net.input_weights[:, :n_hidden]
     w_ho = net.weights[:n_hidden, n_hidden:]
-    t_in = ds.by_neuron_times[idx]
-    t_h, t_o = fud_feedforward(t_in, w_in, w_ho, net.params, t_max)
-    loss, g_times = ttfs_from_times(t_o, ds.labels[idx], loss_cfg, t_max)
     g_ho, g_in = fud_feedforward_grads(
         t_in, t_h, t_o, w_in, w_ho, g_times, net.params,
         vdot_floor=cfg.train.vdot_floor,
@@ -606,7 +577,7 @@ def _fud_batch(cfg, net, ds, idx, loss_cfg):
     g_w_in = np.zeros((net.n_in, n))
     g_w_in[:, :n_hidden] = g_in
     counts = np.concatenate([np.isfinite(t_h), np.isfinite(t_o)], axis=1).astype(float)
-    return g_w, g_w_in, loss, predict_from_times(t_o), counts
+    return g_w, g_w_in, counts
 
 
 # ---------------------------------------------------------------------------

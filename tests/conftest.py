@@ -659,7 +659,8 @@ def fan_out_reference(net: Network) -> FanOut:
 
 def simulate_batch_reference(net: Network, in_neurons, in_times, m: int, t_max: float):
     """``simulate_batch`` with the inputs as flat queues read through a
-    pointer, on ``fan_out_reference``."""
+    pointer, on ``fan_out_reference``.  Returns the trace and, per slot, the
+    current of the spiking neuron just before it fired (0 elsewhere)."""
     p = net.params
     n = net.n_total
     in_neurons = np.asarray(in_neurons, dtype=np.int64)
@@ -734,12 +735,19 @@ def simulate_batch_reference(net: Network, in_neurons, in_times, m: int, t_max: 
             seen |= bit[src]
             lim[seen == full] = -np.inf
 
-    return EventTrace(
+    trace = EventTrace(
         np.ascontiguousarray(neuron_of[src_k.T]),
         np.ascontiguousarray(np.where(src_k == null, np.inf, time_k).T),
         np.ascontiguousarray(kind_of[src_k.T]),
-        np.ascontiguousarray(ispike_k.T),
     )
+    return trace, np.ascontiguousarray(ispike_k.T)
+
+
+def assert_bitwise_trace(got, ref):
+    for f in ("neurons", "times", "kinds"):
+        a, want = getattr(got, f), getattr(ref, f)
+        assert a.dtype == want.dtype and a.shape == want.shape
+        assert a.tobytes() == want.tobytes()
 
 
 def mock_weights_reference(net: Network, mock):

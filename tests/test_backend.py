@@ -141,9 +141,10 @@ class TestMockBackend:
             idx, times = pack_inputs([random_inputs(rng, net) for _ in range(8)])
             batch = simulate_batch(net, idx[:, :-1], times[:, :-1], 60, 2.5)
             seeds = rng.integers(0, 1000, size=8)
-            got = _apply_mock_noise(batch, mock, 2.5, seeds)
+            # the call edits batch in place, so the oracle reads it first
             want = full_width_mock_noise(batch, mock, 2.5, seeds)
             tails += np.sum(batch.kinds != DUMMY, axis=1).max() < 60
+            got = _apply_mock_noise(batch, mock, 2.5, seeds)
             for a, b in zip((got.neurons, got.times, got.kinds), want):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)

@@ -104,6 +104,20 @@ def test_eval_rejects_an_unknown_estimator(tmp_path, tiny, capsys):
     assert not (out / "eval.txt").exists()
 
 
+def test_eval_rejects_fud_on_a_checkpoint_off_tau_ratio_2(tmp_path, capsys):
+    # the config's ratio is 2; the checkpoint's, which eval runs, is 1
+    equal = tmp_path / "equal.txt"
+    equal.write_text(TINY + "network.tau_mem_ratio = 1\n")
+    assert run("train", "--out", tmp_path / "train", config=equal) == 0
+    config = tmp_path / "fud.txt"
+    config.write_text(TINY + "train.estimator = fud\n")
+    checkpoint = tmp_path / "train" / "checkpoint.txt"
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", checkpoint, "--out", out, config=config) == 2
+    assert "train.estimator = fud" in capsys.readouterr().err
+    assert not (out / "eval.txt").exists()
+
+
 def test_replay_run_without_test_blocks_is_a_config_error(tmp_path, tiny, capsys):
     # export-traces writes training samples only, so train and eval on the
     # replay backend would find no block for the test set: both stop before
@@ -158,6 +172,19 @@ def test_train_rejects_a_bad_sim_section(tmp_path, key, capsys):
         "train.beta2 = nan",
         "backend.mock.jitter_sigma = nan",
         "backend.mock.jitter_sigma = -0.1",
+        "network.tau_mem_ratio = 3",
+        "network.tau_mem_ratio = 0",
+        "network.n_hidden = true",
+        "train.lr = true",
+        "dataset.t_bias = abc",
+        "backend.mock.weight_clip = abc",
+        "backend.kind = bogus",
+        "train.estimator = bogus",
+        "network.v_reset = 1.5",
+        "network.v_th = nan",
+        "dataset.n_test = 0",
+        "train.xi = 0",
+        "backend.mock.weight_clip = 0",
     ],
 )
 def test_train_rejects_a_value_that_breaks_the_run(tmp_path, key, capsys):
@@ -167,6 +194,26 @@ def test_train_rejects_a_value_that_breaks_the_run(tmp_path, key, capsys):
     out = tmp_path / "train"
     assert run("train", "--out", out, config=config) == 2
     assert key.split(" =")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate"],
+        ["train"],
+        ["eval", "--checkpoint", "absent.txt"],
+        ["export-traces"],
+        ["replay-train", "--traces", "absent.replay"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_the_replay_backend_without_a_trace_path_leaves_no_output_directory(
+    tmp_path, tiny, command, capsys
+):
+    out = tmp_path / "out"
+    assert run(*command, "--backend", "replay", "--out", out, config=tiny) == 2
+    assert "backend.replay.trace_path" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -181,13 +181,11 @@ class TestEventTrace:
             np.array([[0, -1], [1, 0]]),
             np.array([[0.5, np.inf], [0.2, 0.7]]),
             np.array([[INPUT, DUMMY], [INPUT, INTERNAL]], dtype=np.int8),
-            np.array([[0.0, 0.0], [0.0, 1.5]]),
         )
         assert len(batch) == batch.batch_size == 2
         row = batch[1]
         assert isinstance(row, EventTrace) and len(row) == 2
         assert row.neurons.tolist() == [1, 0] and row.times.tolist() == [0.2, 0.7]
         assert row.kinds.tolist() == [INPUT, INTERNAL]
-        assert row.i_spike_recorded.tolist() == [0.0, 1.5]
         with pytest.raises(DimensionMismatch):
             row[0]

@@ -33,6 +33,7 @@ from eventsnn.train import structure_masks
 
 from conftest import (
     NoSpike,
+    assert_bitwise_trace,
     dense_adjoint,
     dense_row_adjoint,
     dense_row_currents,
@@ -40,6 +41,7 @@ from conftest import (
     loop_first_spike_times,
     random_inputs,
     random_network,
+    simulate_batch_reference,
     two_exp_layer_grads,
     without_outputs,
 )
@@ -123,18 +125,19 @@ class TestReconstructCurrents:
         assert np.all(row_currents(trace, net) == 0.0)
 
     def test_matches_engine_record_exactly(self, rng):
+        # the reference engine records each spiking neuron's current; its
+        # traces are bitwise the engine's
         for _ in range(20):
             net = random_network(rng)
             inputs = random_inputs(rng, net)
             idx, times = pack_inputs([inputs])
-            batch = simulate_batch(
-                without_outputs(net), idx[:, :-1], times[:, :-1], m=16, t_max=2.5
-            )
+            args = (without_outputs(net), idx[:, :-1], times[:, :-1], 16, 2.5)
+            batch = simulate_batch(*args)
+            ref, i_spike = simulate_batch_reference(*args)
+            assert_bitwise_trace(batch, ref)
             rec, _, _ = reconstruct_currents_batch(batch.neurons, batch.times, batch.kinds, net)
             internal = batch.kinds == int(SpikeKind.INTERNAL)
-            np.testing.assert_allclose(
-                rec[internal], batch.i_spike_recorded[internal], atol=1e-12
-            )
+            np.testing.assert_allclose(rec[internal], i_spike[internal], atol=1e-12)
 
     def test_file_roundtrip_gives_identical_currents(self, rng):
         net = random_network(rng)
@@ -348,15 +351,20 @@ def chain_net(params):
 LONG_SPAN_INPUTS = (0.0, 99.8, 900.0, 1800.0)
 
 
-def long_span_batch(params):
-    """Bursts of a 2-neuron chain driven at t = 0, 99.8, 900 and 1800.
+def long_span_run(params):
+    """The arguments of a run of a 2-neuron chain driven at t = 0, 99.8, 900
+    and 1800.
 
     exp((t - A) / tau) over the whole span overflows, so one frame anchor
     per row fails; the burst at 99.8 straddles the window edge at t = 100.
     """
     idx, times = pack_inputs([[in_spike(0, t) for t in LONG_SPAN_INPUTS]])
     net = without_outputs(chain_net(params))  # every burst, not only the first
-    return simulate_batch(net, idx[:, :-1], times[:, :-1], m=32, t_max=2000.0)
+    return net, idx[:, :-1], times[:, :-1], 32, 2000.0
+
+
+def long_span_batch(params):
+    return simulate_batch(*long_span_run(params))
 
 
 class TestEventDrivenAdjoint:
@@ -444,14 +452,14 @@ class TestEventDrivenAdjoint:
     @pytest.mark.parametrize("params", [P2, P1], ids=["tau_ratio_2", "tau_ratio_1"])
     def test_long_span_currents_match_engine(self, params):
         batch = long_span_batch(params)
+        ref, i_spike = simulate_batch_reference(*long_span_run(params))
+        assert_bitwise_trace(batch, ref)
         out, _, t_end = reconstruct_currents_batch(
             batch.neurons, batch.times, batch.kinds, chain_net(params)
         )
         internal = batch.kinds == int(SpikeKind.INTERNAL)
         assert np.all(np.isfinite(out)) and np.all(out[~internal] == 0.0)
-        np.testing.assert_allclose(
-            out[internal], batch.i_spike_recorded[internal], rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(out[internal], i_spike[internal], rtol=0, atol=1e-12)
         # replay stops at the last event
         last = np.max(batch.times[np.isfinite(batch.times)])
         assert t_end[0] == last

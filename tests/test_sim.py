@@ -32,6 +32,7 @@ from eventsnn.sim import (
 from eventsnn.train import init_network, pack_samples
 
 from conftest import (
+    assert_bitwise_trace,
     assert_stopped_prefix,
     dense_oracle,
     euler_first_crossing,
@@ -713,13 +714,6 @@ def stop_kind(ref, net, m: int) -> list:
     ]
 
 
-def assert_bitwise_trace(got, ref):
-    for f in ("neurons", "times", "kinds", "i_spike_recorded"):
-        a, want = getattr(got, f), getattr(ref, f)
-        assert a.dtype == want.dtype and a.shape == want.shape
-        assert a.tobytes() == want.tobytes()
-
-
 class TestCrossingTableLayout:
     """Inputs as columns of the crossing table, one at-rest solve, the trace
     written over the slots run, and the 1-D nonzero scans give bitwise the
@@ -728,7 +722,7 @@ class TestCrossingTableLayout:
     def test_traces_equal_the_queue_engine(self):
         stops, ties, at_t_max = [], 0, 0
         for net, neurons, times, m, t_max in layout_cases():
-            ref = simulate_batch_reference(net, neurons, times, m, t_max)
+            ref, _ = simulate_batch_reference(net, neurons, times, m, t_max)
             assert_bitwise_trace(simulate_batch(net, neurons, times, m, t_max), ref)
             stops += stop_kind(ref, net, m)
             internal = np.where(ref.kinds == INTERNAL, ref.times, np.nan)
@@ -741,7 +735,7 @@ class TestCrossingTableLayout:
     def test_empty_batch_or_no_inputs(self, rng, b, k):
         net = random_network(rng, params=P2)
         neurons, times = np.full((b, k), -1), np.full((b, k), np.inf)
-        ref = simulate_batch_reference(net, neurons, times, 5, 2.0)
+        ref, _ = simulate_batch_reference(net, neurons, times, 5, 2.0)
         assert_bitwise_trace(simulate_batch(net, neurons, times, 5, 2.0), ref)
         assert ref.times.shape == (b, 5)
 

@@ -1,10 +1,17 @@
+import functools
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from eventsnn.config import ExperimentConfig, apply_overrides, load_config, save_config
+from eventsnn.config import (
+    ExperimentConfig,
+    apply_overrides,
+    flatten,
+    load_config,
+    save_config,
+)
 from eventsnn.data import build_dataset, encode_dataset
 from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
 from eventsnn.sim import pack_inputs, simulate_batch
@@ -242,6 +249,62 @@ class TestConfig:
 
         with pytest.raises(InvalidParameter):
             apply_overrides(ExperimentConfig(), {"network.bogus": "1"})
+
+    # per key, a valid value away from its default: as written, and as loaded
+    NON_DEFAULT = {
+        "dataset.seed": ("7", 7),
+        "dataset.n_train": ("30", 30),
+        "dataset.n_test": ("12", 12),
+        "dataset.r_small": ("0.2", 0.2),
+        "dataset.t_early": ("0.25", 0.25),
+        "dataset.t_late": ("2.5", 2.5),
+        "dataset.t_bias": ("1", 1.0),
+        "dataset.bias_enabled": ("false", False),
+        "network.n_hidden": ("6", 6),
+        "network.n_out": ("4", 4),
+        "network.tau_mem_ratio": ("1", 1.0),
+        "network.v_th": ("1.5", 1.5),
+        "network.v_reset": ("-0.5", -0.5),
+        "sim.m": ("40", 40),
+        "sim.t_max": ("3.5", 3.5),
+        "backend.kind": ("mock", "mock"),
+        "backend.mock.jitter_sigma": ("0.05", 0.05),
+        "backend.mock.weight_bits": ("4", 4),
+        "backend.mock.weight_clip": ("2", 2.0),
+        "backend.mock.spike_loss_prob": ("0.1", 0.1),
+        "backend.replay.trace_path": ("1.5", "1.5"),
+        "train.epochs": ("3", 3),
+        "train.batch": ("8", 8),
+        "train.lr": ("1e-3", 0.001),
+        "train.lr_decay": ("0.5", 0.5),
+        "train.beta1": ("0.8", 0.8),
+        "train.beta2": ("0.99", 0.99),
+        "train.xi": ("0.25", 0.25),
+        "train.alpha": ("0.1", 0.1),
+        "train.gamma": ("0.0", 0.0),
+        "train.rate_lambda": ("0.001", 0.001),
+        "train.grad_clip": ("5", 5.0),
+        "train.vdot_floor": ("0.01", 0.01),
+        "train.seed": ("3", 3),
+        "train.estimator": ("fud", "fud"),
+        "train.patience": ("2", 2),
+    }
+
+    def test_every_key_roundtrips_away_from_its_default(self, tmp_path):
+        default = flatten(ExperimentConfig())
+        assert self.NON_DEFAULT.keys() == default.keys()
+        for key, (raw, value) in self.NON_DEFAULT.items():
+            cfg = load_config(None, {key: raw})
+            got = functools.reduce(getattr, key.split("."), cfg)
+            assert got == value and type(got) is type(value), key  # the field's type
+            assert flatten(cfg)[key] != default[key]
+            save_config(cfg, tmp_path / "c.txt")
+            assert load_config(tmp_path / "c.txt") == cfg, key
+
+    def test_keys_of_one_section_are_checked_together(self):
+        # t_early = 2 alone would leave an empty encoding window
+        cfg = load_config(None, {"dataset.t_early": "2", "dataset.t_late": "3"})
+        assert (cfg.dataset.t_early, cfg.dataset.t_late) == (2.0, 3.0)
 
 
 def assert_blocks_written_by_repr(path, net):
