@@ -4,7 +4,7 @@ Forward passes jump from spike to spike by solving the next threshold
 crossing in closed form; gradients are estimated event-by-event from the
 resulting trace, either with the adjoint (EventProp) backward pass or the
 analytic first-spike derivative path.  The forward event source is pluggable:
-in-process solver, mock hardware, or replayed spike files.
+in-process solver, mock hardware, or a replay file of recorded spikes.
 """
 from .core import (
     DimensionMismatch,
@@ -16,9 +16,7 @@ from .core import (
     Spike,
     SpikeKind,
     UnsupportedTauRatio,
-    read_spike_file,
     validate_network,
-    write_spike_file,
 )
 from .lif import (
     CrossingResult,

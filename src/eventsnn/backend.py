@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (
     DUMMY_NEURON,
-    SPIKE_FILE_HEADER,
+    RECORDS_HEADER,
     EventTrace,
     InvalidParameter,
     Network,
@@ -224,8 +224,9 @@ def forward(
 
 
 # ---------------------------------------------------------------------------
-# replay files: "m=<int> t_max=<float> samples=<int>" header, then one
-# spike-file block (header + exactly m records) per sample.
+# replay files, the one spike-record format: "m=<int> t_max=<float>
+# samples=<int>" header, then one record block (``core.format_records``:
+# header + exactly m records) per sample.
 
 
 def write_replay_file(path, traces: EventTrace, m: int, t_max: float) -> None:
@@ -279,8 +280,8 @@ def _parse_replay(raw: bytes) -> ReplayFile:
             f"({n_samples} samples x (1 + m={m}))"
         )
     for s, line in enumerate(body[:: m + 1]):
-        if line != SPIKE_FILE_HEADER:
-            raise ReplayShapeMismatch(f"sample {s} missing the spike-file header")
+        if line != RECORDS_HEADER:
+            raise ReplayShapeMismatch(f"sample {s} missing the {RECORDS_HEADER!r} header")
     del body[:: m + 1]
     neurons, times = (a.reshape(n_samples, m) for a in parse_records(body))
     neurons.setflags(write=False)  # a parse may be shared through the cache below

@@ -79,7 +79,7 @@ def _network_for(cfg: ExperimentConfig, args, ds, m):
 def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    _, train_pts, test_pts = data_mod.build_dataset(cfg.dataset)
+    train_pts, test_pts = data_mod.build_dataset(cfg.dataset)
     data_mod.write_dataset(out / "train.csv", train_pts)
     data_mod.write_dataset(out / "test.csv", test_pts)
     _echo_config(cfg, out)
@@ -104,9 +104,9 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     net, n_hidden = read_checkpoint(args.checkpoint)
     validate_network(net)
-    enc, _, test_pts = data_mod.build_dataset(cfg.dataset)
-    ds_test = pack_samples(data_mod.encode_dataset(test_pts, enc))
-    m = cfg.sim.budget(enc.n_inputs, net.n_total)
+    _, test_pts = data_mod.build_dataset(cfg.dataset)
+    ds_test = pack_samples(data_mod.encode_dataset(test_pts, cfg.dataset))
+    m = cfg.sim.budget(cfg.dataset.n_inputs, net.n_total)
     check_replay_covers(cfg, m, ds_test)
     acc = evaluate(cfg, net, ds_test, m)
     (out / "eval.txt").write_text(f"test_acc {acc:.6f}\n", encoding="utf-8")
@@ -120,9 +120,9 @@ def cmd_export_traces(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples {args.samples}: export at least one sample")
     out = _out_dir(args)
-    enc, train_pts, _ = data_mod.build_dataset(cfg.dataset)
-    ds = pack_samples(data_mod.encode_dataset(train_pts[: args.samples], enc))
-    m = cfg.sim.budget(enc.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
+    train_pts, _ = data_mod.build_dataset(cfg.dataset)
+    ds = pack_samples(data_mod.encode_dataset(train_pts[: args.samples], cfg.dataset))
+    m = cfg.sim.budget(cfg.dataset.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
     net = _network_for(cfg, args, ds, m)
     traces = forward_batch(
         cfg.backend, net, ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max,
@@ -142,19 +142,19 @@ def cmd_replay_train(args) -> int:
     out = _out_dir(args)
     rf = read_replay_file(args.traces)
     n = rf.times.shape[0]
-    enc, train_pts, _ = data_mod.build_dataset(cfg.dataset)
+    train_pts, _ = data_mod.build_dataset(cfg.dataset)
     if len(train_pts) < n:
         raise InvalidParameter(
             f"replay file holds {n} samples but the dataset only {len(train_pts)}"
         )
-    ds = pack_samples(data_mod.encode_dataset(train_pts[:n], enc))
-    m = cfg.sim.budget(enc.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
+    ds = pack_samples(data_mod.encode_dataset(train_pts[:n], cfg.dataset))
+    m = cfg.sim.budget(cfg.dataset.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
     t_max = cfg.sim.t_max
     check_manifest(rf, m, t_max)
     net = _network_for(cfg, args, ds, m)
     loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
     mask_w, mask_w_in = structure_masks(
-        enc.n_inputs, cfg.network.n_hidden, cfg.network.n_out
+        cfg.dataset.n_inputs, cfg.network.n_hidden, cfg.network.n_out
     )
     g_w_sum = np.zeros((net.n_total, net.n_total))
     g_w_in_sum = np.zeros((net.n_in, net.n_total))

@@ -26,17 +26,17 @@ from .data import R_SMALL_MAX, EncodingConfig
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(EncodingConfig):
+    """The encoding of ``data.EncodingConfig``, and the sets it encodes."""
+
     seed: int = 42
     n_train: int = 5000
     n_test: int = 3000
     r_small: float = 0.1
-    t_early: float = 0.0
-    t_late: float = 1.5
-    t_bias: float | None = None  # None -> 0.9 * t_late
-    bias_enabled: bool = True
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParameter(f"dataset.seed={self.seed} must be >= 0")
         for key in ("n_train", "n_test"):
             val = getattr(self, key)
             if val < 1:
@@ -46,16 +46,7 @@ class DatasetConfig:
             raise InvalidParameter(
                 f"dataset.r_small={self.r_small} must lie in (0, {R_SMALL_MAX}]"
             )
-        self.encoding  # a bad window fails at load, before any output is written
-
-    @property
-    def encoding(self) -> EncodingConfig:
-        return EncodingConfig(
-            t_early=self.t_early,
-            t_late=self.t_late,
-            t_bias=self.t_bias,
-            bias_enabled=self.bias_enabled,
-        )
+        super().__post_init__()  # a bad window fails at load, before any output
 
 
 @dataclass(frozen=True)
@@ -71,6 +62,10 @@ class NetworkConfig:
             val = getattr(self, key)
             if val < 1:
                 raise InvalidParameter(f"network.{key}={val} must be >= 1")
+        for key in ("v_th", "v_reset"):
+            val = getattr(self, key)
+            if not math.isfinite(val):
+                raise InvalidParameter(f"network.{key}={val} must be finite")
         # tau_syn = 1, so a ratio the solvers cover is positive too
         if not self.params.is_analytic:
             raise InvalidParameter(
@@ -128,8 +123,10 @@ class TrainSection:
     def __post_init__(self):
         if self.batch < 1:
             raise InvalidParameter(f"train.batch={self.batch} must be >= 1")
-        if self.epochs < 0:
-            raise InvalidParameter(f"train.epochs={self.epochs} must be >= 0")
+        for key in ("epochs", "seed", "patience"):
+            val = getattr(self, key)
+            if val < 0:
+                raise InvalidParameter(f"train.{key}={val} must be >= 0")
         for key in ("lr", "lr_decay"):
             val = getattr(self, key)
             if not 0.0 <= val < math.inf:
@@ -140,6 +137,13 @@ class TrainSection:
                 raise InvalidParameter(f"train.{key}={val} must lie in [0, 1)")
         if not self.xi > 0.0:
             raise InvalidParameter(f"train.xi={self.xi} must be > 0")
+        if not math.isfinite(self.alpha):
+            raise InvalidParameter(f"train.alpha={self.alpha} must be finite")
+        # 0 turns each of these off; NaN would turn it off silently
+        for key in ("gamma", "rate_lambda", "grad_clip", "vdot_floor"):
+            val = getattr(self, key)
+            if not val >= 0.0:
+                raise InvalidParameter(f"train.{key}={val} must be >= 0")
 
 
 ESTIMATORS = ("eventprop", "fud")

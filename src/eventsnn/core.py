@@ -1,4 +1,4 @@
-"""Domain types and file formats shared by the whole engine.
+"""Domain types, and the text blocks the engine's files are made of.
 
 Conventions, fixed once and used everywhere:
   * time is measured in units of the synaptic time constant (tau_syn = 1 in a
@@ -17,6 +17,11 @@ Conventions, fixed once and used everywhere:
 
 All types except the trace are immutable value types after construction and
 safe to share between threads.
+
+Two blocks hold every number the files carry, each written with ``repr`` so
+that a float64 reads back bit for bit: a record block, the "neuron,time"
+records of one trace row (the body of a replay file, see ``backend``), and a
+matrix block (the body of checkpoint and gradients files).
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ import numpy as np
 
 DUMMY_NEURON = -1
 
-SPIKE_FILE_HEADER = "neuron,time"
+RECORDS_HEADER = "neuron,time"
 
 
 class DimensionMismatch(ValueError):
@@ -93,13 +98,13 @@ class Spike:
 
 @dataclass(frozen=True)
 class LifParams:
-    """LIF neuron constants in normalized units (tau_syn = 1, v_rest = 0)."""
+    """LIF neuron constants in normalized units (tau_syn = 1, resting
+    potential 0)."""
 
     tau_mem: float = 2.0
     tau_syn: float = 1.0
     v_th: float = 1.0
     v_reset: float = 0.0
-    v_rest: float = 0.0
 
     @property
     def is_equal_tau(self) -> bool:
@@ -293,8 +298,6 @@ def validate_network(net: Network, require_analytic: bool = True) -> None:
         raise NonpositiveTimeConstant(
             f"tau_mem={p.tau_mem}, tau_syn={p.tau_syn} must be > 0"
         )
-    if p.v_rest != 0.0:
-        raise InvalidParameter("v_rest is fixed to 0 by normalization")
     if not p.resets_below_threshold:
         raise InvalidParameter(f"v_reset={p.v_reset} must lie below v_th={p.v_th}")
     n = net.n_total
@@ -321,10 +324,11 @@ def validate_network(net: Network, require_analytic: bool = True) -> None:
 
 
 # ---------------------------------------------------------------------------
-# spike-file format: UTF-8 text, header "neuron,time", one "index,repr(time)"
-# record per line, dummy written as "-1,inf".  repr round-trips float64
-# exactly, so a write/read cycle is the identity on (neuron, time).  Replay
-# files are made of such blocks.
+# record blocks, one per row of a replay file: the header "neuron,time", then
+# one "index,repr(time)" record per line, the dummy written as "-1,inf".
+# repr round-trips float64 exactly, so a write/read cycle is the identity on
+# (neuron, time).  A record is checked where it is read into a trace
+# (``backend.replay_block_to_trace``).
 
 
 def format_time(t: float) -> str:
@@ -332,9 +336,9 @@ def format_time(t: float) -> str:
 
 
 def format_records(neurons, times) -> str:
-    """A spike-file block: the header line, then one line per record."""
+    """A record block: the header line, then one line per record."""
     pairs = zip(np.asarray(neurons).tolist(), np.asarray(times, dtype=np.float64).tolist())
-    return SPIKE_FILE_HEADER + "\n" + "".join(f"{n},{t!r}\n" for n, t in pairs)
+    return RECORDS_HEADER + "\n" + "".join(f"{n},{t!r}\n" for n, t in pairs)
 
 
 def parse_records(lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -345,44 +349,6 @@ def parse_records(lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         times = np.array([float(t) for _, t in pairs], dtype=np.float64)
     except ValueError as e:
         raise InvalidParameter(f"malformed spike record: {e}") from e
-    return neurons, times
-
-
-def _open(path_or_io, mode: str):
-    if hasattr(path_or_io, "write") or hasattr(path_or_io, "read"):
-        return path_or_io, False
-    return open(path_or_io, mode, encoding="utf-8"), True
-
-
-def write_spike_file(path_or_io, neurons, times) -> None:
-    f, close = _open(path_or_io, "w")
-    try:
-        f.write(format_records(neurons, times))
-    finally:
-        if close:
-            f.close()
-
-
-def read_spike_file(path_or_io) -> tuple[np.ndarray, np.ndarray]:
-    """(neurons, times) of a spike file.
-
-    A record is the dummy (-1, inf) or a neuron index >= 0 at a finite time
-    >= 0; anything else raises InvalidParameter.
-    """
-    f, close = _open(path_or_io, "r")
-    try:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    finally:
-        if close:
-            f.close()
-    if not lines or lines[0] != SPIKE_FILE_HEADER:
-        raise InvalidParameter("spike file must start with the 'neuron,time' header")
-    neurons, times = parse_records(lines[1:])
-    real_ok = (neurons >= 0) & (times >= 0.0) & np.isfinite(times)
-    bad = np.flatnonzero(~np.where(neurons == DUMMY_NEURON, np.isposinf(times), real_ok))
-    if bad.size:
-        k = bad[0]
-        raise InvalidParameter(f"bad spike record ({neurons[k]}, {times[k]})")
     return neurons, times
 
 

@@ -118,12 +118,13 @@ def generate(seed: int, n: int, r_small: float = 0.1) -> LabelledRows:
     return LabelledRows(np.concatenate(points), np.concatenate(labels).astype(np.int64))
 
 
-def build_dataset(dcfg) -> tuple[EncodingConfig, LabelledRows, LabelledRows]:
-    """Encoding plus train and test points of a config's ``dataset`` section;
-    the test set is drawn with seed + 1."""
-    train = generate(dcfg.seed, dcfg.n_train, dcfg.r_small)
-    test = generate(dcfg.seed + 1, dcfg.n_test, dcfg.r_small)
-    return dcfg.encoding, train, test
+def build_dataset(dcfg) -> tuple[LabelledRows, LabelledRows]:
+    """Train and test points of a config's ``dataset`` section, which is
+    also their encoding; the test set is drawn with seed + 1."""
+    return (
+        generate(dcfg.seed, dcfg.n_train, dcfg.r_small),
+        generate(dcfg.seed + 1, dcfg.n_test, dcfg.r_small),
+    )
 
 
 def encode_dataset(points: LabelledRows, cfg: EncodingConfig = EncodingConfig()) -> LabelledRows:

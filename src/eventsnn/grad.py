@@ -106,8 +106,8 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     """Replay trace transitions through the current dynamics only.
 
     Returns (B, m) with the spiking neuron's synaptic current just before
-    each internal event (zero for input/dummy slots), the final currents at
-    each row's last event and that time t_end (0 for an empty row).
+    each internal event (zero for input/dummy slots), and the time t_end of
+    each row's last event (0 for an empty row).
 
     Each row keeps its currents as coefficients c in the frame
     i(t) = c e^{-(t-A)/tau_s}, so decay between events costs nothing: an
@@ -153,7 +153,7 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
         pos = np.arange(row.size) + offset[k][row]
         c_flat[fan.lanes[pos] + row * n] += fan.weights[pos] * grow[k][row]
     out = np.where(kinds == int(SpikeKind.INTERNAL), out.T, 0.0)
-    return out, c * shrink[-1][:, None], t_end
+    return out, t_end
 
 
 def replay_state(neurons, times, kinds, net: Network, t_max: float):
@@ -213,7 +213,7 @@ def _adjoint_coefficients(neurons, times, kinds, net: Network, loss_grads, stric
     p = net.params
     b, m = times.shape
     ts, tm = p.tau_syn, p.tau_mem
-    i_rec, _, t_end = reconstruct_currents_batch(neurons, times, kinds, net)
+    i_rec, t_end = reconstruct_currents_batch(neurons, times, kinds, net)
     internal = kinds == int(SpikeKind.INTERNAL)
     vdot = i_rec - p.v_th / tm
     ok = np.abs(vdot) >= EPS_VDOT

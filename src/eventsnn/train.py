@@ -34,6 +34,8 @@ from .grad import (
 
 METRICS_HEADER = "epoch,train_loss,train_acc,test_acc,seconds"
 CHECKPOINT_MAGIC = "eventsnn-checkpoint v1"
+CHECKPOINT_PARAMS = ("tau_mem", "tau_syn", "v_th", "v_reset")
+CHECKPOINT_SIZES = ("n_in", "n_total", "n_hidden", "n_out")
 
 
 class ShapeMismatch(ValueError):
@@ -404,11 +406,11 @@ def evaluate(
 def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     """Train per config; returns per-epoch metrics and the best checkpoint."""
     t_start = _time.time()
-    enc_cfg, points_train, points_test = data_mod.build_dataset(cfg.dataset)
-    ds_train = pack_samples(data_mod.encode_dataset(points_train, enc_cfg))
-    ds_test = pack_samples(data_mod.encode_dataset(points_test, enc_cfg))
+    points_train, points_test = data_mod.build_dataset(cfg.dataset)
+    ds_train = pack_samples(data_mod.encode_dataset(points_train, cfg.dataset))
+    ds_test = pack_samples(data_mod.encode_dataset(points_test, cfg.dataset))
 
-    n_in = enc_cfg.n_inputs
+    n_in = cfg.dataset.n_inputs
     n_hidden, n_out = cfg.network.n_hidden, cfg.network.n_out
     n_total = n_hidden + n_out
     m = cfg.sim.budget(n_in, n_total)
@@ -594,38 +596,41 @@ def write_metrics(path, history: Sequence[EpochMetrics]) -> None:
 def write_checkpoint(path, net: Network, n_hidden: int) -> None:
     """Versioned plain-text weight dump (row-per-presynaptic-neuron)."""
     p = net.params
+    sizes = (net.n_in, net.n_total, n_hidden, net.n_total - n_hidden)
     with open(path, "w", encoding="utf-8") as f:
         f.write(CHECKPOINT_MAGIC + "\n")
-        f.write(
-            f"tau_mem {format_time(p.tau_mem)} tau_syn {format_time(p.tau_syn)} "
-            f"v_th {format_time(p.v_th)} v_reset {format_time(p.v_reset)}\n"
-        )
-        f.write(
-            f"n_in {net.n_in} n_total {net.n_total} n_hidden {n_hidden} "
-            f"n_out {net.n_total - n_hidden}\n"
-        )
+        f.write(" ".join(f"{k} {format_time(getattr(p, k))}" for k in CHECKPOINT_PARAMS) + "\n")
+        f.write(" ".join(f"{k} {v}" for k, v in zip(CHECKPOINT_SIZES, sizes)) + "\n")
         f.writelines(format_matrix("input_weights", net.input_weights))
         f.writelines(format_matrix("weights", net.weights))
+
+
+def _header_line(line: str, keys, path) -> dict[str, str]:
+    """The values of a "key value ..." header line that holds each of
+    ``keys`` once, in any order."""
+    words = line.split()
+    values = dict(zip(words[::2], words[1::2]))
+    if len(words) != 2 * len(keys) or sorted(values) != sorted(keys):
+        raise InvalidParameter(
+            f"checkpoint {path}: header {line!r} must hold each of {', '.join(keys)} once"
+        )
+    return values
 
 
 def read_checkpoint(path) -> tuple[Network, int]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise InvalidParameter(f"not a checkpoint file: {path}")
+    params_line, sizes_line = (lines + ["", ""])[1:3]
+    values = _header_line(params_line, CHECKPOINT_PARAMS, path)
+    sizes = _header_line(sizes_line, CHECKPOINT_SIZES, path)
     try:
-        pvals = lines[1].split()
-        params = LifParams(
-            tau_mem=float(pvals[1]),
-            tau_syn=float(pvals[3]),
-            v_th=float(pvals[5]),
-            v_reset=float(pvals[7]),
-        )
-        svals = lines[2].split()
-        n_in, n_total, n_hidden = int(svals[1]), int(svals[3]), int(svals[5])
-    except (IndexError, ValueError) as e:
+        params = LifParams(**{k: float(v) for k, v in values.items()})
+        n_in, n_total, n_hidden, n_out = (int(sizes[k]) for k in CHECKPOINT_SIZES)
+    except ValueError as e:
         raise InvalidParameter(f"checkpoint {path}: bad header: {e}") from e
-    if n_in < 0 or not 0 <= n_hidden <= n_total:
-        raise InvalidParameter(f"checkpoint {path}: bad sizes {lines[2]!r}")
+    if n_in < 0 or not 0 <= n_hidden <= n_total or n_out != n_total - n_hidden:
+        raise InvalidParameter(f"checkpoint {path}: bad sizes {sizes_line!r}")
     w_in = parse_matrix(lines, 3, "input_weights", (n_in, n_total), f"checkpoint {path}")
     w = parse_matrix(lines, 4 + n_in, "weights", (n_total, n_total), f"checkpoint {path}")
     net = Network(

@@ -431,7 +431,7 @@ def dense_row_currents(neurons, times, kinds, net: Network):
         out[:, k] = c[rows, spiking[:, k]] * shrink[:, k]
         c += wstack[src[:, k]] * grow[:, k, None]
     out = np.where(kinds == int(SpikeKind.INTERNAL), out, 0.0)
-    return out, c * shrink[:, -1, None], seen[:, -1]
+    return out, seen[:, -1]
 
 
 def dense_row_adjoint(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from eventsnn.backend import (
 )
 from eventsnn import backend as backend_mod
 from eventsnn.cli import build_parser
-from eventsnn.core import InvalidParameter, LifParams, Network, Spike, SpikeKind
+from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, Spike, SpikeKind
 from eventsnn.grad import eventprop_backward, replay_state
 from eventsnn.sim import pack_inputs, simulate, simulate_batch
 
@@ -358,6 +360,88 @@ class TestReplayBackend:
         foreign = [in_spike(0, 0.123456)]
         with pytest.raises(ReplayShapeMismatch):
             forward(cfg, net, foreign, 14, 2.5)
+
+
+class TestReplayRecords:
+    """The records of a replay file, written, edited and read back into a
+    trace: the format holds each float64 exactly, and every record no trace
+    can hold fails with a typed error."""
+
+    T_MAX = 4.0
+    NET = Network(
+        n_total=7, weights=np.zeros((7, 7)), input_weights=np.zeros((2, 7)), params=P2
+    )
+
+    def write(self, path, neurons, times):
+        m = len(times)
+        rows = EventTrace(np.array([neurons]), np.array([times]), np.zeros((1, m), np.int8))
+        write_replay_file(path, rows, m, self.T_MAX)
+
+    def read(self, path, in_neurons=(), in_times=()):
+        rf = read_replay_file(path)
+        inputs = np.array([in_neurons], dtype=np.int64), np.array([in_times], dtype=np.float64)
+        return replay_block_to_trace(rf.neurons, rf.times, self.NET, *inputs, self.T_MAX)[0]
+
+    def roundtrip(self, tmp_path, neurons, times, *inputs):
+        self.write(tmp_path / "t.replay", neurons, times)
+        return self.read(tmp_path / "t.replay", *inputs)
+
+    def test_roundtrip_identity_with_dummy(self, tmp_path):
+        neurons = [3, 0, -1]
+        times = [0.1234567890123456789, 1.0 / 3.0, math.inf]
+        back = self.roundtrip(tmp_path, neurons, times)
+        assert back.neurons.tolist() == neurons and back.times.tolist() == times
+        assert back.kinds.tolist() == [INTERNAL, INTERNAL, DUMMY]
+
+    def test_roundtrip_classifies_inputs_against_context(self, tmp_path):
+        neurons = [1, 1, 0, -1]
+        times = [0.25, 0.3, 0.5, math.inf]
+        back = self.roundtrip(tmp_path, neurons, times, [1, 0], [0.25, 0.5])
+        assert back.neurons.tolist() == neurons and back.times.tolist() == times
+        assert back.kinds.tolist() == [INPUT, INTERNAL, INPUT, DUMMY]
+
+    def test_roundtrip_random_times_bit_exact(self, rng, tmp_path):
+        times = np.sort(rng.uniform(0, self.T_MAX, size=50))
+        neurons = np.arange(50) % 7
+        back = self.roundtrip(tmp_path, neurons, times)
+        assert back.times.tolist() == times.tolist()
+        np.testing.assert_array_equal(back.neurons, neurons)
+
+    def test_dummy_is_literal_inf_token(self, tmp_path):
+        self.write(tmp_path / "t.replay", [-1], [math.inf])
+        assert (tmp_path / "t.replay").read_text().splitlines()[2] == "-1,inf"
+
+    def test_header_required(self, tmp_path):
+        path = tmp_path / "t.replay"
+        self.write(path, [0, -1], [1.0, math.inf])
+        lines = path.read_text().splitlines()
+        assert lines[1] == "neuron,time"
+        lines[1] = "0,1.0"  # same line count, no header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ReplayShapeMismatch, match="header"):
+            read_replay_file(path)
+
+    def test_invalid_records_rejected(self, tmp_path):
+        # the records a Spike could not hold: bad times, a neuron below -1,
+        # and a -1 record that is not the dummy; each replaces the dummy
+        # after the input record (1, 0.25) of a valid block
+        cases = [
+            ("0,nan", ReplayShapeMismatch, "outside"),
+            ("0,-0.5", ReplayShapeMismatch, "outside"),
+            ("0,inf", ReplayShapeMismatch, "outside"),
+            ("-3,0.5", ReplayShapeMismatch, "out of range"),
+            ("-1,0.5", ReplayShapeMismatch, "-1"),
+            ("1,2,3", InvalidParameter, "malformed"),
+            ("x,1.0", InvalidParameter, "malformed"),
+        ]
+        path = tmp_path / "t.replay"
+        self.write(path, [1, -1, -1], [0.25, math.inf, math.inf])
+        lines = path.read_text().splitlines()
+        assert self.read(path, [1], [0.25]).kinds.tolist() == [INPUT, DUMMY, DUMMY]
+        for record, error, match in cases:
+            path.write_text("\n".join(lines[:3] + [record] + lines[4:]) + "\n")
+            with pytest.raises(error, match=match):
+                self.read(path, [1], [0.25])
 
 
 class TestReplayTrainValidation:

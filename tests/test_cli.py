@@ -185,6 +185,18 @@ def test_train_rejects_a_bad_sim_section(tmp_path, key, capsys):
         "dataset.n_test = 0",
         "train.xi = 0",
         "backend.mock.weight_clip = 0",
+        "dataset.seed = -1",
+        "train.seed = -1",
+        "train.alpha = nan",
+        "train.alpha = inf",
+        "train.gamma = nan",
+        "train.gamma = -0.01",
+        "train.rate_lambda = -0.1",
+        "train.grad_clip = nan",
+        "train.vdot_floor = -0.5",
+        "network.v_th = inf",
+        "network.v_reset = -inf",
+        "train.patience = -1",
     ],
 )
 def test_train_rejects_a_value_that_breaks_the_run(tmp_path, key, capsys):
@@ -273,8 +285,8 @@ def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
     export = tmp_path / "export"
     assert run("export-traces", "--samples", 30, "--out", export, config=wide) == 0
     cfg = load_config(wide)
-    enc, points, _ = build_dataset(cfg.dataset)
-    ds = pack_samples(encode_dataset(points[:30], enc))
+    points, _ = build_dataset(cfg.dataset)
+    ds = pack_samples(encode_dataset(points[:30], cfg.dataset))
     rf = read_replay_file(export / "traces.replay")
     kinds = classify_records(rf.neurons, rf.times, ds.sorted_neurons, ds.sorted_times)
     n_inputs = np.sum(kinds == int(SpikeKind.INPUT), axis=1)

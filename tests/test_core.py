@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -15,9 +14,7 @@ from eventsnn.core import (
     SpikeKind,
     UnsupportedTauRatio,
     classify_records,
-    read_spike_file,
     validate_network,
-    write_spike_file,
 )
 
 from conftest import classify_walk
@@ -89,59 +86,6 @@ class TestImmutability:
         net = make_net()
         with pytest.raises(ValueError):
             net.weights[0, 0] = 1.0
-
-
-class TestSpikeFile:
-    def roundtrip(self, neurons, times):
-        buf = io.StringIO()
-        write_spike_file(buf, neurons, times)
-        buf.seek(0)
-        return read_spike_file(buf)
-
-    def kinds(self, neurons, times, in_neurons=(), in_times=()):
-        return classify_records(
-            np.array([neurons]), np.array([times]),
-            np.array([in_neurons], dtype=np.int64), np.array([in_times], dtype=np.float64),
-        )[0].tolist()
-
-    def test_roundtrip_identity_with_dummy(self):
-        neurons = [3, 0, -1]
-        times = [0.1234567890123456789, 1.0 / 3.0, math.inf]
-        back_n, back_t = self.roundtrip(neurons, times)
-        assert back_n.tolist() == neurons and back_t.tolist() == times
-        assert self.kinds(back_n, back_t) == [INTERNAL, INTERNAL, DUMMY]
-
-    def test_roundtrip_classifies_inputs_against_context(self):
-        in_neurons, in_times = [1, 0], [0.25, 0.5]
-        neurons = [1, 1, 0, -1]
-        times = [0.25, 0.3, 0.5, math.inf]
-        back_n, back_t = self.roundtrip(neurons, times)
-        assert back_n.tolist() == neurons and back_t.tolist() == times
-        kinds = self.kinds(back_n, back_t, in_neurons, in_times)
-        assert kinds == [INPUT, INTERNAL, INPUT, DUMMY]
-
-    def test_roundtrip_random_times_bit_exact(self, rng):
-        times = np.sort(rng.uniform(0, 4, size=50))
-        neurons = np.arange(50) % 7
-        back_n, back_t = self.roundtrip(neurons, times)
-        assert back_t.tolist() == times.tolist()
-        np.testing.assert_array_equal(back_n, neurons)
-
-    def test_dummy_is_literal_inf_token(self):
-        buf = io.StringIO()
-        write_spike_file(buf, [-1], [math.inf])
-        assert buf.getvalue().splitlines()[1] == "-1,inf"
-
-    def test_header_required(self):
-        with pytest.raises(InvalidParameter):
-            read_spike_file(io.StringIO("0,1.0\n"))
-
-    def test_invalid_records_rejected(self):
-        # the records a Spike could not hold: bad times, a neuron below -1,
-        # and a -1 record that is not the dummy
-        for record in ("0,nan", "0,-0.5", "0,inf", "-3,0.5", "-1,0.5", "1,2,3", "x,1.0"):
-            with pytest.raises(InvalidParameter):
-                read_spike_file(io.StringIO(f"neuron,time\n{record}\n"))
 
 
 class TestClassifyRecords:

@@ -1,10 +1,10 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
 import eventsnn.grad as grad
+from eventsnn.backend import read_replay_file, replay_block_to_trace, write_replay_file
 from eventsnn.core import (
     EventTrace,
     InvalidParameter,
@@ -13,9 +13,6 @@ from eventsnn.core import (
     Spike,
     SpikeKind,
     UnsupportedTauRatio,
-    classify_records,
-    read_spike_file,
-    write_spike_file,
 )
 from eventsnn.grad import (
     DegenerateCrossing,
@@ -135,23 +132,20 @@ class TestReconstructCurrents:
             batch = simulate_batch(*args)
             ref, i_spike = simulate_batch_reference(*args)
             assert_bitwise_trace(batch, ref)
-            rec, _, _ = reconstruct_currents_batch(batch.neurons, batch.times, batch.kinds, net)
+            rec, _ = reconstruct_currents_batch(batch.neurons, batch.times, batch.kinds, net)
             internal = batch.kinds == int(SpikeKind.INTERNAL)
             np.testing.assert_allclose(rec[internal], i_spike[internal], atol=1e-12)
 
-    def test_file_roundtrip_gives_identical_currents(self, rng):
+    def test_file_roundtrip_gives_identical_currents(self, rng, tmp_path):
         net = random_network(rng)
         inputs = random_inputs(rng, net)
-        trace = simulate(net, inputs, m=16, t_max=2.5)
-        buf = io.StringIO()
-        write_spike_file(buf, trace.neurons, trace.times)
-        buf.seek(0)
-        neurons, times = read_spike_file(buf)
         idx, in_times = pack_inputs([inputs])
-        kinds = classify_records(neurons[None], times[None], idx, in_times)[0]
-        np.testing.assert_array_equal(kinds, trace.kinds)
-        trace2 = EventTrace(neurons, times, kinds)
-        np.testing.assert_array_equal(row_currents(trace, net), row_currents(trace2, net))
+        batch = simulate_batch(net, idx[:, :-1], in_times[:, :-1], 16, 2.5)
+        write_replay_file(tmp_path / "t.replay", batch, 16, 2.5)
+        rf = read_replay_file(tmp_path / "t.replay")
+        trace = replay_block_to_trace(rf.neurons, rf.times, net, idx, in_times, 2.5)[0]
+        assert_bitwise_trace(trace, batch[0])
+        np.testing.assert_array_equal(row_currents(batch[0], net), row_currents(trace, net))
 
 
 class TestEventProp:
@@ -454,7 +448,7 @@ class TestEventDrivenAdjoint:
         batch = long_span_batch(params)
         ref, i_spike = simulate_batch_reference(*long_span_run(params))
         assert_bitwise_trace(batch, ref)
-        out, _, t_end = reconstruct_currents_batch(
+        out, t_end = reconstruct_currents_batch(
             batch.neurons, batch.times, batch.kinds, chain_net(params)
         )
         internal = batch.kinds == int(SpikeKind.INTERNAL)

@@ -461,8 +461,8 @@ class TestLossCompleteStop:
             "network.n_hidden": str(n_hidden), "sim.m": str(m),
             "dataset.n_train": "64", "dataset.n_test": "3", "train.seed": "1",
         })
-        enc, points, _ = build_dataset(cfg.dataset)
-        ds = pack_samples(encode_dataset(points, enc))
+        points, _ = build_dataset(cfg.dataset)
+        ds = pack_samples(encode_dataset(points, cfg.dataset))
         net = init_network(cfg, ds, np.random.default_rng(1), m)
         args = (ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max)
         stopped = simulate_batch(net, *args)
@@ -526,6 +526,26 @@ class TestLossCompleteStop:
         stopped = simulate(net, inputs, m=400, t_max=3.0)
         end = assert_stopped_prefix(stopped, full, net.output_set)
         assert end[0] < int(np.sum(full.kinds != DUMMY))
+
+    def test_wide_readout_rows_stop_apart(self, rng):
+        # a 5-20-70 feedforward net: 70 outputs take Python-int bits, and
+        # each of six rows stops once all 70 have fired, after about 100 of
+        # the unstopped run's 300 events
+        net = Network.feedforward(
+            rng.normal(1.5, 0.5, size=(5, 20)), rng.normal(0.5, 0.3, size=(20, 70)), P2
+        )
+        in_times = np.sort(rng.uniform(0.0, 1.5, size=(6, 5)), axis=1)
+        in_neurons = np.argsort(rng.uniform(size=(6, 5)), axis=1)
+        args = (in_neurons, in_times, 300, 4.0)
+        stopped = simulate_batch(net, *args)
+        full = simulate_batch(without_outputs(net), *args)
+        end = assert_stopped_prefix(stopped, full, net.output_set)
+        assert np.all(end < np.sum(full.kinds != DUMMY, axis=1))
+        for r, e in enumerate(end):
+            fired = stopped.neurons[r, :e][stopped.kinds[r, :e] == INTERNAL]
+            assert set(net.output_set) <= set(fired.tolist())
+            assert stopped.neurons[r, e - 1] in net.output_set
+            assert stopped.neurons[r, e - 1] not in fired[:-1]  # its first spike
 
 
 class TestMixedKindIterations:

@@ -387,6 +387,41 @@ class TestCheckpoint:
             with pytest.raises(InvalidParameter, match="entries"):
                 read_checkpoint(path)
 
+    def test_header_is_read_by_key(self, tmp_path, rng):
+        # each header line with its pairs in another order: the same net
+        path, lines = self.written(tmp_path, rng)
+        want, _ = read_checkpoint(path)
+        for row in (1, 2):
+            words = lines[row].split()
+            lines[row] = " ".join(words[2:4] + words[:2] + words[4:])
+        assert lines[1].startswith("tau_syn 1.0 tau_mem 2.0")
+        path.write_text("\n".join(lines) + "\n")
+        back, n_hidden = read_checkpoint(path)
+        assert back.params == want.params == P2 and n_hidden == 6
+        np.testing.assert_array_equal(back.weights, want.weights)
+
+    def test_header_without_a_key_raises_typed_error(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        for row, key in ((1, "v_th"), (2, "n_out"), (1, "tau_mem")):
+            bad = list(lines)
+            words = bad[row].split()
+            at = words.index(key)
+            bad[row] = " ".join(words[:at] + words[at + 2 :])
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(InvalidParameter, match=key) as err:
+                read_checkpoint(path)
+            assert str(path) in str(err.value)
+
+    def test_wrong_n_out_raises_typed_error(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        assert lines[2] == "n_in 5 n_total 8 n_hidden 6 n_out 2"
+        for n_out in ("3", "1", "-2"):
+            lines[2] = "n_in 5 n_total 8 n_hidden 6 n_out " + n_out
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(InvalidParameter, match="bad sizes") as err:
+                read_checkpoint(path)
+            assert str(path) in str(err.value)
+
     def test_cli_eval_on_bad_checkpoint_exits_2(self, tmp_path, rng, capsys):
         from eventsnn.cli import main
 
@@ -421,8 +456,8 @@ INIT_CONFIGS = {
 def test_init_weights_are_those_of_the_unstopped_probe(name, seed):
     keys = {**INIT_CONFIGS[name], "dataset.n_test": "3"}
     cfg = load_config(None, {**keys, "dataset.seed": str(seed), "train.seed": str(seed)})
-    enc, points, _ = build_dataset(cfg.dataset)
-    ds = pack_samples(encode_dataset(points, enc))
+    points, _ = build_dataset(cfg.dataset)
+    ds = pack_samples(encode_dataset(points, cfg.dataset))
     net = init_network(cfg, ds, np.random.default_rng(seed), cfg.sim.m)
     digest = hashlib.sha256(net.weights.tobytes() + net.input_weights.tobytes())
     assert digest.hexdigest()[:16] == INIT_WEIGHTS[name, seed]
