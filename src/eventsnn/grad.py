@@ -26,8 +26,11 @@ Two estimators:
   is zero today is still defined and the finite-difference tests check it;
   a support's result equals that full gradient times the mask exactly.
   Either way the row costs a few multiplications by per-row frame factors
-  and no exp per lane.  The binding contract is agreement with central
-  finite differences of the loss under the ideal event-driven dynamics.
+  and no exp per lane.  The support lanes of the slots, with their
+  factors, are laid out in flat plans, one per run of slots, so a slot reads
+  its slice of a plan and builds no index list.  The binding contract is
+  agreement with central finite differences of the loss under the ideal
+  event-driven dynamics.
 
 * The analytic Fast & Deep path (Göltz et al. 2021), for tau_mem =
   2 tau_syn only, works on the first spike times of a feedforward net.
@@ -43,8 +46,8 @@ Two estimators:
 EventProp consumes only the trace plus weights: synaptic currents at spike
 times are reconstructed by replaying the trace through the current dynamics,
 in the same kind of frame (i(t) = c e^{-(t-A)/tau_s}) and on each event's
-fan-out lanes only, so a foreign (hardware/replay) trace takes the identical
-code path.
+fan-out lanes only, planned like the support lanes, so a foreign
+(hardware/replay) trace takes the identical code path.
 
 A single anchor per row would overflow e^{|t-A|/tau} on long traces, so the
 anchor of an event is the start of its time window of ANCHOR_WINDOW times
@@ -66,6 +69,10 @@ ANCHOR_WINDOW = 100.0
 # most (row, interval, neuron) lanes in one crossing call of the analytic
 # forward; a 5-120-3 training batch of 64 rows (7680 lanes a block) fits whole
 LANES_PER_CALL = 8192
+# slots are planned in runs of about this many (slot, row, lane) entries,
+# which bounds a plan's memory however wide its rows are; the support of a
+# 5-120-3 training batch of 64 rows takes a few runs, a replayed row one
+PLAN_ENTRIES = 1 << 14
 
 
 class DegenerateCrossing(RuntimeError):
@@ -89,17 +96,33 @@ def _stacked_source(neurons, kinds, net: Network):
     )
 
 
-def _flat_lists(start, count, sources):
-    """Per slot, where each row's entries sit in one flat list of all rows.
+def _plan_runs(count, sources):
+    """The (lo, hi) runs of the S slots of ``sources`` (S, B) that are
+    planned at once: a run starts at each slot where the running count of
+    entries passes a multiple of PLAN_ENTRIES, so it holds at most
+    PLAN_ENTRIES entries plus those of its last slot."""
+    per_slot = count[sources].sum(axis=1)
+    window = (np.cumsum(per_slot) - per_slot) // PLAN_ENTRIES
+    cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), len(sources)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
-    ``sources`` is (B, m) in CSR rows (``start``, ``count``).  Returns
-    (m, B) arrays: the entry count of each row, and the offset that maps
-    position p of the slot's flat list, in row r, to CSR position
-    p + offset[k, r].
+
+def _slot_plan(start, count, sources):
+    """Every slot's CSR entries in one flat plan, slot-major, then by row.
+
+    ``sources`` is (S, B): each slot's stacked source in each row, in CSR
+    rows (``start``, ``count``).  Returns ``bounds``, a list of S + 1 ints
+    such that slot s owns the plan entries bounds[s]:bounds[s + 1];
+    ``pos``, the CSR position of each entry; and ``cnt`` (S B,), the entry
+    count of each (slot, row), with which ``np.repeat`` spreads a value per
+    (slot, row) onto its entries.
     """
-    cnt = count[sources.T]
-    end = cnt.cumsum(axis=1)
-    return cnt, start[sources.T] + cnt - end
+    cnt = count[sources].ravel()
+    end = np.cumsum(cnt)
+    pos = np.repeat(start[sources].ravel() + cnt - end, cnt)
+    pos += np.arange(pos.size)
+    bounds = [0, *end.reshape(sources.shape).max(axis=1, initial=0).tolist()]
+    return bounds, pos, cnt
 
 
 def reconstruct_currents_batch(neurons, times, kinds, net: Network):
@@ -113,10 +136,13 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     i(t) = c e^{-(t-A)/tau_s}, so decay between events costs nothing: an
     event at t_e adds w e^{(t_e-A)/tau_s} to the c of each of its fan-out
     lanes (``Network.fan_out``), and the spiking neuron's current is read as
-    c_j e^{-(t_e-A)/tau_s}.  Each slot gathers the lanes of all rows into one
-    flat list, as ``simulate_batch`` does.  The anchor A moves with the
-    row's time window (see the module docstring); on a window change c is
-    scaled by e^{-(A'-A)/tau_s} <= 1.
+    c_j e^{-(t_e-A)/tau_s}.  The flat lane indices and added values of the
+    slots, all rows in one list per slot, are built for each run of slots
+    before its loop (``_plan_runs``, ``_slot_plan``), so a slot reads its
+    spiking lanes and adds one slice of the plan.  A row's last real event
+    adds nothing, since no later event of the row reads its currents.  The
+    anchor A moves with the row's time window (see the module docstring);
+    on a window change c is scaled by e^{-(A'-A)/tau_s} <= 1.
     """
     b, m = times.shape
     n = net.n_total
@@ -137,21 +163,32 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     grow, shrink = np.exp(u), np.exp(-u)
     moved = (anchor[:, 1:] != anchor[:, :-1]).any(axis=0)
     rescale = np.exp(-(anchor[:, 1:] - anchor[:, :-1]) / ts)
-    fan = net.fan_out
-    count, offset = _flat_lists(fan.start, fan.count, _stacked_source(neurons, kinds, net))
     rows = np.arange(b)
     spiking = (np.clip(neurons, 0, n - 1) + (rows * n)[:, None]).T
+    # an add is read only by a later real slot of its row, so the plan
+    # leaves out the adds of each row's last real slot (of a row with none,
+    # the last slot is a dummy already)
+    reads = int(last.max(initial=-1)) + 1
+    fan = net.fan_out
+    src = _stacked_source(neurons, kinds, net)
+    np.put_along_axis(src, last[:, -1:], fan.null, axis=1)
+    src = src[:, :reads].T
 
     c = np.zeros((b, n))
     c_flat = c.reshape(-1)
     out = np.zeros((m, b))
-    for k in range(int(last.max(initial=-1)) + 1):
-        if moved[k]:
-            c *= rescale[:, k, None]
-        out[k] = c_flat[spiking[k]] * shrink[k]
-        row = rows.repeat(count[k])
-        pos = np.arange(row.size) + offset[k][row]
-        c_flat[fan.lanes[pos] + row * n] += fan.weights[pos] * grow[k][row]
+    for lo, hi in _plan_runs(fan.count, src):
+        bounds, pos, cnt = _slot_plan(fan.start, fan.count, src[lo:hi])
+        lane = fan.lanes[pos]
+        lane += np.repeat(np.tile(rows * n, hi - lo), cnt)
+        add = fan.weights[pos]
+        add *= np.repeat(grow[lo:hi].ravel(), cnt)
+        for k in range(lo, hi):
+            if moved[k]:
+                c *= rescale[:, k, None]
+            out[k] = c_flat[spiking[k]] * shrink[k]
+            e0, e1 = bounds[k - lo], bounds[k - lo + 1]
+            c_flat[lane[e0:e1]] += add[e0:e1]
     out = np.where(kinds == int(SpikeKind.INTERNAL), out.T, 0.0)
     return out, t_end
 
@@ -291,7 +328,9 @@ def eventprop_backward_batch(
     """Batched adjoint backward pass; returns gradients summed over the batch.
 
     ``loss_grads`` is (B, m): the derivative of the loss with respect to each
-    trace slot's spike time (zero for slots the loss ignores).
+    trace slot's spike time (zero for slots the loss ignores).  Only an
+    internal spike has a time the loss can read, so a nonzero derivative on
+    an input or dummy slot raises ``InvalidParameter``.
 
     ``vdot_floor`` > 0 bounds the 1/dV/dt jump scale during training: a
     near-grazing crossing otherwise injects an arbitrarily large, noisy
@@ -309,9 +348,12 @@ def eventprop_backward_batch(
     same for every row: a slot that is not an internal event has the
     sentinel source (no fan-out, zero weights, zero jump scale).  The
     support is a CSR over the stacked sources [w; w_in], laid out like
-    ``core.FanOut``; each slot gathers the support lanes of its rows'
-    sources into one flat list and adds them to an accumulator over the
-    support's entries with one bincount.
+    ``core.FanOut``.  The support entries of the slots' sources, all rows in
+    one list per slot, are planned for each run of slots before its loop
+    (``_plan_runs``, ``_slot_plan``), with their flat lanes and their a_v,
+    a_q factors; each slot multiplies its slice of the plan by the adjoint
+    and adds it to an accumulator over the support's entries with one
+    bincount.
     """
     b, m = times.shape
     n = net.n_total
@@ -320,58 +362,68 @@ def eventprop_backward_batch(
         raise InvalidParameter(f"loss_grads shape {loss_grads.shape} != trace shape {(b, m)}")
     if not np.all(np.isfinite(loss_grads)):
         raise InvalidParameter("loss_grads must be finite")
+    internal = kinds == int(SpikeKind.INTERNAL)
+    misplaced = np.argwhere((loss_grads != 0.0) & ~internal)
+    if misplaced.size:
+        r, k = misplaced[0]
+        raise InvalidParameter(
+            f"loss_grads[{r}, {k}] = {loss_grads[r, k]:.6g} is on a "
+            f"{SpikeKind(kinds[r, k]).name.lower()} slot; only internal spikes take one"
+        )
     keep = _support_rows(net, support)
     coef, shift, to_window = _adjoint_coefficients(
         neurons, times, kinds, net, loss_grads, strict, vdot_floor
     )
     moved = (shift != 0.0).any(axis=1)
 
-    # The adjoint is zero after the last internal slot with a loss derivative
-    # (a jump of zero adjoints with no loss leaves them zero), so the loop
-    # starts there.
-    internal = kinds == int(SpikeKind.INTERNAL)
-    stop = int(np.flatnonzero((internal & (loss_grads != 0.0)).any(axis=0)).max(initial=-1)) + 1
+    # The adjoint is zero after the last slot with a loss derivative (a jump
+    # of zero adjoints with no loss leaves them zero), so the loop starts there.
+    stop = int(np.flatnonzero((loss_grads != 0.0).any(axis=0)).max(initial=-1)) + 1
 
     # Fan-out lanes and weights of each visited slot's spiking neuron; row n
     # of the tables is the null source, all of whose lanes are the sentinel
-    # n.  The state is (B, N + 1), and lanes index it flat.
+    # n.  The state is (B, N + 1), and lanes index it flat; the first lane
+    # of a row is its spiking neuron's own.
     fan = net.fan_out
     table, wtab = fan.table(np.append(np.arange(n), fan.null))
     src = np.where(internal, neurons, n)[:, :stop].T
     lanes = table[src]
     w_lanes = wtab[src]
-    lanes += (np.arange(b) * (n + 1))[:, None]
+    row_lane = np.arange(b) * (n + 1)
+    lanes += row_lane[:, None]
+    spiking = lanes[:, :, 0].copy()
+    gain, loss, scale, s_q = (coef[:stop, c, :, 0].copy() for c in range(4, 8))
 
     # support entry e is flat[e] of the stacked rows; its lane is flat[e] % N
     flat = np.flatnonzero(keep)
     s_count = keep.sum(axis=1)
-    s_lanes = flat % n
-    count, offset = _flat_lists(
-        np.cumsum(s_count) - s_count, s_count, _stacked_source(neurons, kinds, net)[:, :stop]
-    )
-    rows = np.arange(b)
-    a_v_rows, a_q_rows = coef[:, 0, :, 0], coef[:, 1, :, 0]  # (m, B)
+    s_start = np.cumsum(s_count) - s_count
+    sources = _stacked_source(neurons, kinds, net)[:, :stop].T
 
     d_co = np.zeros((b, n + 1))
     q_co = np.zeros((b, n + 1))
     d_flat, q_flat = d_co.reshape(-1), q_co.reshape(-1)
     acc = np.zeros(flat.size)
-    for k in range(stop - 1, -1, -1):
-        if moved[k]:
-            d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
-        _, _, t_v, t_q, gain, loss, scale, s_q = coef[k]
-        row = rows.repeat(count[k])
-        pos = np.arange(row.size) + offset[k][row]
-        at = s_lanes[pos] + row * (n + 1)
-        g_row = a_v_rows[k][row] * d_flat[at] + a_q_rows[k][row] * q_flat[at]
-        acc += np.bincount(pos, g_row, flat.size)
-        ln = lanes[k]
-        d_l = d_flat[ln]
-        q_l = q_flat[ln]
-        transfer = np.einsum("bw,bw->b", w_lanes[k], t_v * d_l + t_q * q_l)
-        d_new = (transfer + gain[:, 0] * d_l[:, 0] + loss[:, 0]) * scale[:, 0]
-        q_flat[ln[:, 0]] = q_l[:, 0] + s_q[:, 0] * (d_l[:, 0] - d_new)
-        d_flat[ln[:, 0]] = d_new
+    for lo, hi in reversed(_plan_runs(s_count, sources)):
+        bounds, pos, cnt = _slot_plan(s_start, s_count, sources[lo:hi])
+        at = flat[pos] % n
+        at += np.repeat(np.tile(row_lane, hi - lo), cnt)
+        a_v, a_q = (np.repeat(coef[lo:hi, c, :, 0].ravel(), cnt) for c in range(2))
+        for k in range(hi - 1, lo - 1, -1):
+            if moved[k]:
+                d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
+            e0, e1 = bounds[k - lo], bounds[k - lo + 1]
+            e = at[e0:e1]
+            g_row = a_v[e0:e1] * d_flat[e] + a_q[e0:e1] * q_flat[e]
+            acc += np.bincount(pos[e0:e1], g_row, flat.size)
+            ln = lanes[k]
+            d_l = d_flat[ln]
+            q_l = q_flat[ln]
+            transfer = np.einsum("bw,bw->b", w_lanes[k], coef[k, 2] * d_l + coef[k, 3] * q_l)
+            d_j = d_l[:, 0]
+            d_new = (transfer + gain[k] * d_j + loss[k]) * scale[k]
+            q_flat[spiking[k]] = q_l[:, 0] + s_q[k] * (d_j - d_new)
+            d_flat[spiking[k]] = d_new
     grad = np.zeros(keep.size)
     grad[flat] = acc
     grad = grad.reshape(keep.shape)

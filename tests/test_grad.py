@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,16 @@ from eventsnn.grad import (
 )
 from eventsnn.lif import next_crossing_double_tau, next_crossing_safe
 from eventsnn.sim import pack_inputs, simulate, simulate_batch
-from eventsnn.train import structure_masks
+from eventsnn.data import EncodingConfig, encode_dataset, generate
+from eventsnn.train import (
+    TtfsLoss,
+    build_network,
+    first_spike_times_batch,
+    pack_samples,
+    scatter_slot_grads,
+    structure_masks,
+    ttfs_from_times,
+)
 
 from conftest import (
     NoSpike,
@@ -568,6 +578,120 @@ class TestGradientSupport:
             assert_bitwise(reconstruct_currents_batch(*args), dense_row_currents(*args))
 
 
+def workload_case(m=108):
+    """A 5-120-3 batch of 64 Yin-Yang rows with the loss derivatives of the
+    first-spike loss, as training sees it.  At these init weights the outputs
+    fire late, so about half the rows fill the budget m, some before every
+    output has fired, and the others stop at their outputs."""
+    ds = pack_samples(encode_dataset(generate(3, 64), EncodingConfig()))
+    net = build_network(5, 120, 3, LifParams(), np.random.default_rng(5), 0.8, 0.06)
+    batch = simulate_batch(net, ds.sorted_neurons, ds.sorted_times, m, 4.0)
+    t_first, slots = first_spike_times_batch(
+        batch.neurons, batch.times, batch.kinds, net.output_set
+    )
+    _, g = ttfs_from_times(t_first, ds.labels, TtfsLoss(), 4.0)
+    return net, batch, scatter_slot_grads(slots, g, m)
+
+
+TRAINING_MASKS = structure_masks(5, 120, 3)
+# tracemalloc peaks of one backward of ``workload_case`` in bytes, under the
+# training masks and the full support: 2.49e6 and 2.96e6 measured with numpy
+# 2.4 (1.79e6 and 2.16e6 when each slot built its own index lists); lower
+# them when the plans shrink, never raise them
+BACKWARD_PEAK_BYTES = {"masks": 2.55e6, "full": 3.0e6}
+
+
+def slots_of(trace):
+    return trace.neurons, trace.times, trace.kinds
+
+
+def assert_plans_match_dense_rows(neurons, times, kinds, net, loss_grads):
+    """Currents equal the dense-row replay and gradients on the training
+    masks equal the dense-row adjoint times the masks, bitwise."""
+    args = (neurons, times, kinds, net)
+    assert_bitwise(reconstruct_currents_batch(*args), dense_row_currents(*args))
+    for kw in ({}, {"vdot_floor": 0.5}):
+        got = eventprop_backward_batch(*args, loss_grads, support=TRAINING_MASKS, **kw)
+        want = dense_row_adjoint(*args, loss_grads, **kw)
+        assert_bitwise(got, [w * mask for w, mask in zip(want, TRAINING_MASKS)])
+    return got
+
+
+class TestWorkloadShapedPlans:
+    """The slot plans of the current replay and the adjoint on a training
+    batch of the 5-120-3 net, at B=64 and B=1, and on the plans' edge cases."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        return workload_case()
+
+    def test_batch_of_64(self, case):
+        net, batch, g = case
+        capped = batch.kinds[:, -1] != DUMMY
+        silent = np.sum(g != 0.0, axis=1) < 3
+        assert 0 < capped.sum() < 64 and np.any(capped & silent)
+        got = assert_plans_match_dense_rows(*slots_of(batch), net, g)
+        assert all(np.any(x != 0.0) for x in got)
+
+    def test_single_rows(self, case):
+        net, batch, g = case
+        capped = batch.kinds[:, -1] != DUMMY
+        for r in (np.flatnonzero(capped)[0], np.flatnonzero(~capped)[0]):
+            neurons, times, kinds, loss = (a[r : r + 1] for a in (*slots_of(batch), g))
+            # the loop starts at an output's spike, which has no support entry
+            stop = np.flatnonzero(loss[0]).max()
+            assert kinds[0, stop] == INTERNAL and neurons[0, stop] >= 120
+            assert_plans_match_dense_rows(neurons, times, kinds, net, loss)
+
+    def test_no_loss_derivative(self, case):
+        net, batch, g = case
+        got = assert_plans_match_dense_rows(*slots_of(batch), net, np.zeros_like(g))
+        assert all(np.all(x == 0.0) for x in got)
+
+    def test_all_dummy_row(self, case):
+        net, batch, g = case
+        rows = [(a[:3], np.full((1, a.shape[1]), fill, dtype=a.dtype))
+                for a, fill in zip((*slots_of(batch), g), (-1, np.inf, DUMMY, 0.0))]
+        for order in ((0, 1), (1, 0)):
+            neurons, times, kinds, loss = (np.concatenate([p[i] for i in order]) for p in rows)
+            assert_plans_match_dense_rows(neurons, times, kinds, net, loss)
+
+    def test_one_slot_traces(self, case):
+        net = case[0]
+        ds = pack_samples(encode_dataset(generate(3, 4), EncodingConfig()))
+        first = simulate_batch(net, ds.sorted_neurons, ds.sorted_times, 1, 4.0)
+        assert np.all(first.kinds == INPUT)
+        assert_plans_match_dense_rows(*slots_of(first), net, np.zeros((4, 1)))
+        # a hidden and an output neuron's lone spike, each with a loss derivative
+        neurons, times = np.array([[7], [121]]), np.array([[0.5], [0.8]])
+        kinds = np.full((2, 1), INTERNAL, dtype=np.int8)
+        assert_plans_match_dense_rows(neurons, times, kinds, net, np.array([[0.3], [-1.0]]))
+
+    @pytest.mark.parametrize("plan_entries", [1, 500])
+    def test_runs_of_any_size(self, case, monkeypatch, plan_entries):
+        net, batch, g = case
+        monkeypatch.setattr(grad, "PLAN_ENTRIES", plan_entries)
+        sources = grad._stacked_source(batch.neurons, batch.kinds, net).T
+        assert len(grad._plan_runs(net.fan_out.count, sources)) > 10
+        args = (*slots_of(batch), net, g)
+        assert_plans_match_dense_rows(*args)
+        assert_bitwise(eventprop_backward_batch(*args), dense_row_adjoint(*args))
+
+    @pytest.mark.parametrize("support", ["masks", "full"])
+    def test_backward_memory_peak(self, case, support):
+        net, batch, g = case
+        args = (batch.neurons, batch.times, batch.kinds, net, g)
+        kw = {"support": TRAINING_MASKS if support == "masks" else None}
+        eventprop_backward_batch(*args, **kw)
+        tracemalloc.start()
+        try:
+            eventprop_backward_batch(*args, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BACKWARD_PEAK_BYTES[support]
+
+
 class TestBackwardInputChecks:
     """The batched backward pass rejects malformed loss grads and supports."""
 
@@ -594,6 +718,25 @@ class TestBackwardInputChecks:
         g[1, 2] = bad
         with pytest.raises(InvalidParameter):
             eventprop_backward_batch(*args, g)
+
+    def test_loss_derivative_on_an_input_slot_raises(self, case):
+        args, g = case
+        r, k = np.argwhere(args[2] == INPUT)[-1]
+        g[r, k] = 0.5
+        with pytest.raises(InvalidParameter, match=rf"loss_grads\[{r}, {k}\].*input slot"):
+            eventprop_backward_batch(*args, g)
+
+    def test_loss_derivative_on_a_dummy_slot_raises(self, case):
+        (neurons, times, kinds, net), g = case
+        # one more slot, a dummy in every row
+        neurons, times, kinds, g = (
+            np.concatenate([a, np.full((a.shape[0], 1), fill, dtype=a.dtype)], axis=1)
+            for a, fill in ((neurons, -1), (times, np.inf), (kinds, DUMMY), (g, 0.0))
+        )
+        m = g.shape[1]
+        g[2, m - 1] = -1.0
+        with pytest.raises(InvalidParameter, match=rf"loss_grads\[2, {m - 1}\].*dummy slot"):
+            eventprop_backward_batch(neurons, times, kinds, net, g)
 
     def test_support_of_wrong_shape_raises(self, case):
         args, g = case
