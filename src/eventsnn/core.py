@@ -125,6 +125,16 @@ class LifParams:
 
 
 def _frozen_array(a, dtype) -> np.ndarray:
+    """``a`` itself if it is a read-only C-contiguous ``dtype`` array that
+    owns its memory, else a read-only copy."""
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.base is None
+        and a.flags.c_contiguous
+        and not a.flags.writeable
+    ):
+        return a
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
@@ -139,6 +149,13 @@ class Network:
     neurons; the engine ends a row once each of them has fired, and a net
     without readout runs to t_max.  Every neuron's spikes up to then enter
     the trace, as the gradient path requires.
+
+    Both matrices are held read-only.  A float64 C-contiguous array that is
+    already read-only and owns its memory (another Network's matrix, or one
+    the caller froze with ``setflags(write=False)`` and keeps no writable
+    view of) is taken over as is; anything else, a writable array or a view
+    among them, is copied, so later writes to it leave the network as it
+    was built.
     """
 
     n_total: int
@@ -160,8 +177,8 @@ class Network:
 
     @functools.cached_property
     def fan_out(self) -> "FanOut":
-        """The lanes each event source touches; the weights are read-only
-        copies, so this is built once per network."""
+        """The lanes each event source touches; the weights are read-only,
+        so this is built once per network."""
         return FanOut.of(self)
 
     @staticmethod

@@ -32,6 +32,16 @@ on the flat arrays, re-solved in one call and scattered back once.  Every
 row starts at rest at t = 0, so the first crossings are one solve of one
 lane at rest, broadcast to every neuron column.
 
+A lane at rest never crosses (``lif`` finds no upward crossing without
+current), so each row's first event is its first input, or its limit when
+that input comes after t_max or it has none.  Every lane that input
+touches is still at rest, so it propagates to v = +0.0 and gets I = w, its
+weight: the first iteration writes that state directly, with the crossing
+t plus the solve of (0, w) from one call over every input fan-out entry of
+the net, and propagates and solves nothing else.  Should the at-rest solve
+ever be finite, every row takes the general step from the first iteration
+on.
+
 A row is loss-complete in the iteration where the last neuron of
 ``net.output_set`` fires for the first time.  The first-spike loss and the
 classifier read only each output's first spike, and the EventProp adjoint
@@ -114,6 +124,17 @@ def check_input_rows(net: Network, in_neurons, in_times) -> None:
         raise UnsortedInput("input event before t = 0")
 
 
+def _fan_lanes(fan, src, lane0, t_next):
+    """One flat list of every row's fan-out: the entries' positions in
+    ``fan``, their flat lanes, each row's first entry and the event time
+    per entry."""
+    count = fan.count[src]
+    end = count.cumsum()
+    first = end - count
+    pos = np.arange(end[-1]) + (fan.start[src] - first).repeat(count)
+    return pos, fan.lanes[pos] + lane0.repeat(count), first, t_next.repeat(count)
+
+
 def simulate_batch(
     net: Network,
     in_neurons: np.ndarray,
@@ -149,7 +170,8 @@ def simulate_batch(
     tc = np.empty((b, width))
     tc[:, :k_in] = in_times
     # every row starts at rest, so one lane at rest gives every first crossing
-    tc[:, k_in:stop] = next_crossing_safe(np.zeros(1), np.zeros(1), p)
+    rest = next_crossing_safe(np.zeros(1), np.zeros(1), p)
+    tc[:, k_in:stop] = rest
     tc[:, stop] = lim
     src_of = np.empty((b, width), dtype=np.int32)
     src_of[:, :k_in] = np.where(np.isfinite(in_times), in_neurons + n, null)
@@ -175,8 +197,24 @@ def simulate_batch(
     # are read
     src_k = np.empty((m, b), dtype=np.int32)
     time_k = np.empty((m, b))
+    k0 = 0
+    if k_in and b and np.isposinf(rest[0]):
+        # no neuron crosses first: a row's first input, or its limit
+        k0 = 1
+        t_next = in_times[:, 0]
+        src = np.where(t_next <= lim, src_of[:, 0], null)
+        src_k[0] = src
+        time_k[0] = t_next
+        tc[src != null, 0] = np.inf
+        # the touched lanes, all at rest, get (+0.0, w, t, t + c0[w])
+        entry0 = fan.start[n]  # the input entries follow the neurons'
+        c0 = next_crossing_safe(np.zeros(fan.lanes.size - entry0), fan.weights[entry0:], p)
+        pos, lanes, _, tn = _fan_lanes(fan, src, lane0, t_next)
+        i_f[lanes] = fan.weights[pos]
+        tref_f[lanes] = tn
+        tc_f[lanes] = tn + c0[pos - entry0]
     ran = m
-    for k in range(m):
+    for k in range(k0, m):
         # one argmin per row: inputs first on an exact tie, then the lowest
         # neuron, then the limit
         at = base + tc.argmin(axis=1)
@@ -190,13 +228,7 @@ def simulate_batch(
         # a taken input is consumed; a taken crossing is re-solved below
         tc_f[at] = np.inf
 
-        # one flat list of every row's fan-out lanes
-        count = fan.count[src]
-        end = count.cumsum()
-        first = end - count
-        pos = np.arange(end[-1]) + (fan.start[src] - first).repeat(count)
-        lanes = fan.lanes[pos] + lane0.repeat(count)
-        tn = t_next.repeat(count)
+        pos, lanes, first, tn = _fan_lanes(fan, src, lane0, t_next)
         vv, ii = propagate_arrays(v_f[lanes], i_f[lanes], tn - tref_f[lanes], p)
         vv[first[src < n]] = p.v_reset
         ii += fan.weights[pos]

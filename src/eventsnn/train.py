@@ -618,7 +618,10 @@ def _header_line(line: str, keys, path) -> dict[str, str]:
 
 
 def read_checkpoint(path) -> tuple[Network, int]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise InvalidParameter(f"not a checkpoint file: {path}: {e}") from e
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise InvalidParameter(f"not a checkpoint file: {path}")
     params_line, sizes_line = (lines + ["", ""])[1:3]

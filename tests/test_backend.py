@@ -26,7 +26,7 @@ from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, Spik
 from eventsnn.grad import eventprop_backward, replay_state
 from eventsnn.sim import pack_inputs, simulate, simulate_batch
 
-from conftest import random_inputs, random_network, replay_walk
+from conftest import mock_weights_reference, random_inputs, random_network, replay_walk
 
 P2 = LifParams(tau_mem=2.0)
 INTERNAL, INPUT, DUMMY = int(SpikeKind.INTERNAL), int(SpikeKind.INPUT), int(SpikeKind.DUMMY)
@@ -93,6 +93,31 @@ class TestMockNetwork:
                 assert q.dtype == want.dtype
                 assert np.array_equal(q.view(np.int64), want.view(np.int64))
 
+    def test_network_copies_what_the_caller_can_still_write(self, rng):
+        w, w_in = rng.normal(size=(6, 6)), rng.normal(size=(3, 6))
+        base = rng.normal(size=(12, 6))
+        frozen_view = base[6:]
+        frozen_view.setflags(write=False)  # read-only, but its base is not
+        for weights in (w, base[::2], base[:6], w.T, frozen_view, w.astype(np.float32)):
+            keep = np.array(weights, dtype=np.float64)
+            net = Network(n_total=6, weights=weights, input_weights=w_in)
+            assert not net.weights.flags.writeable
+            for a in (w, base):
+                a += 1.0
+            assert net.weights.tobytes() == keep.tobytes()
+        frozen = rng.normal(size=(6, 6))
+        frozen.setflags(write=False)
+        assert Network(n_total=6, weights=frozen, input_weights=w_in).weights is frozen
+
+    def test_mock_network_takes_over_its_quantized_weights(self, rng):
+        net = random_network(rng, params=P2)
+        for mock in (MockConfig(), MockConfig(weight_bits=3, weight_clip=1.5)):
+            got = _mock_network(net, mock)
+            want = mock_weights_reference(net, mock)
+            for q, ref in zip((got.weights, got.input_weights), want):
+                assert q.tobytes() == ref.tobytes()
+                assert q.base is None and not q.flags.writeable
+
 
 class TestNumericBackend:
     def test_passthrough_bit_for_bit(self, rng):
@@ -136,21 +161,47 @@ def full_width_mock_noise(batch, mock, t_max, seeds):
 class TestMockBackend:
     @pytest.mark.parametrize("loss", [0.0, 0.3])
     def test_noise_on_the_real_prefix_equals_the_full_width_sort(self, rng, loss):
-        mock = MockConfig(jitter_sigma=0.3, spike_loss_prob=loss)
+        # with loss, jitter 0 too (the losses drawn alone); seeds repeat
+        # inside a batch, and the second call on them reads cached states
+        jitters = (0.3, 0.0) if loss else (0.3,)
+        mocks = [MockConfig(jitter_sigma=s, spike_loss_prob=loss) for s in jitters]
         tails = 0
         for _ in range(10):
             net = random_network(rng)
             idx, times = pack_inputs([random_inputs(rng, net) for _ in range(8)])
-            batch = simulate_batch(net, idx[:, :-1], times[:, :-1], 60, 2.5)
+            fresh = simulate_batch(net, idx[:, :-1], times[:, :-1], 60, 2.5)
             seeds = rng.integers(0, 1000, size=8)
-            # the call edits batch in place, so the oracle reads it first
-            want = full_width_mock_noise(batch, mock, 2.5, seeds)
-            tails += np.sum(batch.kinds != DUMMY, axis=1).max() < 60
-            got = _apply_mock_noise(batch, mock, 2.5, seeds)
-            for a, b in zip((got.neurons, got.times, got.kinds), want):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+            seeds[-2:] = seeds[:2]
+            tails += np.sum(fresh.kinds != DUMMY, axis=1).max() < 60
+            drew = int(np.sum(np.any(fresh.kinds == INTERNAL, axis=1)))
+            for mock in mocks:
+                for call in range(2):
+                    batch = EventTrace(fresh.neurons.copy(), fresh.times.copy(), fresh.kinds.copy())
+                    # the call edits batch in place, so the oracle reads it first
+                    want = full_width_mock_noise(batch, mock, 2.5, seeds)
+                    hits = backend_mod._noise_state.cache_info().hits
+                    got = _apply_mock_noise(batch, mock, 2.5, seeds)
+                    if call:
+                        assert backend_mod._noise_state.cache_info().hits - hits == drew
+                    for a, b in zip((got.neurons, got.times, got.kinds), want):
+                        assert a.dtype == b.dtype
+                        np.testing.assert_array_equal(a, b)
         assert tails >= 5  # batches whose every row has a dummy tail
+
+    def test_noise_states_are_bounded(self, rng):
+        # one row with one internal spike per seed, over more seeds than
+        # the cache keeps (about 0.7 KB each)
+        n = backend_mod.NOISE_STATES + 100
+        batch = EventTrace(
+            np.zeros((n, 3), dtype=np.int64),
+            np.tile([0.5, np.inf, np.inf], (n, 1)),
+            np.tile(np.array([INTERNAL, DUMMY, DUMMY], dtype=np.int8), (n, 1)),
+        )
+        batch.neurons[:, 1:] = -1
+        _apply_mock_noise(batch, MockConfig(jitter_sigma=0.1), 2.5, range(10**6, 10**6 + n))
+        info = backend_mod._noise_state.cache_info()
+        assert info.maxsize == backend_mod.NOISE_STATES == 4096
+        assert info.currsize <= info.maxsize
 
     def test_degenerate_noise_equals_numeric(self, rng):
         # sigma=0, many bits, no loss: the mock trace must match exactly
@@ -305,6 +356,13 @@ class TestReplayBackend:
         body = cfg.replay.trace_path.read_text().splitlines()
         (tmp_path / "bad.replay").write_text("\n".join(body[:-3]) + "\n")
         with pytest.raises(ReplayShapeMismatch):
+            read_replay_file(tmp_path / "bad.replay")
+
+    def test_non_utf8_file_rejected(self, rng, tmp_path):
+        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
+        raw = cfg.replay.trace_path.read_bytes()
+        (tmp_path / "bad.replay").write_bytes(raw[:40] + b"\xff" + raw[40:])
+        with pytest.raises(ReplayShapeMismatch, match="not UTF-8"):
             read_replay_file(tmp_path / "bad.replay")
 
     def test_unsorted_block_rejected(self, rng):

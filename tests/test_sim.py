@@ -21,7 +21,8 @@ from eventsnn.core import (
     SpikeKind,
 )
 from eventsnn.data import build_dataset, encode_dataset
-from eventsnn.lif import next_crossing_double_tau
+from eventsnn import sim as sim_mod
+from eventsnn.lif import next_crossing_double_tau, next_crossing_safe
 from eventsnn.sim import (
     InvalidBudget,
     UnsortedInput,
@@ -31,6 +32,7 @@ from eventsnn.sim import (
 )
 from eventsnn.train import init_network, pack_samples
 
+import conftest
 from conftest import (
     assert_bitwise_trace,
     assert_stopped_prefix,
@@ -471,6 +473,28 @@ class TestLossCompleteStop:
         real = np.sum(full.kinds != DUMMY, axis=1)
         assert end.shape == (64,) and np.all(end <= real) and np.median(end) < np.median(real)
 
+    def test_lanes_solved_in_a_wide_forward(self, monkeypatch):
+        # a guard on the work of the benchmark's wide 5-500-3 forward at
+        # B=64: the first iteration solves the input fan-out entries once
+        # instead of every lane its inputs touch (123493 lanes before);
+        # lower the bound when the count falls, never raise it
+        cfg = load_config(None, {
+            "network.n_hidden": "500", "sim.m": "2000",
+            "dataset.n_train": "64", "dataset.n_test": "3", "train.seed": "1",
+        })
+        points, _ = build_dataset(cfg.dataset)
+        ds = pack_samples(encode_dataset(points, cfg.dataset))
+        net = init_network(cfg, ds, np.random.default_rng(1), cfg.sim.m)
+        lanes = []
+
+        def counted(v, i, p):
+            lanes.append(np.size(v))
+            return next_crossing_safe(v, i, p)
+
+        monkeypatch.setattr(sim_mod, "next_crossing_safe", counted)
+        simulate_batch(net, ds.sorted_neurons, ds.sorted_times, cfg.sim.m, cfg.sim.t_max)
+        assert sum(lanes) <= 93_993
+
     def test_rows_retire_apart_with_inputs_still_queued(self):
         # input 0 drives the output across threshold about 0.5 later; the
         # weak channel 1 keeps a queue of inputs past every row's stop
@@ -686,7 +710,9 @@ def layout_case(rng, case: int):
     Weights are recurrent with self-loops; every third net has two neurons
     with the same incoming and self weights, so they cross together; every
     fifth has no outputs.  Rows tie input times, pad, and put an input
-    exactly at t_max or past it.
+    exactly at t_max or past it; the first events, which start from rest,
+    come at t = 0 in every fourth case, tie across rows, and one row may
+    have every input past t_max while the others take theirs.
     """
     params = P2 if case % 2 else LifParams(tau_mem=1.0, tau_syn=1.0)
     n, n_in = int(rng.integers(1, 9)), int(rng.integers(1, 5))
@@ -704,6 +730,8 @@ def layout_case(rng, case: int):
     b, k = int(rng.integers(1, 7)), int(rng.integers(0, 9))
     times = np.sort(rng.uniform(0.0, min(t_max, 3.0), (b, k)), axis=1)
     neurons = rng.integers(0, n_in, (b, k))
+    if k >= 1 and case % 4 == 1:
+        times[0, 0] = 0.0  # a first input at the start
     if k >= 2:
         times[0, 1] = times[0, 0]  # tied input times, on two channels or one
     if b >= 2 and k >= 2:
@@ -712,6 +740,10 @@ def layout_case(rng, case: int):
         times[2, -1] = t_max  # an input exactly at t_max
     if b >= 4 and k >= 1 and np.isfinite(t_max):
         times[3, -1] = t_max + 0.5  # an input no row reads
+    if b >= 5 and k >= 1:
+        times[4] = times[0]  # first inputs tied across rows
+    if b >= 6 and k >= 1 and np.isfinite(t_max):
+        times[5] += t_max + 0.25  # a row with no input before t_max
     m = int(rng.integers(1, 60))
     return net, neurons, times, m, t_max
 
@@ -741,6 +773,7 @@ class TestCrossingTableLayout:
 
     def test_traces_equal_the_queue_engine(self):
         stops, ties, at_t_max = [], 0, 0
+        first = {"at 0": 0, "tied across rows": 0, "none beside an input": 0}
         for net, neurons, times, m, t_max in layout_cases():
             ref, _ = simulate_batch_reference(net, neurons, times, m, t_max)
             assert_bitwise_trace(simulate_batch(net, neurons, times, m, t_max), ref)
@@ -748,8 +781,41 @@ class TestCrossingTableLayout:
             internal = np.where(ref.kinds == INTERNAL, ref.times, np.nan)
             ties += int(np.sum(internal[:, 1:] == internal[:, :-1]))
             at_t_max += int(np.sum((ref.kinds == INPUT) & (ref.times == t_max)))
+            took = ref.kinds[:, 0] == INPUT
+            first["at 0"] += int(np.sum(took & (ref.times[:, 0] == 0.0)))
+            t0 = ref.times[took, 0]
+            first["tied across rows"] += int(t0.size > np.unique(t0).size)
+            first["none beside an input"] += int(took.any() and not took.all())
         assert min(stops.count(kind) for kind in ("budget", "loss", "t_max")) >= 50
         assert ties >= 10 and at_t_max >= 10
+        assert min(first.values()) >= 20, first
+
+    @pytest.mark.parametrize("tau_mem", [1.0, 2.0])
+    def test_no_lane_at_rest_crosses(self, tau_mem):
+        # why the first iteration may skip the solve of every lane at rest:
+        # without current no threshold, at or below rest too, is crossed
+        for v_th in (-5.0, -1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1.0, 7.0):
+            for tau_syn in (0.5, 1.0, 3.0):
+                p = LifParams(tau_mem=tau_mem * tau_syn, tau_syn=tau_syn, v_th=v_th,
+                              v_reset=v_th - 1.0)
+                rest = next_crossing_safe(np.zeros(2), np.array([0.0, -0.0]), p)
+                assert np.isposinf(rest).all(), (p, rest)
+
+    def test_a_crossing_at_rest_takes_the_general_step(self, monkeypatch):
+        # were the at-rest solve finite, every neuron would cross at 0.75
+        # unless an input came first; both engines take the patched solver
+        def rest_crosses(v, i, p):
+            v, i = np.asarray(v, dtype=np.float64), np.asarray(i, dtype=np.float64)
+            return np.where((v == 0.0) & (i == 0.0), 0.75, next_crossing_safe(v, i, p))
+
+        monkeypatch.setattr(sim_mod, "next_crossing_safe", rest_crosses)
+        monkeypatch.setattr(conftest, "next_crossing_safe", rest_crosses)
+        before = 0
+        for net, neurons, times, m, t_max in layout_cases()[:80]:
+            ref, _ = simulate_batch_reference(net, neurons, times, m, t_max)
+            assert_bitwise_trace(simulate_batch(net, neurons, times, m, t_max), ref)
+            before += int(np.sum((ref.kinds[:, 0] == INTERNAL) & (ref.times[:, 0] == 0.75)))
+        assert before >= 20  # rows whose first event is a neuron at rest
 
     @pytest.mark.parametrize("b, k", [(0, 3), (3, 0), (0, 0)])
     def test_empty_batch_or_no_inputs(self, rng, b, k):

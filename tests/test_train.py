@@ -430,6 +430,17 @@ class TestCheckpoint:
         assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_utf8_checkpoint_is_a_typed_error_and_exits_2(self, tmp_path, rng, capsys):
+        from eventsnn.cli import main
+
+        path, _ = self.written(tmp_path, rng)
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(InvalidParameter, match="not a checkpoint file") as err:
+            read_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 # sha256 prefixes of init_network's weights, recorded when every trace ran to
 # t_max: the probe asks whether each neuron spikes before t_max, so the stop
