@@ -10,9 +10,7 @@ consumes unchanged; ``forward`` is row 0 of a one-sample batch.
   saturated before the run (into read-only matrices that the run's
   ``Network`` takes over uncopied), the internal spike times of the
   (stopped) trace get Gaussian jitter and may be dropped, then the trace is
-  re-sorted and re-padded.  Each row's noise comes from its sample seed
-  alone; the generator state a seed starts from is derived once and kept
-  for the last ``NOISE_STATES`` seeds,
+  re-sorted and re-padded,
 * ``replay`` reads previously exported traces from a file (the stand-in for
   a physical substrate) and gives each row the block recorded for its
   inputs, validating shape, ordering and the inputs.  A block ends where
@@ -139,41 +137,26 @@ def _mock_network(net: Network, mock: MockConfig) -> Network:
     )
 
 
-# sample seeds whose noise state is kept; a state takes about 0.7 KB
-NOISE_STATES = 4096
-
-
-@functools.lru_cache(maxsize=NOISE_STATES)
-def _noise_state(seed: int) -> dict:
-    """The PCG64 state ``default_rng(SeedSequence((seed, 0xE5)))`` starts
-    from; deriving it costs more than the draws of a row."""
-    return np.random.PCG64(np.random.SeedSequence((seed, 0xE5))).state
-
-
 def _apply_mock_noise(
     batch: EventTrace, mock: MockConfig, t_max: float, seeds: Sequence[int]
 ) -> EventTrace:
     """Jitter/drop internal spikes per sample, then re-sort and re-pad, in
     place: ``batch`` is the fresh trace of the mock's run, and is returned.
 
-    Each row draws what ``default_rng(SeedSequence((seed, 0xE5)))`` would
-    draw for its sample seed, so a row's noise does not depend on the rest
-    of the batch.  The call makes one generator and sets it to each row's
-    start state, which ``_noise_state`` keeps for the last ``NOISE_STATES``
-    seeds.  Only the first w columns move, w the longest real prefix of the
-    batch; the dummy tail after them stays as it is.
+    Each row draws from its own generator seeded by its sample seed, so a
+    row's noise does not depend on the rest of the batch.  Only the first w
+    columns move, w the longest real prefix of the batch; the dummy tail
+    after them stays as it is.
     """
     w = int(np.sum(batch.kinds != int(SpikeKind.DUMMY), axis=1).max(initial=0))
     internal = batch.kinds[:, :w] == int(SpikeKind.INTERNAL)
     counts = internal.sum(axis=1)
     jit = []
     lost = []
-    bits = np.random.PCG64(0)  # set to each row's state below
-    rng = np.random.Generator(bits)
     for row, n_int in enumerate(counts):
         if n_int == 0:
             continue
-        bits.state = _noise_state(int(seeds[row]))
+        rng = np.random.default_rng(np.random.SeedSequence((int(seeds[row]), 0xE5)))
         if mock.jitter_sigma > 0.0:
             jit.append(rng.normal(0.0, mock.jitter_sigma, size=n_int))
         if mock.spike_loss_prob > 0.0:

@@ -155,7 +155,9 @@ class Network:
     the caller froze with ``setflags(write=False)`` and keeps no writable
     view of) is taken over as is; anything else, a writable array or a view
     among them, is copied, so later writes to it leave the network as it
-    was built.
+    was built.  An array taken over must stay read-only: NumPy lets its
+    holder call ``setflags(write=True)`` again, and a write after that
+    would change the network and leave its cached ``fan_out`` stale.
     """
 
     n_total: int

@@ -38,9 +38,7 @@ that input comes after t_max or it has none.  Every lane that input
 touches is still at rest, so it propagates to v = +0.0 and gets I = w, its
 weight: the first iteration writes that state directly, with the crossing
 t plus the solve of (0, w) from one call over every input fan-out entry of
-the net, and propagates and solves nothing else.  Should the at-rest solve
-ever be finite, every row takes the general step from the first iteration
-on.
+the net, and propagates and solves nothing else.
 
 A row is loss-complete in the iteration where the last neuron of
 ``net.output_set`` fires for the first time.  The first-spike loss and the
@@ -170,8 +168,7 @@ def simulate_batch(
     tc = np.empty((b, width))
     tc[:, :k_in] = in_times
     # every row starts at rest, so one lane at rest gives every first crossing
-    rest = next_crossing_safe(np.zeros(1), np.zeros(1), p)
-    tc[:, k_in:stop] = rest
+    tc[:, k_in:stop] = next_crossing_safe(np.zeros(1), np.zeros(1), p)
     tc[:, stop] = lim
     src_of = np.empty((b, width), dtype=np.int32)
     src_of[:, :k_in] = np.where(np.isfinite(in_times), in_neurons + n, null)
@@ -198,8 +195,8 @@ def simulate_batch(
     src_k = np.empty((m, b), dtype=np.int32)
     time_k = np.empty((m, b))
     k0 = 0
-    if k_in and b and np.isposinf(rest[0]):
-        # no neuron crosses first: a row's first input, or its limit
+    if k_in and b:
+        # no lane at rest crosses: a row's first input, or its limit
         k0 = 1
         t_next = in_times[:, 0]
         src = np.where(t_next <= lim, src_of[:, 0], null)
