@@ -4,7 +4,8 @@ Forward passes jump from spike to spike by solving the next threshold
 crossing in closed form; gradients are estimated event-by-event from the
 resulting trace, either with the adjoint (EventProp) backward pass or the
 analytic first-spike derivative path.  The forward event source is pluggable:
-in-process solver, mock hardware, or a replay file of recorded spikes.
+the in-process solver or mock hardware.  A replay file of recorded spikes
+feeds one gradient step (``eventsnn replay-train``).
 """
 from .core import (
     DimensionMismatch,
@@ -34,7 +35,6 @@ from .data import EncodingConfig, LabelledRows, YinYangLabel, encode_dataset, ge
 from .backend import (
     BackendConfig,
     MockConfig,
-    ReplayConfig,
     ReplayShapeMismatch,
     ReplayUnsorted,
     forward,

@@ -1,6 +1,6 @@
 """Pluggable forward-pass providers behind one trace-producing interface.
 
-``forward_batch`` runs a batch of samples through one of three backends and
+``forward_batch`` runs a batch of samples through one of two backends and
 returns one ``EventTrace`` of (B, m) slot arrays that the gradient path
 consumes unchanged; ``forward`` is row 0 of a one-sample batch.
 
@@ -10,18 +10,19 @@ consumes unchanged; ``forward`` is row 0 of a one-sample batch.
   saturated before the run (into read-only matrices that the run's
   ``Network`` takes over uncopied), the internal spike times of the
   (stopped) trace get Gaussian jitter and may be dropped, then the trace is
-  re-sorted and re-padded,
-* ``replay`` reads previously exported traces from a file (the stand-in for
-  a physical substrate) and gives each row the block recorded for its
-  inputs, validating shape, ordering and the inputs.  A block ends where
-  its run stopped, so its input records are often a prefix of the inputs.
+  re-sorted and re-padded.
+
+A recorded run is not a backend: ``export-traces`` writes a forward's
+trace as a replay file, one block per sample, and ``replay-train`` reads it
+back through ``replay_block_to_trace``, which validates shape, ordering and
+the inputs.  A block ends where its run stopped, so its input records are
+often a prefix of the inputs.
 
 A trace carries events only.  The backward pass always assumes the ideal
 dynamics with the caller's float weights, whatever produced the spikes.
 """
 from __future__ import annotations
 
-import functools
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +44,7 @@ from .core import (
     parse_records,
     validate_network,
 )
-from .sim import check_input_rows, pack_inputs, simulate_batch
+from .sim import pack_inputs, simulate_batch
 
 
 class ReplayShapeMismatch(ValueError):
@@ -78,27 +79,19 @@ class MockConfig:
             )
 
 
-@dataclass(frozen=True)
-class ReplayConfig:
-    trace_path: str = ""
-
-
-KINDS = ("numeric", "mock", "replay")
+KINDS = ("numeric", "mock")
 
 
 @dataclass(frozen=True)
 class BackendConfig:
-    kind: str = "numeric"  # numeric | mock | replay
+    kind: str = "numeric"  # numeric | mock
     mock: MockConfig = field(default_factory=MockConfig)
-    replay: ReplayConfig = field(default_factory=ReplayConfig)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameter(
                 f"backend.kind={self.kind!r}: expected one of {', '.join(KINDS)}"
             )
-        if self.kind == "replay" and not self.replay.trace_path:
-            raise InvalidParameter("backend.kind=replay needs backend.replay.trace_path")
 
 
 def quantize_weights(w: np.ndarray, bits: int, clip: float) -> np.ndarray:
@@ -197,19 +190,8 @@ def forward_batch(
     validate_network(net)
     if cfg.kind == "numeric":
         return simulate_batch(net, in_neurons, in_times, m, t_max)
-    if cfg.kind == "mock":
-        run_net = _mock_network(net, cfg.mock)
-        batch = simulate_batch(run_net, in_neurons, in_times, m, t_max)
-        return _apply_mock_noise(batch, cfg.mock, t_max, seeds)
-    in_neurons = np.asarray(in_neurons, dtype=np.int64)
-    in_times = np.asarray(in_times, dtype=np.float64)
-    check_input_rows(net, in_neurons, in_times)
-    rf, pick = replay_blocks(cfg, in_neurons, in_times, m, t_max)
-    if -1 in pick:
-        raise ReplayShapeMismatch("no replay block matches the supplied input spikes")
-    return replay_block_to_trace(
-        rf.neurons[pick], rf.times[pick], net, in_neurons, in_times, t_max
-    )
+    batch = simulate_batch(_mock_network(net, cfg.mock), in_neurons, in_times, m, t_max)
+    return _apply_mock_noise(batch, cfg.mock, t_max, seeds)
 
 
 def forward(
@@ -290,40 +272,7 @@ def _parse_replay(raw: bytes) -> ReplayFile:
             raise ReplayShapeMismatch(f"sample {s} missing the {RECORDS_HEADER!r} header")
     del body[:: m + 1]
     neurons, times = (a.reshape(n_samples, m) for a in parse_records(body))
-    neurons.setflags(write=False)  # a parse may be shared through the cache below
-    times.setflags(write=False)
     return ReplayFile(m, t_max, neurons, times)
-
-
-class _ReplayIndex:
-    """A parsed replay file and the block of each input row looked up so far."""
-
-    def __init__(self, rf: ReplayFile):
-        self.rf = rf
-        self._blocks: dict[tuple[bytes, bytes], int] = {}
-
-    def block_of(self, in_neurons: np.ndarray, in_times: np.ndarray) -> int:
-        key = (in_neurons.tobytes(), in_times.tobytes())
-        if key not in self._blocks:
-            self._blocks[key] = _block_of(self.rf, in_neurons, in_times, self.rf.t_max)
-        return self._blocks[key]
-
-
-@functools.lru_cache(maxsize=1)
-def _replay_index(raw: bytes) -> _ReplayIndex:
-    """One parse and one block lookup per input row, shared by a run's
-    batches for as long as the file's bytes stay the same."""
-    return _ReplayIndex(_parse_replay(raw))
-
-
-def replay_blocks(cfg: BackendConfig, in_neurons, in_times, m: int, t_max: float):
-    """The configured replay file, checked against m and t_max, and per row
-    of (B, K) inputs the index of its block, -1 where none matches."""
-    index = _replay_index(Path(cfg.replay.trace_path).read_bytes())
-    check_manifest(index.rf, m, t_max)
-    in_neurons = np.asarray(in_neurons, dtype=np.int64)
-    in_times = np.asarray(in_times, dtype=np.float64)
-    return index.rf, [index.block_of(nrow, trow) for nrow, trow in zip(in_neurons, in_times)]
 
 
 def check_manifest(rf: ReplayFile, m: int, t_max: float) -> None:
@@ -346,20 +295,6 @@ def _input_match(kinds, in_times, t_max):
     got = np.sum(kinds == int(SpikeKind.INPUT), axis=-1)
     want = np.sum(in_times <= t_max, axis=-1)
     return got == want, (got >= 1) & (got < want)
-
-
-def _block_of(rf: ReplayFile, in_neurons, in_times, t_max: float) -> int:
-    """The block that replays one sample: the first whose input records are
-    all of its inputs, else the first holding a prefix of them, else -1."""
-    s, k = rf.times.shape[0], in_times.shape[0]
-    kinds = classify_records(
-        rf.neurons, rf.times,
-        np.broadcast_to(in_neurons, (s, k)), np.broadcast_to(in_times, (s, k)),
-    )
-    for match in _input_match(kinds, in_times, t_max):
-        if match.any():
-            return int(np.argmax(match))
-    return -1
 
 
 def replay_block_to_trace(

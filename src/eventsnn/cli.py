@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: generate, train, eval, export-traces, replay-train.
-Every run is reproducible from its config file; the effective config is
-echoed into each output directory.  Exit codes: 0 success, 2 config error,
-3 runtime error.
+``--backend`` picks the forward pass (``numeric`` or ``mock``) of train,
+eval and export-traces; a recorded replay file is read by replay-train
+alone.  Every run is reproducible from its config file; the effective
+config is echoed into each output directory.  Exit codes: 0 success,
+2 config error, 3 runtime error.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from .backend import (
+    KINDS,
     check_manifest,
     forward_batch,
     read_replay_file,
@@ -27,7 +30,6 @@ from .train import (
     AdamState,
     TtfsLoss,
     adam_step,
-    check_replay_covers,
     evaluate,
     gradient_from_trace,
     init_network,
@@ -107,7 +109,6 @@ def cmd_eval(args) -> int:
     _, test_pts = data_mod.build_dataset(cfg.dataset)
     ds_test = pack_samples(data_mod.encode_dataset(test_pts, cfg.dataset))
     m = cfg.sim.budget(cfg.dataset.n_inputs, net.n_total)
-    check_replay_covers(cfg, m, ds_test)
     acc = evaluate(cfg, net, ds_test, m)
     (out / "eval.txt").write_text(f"test_acc {acc:.6f}\n", encoding="utf-8")
     _echo_config(cfg, out)
@@ -202,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", default=None, help="config file (key = value lines)")
         sp.add_argument("--seed", type=int, default=None, help="override train.seed")
-        sp.add_argument(
-            "--backend", choices=["numeric", "mock", "replay"], default=None
-        )
+        sp.add_argument("--backend", choices=KINDS, default=None)
         sp.add_argument("--out", default="out", help="output directory")
 
     sp = sub.add_parser("generate", help="write the train and test point sets")

@@ -344,7 +344,7 @@ def _forward_times(
     trace and the slots of those times."""
     t_max = cfg.sim.t_max
     if cfg.train.estimator == "fud":
-        n_hidden = cfg.network.n_hidden
+        n_hidden = net.n_total - len(net.output_set)  # as read_checkpoint splits it
         w_in = net.input_weights[:, :n_hidden]
         w_ho = net.weights[:n_hidden, n_hidden:]
         t_hidden, t_out = fud_feedforward(
@@ -368,21 +368,6 @@ def _forward_times(
 
 def _sample_seed(train_seed: int, tag: int, idx: int) -> int:
     return (train_seed * 1_000_003 + tag) * 1_000_003 + idx
-
-
-def check_replay_covers(cfg: ExperimentConfig, m: int, ds: PackedDataset) -> None:
-    """Reject a run on the replay backend, before its first step, when the
-    file lacks the block of a test sample of ``ds``."""
-    if cfg.backend.kind != "replay" or cfg.train.estimator == "fud":
-        return
-    _, pick = backend_mod.replay_blocks(
-        cfg.backend, ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max
-    )
-    if -1 in pick:
-        raise InvalidParameter(
-            f"replay file {cfg.backend.replay.trace_path} holds no block for "
-            f"{pick.count(-1)} of {len(pick)} test samples (first: test sample {pick.index(-1)})"
-        )
 
 
 def evaluate(
@@ -415,7 +400,6 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     n_total = n_hidden + n_out
     m = cfg.sim.budget(n_in, n_total)
     t_max = cfg.sim.t_max
-    check_replay_covers(cfg, m, ds_test)
 
     rng = np.random.default_rng(cfg.train.seed)
     net = init_network(cfg, ds_train, rng, m, log=log)
@@ -566,7 +550,7 @@ def gradient_from_trace(
 def _fud_batch(cfg, net, t_in, t_o, t_h, g_times):
     """Analytic weight gradients and spike indicators of a forward from the
     input times ``t_in`` to the hidden and output times ``t_h``/``t_o``."""
-    n_hidden = cfg.network.n_hidden
+    n_hidden = net.n_total - len(net.output_set)
     w_in = net.input_weights[:, :n_hidden]
     w_ho = net.weights[:n_hidden, n_hidden:]
     g_ho, g_in = fud_feedforward_grads(

@@ -6,23 +6,20 @@ import pytest
 from eventsnn.backend import (
     BackendConfig,
     MockConfig,
-    ReplayConfig,
     ReplayShapeMismatch,
     ReplayUnsorted,
     _apply_mock_noise,
     _mock_network,
-    _replay_index,
+    check_manifest,
     forward,
     forward_batch,
     quantize_weights,
     read_replay_file,
-    replay_blocks,
     replay_block_to_trace,
     write_replay_file,
 )
-from eventsnn import backend as backend_mod
 from eventsnn.cli import build_parser
-from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, Spike, SpikeKind
+from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
 from eventsnn.grad import eventprop_backward, replay_state
 from eventsnn.sim import pack_inputs, simulate, simulate_batch
 
@@ -30,10 +27,6 @@ from conftest import mock_weights_reference, random_inputs, random_network, repl
 
 P2 = LifParams(tau_mem=2.0)
 INTERNAL, INPUT, DUMMY = int(SpikeKind.INTERNAL), int(SpikeKind.INPUT), int(SpikeKind.DUMMY)
-
-
-def in_spike(neuron, t):
-    return Spike(neuron, t, SpikeKind.INPUT)
 
 
 class TestQuantizeWeights:
@@ -258,20 +251,25 @@ class TestReplayBackend:
         traces = simulate_batch(net, idx[:, :-1], times[:, :-1], m, t_max)
         return net, sample_inputs, traces
 
-    def replay_cfg(self, rng, tmp_path):
+    def replay_file(self, rng, tmp_path):
         net, sample_inputs, traces = self.make_traces(rng)
         path = tmp_path / "t.replay"
         write_replay_file(path, traces, m=14, t_max=2.5)
-        return net, sample_inputs, traces, BackendConfig(
-            kind="replay", replay=ReplayConfig(trace_path=path)
-        )
+        return net, sample_inputs, traces, path
+
+    def read_back(self, path, net, sample_inputs):
+        """The file's blocks as one trace, row b checked against sample b."""
+        rf = read_replay_file(path)
+        idx, times = pack_inputs(sample_inputs)
+        return replay_block_to_trace(rf.neurons, rf.times, net, idx, times, 2.5)
 
     def test_loopback_gradients_identical(self, rng, tmp_path):
         # the hardware-in-the-loop seam: dump traces, reload, same gradients
-        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
-        for b, inputs in enumerate(sample_inputs):
+        net, sample_inputs, traces, path = self.replay_file(rng, tmp_path)
+        replayed = self.read_back(path, net, sample_inputs)
+        for b in range(len(sample_inputs)):
             trace = traces[b]
-            re_trace = forward(cfg, net, inputs, 14, 2.5)
+            re_trace = replayed[b]
             np.testing.assert_array_equal(re_trace.times, trace.times)
             g = np.zeros(14)
             g[np.flatnonzero(trace.kinds == INTERNAL)[:1]] = 1.0
@@ -281,35 +279,12 @@ class TestReplayBackend:
             assert np.max(np.abs(a_in - b_in)) <= 1e-12
 
     def test_batched_replay_matches_each_row_to_its_block(self, rng, tmp_path):
-        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
-        order = [2, 0, 3, 1, 2]
-        idx, times = pack_inputs([sample_inputs[b] for b in order])
-        got = forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 14, 2.5, seeds=order)
-        for row, b in enumerate(order):
+        net, sample_inputs, traces, path = self.replay_file(rng, tmp_path)
+        got = self.read_back(path, net, sample_inputs)
+        for row in range(len(sample_inputs)):
             for field in ("neurons", "times", "kinds"):
-                want = getattr(traces, field)[b]
+                want = getattr(traces, field)[row]
                 np.testing.assert_array_equal(getattr(got, field)[row], want)
-            solo = forward(cfg, net, sample_inputs[b], 14, 2.5)
-            for field in ("neurons", "times", "kinds"):
-                np.testing.assert_array_equal(getattr(got, field)[row], getattr(solo, field))
-
-    def test_block_with_all_inputs_preferred_over_a_prefix(self, tmp_path):
-        net = Network(
-            n_total=2,
-            weights=np.zeros((2, 2)),
-            input_weights=np.full((1, 2), 0.1),
-            params=P2,
-            output_set=(1,),
-        )
-        inputs = [in_spike(0, 0.1), in_spike(0, 0.4)]
-        idx, times = pack_inputs([inputs[:1], inputs])
-        traces = simulate_batch(net, idx[:, :-1], times[:, :-1], 4, 2.5)
-        path = tmp_path / "t.replay"
-        write_replay_file(path, traces, m=4, t_max=2.5)
-        cfg = BackendConfig(kind="replay", replay=ReplayConfig(trace_path=path))
-        got = forward(cfg, net, inputs, 4, 2.5)
-        assert got.kinds.tolist() == [INPUT, INPUT, DUMMY, DUMMY]
-        np.testing.assert_array_equal(got.times, traces.times[1])
 
     def test_final_state_matches_the_event_walk(self, rng):
         # grad.replay_state, the state at t_max of a replayed trace, against
@@ -326,22 +301,23 @@ class TestReplayBackend:
                 assert final_t[b] == t
 
     def test_manifest_budget_mismatch(self, rng, tmp_path):
-        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
+        net, sample_inputs, traces, path = self.replay_file(rng, tmp_path)
+        rf = read_replay_file(path)
         with pytest.raises(ReplayShapeMismatch):
-            forward(cfg, net, sample_inputs[0], 13, 2.5)
+            check_manifest(rf, 13, 2.5)
         with pytest.raises(ReplayShapeMismatch):
-            forward(cfg, net, sample_inputs[0], 14, 2.0)
+            check_manifest(rf, 14, 2.0)
 
     def test_truncated_file_rejected(self, rng, tmp_path):
-        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
-        body = cfg.replay.trace_path.read_text().splitlines()
+        net, sample_inputs, traces, path = self.replay_file(rng, tmp_path)
+        body = path.read_text().splitlines()
         (tmp_path / "bad.replay").write_text("\n".join(body[:-3]) + "\n")
         with pytest.raises(ReplayShapeMismatch):
             read_replay_file(tmp_path / "bad.replay")
 
     def test_non_utf8_file_rejected(self, rng, tmp_path):
-        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
-        raw = cfg.replay.trace_path.read_bytes()
+        net, sample_inputs, traces, path = self.replay_file(rng, tmp_path)
+        raw = path.read_bytes()
         (tmp_path / "bad.replay").write_bytes(raw[:40] + b"\xff" + raw[40:])
         with pytest.raises(ReplayShapeMismatch, match="not UTF-8"):
             read_replay_file(tmp_path / "bad.replay")
@@ -355,50 +331,6 @@ class TestReplayBackend:
             times[0, :2] = times[0, 1::-1]
             with pytest.raises((ReplayUnsorted, ReplayShapeMismatch)):
                 replay_block_to_trace(neurons, times, net, idx, in_times, 2.5)
-
-    def test_file_parsed_once_until_rewritten(self, rng, tmp_path):
-        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
-        idx, times = pack_inputs(sample_inputs)
-        _replay_index.cache_clear()
-        for _ in range(3):
-            got = forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 14, 2.5, seeds=range(4))
-            np.testing.assert_array_equal(got.times, traces.times)
-        assert _replay_index.cache_info().misses == 1
-        # rewritten in place with its blocks reordered (same size and, likely,
-        # the same mtime), then without sample 0's block: each is re-read
-        path = cfg.replay.trace_path
-        write_replay_file(path, traces[np.array([3, 0, 1, 2])], 14, 2.5)
-        got = forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 14, 2.5, seeds=range(4))
-        np.testing.assert_array_equal(got.times, traces.times)
-        assert _replay_index.cache_info().misses == 2
-        write_replay_file(path, traces[np.array([1, 2, 3])], 14, 2.5)
-        with pytest.raises(ReplayShapeMismatch, match="no replay block"):
-            forward_batch(cfg, net, idx[:, :-1], times[:, :-1], 14, 2.5, seeds=range(4))
-
-    def test_each_row_is_looked_up_once(self, rng, tmp_path, monkeypatch):
-        # a run's batches and its up-front coverage check share one lookup
-        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
-        idx, times = pack_inputs(sample_inputs)
-        calls = []
-        real = backend_mod._block_of
-        monkeypatch.setattr(
-            backend_mod, "_block_of", lambda *a: calls.append(1) or real(*a)
-        )
-        _replay_index.cache_clear()
-        _, pick = replay_blocks(cfg, idx[:, :-1], times[:, :-1], 14, 2.5)
-        assert pick == [0, 1, 2, 3] and len(calls) == 4
-        for rows in (np.array([2, 0]), np.arange(4)):
-            got = forward_batch(
-                cfg, net, idx[rows, :-1], times[rows, :-1], 14, 2.5, seeds=range(len(rows))
-            )
-            np.testing.assert_array_equal(got.times, traces.times[rows])
-        assert len(calls) == 4
-
-    def test_no_matching_block(self, rng, tmp_path):
-        net, sample_inputs, traces, cfg = self.replay_cfg(rng, tmp_path)
-        foreign = [in_spike(0, 0.123456)]
-        with pytest.raises(ReplayShapeMismatch):
-            forward(cfg, net, foreign, 14, 2.5)
 
 
 class TestReplayRecords:
@@ -484,8 +416,8 @@ class TestReplayRecords:
 
 
 class TestReplayTrainValidation:
-    """replay-train checks a file against the config and the dataset as
-    strictly as the replay backend does."""
+    """replay-train checks a file against the config and the dataset: its
+    manifest, and each block against its sample's inputs."""
 
     CONFIG = (
         "dataset.n_train = 24\ndataset.n_test = 6\nnetwork.n_hidden = 6\n"

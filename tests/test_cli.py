@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from eventsnn.backend import BackendConfig, ReplayConfig, read_replay_file, replay_blocks
+from eventsnn.backend import read_replay_file
 from eventsnn.cli import main
 from eventsnn.config import load_config
 from eventsnn.core import SpikeKind, classify_records
@@ -118,26 +118,20 @@ def test_eval_rejects_fud_on_a_checkpoint_off_tau_ratio_2(tmp_path, capsys):
     assert not (out / "eval.txt").exists()
 
 
-def test_replay_run_without_test_blocks_is_a_config_error(tmp_path, tiny, capsys):
-    # export-traces writes training samples only, so train and eval on the
-    # replay backend would find no block for the test set: both stop before
-    # their first step
-    export = tmp_path / "export"
-    assert run("export-traces", "--samples", 30, "--out", export, config=tiny) == 0
-    config = tmp_path / "replay.txt"
-    config.write_text(TINY + f"backend.replay.trace_path = {export / 'traces.replay'}\n")
-    capsys.readouterr()
-    out = tmp_path / "train"
-    assert run("train", "--backend", "replay", "--out", out, config=config) == 2
-    assert "no block for 12 of 12 test samples" in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
-    checkpoint = export / "checkpoint.txt"
-    assert run(
-        "eval", "--backend", "replay", "--checkpoint", checkpoint,
-        "--out", tmp_path / "eval", config=config,
-    ) == 2
-    assert "no block for 12 of 12 test samples" in capsys.readouterr().err
-    assert not (tmp_path / "eval" / "eval.txt").exists()
+def test_fud_eval_splits_the_checkpoint_where_its_outputs_start(tmp_path):
+    # the hidden layer's width comes from the checkpoint, not from the
+    # config's network.n_hidden
+    config = tmp_path / "fud.txt"
+    config.write_text(TINY + "train.estimator = fud\nnetwork.n_hidden = 20\n")
+    assert run("train", "--out", tmp_path / "train", config=config) == 0
+    checkpoint = tmp_path / "train" / "checkpoint.txt"
+    reports = []
+    for n_hidden in (10, 20, 120):
+        config.write_text(TINY + f"train.estimator = fud\nnetwork.n_hidden = {n_hidden}\n")
+        out = tmp_path / f"eval-{n_hidden}"
+        assert run("eval", "--checkpoint", checkpoint, "--out", out, config=config) == 0
+        reports.append((out / "eval.txt").read_text())
+    assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize(
@@ -220,13 +214,23 @@ def test_train_rejects_a_value_that_breaks_the_run(tmp_path, key, capsys):
     ],
     ids=lambda c: c[0],
 )
-def test_the_replay_backend_without_a_trace_path_leaves_no_output_directory(
+def test_the_removed_replay_backend_is_rejected_before_out_exists(
     tmp_path, tiny, command, capsys
 ):
+    # a recorded file is read by replay-train alone: replay is no --backend
+    # choice and no backend.kind, and backend.replay is no config section
     out = tmp_path / "out"
-    assert run(*command, "--backend", "replay", "--out", out, config=tiny) == 2
-    assert "backend.replay.trace_path" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        run(*command, "--backend", "replay", "--out", out, config=tiny)
+    assert exit_.value.code == 2
     assert not out.exists()
+    for key in ("backend.kind = replay", "backend.replay.trace_path = x"):
+        config = tmp_path / "config.txt"
+        config.write_text(TINY + key + "\n")
+        capsys.readouterr()
+        assert run(*command, "--out", out, config=config) == 2
+        assert key.split(" =")[0] in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-0.1", "nan", "0.26", "0.71", "1.0"])
@@ -278,8 +282,8 @@ def test_a_bad_encoding_window_leaves_no_output_directory(tmp_path, command, cap
 def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
     # each exported row stops once every output has fired; at 120 hidden
     # neurons that is before the last input, so a block holds only a prefix
-    # of its sample's inputs, and replay must still give every sample its
-    # own block
+    # of its sample's inputs, and replay-train must still accept each block
+    # as its sample's
     wide = tmp_path / "wide.txt"
     wide.write_text(TINY + "network.n_hidden = 120\n")
     export = tmp_path / "export"
@@ -291,9 +295,6 @@ def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
     kinds = classify_records(rf.neurons, rf.times, ds.sorted_neurons, ds.sorted_times)
     n_inputs = np.sum(kinds == int(SpikeKind.INPUT), axis=1)
     assert np.sum(n_inputs < ds.sorted_times.shape[1]) >= 10
-    replay = BackendConfig(kind="replay", replay=ReplayConfig(export / "traces.replay"))
-    _, pick = replay_blocks(replay, ds.sorted_neurons, ds.sorted_times, rf.m, rf.t_max)
-    assert pick == list(range(30))
     out = tmp_path / "replay"
     assert run(
         "replay-train", "--traces", export / "traces.replay",

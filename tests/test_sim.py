@@ -7,7 +7,6 @@ import pytest
 from eventsnn.backend import (
     BackendConfig,
     MockConfig,
-    ReplayConfig,
     _mock_network,
     forward_batch,
 )
@@ -658,11 +657,6 @@ RUNNERS = {
     ),
     "mock": lambda net, idx, t: forward_batch(
         BackendConfig(kind="mock"), net, idx, t, 6, 3.0, [0] * len(t)
-    ),
-    # the rows are checked before the (absent) file is read
-    "replay": lambda net, idx, t: forward_batch(
-        BackendConfig(kind="replay", replay=ReplayConfig("absent.replay")),
-        net, idx, t, 6, 3.0, [0] * len(t),
     ),
 }
 

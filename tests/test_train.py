@@ -272,7 +272,6 @@ class TestConfig:
         "backend.mock.weight_bits": ("4", 4),
         "backend.mock.weight_clip": ("2", 2.0),
         "backend.mock.spike_loss_prob": ("0.1", 0.1),
-        "backend.replay.trace_path": ("1.5", "1.5"),
         "train.epochs": ("3", 3),
         "train.batch": ("8", 8),
         "train.lr": ("1e-3", 0.001),
@@ -509,6 +508,22 @@ class TestTrainingLoop:
         b = train(cfg)
         np.testing.assert_array_equal(a.final_net.weights, b.final_net.weights)
         assert [m.train_loss for m in a.history] == [m.train_loss for m in b.history]
+
+    @pytest.mark.parametrize("knob", ["train.rate_lambda", "train.grad_clip"])
+    def test_a_regularizing_knob_moves_the_weights_of_one_epoch(self, knob):
+        # each acts inside the step: a knob that stopped acting would end the
+        # epoch at the default run's weights
+        default = train(self.small_cfg(**{"train.epochs": "1"})).final_net
+        got = train(self.small_cfg(**{"train.epochs": "1", knob: "0.01"})).final_net
+        assert not np.array_equal(got.weights, default.weights)
+        assert not np.array_equal(got.input_weights, default.input_weights)
+
+    def test_patience_zero_stops_after_the_first_epoch_without_a_gain(self):
+        # at lr 0 every epoch scores the same, so epoch 1 is the first stale one
+        cfg = self.small_cfg(
+            **{"train.lr": "0.0", "train.epochs": "5", "train.patience": "0"}
+        )
+        assert [m.epoch for m in train(cfg).history] == [0, 1]
 
     def test_fud_estimator_runs(self):
         cfg = self.small_cfg(**{"train.estimator": "fud", "train.epochs": "6"})
