@@ -285,18 +285,6 @@ def check_manifest(rf: ReplayFile, m: int, t_max: float) -> None:
         )
 
 
-def _input_match(kinds, in_times, t_max):
-    """Per row, whether its input records are all of its inputs up to t_max
-    (full) or a nonempty prefix of them, as a budget-truncated trace holds.
-
-    ``classify_records`` matches inputs in order, so a row's input records
-    are always a prefix of its inputs; only their count decides.
-    """
-    got = np.sum(kinds == int(SpikeKind.INPUT), axis=-1)
-    want = np.sum(in_times <= t_max, axis=-1)
-    return got == want, (got >= 1) & (got < want)
-
-
 def replay_block_to_trace(
     neurons: np.ndarray,
     times: np.ndarray,
@@ -326,8 +314,12 @@ def replay_block_to_trace(
     internal = kinds == int(SpikeKind.INTERNAL)
     if np.any(internal & ~((neurons >= 0) & (neurons < net.n_total))):
         raise ReplayShapeMismatch("internal neuron out of range")
-    full, prefix = _input_match(kinds, in_times, t_max)
-    if not np.all(full | prefix):
+    # ``classify_records`` matches inputs in order, so a row's input records
+    # are a prefix of its inputs: all of them up to t_max, or a nonempty
+    # part, as a row stopped at its budget or its outputs holds
+    got = np.sum(kinds == int(SpikeKind.INPUT), axis=-1)
+    want = np.sum(in_times <= t_max, axis=-1)
+    if not np.all((got == want) | ((got >= 1) & (got < want))):
         raise ReplayShapeMismatch(
             "replayed input records are not the sample's input spikes"
         )

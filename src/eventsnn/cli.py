@@ -36,6 +36,7 @@ from .train import (
     pack_samples,
     read_checkpoint,
     replace_weights,
+    split_layers,
     structure_masks,
     train as run_training,
     write_checkpoint,
@@ -70,12 +71,15 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
     save_config(cfg, out / "config_used.txt")
 
 
-def _network_for(cfg: ExperimentConfig, args, ds, m):
+def _network_for(cfg: ExperimentConfig, args, ds):
+    """The ``--checkpoint`` net, else the config's initialized net, and the
+    event budget m of that net."""
     if getattr(args, "checkpoint", None):
         net, _ = read_checkpoint(args.checkpoint)
-        return net
-    rng = np.random.default_rng(cfg.train.seed)
-    return init_network(cfg, ds, rng, m)
+    else:
+        m = cfg.sim.budget(cfg.dataset.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
+        net = init_network(cfg, ds, np.random.default_rng(cfg.train.seed), m)
+    return net, cfg.sim.budget(cfg.dataset.n_inputs, net.n_total)
 
 
 def cmd_generate(args) -> int:
@@ -123,8 +127,7 @@ def cmd_export_traces(args) -> int:
     out = _out_dir(args)
     train_pts, _ = data_mod.build_dataset(cfg.dataset)
     ds = pack_samples(data_mod.encode_dataset(train_pts[: args.samples], cfg.dataset))
-    m = cfg.sim.budget(cfg.dataset.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
-    net = _network_for(cfg, args, ds, m)
+    net, m = _network_for(cfg, args, ds)
     traces = forward_batch(
         cfg.backend, net, ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max,
         seeds=range(len(ds)),
@@ -132,7 +135,7 @@ def cmd_export_traces(args) -> int:
     path = out / "traces.replay"
     write_replay_file(path, traces, m, cfg.sim.t_max)
     if not getattr(args, "checkpoint", None):
-        write_checkpoint(out / "checkpoint.txt", net, cfg.network.n_hidden)
+        write_checkpoint(out / "checkpoint.txt", net, split_layers(net)[0])
     _echo_config(cfg, out)
     print(f"exported {len(traces)} traces to {path}")
     return 0
@@ -149,14 +152,12 @@ def cmd_replay_train(args) -> int:
             f"replay file holds {n} samples but the dataset only {len(train_pts)}"
         )
     ds = pack_samples(data_mod.encode_dataset(train_pts[:n], cfg.dataset))
-    m = cfg.sim.budget(cfg.dataset.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
+    net, m = _network_for(cfg, args, ds)
     t_max = cfg.sim.t_max
     check_manifest(rf, m, t_max)
-    net = _network_for(cfg, args, ds, m)
     loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
-    mask_w, mask_w_in = structure_masks(
-        cfg.dataset.n_inputs, cfg.network.n_hidden, cfg.network.n_out
-    )
+    n_hidden = split_layers(net)[0]
+    mask_w, mask_w_in = structure_masks(net.n_in, n_hidden, net.n_total - n_hidden)
     g_w_sum = np.zeros((net.n_total, net.n_total))
     g_w_in_sum = np.zeros((net.n_in, net.n_total))
     for s in range(n):
@@ -177,9 +178,7 @@ def cmd_replay_train(args) -> int:
         (cfg.train.beta1, cfg.train.beta2),
     )
     write_gradients(out / "gradients.txt", grads[0], grads[1])
-    write_checkpoint(
-        out / "checkpoint.txt", replace_weights(net, new_params), cfg.network.n_hidden
-    )
+    write_checkpoint(out / "checkpoint.txt", replace_weights(net, new_params), n_hidden)
     _echo_config(cfg, out)
     print(f"applied one optimizer step from {n} replayed traces")
     return 0

@@ -223,10 +223,11 @@ class FanOut:
     same positions to their currents.  An internal source lists the neuron
     itself first (it is reset; its weight is the self-loop w[j, j]), then
     every k != j with w[j, k] != 0, ascending; an input source lists the
-    neurons it drives, and may list none, like the null source.
+    neurons it drives, and may list none, like the null source.  The event
+    loop of ``sim`` and the current replay and jump plans of ``grad`` read
+    it through ``csr_entries``, and hold no other copy of it.
     """
 
-    n: int  # N, the lane ``table`` pads with
     start: np.ndarray  # (N + n_in + 1,) int64
     count: np.ndarray  # (N + n_in + 1,) int64
     lanes: np.ndarray  # (L,) int64
@@ -255,20 +256,26 @@ class FanOut:
         )
         weights = np.concatenate([net.weights[src, lanes], net.input_weights[ch, ch_lanes]])
         lanes = np.concatenate([lanes, ch_lanes])
-        return FanOut(n, np.cumsum(count) - count, count, lanes, weights)
+        return FanOut(np.cumsum(count) - count, count, lanes, weights)
 
     @property
     def null(self) -> int:
         return self.count.size - 1
 
-    def table(self, sources: np.ndarray):
-        """(S, W) tables of the lanes and weights of ``sources``, padded
-        with lane N and weight 0."""
-        count = self.count[sources]
-        col = np.arange(int(count.max(initial=0)))
-        real = col < count[:, None]
-        pos = np.where(real, self.start[sources][:, None] + col, 0)
-        return np.where(real, self.lanes[pos], self.n), np.where(real, self.weights[pos], 0.0)
+
+def csr_entries(start, count, sources):
+    """The CSR entries of ``sources`` (any shape, read flat), source by
+    source, where source s owns the positions start[s]:start[s] + count[s].
+    Returns each entry's position ``pos``, each source's entry count ``cnt``
+    (``np.repeat`` by it spreads a value per source onto its entries) and
+    their running sum ``end``: source q owns the entries end[q] - cnt[q]:end[q].
+    """
+    sources = sources.ravel()
+    cnt = count[sources]
+    end = cnt.cumsum()
+    pos = (start[sources] + cnt - end).repeat(cnt)
+    pos += np.arange(pos.size)
+    return pos, cnt, end
 
 
 @dataclass(frozen=True)

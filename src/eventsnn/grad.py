@@ -26,11 +26,12 @@ Two estimators:
   is zero today is still defined and the finite-difference tests check it;
   a support's result equals that full gradient times the mask exactly.
   Either way the row costs a few multiplications by per-row frame factors
-  and no exp per lane.  The support lanes of the slots, with their
-  factors, are laid out in flat plans, one per run of slots, so a slot reads
-  its slice of a plan and builds no index list.  The binding contract is
-  agreement with central finite differences of the loss under the ideal
-  event-driven dynamics.
+  and no exp per lane.  The support lanes of the slots and the fan-out
+  lanes their jumps read, with their factors, are laid out in flat plans,
+  two per run of slots, expanded from their CSR rows by ``core.csr_entries``
+  as ``sim``'s event step is, so a slot reads its slice of each plan and
+  builds no index list.  The binding contract is agreement with central
+  finite differences of the loss under the ideal event-driven dynamics.
 
 * The analytic Fast & Deep path (Göltz et al. 2021), for tau_mem =
   2 tau_syn only, works on the first spike times of a feedforward net.
@@ -59,6 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import EventTrace, InvalidParameter, Network, SpikeKind, UnsupportedTauRatio
+from .core import csr_entries
 from .lif import next_crossing_safe, propagate_arrays
 
 # |dV/dt| below this at a spike counts as a degenerate (grazing) crossing
@@ -69,9 +71,10 @@ ANCHOR_WINDOW = 100.0
 # most (row, interval, neuron) lanes in one crossing call of the analytic
 # forward; a 5-120-3 training batch of 64 rows (7680 lanes a block) fits whole
 LANES_PER_CALL = 8192
-# slots are planned in runs of about this many (slot, row, lane) entries,
-# which bounds a plan's memory however wide its rows are; the support of a
-# 5-120-3 training batch of 64 rows takes a few runs, a replayed row one
+# slots are planned in runs of about this many (slot, row, lane) entries of
+# the support and jump plans together, which bounds the plans' memory however
+# wide their rows are; a 5-120-3 training batch of 64 rows takes a few runs,
+# a replayed row one
 PLAN_ENTRIES = 1 << 14
 
 
@@ -108,19 +111,11 @@ def _plan_runs(count, sources):
 
 
 def _slot_plan(start, count, sources):
-    """Every slot's CSR entries in one flat plan, slot-major, then by row.
-
-    ``sources`` is (S, B): each slot's stacked source in each row, in CSR
-    rows (``start``, ``count``).  Returns ``bounds``, a list of S + 1 ints
-    such that slot s owns the plan entries bounds[s]:bounds[s + 1];
-    ``pos``, the CSR position of each entry; and ``cnt`` (S B,), the entry
-    count of each (slot, row), with which ``np.repeat`` spreads a value per
-    (slot, row) onto its entries.
-    """
-    cnt = count[sources].ravel()
-    end = np.cumsum(cnt)
-    pos = np.repeat(start[sources].ravel() + cnt - end, cnt)
-    pos += np.arange(pos.size)
+    """Every slot's CSR entries in one flat plan, slot-major, then by row:
+    the ``pos`` and ``cnt`` of ``core.csr_entries`` of the (S, B) sources,
+    each slot's in each row, and ``bounds``, S + 1 ints such that slot s
+    owns the plan entries bounds[s]:bounds[s + 1]."""
+    pos, cnt, end = csr_entries(start, count, sources)
     bounds = [0, *end.reshape(sources.shape).max(axis=1, initial=0).tolist()]
     return bounds, pos, cnt
 
@@ -348,12 +343,15 @@ def eventprop_backward_batch(
     same for every row: a slot that is not an internal event has the
     sentinel source (no fan-out, zero weights, zero jump scale).  The
     support is a CSR over the stacked sources [w; w_in], laid out like
-    ``core.FanOut``.  The support entries of the slots' sources, all rows in
-    one list per slot, are planned for each run of slots before its loop
-    (``_plan_runs``, ``_slot_plan``), with their flat lanes and their a_v,
-    a_q factors; each slot multiplies its slice of the plan by the adjoint
-    and adds it to an accumulator over the support's entries with one
-    bincount.
+    ``core.FanOut``.  For each run of slots, two plans are laid out before
+    its loop (``_plan_runs``, ``_slot_plan``), all rows of a slot in one
+    list: the support entries of the slots' sources, with their flat lanes
+    and their a_v, a_q factors, and the fan-out entries of the slots'
+    internal spikes, with their flat lanes, weights and t_v, t_q factors.
+    Each slot multiplies its slice of the support plan by the adjoint and
+    adds it to an accumulator over the support's entries with one bincount;
+    its jump gathers the adjoint on its slice of the jump plan and sums each
+    row's transfer, in fan-out order, with another.
     """
     b, m = times.shape
     n = net.n_total
@@ -380,18 +378,11 @@ def eventprop_backward_batch(
     # of zero adjoints with no loss leaves them zero), so the loop starts there.
     stop = int(np.flatnonzero((loss_grads != 0.0).any(axis=0)).max(initial=-1)) + 1
 
-    # Fan-out lanes and weights of each visited slot's spiking neuron; row n
-    # of the tables is the null source, all of whose lanes are the sentinel
-    # n.  The state is (B, N + 1), and lanes index it flat; the first lane
-    # of a row is its spiking neuron's own.
-    fan = net.fan_out
-    table, wtab = fan.table(np.append(np.arange(n), fan.null))
-    src = np.where(internal, neurons, n)[:, :stop].T
-    lanes = table[src]
-    w_lanes = wtab[src]
-    row_lane = np.arange(b) * (n + 1)
-    lanes += row_lane[:, None]
-    spiking = lanes[:, :, 0].copy()
+    # The state is (B, N + 1) and lanes index it flat; lane N of a row is a
+    # sentinel, the spiking lane of a slot that is not an internal event.
+    rows = np.arange(b)
+    row_lane = rows * (n + 1)
+    spiking = (np.where(internal, neurons, n) + row_lane[:, None])[:, :stop].T.copy()
     gain, loss, scale, s_q = (coef[:stop, c, :, 0].copy() for c in range(4, 8))
 
     # support entry e is flat[e] of the stacked rows; its lane is flat[e] % N
@@ -399,16 +390,29 @@ def eventprop_backward_batch(
     s_count = keep.sum(axis=1)
     s_start = np.cumsum(s_count) - s_count
     sources = _stacked_source(neurons, kinds, net)[:, :stop].T
+    # the jump reads the fan-out of each internal spike; any other slot has
+    # the null source, which has none
+    fan = net.fan_out
+    jumps = np.where(internal, neurons, fan.null)[:, :stop].T
+    # a run bounds the entries of both plans: an internal source's jump
+    # entries are its fan-out's, every other source has none
+    run_count = s_count.copy()
+    run_count[:n] += fan.count[:n]
 
     d_co = np.zeros((b, n + 1))
     q_co = np.zeros((b, n + 1))
     d_flat, q_flat = d_co.reshape(-1), q_co.reshape(-1)
     acc = np.zeros(flat.size)
-    for lo, hi in reversed(_plan_runs(s_count, sources)):
+    for lo, hi in reversed(_plan_runs(run_count, sources)):
         bounds, pos, cnt = _slot_plan(s_start, s_count, sources[lo:hi])
         at = flat[pos] % n
         at += np.repeat(np.tile(row_lane, hi - lo), cnt)
         a_v, a_q = (np.repeat(coef[lo:hi, c, :, 0].ravel(), cnt) for c in range(2))
+        j_bounds, j_pos, j_cnt = _slot_plan(fan.start, fan.count, jumps[lo:hi])
+        j_row = np.repeat(np.tile(rows, hi - lo), j_cnt)
+        j_lane = fan.lanes[j_pos] + row_lane[j_row]
+        j_w = fan.weights[j_pos]
+        t_v, t_q = (np.repeat(coef[lo:hi, c, :, 0].ravel(), j_cnt) for c in (2, 3))
         for k in range(hi - 1, lo - 1, -1):
             if moved[k]:
                 d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
@@ -416,13 +420,13 @@ def eventprop_backward_batch(
             e = at[e0:e1]
             g_row = a_v[e0:e1] * d_flat[e] + a_q[e0:e1] * q_flat[e]
             acc += np.bincount(pos[e0:e1], g_row, flat.size)
-            ln = lanes[k]
-            d_l = d_flat[ln]
-            q_l = q_flat[ln]
-            transfer = np.einsum("bw,bw->b", w_lanes[k], coef[k, 2] * d_l + coef[k, 3] * q_l)
-            d_j = d_l[:, 0]
+            j0, j1 = j_bounds[k - lo], j_bounds[k - lo + 1]
+            ln = j_lane[j0:j1]
+            terms = j_w[j0:j1] * (t_v[j0:j1] * d_flat[ln] + t_q[j0:j1] * q_flat[ln])
+            transfer = np.bincount(j_row[j0:j1], terms, b)
+            d_j = d_flat[spiking[k]]
             d_new = (transfer + gain[k] * d_j + loss[k]) * scale[k]
-            q_flat[spiking[k]] = q_l[:, 0] + s_q[k] * (d_j - d_new)
+            q_flat[spiking[k]] += s_q[k] * (d_j - d_new)
             d_flat[spiking[k]] = d_new
     grad = np.zeros(keep.size)
     grad[flat] = acc

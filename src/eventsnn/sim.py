@@ -27,10 +27,11 @@ one stacked source (neuron j is j, input channel c is N + c, the limit is
 the null source that touches nothing; see ``core.FanOut``, built once per
 network as ``Network.fan_out``), so an iteration makes one pass whatever
 kind of event each row takes: the fan-out lanes of all live rows are
-gathered into one flat list, propagated in one call, reset and incremented
-on the flat arrays, re-solved in one call and scattered back once.  Every
-row starts at rest at t = 0, so the first crossings are one solve of one
-lane at rest, broadcast to every neuron column.
+gathered into one flat list by ``core.csr_entries`` (the expansion
+``grad`` plans its slots with), propagated in one call, reset and
+incremented on the flat arrays, re-solved in one call and scattered back
+once.  Every row starts at rest at t = 0, so the first crossings are one
+solve of one lane at rest, broadcast to every neuron column.
 
 A lane at rest never crosses (``lif`` finds no upward crossing without
 current), so each row's first event is its first input, or its limit when
@@ -71,6 +72,7 @@ from .core import (
     Network,
     Spike,
     SpikeKind,
+    csr_entries,
     validate_network,
 )
 from .lif import next_crossing_safe, propagate_arrays
@@ -120,17 +122,6 @@ def check_input_rows(net: Network, in_neurons, in_times) -> None:
         raise UnsortedInput("input times decrease along a row, or padding does not trail")
     if in_times.shape[1] and (in_times[:, 0] < 0.0).any():
         raise UnsortedInput("input event before t = 0")
-
-
-def _fan_lanes(fan, src, lane0, t_next):
-    """One flat list of every row's fan-out: the entries' positions in
-    ``fan``, their flat lanes, each row's first entry and the event time
-    per entry."""
-    count = fan.count[src]
-    end = count.cumsum()
-    first = end - count
-    pos = np.arange(end[-1]) + (fan.start[src] - first).repeat(count)
-    return pos, fan.lanes[pos] + lane0.repeat(count), first, t_next.repeat(count)
 
 
 def simulate_batch(
@@ -206,7 +197,9 @@ def simulate_batch(
         # the touched lanes, all at rest, get (+0.0, w, t, t + c0[w])
         entry0 = fan.start[n]  # the input entries follow the neurons'
         c0 = next_crossing_safe(np.zeros(fan.lanes.size - entry0), fan.weights[entry0:], p)
-        pos, lanes, _, tn = _fan_lanes(fan, src, lane0, t_next)
+        pos, cnt, _ = csr_entries(fan.start, fan.count, src)
+        lanes = fan.lanes[pos] + lane0.repeat(cnt)
+        tn = t_next.repeat(cnt)
         i_f[lanes] = fan.weights[pos]
         tref_f[lanes] = tn
         tc_f[lanes] = tn + c0[pos - entry0]
@@ -225,9 +218,12 @@ def simulate_batch(
         # a taken input is consumed; a taken crossing is re-solved below
         tc_f[at] = np.inf
 
-        pos, lanes, first, tn = _fan_lanes(fan, src, lane0, t_next)
+        # the flat fan-out lanes of every row; a spiking neuron's own comes first
+        pos, cnt, end = csr_entries(fan.start, fan.count, src)
+        lanes = fan.lanes[pos] + lane0.repeat(cnt)
+        tn = t_next.repeat(cnt)
         vv, ii = propagate_arrays(v_f[lanes], i_f[lanes], tn - tref_f[lanes], p)
-        vv[first[src < n]] = p.v_reset
+        vv[(end - cnt)[src < n]] = p.v_reset
         ii += fan.weights[pos]
         v_f[lanes] = vv
         i_f[lanes] = ii

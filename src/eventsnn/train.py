@@ -235,6 +235,14 @@ def structure_masks(n_in: int, n_hidden: int, n_out: int):
     return mask_w, mask_w_in
 
 
+def split_layers(net: Network):
+    """The hidden count H of a feedforward net, which ends where its outputs
+    start (as ``read_checkpoint`` builds it), and its input-to-hidden
+    (n_in, H) and hidden-to-output (H, n_out) weight blocks."""
+    n_hidden = net.n_total - len(net.output_set)
+    return n_hidden, net.input_weights[:, :n_hidden], net.weights[:n_hidden, n_hidden:]
+
+
 def _activity(
     bcfg: backend_mod.BackendConfig,
     net: Network,
@@ -242,7 +250,6 @@ def _activity(
     idx: np.ndarray,
     m: int,
     t_max: float,
-    n_hidden: int,
 ):
     """Fractions of (sample, neuron) pairs that spike before t_max, for hidden
     and output: the traces run to t_max, as a net without outputs does."""
@@ -255,11 +262,8 @@ def _activity(
         t_max,
         seeds=[int(k) for k in idx],
     )
-    n = net.n_total
-    spiked = np.zeros((len(idx), n), dtype=bool)
-    internal = batch.kinds == int(SpikeKind.INTERNAL)
-    rows = np.nonzero(internal)
-    spiked[rows[0], batch.neurons[internal]] = True
+    spiked = _spike_counts(batch.neurons, batch.kinds, net.n_total) > 0
+    n_hidden = split_layers(net)[0]
     return float(spiked[:, :n_hidden].mean()), float(spiked[:, n_hidden:].mean())
 
 
@@ -286,9 +290,7 @@ def init_network(
         net = build_network(
             n_in, ncfg.n_hidden, ncfg.n_out, ncfg.params, rng, mu_hidden, mu_out
         )
-        frac_h, frac_o = _activity(
-            cfg.backend, net, ds, probe_idx, m, cfg.sim.t_max, ncfg.n_hidden
-        )
+        frac_h, frac_o = _activity(cfg.backend, net, ds, probe_idx, m, cfg.sim.t_max)
         if log:
             log(
                 f"init probe: mu_h={mu_hidden:.3f} mu_o={mu_out:.3f} "
@@ -344,9 +346,7 @@ def _forward_times(
     trace and the slots of those times."""
     t_max = cfg.sim.t_max
     if cfg.train.estimator == "fud":
-        n_hidden = net.n_total - len(net.output_set)  # as read_checkpoint splits it
-        w_in = net.input_weights[:, :n_hidden]
-        w_ho = net.weights[:n_hidden, n_hidden:]
+        _, w_in, w_ho = split_layers(net)
         t_hidden, t_out = fud_feedforward(
             ds.by_neuron_times[idx], w_in, w_ho, net.params, t_max
         )
@@ -550,9 +550,7 @@ def gradient_from_trace(
 def _fud_batch(cfg, net, t_in, t_o, t_h, g_times):
     """Analytic weight gradients and spike indicators of a forward from the
     input times ``t_in`` to the hidden and output times ``t_h``/``t_o``."""
-    n_hidden = net.n_total - len(net.output_set)
-    w_in = net.input_weights[:, :n_hidden]
-    w_ho = net.weights[:n_hidden, n_hidden:]
+    n_hidden, w_in, w_ho = split_layers(net)
     g_ho, g_in = fud_feedforward_grads(
         t_in, t_h, t_o, w_in, w_ho, g_times, net.params,
         vdot_floor=cfg.train.vdot_floor,

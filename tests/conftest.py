@@ -442,7 +442,9 @@ def dense_row_adjoint(
     The same frame coefficients and jumps, but every slot adds its rows'
     gradient rows a_v D + a_q Q over all N + 1 lanes to a stacked
     (N + n_in + 1, N + 1) accumulator with one bincount: the full support
-    computed without a support list.
+    computed without a support list.  A jump reads its lanes from
+    ``fan_out_reference`` row by row and sums each row's transfer in entry
+    order.
     """
     b, m = times.shape
     n, n_in = net.n_total, net.n_in
@@ -450,12 +452,11 @@ def dense_row_adjoint(
         neurons, times, kinds, net, loss_grads, strict, vdot_floor
     )
     moved = (shift != 0.0).any(axis=1)
-    fan = net.fan_out
-    table, wtab = fan.table(np.append(np.arange(n), fan.null))
-    src = np.where(kinds == int(SpikeKind.INTERNAL), neurons, n).T
-    lanes = table[src]
-    w_lanes = wtab[src]
-    lanes += (np.arange(b) * (n + 1))[:, None]
+    fan = fan_out_reference(net)
+    internal = kinds == int(SpikeKind.INTERNAL)
+    # the sentinel lane n of a row is the spiking lane of a slot that is not
+    # an internal event
+    spiking = (np.where(internal, neurons, n) + (np.arange(b) * (n + 1))[:, None]).T
     size = (n + n_in + 1) * (n + 1)
     base = (_stacked_source(neurons, kinds, net) * (n + 1)).T[..., None].copy()
     cols = np.arange(n + 1)
@@ -470,13 +471,17 @@ def dense_row_adjoint(
             d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
         a_v, a_q, t_v, t_q, gain, loss, scale, s_q = coef[k]
         grad += np.bincount((base[k] + cols).ravel(), (a_v * d_co + a_q * q_co).ravel(), size)
-        ln = lanes[k]
-        d_l = d_flat[ln]
-        q_l = q_flat[ln]
-        transfer = np.einsum("bw,bw->b", w_lanes[k], t_v * d_l + t_q * q_l)
-        d_new = (transfer + gain[:, 0] * d_l[:, 0] + loss[:, 0]) * scale[:, 0]
-        q_flat[ln[:, 0]] = q_l[:, 0] + s_q[:, 0] * (d_l[:, 0] - d_new)
-        d_flat[ln[:, 0]] = d_new
+        transfer = np.zeros(b)
+        for r in np.flatnonzero(internal[:, k]):
+            j0 = fan.start[neurons[r, k]]
+            entries = slice(j0, j0 + fan.count[neurons[r, k]])
+            ln = fan.lanes[entries] + r * (n + 1)
+            terms = fan.weights[entries] * (t_v[r, 0] * d_flat[ln] + t_q[r, 0] * q_flat[ln])
+            transfer[r] = np.cumsum(terms)[-1]  # a sum in entry order
+        j = spiking[k]
+        d_new = (transfer + gain[:, 0] * d_flat[j] + loss[:, 0]) * scale[:, 0]
+        q_flat[j] = q_flat[j] + s_q[:, 0] * (d_flat[j] - d_new)
+        d_flat[j] = d_new
     grad = grad.reshape(n + n_in + 1, n + 1)
     return grad[:n, :n].copy(), grad[n : n + n_in, :n].copy()
 
@@ -654,7 +659,7 @@ def fan_out_reference(net: Network) -> FanOut:
     weights = np.concatenate(
         [net.weights[rows[:k], lanes[:k]], net.input_weights[rows[k:] - n, lanes[k:]]]
     )
-    return FanOut(n, np.cumsum(count) - count, count, lanes, weights)
+    return FanOut(np.cumsum(count) - count, count, lanes, weights)
 
 
 def simulate_batch_reference(net: Network, in_neurons, in_times, m: int, t_max: float):

@@ -134,6 +134,32 @@ def test_fud_eval_splits_the_checkpoint_where_its_outputs_start(tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_export_and_replay_size_the_run_from_the_checkpoint(tmp_path, tiny):
+    # a 20-hidden checkpoint under the 6-hidden config: the budget m, the
+    # gradient masks and the sizes written come from the checkpoint's net
+    wide = tmp_path / "wide.txt"
+    wide.write_text(TINY + "network.n_hidden = 20\n")
+    assert run("export-traces", "--samples", 5, "--out", tmp_path / "init", config=wide) == 0
+    checkpoint = tmp_path / "init" / "checkpoint.txt"
+    gradients = []
+    for config in (tiny, wide):
+        export, out = tmp_path / f"export-{config.stem}", tmp_path / f"replay-{config.stem}"
+        assert run(
+            "export-traces", "--samples", 5, "--checkpoint", checkpoint,
+            "--out", export, config=config,
+        ) == 0
+        assert read_replay_file(export / "traces.replay").m == 5 + 23 + 10
+        assert run(
+            "replay-train", "--traces", export / "traces.replay", "--checkpoint", checkpoint,
+            "--out", out, config=config,
+        ) == 0
+        assert (out / "checkpoint.txt").read_text().splitlines()[2].endswith(
+            "n_hidden 20 n_out 3"
+        )
+        gradients.append((out / "gradients.txt").read_bytes())
+    assert gradients[0] == gradients[1]
+
+
 @pytest.mark.parametrize(
     "key",
     ["sim.t_max = -1", "sim.t_max = 0", "sim.t_max = nan", "sim.m = -5", "sim.m = auto"],

@@ -817,7 +817,6 @@ class TestCrossingTableLayout:
         nets = [case[0] for case in layout_cases()] + [wide, signed_zeros]
         for net in nets:
             got, want = FanOut.of(net), fan_out_reference(net)
-            assert got.n == want.n
             for f in ("start", "count", "lanes", "weights"):
                 a, ref = getattr(got, f), getattr(want, f)
                 assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
