@@ -157,7 +157,8 @@ class Network:
     among them, is copied, so later writes to it leave the network as it
     was built.  An array taken over must stay read-only: NumPy lets its
     holder call ``setflags(write=True)`` again, and a write after that
-    would change the network and leave its cached ``fan_out`` stale.
+    would change the network and leave its cached ``fan_out`` and
+    ``levels`` stale.
     """
 
     n_total: int
@@ -182,6 +183,35 @@ class Network:
         """The lanes each event source touches; the weights are read-only,
         so this is built once per network."""
         return FanOut.of(self)
+
+    @functools.cached_property
+    def levels(self) -> np.ndarray:
+        """Each neuron's level in the internal weights: 0 when it has no
+        internal fan-out, else 1 + the largest level of its targets.  A net
+        whose internal weights form a cycle (a self-loop among them) has
+        none: this raises InvalidParameter naming one cycle."""
+        n = self.n_total
+        pre, post = np.divmod(np.flatnonzero(self.weights.ravel() != 0.0), n)
+        level = np.zeros(n, dtype=np.int64)
+        # after t rounds a neuron's level is min(t, its longest path), so a
+        # DAG settles within n rounds and a neuron that reaches a cycle
+        # reads n after n rounds
+        for _ in range(n):
+            up = np.zeros(n, dtype=np.int64)
+            np.maximum.at(up, pre, level[post] + 1)
+            if np.array_equal(up, level):
+                level.setflags(write=False)
+                return level
+            level = up
+        to_cycle = level == n  # the neurons that reach a cycle
+        path = [int(np.argmax(to_cycle))]
+        while path.count(path[-1]) < 2:
+            path.append(int(np.argmax((self.weights[path[-1]] != 0.0) & to_cycle)))
+        cycle = path[path.index(path[-1]) :]
+        raise InvalidParameter(
+            "the internal weights form a cycle, " + " -> ".join(map(str, cycle))
+            + "; the EventProp backward takes only acyclic nets"
+        )
 
     @staticmethod
     def feedforward(
@@ -224,8 +254,8 @@ class FanOut:
     itself first (it is reset; its weight is the self-loop w[j, j]), then
     every k != j with w[j, k] != 0, ascending; an input source lists the
     neurons it drives, and may list none, like the null source.  The event
-    loop of ``sim`` and the current replay and jump plans of ``grad`` read
-    it through ``csr_entries``, and hold no other copy of it.
+    loop of ``sim`` and the current replay and adjoint jumps of ``grad``
+    read it through ``csr_entries``, and hold no other copy of it.
     """
 
     start: np.ndarray  # (N + n_in + 1,) int64

@@ -26,12 +26,17 @@ Two estimators:
   is zero today is still defined and the finite-difference tests check it;
   a support's result equals that full gradient times the mask exactly.
   Either way the row costs a few multiplications by per-row frame factors
-  and no exp per lane.  The support lanes of the slots and the fan-out
-  lanes their jumps read, with their factors, are laid out in flat plans,
-  two per run of slots, expanded from their CSR rows by ``core.csr_entries``
-  as ``sim``'s event step is, so a slot reads its slice of each plan and
-  builds no index list.  The binding contract is agreement with central
-  finite differences of the loss under the ideal event-driven dynamics.
+  and no exp per lane.
+
+  So a lane's (D, Q) is piecewise constant between its own spikes, and on
+  a net whose internal weights form no cycle a jump reads only lanes of a
+  lower level (``Network.levels``: the outputs are level 0).  The backward
+  therefore goes level by level from the outputs, with a short recurrence
+  over each neuron's own spikes, and reads a lane's state at any slot from
+  a table of the lanes' spikes; no loop runs over the trace's slots.  A
+  net with a cycle raises ``InvalidParameter``.  The binding contract is
+  agreement with central finite differences of the loss under the ideal
+  event-driven dynamics.
 
 * The analytic Fast & Deep path (Göltz et al. 2021), for tau_mem =
   2 tau_syn only, works on the first spike times of a feedforward net.
@@ -47,8 +52,8 @@ Two estimators:
 EventProp consumes only the trace plus weights: synaptic currents at spike
 times are reconstructed by replaying the trace through the current dynamics,
 in the same kind of frame (i(t) = c e^{-(t-A)/tau_s}) and on each event's
-fan-out lanes only, planned like the support lanes, so a foreign
-(hardware/replay) trace takes the identical code path.
+fan-out lanes only, planned in runs of slots, so a foreign (hardware/replay)
+trace takes the identical code path.
 
 A single anchor per row would overflow e^{|t-A|/tau} on long traces, so the
 anchor of an event is the start of its time window of ANCHOR_WINDOW times
@@ -71,10 +76,11 @@ ANCHOR_WINDOW = 100.0
 # most (row, interval, neuron) lanes in one crossing call of the analytic
 # forward; a 5-120-3 training batch of 64 rows (7680 lanes a block) fits whole
 LANES_PER_CALL = 8192
-# slots are planned in runs of about this many (slot, row, lane) entries of
-# the support and jump plans together, which bounds the plans' memory however
-# wide their rows are; a 5-120-3 training batch of 64 rows takes a few runs,
-# a replayed row one
+# the current replay plans its slots in runs of about this many (slot, row,
+# lane) entries, and the backward takes its rows in chunks of at most this
+# many support and fan-out entries, which bounds their memory however wide
+# the rows are; a 5-120-3 training batch of 64 rows takes a few runs and
+# about 6 chunks under the training masks, a replayed row one of each
 PLAN_ENTRIES = 1 << 14
 
 
@@ -100,10 +106,10 @@ def _stacked_source(neurons, kinds, net: Network):
 
 
 def _plan_runs(count, sources):
-    """The (lo, hi) runs of the S slots of ``sources`` (S, B) that are
-    planned at once: a run starts at each slot where the running count of
-    entries passes a multiple of PLAN_ENTRIES, so it holds at most
-    PLAN_ENTRIES entries plus those of its last slot."""
+    """The (lo, hi) runs of the S slots of ``sources`` (S, B) that the
+    current replay plans at once: a run starts at each slot where the
+    running count of entries passes a multiple of PLAN_ENTRIES, so it holds
+    at most PLAN_ENTRIES entries plus those of its last slot."""
     per_slot = count[sources].sum(axis=1)
     window = (np.cumsum(per_slot) - per_slot) // PLAN_ENTRIES
     cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), len(sources)]
@@ -111,10 +117,11 @@ def _plan_runs(count, sources):
 
 
 def _slot_plan(start, count, sources):
-    """Every slot's CSR entries in one flat plan, slot-major, then by row:
-    the ``pos`` and ``cnt`` of ``core.csr_entries`` of the (S, B) sources,
-    each slot's in each row, and ``bounds``, S + 1 ints such that slot s
-    owns the plan entries bounds[s]:bounds[s + 1]."""
+    """Every slot's CSR entries in one flat plan of the current replay,
+    slot-major, then by row: the ``pos`` and ``cnt`` of
+    ``core.csr_entries`` of the (S, B) sources, each slot's in each row, and
+    ``bounds``, S + 1 ints such that slot s owns the plan entries
+    bounds[s]:bounds[s + 1]."""
     pos, cnt, end = csr_entries(start, count, sources)
     bounds = [0, *end.reshape(sources.shape).max(axis=1, initial=0).tolist()]
     return bounds, pos, cnt
@@ -325,7 +332,8 @@ def eventprop_backward_batch(
     ``loss_grads`` is (B, m): the derivative of the loss with respect to each
     trace slot's spike time (zero for slots the loss ignores).  Only an
     internal spike has a time the loss can read, so a nonzero derivative on
-    an input or dummy slot raises ``InvalidParameter``.
+    an input or dummy slot raises ``InvalidParameter``.  So does a net whose
+    internal weights form a cycle (``Network.levels``).
 
     ``vdot_floor`` > 0 bounds the 1/dV/dt jump scale during training: a
     near-grazing crossing otherwise injects an arbitrarily large, noisy
@@ -339,19 +347,34 @@ def eventprop_backward_batch(
     result on a support equals the full-support result times the mask.
 
     Everything that does not depend on the adjoint is computed for all
-    slots before the loop (``_adjoint_coefficients``).  The loop body is the
-    same for every row: a slot that is not an internal event has the
-    sentinel source (no fan-out, zero weights, zero jump scale).  The
-    support is a CSR over the stacked sources [w; w_in], laid out like
-    ``core.FanOut``.  For each run of slots, two plans are laid out before
-    its loop (``_plan_runs``, ``_slot_plan``), all rows of a slot in one
-    list: the support entries of the slots' sources, with their flat lanes
-    and their a_v, a_q factors, and the fan-out entries of the slots'
-    internal spikes, with their flat lanes, weights and t_v, t_q factors.
-    Each slot multiplies its slice of the support plan by the adjoint and
-    adds it to an accumulator over the support's entries with one bincount;
-    its jump gathers the adjoint on its slice of the jump plan and sums each
-    row's transfer, in fan-out order, with another.
+    slots first (``_adjoint_coefficients``).  A lane's (D, Q) changes only
+    at its own spikes, so its state at slot k is the state just after the
+    jump of its first spike after k, moved into slot k's frame by
+    ``to_window``, or zero if it has none.  A row's adjoint is zero after
+    its last loss derivative, so only the events up to it take part.  The
+    rows go in chunks of at most PLAN_ENTRIES entries (more only for a
+    single row that has more), counting each event's support entries and
+    each spike's fan-out entries.  In a chunk the internal spikes are
+    sorted by (row, neuron, slot), and the neurons are visited level by
+    level, from the outputs (level 0) up:
+
+    * each spike's jump gathers its fan-out lanes' states at its slot
+      (``core.csr_entries`` over ``Network.fan_out``, the neuron's own
+      entry skipped: its weight is zero in an acyclic net), all of a lower
+      level and so done already, and sums its transfer in fan-out order;
+    * a recurrence over each (row, neuron)'s own spikes then runs from its
+      last spike down, one round per spike, reading the state after the
+      neuron's next spike.
+
+    Every event's gradient row then reads each support lane's state at its
+    slot.  The chunk's spikes sit in a table lane by lane, in slot order,
+    each lane closed by an end entry of zero state, so a lookup starts at
+    the lane's first entry and steps past those at or before the slot, one
+    step per spike: a neuron spikes a few times in a row.  The
+    gradient entries are added to the accumulator over the support with
+    ``np.add.at``, one by one in (row, slot, lane) order, so each weight's
+    sum is one left fold in that order whatever the chunks are, and a
+    support's result is the full one times the mask bit for bit.
     """
     b, m = times.shape
     n = net.n_total
@@ -368,70 +391,142 @@ def eventprop_backward_batch(
             f"loss_grads[{r}, {k}] = {loss_grads[r, k]:.6g} is on a "
             f"{SpikeKind(kinds[r, k]).name.lower()} slot; only internal spikes take one"
         )
+    level = net.levels
     keep = _support_rows(net, support)
     coef, shift, to_window = _adjoint_coefficients(
         neurons, times, kinds, net, loss_grads, strict, vdot_floor
     )
-    moved = (shift != 0.0).any(axis=1)
+    # coefficient c of row r at slot k is coef_at[k 8B + c B + r]
+    coef_at = coef.reshape(-1)
+    # frame[r, k]: the anchor of slot k's frame less that of the row's end
+    frame = np.ascontiguousarray(np.cumsum(shift[::-1], axis=0)[::-1].T)
 
-    # The adjoint is zero after the last slot with a loss derivative (a jump
-    # of zero adjoints with no loss leaves them zero), so the loop starts there.
-    stop = int(np.flatnonzero((loss_grads != 0.0).any(axis=0)).max(initial=-1)) + 1
-
-    # The state is (B, N + 1) and lanes index it flat; lane N of a row is a
-    # sentinel, the spiking lane of a slot that is not an internal event.
-    rows = np.arange(b)
-    row_lane = rows * (n + 1)
-    spiking = (np.where(internal, neurons, n) + row_lane[:, None])[:, :stop].T.copy()
-    gain, loss, scale, s_q = (coef[:stop, c, :, 0].copy() for c in range(4, 8))
+    has_loss = loss_grads != 0.0
+    last = np.where(has_loss.any(axis=1), m - 1 - np.argmax(has_loss[:, ::-1], axis=1), -1)
+    live = (kinds != int(SpikeKind.DUMMY)) & (np.arange(m) <= last[:, None])
+    fan = net.fan_out
+    sources = np.where(live, _stacked_source(neurons, kinds, net), fan.null)
 
     # support entry e is flat[e] of the stacked rows; its lane is flat[e] % N
     flat = np.flatnonzero(keep)
     s_count = keep.sum(axis=1)
     s_start = np.cumsum(s_count) - s_count
-    sources = _stacked_source(neurons, kinds, net)[:, :stop].T
-    # the jump reads the fan-out of each internal spike; any other slot has
-    # the null source, which has none
-    fan = net.fan_out
-    jumps = np.where(internal, neurons, fan.null)[:, :stop].T
-    # a run bounds the entries of both plans: an internal source's jump
-    # entries are its fan-out's, every other source has none
-    run_count = s_count.copy()
-    run_count[:n] += fan.count[:n]
-
-    d_co = np.zeros((b, n + 1))
-    q_co = np.zeros((b, n + 1))
-    d_flat, q_flat = d_co.reshape(-1), q_co.reshape(-1)
+    lane_of = flat % n
+    # a jump reads a neuron's fan-out less its own entry, listed first
+    j_start, j_count = fan.start[:n] + 1, fan.count[:n] - 1
+    # a row's entries: its events' support entries and its spikes' fan-out
+    # entries, each spike's own entry standing for the spike
+    jumps = np.where(sources < n, sources, fan.null)
+    per_row = (s_count[sources] + fan.count[jumps]).sum(axis=1)
     acc = np.zeros(flat.size)
-    for lo, hi in reversed(_plan_runs(run_count, sources)):
-        bounds, pos, cnt = _slot_plan(s_start, s_count, sources[lo:hi])
-        at = flat[pos] % n
-        at += np.repeat(np.tile(row_lane, hi - lo), cnt)
-        a_v, a_q = (np.repeat(coef[lo:hi, c, :, 0].ravel(), cnt) for c in range(2))
-        j_bounds, j_pos, j_cnt = _slot_plan(fan.start, fan.count, jumps[lo:hi])
-        j_row = np.repeat(np.tile(rows, hi - lo), j_cnt)
-        j_lane = fan.lanes[j_pos] + row_lane[j_row]
-        j_w = fan.weights[j_pos]
-        t_v, t_q = (np.repeat(coef[lo:hi, c, :, 0].ravel(), j_cnt) for c in (2, 3))
-        for k in range(hi - 1, lo - 1, -1):
-            if moved[k]:
-                d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
-            e0, e1 = bounds[k - lo], bounds[k - lo + 1]
-            e = at[e0:e1]
-            g_row = a_v[e0:e1] * d_flat[e] + a_q[e0:e1] * q_flat[e]
-            acc += np.bincount(pos[e0:e1], g_row, flat.size)
-            j0, j1 = j_bounds[k - lo], j_bounds[k - lo + 1]
-            ln = j_lane[j0:j1]
-            terms = j_w[j0:j1] * (t_v[j0:j1] * d_flat[ln] + t_q[j0:j1] * q_flat[ln])
-            transfer = np.bincount(j_row[j0:j1], terms, b)
-            d_j = d_flat[spiking[k]]
-            d_new = (transfer + gain[k] * d_j + loss[k]) * scale[k]
-            q_flat[spiking[k]] += s_q[k] * (d_j - d_new)
-            d_flat[spiking[k]] = d_new
+    for lo, hi in _row_chunks(per_row):
+        # the chunk's events in (row, slot) order: row in the chunk, slot,
+        # source, frame and offset into coef_at
+        e = np.flatnonzero(live[lo:hi]) + lo * m
+        r, k = np.divmod(e, m)
+        at_coef = k * (8 * b) + r
+        r -= lo
+        src, f = sources.take(e), frame.take(e)
+        multi = bool(f.any())  # else every frame is its row's last
+        # The lane table lists lane by lane (row r and neuron L of the chunk
+        # make lane r N + L) the lane's spikes in slot order, then an end
+        # entry at slot m, with their post-jump (D, Q) and frames; the end
+        # entry's are zero.  A lane's state at slot k is that of its first
+        # entry past k.
+        sp = np.flatnonzero(src < n)
+        group = r[sp] * n + src[sp]
+        order = np.argsort(group, kind="stable")
+        sp, group = sp[order], group[order]
+        size = np.bincount(group, minlength=(hi - lo) * n) + 1
+        first = np.cumsum(size) - size
+        at = np.arange(sp.size) + group  # spike i follows `group` end entries
+        slot_of = np.full(sp.size + size.size, m)
+        slot_of[at] = k[sp]
+        d_post, q_post, f_post = (np.zeros(slot_of.size) for _ in range(3))
+        f_post[at] = f[sp]
+
+        def state_at(lane, slot, at_frame):
+            i = first.take(lane)
+            todo = np.flatnonzero(slot_of.take(i) <= slot)
+            while todo.size:
+                i[todo] += 1
+                todo = todo[slot_of.take(i[todo]) <= slot.take(todo)]
+            d, q = d_post.take(i), q_post.take(i)
+            return to_window(d, q, at_frame - f_post.take(i)) if multi else (d, q)
+
+        # a spike's state follows from its lane's next entry, at + 1; rank
+        # counts the spikes after it in its lane
+        rank = (first + size - 2)[group] - at
+        # the spikes by level, then by rank: each level's rounds in order
+        sp_level = level[src[sp]]
+        by_level = np.argsort(sp_level * (sp.size + 1) + rank, kind="stable")
+        done_lv = 0
+        for lev, cut_lv in enumerate(np.cumsum(np.bincount(sp_level)).tolist()):
+            lv = by_level[done_lv:cut_lv]
+            done_lv = cut_lv
+            ev = sp[lv]
+            transfer = np.zeros(lv.size)
+            if lev:  # a neuron of level 0 has no internal fan-out
+                pos, cnt, _ = csr_entries(j_start, j_count, src[ev])
+                ev_e = np.repeat(ev, cnt)
+                d, q = state_at(
+                    r.take(ev_e) * n + fan.lanes[pos], k.take(ev_e),
+                    f.take(ev_e) if multi else None,
+                )
+                d *= np.repeat(coef_at.take(at_coef[ev] + 2 * b), cnt)  # t_v D
+                q *= np.repeat(coef_at.take(at_coef[ev] + 3 * b), cnt)  # t_q Q
+                d += q
+                d *= fan.weights[pos]
+                transfer = np.bincount(np.repeat(np.arange(lv.size), cnt), d, lv.size)
+            p = at[lv]
+            p_next = p + 1
+            gain, loss, scale, s_q = coef_at.take(at_coef[ev] + np.arange(4, 8)[:, None] * b)
+            done = 0
+            for cut in np.cumsum(np.bincount(rank[lv])).tolist():
+                now = slice(done, cut)
+                done = cut
+                pn, pn_next = p[now], p_next[now]
+                d_j, q_j = d_post.take(pn_next), q_post.take(pn_next)
+                if multi:
+                    d_j, q_j = to_window(d_j, q_j, f_post[pn] - f_post[pn_next])
+                # d_new = (transfer + gain d_j + loss) scale and
+                # q = q_j + s_q (d_j - d_new), in place
+                d_new = gain[now] * d_j
+                d_new += transfer[now]
+                d_new += loss[now]
+                d_new *= scale[now]
+                d_post[pn] = d_new
+                d_j -= d_new
+                d_j *= s_q[now]
+                q_j += d_j
+                q_post[pn] = q_j
+        # every event's gradient row over its support lanes
+        pos, cnt, _ = csr_entries(s_start, s_count, src)
+        lane = lane_of.take(pos)
+        lane += np.repeat(r * n, cnt)
+        d, q = state_at(lane, np.repeat(k, cnt), np.repeat(f, cnt) if multi else None)
+        d *= np.repeat(coef_at.take(at_coef), cnt)  # a_v D
+        q *= np.repeat(coef_at.take(at_coef + b), cnt)  # a_q Q
+        d += q
+        np.add.at(acc, pos, d)
     grad = np.zeros(keep.size)
     grad[flat] = acc
     grad = grad.reshape(keep.shape)
     return grad[:n], grad[n:-1]
+
+
+def _row_chunks(per_row):
+    """(lo, hi) row ranges of at most PLAN_ENTRIES entries each, by
+    ``per_row``; a row with more stands alone."""
+    chunks, lo, total = [], 0, 0
+    for r, count in enumerate(per_row.tolist()):
+        if total + count > PLAN_ENTRIES and r > lo:
+            chunks.append((lo, r))
+            lo, total = r, 0
+        total += count
+    if per_row.size:
+        chunks.append((lo, per_row.size))
+    return chunks
 
 
 def eventprop_backward(

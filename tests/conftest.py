@@ -8,7 +8,10 @@ whole-array paths they are used to check.  Where a kernel was rewritten for
 speed with bitwise the same output, its previous form is kept here as a
 reference: the guarded crossing solver, the queue-pointer event loop with
 its dense fan-out scan, the float nonzero scan of the mock weights, the
-full-width first-spike scan and the repr-only matrix writer.
+full-width first-spike scan and the repr-only matrix writer.  The slot loop
+of the EventProp backward, which the level-wise backward replaced, is kept
+as ``dense_row_adjoint``: the backward takes only acyclic nets, and the slot
+loop is the reference for every cyclic one (``backward_or_reference``).
 """
 import dataclasses
 import math
@@ -35,6 +38,7 @@ from eventsnn.grad import (
     _adjoint_coefficients,
     _anchor,
     _stacked_source,
+    eventprop_backward_batch,
     fud_first_spike_times,
 )
 from eventsnn.data import EncodingConfig, YinYangLabel, classify
@@ -435,16 +439,20 @@ def dense_row_currents(neurons, times, kinds, net: Network):
 
 
 def dense_row_adjoint(
-    neurons, times, kinds, net: Network, loss_grads, strict=False, vdot_floor=0.0
+    neurons, times, kinds, net: Network, loss_grads, strict=False, vdot_floor=0.0,
+    support=None,
 ):
-    """``grad.eventprop_backward_batch`` with a dense gradient row per slot.
+    """The slot loop of the EventProp backward, on any net, cyclic or not.
 
-    The same frame coefficients and jumps, but every slot adds its rows'
+    It walks the trace one slot at a time from the last, on the frame
+    coefficients of ``grad._adjoint_coefficients``, and jumps the spiking
+    neuron's (D, Q) at each internal event.  Every slot adds its rows'
     gradient rows a_v D + a_q Q over all N + 1 lanes to a stacked
-    (N + n_in + 1, N + 1) accumulator with one bincount: the full support
-    computed without a support list.  A jump reads its lanes from
-    ``fan_out_reference`` row by row and sums each row's transfer in entry
-    order.
+    (N + n_in + 1, N + 1) accumulator with one bincount.  A jump reads its
+    lanes from ``fan_out_reference`` row by row and sums each row's transfer
+    in entry order.  This is bit for bit what ``grad.eventprop_backward_batch``
+    computed before it went level by level; a ``support`` multiplies the
+    result by its masks, as that slot loop's support plans did exactly.
     """
     b, m = times.shape
     n, n_in = net.n_total, net.n_in
@@ -483,7 +491,26 @@ def dense_row_adjoint(
         q_flat[j] = q_flat[j] + s_q[:, 0] * (d_flat[j] - d_new)
         d_flat[j] = d_new
     grad = grad.reshape(n + n_in + 1, n + 1)
-    return grad[:n, :n].copy(), grad[n : n + n_in, :n].copy()
+    grads = grad[:n, :n].copy(), grad[n : n + n_in, :n].copy()
+    if support is None:
+        return grads
+    return tuple(g * mask for g, mask in zip(grads, support))
+
+
+def is_acyclic(net: Network) -> bool:
+    try:
+        net.levels
+    except InvalidParameter:
+        return False
+    return True
+
+
+def backward_or_reference(neurons, times, kinds, net: Network, loss_grads, **kw):
+    """``grad.eventprop_backward_batch`` on an acyclic net; on a cyclic one,
+    which it rejects, the slot-loop reference ``dense_row_adjoint``."""
+    if is_acyclic(net):
+        return eventprop_backward_batch(neurons, times, kinds, net, loss_grads, **kw)
+    return dense_row_adjoint(neurons, times, kinds, net, loss_grads, **kw)
 
 
 def loop_first_spike_times(in_neurons, in_times, weights, params, t_max):

@@ -7,7 +7,7 @@ from eventsnn.cli import main
 from eventsnn.config import load_config
 from eventsnn.core import SpikeKind, classify_records
 from eventsnn.data import build_dataset, encode_dataset
-from eventsnn.train import pack_samples
+from eventsnn.train import pack_samples, read_checkpoint, replace_weights, write_checkpoint
 
 TINY = (
     "dataset.n_train = 30\n"
@@ -158,6 +158,27 @@ def test_export_and_replay_size_the_run_from_the_checkpoint(tmp_path, tiny):
         )
         gradients.append((out / "gradients.txt").read_bytes())
     assert gradients[0] == gradients[1]
+
+
+def test_replay_train_rejects_a_cyclic_checkpoint_that_export_accepts(tmp_path, tiny, capsys):
+    # a self-loop on hidden neuron 2, set by hand: the forward runs any net,
+    # the EventProp backward only an acyclic one
+    assert run("export-traces", "--samples", 5, "--out", tmp_path / "init", config=tiny) == 0
+    net, n_hidden = read_checkpoint(tmp_path / "init" / "checkpoint.txt")
+    w = np.array(net.weights)
+    w[2, 2] = 0.5
+    checkpoint = tmp_path / "cyclic.txt"
+    write_checkpoint(checkpoint, replace_weights(net, (w, np.array(net.input_weights))), n_hidden)
+    export = tmp_path / "export"
+    assert run(
+        "export-traces", "--samples", 5, "--checkpoint", checkpoint, "--out", export, config=tiny,
+    ) == 0
+    capsys.readouterr()
+    assert run(
+        "replay-train", "--traces", export / "traces.replay", "--checkpoint", checkpoint,
+        "--out", tmp_path / "replay", config=tiny,
+    ) == 2
+    assert "cycle, 2 -> 2;" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

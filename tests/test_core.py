@@ -17,7 +17,7 @@ from eventsnn.core import (
     validate_network,
 )
 
-from conftest import classify_walk
+from conftest import classify_walk, random_network
 
 INTERNAL, INPUT, DUMMY = int(SpikeKind.INTERNAL), int(SpikeKind.INPUT), int(SpikeKind.DUMMY)
 
@@ -79,6 +79,37 @@ class TestValidateNetwork:
         validate_network(net)
         validate_network(net)
         np.testing.assert_array_equal(net.weights, before)
+
+
+class TestLevels:
+    def test_random_dags_match_a_recursive_longest_path(self, rng):
+        def longest(net, j):
+            targets = np.flatnonzero(net.weights[j])
+            return 1 + max(longest(net, k) for k in targets) if targets.size else 0
+
+        depths = set()
+        for _ in range(30):
+            net = random_network(rng, recurrent=False)
+            want = [longest(net, j) for j in range(net.n_total)]
+            assert net.levels.tolist() == want
+            depths.add(max(want))
+        assert len(depths) >= 4
+
+    def test_feedforward_net_has_two_levels(self):
+        net = Network.feedforward(np.ones((5, 8)), np.ones((8, 3)))
+        assert net.levels.tolist() == [1] * 8 + [0] * 3
+
+    @pytest.mark.parametrize(
+        "edges, cycle",
+        [([(0, 0)], "0 -> 0"), ([(2, 0), (0, 1), (1, 0)], "0 -> 1 -> 0"),
+         ([(0, 1), (1, 2), (2, 0)], "0 -> 1 -> 2 -> 0")],
+    )
+    def test_a_cycle_raises_and_is_named(self, edges, cycle):
+        w = np.zeros((3, 3))
+        for j, i in edges:
+            w[j, i] = -0.5
+        with pytest.raises(InvalidParameter, match=f"cycle, {cycle};"):
+            make_net(3, weights=w).levels
 
 
 class TestImmutability:

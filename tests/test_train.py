@@ -518,6 +518,28 @@ class TestTrainingLoop:
         assert not np.array_equal(got.weights, default.weights)
         assert not np.array_equal(got.input_weights, default.input_weights)
 
+    @pytest.mark.parametrize("knob, value", [("train.beta1", "0.5"), ("train.beta2", "0.9")])
+    def test_an_adam_beta_moves_the_weights_of_one_epoch(self, knob, value):
+        # Adam's first step is the same for every beta; the later steps of
+        # the epoch read the moment averages the betas set
+        default = train(self.small_cfg(**{"train.epochs": "1"})).final_net
+        got = train(self.small_cfg(**{"train.epochs": "1", knob: value})).final_net
+        assert not np.array_equal(got.weights, default.weights)
+        assert not np.array_equal(got.input_weights, default.input_weights)
+
+    def test_lr_decay_acts_from_the_second_epoch(self):
+        # epoch e trains at lr * lr_decay**e: epoch 0 is the default run's
+        default = train(self.small_cfg(**{"train.epochs": "2"}))
+        decayed = train(self.small_cfg(**{"train.epochs": "2", "train.lr_decay": "0.5"}))
+        fields = ("train_loss", "train_acc", "test_acc")
+        assert [getattr(decayed.history[0], f) for f in fields] == [
+            getattr(default.history[0], f) for f in fields
+        ]
+        assert not np.array_equal(decayed.final_net.weights, default.final_net.weights)
+        assert not np.array_equal(
+            decayed.final_net.input_weights, default.final_net.input_weights
+        )
+
     def test_patience_zero_stops_after_the_first_epoch_without_a_gain(self):
         # at lr 0 every epoch scores the same, so epoch 1 is the first stale one
         cfg = self.small_cfg(
