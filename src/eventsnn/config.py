@@ -169,6 +169,11 @@ class ExperimentConfig:
                 "train.estimator = fud requires network.tau_mem_ratio = 2, got "
                 f"{self.network.tau_mem_ratio:g}"
             )
+        # fud computes its own spike times, so it would ignore any other backend
+        if estimator == "fud" and self.backend.kind != "numeric":
+            raise InvalidParameter(
+                f"train.estimator = fud requires backend.kind = numeric, got {self.backend.kind}"
+            )
 
 
 @functools.cache

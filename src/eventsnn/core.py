@@ -210,7 +210,7 @@ class Network:
         cycle = path[path.index(path[-1]) :]
         raise InvalidParameter(
             "the internal weights form a cycle, " + " -> ".join(map(str, cycle))
-            + "; the EventProp backward takes only acyclic nets"
+            + "; the EventProp backward and its current replay take only acyclic nets"
         )
 
     @staticmethod

@@ -51,9 +51,9 @@ Two estimators:
 
 EventProp consumes only the trace plus weights: synaptic currents at spike
 times are reconstructed by replaying the trace through the current dynamics,
-in the same kind of frame (i(t) = c e^{-(t-A)/tau_s}) and on each event's
-fan-out lanes only, planned in runs of slots, so a foreign (hardware/replay)
-trace takes the identical code path.
+in the same kind of frame (i(t) = c e^{-(t-A)/tau_s}) and level by level like
+the backward, with no loop over slots, so a foreign (hardware/replay) trace
+takes the identical code path.
 
 A single anchor per row would overflow e^{|t-A|/tau} on long traces, so the
 anchor of an event is the start of its time window of ANCHOR_WINDOW times
@@ -76,11 +76,10 @@ ANCHOR_WINDOW = 100.0
 # most (row, interval, neuron) lanes in one crossing call of the analytic
 # forward; a 5-120-3 training batch of 64 rows (7680 lanes a block) fits whole
 LANES_PER_CALL = 8192
-# the current replay plans its slots in runs of about this many (slot, row,
-# lane) entries, and the backward takes its rows in chunks of at most this
-# many support and fan-out entries, which bounds their memory however wide
-# the rows are; a 5-120-3 training batch of 64 rows takes a few runs and
-# about 6 chunks under the training masks, a replayed row one of each
+# the backward takes its rows in chunks of at most this many support and
+# fan-out entries, which bounds its memory however wide the rows are; a
+# 5-120-3 training batch of 64 rows takes about 6 chunks under the training
+# masks, a replayed row one
 PLAN_ENTRIES = 1 << 14
 
 
@@ -105,51 +104,35 @@ def _stacked_source(neurons, kinds, net: Network):
     )
 
 
-def _plan_runs(count, sources):
-    """The (lo, hi) runs of the S slots of ``sources`` (S, B) that the
-    current replay plans at once: a run starts at each slot where the
-    running count of entries passes a multiple of PLAN_ENTRIES, so it holds
-    at most PLAN_ENTRIES entries plus those of its last slot."""
-    per_slot = count[sources].sum(axis=1)
-    window = (np.cumsum(per_slot) - per_slot) // PLAN_ENTRIES
-    cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), len(sources)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _slot_plan(start, count, sources):
-    """Every slot's CSR entries in one flat plan of the current replay,
-    slot-major, then by row: the ``pos`` and ``cnt`` of
-    ``core.csr_entries`` of the (S, B) sources, each slot's in each row, and
-    ``bounds``, S + 1 ints such that slot s owns the plan entries
-    bounds[s]:bounds[s + 1]."""
-    pos, cnt, end = csr_entries(start, count, sources)
-    bounds = [0, *end.reshape(sources.shape).max(axis=1, initial=0).tolist()]
-    return bounds, pos, cnt
-
-
 def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     """Replay trace transitions through the current dynamics only.
 
     Returns (B, m) with the spiking neuron's synaptic current just before
     each internal event (zero for input/dummy slots), and the time t_end of
-    each row's last event (0 for an empty row).
+    each row's last event (0 for an empty row).  A real slot's time that is
+    not finite or precedes the row's previous event raises
+    ``InvalidParameter``, and so does a cyclic net (``Network.levels``).
 
     Each row keeps its currents as coefficients c in the frame
-    i(t) = c e^{-(t-A)/tau_s}, so decay between events costs nothing: an
-    event at t_e adds w e^{(t_e-A)/tau_s} to the c of each of its fan-out
-    lanes (``Network.fan_out``), and the spiking neuron's current is read as
-    c_j e^{-(t_e-A)/tau_s}.  The flat lane indices and added values of the
-    slots, all rows in one list per slot, are built for each run of slots
-    before its loop (``_plan_runs``, ``_slot_plan``), so a slot reads its
-    spiking lanes and adds one slice of the plan.  A row's last real event
-    adds nothing, since no later event of the row reads its currents.  The
-    anchor A moves with the row's time window (see the module docstring);
-    on a window change c is scaled by e^{-(A'-A)/tau_s} <= 1.
+    i(t) = c e^{-(t-A)/tau_s}: an event at t_e adds w e^{(t_e-A)/tau_s} to
+    the c of each lane it drives, and a spiking neuron's current is
+    c_j e^{-(t_e-A)/tau_s}.  Currents are never reset, so c is the running
+    sum of the row's adds in slot order.  Level by level
+    (``Network.levels``), the row's events that drive a level fill one
+    (1 + K, B, H) block, row 0 the carry and row p the adds of the p-th,
+    and ``np.cumsum`` along the events, a left fold in slot order like the
+    slot loop's, gives c after each.  A spike of the level reads it at its
+    row's count of driving events before it: no neuron drives its own
+    level.  The sum runs per anchor window (see the module docstring); a
+    window's carry is the last c of the window before, scaled by
+    e^{-(A'-A)/tau_s} <= 1.
     """
     b, m = times.shape
-    n = net.n_total
     ts = net.params.tau_syn
+    level = net.levels
     active = kinds != int(SpikeKind.DUMMY)
+    if not np.all(np.isfinite(times) | ~active):
+        raise InvalidParameter("trace times must be finite on real slots")
     # seen[:, k]: time of the row's last real event before slot k (0 if none)
     last = np.maximum.accumulate(np.where(active, np.arange(m), -1), axis=1)
     seen = np.where(last >= 0, np.take_along_axis(times, np.maximum(last, 0), axis=1), 0.0)
@@ -158,40 +141,48 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
         raise InvalidParameter("trace times must be non-decreasing")
     t_end = seen[:, -1]
 
-    # a dummy slot keeps the row's time and anchor and touches no lane;
-    # per-slot arrays are (m, B) rows
+    # a dummy slot keeps the row's time and anchor and drives no lane; per
+    # slot, u = (t-A)/tau_s and the anchor's move A' - A on entering it
     anchor = _anchor(seen, net.params)
-    u = (seen[:, 1:] - anchor[:, 1:]).T / ts
-    grow, shrink = np.exp(u), np.exp(-u)
-    moved = (anchor[:, 1:] != anchor[:, :-1]).any(axis=0)
-    rescale = np.exp(-(anchor[:, 1:] - anchor[:, :-1]) / ts)
-    rows = np.arange(b)
-    spiking = (np.clip(neurons, 0, n - 1) + (rows * n)[:, None]).T
-    # an add is read only by a later real slot of its row, so the plan
-    # leaves out the adds of each row's last real slot (of a row with none,
-    # the last slot is a dummy already)
-    reads = int(last.max(initial=-1)) + 1
-    fan = net.fan_out
+    u = (seen[:, 1:] - anchor[:, 1:]) / ts
+    move = anchor[:, 1:] - anchor[:, :-1]
+    del last, seen, anchor  # freed before the level loop, which holds the peak
+    # each slot's window, counted from the row's first
+    window = np.cumsum(move != 0.0, axis=1)
     src = _stacked_source(neurons, kinds, net)
-    np.put_along_axis(src, last[:, -1:], fan.null, axis=1)
-    src = src[:, :reads].T
-
-    c = np.zeros((b, n))
-    c_flat = c.reshape(-1)
-    out = np.zeros((m, b))
-    for lo, hi in _plan_runs(fan.count, src):
-        bounds, pos, cnt = _slot_plan(fan.start, fan.count, src[lo:hi])
-        lane = fan.lanes[pos]
-        lane += np.repeat(np.tile(rows * n, hi - lo), cnt)
-        add = fan.weights[pos]
-        add *= np.repeat(grow[lo:hi].ravel(), cnt)
-        for k in range(lo, hi):
-            if moved[k]:
-                c *= rescale[:, k, None]
-            out[k] = c_flat[spiking[k]] * shrink[k]
-            e0, e1 = bounds[k - lo], bounds[k - lo + 1]
-            c_flat[lane[e0:e1]] += add[e0:e1]
-    out = np.where(kinds == int(SpikeKind.INTERNAL), out.T, 0.0)
+    internal = kinds == int(SpikeKind.INTERNAL)
+    spike_level = np.where(internal, level[np.where(internal, neurons, 0)], -1)
+    rows = np.arange(b)
+    out = np.zeros((b, m))
+    for lev in range(int(level.max(initial=-1)) + 1):
+        in_level = level == lev
+        cols = np.flatnonzero(in_level)
+        # the stacked weights [w; w_in; 0] into the level's neurons
+        w_lev = np.vstack([net.weights, net.input_weights, np.zeros((1, net.n_total))])[:, cols]
+        drives = (w_lev != 0.0).any(axis=1)[src]
+        reads = spike_level == lev
+        carry = np.zeros((b, cols.size))
+        for win in range(int(window[reads].max(initial=-1)) + 1):
+            here = window == win
+            if win:  # the last c of the window before, moved by e^{-(A'-A)/tau_s}
+                enter = np.exp(-(move * here).sum(axis=1) / ts)  # one nonzero move
+                carry = block[count[:, -1], rows] * enter[:, None]
+            # with e = r m + k the flat (row, slot) index, count.take(e): the
+            # row's driving events of the window up to slot k
+            drv = drives & here
+            count = np.cumsum(drv, axis=1)
+            block = np.zeros((1 + int(count[:, -1].max()), b, cols.size))
+            block[0] = carry
+            e = np.flatnonzero(drv)
+            add = w_lev.take(src.take(e), axis=0)
+            add *= np.exp(u.take(e))[:, None]
+            block.reshape(-1, cols.size)[count.take(e) * b + e // m] = add
+            del add  # before the next block is allocated
+            np.cumsum(block, axis=0, out=block)
+            e = np.flatnonzero(reads & here)
+            col = (np.cumsum(in_level) - 1).take(neurons.take(e))
+            at = (count.take(e) * b + e // m) * cols.size + col
+            out.reshape(-1)[e] = block.take(at) * np.exp(-u.take(e))
     return out, t_end
 
 
@@ -234,8 +225,9 @@ def replay_state(neurons, times, kinds, net: Network, t_max: float):
     return v, i, np.maximum(t_max, t)
 
 
-def _adjoint_coefficients(neurons, times, kinds, net: Network, loss_grads, strict, vdot_floor):
-    """Everything the adjoint loop uses that does not depend on the adjoint.
+def _adjoint_coefficients(times, kinds, currents, net: Network, loss_grads, strict, vdot_floor):
+    """Everything the adjoint uses that does not depend on the adjoint, from
+    the trace's ``currents``, the pair ``reconstruct_currents_batch`` returns.
 
     In the frame of slot k (anchor A, e_m = e^{(t-A)/tau_m}) a lane with
     coefficients (D, Q) has lambda_v = D e_m, its gradient row -tau_s
@@ -244,15 +236,15 @@ def _adjoint_coefficients(neurons, times, kinds, net: Network, loss_grads, stric
     * scale, where transfer sums t_v D + t_q Q over j's fan-out weighted by
     j's weights, and keeps lambda_i by Q_j += s_q (D_old - D_new).
 
-    Returns coef (m, 8, B, 1), holding a_v, a_q, t_v, t_q, gain, loss, scale
-    and s_q of each slot in one contiguous block; shift (m, B), the anchor
-    change A' - A <= 0 on entering each slot; and to_window(D, Q, shift),
-    which re-expresses (D, Q) in the new frame.
+    Returns coef (8, B, m), the planes of a_v, a_q, t_v, t_q, gain, loss,
+    scale and s_q at each (row, slot); shift (B, m), the anchor change
+    A' - A <= 0 on entering each slot; and to_window(D, Q, shift), which
+    re-expresses (D, Q) in the new frame.
     """
     p = net.params
     b, m = times.shape
     ts, tm = p.tau_syn, p.tau_mem
-    i_rec, t_end = reconstruct_currents_batch(neurons, times, kinds, net)
+    i_rec, t_end = currents
     internal = kinds == int(SpikeKind.INTERNAL)
     vdot = i_rec - p.v_th / tm
     ok = np.abs(vdot) >= EPS_VDOT
@@ -272,8 +264,8 @@ def _adjoint_coefficients(neurons, times, kinds, net: Network, loss_grads, stric
     anchor = _anchor(t_frame, p)
     u = t_frame[:, :-1] - anchor[:, :-1]
 
-    coef = np.empty((m, 8, b, 1))
-    a_v, a_q, t_v, t_q, gain, loss, scale, s_q = (coef[:, c, :, 0].T for c in range(8))
+    coef = np.empty((8, b, m))
+    a_v, a_q, t_v, t_q, gain, loss, scale, s_q = coef
     if p.is_equal_tau:
         x = u / ts
         e_m = np.exp(x)
@@ -296,7 +288,7 @@ def _adjoint_coefficients(neurons, times, kinds, net: Network, loss_grads, stric
     gain[...] = e_m * (i_rec - p.v_reset / tm)
     loss[...] = np.where(internal, loss_grads, 0.0)
     scale[...] = np.where(internal & ok, 1.0 / np.where(ok, vdot, 1.0), 0.0) / e_m
-    return coef, (anchor[:, :-1] - anchor[:, 1:]).T, to_window
+    return coef, anchor[:, :-1] - anchor[:, 1:], to_window
 
 
 def _support_rows(net: Network, support):
@@ -394,12 +386,13 @@ def eventprop_backward_batch(
     level = net.levels
     keep = _support_rows(net, support)
     coef, shift, to_window = _adjoint_coefficients(
-        neurons, times, kinds, net, loss_grads, strict, vdot_floor
+        times, kinds, reconstruct_currents_batch(neurons, times, kinds, net), net,
+        loss_grads, strict, vdot_floor,
     )
-    # coefficient c of row r at slot k is coef_at[k 8B + c B + r]
-    coef_at = coef.reshape(-1)
+    # coefficient c of event e = r m + k (row r, slot k) is coef[c, e]
+    coef = coef.reshape(8, -1)
     # frame[r, k]: the anchor of slot k's frame less that of the row's end
-    frame = np.ascontiguousarray(np.cumsum(shift[::-1], axis=0)[::-1].T)
+    frame = np.ascontiguousarray(np.cumsum(shift[:, ::-1], axis=1)[:, ::-1])
 
     has_loss = loss_grads != 0.0
     last = np.where(has_loss.any(axis=1), m - 1 - np.argmax(has_loss[:, ::-1], axis=1), -1)
@@ -420,11 +413,10 @@ def eventprop_backward_batch(
     per_row = (s_count[sources] + fan.count[jumps]).sum(axis=1)
     acc = np.zeros(flat.size)
     for lo, hi in _row_chunks(per_row):
-        # the chunk's events in (row, slot) order: row in the chunk, slot,
-        # source, frame and offset into coef_at
+        # the chunk's events e in (row, slot) order: row in the chunk, slot,
+        # source and frame
         e = np.flatnonzero(live[lo:hi]) + lo * m
         r, k = np.divmod(e, m)
-        at_coef = k * (8 * b) + r
         r -= lo
         src, f = sources.take(e), frame.take(e)
         multi = bool(f.any())  # else every frame is its row's last
@@ -473,14 +465,14 @@ def eventprop_backward_batch(
                     r.take(ev_e) * n + fan.lanes[pos], k.take(ev_e),
                     f.take(ev_e) if multi else None,
                 )
-                d *= np.repeat(coef_at.take(at_coef[ev] + 2 * b), cnt)  # t_v D
-                q *= np.repeat(coef_at.take(at_coef[ev] + 3 * b), cnt)  # t_q Q
+                d *= np.repeat(coef[2].take(e[ev]), cnt)  # t_v D
+                q *= np.repeat(coef[3].take(e[ev]), cnt)  # t_q Q
                 d += q
                 d *= fan.weights[pos]
                 transfer = np.bincount(np.repeat(np.arange(lv.size), cnt), d, lv.size)
             p = at[lv]
             p_next = p + 1
-            gain, loss, scale, s_q = coef_at.take(at_coef[ev] + np.arange(4, 8)[:, None] * b)
+            gain, loss, scale, s_q = coef[4:].take(e[ev], axis=1)
             done = 0
             for cut in np.cumsum(np.bincount(rank[lv])).tolist():
                 now = slice(done, cut)
@@ -505,8 +497,8 @@ def eventprop_backward_batch(
         lane = lane_of.take(pos)
         lane += np.repeat(r * n, cnt)
         d, q = state_at(lane, np.repeat(k, cnt), np.repeat(f, cnt) if multi else None)
-        d *= np.repeat(coef_at.take(at_coef), cnt)  # a_v D
-        q *= np.repeat(coef_at.take(at_coef + b), cnt)  # a_q Q
+        d *= np.repeat(coef[0].take(e), cnt)  # a_v D
+        q *= np.repeat(coef[1].take(e), cnt)  # a_q Q
         d += q
         np.add.at(acc, pos, d)
     grad = np.zeros(keep.size)

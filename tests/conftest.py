@@ -9,9 +9,11 @@ speed with bitwise the same output, its previous form is kept here as a
 reference: the guarded crossing solver, the queue-pointer event loop with
 its dense fan-out scan, the float nonzero scan of the mock weights, the
 full-width first-spike scan and the repr-only matrix writer.  The slot loop
-of the EventProp backward, which the level-wise backward replaced, is kept
-as ``dense_row_adjoint``: the backward takes only acyclic nets, and the slot
-loop is the reference for every cyclic one (``backward_or_reference``).
+of the EventProp backward and of its current replay, which the level-wise
+forms replaced, are kept as ``dense_row_adjoint`` and ``dense_row_currents``:
+both level-wise forms take only acyclic nets, and the slot loops are the
+reference for every cyclic one (``backward_or_reference``,
+``currents_or_reference``).
 """
 import dataclasses
 import math
@@ -40,6 +42,7 @@ from eventsnn.grad import (
     _stacked_source,
     eventprop_backward_batch,
     fud_first_spike_times,
+    reconstruct_currents_batch,
 )
 from eventsnn.data import EncodingConfig, YinYangLabel, classify
 from eventsnn.lif import next_crossing_safe, propagate_arrays
@@ -405,11 +408,15 @@ def dense_adjoint(
 
 
 def dense_row_currents(neurons, times, kinds, net: Network):
-    """``grad.reconstruct_currents_batch`` with a dense weight row per slot.
+    """The slot loop of ``grad.reconstruct_currents_batch``, on any net,
+    cyclic or not, with a dense weight row per slot.
 
     Each row keeps its currents as frame coefficients c (same anchors and
     rescales), and every slot adds the whole stacked row [w; w_in; 0][src]
-    e^{(t-A)/tau_s} to its row's c, touching every lane.
+    e^{(t-A)/tau_s} to its row's c, touching every lane.  The level-wise
+    replay sums the same adds in the same slot order, so on an acyclic net
+    it equals this bit for bit; on a cyclic one, which it rejects, this is
+    the reference (``currents_or_reference``).
     """
     b, m = times.shape
     n = net.n_total
@@ -445,7 +452,8 @@ def dense_row_adjoint(
     """The slot loop of the EventProp backward, on any net, cyclic or not.
 
     It walks the trace one slot at a time from the last, on the frame
-    coefficients of ``grad._adjoint_coefficients``, and jumps the spiking
+    coefficient planes that ``grad._adjoint_coefficients`` builds from the
+    currents of ``dense_row_currents``, and jumps the spiking
     neuron's (D, Q) at each internal event.  Every slot adds its rows'
     gradient rows a_v D + a_q Q over all N + 1 lanes to a stacked
     (N + n_in + 1, N + 1) accumulator with one bincount.  A jump reads its
@@ -457,9 +465,10 @@ def dense_row_adjoint(
     b, m = times.shape
     n, n_in = net.n_total, net.n_in
     coef, shift, to_window = _adjoint_coefficients(
-        neurons, times, kinds, net, loss_grads, strict, vdot_floor
+        times, kinds, dense_row_currents(neurons, times, kinds, net), net, loss_grads,
+        strict, vdot_floor,
     )
-    moved = (shift != 0.0).any(axis=1)
+    moved = (shift != 0.0).any(axis=0)
     fan = fan_out_reference(net)
     internal = kinds == int(SpikeKind.INTERNAL)
     # the sentinel lane n of a row is the spiking lane of a slot that is not
@@ -476,8 +485,8 @@ def dense_row_adjoint(
     grad = np.zeros(size)
     for k in range(last_real, -1, -1):
         if moved[k]:
-            d_co[...], q_co[...] = to_window(d_co, q_co, shift[k, :, None])
-        a_v, a_q, t_v, t_q, gain, loss, scale, s_q = coef[k]
+            d_co[...], q_co[...] = to_window(d_co, q_co, shift[:, k, None])
+        a_v, a_q, t_v, t_q, gain, loss, scale, s_q = coef[:, :, k, None]
         grad += np.bincount((base[k] + cols).ravel(), (a_v * d_co + a_q * q_co).ravel(), size)
         transfer = np.zeros(b)
         for r in np.flatnonzero(internal[:, k]):
@@ -503,6 +512,14 @@ def is_acyclic(net: Network) -> bool:
     except InvalidParameter:
         return False
     return True
+
+
+def currents_or_reference(neurons, times, kinds, net: Network):
+    """``grad.reconstruct_currents_batch`` on an acyclic net; on a cyclic one,
+    which it rejects, the slot-loop reference ``dense_row_currents``."""
+    if is_acyclic(net):
+        return reconstruct_currents_batch(neurons, times, kinds, net)
+    return dense_row_currents(neurons, times, kinds, net)
 
 
 def backward_or_reference(neurons, times, kinds, net: Network, loss_grads, **kw):

@@ -118,6 +118,21 @@ def test_eval_rejects_fud_on_a_checkpoint_off_tau_ratio_2(tmp_path, capsys):
     assert not (out / "eval.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["train"], ["eval", "--checkpoint", "absent.txt"]], ids=lambda c: c[0]
+)
+def test_fud_on_the_mock_backend_is_a_config_error(tmp_path, command, capsys):
+    # fud computes its own spike times: it would ignore the mock silently
+    for keys, flags in (("", ["--backend", "mock"]), ("backend.kind = mock\n", [])):
+        config = tmp_path / "config.txt"
+        config.write_text(TINY + "train.estimator = fud\n" + keys)
+        out = tmp_path / "out"
+        assert run(*command, *flags, "--out", out, config=config) == 2
+        err = capsys.readouterr().err
+        assert "train.estimator = fud" in err and "backend.kind = numeric, got mock" in err
+        assert not out.exists()
+
+
 def test_fud_eval_splits_the_checkpoint_where_its_outputs_start(tmp_path):
     # the hidden layer's width comes from the checkpoint, not from the
     # config's network.n_hidden

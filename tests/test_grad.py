@@ -42,6 +42,7 @@ from conftest import (
     NoSpike,
     assert_bitwise_trace,
     backward_or_reference,
+    currents_or_reference,
     dense_adjoint,
     dense_row_adjoint,
     dense_row_currents,
@@ -112,8 +113,9 @@ def fd_weight_grad(net, inputs, m, t_max, coeffs, matrix, j, i, eps=1e-4):
 
 
 def row_currents(trace, net):
-    """Per-slot current of the spiking neuron of a one-sample trace."""
-    return reconstruct_currents_batch(
+    """Per-slot current of the spiking neuron of a one-sample trace; on a
+    cyclic net, which the current replay rejects, the slot-loop reference."""
+    return currents_or_reference(
         trace.neurons[None], trace.times[None], trace.kinds[None], net
     )[0][0]
 
@@ -180,15 +182,91 @@ class TestReconstructCurrents:
         # traces are bitwise the engine's
         for _ in range(20):
             net = random_network(rng)
-            inputs = random_inputs(rng, net)
-            idx, times = pack_inputs([inputs])
-            args = (without_outputs(net), idx[:, :-1], times[:, :-1], 16, 2.5)
-            batch = simulate_batch(*args)
-            ref, i_spike = simulate_batch_reference(*args)
-            assert_bitwise_trace(batch, ref)
-            rec, _ = reconstruct_currents_batch(batch.neurons, batch.times, batch.kinds, net)
+            batch, i_spike = engine_record(rng, net)
+            rec, _ = currents_or_reference(batch.neurons, batch.times, batch.kinds, net)
             internal = batch.kinds == int(SpikeKind.INTERNAL)
             np.testing.assert_allclose(rec[internal], i_spike[internal], atol=1e-12)
+
+    def test_acyclic_nets_match_engine_record_and_slot_loop(self, rng):
+        spikes = 0
+        for _ in range(20):
+            net = random_network(rng, recurrent=False)
+            batch, i_spike = engine_record(rng, net)
+            args = (batch.neurons, batch.times, batch.kinds, net)
+            rec = reconstruct_currents_batch(*args)
+            assert_bitwise(rec, dense_row_currents(*args))
+            internal = batch.kinds == int(SpikeKind.INTERNAL)
+            np.testing.assert_allclose(rec[0][internal], i_spike[internal], atol=1e-12)
+            spikes += int(internal.sum())
+        assert spikes > 0
+
+    def test_rows_change_windows_at_different_slots(self):
+        # long-span rows beside short ones: each row moves its frame anchor
+        # at its own slots, and some rows never move it
+        starts = [(0.0, 99.8, 900.0, 1800.0), (0.0, 0.4), (50.0, 150.0), (0.2,), (120.0, 130.0)]
+        inputs = [[in_spike(0, t) for t in row] for row in starts]
+        idx, times = pack_inputs(inputs)
+        run = (without_outputs(chain_net(P2)), idx[:, :-1], times[:, :-1], 32, 2000.0)
+        batch = simulate_batch(*run)
+        real = batch.kinds != DUMMY
+        moves = np.diff(_anchor(np.where(real, batch.times, 0.0), P2), axis=1, prepend=0.0) != 0.0
+        moves &= real
+        moving = [tuple(np.flatnonzero(row)) for row in moves if row.any()]
+        assert len(set(moving)) == len(moving) == 3 and max(map(len, moving)) >= 3
+        args = (batch.neurons, batch.times, batch.kinds, chain_net(P2))
+        assert_bitwise(reconstruct_currents_batch(*args), dense_row_currents(*args))
+        # and each row alone as in the batch
+        for r in range(len(starts)):
+            one = (*(a[r : r + 1] for a in args[:3]), args[3])
+            assert_bitwise(reconstruct_currents_batch(*one), dense_row_currents(*one))
+
+    def test_an_input_that_drives_two_levels(self, rng):
+        # 0 -> 1 -> 2 -> 3 with a shortcut 0 -> 2; input 0 drives neurons 0
+        # and 2, which sit three levels apart, input 1 drives 1 and 3
+        w = np.zeros((4, 4))
+        w[0, 1], w[1, 2], w[2, 3], w[0, 2] = 2.0, 2.5, 3.0, -0.8
+        w_in = np.array([[4.0, 0.0, 1.5, 0.0], [0.0, 1.0, 0.0, 0.7]])
+        net = Network(4, w, w_in, params=P2, output_set=(3,))
+        assert net.levels.tolist() == [3, 2, 1, 0]
+        batch, i_spike = engine_record(rng, net, b=8)
+        internal = batch.kinds == INTERNAL
+        assert set(batch.neurons[internal].tolist()) == {0, 1, 2, 3}
+        args = (batch.neurons, batch.times, batch.kinds, net)
+        rec = reconstruct_currents_batch(*args)
+        assert_bitwise(rec, dense_row_currents(*args))
+        np.testing.assert_allclose(rec[0][internal], i_spike[internal], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "edges, cycle",
+        [([(1, 1)], "1 -> 1"), ([(0, 2), (2, 3), (3, 1), (1, 2)], "2 -> 3 -> 1 -> 2")],
+        ids=["self_loop", "three_neurons"],
+    )
+    def test_a_cyclic_net_raises_and_names_its_cycle(self, rng, edges, cycle):
+        w = np.zeros((4, 4))
+        for j, i in edges:
+            w[j, i] = 0.5
+        net = Network(4, w, np.full((2, 4), 3.0), params=P2, output_set=(3,))
+        batch, _ = engine_record(rng, net)
+        args = (batch.neurons, batch.times, batch.kinds, net)
+        with pytest.raises(InvalidParameter, match=f"cycle, {cycle};"):
+            reconstruct_currents_batch(*args)
+        dense_row_currents(*args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", [INTERNAL, INPUT], ids=["internal", "input"])
+    def test_a_time_that_is_not_finite_raises(self, rng, kind, bad):
+        batch, g = random_batch(rng, chain_net(P2), b=4)
+        r, k = np.argwhere(batch.kinds == kind)[1]
+        # the slot becomes its row's last event: no later time is compared with it
+        tail = (r, slice(k + 1, None))
+        batch.neurons[tail], batch.times[tail], batch.kinds[tail], g[tail] = -1, np.inf, DUMMY, 0.0
+        args = (batch.neurons, batch.times, batch.kinds, chain_net(P2))
+        assert np.all(np.isfinite(eventprop_backward_batch(*args, g)[0]))
+        batch.times[r, k] = bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            reconstruct_currents_batch(*args)
+        with pytest.raises(InvalidParameter, match="finite"):
+            eventprop_backward_batch(*args, g)
 
     def test_file_roundtrip_gives_identical_currents(self, rng, tmp_path):
         net = random_network(rng)
@@ -331,6 +409,18 @@ class TestEventProp:
             eventprop_backward(trace, net, slot_g, strict=True)
         g_w, g_w_in = eventprop_backward(trace, net, slot_g, strict=False)
         assert np.all(np.isfinite(g_w)) and np.all(np.isfinite(g_w_in))
+
+
+def engine_record(rng, net, b=1, m=16, t_max=2.5):
+    """``net``'s trace of b rows of random inputs, every row run to the
+    budget m, and the current of each spiking neuron as the reference engine
+    records it; the reference's trace is bitwise the engine's."""
+    idx, times = pack_inputs([random_inputs(rng, net) for _ in range(b)])
+    args = (without_outputs(net), idx[:, :-1], times[:, :-1], m, t_max)
+    batch = simulate_batch(*args)
+    ref, i_spike = simulate_batch_reference(*args)
+    assert_bitwise_trace(batch, ref)
+    return batch, i_spike
 
 
 def random_batch(rng, net, b=8, m=30, t_max=2.5):
@@ -670,6 +760,14 @@ class TestGradientSupport:
             cases.append((net, random_batch(rng, net)[0]))
         for net, batch in cases:
             args = (batch.neurons, batch.times, batch.kinds, net)
+            assert_bitwise(currents_or_reference(*args), dense_row_currents(*args))
+
+    @TAU_RATIOS
+    def test_acyclic_currents_equal_dense_row_replay(self, rng, params):
+        for _ in range(10):
+            net = random_network(rng, params=params, recurrent=False)
+            batch = random_batch(rng, net)[0]
+            args = (batch.neurons, batch.times, batch.kinds, net)
             assert_bitwise(reconstruct_currents_batch(*args), dense_row_currents(*args))
 
 
@@ -708,7 +806,7 @@ def slots_of(trace):
     return trace.neurons, trace.times, trace.kinds
 
 
-def assert_plans_match_dense_rows(neurons, times, kinds, net, loss_grads):
+def assert_equals_dense_rows(neurons, times, kinds, net, loss_grads):
     """Currents equal the dense-row replay bitwise, the full-support
     gradients equal the slot-loop reference to 1e-12 of their largest entry
     and the gradients on the training masks equal them times the masks
@@ -724,9 +822,9 @@ def assert_plans_match_dense_rows(neurons, times, kinds, net, loss_grads):
 
 
 class TestWorkloadShapedPlans:
-    """The slot plans of the current replay and the level-wise adjoint on a
-    training batch of the 5-120-3 net, at B=64 and B=1, and on their edge
-    cases."""
+    """The level-wise current replay and adjoint and the adjoint's row
+    chunks on a training batch of the 5-120-3 net, at B=64 and B=1, and on
+    their edge cases."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -737,7 +835,7 @@ class TestWorkloadShapedPlans:
         capped = batch.kinds[:, -1] != DUMMY
         silent = np.sum(g != 0.0, axis=1) < 3
         assert 0 < capped.sum() < 64 and np.any(capped & silent)
-        got = assert_plans_match_dense_rows(*slots_of(batch), net, g)
+        got = assert_equals_dense_rows(*slots_of(batch), net, g)
         assert all(np.any(x != 0.0) for x in got)
 
     def test_single_rows(self, case):
@@ -748,11 +846,11 @@ class TestWorkloadShapedPlans:
             # the row ends at an output's spike, which has no support entry
             stop = np.flatnonzero(loss[0]).max()
             assert kinds[0, stop] == INTERNAL and neurons[0, stop] >= 120
-            assert_plans_match_dense_rows(neurons, times, kinds, net, loss)
+            assert_equals_dense_rows(neurons, times, kinds, net, loss)
 
     def test_no_loss_derivative(self, case):
         net, batch, g = case
-        got = assert_plans_match_dense_rows(*slots_of(batch), net, np.zeros_like(g))
+        got = assert_equals_dense_rows(*slots_of(batch), net, np.zeros_like(g))
         assert all(np.all(x == 0.0) for x in got)
 
     def test_all_dummy_row(self, case):
@@ -761,33 +859,31 @@ class TestWorkloadShapedPlans:
                 for a, fill in zip((*slots_of(batch), g), (-1, np.inf, DUMMY, 0.0))]
         for order in ((0, 1), (1, 0)):
             neurons, times, kinds, loss = (np.concatenate([p[i] for i in order]) for p in rows)
-            assert_plans_match_dense_rows(neurons, times, kinds, net, loss)
+            assert_equals_dense_rows(neurons, times, kinds, net, loss)
 
     def test_one_slot_traces(self, case):
         net = case[0]
         ds = pack_samples(encode_dataset(generate(3, 4), EncodingConfig()))
         first = simulate_batch(net, ds.sorted_neurons, ds.sorted_times, 1, 4.0)
         assert np.all(first.kinds == INPUT)
-        assert_plans_match_dense_rows(*slots_of(first), net, np.zeros((4, 1)))
+        assert_equals_dense_rows(*slots_of(first), net, np.zeros((4, 1)))
         # a hidden and an output neuron's lone spike, each with a loss derivative
         neurons, times = np.array([[7], [121]]), np.array([[0.5], [0.8]])
         kinds = np.full((2, 1), INTERNAL, dtype=np.int8)
-        assert_plans_match_dense_rows(neurons, times, kinds, net, np.array([[0.3], [-1.0]]))
+        assert_equals_dense_rows(neurons, times, kinds, net, np.array([[0.3], [-1.0]]))
 
     @pytest.mark.parametrize("plan_entries", [1, 500])
     def test_runs_of_any_size(self, case, monkeypatch, plan_entries):
-        # the replay's runs and the backward's row chunks, both bounded by
-        # PLAN_ENTRIES; the backward's sums are the same whatever its chunks
+        # the backward's row chunks, bounded by PLAN_ENTRIES; its sums are
+        # the same whatever its chunks
         net, batch, g = case
         args = (*slots_of(batch), net, g)
         default = [eventprop_backward_batch(*args, support=s) for s in (TRAINING_MASKS, None)]
         monkeypatch.setattr(grad, "PLAN_ENTRIES", plan_entries)
-        sources = grad._stacked_source(batch.neurons, batch.kinds, net).T
-        assert len(grad._plan_runs(net.fan_out.count, sources)) > 10
         chunks = []
         row_chunks = grad._row_chunks
         monkeypatch.setattr(grad, "_row_chunks", lambda per_row: chunks.append(row_chunks(per_row)) or chunks[-1])
-        assert_plans_match_dense_rows(*args)
+        assert_equals_dense_rows(*args)
         assert len(chunks[-1]) > 10
         for s, want in zip((TRAINING_MASKS, None), default):
             assert_bitwise(eventprop_backward_batch(*args, support=s), want)
