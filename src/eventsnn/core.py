@@ -157,8 +157,8 @@ class Network:
     among them, is copied, so later writes to it leave the network as it
     was built.  An array taken over must stay read-only: NumPy lets its
     holder call ``setflags(write=True)`` again, and a write after that
-    would change the network and leave its cached ``fan_out`` and
-    ``levels`` stale.
+    would change the network and leave its cached ``fan_out``,
+    ``levels`` and ``level_inputs`` stale.
     """
 
     n_total: int
@@ -212,6 +212,28 @@ class Network:
             "the internal weights form a cycle, " + " -> ".join(map(str, cycle))
             + "; the EventProp backward and its current replay take only acyclic nets"
         )
+
+    @functools.cached_property
+    def level_inputs(self) -> tuple:
+        """For each level of ``levels``, 0 up: the (K, H) weights into its H
+        neurons from the K event sources that drive it (a nonzero weight
+        into one of them), each source's row there in ``FanOut``'s
+        numbering (-1 for a source that does not drive the level) and each
+        neuron's column (-1 off the level).  Read-only and built once per
+        network, for the current replay of ``grad``."""
+        stacked = np.vstack([self.weights, self.input_weights, np.zeros((1, self.n_total))])
+        out = []
+        for lev in range(int(self.levels.max()) + 1):
+            in_level = self.levels == lev
+            w = stacked[:, in_level]
+            drives = (w != 0.0).any(axis=1)
+            row = np.where(drives, np.cumsum(drives) - 1, -1)
+            col = np.where(in_level, np.cumsum(in_level) - 1, -1)
+            w = w[drives]
+            for a in (w, row, col):
+                a.setflags(write=False)
+            out.append((w, row, col))
+        return tuple(out)
 
     @staticmethod
     def feedforward(

@@ -38,6 +38,13 @@ Two estimators:
   agreement with central finite differences of the loss under the ideal
   event-driven dynamics.
 
+  The adjoint changes only at spikes a loss derivative can reach.  A
+  lane's adjoint is exactly zero past its end, the last slot of its own
+  loss derivatives and of the ends of its fan-out lanes, so a spike past
+  it takes no jump.  Under a first-spike loss an output takes a derivative
+  at its first spike only, yet may fire on before the row's last one:
+  those spikes are the bulk of what this skips.
+
 * The analytic Fast & Deep path (Göltz et al. 2021), for tau_mem =
   2 tau_syn only, works on the first spike times of a feedforward net.
   ``fud_first_spike_times`` solves a layer's first crossings in closed form:
@@ -81,6 +88,11 @@ LANES_PER_CALL = 8192
 # 5-120-3 training batch of 64 rows takes about 6 chunks under the training
 # masks, a replayed row one
 PLAN_ENTRIES = 1 << 14
+# the current replay takes a level's rows in chunks whose (1 + K, rows, H)
+# block holds at most this many entries (more only for a single row that
+# needs more); every 5-120-3 training batch of 64 rows takes one chunk, its
+# largest block about 46k entries
+REPLAY_ENTRIES = 1 << 16
 
 
 class DegenerateCrossing(RuntimeError):
@@ -118,14 +130,18 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     the c of each lane it drives, and a spiking neuron's current is
     c_j e^{-(t_e-A)/tau_s}.  Currents are never reset, so c is the running
     sum of the row's adds in slot order.  Level by level
-    (``Network.levels``), the row's events that drive a level fill one
+    (``Network.levels``, with the weights into each level from
+    ``Network.level_inputs``), the row's events that drive a level fill one
     (1 + K, B, H) block, row 0 the carry and row p the adds of the p-th,
     and ``np.cumsum`` along the events, a left fold in slot order like the
     slot loop's, gives c after each.  A spike of the level reads it at its
     row's count of driving events before it: no neuron drives its own
     level.  The sum runs per anchor window (see the module docstring); a
     window's carry is the last c of the window before, scaled by
-    e^{-(A'-A)/tau_s} <= 1.
+    e^{-(A'-A)/tau_s} <= 1.  The rows go in chunks whose blocks hold at
+    most REPLAY_ENTRIES entries (a single row may need more), which bounds
+    the memory however many events drive a wide level; each row's sums are
+    the same in any chunk.
     """
     b, m = times.shape
     ts = net.params.tau_syn
@@ -152,37 +168,43 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     src = _stacked_source(neurons, kinds, net)
     internal = kinds == int(SpikeKind.INTERNAL)
     spike_level = np.where(internal, level[np.where(internal, neurons, 0)], -1)
-    rows = np.arange(b)
     out = np.zeros((b, m))
-    for lev in range(int(level.max(initial=-1)) + 1):
-        in_level = level == lev
-        cols = np.flatnonzero(in_level)
-        # the stacked weights [w; w_in; 0] into the level's neurons
-        w_lev = np.vstack([net.weights, net.input_weights, np.zeros((1, net.n_total))])[:, cols]
-        drives = (w_lev != 0.0).any(axis=1)[src]
+    for lev, (w_lev, row, col) in enumerate(net.level_inputs):
+        h = w_lev.shape[1]
+        # each slot's row of w_lev, -1 if its source drives no neuron here
+        src_row = row[src]
+        drives = src_row >= 0
         reads = spike_level == lev
-        carry = np.zeros((b, cols.size))
-        for win in range(int(window[reads].max(initial=-1)) + 1):
+        carry = np.zeros((b, h))
+        wins = int(window[reads].max(initial=-1)) + 1
+        for win in range(wins):
             here = window == win
             if win:  # the last c of the window before, moved by e^{-(A'-A)/tau_s}
-                enter = np.exp(-(move * here).sum(axis=1) / ts)  # one nonzero move
-                carry = block[count[:, -1], rows] * enter[:, None]
-            # with e = r m + k the flat (row, slot) index, count.take(e): the
-            # row's driving events of the window up to slot k
+                carry *= np.exp(-(move * here).sum(axis=1) / ts)[:, None]  # one nonzero move
+            # count[r, k]: row r's driving events of the window up to slot k
             drv = drives & here
             count = np.cumsum(drv, axis=1)
-            block = np.zeros((1 + int(count[:, -1].max()), b, cols.size))
-            block[0] = carry
-            e = np.flatnonzero(drv)
-            add = w_lev.take(src.take(e), axis=0)
-            add *= np.exp(u.take(e))[:, None]
-            block.reshape(-1, cols.size)[count.take(e) * b + e // m] = add
-            del add  # before the next block is allocated
-            np.cumsum(block, axis=0, out=block)
-            e = np.flatnonzero(reads & here)
-            col = (np.cumsum(in_level) - 1).take(neurons.take(e))
-            at = (count.take(e) * b + e // m) * cols.size + col
-            out.reshape(-1)[e] = block.take(at) * np.exp(-u.take(e))
+            spikes = reads & here
+            # the rows in chunks whose blocks hold at most REPLAY_ENTRIES
+            step = max(1, REPLAY_ENTRIES // ((1 + int(count[:, -1].max())) * h))
+            for lo in range(0, b, step):
+                c = slice(lo, lo + step)
+                cnt = count[c]
+                rows = len(cnt)
+                block = np.zeros((1 + int(cnt[:, -1].max()), rows, h))
+                block[0] = carry[c]
+                # e = r m + k: the chunk's flat (row, slot) index
+                e = np.flatnonzero(drv[c])
+                add = w_lev.take(src_row[c].take(e), axis=0)
+                add *= np.exp(u[c].take(e))[:, None]
+                block.reshape(-1, h)[cnt.take(e) * rows + e // m] = add
+                del add  # before the next block is allocated
+                np.cumsum(block, axis=0, out=block)
+                e = np.flatnonzero(spikes[c])
+                at = (cnt.take(e) * rows + e // m) * h + col.take(neurons[c].take(e))
+                out[c].reshape(-1)[e] = block.take(at) * np.exp(-u[c].take(e))
+                if win + 1 < wins:
+                    carry[c] = block[cnt[:, -1], np.arange(rows)]
     return out, t_end
 
 
@@ -342,13 +364,20 @@ def eventprop_backward_batch(
     slots first (``_adjoint_coefficients``).  A lane's (D, Q) changes only
     at its own spikes, so its state at slot k is the state just after the
     jump of its first spike after k, moved into slot k's frame by
-    ``to_window``, or zero if it has none.  A row's adjoint is zero after
-    its last loss derivative, so only the events up to it take part.  The
-    rows go in chunks of at most PLAN_ENTRIES entries (more only for a
-    single row that has more), counting each event's support entries and
-    each spike's fan-out entries.  In a chunk the internal spikes are
-    sorted by (row, neuron, slot), and the neurons are visited level by
-    level, from the outputs (level 0) up:
+    ``to_window``, or zero if it has none.
+
+    Each (row, neuron) lane has an end (``_lane_ends``): its last slot
+    with a loss derivative, raised level by level to the ends of its
+    ``Network.fan_out`` lanes.  Past its end a lane's adjoint is exactly
+    zero: a jump there has no loss derivative, a zero state after it and
+    zero fan-out states to read.  So a spike past its lane's end is not
+    live: it takes no jump and no entry in the lane table.  A row's events
+    past its last loss derivative, the largest of its lane ends, take no
+    part at all.  The rows go in chunks of at most PLAN_ENTRIES entries
+    (more only for a single row that has more), counting each event's
+    support entries and each live spike's fan-out entries.  In a chunk the
+    live spikes are sorted by (row, neuron, slot), and the neurons are
+    visited level by level, from the outputs (level 0) up:
 
     * each spike's jump gathers its fan-out lanes' states at its slot
       (``core.csr_entries`` over ``Network.fan_out``, the neuron's own
@@ -359,14 +388,16 @@ def eventprop_backward_batch(
       neuron's next spike.
 
     Every event's gradient row then reads each support lane's state at its
-    slot.  The chunk's spikes sit in a table lane by lane, in slot order,
-    each lane closed by an end entry of zero state, so a lookup starts at
-    the lane's first entry and steps past those at or before the slot, one
-    step per spike: a neuron spikes a few times in a row.  The
-    gradient entries are added to the accumulator over the support with
-    ``np.add.at``, one by one in (row, slot, lane) order, so each weight's
-    sum is one left fold in that order whatever the chunks are, and a
-    support's result is the full one times the mask bit for bit.
+    slot.  The chunk's live spikes sit in a table lane by lane, in slot
+    order, each lane closed by an end entry of zero state, so a lookup
+    starts at the lane's first entry and steps past those at or before the
+    slot, one step per spike: a neuron spikes a few times in a row.  A
+    lookup past a lane's last live spike finds the end entry, whose zero
+    state is the lane's adjoint there.  The gradient entries are added to
+    the accumulator over the support with ``np.add.at``, one by one in
+    (row, slot, lane) order, so each weight's sum is one left fold in that
+    order whatever the chunks are, and a support's result is the full one
+    times the mask bit for bit.
     """
     b, m = times.shape
     n = net.n_total
@@ -376,9 +407,12 @@ def eventprop_backward_batch(
     if not np.all(np.isfinite(loss_grads)):
         raise InvalidParameter("loss_grads must be finite")
     internal = kinds == int(SpikeKind.INTERNAL)
-    misplaced = np.argwhere((loss_grads != 0.0) & ~internal)
-    if misplaced.size:
-        r, k = misplaced[0]
+    # the (row, slot) pairs with a loss derivative, in that order
+    r, k = np.nonzero(loss_grads)
+    on_spike = internal[r, k]
+    if not on_spike.all():
+        i = np.argmin(on_spike)
+        r, k = r[i], k[i]
         raise InvalidParameter(
             f"loss_grads[{r}, {k}] = {loss_grads[r, k]:.6g} is on a "
             f"{SpikeKind(kinds[r, k]).name.lower()} slot; only internal spikes take one"
@@ -394,22 +428,26 @@ def eventprop_backward_batch(
     # frame[r, k]: the anchor of slot k's frame less that of the row's end
     frame = np.ascontiguousarray(np.cumsum(shift[:, ::-1], axis=1)[:, ::-1])
 
-    has_loss = loss_grads != 0.0
-    last = np.where(has_loss.any(axis=1), m - 1 - np.argmax(has_loss[:, ::-1], axis=1), -1)
-    live = (kinds != int(SpikeKind.DUMMY)) & (np.arange(m) <= last[:, None])
     fan = net.fan_out
+    # a jump reads a neuron's fan-out less its own entry, listed first
+    j_start, j_count = fan.start[:n] + 1, fan.count[:n] - 1
+    end = _lane_ends(b, r, neurons[r, k], k, net, j_start, j_count)
+    # a row's events past its last loss derivative take no part, and a
+    # spike past its lane's end takes no jump: its adjoint stays zero
+    slot = np.arange(m)
+    live = (kinds != int(SpikeKind.DUMMY)) & (slot <= end.max(axis=1)[:, None])
     sources = np.where(live, _stacked_source(neurons, kinds, net), fan.null)
+    lane_end = end.take(np.where(internal, neurons, 0) + n * np.arange(b)[:, None])
+    jumps = np.where(internal & (slot <= lane_end), neurons, fan.null)
+    del end, lane_end
 
     # support entry e is flat[e] of the stacked rows; its lane is flat[e] % N
     flat = np.flatnonzero(keep)
     s_count = keep.sum(axis=1)
     s_start = np.cumsum(s_count) - s_count
     lane_of = flat % n
-    # a jump reads a neuron's fan-out less its own entry, listed first
-    j_start, j_count = fan.start[:n] + 1, fan.count[:n] - 1
-    # a row's entries: its events' support entries and its spikes' fan-out
-    # entries, each spike's own entry standing for the spike
-    jumps = np.where(sources < n, sources, fan.null)
+    # a row's entries: its events' support entries and its live spikes'
+    # fan-out entries, each spike's own entry standing for the spike
     per_row = (s_count[sources] + fan.count[jumps]).sum(axis=1)
     acc = np.zeros(flat.size)
     for lo, hi in _row_chunks(per_row):
@@ -421,11 +459,11 @@ def eventprop_backward_batch(
         src, f = sources.take(e), frame.take(e)
         multi = bool(f.any())  # else every frame is its row's last
         # The lane table lists lane by lane (row r and neuron L of the chunk
-        # make lane r N + L) the lane's spikes in slot order, then an end
-        # entry at slot m, with their post-jump (D, Q) and frames; the end
-        # entry's are zero.  A lane's state at slot k is that of its first
-        # entry past k.
-        sp = np.flatnonzero(src < n)
+        # make lane r N + L) the lane's live spikes in slot order, then an
+        # end entry at slot m, with their post-jump (D, Q) and frames; the
+        # end entry's are zero.  A lane's state at slot k is that of its
+        # first entry past k.
+        sp = np.flatnonzero(jumps.take(e) < n)
         group = r[sp] * n + src[sp]
         order = np.argsort(group, kind="stable")
         sp, group = sp[order], group[order]
@@ -505,6 +543,28 @@ def eventprop_backward_batch(
     grad[flat] = acc
     grad = grad.reshape(keep.shape)
     return grad[:n], grad[n:-1]
+
+
+def _lane_ends(b, rows, lanes, slots, net: Network, j_start, j_count):
+    """(B, N) end of each (row, neuron) lane: the last slot where its
+    adjoint can be nonzero, or -1.  On level 0 it is the lane's last slot
+    with a loss derivative (``rows``/``lanes``/``slots`` list them); on
+    level L it is the larger of that and the ends of the lane's fan-out
+    lanes less its own (``j_start``/``j_count``), set level by level from
+    the outputs up.  A level takes one pass per position in the longest
+    fan-out among its neurons, a shorter one repeating its last lane."""
+    level, fan = net.levels, net.fan_out
+    end = np.full((b, net.n_total), -1)
+    np.maximum.at(end, (rows, lanes), slots)
+    for lev in range(1, level.max() + 1):
+        cols = np.flatnonzero(level == lev)
+        first, count = j_start[cols], j_count[cols]
+        last = first + count - 1
+        reach = end[:, cols]
+        for p in range(count.max()):
+            np.maximum(reach, end[:, fan.lanes[np.minimum(first + p, last)]], out=reach)
+        end[:, cols] = reach
+    return end
 
 
 def _row_chunks(per_row):

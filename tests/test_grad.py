@@ -171,6 +171,28 @@ def fd_sweep(rng, backward_fn, recurrent):
     return checked
 
 
+# tracemalloc peak in bytes of one current replay of ``two_hidden_layers_case``:
+# 2.43e6 measured with numpy 2.4 in row chunks of REPLAY_ENTRIES, 7.26e6 with
+# one block per level and window
+REPLAY_PEAK_BYTES = 3.0e6
+
+
+def two_hidden_layers_case(h=100, b=32, m=600):
+    """A 5-h-h-3 feedforward net and its traces of b Yin-Yang rows: the
+    inputs drive the first hidden layer hard, so it fires about a hundred
+    times in a row and drives the second layer with every spike."""
+    rng = np.random.default_rng(7)
+    n = 2 * h + 3
+    w = np.zeros((n, n))
+    w[:h, h : 2 * h] = rng.uniform(-0.1, 0.5, size=(h, h))
+    w[h : 2 * h, 2 * h :] = rng.uniform(0.0, 0.2, size=(h, 3))
+    w_in = np.zeros((5, n))
+    w_in[:, :h] = rng.uniform(0.5, 3.0, size=(5, h))
+    net = Network(n, w, w_in, params=P2, output_set=tuple(range(2 * h, n)))
+    ds = pack_samples(encode_dataset(generate(3, b), EncodingConfig()))
+    return net, simulate_batch(net, ds.sorted_neurons, ds.sorted_times, m, 4.0)
+
+
 class TestReconstructCurrents:
     def test_no_inputs_all_zero(self):
         net = random_network(np.random.default_rng(0))
@@ -235,6 +257,40 @@ class TestReconstructCurrents:
         rec = reconstruct_currents_batch(*args)
         assert_bitwise(rec, dense_row_currents(*args))
         np.testing.assert_allclose(rec[0][internal], i_spike[internal], atol=1e-12)
+
+    @pytest.mark.parametrize("replay_entries", [1, 40])
+    def test_row_chunks_of_any_size(self, rng, monkeypatch, replay_entries):
+        # a level's rows go in chunks of at most REPLAY_ENTRIES block
+        # entries, and a window's carry crosses from one chunk to the next
+        starts = [(0.0, 99.8, 900.0, 1800.0), (0.0, 0.4), (50.0, 150.0), (0.2,), (120.0, 130.0)]
+        idx, times = pack_inputs([[in_spike(0, t) for t in row] for row in starts])
+        run = (without_outputs(chain_net(P2)), idx[:, :-1], times[:, :-1], 32, 2000.0)
+        cases = [(chain_net(P2), simulate_batch(*run))]
+        for _ in range(5):
+            net = random_network(rng, recurrent=False)
+            cases.append((net, random_batch(rng, net)[0]))
+        monkeypatch.setattr(grad, "REPLAY_ENTRIES", replay_entries)
+        for net, batch in cases:
+            args = (batch.neurons, batch.times, batch.kinds, net)
+            assert_bitwise(reconstruct_currents_batch(*args), dense_row_currents(*args))
+
+    def test_memory_peak_on_two_hidden_layers(self):
+        # a 5-100-100-3 net whose first hidden layer fires up to 128 times in
+        # a row: one (1 + K, B, H) block of the second layer's drivers took
+        # 7.26e6 bytes at the peak, row chunks of REPLAY_ENTRIES take 2.43e6
+        net, batch = two_hidden_layers_case()
+        args = (batch.neurons, batch.times, batch.kinds, net)
+        first = (batch.kinds == INTERNAL) & (batch.neurons < 100)
+        assert first.sum(axis=1).max() > 100
+        want = dense_row_currents(*args)
+        assert_bitwise(reconstruct_currents_batch(*args), want)
+        tracemalloc.start()
+        try:
+            reconstruct_currents_batch(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= REPLAY_PEAK_BYTES
 
     @pytest.mark.parametrize(
         "edges, cycle",
@@ -905,6 +961,163 @@ def backward_peak(net, batch, g, **kw):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def many_output_spikes_case(m=138):
+    """``workload_case``'s net with its first output's weights from the
+    hidden layer scaled by 8, on the same rows: that output fires early and
+    on, 10 to 12 times before the row's last loss derivative in 31 of the 64
+    rows, as trained outputs do."""
+    net = build_network(5, 120, 3, LifParams(), np.random.default_rng(5), 0.8, 0.06)
+    w = np.array(net.weights)
+    w[:120, 120] *= 8.0
+    return first_spike_case(Network(123, w, net.input_weights, net.params, net.output_set), m)
+
+
+def lane_ends(neurons, net, loss_grads):
+    """Each (row, neuron) lane's end, one neuron at a time, the lower levels
+    first: its last slot with a loss derivative, raised to the end of each
+    neuron it has a nonzero weight to (-1 if none)."""
+    end = np.full((len(loss_grads), net.n_total), -1)
+    for r, k in zip(*np.nonzero(loss_grads)):
+        end[r, neurons[r, k]] = max(end[r, neurons[r, k]], k)
+    for j in np.argsort(net.levels, kind="stable"):
+        for t in np.flatnonzero(net.weights[j]):
+            end[:, j] = np.maximum(end[:, j], end[:, t])
+    return end
+
+
+def live_entries(neurons, kinds, net, loss_grads, support):
+    """Per row, the support entries of its events up to its last loss
+    derivative plus the fan-out entries of its spikes up to their lane's
+    end; also the (B, m) mask of the dead spikes, past their lane's end but
+    not past their row's last loss derivative."""
+    end = lane_ends(neurons, net, loss_grads)
+    if support is None:
+        support = (np.ones(net.weights.shape), np.ones(net.input_weights.shape))
+    s_count = np.concatenate([np.count_nonzero(mask, axis=1) for mask in support])
+    entries = np.zeros(len(end), dtype=np.int64)
+    dead = np.zeros(kinds.shape, dtype=bool)
+    for r, k in zip(*np.nonzero(kinds != DUMMY)):
+        if k > end[r].max():
+            continue
+        j = neurons[r, k]
+        if kinds[r, k] == INPUT:
+            entries[r] += s_count[net.n_total + j]
+            continue
+        entries[r] += s_count[j]
+        if k <= end[r, j]:
+            entries[r] += net.fan_out.count[j]
+        dead[r, k] = k > end[r, j]
+    return entries, dead
+
+
+def assert_counts_live_spikes(monkeypatch, batch, net, loss_grads, support):
+    """The backward's row chunks count the live spikes' fan-out entries only,
+    under the full support and ``support``; returns the dead spikes."""
+    per_rows = []
+    row_chunks = grad._row_chunks
+    monkeypatch.setattr(
+        grad, "_row_chunks", lambda per_row: per_rows.append(per_row) or row_chunks(per_row)
+    )
+    args = (batch.neurons, batch.times, batch.kinds, net, loss_grads)
+    for s in (None, support):
+        eventprop_backward_batch(*args, support=s)
+        want, dead = live_entries(batch.neurons, batch.kinds, net, loss_grads, s)
+        assert np.array_equal(per_rows[-1], want)
+    return dead
+
+
+# tracemalloc peaks of one backward of ``many_output_spikes_case`` under the
+# training masks and the full support: 1.87e6 and 2.06e6 measured with numpy
+# 2.4 (1.89e6 and 2.07e6 when every spike took a jump)
+MANY_SPIKES_PEAK_BYTES = {"masks": 1.9e6, "full": 2.1e6}
+
+
+class TestLaneEnds:
+    """A spike past its lane's end takes no jump: the gradients still equal
+    the slot-loop reference, a support's equal the full ones times the mask
+    bitwise, and the row chunks count only the live spikes."""
+
+    @pytest.fixture(scope="class")
+    def many(self):
+        return many_output_spikes_case()
+
+    def test_an_output_fires_ten_times_before_the_last_loss_derivative(self, many, monkeypatch):
+        net, batch, g = many
+        dead = assert_counts_live_spikes(monkeypatch, batch, net, g, TRAINING_MASKS)
+        slot = np.arange(g.shape[1])
+        last = np.max(np.where(g != 0.0, slot, -1), axis=1)
+        before = (batch.kinds == INTERNAL) & (batch.neurons == 120) & (slot <= last[:, None])
+        assert before.sum(axis=1).max() >= 10
+        assert np.count_nonzero(dead & (batch.neurons == 120)) > 200
+        got = assert_equals_dense_rows(*slots_of(batch), net, g)
+        assert all(np.any(x != 0.0) for x in got)
+
+    def test_a_loss_derivative_on_an_outputs_third_spike_only(self, many, monkeypatch):
+        net, batch, g = many
+        spikes = (batch.kinds == INTERNAL) & (batch.neurons == 120)
+        third = spikes & (np.cumsum(spikes, axis=1) == 3)
+        assert third.sum() > 50
+        loss = np.where(third, -0.7, 0.0)
+        # the output's first two spikes are live, and so is every hidden
+        # spike before the third: each hidden neuron drives that output
+        assert_counts_live_spikes(monkeypatch, batch, net, loss, TRAINING_MASKS)
+        got = assert_equals_dense_rows(*slots_of(batch), net, loss)
+        assert np.any(got[0][:120, 120] != 0.0)
+
+    def test_a_loss_derivative_on_a_hidden_spike_only(self, many, monkeypatch):
+        net, batch, g = many
+        hidden = (batch.kinds == INTERNAL) & (batch.neurons < 120)
+        pick = hidden & (np.cumsum(hidden, axis=1) == 30)
+        assert pick.sum() > 50
+        loss = np.where(pick, 0.8, 0.0)
+        dead = assert_counts_live_spikes(monkeypatch, batch, net, loss, TRAINING_MASKS)
+        # no output lane has an end, so each output spike before it is dead
+        assert np.any(dead & (batch.neurons == 120))
+        got = assert_equals_dense_rows(*slots_of(batch), net, loss)
+        assert np.any(got[1] != 0.0)
+
+    @TAU_RATIOS
+    def test_an_end_that_propagates_two_levels(self, rng, params, monkeypatch):
+        # levels 3, 2, 1 and 0 of neurons {0, 1}, {2, 3}, {4, 5} and {6}:
+        # 1 -> 3 -> 5 -> 6 is one path to the output, and 0 and 2 reach 4
+        # too.  The output's first spike takes a loss derivative and so does
+        # a later spike of 4, so the output's end reaches 5, 3 and 1, whose
+        # spikes between the two derivatives are dead
+        w = np.zeros((7, 7))
+        w[0, 2:4], w[1, 3] = [2.5, 1.5], 3.0
+        w[2, 4:6], w[3, 5] = [2.0, 0.6], 2.4
+        w[4:6, 6] = [2.5, 2.0]
+        w_in = np.zeros((2, 7))
+        w_in[:, 0:2] = [[4.0, 1.5], [2.0, 5.0]]
+        net = Network(7, w, w_in, params=params, output_set=(6,))
+        assert net.levels.tolist() == [3, 3, 2, 2, 1, 1, 0]
+        rows = [np.sort(rng.uniform(0.0, 3.0, size=8)) for _ in range(6)]
+        idx, times = pack_inputs([[in_spike(i % 2, t) for i, t in enumerate(row)] for row in rows])
+        batch = simulate_batch(without_outputs(net), idx[:, :-1], times[:, :-1], 80, 6.0)
+        internal = batch.kinds == INTERNAL
+        out = internal & (batch.neurons == 6)
+        first = out & (np.cumsum(out, axis=1) == 1)
+        after = internal & (batch.neurons == 4) & (np.cumsum(first, axis=1) == 1)
+        later = after & (np.cumsum(after, axis=1) == 2)
+        assert later.sum() >= 4
+        loss = np.where(first | later, rng.normal(size=first.shape), 0.0)
+        dead = assert_counts_live_spikes(monkeypatch, batch, net, loss, random_support(rng, net))
+        for j in (1, 3, 5):
+            assert np.any(dead & (batch.neurons == j))
+        assert not np.any(dead & np.isin(batch.neurons, (0, 2, 4)) & internal)
+        for kw in ({}, {"vdot_floor": 0.5}):
+            args = (batch.neurons, batch.times, batch.kinds, net, loss)
+            got = eventprop_backward_batch(*args, **kw)
+            scales = summand_scale(batch, net, loss, **kw)
+            assert_close(got, dense_row_adjoint(*args, **kw), scales)
+            assert_support_is_masked_full(batch, net, loss, random_support(rng, net), **kw)
+
+    @pytest.mark.parametrize("support", ["masks", "full"])
+    def test_backward_memory_peak(self, many, support):
+        kw = {"support": TRAINING_MASKS if support == "masks" else None}
+        assert backward_peak(*many, **kw) <= MANY_SPIKES_PEAK_BYTES[support]
 
 
 class TestBackwardInputChecks:
