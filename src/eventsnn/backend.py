@@ -23,7 +23,6 @@ dynamics with the caller's float weights, whatever produced the spikes.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -41,7 +40,6 @@ from .core import (
     classify_records,
     format_records,
     format_time,
-    parse_records,
     validate_network,
 )
 from .sim import pack_inputs, simulate_batch
@@ -244,35 +242,47 @@ def read_replay_file(path) -> ReplayFile:
     return _parse_replay(Path(path).read_bytes())
 
 
+# every byte but the two record separators of ``_parse_replay``
+_NOT_A_SEPARATOR = bytes(sorted(set(range(256)) - set(b",;")))
+
+
 def _parse_replay(raw: bytes) -> ReplayFile:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ReplayShapeMismatch(f"replay file is not UTF-8 text: {e}") from e
-    lines = [ln.strip() for ln in io.StringIO(text, newline=None) if ln.strip()]
-    if not lines:
+    head, _, body = text.lstrip().partition("\n")
+    if not head:
         raise ReplayShapeMismatch("empty replay file")
-    head = lines[0].split()
     try:
-        fields = dict(part.split("=") for part in head)
+        fields = dict(part.split("=") for part in head.split())
         m = int(fields["m"])
         t_max = float(fields["t_max"])
         n_samples = int(fields["samples"])
     except (ValueError, KeyError) as e:
-        raise ReplayShapeMismatch(f"bad replay header {lines[0]!r}") from e
-    body = lines[1:]
+        raise ReplayShapeMismatch(f"bad replay header {head.strip()!r}") from e
+    lines = body.split()  # no line of a block holds whitespace
     expected = n_samples * (m + 1)
-    if m < 1 or len(body) != expected:
+    if m < 1 or len(lines) != expected:
         raise ReplayShapeMismatch(
-            f"replay body has {len(body)} lines, expected {expected} "
+            f"replay body has {len(lines)} lines, expected {expected} "
             f"({n_samples} samples x (1 + m={m}))"
         )
-    for s, line in enumerate(body[:: m + 1]):
+    for s, line in enumerate(lines[:: m + 1]):
         if line != RECORDS_HEADER:
             raise ReplayShapeMismatch(f"sample {s} missing the {RECORDS_HEADER!r} header")
-    del body[:: m + 1]
-    neurons, times = (a.reshape(n_samples, m) for a in parse_records(body))
-    return ReplayFile(m, t_max, neurons, times)
+    del lines[:: m + 1]
+    records = ";".join(lines)
+    # one comma per record: its separators alternate with the ";" between records
+    if records.encode().translate(None, _NOT_A_SEPARATOR) != (b",;" * len(lines))[:-1]:
+        raise InvalidParameter("malformed spike record: a record is one 'neuron,time' pair")
+    values = records.replace(";", ",").split(",") if records else []
+    try:
+        neurons = np.array(values[0::2], dtype=np.int64)
+        times = np.array(values[1::2], dtype=np.float64)
+    except (ValueError, OverflowError) as e:
+        raise InvalidParameter(f"malformed spike record: {e}") from e
+    return ReplayFile(m, t_max, neurons.reshape(n_samples, m), times.reshape(n_samples, m))
 
 
 def check_manifest(rf: ReplayFile, m: int, t_max: float) -> None:

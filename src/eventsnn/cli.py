@@ -6,6 +6,13 @@ eval and export-traces; a recorded replay file is read by replay-train
 alone.  Every run is reproducible from its config file; the effective
 config is echoed into each output directory.  Exit codes: 0 success,
 2 config error, 3 runtime error.
+
+Each command draws only the point set and the rows it reads (``data``):
+generate writes both full sets, train draws both, eval only the test set,
+export-traces the first ``--samples`` training points (at most
+``dataset.n_train``) and replay-train the first training points, one per
+block of its file.  Such a prefix is bit for bit the first rows of the
+full training set.
 """
 from __future__ import annotations
 
@@ -110,7 +117,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     net, n_hidden = read_checkpoint(args.checkpoint)
     validate_network(net)
-    _, test_pts = data_mod.build_dataset(cfg.dataset)
+    test_pts = data_mod.draw_test(cfg.dataset)
     ds_test = pack_samples(data_mod.encode_dataset(test_pts, cfg.dataset))
     m = cfg.sim.budget(cfg.dataset.n_inputs, net.n_total)
     acc = evaluate(cfg, net, ds_test, m)
@@ -125,8 +132,8 @@ def cmd_export_traces(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples {args.samples}: export at least one sample")
     out = _out_dir(args)
-    train_pts, _ = data_mod.build_dataset(cfg.dataset)
-    ds = pack_samples(data_mod.encode_dataset(train_pts[: args.samples], cfg.dataset))
+    train_pts = data_mod.draw_train(cfg.dataset, min(args.samples, cfg.dataset.n_train))
+    ds = pack_samples(data_mod.encode_dataset(train_pts, cfg.dataset))
     net, m = _network_for(cfg, args, ds)
     traces = forward_batch(
         cfg.backend, net, ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max,
@@ -146,12 +153,13 @@ def cmd_replay_train(args) -> int:
     out = _out_dir(args)
     rf = read_replay_file(args.traces)
     n = rf.times.shape[0]
-    train_pts, _ = data_mod.build_dataset(cfg.dataset)
-    if len(train_pts) < n:
+    n_train = cfg.dataset.n_train
+    if not 1 <= n <= n_train:
         raise InvalidParameter(
-            f"replay file holds {n} samples but the dataset only {len(train_pts)}"
+            f"replay file holds {n} samples; replay-train reads 1 to dataset.n_train={n_train}"
         )
-    ds = pack_samples(data_mod.encode_dataset(train_pts[:n], cfg.dataset))
+    train_pts = data_mod.draw_train(cfg.dataset, n)
+    ds = pack_samples(data_mod.encode_dataset(train_pts, cfg.dataset))
     net, m = _network_for(cfg, args, ds)
     t_max = cfg.sim.t_max
     check_manifest(rf, m, t_max)

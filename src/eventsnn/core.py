@@ -419,17 +419,6 @@ def format_records(neurons, times) -> str:
     return RECORDS_HEADER + "\n" + "".join(f"{n},{t!r}\n" for n, t in pairs)
 
 
-def parse_records(lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(neurons, times) arrays of "neuron,time" record lines, header excluded."""
-    try:
-        pairs = [ln.split(",") for ln in lines]
-        neurons = np.array([int(n) for n, _ in pairs], dtype=np.int64)
-        times = np.array([float(t) for _, t in pairs], dtype=np.float64)
-    except ValueError as e:
-        raise InvalidParameter(f"malformed spike record: {e}") from e
-    return neurons, times
-
-
 def classify_records(neurons, times, in_neurons, in_times) -> np.ndarray:
     """Kinds of raw (B, m) (neuron, time) records, given each row's inputs.
 

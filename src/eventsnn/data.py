@@ -13,6 +13,11 @@ bias spike, yielding five input neurons: x, y, mirrored x, mirrored y, bias.
 A set is ``LabelledRows`` from draw to batch: the (n, 2) points a set is
 drawn as, then the (n, n_in) input times they encode to, each with its
 (n,) labels.
+
+A config's ``dataset`` section fixes two sets: ``draw_train`` draws the
+training set with the seed, ``draw_test`` the test set with seed + 1.  A
+command draws only the set it reads, and only as many leading rows as it
+reads; such a prefix is bit for bit the first rows of the full draw.
 """
 from __future__ import annotations
 
@@ -92,20 +97,27 @@ def classify(x, y, r_small: float = 0.1):
     return np.where(in_dots, int(YinYangLabel.DOT), labels)
 
 
-def generate(seed: int, n: int, r_small: float = 0.1) -> LabelledRows:
-    """Deterministic balanced sample of n (x, y) points, quota n/3 per class.
+def generate(seed: int, n: int, r_small: float = 0.1, rows: int | None = None) -> LabelledRows:
+    """Deterministic balanced sample of n (x, y) points, quota n/3 per class,
+    or its first ``rows`` points.
 
     Each round draws 512 candidates and keeps, in draw order, those inside
-    the disk whose class quota is not yet full."""
+    the disk whose class quota is not yet full.  A prefix stops the rounds
+    once ``rows`` points are kept; the quotas still come from n, so it is
+    bit for bit the first rows of the full draw."""
     if n <= 0:
         raise InvalidParameter(f"n={n} must be positive")
+    rows = n if rows is None else rows
+    if not 1 <= rows <= n:
+        raise InvalidParameter(f"rows={rows} must lie in [1, n={n}]")
     if not 0.0 < r_small <= R_SMALL_MAX:
         raise InvalidParameter(f"r_small={r_small} must lie in (0, {R_SMALL_MAX}]")
     rng = np.random.default_rng(seed)
     base, rem = divmod(n, 3)
     left = base + (np.arange(3) < rem)  # free places per class
     rounds = []
-    while left.any():
+    kept = 0
+    while kept < rows:
         xs = rng.uniform(0.0, 1.0, size=512)
         ys = rng.uniform(0.0, 1.0, size=512)
         inside = np.hypot(xs - _CENTER[0], ys - _CENTER[1]) <= R_BIG
@@ -113,18 +125,30 @@ def generate(seed: int, n: int, r_small: float = 0.1) -> LabelledRows:
         of_class = inside & (labels == np.arange(3)[:, None])  # (3, 512)
         keep = (of_class & (np.cumsum(of_class, axis=1) <= left[:, None])).any(axis=0)
         left -= np.bincount(labels[keep], minlength=3)
+        kept += int(np.count_nonzero(keep))
         rounds.append((np.column_stack([xs[keep], ys[keep]]), labels[keep]))
     points, labels = zip(*rounds)
-    return LabelledRows(np.concatenate(points), np.concatenate(labels).astype(np.int64))
+    return LabelledRows(
+        np.concatenate(points)[:rows], np.concatenate(labels)[:rows].astype(np.int64)
+    )
+
+
+def draw_train(dcfg, rows: int | None = None) -> LabelledRows:
+    """The training points of a config's ``dataset`` section, or their first
+    ``rows``: export-traces and replay-train read no more."""
+    return generate(dcfg.seed, dcfg.n_train, dcfg.r_small, rows)
+
+
+def draw_test(dcfg) -> LabelledRows:
+    """The test points of a config's ``dataset`` section: the one place
+    that draws them, with seed + 1."""
+    return generate(dcfg.seed + 1, dcfg.n_test, dcfg.r_small)
 
 
 def build_dataset(dcfg) -> tuple[LabelledRows, LabelledRows]:
     """Train and test points of a config's ``dataset`` section, which is
-    also their encoding; the test set is drawn with seed + 1."""
-    return (
-        generate(dcfg.seed, dcfg.n_train, dcfg.r_small),
-        generate(dcfg.seed + 1, dcfg.n_test, dcfg.r_small),
-    )
+    also their encoding; train and generate draw both."""
+    return draw_train(dcfg), draw_test(dcfg)
 
 
 def encode_dataset(points: LabelledRows, cfg: EncodingConfig = EncodingConfig()) -> LabelledRows:

@@ -251,8 +251,10 @@ def _activity(
     m: int,
     t_max: float,
 ):
-    """Fractions of (sample, neuron) pairs that spike before t_max, for hidden
-    and output: the traces run to t_max, as a net without outputs does."""
+    """Fractions of (sample, neuron) pairs that spike within a row's first m
+    events, for hidden and output.  The net runs without outputs, so no row
+    stops when its outputs have fired; a row ends at t_max or when it fills
+    the budget m, and at the default budget every probe row fills it."""
     batch = backend_mod.forward_batch(
         bcfg,
         replace(net, output_set=()),
@@ -277,7 +279,9 @@ def init_network(
     """Gaussian init with per-layer means raised until the net is active.
 
     A first-spike network learns nothing while silent, so the probe demands
-    >= 90 % of hidden and output units spike on a probe batch at init.
+    >= 90 % of hidden and output units spike on a probe batch at init.  The
+    probe reads each row's first m events (``_activity``), not its run to
+    t_max.
     """
     ncfg = cfg.network
     n_in = ds.by_neuron_times.shape[1]

@@ -389,6 +389,39 @@ class TestReplayRecords:
         assert back.times.tolist() == times.tolist()
         np.testing.assert_array_equal(back.neurons, neurons)
 
+    def test_file_roundtrip_of_any_float64_bit_exact(self, rng, tmp_path):
+        # random bit patterns (NaNs aside), subnormals, -0.0, +-inf and
+        # 17-digit reprs: the file holds every float64 exactly
+        times = rng.integers(0, 2**64, size=(3, 200), dtype=np.uint64).view(np.float64)
+        times[np.isnan(times)] = 0.5
+        times[1, :60] = rng.integers(1, 2**52, size=60, dtype=np.uint64).view(np.float64)
+        times[1, 60:80] *= -1.0
+        specials = [
+            5e-324, -5e-324, 2.225073858507201e-308, 1e-320, -0.0, 0.0, math.inf,
+            -math.inf, 0.30000000000000004, 1.0000000000000002, 1.7976931348623157e308,
+        ]
+        times[2, : len(specials)] = specials
+        assert any(
+            len(repr(abs(t)).split("e")[0].replace(".", "").strip("0")) == 17
+            for t in times.ravel().tolist()
+        )
+        neurons = rng.integers(-1, 1000, size=times.shape)
+        path = tmp_path / "t.replay"
+        write_replay_file(path, EventTrace(neurons, times, np.zeros(times.shape, np.int8)), 200, 4.0)
+        rf = read_replay_file(path)
+        assert rf.times.dtype == np.float64 and rf.times.tobytes() == times.tobytes()
+        assert rf.neurons.dtype == np.int64 and np.array_equal(rf.neurons, neurons)
+
+    def test_crlf_and_blank_lines_read_alike(self, tmp_path):
+        path = tmp_path / "t.replay"
+        self.write(path, [3, 0, -1], [0.125, 1.0 / 3.0, math.inf])
+        want = read_replay_file(path)
+        lines = path.read_text().splitlines()
+        path.write_bytes(("\n\r\n".join(lines) + "\r\n\n").encode())
+        got = read_replay_file(path)
+        assert got.neurons.tolist() == want.neurons.tolist()
+        assert got.times.tobytes() == want.times.tobytes()
+
     def test_dummy_is_literal_inf_token(self, tmp_path):
         self.write(tmp_path / "t.replay", [-1], [math.inf])
         assert (tmp_path / "t.replay").read_text().splitlines()[2] == "-1,inf"
@@ -424,6 +457,19 @@ class TestReplayRecords:
             path.write_text("\n".join(lines[:3] + [record] + lines[4:]) + "\n")
             with pytest.raises(error, match=match):
                 self.read(path, [1], [0.25])
+
+    def test_records_that_pair_up_only_across_lines_rejected(self, tmp_path):
+        # "1,2,3" then "5" holds two records' worth of fields, but neither
+        # line is one record
+        path = tmp_path / "t.replay"
+        self.write(path, [1, -1, -1], [0.25, math.inf, math.inf])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["1,2,3", "5"]) + "\n")
+        with pytest.raises(InvalidParameter, match="malformed"):
+            read_replay_file(path)
+        path.write_text("\n".join(lines[:3] + ["1,", "0.5"]) + "\n")
+        with pytest.raises(InvalidParameter, match="malformed"):
+            read_replay_file(path)
 
 
 class TestReplayTrainValidation:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from eventsnn import data as data_mod
 from eventsnn.backend import read_replay_file
 from eventsnn.cli import main
 from eventsnn.config import load_config
@@ -74,6 +75,87 @@ def test_export_needs_a_positive_sample_count(tmp_path, tiny, capsys, samples):
     assert run("export-traces", "--samples", samples, "--out", out, config=tiny) == 2
     assert "--samples" in capsys.readouterr().err
     assert not (out / "traces.replay").exists()
+
+
+def cycle(tmp_path, config, tag, samples=5):
+    """export-traces, then replay-train from its file; the four files they write."""
+    export, replay = tmp_path / f"export-{tag}", tmp_path / f"replay-{tag}"
+    assert run("export-traces", "--samples", samples, "--out", export, config=config) == 0
+    assert run(
+        "replay-train", "--traces", export / "traces.replay",
+        "--checkpoint", export / "checkpoint.txt", "--out", replay, config=config,
+    ) == 0
+    files = (export / "traces.replay", export / "checkpoint.txt")
+    return [p.read_bytes() for p in files + (replay / "gradients.txt", replay / "checkpoint.txt")]
+
+
+def test_export_and_replay_write_what_the_full_draw_gives(tmp_path, tiny, monkeypatch):
+    # the commands draw only the rows they read; the same commands on the
+    # leading rows of the whole training set write the same bytes
+    prefix = cycle(tmp_path, tiny, "prefix")
+    train_pts, _ = build_dataset(load_config(tiny).dataset)
+    monkeypatch.setattr(data_mod, "draw_train", lambda dcfg, rows: train_pts[:rows])
+    assert cycle(tmp_path, tiny, "full") == prefix
+
+
+def test_each_command_draws_only_the_set_and_rows_it_reads(tmp_path, tiny, monkeypatch):
+    draws = []
+    real = data_mod.generate
+
+    def generate(seed, n, r_small=0.1, rows=None):
+        draws.append((seed, n, rows))
+        return real(seed, n, r_small, rows)
+
+    monkeypatch.setattr(data_mod, "generate", generate)
+    cycle(tmp_path, tiny, "cycle")
+    assert draws == [(42, 30, 5), (42, 30, 5)]
+    draws.clear()
+    assert run("generate", "--out", tmp_path / "data", config=tiny) == 0
+    assert draws == [(42, 30, None), (43, 12, None)]
+    draws.clear()
+    checkpoint = tmp_path / "export-cycle" / "checkpoint.txt"
+    assert run("eval", "--checkpoint", checkpoint, "--out", tmp_path / "eval", config=tiny) == 0
+    assert draws == [(43, 12, None)]
+
+
+def test_export_of_more_samples_than_the_training_set_exports_all_of_it(tmp_path, tiny, capsys):
+    out = tmp_path / "export"
+    assert run("export-traces", "--samples", 50, "--out", out, config=tiny) == 0
+    assert "exported 30 traces" in capsys.readouterr().out
+    assert read_replay_file(out / "traces.replay").times.shape[0] == 30
+
+
+def test_replay_of_more_samples_than_the_training_set_is_a_config_error(
+    tmp_path, tiny, capsys
+):
+    export = tmp_path / "export"
+    assert run("export-traces", "--samples", 20, "--out", export, config=tiny) == 0
+    small = tmp_path / "small.txt"
+    small.write_text(TINY + "dataset.n_train = 12\n")
+    capsys.readouterr()
+    assert run(
+        "replay-train", "--traces", export / "traces.replay",
+        "--checkpoint", export / "checkpoint.txt", "--out", tmp_path / "replay", config=small,
+    ) == 2
+    err = capsys.readouterr().err
+    assert "20 samples" in err and "n_train=12" in err
+    assert not (tmp_path / "replay" / "gradients.txt").exists()
+
+
+def test_replay_of_a_file_without_samples_is_a_config_error(tmp_path, tiny, capsys):
+    export = tmp_path / "export"
+    assert run("export-traces", "--samples", 2, "--out", export, config=tiny) == 0
+    head = (export / "traces.replay").read_text().splitlines()[0]
+    empty = tmp_path / "empty.replay"
+    empty.write_text(head.replace("samples=2", "samples=0") + "\n")
+    assert read_replay_file(empty).times.shape == (0, read_replay_file(export / "traces.replay").m)
+    capsys.readouterr()
+    assert run(
+        "replay-train", "--traces", empty, "--checkpoint", export / "checkpoint.txt",
+        "--out", tmp_path / "replay", config=tiny,
+    ) == 2
+    assert "0 samples" in capsys.readouterr().err
+    assert not (tmp_path / "replay" / "gradients.txt").exists()
 
 
 @pytest.mark.parametrize(

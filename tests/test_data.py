@@ -1,14 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from eventsnn.core import InvalidParameter
+from eventsnn.config import DatasetConfig
 from eventsnn.data import (
     EncodingConfig,
     LabelledRows,
     YinYangLabel,
+    build_dataset,
     classify,
+    draw_test,
+    draw_train,
     encode_dataset,
     generate,
     write_dataset,
@@ -85,6 +90,53 @@ class TestGeometry:
         yin = np.mean(labels == int(YinYangLabel.YIN))
         yang = np.mean(labels == int(YinYangLabel.YANG))
         assert yin == pytest.approx(yang, abs=0.01)
+
+
+def sha256_of(pts: LabelledRows) -> str:
+    return hashlib.sha256(pts.values.tobytes() + pts.labels.tobytes()).hexdigest()
+
+
+class TestPrefixDraw:
+    """A draw of the first rows of a set is bit for bit the full draw's
+    first rows, and the full draws did not move."""
+
+    @pytest.mark.parametrize("r_small", [0.1, 0.05])
+    @pytest.mark.parametrize("n", [7, 30, 1280, 3001, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 42])
+    def test_prefix_is_the_full_draws_first_rows(self, seed, n, r_small):
+        # n = 7 and 30 fill every class quota within the first round
+        full = generate(seed, n, r_small)
+        for rows in sorted({1, min(64, n), n - 1, n}):
+            head = generate(seed, n, r_small, rows)
+            assert len(head) == rows
+            for got, want in ((head.values, full.values), (head.labels, full.labels)):
+                assert got.dtype == want.dtype and got.shape == (rows, *want.shape[1:])
+                assert got.tobytes() == want[:rows].tobytes()
+
+    @pytest.mark.parametrize("rows", [0, -1, 31, 1000])
+    def test_rows_outside_one_to_n_rejected(self, rows):
+        with pytest.raises(InvalidParameter, match="rows"):
+            generate(1, 30, 0.1, rows)
+
+    @pytest.mark.parametrize(
+        "seed, n, digest",
+        [
+            (1, 5000, "d297ad5e4479debf609622eb4b618763a4e13edf6088d372cc15e1e6af82c037"),
+            (2, 3000, "c5a645f8b56689c16f2a3ac0f76b924dd74bf85ab73c2986e384cebe07c7d057"),
+            (1, 1280, "7492841a0bd57c09f82c3f3932ba655df0c9259835261cdfeecc382fc267f60c"),
+            (2, 512, "d384fb971bb713b1fa91bf25b4a415ca6f37d88cedb342d60361690ebaf7f836"),
+        ],
+    )
+    def test_full_draws_of_the_benchmark_workloads_pinned(self, seed, n, digest):
+        # taken before the prefix stop was added: the full draw is unchanged
+        assert sha256_of(generate(seed, n, 0.1)) == digest
+
+    def test_sets_of_a_config(self):
+        dcfg = DatasetConfig(seed=5, n_train=100, n_test=40)
+        train, test = build_dataset(dcfg)
+        assert sha256_of(train) == sha256_of(draw_train(dcfg)) == sha256_of(generate(5, 100))
+        assert sha256_of(test) == sha256_of(draw_test(dcfg)) == sha256_of(generate(6, 40))
+        assert sha256_of(draw_train(dcfg, 9)) == sha256_of(train[:9])
 
 
 class TestEncoding:
