@@ -17,7 +17,6 @@ from .core import (
     Spike,
     SpikeKind,
     UnsupportedTauRatio,
-    validate_network,
 )
 from .lif import (
     CrossingResult,

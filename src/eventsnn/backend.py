@@ -40,7 +40,6 @@ from .core import (
     classify_records,
     format_records,
     format_time,
-    validate_network,
 )
 from .sim import pack_inputs, simulate_batch
 
@@ -185,7 +184,6 @@ def forward_batch(
     rows raise ``InvalidParameter`` or ``UnsortedInput`` on every backend
     (``sim.check_input_rows``).
     """
-    validate_network(net)
     if cfg.kind == "numeric":
         return simulate_batch(net, in_neurons, in_times, m, t_max)
     batch = simulate_batch(_mock_network(net, cfg.mock), in_neurons, in_times, m, t_max)

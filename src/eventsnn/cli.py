@@ -3,9 +3,10 @@
 Subcommands: generate, train, eval, export-traces, replay-train.
 ``--backend`` picks the forward pass (``numeric`` or ``mock``) of train,
 eval and export-traces; a recorded replay file is read by replay-train
-alone.  Every run is reproducible from its config file; the effective
-config is echoed into each output directory.  Exit codes: 0 success,
-2 config error, 3 runtime error.
+alone; its one Adam step is not train's first step on the same traces
+(see ``cmd_replay_train``).  Every run is reproducible from its config file;
+the effective config is echoed into each output directory.  Exit codes:
+0 success, 2 config error, 3 runtime error.
 
 Each command draws only the point set and the rows it reads (``data``):
 generate writes both full sets, train draws both, eval only the test set,
@@ -32,7 +33,7 @@ from .backend import (
     write_replay_file,
 )
 from .config import ExperimentConfig, load_config, save_config
-from .core import InvalidParameter, format_matrix, validate_network
+from .core import InvalidParameter, format_matrix
 from .train import (
     AdamState,
     TtfsLoss,
@@ -115,8 +116,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    net, n_hidden = read_checkpoint(args.checkpoint)
-    validate_network(net)
+    net, _ = read_checkpoint(args.checkpoint)
     test_pts = data_mod.draw_test(cfg.dataset)
     ds_test = pack_samples(data_mod.encode_dataset(test_pts, cfg.dataset))
     m = cfg.sim.budget(cfg.dataset.n_inputs, net.n_total)
@@ -149,6 +149,9 @@ def cmd_export_traces(args) -> int:
 
 
 def cmd_replay_train(args) -> int:
+    """One Adam step from the replayed traces' mean EventProp gradient,
+    masked to the feedforward structure.  Unlike a ``train`` step it applies
+    no ``train.gamma`` bump, ``train.rate_lambda`` decay or ``train.grad_clip``."""
     cfg = _load_cfg(args)
     out = _out_dir(args)
     rf = read_replay_file(args.traces)

@@ -66,14 +66,14 @@ class NetworkConfig:
             val = getattr(self, key)
             if not math.isfinite(val):
                 raise InvalidParameter(f"network.{key}={val} must be finite")
-        # tau_syn = 1, so a ratio the solvers cover is positive too
-        if not self.params.is_analytic:
-            raise InvalidParameter(
-                f"network.tau_mem_ratio={self.tau_mem_ratio}: the solvers cover 1 and 2 only"
-            )
-        if not self.params.resets_below_threshold:
+        # before ``params`` builds a LifParams, whose errors name no key
+        if not self.v_reset < self.v_th:
             raise InvalidParameter(
                 f"network.v_reset={self.v_reset} must lie below network.v_th={self.v_th}"
+            )
+        if not (self.tau_mem_ratio > 0.0 and self.params.is_analytic):
+            raise InvalidParameter(
+                f"network.tau_mem_ratio={self.tau_mem_ratio}: the solvers cover 1 and 2 only"
             )
 
     @property

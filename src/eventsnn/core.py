@@ -16,7 +16,9 @@ Conventions, fixed once and used everywhere:
     sample, which is one row of ``data.LabelledRows``.
 
 All types except the trace are immutable value types after construction and
-safe to share between threads.
+safe to share between threads.  Each checks its invariants once, when it is
+built (``dataclasses.replace`` included), and raises a typed error on the
+first one broken; no function re-checks them per call.
 
 Two blocks hold every number the files carry, each written with ``repr`` so
 that a float64 reads back bit for bit: a record block, the "neuron,time"
@@ -99,12 +101,25 @@ class Spike:
 @dataclass(frozen=True)
 class LifParams:
     """LIF neuron constants in normalized units (tau_syn = 1, resting
-    potential 0)."""
+    potential 0).
+
+    Invariants: tau_mem > 0 and tau_syn > 0 (else NonpositiveTimeConstant),
+    v_reset < v_th (else InvalidParameter); NaN fails both.  Any tau ratio
+    builds; the crossing solvers raise UnsupportedTauRatio off 1 and 2.
+    """
 
     tau_mem: float = 2.0
     tau_syn: float = 1.0
     v_th: float = 1.0
     v_reset: float = 0.0
+
+    def __post_init__(self):
+        if not (self.tau_mem > 0.0 and self.tau_syn > 0.0):
+            raise NonpositiveTimeConstant(
+                f"tau_mem={self.tau_mem}, tau_syn={self.tau_syn} must be > 0"
+            )
+        if not self.v_reset < self.v_th:
+            raise InvalidParameter(f"v_reset={self.v_reset} must lie below v_th={self.v_th}")
 
     @property
     def is_equal_tau(self) -> bool:
@@ -118,10 +133,6 @@ class LifParams:
     def is_analytic(self) -> bool:
         """A tau ratio the production root solvers cover: 1 or 2."""
         return self.is_equal_tau or self.is_double_tau
-
-    @property
-    def resets_below_threshold(self) -> bool:
-        return self.v_reset < self.v_th  # NaN fails too
 
 
 def _frozen_array(a, dtype) -> np.ndarray:
@@ -150,6 +161,11 @@ class Network:
     without readout runs to t_max.  Every neuron's spikes up to then enter
     the trace, as the gradient path requires.
 
+    Invariants: ``weights`` is (n_total, n_total) and ``input_weights``
+    (n_in, n_total) (else DimensionMismatch); both are finite, and
+    ``output_set`` holds distinct indices in [0, n_total) (else
+    InvalidParameter).
+
     Both matrices are held read-only.  A float64 C-contiguous array that is
     already read-only and owns its memory (another Network's matrix, or one
     the caller froze with ``setflags(write=False)`` and keeps no writable
@@ -173,6 +189,18 @@ class Network:
             self, "input_weights", _frozen_array(self.input_weights, np.float64)
         )
         object.__setattr__(self, "output_set", tuple(int(k) for k in self.output_set))
+        n = self.n_total
+        if self.weights.shape != (n, n):
+            raise DimensionMismatch(f"weights shape {self.weights.shape} != ({n}, {n})")
+        if self.input_weights.ndim != 2 or self.input_weights.shape[1] != n:
+            raise DimensionMismatch(
+                f"input_weights shape {self.input_weights.shape} incompatible with n_total={n}"
+            )
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.input_weights).all()):
+            raise InvalidParameter("weight matrices must be finite")
+        out = self.output_set
+        if len(set(out)) != len(out) or not all(0 <= k < n for k in out):
+            raise InvalidParameter(f"output_set {out} must hold distinct indices in [0, {n})")
 
     @property
     def n_in(self) -> int:
@@ -363,42 +391,6 @@ class EventTrace:
         if self.times.ndim != 2:
             raise DimensionMismatch("a single-sample trace has no rows")
         return EventTrace(self.neurons[b], self.times[b], self.kinds[b])
-
-
-def validate_network(net: Network, require_analytic: bool = True) -> None:
-    """Check every structural invariant; raises on the first violation.
-
-    Idempotent and side-effect free. ``require_analytic`` additionally
-    demands a tau ratio the production root solvers support.
-    """
-    p = net.params
-    if not (p.tau_mem > 0.0 and p.tau_syn > 0.0):
-        raise NonpositiveTimeConstant(
-            f"tau_mem={p.tau_mem}, tau_syn={p.tau_syn} must be > 0"
-        )
-    if not p.resets_below_threshold:
-        raise InvalidParameter(f"v_reset={p.v_reset} must lie below v_th={p.v_th}")
-    n = net.n_total
-    if net.weights.shape != (n, n):
-        raise DimensionMismatch(
-            f"weights shape {net.weights.shape} != ({n}, {n})"
-        )
-    if net.input_weights.ndim != 2 or net.input_weights.shape[1] != n:
-        raise DimensionMismatch(
-            f"input_weights shape {net.input_weights.shape} incompatible with n_total={n}"
-        )
-    if not np.all(np.isfinite(net.weights)) or not np.all(np.isfinite(net.input_weights)):
-        raise InvalidParameter("weight matrices must be finite")
-    for k in net.output_set:
-        if not 0 <= k < n:
-            raise InvalidParameter(f"output_set index {k} out of range [0, {n})")
-    if len(set(net.output_set)) != len(net.output_set):
-        raise InvalidParameter("output_set contains duplicates")
-    if require_analytic and not p.is_analytic:
-        raise UnsupportedTauRatio(
-            f"tau_mem/tau_syn = {p.tau_mem / p.tau_syn:g}: analytic solvers "
-            "support only ratios 1 and 2"
-        )
 
 
 # ---------------------------------------------------------------------------

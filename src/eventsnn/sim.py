@@ -73,7 +73,6 @@ from .core import (
     Spike,
     SpikeKind,
     csr_entries,
-    validate_network,
 )
 from .lif import next_crossing_safe, propagate_arrays
 
@@ -252,7 +251,6 @@ def simulate(net: Network, inputs: Sequence[Spike], m: int, t_max: float) -> Eve
     The row stops at t_max, at the budget or once every output has fired,
     whichever comes first; inputs after the stop are not read.
     """
-    validate_network(net)
     # a dummy packs to the (-1, inf) padding, which the row check accepts
     if any(s.is_dummy for s in inputs):
         raise InvalidParameter("dummy spikes are not valid inputs")

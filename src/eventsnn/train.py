@@ -44,10 +44,14 @@ class ShapeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class TtfsLoss:
-    """First-spike softmax cross-entropy configuration."""
+    """First-spike softmax cross-entropy configuration; xi > 0 (NaN fails)."""
 
     xi: float = 0.5
     alpha: float = 0.0
+
+    def __post_init__(self):
+        if not self.xi > 0.0:
+            raise InvalidParameter(f"xi={self.xi} must be positive")
 
 
 def first_spike_times_batch(neurons, times, kinds, ids: Sequence[int]):
@@ -78,8 +82,6 @@ def ttfs_from_times(t_first, labels, cfg: TtfsLoss, t_max: float):
 
     ``t_first`` is (B, n_out) with +inf for silent outputs.
     """
-    if not cfg.xi > 0.0:
-        raise InvalidParameter("xi must be positive")
     t_first = np.asarray(t_first, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     b, n_out = t_first.shape
@@ -618,15 +620,14 @@ def read_checkpoint(path) -> tuple[Network, int]:
         n_in, n_total, n_hidden, n_out = (int(sizes[k]) for k in CHECKPOINT_SIZES)
     except ValueError as e:
         raise InvalidParameter(f"checkpoint {path}: bad header: {e}") from e
-    if n_in < 0 or not 0 <= n_hidden <= n_total or n_out != n_total - n_hidden:
-        raise InvalidParameter(f"checkpoint {path}: bad sizes {sizes_line!r}")
+    if n_in < 0 or not 0 <= n_hidden < n_total or n_out != n_total - n_hidden:
+        raise InvalidParameter(
+            f"checkpoint {path}: bad sizes {sizes_line!r}: need n_out = n_total - n_hidden >= 1"
+        )
     w_in = parse_matrix(lines, 3, "input_weights", (n_in, n_total), f"checkpoint {path}")
     w = parse_matrix(lines, 4 + n_in, "weights", (n_total, n_total), f"checkpoint {path}")
-    net = Network(
-        n_total=n_total,
-        weights=w,
-        input_weights=w_in,
-        params=params,
-        output_set=tuple(range(n_hidden, n_total)),
-    )
+    try:
+        net = Network(n_total, w, w_in, params, output_set=tuple(range(n_hidden, n_total)))
+    except ValueError as e:
+        raise InvalidParameter(f"checkpoint {path}: {e}") from e
     return net, n_hidden

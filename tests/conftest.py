@@ -32,7 +32,6 @@ from eventsnn.core import (
     Network,
     Spike,
     SpikeKind,
-    validate_network,
 )
 from eventsnn.grad import (
     EPS_VDOT,
@@ -223,7 +222,6 @@ def dense_oracle(net: Network, inputs, dt: float, t_max: float, m: int | None = 
     """
     if not dt > 0.0:
         raise InvalidParameter(f"dt={dt} must be positive")
-    validate_network(net, require_analytic=False)
     p = net.params
     tm, ts, v_th, v_reset = p.tau_mem, p.tau_syn, p.v_th, p.v_reset
     w, w_in = net.weights.tolist(), net.input_weights.tolist()

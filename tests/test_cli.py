@@ -446,3 +446,39 @@ def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
     ) == 0
     lines = (out / "gradients.txt").read_text().split()
     assert all(np.isfinite(float(x)) for x in lines if x[0] in "-0123456789")
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [(4, 0, "nan")],  # line 4 is the first input-weight row
+        [(4, 0, "inf")],
+        [(1, "v_reset", "1.5")],
+        [(1, "tau_mem", "-2.0")],
+        [(2, "n_hidden", "9"), (2, "n_out", "0")],
+    ],
+    ids=["nan-weight", "inf-weight", "v_reset-1.5", "tau_mem-neg", "n_out-0"],
+)
+def test_each_command_rejects_a_bad_checkpoint(tmp_path, tiny, capsys, edits):
+    assert run("export-traces", "--samples", 5, "--out", tmp_path / "init", config=tiny) == 0
+    lines = (tmp_path / "init" / "checkpoint.txt").read_text().splitlines()
+    assert lines[2] == "n_in 5 n_total 9 n_hidden 6 n_out 3"
+    for row, at, value in edits:  # a word by position, or a header key's value
+        words = lines[row].split()
+        words[at if isinstance(at, int) else words.index(at) + 1] = value
+        lines[row] = " ".join(words)
+    checkpoint = tmp_path / "bad.txt"
+    checkpoint.write_text("\n".join(lines) + "\n")
+    traces = tmp_path / "init" / "traces.replay"
+    commands = {
+        "eval": ["eval"],
+        "export": ["export-traces", "--samples", 5],
+        "replay": ["replay-train", "--traces", traces],
+    }
+    capsys.readouterr()
+    for name, command in commands.items():
+        out = tmp_path / name
+        assert run(*command, "--checkpoint", checkpoint, "--out", out, config=tiny) == 2, name
+        assert str(checkpoint) in capsys.readouterr().err
+        written = ("eval.txt", "traces.replay", "gradients.txt", "checkpoint.txt")
+        assert not any((out / f).exists() for f in written)

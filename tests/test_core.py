@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from eventsnn.backend import KINDS, BackendConfig, forward_batch
 from eventsnn.core import (
     DimensionMismatch,
     EventTrace,
@@ -14,7 +16,15 @@ from eventsnn.core import (
     SpikeKind,
     UnsupportedTauRatio,
     classify_records,
-    validate_network,
+)
+from eventsnn.grad import fud_feedforward
+from eventsnn.sim import simulate, simulate_batch
+from eventsnn.train import (
+    TtfsLoss,
+    read_checkpoint,
+    replace_weights,
+    split_layers,
+    write_checkpoint,
 )
 
 from conftest import classify_walk, random_network
@@ -51,34 +61,96 @@ class TestSpike:
 
 
 class TestValidateNetwork:
+    """Each value type validates itself once, when it is built."""
+
     def test_wellformed_passes(self):
-        validate_network(make_net(n=2, tau_mem=2.0))
+        make_net(n=2, tau_mem=2.0)
 
     def test_shape_violation(self):
         with pytest.raises(DimensionMismatch):
-            validate_network(make_net(n=2, weights=np.zeros((3, 2))))
-
-    def test_tau_ratio_rejected_for_analytic_path(self):
-        net = make_net(tau_mem=1.5)
-        with pytest.raises(UnsupportedTauRatio):
-            validate_network(net)
-        # oracle/testing path may still accept odd ratios
-        validate_network(net, require_analytic=False)
+            make_net(n=2, weights=np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            make_net(n=2, input_weights=np.zeros((1, 3)))
+        with pytest.raises(DimensionMismatch):
+            make_net(n=2, input_weights=np.zeros(2))
 
     def test_nonpositive_tau(self):
-        with pytest.raises(NonpositiveTimeConstant):
-            validate_network(make_net(tau_mem=-1.0))
+        for tau in ({"tau_mem": -1.0}, {"tau_syn": 0.0}, {"tau_mem": math.nan}):
+            with pytest.raises(NonpositiveTimeConstant):
+                LifParams(**tau)
 
     def test_reset_must_sit_below_threshold(self):
-        with pytest.raises(InvalidParameter):
-            validate_network(make_net(v_reset=1.5))
+        for v_reset in (1.0, 1.5, math.nan):
+            with pytest.raises(InvalidParameter, match="v_reset"):
+                LifParams(v_reset=v_reset)
 
-    def test_idempotent(self):
-        net = make_net()
-        before = net.weights.copy()
-        validate_network(net)
-        validate_network(net)
-        np.testing.assert_array_equal(net.weights, before)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_weights_must_be_finite(self, bad):
+        w = np.zeros((2, 2))
+        w[0, 1] = bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            make_net(n=2, weights=w)
+        w_in = np.zeros((1, 2))
+        w_in[0, 0] = bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            make_net(n=2, input_weights=w_in)
+
+    @pytest.mark.parametrize("output_set", [(3,), (4,), (-1,), (0, 3)])
+    def test_output_set_out_of_range(self, output_set):
+        # index 4 of a 3-neuron net with 5 inputs would name an input
+        # channel's stacked source, 3 + 1, in the event loop
+        with pytest.raises(InvalidParameter, match="distinct indices in"):
+            Network(3, np.zeros((3, 3)), np.zeros((5, 3)), output_set=output_set)
+
+    def test_output_set_duplicates(self):
+        with pytest.raises(InvalidParameter, match="distinct indices in"):
+            Network(3, np.zeros((3, 3)), np.zeros((5, 3)), output_set=(1, 2, 1))
+
+    def test_every_builder_checks(self, tmp_path):
+        bad = np.ones((5, 6))
+        bad[2, 3] = np.nan
+        with pytest.raises(InvalidParameter, match="finite"):
+            Network.feedforward(bad, np.ones((6, 3)))
+        net = Network.feedforward(np.ones((5, 6)), np.ones((6, 3)))
+        with pytest.raises(InvalidParameter, match="output_set"):
+            dataclasses.replace(net, output_set=(9,))
+        with pytest.raises(InvalidParameter, match="v_reset"):
+            dataclasses.replace(net.params, v_reset=2.0)
+        w_in = np.array(net.input_weights)
+        w_in[1, 2] = np.inf
+        with pytest.raises(InvalidParameter, match="finite"):
+            replace_weights(net, (np.array(net.weights), w_in))
+        with pytest.raises(DimensionMismatch):
+            replace_weights(net, (np.array(net.weights), np.ones((5, 8))))
+        path = tmp_path / "ck.txt"
+        write_checkpoint(path, net, 6)
+        lines = path.read_text().splitlines()
+        assert lines[3] == "input_weights"
+        lines[4] = lines[4].replace("1.0", "nan", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameter, match="finite") as err:
+            read_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("xi", [0.0, -0.5, math.nan])
+    def test_loss_needs_a_positive_xi(self, xi):
+        with pytest.raises(InvalidParameter, match="xi"):
+            TtfsLoss(xi=xi)
+
+    def test_tau_ratio_rejected_for_analytic_path(self):
+        # a net of any ratio builds, as the test oracles need; every engine
+        # path raises at its first solve
+        net = Network.feedforward(np.ones((2, 3)), np.ones((3, 2)), LifParams(tau_mem=1.5))
+        in_neurons, in_times = np.array([[0, 1]]), np.array([[0.1, 0.2]])
+        with pytest.raises(UnsupportedTauRatio):
+            simulate(net, [Spike(0, 0.1, SpikeKind.INPUT)], 10, 4.0)
+        with pytest.raises(UnsupportedTauRatio):
+            simulate_batch(net, in_neurons, in_times, 10, 4.0)
+        for kind in KINDS:
+            with pytest.raises(UnsupportedTauRatio):
+                forward_batch(BackendConfig(kind), net, in_neurons, in_times, 10, 4.0, [0])
+        with pytest.raises(UnsupportedTauRatio):
+            fud_feedforward(in_times, *split_layers(net)[1:], net.params, 4.0)
 
 
 class TestLevels:
