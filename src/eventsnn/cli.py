@@ -33,7 +33,7 @@ from .backend import (
     write_replay_file,
 )
 from .config import ExperimentConfig, load_config, save_config
-from .core import InvalidParameter, format_matrix
+from .core import InvalidParameter, Network, format_matrix
 from .train import (
     AdamState,
     TtfsLoss,
@@ -149,9 +149,10 @@ def cmd_export_traces(args) -> int:
 
 
 def cmd_replay_train(args) -> int:
-    """One Adam step from the replayed traces' mean EventProp gradient,
-    masked to the feedforward structure.  Unlike a ``train`` step it applies
-    no ``train.gamma`` bump, ``train.rate_lambda`` decay or ``train.grad_clip``."""
+    """One Adam step on the checkpoint net's two weight blocks from the
+    replayed traces' mean EventProp gradient of those blocks.  Unlike a
+    ``train`` step it applies no ``train.gamma`` bump, ``train.rate_lambda``
+    decay or ``train.grad_clip``."""
     cfg = _load_cfg(args)
     out = _out_dir(args)
     rf = read_replay_file(args.traces)
@@ -167,10 +168,9 @@ def cmd_replay_train(args) -> int:
     t_max = cfg.sim.t_max
     check_manifest(rf, m, t_max)
     loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
-    n_hidden = split_layers(net)[0]
-    mask_w, mask_w_in = structure_masks(net.n_in, n_hidden, net.n_total - n_hidden)
-    g_w_sum = np.zeros((net.n_total, net.n_total))
-    g_w_in_sum = np.zeros((net.n_in, net.n_total))
+    n_hidden, *blocks = split_layers(net)
+    support = structure_masks(net.n_in, n_hidden, net.n_total - n_hidden)
+    g_ih, g_ho = (np.zeros_like(b) for b in blocks)
     for s in range(n):
         block = slice(s, s + 1)
         trace = replay_block_to_trace(
@@ -178,29 +178,31 @@ def cmd_replay_train(args) -> int:
             ds.sorted_neurons[block], ds.sorted_times[block], t_max,
         )
         _, g_w, g_w_in = gradient_from_trace(
-            net, trace[0], int(ds.labels[s]), loss_cfg, t_max, (mask_w, mask_w_in)
+            net, trace[0], int(ds.labels[s]), loss_cfg, t_max, support
         )
-        g_w_sum += g_w
-        g_w_in_sum += g_w_in
-    grads = (g_w_sum * mask_w / n, g_w_in_sum * mask_w_in / n)
-    params = (np.array(net.weights), np.array(net.input_weights))
-    new_params, _ = adam_step(
-        params, grads, AdamState.init(params), cfg.train.lr,
+        g_ih += g_w_in[:, :n_hidden]
+        g_ho += g_w[:n_hidden, n_hidden:]
+    grads = (g_ih / n, g_ho / n)
+    new_blocks, _ = adam_step(
+        blocks, grads, AdamState.init(blocks), cfg.train.lr,
         (cfg.train.beta1, cfg.train.beta2),
     )
-    write_gradients(out / "gradients.txt", grads[0], grads[1])
-    write_checkpoint(out / "checkpoint.txt", replace_weights(net, new_params), n_hidden)
+    write_gradients(out / "gradients.txt", grads)
+    write_checkpoint(out / "checkpoint.txt", replace_weights(net, new_blocks), n_hidden)
     _echo_config(cfg, out)
     print(f"applied one optimizer step from {n} replayed traces")
     return 0
 
 
-def write_gradients(path, grad_w, grad_w_in) -> None:
+def write_gradients(path, grads) -> None:
+    # gradients.txt stays dense, the (n_in, N) and (N, N) matrices of the
+    # Network of the two blocks, because the benchmark parses that layout
+    dense = Network.feedforward(*grads)
     with open(path, "w", encoding="utf-8") as f:
         f.write(GRADIENTS_MAGIC + "\n")
-        f.write(f"n_in {grad_w_in.shape[0]} n_total {grad_w.shape[0]}\n")
-        f.writelines(format_matrix("grad_input_weights", grad_w_in))
-        f.writelines(format_matrix("grad_weights", grad_w))
+        f.write(f"n_in {dense.n_in} n_total {dense.n_total}\n")
+        f.writelines(format_matrix("grad_input_weights", dense.input_weights))
+        f.writelines(format_matrix("grad_weights", dense.weights))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,8 +8,10 @@ rewards early correct spikes.
 Training runs the forward pass through the configured backend in vectorized
 batches, estimates weight gradients per sample with EventProp (or the
 analytic first-spike path), averages them over the batch, and applies Adam
-with a per-epoch learning-rate decay.  Weight updates are masked to the
-feedforward structure.  Everything is deterministic given the config seeds.
+with a per-epoch learning-rate decay.  The parameters are the net's two layer
+blocks, the (n_in, H) input-to-hidden and (H, n_out) hidden-to-output weights,
+from the first step to the checkpoint file.  Everything is deterministic
+given the config seeds.
 """
 from __future__ import annotations
 
@@ -33,9 +35,9 @@ from .grad import (
 )
 
 METRICS_HEADER = "epoch,train_loss,train_acc,test_acc,seconds"
-CHECKPOINT_MAGIC = "eventsnn-checkpoint v1"
+CHECKPOINT_FORMAT, CHECKPOINT_VERSION = "eventsnn-checkpoint", "v2"
 CHECKPOINT_PARAMS = ("tau_mem", "tau_syn", "v_th", "v_reset")
-CHECKPOINT_SIZES = ("n_in", "n_total", "n_hidden", "n_out")
+CHECKPOINT_SIZES = ("n_in", "n_hidden", "n_out")
 
 
 class ShapeMismatch(ValueError):
@@ -221,20 +223,16 @@ def build_network(
     rng: np.random.Generator,
     mu_hidden: float,
     mu_out: float,
-    sigma_scale: float = 1.0,
 ) -> Network:
-    w_ih = rng.normal(mu_hidden, sigma_scale / math.sqrt(n_in), size=(n_in, n_hidden))
-    w_ho = rng.normal(mu_out, sigma_scale / math.sqrt(n_hidden), size=(n_hidden, n_out))
+    w_ih = rng.normal(mu_hidden, 1.0 / math.sqrt(n_in), size=(n_in, n_hidden))
+    w_ho = rng.normal(mu_out, 1.0 / math.sqrt(n_hidden), size=(n_hidden, n_out))
     return Network.feedforward(w_ih, w_ho, params)
 
 
 def structure_masks(n_in: int, n_hidden: int, n_out: int):
-    n = n_hidden + n_out
-    mask_w = np.zeros((n, n))
-    mask_w[:n_hidden, n_hidden:] = 1.0
-    mask_w_in = np.zeros((n_in, n))
-    mask_w_in[:, :n_hidden] = 1.0
-    return mask_w, mask_w_in
+    """The 0/1 (N, N) and (n_in, N) masks of a feedforward net's weights."""
+    net = Network.feedforward(np.ones((n_in, n_hidden)), np.ones((n_hidden, n_out)))
+    return net.weights, net.input_weights
 
 
 def split_layers(net: Network):
@@ -403,28 +401,25 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
 
     n_in = cfg.dataset.n_inputs
     n_hidden, n_out = cfg.network.n_hidden, cfg.network.n_out
-    n_total = n_hidden + n_out
-    m = cfg.sim.budget(n_in, n_total)
+    m = cfg.sim.budget(n_in, n_hidden + n_out)
     t_max = cfg.sim.t_max
 
     rng = np.random.default_rng(cfg.train.seed)
     net = init_network(cfg, ds_train, rng, m, log=log)
-    mask_w, mask_w_in = structure_masks(n_in, n_hidden, n_out)
+    support = structure_masks(n_in, n_hidden, n_out)
     loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
     # batch spike-fraction targets below which a neuron counts as silent.
     # Outputs must spike on essentially every sample: a silent label output
     # receives zero loss gradient, so such samples stop being learnable.
-    spike_target = np.concatenate(
-        [np.full(n_hidden, 0.5), np.full(n_out, 0.95)]
-    )
+    spike_target = np.concatenate([np.full(n_hidden, 0.5), np.full(n_out, 0.95)])
 
-    params = (np.array(net.weights), np.array(net.input_weights))
+    params = split_layers(net)[1:]
     opt = AdamState.init(params)
     betas = (cfg.train.beta1, cfg.train.beta2)
 
     history: list[EpochMetrics] = []
     best_acc, best_epoch = -1.0, -1
-    best_params = params
+    best_net = net
     stale = 0
 
     for epoch in range(cfg.train.epochs):
@@ -434,38 +429,33 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
         n_correct = 0
         for lo in range(0, len(order), cfg.train.batch):
             idx = order[lo : lo + cfg.train.batch]
-            net = replace_weights(net, params)
             t_out, fwd = _forward_times(cfg, net, ds_train, idx, m, epoch)
             loss, g_times = ttfs_from_times(t_out, ds_train.labels[idx], loss_cfg, t_max)
             if cfg.train.estimator == "fud":
-                g_w, g_w_in, counts = _fud_batch(
+                grads, counts = _fud_batch(
                     cfg, net, ds_train.by_neuron_times[idx], t_out, fwd, g_times
                 )
             else:
-                g_w, g_w_in, counts = _eventprop_batch(
-                    cfg, net, *fwd, g_times, m, (mask_w, mask_w_in)
-                )
+                grads, counts = _eventprop_batch(cfg, net, *fwd, g_times, m, support)
             losses.append(float(loss.mean()))
             n_correct += int(np.sum(predict_from_times(t_out) == ds_train.labels[idx]))
-            g_w = g_w / len(idx)
-            g_w_in = g_w_in / len(idx)
+            grads = [g / len(idx) for g in grads]
             if cfg.train.gamma > 0.0:
                 # pull the incoming weights of under-active neurons upward:
                 # a first-spike net cannot revive a silent unit through the
                 # spike-time loss, which only sees spikes that happened
                 silent = (counts > 0).mean(axis=0) < spike_target
                 bump = np.where(silent, cfg.train.gamma, 0.0)
-                g_w = g_w - bump[None, :]
-                g_w_in = g_w_in - bump[None, :]
+                # a block's columns are its postsynaptic neurons: hidden, then output
+                grads = [g - b for g, b in zip(grads, np.split(bump, [n_hidden]))]
             if cfg.train.rate_lambda > 0.0:
-                sq_rate = np.mean(counts**2, axis=0)
-                g_w = g_w + cfg.train.rate_lambda * params[0] * sq_rate[None, :]
-                g_w_in = g_w_in + cfg.train.rate_lambda * params[1] * sq_rate[None, :]
-            grads = (g_w * mask_w, g_w_in * mask_w_in)
+                sq_rate = np.split(np.mean(counts**2, axis=0), [n_hidden])
+                rl = cfg.train.rate_lambda
+                grads = [g + rl * p * sq for g, p, sq in zip(grads, params, sq_rate)]
             if cfg.train.grad_clip > 0.0:
-                grads = tuple(_clip_norm(g, cfg.train.grad_clip) for g in grads)
+                grads = [_clip_norm(g, cfg.train.grad_clip) for g in grads]
             params, opt = adam_step(params, grads, opt, lr, betas)
-        net = replace_weights(net, params)
+            net = replace_weights(net, params)
         test_acc = evaluate(cfg, net, ds_test, m)
         met = EpochMetrics(
             epoch=epoch,
@@ -481,15 +471,13 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
                 f"train {met.train_acc:.4f}  test {met.test_acc:.4f}  lr {lr:.2e}"
             )
         if test_acc > best_acc:
-            best_acc, best_epoch, best_params = test_acc, epoch, params
+            best_acc, best_epoch, best_net = test_acc, epoch, net
             stale = 0
         else:
             stale += 1
             if stale > cfg.train.patience:
                 break
 
-    best_net = replace_weights(net, best_params)
-    final_net = replace_weights(net, params)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -498,7 +486,7 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     return TrainResult(
         history=history,
         best_net=best_net,
-        final_net=final_net,
+        final_net=net,
         best_test_acc=best_acc,
         best_epoch=best_epoch,
     )
@@ -511,14 +499,9 @@ def _clip_norm(g: np.ndarray, max_norm: float) -> np.ndarray:
     return g
 
 
-def replace_weights(net: Network, params) -> Network:
-    return Network(
-        n_total=net.n_total,
-        weights=params[0],
-        input_weights=params[1],
-        params=net.params,
-        output_set=net.output_set,
-    )
+def replace_weights(net: Network, blocks) -> Network:
+    """The feedforward net of ``net``'s LIF constants and two weight ``blocks``."""
+    return Network.feedforward(*blocks, net.params)
 
 
 def _spike_counts(neurons, kinds, n_total):
@@ -530,15 +513,17 @@ def _spike_counts(neurons, kinds, n_total):
 
 
 def _eventprop_batch(cfg, net, batch, slots, g_times, m, support):
-    """EventProp weight gradients and spike counts of a forward's trace,
-    given the loss derivatives by the output first-spike times at ``slots``."""
+    """EventProp gradients of the two weight blocks and spike counts of a
+    forward's trace, given the loss derivatives by the output first-spike
+    times at ``slots``."""
     slot_g = scatter_slot_grads(slots, g_times, m)
     g_w, g_w_in = eventprop_backward_batch(
         batch.neurons, batch.times, batch.kinds, net, slot_g,
         strict=False, vdot_floor=cfg.train.vdot_floor, support=support,
     )
+    n_hidden = split_layers(net)[0]
     counts = _spike_counts(batch.neurons, batch.kinds, net.n_total)
-    return g_w, g_w_in, counts
+    return (g_w_in[:, :n_hidden], g_w[:n_hidden, n_hidden:]), counts
 
 
 def gradient_from_trace(
@@ -554,20 +539,16 @@ def gradient_from_trace(
 
 
 def _fud_batch(cfg, net, t_in, t_o, t_h, g_times):
-    """Analytic weight gradients and spike indicators of a forward from the
-    input times ``t_in`` to the hidden and output times ``t_h``/``t_o``."""
-    n_hidden, w_in, w_ho = split_layers(net)
+    """Analytic gradients of the two weight blocks and spike indicators of a
+    forward from the input times ``t_in`` to the hidden and output times
+    ``t_h``/``t_o``."""
+    _, w_in, w_ho = split_layers(net)
     g_ho, g_in = fud_feedforward_grads(
         t_in, t_h, t_o, w_in, w_ho, g_times, net.params,
         vdot_floor=cfg.train.vdot_floor,
     )
-    n = net.n_total
-    g_w = np.zeros((n, n))
-    g_w[:n_hidden, n_hidden:] = g_ho
-    g_w_in = np.zeros((net.n_in, n))
-    g_w_in[:, :n_hidden] = g_in
     counts = np.concatenate([np.isfinite(t_h), np.isfinite(t_o)], axis=1).astype(float)
-    return g_w, g_w_in, counts
+    return (g_in, g_ho), counts
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +563,27 @@ def write_metrics(path, history: Sequence[EpochMetrics]) -> None:
 
 
 def write_checkpoint(path, net: Network, n_hidden: int) -> None:
-    """Versioned plain-text weight dump (row-per-presynaptic-neuron)."""
+    """Versioned plain-text dump of a feedforward net: its LIF constants, its
+    sizes and its two weight blocks, one row per presynaptic neuron.  A net
+    whose outputs are not the neurons after its ``n_hidden`` >= 1 hidden ones,
+    or that has a nonzero weight outside the blocks, raises InvalidParameter."""
+    n = net.n_total
+    if not 0 < n_hidden < n or net.output_set != tuple(range(n_hidden, n)):
+        raise InvalidParameter(
+            f"checkpoint {path}: outputs {net.output_set} of a {n}-neuron net are not "
+            f"the neurons after its n_hidden={n_hidden} >= 1 hidden ones"
+        )
+    _, w_ih, w_ho = split_layers(net)
+    nonzero = np.count_nonzero(net.weights) + np.count_nonzero(net.input_weights)
+    if nonzero != np.count_nonzero(w_ih) + np.count_nonzero(w_ho):
+        raise InvalidParameter(f"checkpoint {path}: nonzero weights outside the two layer blocks")
     p = net.params
-    sizes = (net.n_in, net.n_total, n_hidden, net.n_total - n_hidden)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(CHECKPOINT_MAGIC + "\n")
+        f.write(f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\n")
         f.write(" ".join(f"{k} {format_time(getattr(p, k))}" for k in CHECKPOINT_PARAMS) + "\n")
-        f.write(" ".join(f"{k} {v}" for k, v in zip(CHECKPOINT_SIZES, sizes)) + "\n")
-        f.writelines(format_matrix("input_weights", net.input_weights))
-        f.writelines(format_matrix("weights", net.weights))
+        f.write(f"n_in {net.n_in} n_hidden {n_hidden} n_out {n - n_hidden}\n")
+        f.writelines(format_matrix("input_to_hidden", w_ih))
+        f.writelines(format_matrix("hidden_to_output", w_ho))
 
 
 def _header_line(line: str, keys, path) -> dict[str, str]:
@@ -606,28 +599,33 @@ def _header_line(line: str, keys, path) -> dict[str, str]:
 
 
 def read_checkpoint(path) -> tuple[Network, int]:
+    """The feedforward net of a checkpoint file and its hidden count H."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as e:
         raise InvalidParameter(f"not a checkpoint file: {path}: {e}") from e
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    name, _, version = (lines or [""])[0].partition(" ")
+    if name != CHECKPOINT_FORMAT:
         raise InvalidParameter(f"not a checkpoint file: {path}")
+    if version != CHECKPOINT_VERSION:
+        raise InvalidParameter(f"checkpoint {path}: version {version!r}; only v2 is read")
     params_line, sizes_line = (lines + ["", ""])[1:3]
     values = _header_line(params_line, CHECKPOINT_PARAMS, path)
     sizes = _header_line(sizes_line, CHECKPOINT_SIZES, path)
     try:
         params = LifParams(**{k: float(v) for k, v in values.items()})
-        n_in, n_total, n_hidden, n_out = (int(sizes[k]) for k in CHECKPOINT_SIZES)
+        n_in, n_hidden, n_out = (int(sizes[k]) for k in CHECKPOINT_SIZES)
     except ValueError as e:
         raise InvalidParameter(f"checkpoint {path}: bad header: {e}") from e
-    if n_in < 0 or not 0 <= n_hidden < n_total or n_out != n_total - n_hidden:
+    if n_in < 0 or n_hidden < 1 or n_out < 1:
         raise InvalidParameter(
-            f"checkpoint {path}: bad sizes {sizes_line!r}: need n_out = n_total - n_hidden >= 1"
+            f"checkpoint {path}: bad sizes {sizes_line!r}: need n_hidden >= 1 and n_out >= 1"
         )
-    w_in = parse_matrix(lines, 3, "input_weights", (n_in, n_total), f"checkpoint {path}")
-    w = parse_matrix(lines, 4 + n_in, "weights", (n_total, n_total), f"checkpoint {path}")
+    source = f"checkpoint {path}"
+    w_ih = parse_matrix(lines, 3, "input_to_hidden", (n_in, n_hidden), source)
+    w_ho = parse_matrix(lines, 4 + n_in, "hidden_to_output", (n_hidden, n_out), source)
     try:
-        net = Network(n_total, w, w_in, params, output_set=tuple(range(n_hidden, n_total)))
+        net = Network.feedforward(w_ih, w_ho, params)
     except ValueError as e:
-        raise InvalidParameter(f"checkpoint {path}: {e}") from e
+        raise InvalidParameter(f"{source}: {e}") from e
     return net, n_hidden

@@ -6,9 +6,9 @@ from eventsnn import data as data_mod
 from eventsnn.backend import read_replay_file
 from eventsnn.cli import main
 from eventsnn.config import load_config
-from eventsnn.core import SpikeKind, classify_records
+from eventsnn.core import InvalidParameter, Network, SpikeKind, classify_records, format_matrix
 from eventsnn.data import build_dataset, encode_dataset
-from eventsnn.train import pack_samples, read_checkpoint, replace_weights, write_checkpoint
+from eventsnn.train import pack_samples, read_checkpoint, write_checkpoint
 
 TINY = (
     "dataset.n_train = 30\n"
@@ -257,25 +257,45 @@ def test_export_and_replay_size_the_run_from_the_checkpoint(tmp_path, tiny):
     assert gradients[0] == gradients[1]
 
 
-def test_replay_train_rejects_a_cyclic_checkpoint_that_export_accepts(tmp_path, tiny, capsys):
-    # a self-loop on hidden neuron 2, set by hand: the forward runs any net,
-    # the EventProp backward only an acyclic one
+def test_a_cyclic_net_is_not_written_as_a_checkpoint(tmp_path, tiny):
+    # a self-loop on hidden neuron 2, set by hand: the forward would run it,
+    # the EventProp backward would not, and the two weight blocks of a
+    # checkpoint cannot hold it
     assert run("export-traces", "--samples", 5, "--out", tmp_path / "init", config=tiny) == 0
     net, n_hidden = read_checkpoint(tmp_path / "init" / "checkpoint.txt")
     w = np.array(net.weights)
     w[2, 2] = 0.5
+    cyclic = Network(net.n_total, w, net.input_weights, net.params, net.output_set)
     checkpoint = tmp_path / "cyclic.txt"
-    write_checkpoint(checkpoint, replace_weights(net, (w, np.array(net.input_weights))), n_hidden)
-    export = tmp_path / "export"
-    assert run(
-        "export-traces", "--samples", 5, "--checkpoint", checkpoint, "--out", export, config=tiny,
-    ) == 0
+    with pytest.raises(InvalidParameter, match="outside the two layer blocks"):
+        write_checkpoint(checkpoint, cyclic, n_hidden)
+    assert not checkpoint.exists()
+
+
+def test_eval_and_replay_reject_a_v1_checkpoint_and_name_its_version(tmp_path, tiny, capsys):
+    # the dense v1 layout of the same net: no command reads it any more
+    init = tmp_path / "init"
+    assert run("export-traces", "--samples", 5, "--out", init, config=tiny) == 0
+    net, _ = read_checkpoint(init / "checkpoint.txt")
+    old = tmp_path / "v1.txt"
+    old.write_text("".join([
+        "eventsnn-checkpoint v1\n",
+        (init / "checkpoint.txt").read_text().splitlines()[1] + "\n",
+        "n_in 5 n_total 9 n_hidden 6 n_out 3\n",
+        *format_matrix("input_weights", net.input_weights),
+        *format_matrix("weights", net.weights),
+    ]))
+    commands = {
+        "eval": ["eval"],
+        "replay": ["replay-train", "--traces", init / "traces.replay"],
+    }
     capsys.readouterr()
-    assert run(
-        "replay-train", "--traces", export / "traces.replay", "--checkpoint", checkpoint,
-        "--out", tmp_path / "replay", config=tiny,
-    ) == 2
-    assert "cycle, 2 -> 2;" in capsys.readouterr().err
+    for name, command in commands.items():
+        out = tmp_path / name
+        assert run(*command, "--checkpoint", old, "--out", out, config=tiny) == 2, name
+        err = capsys.readouterr().err
+        assert "version 'v1'" in err and str(old) in err, name
+        assert not any((out / f).exists() for f in ("eval.txt", "gradients.txt"))
 
 
 @pytest.mark.parametrize(
@@ -455,14 +475,14 @@ def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
         [(4, 0, "inf")],
         [(1, "v_reset", "1.5")],
         [(1, "tau_mem", "-2.0")],
-        [(2, "n_hidden", "9"), (2, "n_out", "0")],
+        [(2, "n_out", "0")],
     ],
     ids=["nan-weight", "inf-weight", "v_reset-1.5", "tau_mem-neg", "n_out-0"],
 )
 def test_each_command_rejects_a_bad_checkpoint(tmp_path, tiny, capsys, edits):
     assert run("export-traces", "--samples", 5, "--out", tmp_path / "init", config=tiny) == 0
     lines = (tmp_path / "init" / "checkpoint.txt").read_text().splitlines()
-    assert lines[2] == "n_in 5 n_total 9 n_hidden 6 n_out 3"
+    assert lines[2] == "n_in 5 n_hidden 6 n_out 3"
     for row, at, value in edits:  # a word by position, or a header key's value
         words = lines[row].split()
         words[at if isinstance(at, int) else words.index(at) + 1] = value

@@ -116,16 +116,16 @@ class TestValidateNetwork:
             dataclasses.replace(net, output_set=(9,))
         with pytest.raises(InvalidParameter, match="v_reset"):
             dataclasses.replace(net.params, v_reset=2.0)
-        w_in = np.array(net.input_weights)
-        w_in[1, 2] = np.inf
+        w_ih = np.ones((5, 6))
+        w_ih[1, 2] = np.inf
         with pytest.raises(InvalidParameter, match="finite"):
-            replace_weights(net, (np.array(net.weights), w_in))
+            replace_weights(net, (w_ih, np.ones((6, 3))))
         with pytest.raises(DimensionMismatch):
-            replace_weights(net, (np.array(net.weights), np.ones((5, 8))))
+            replace_weights(net, (np.ones((5, 6)), np.ones((8, 3))))
         path = tmp_path / "ck.txt"
         write_checkpoint(path, net, 6)
         lines = path.read_text().splitlines()
-        assert lines[3] == "input_weights"
+        assert lines[3] == "input_to_hidden"
         lines[4] = lines[4].replace("1.0", "nan", 1)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidParameter, match="finite") as err:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -25,6 +26,7 @@ from eventsnn.train import (
     init_network,
     pack_samples,
     read_checkpoint,
+    split_layers,
     train,
     ttfs_from_times,
     ttfs_loss,
@@ -306,11 +308,11 @@ class TestConfig:
         assert (cfg.dataset.t_early, cfg.dataset.t_late) == (2.0, 3.0)
 
 
-def assert_blocks_written_by_repr(path, net):
+def assert_blocks_written_by_repr(path, w_ih, w_ho):
     """The checkpoint's weight blocks are byte for byte the repr writer's."""
     want = "".join(
-        [*format_matrix_reference("input_weights", net.input_weights),
-         *format_matrix_reference("weights", net.weights)]
+        [*format_matrix_reference("input_to_hidden", w_ih),
+         *format_matrix_reference("hidden_to_output", w_ho)]
     )
     *_, blocks = path.read_text(encoding="utf-8").split("\n", 3)  # after 3 header lines
     assert blocks == want and "-0.0" in blocks.split()
@@ -318,11 +320,14 @@ def assert_blocks_written_by_repr(path, net):
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
-        w_in = rng.normal(size=(5, 8))
-        w_ho = rng.normal(size=(6, 2))
-        net = Network.feedforward(w_in[:, :6], w_ho, P2)
+        net = Network.feedforward(rng.normal(size=(5, 6)), rng.normal(size=(6, 2)), P2)
         path = tmp_path / "ck.txt"
         write_checkpoint(path, net, n_hidden=6)
+        assert path.read_text().splitlines()[:3] == [
+            "eventsnn-checkpoint v2",
+            "tau_mem 2.0 tau_syn 1.0 v_th 1.0 v_reset 0.0",
+            "n_in 5 n_hidden 6 n_out 2",
+        ]
         back, n_hidden = read_checkpoint(path)
         assert n_hidden == 6
         np.testing.assert_array_equal(back.weights, net.weights)
@@ -332,54 +337,57 @@ class TestCheckpoint:
 
     def test_roundtrip_keeps_every_bit(self, tmp_path, rng):
         # random doubles of every magnitude, signed zeros, subnormals, extremes
-        bits = rng.integers(0, 2**63 - 2**52, size=(13, 8), dtype=np.int64)
-        w = bits.view(np.float64) * rng.choice([-1.0, 1.0], size=(13, 8))
+        bits = rng.integers(0, 2**63 - 2**52, size=(11, 6), dtype=np.int64)
+        w = bits.view(np.float64) * rng.choice([-1.0, 1.0], size=(11, 6))
         w.flat[:10] = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                        -1e308, 1.7976931348623157e308, 0.1, -1 / 3]
-        net = Network(n_total=8, weights=w[5:], input_weights=w[:5], params=P2,
-                      output_set=tuple(range(6, 8)))
+        w[5:, :2].flat[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 0.0]
+        w_ih, w_ho = w[:5], w[5:, :2]
         path = tmp_path / "ck.txt"
-        write_checkpoint(path, net, n_hidden=6)
-        back, _ = read_checkpoint(path)
-        for got, want in ((back.weights, net.weights), (back.input_weights, net.input_weights)):
+        write_checkpoint(path, Network.feedforward(w_ih, w_ho, P2), n_hidden=6)
+        _, *back = split_layers(read_checkpoint(path)[0])
+        for got, want in zip(back, (w_ih, w_ho)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert_blocks_written_by_repr(path, net)
+        assert_blocks_written_by_repr(path, w_ih, w_ho)
 
     def test_wide_checkpoint_bytes_match_the_repr_writer(self, tmp_path, rng):
-        # the 5-500-3 layout: mostly exact +0.0, plus signed zeros
-        net = Network.feedforward(rng.normal(size=(5, 500)), rng.normal(size=(500, 3)), P2)
-        w = np.array(net.weights)
-        w[[0, 7, 502], [3, 500, 1]] = -0.0
-        net = Network(net.n_total, w, net.input_weights, P2, net.output_set)
+        # the 5-500-3 blocks, with signed zeros in each
+        w_ih, w_ho = rng.normal(size=(5, 500)), rng.normal(size=(500, 3))
+        w_ih[[0, 4], [3, 499]] = -0.0
+        w_ho[[0, 7, 499], [1, 0, 2]] = -0.0
         path = tmp_path / "wide.txt"
-        write_checkpoint(path, net, n_hidden=500)
-        assert_blocks_written_by_repr(path, net)
+        write_checkpoint(path, Network.feedforward(w_ih, w_ho, P2), n_hidden=500)
+        assert_blocks_written_by_repr(path, w_ih, w_ho)
 
     def test_entry_that_is_not_a_float_raises_typed_error(self, tmp_path, rng):
         path, lines = self.written(tmp_path, rng)
-        for junk in ("#", "0.5#", "x"):
-            bad = list(lines)
-            bad[5] = " ".join(bad[5].split()[:-1] + [junk])
-            path.write_text("\n".join(bad) + "\n")
-            with pytest.raises(InvalidParameter, match="bad input_weights entry"):
-                read_checkpoint(path)
+        for row, name in ((5, "input_to_hidden"), (len(lines) - 1, "hidden_to_output")):
+            for junk in ("#", "0.5#", "x"):
+                bad = list(lines)
+                bad[row] = " ".join(bad[row].split()[:-1] + [junk])
+                path.write_text("\n".join(bad) + "\n")
+                with pytest.raises(InvalidParameter, match=f"bad {name} entry"):
+                    read_checkpoint(path)
 
     def written(self, tmp_path, rng):
         net = Network.feedforward(rng.normal(size=(5, 6)), rng.normal(size=(6, 2)), P2)
         path = tmp_path / "ck.txt"
         write_checkpoint(path, net, n_hidden=6)
-        return path, path.read_text().splitlines()
+        lines = path.read_text().splitlines()
+        assert (lines[3], lines[9], len(lines)) == ("input_to_hidden", "hidden_to_output", 16)
+        return path, lines
 
     def test_truncated_file_raises_typed_error(self, tmp_path, rng):
         path, lines = self.written(tmp_path, rng)
-        for keep in (2, 3, 6, len(lines) - 1):
+        # in the header, in the input-to-hidden block, in the hidden-to-output one
+        for keep in (2, 3, 6, 12, len(lines) - 1):
             path.write_text("\n".join(lines[:keep]) + "\n")
             with pytest.raises(InvalidParameter):
                 read_checkpoint(path)
 
     def test_short_row_raises_typed_error(self, tmp_path, rng):
         path, lines = self.written(tmp_path, rng)
-        for row in (5, len(lines) - 1):  # an input-weight row, the last weight row
+        for row in (5, len(lines) - 1):  # an input-to-hidden row, the last hidden-to-output row
             bad = list(lines)
             bad[row] = " ".join(bad[row].split()[:-1])
             path.write_text("\n".join(bad) + "\n")
@@ -394,14 +402,16 @@ class TestCheckpoint:
             words = lines[row].split()
             lines[row] = " ".join(words[2:4] + words[:2] + words[4:])
         assert lines[1].startswith("tau_syn 1.0 tau_mem 2.0")
+        assert lines[2] == "n_hidden 6 n_in 5 n_out 2"
         path.write_text("\n".join(lines) + "\n")
         back, n_hidden = read_checkpoint(path)
         assert back.params == want.params == P2 and n_hidden == 6
         np.testing.assert_array_equal(back.weights, want.weights)
+        np.testing.assert_array_equal(back.input_weights, want.input_weights)
 
     def test_header_without_a_key_raises_typed_error(self, tmp_path, rng):
         path, lines = self.written(tmp_path, rng)
-        for row, key in ((1, "v_th"), (2, "n_out"), (1, "tau_mem")):
+        for row, key in ((1, "v_th"), (2, "n_out"), (2, "n_hidden"), (1, "tau_mem")):
             bad = list(lines)
             words = bad[row].split()
             at = words.index(key)
@@ -412,14 +422,64 @@ class TestCheckpoint:
             assert str(path) in str(err.value)
 
     def test_wrong_n_out_raises_typed_error(self, tmp_path, rng):
+        # below one, the sizes are rejected; else the hidden-to-output rows
+        # do not have n_out entries
         path, lines = self.written(tmp_path, rng)
-        assert lines[2] == "n_in 5 n_total 8 n_hidden 6 n_out 2"
-        for n_out in ("3", "1", "-2"):
-            lines[2] = "n_in 5 n_total 8 n_hidden 6 n_out " + n_out
+        for n_out, error in (("0", "bad sizes"), ("-2", "bad sizes"), ("3", "entries"),
+                             ("1", "entries")):
+            lines[2] = "n_in 5 n_hidden 6 n_out " + n_out
             path.write_text("\n".join(lines) + "\n")
-            with pytest.raises(InvalidParameter, match="bad sizes") as err:
+            with pytest.raises(InvalidParameter, match=error) as err:
                 read_checkpoint(path)
             assert str(path) in str(err.value)
+
+    def test_hidden_count_below_one_raises_typed_error(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        for n_hidden in ("0", "-1"):
+            lines[2] = f"n_in 5 n_hidden {n_hidden} n_out 2"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(InvalidParameter, match="bad sizes"):
+                read_checkpoint(path)
+
+    @pytest.mark.parametrize("version", ["v1", "v3", ""])
+    def test_other_version_raises_typed_error_naming_it(self, tmp_path, rng, version):
+        path, lines = self.written(tmp_path, rng)
+        lines[0] = f"eventsnn-checkpoint {version}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameter, match=f"version '{version}'") as err:
+            read_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_n_hidden_other_than_the_nets_is_not_written(self, tmp_path, rng):
+        # a 5-6-2 net: its outputs start at neuron 6, whatever the caller says
+        net = Network.feedforward(rng.normal(size=(5, 6)), rng.normal(size=(6, 2)), P2)
+        path = tmp_path / "ck.txt"
+        for n_hidden in (5, 7, 8):
+            with pytest.raises(InvalidParameter, match=f"after its n_hidden={n_hidden} >= 1"):
+                write_checkpoint(path, net, n_hidden)
+            assert not path.exists()
+
+    def test_a_net_the_two_blocks_cannot_hold_is_not_written(self, tmp_path, rng):
+        net = Network.feedforward(rng.normal(size=(5, 6)), rng.normal(size=(6, 2)), P2)
+        path = tmp_path / "ck.txt"
+        for at in ((2, 2), (1, 4), (7, 6), (6, 0)):  # self-loop, hidden-hidden, output-output, back
+            w = np.array(net.weights)
+            w[at] = 0.5
+            with pytest.raises(InvalidParameter, match="outside the two layer blocks"):
+                write_checkpoint(path, Network(8, w, net.input_weights, P2, net.output_set), 6)
+        w_in = np.array(net.input_weights)
+        w_in[3, 7] = -0.5  # an input straight to an output
+        with pytest.raises(InvalidParameter, match="outside the two layer blocks"):
+            write_checkpoint(path, Network(8, net.weights, w_in, P2, net.output_set), 6)
+        for outputs in ((7, 6), (5, 7), (), tuple(range(8))):
+            with pytest.raises(InvalidParameter, match="are not the neurons after"):
+                write_checkpoint(path, dataclasses.replace(net, output_set=outputs), 6)
+        assert not path.exists()
+        # a zero of either sign outside the blocks holds no weight
+        w = np.array(net.weights)
+        w[2, 2] = -0.0
+        write_checkpoint(path, Network(8, w, net.input_weights, P2, net.output_set), 6)
+        np.testing.assert_array_equal(read_checkpoint(path)[0].weights, net.weights)
 
     def test_cli_eval_on_bad_checkpoint_exits_2(self, tmp_path, rng, capsys):
         from eventsnn.cli import main
@@ -462,6 +522,10 @@ INIT_CONFIGS = {
 }
 
 
+def weights_digest(net):
+    return hashlib.sha256(net.weights.tobytes() + net.input_weights.tobytes()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("name, seed", sorted(INIT_WEIGHTS))
 def test_init_weights_are_those_of_the_unstopped_probe(name, seed):
     keys = {**INIT_CONFIGS[name], "dataset.n_test": "3"}
@@ -469,8 +533,18 @@ def test_init_weights_are_those_of_the_unstopped_probe(name, seed):
     points, _ = build_dataset(cfg.dataset)
     ds = pack_samples(encode_dataset(points, cfg.dataset))
     net = init_network(cfg, ds, np.random.default_rng(seed), cfg.sim.m)
-    digest = hashlib.sha256(net.weights.tobytes() + net.input_weights.tobytes())
-    assert digest.hexdigest()[:16] == INIT_WEIGHTS[name, seed]
+    assert weights_digest(net) == INIT_WEIGHTS[name, seed]
+
+
+# sha256 prefixes of train()'s best and final weights on two epochs of
+# TestTrainingLoop.small_cfg at the defaults, recorded when training held the
+# dense (N, N) and (n_in, N) matrices and masked each step to the layers: a
+# masked entry has zero Adam moments and a zero step, so Adam on the two
+# blocks gives the same bits
+TRAINED_WEIGHTS = {
+    "eventprop": ("8022208891dd1b34", "8022208891dd1b34"),
+    "fud": ("99d130e8e0a656e1", "99d130e8e0a656e1"),
+}
 
 
 class TestTrainingLoop:
@@ -509,7 +583,14 @@ class TestTrainingLoop:
         np.testing.assert_array_equal(a.final_net.weights, b.final_net.weights)
         assert [m.train_loss for m in a.history] == [m.train_loss for m in b.history]
 
-    @pytest.mark.parametrize("knob", ["train.rate_lambda", "train.grad_clip"])
+    @pytest.mark.parametrize("estimator", sorted(TRAINED_WEIGHTS))
+    def test_trained_weights_are_those_of_the_dense_loop(self, estimator):
+        cfg = self.small_cfg(**{"train.epochs": "2", "train.estimator": estimator})
+        result = train(cfg)
+        got = (weights_digest(result.best_net), weights_digest(result.final_net))
+        assert got == TRAINED_WEIGHTS[estimator]
+
+    @pytest.mark.parametrize("knob", ["train.alpha", "train.rate_lambda", "train.grad_clip"])
     def test_a_regularizing_knob_moves_the_weights_of_one_epoch(self, knob):
         # each acts inside the step: a knob that stopped acting would end the
         # epoch at the default run's weights
