@@ -44,11 +44,11 @@ from .core import (
 from .sim import pack_inputs, simulate_batch
 
 
-class ReplayShapeMismatch(ValueError):
+class ReplayShapeMismatch(InvalidParameter):
     """A replayed trace disagrees with the expected budget/sample layout."""
 
 
-class ReplayUnsorted(ValueError):
+class ReplayUnsorted(InvalidParameter):
     """Replayed spike times must be non-decreasing."""
 
 

@@ -3,10 +3,10 @@
 Subcommands: generate, train, eval, export-traces, replay-train.
 ``--backend`` picks the forward pass (``numeric`` or ``mock``) of train,
 eval and export-traces; a recorded replay file is read by replay-train
-alone; its one Adam step is not train's first step on the same traces
-(see ``cmd_replay_train``).  Every run is reproducible from its config file;
-the effective config is echoed into each output directory.  Exit codes:
-0 success, 2 config error, 3 runtime error.
+alone, which takes train's first step on its traces (``train.train_step``).
+Every run is reproducible from its config file; the effective config is
+echoed into each output directory.  Exit codes: 0 success, 2 config error,
+3 runtime error.
 
 Each command draws only the point set and the rows it reads (``data``):
 generate writes both full sets, train draws both, eval only the test set,
@@ -36,8 +36,6 @@ from .config import ExperimentConfig, load_config, save_config
 from .core import InvalidParameter, Network, format_matrix
 from .train import (
     AdamState,
-    TtfsLoss,
-    adam_step,
     evaluate,
     gradient_from_trace,
     init_network,
@@ -47,6 +45,7 @@ from .train import (
     split_layers,
     structure_masks,
     train as run_training,
+    train_step,
     write_checkpoint,
 )
 
@@ -149,10 +148,10 @@ def cmd_export_traces(args) -> int:
 
 
 def cmd_replay_train(args) -> int:
-    """One Adam step on the checkpoint net's two weight blocks from the
-    replayed traces' mean EventProp gradient of those blocks.  Unlike a
-    ``train`` step it applies no ``train.gamma`` bump, ``train.rate_lambda``
-    decay or ``train.grad_clip``."""
+    """``train``'s first step (``train_step`` from a fresh Adam state) on the
+    checkpoint net's two weight blocks, from the replayed traces' EventProp
+    gradients and spike counts.  gradients.txt holds their mean before the
+    step."""
     cfg = _load_cfg(args)
     out = _out_dir(args)
     rf = read_replay_file(args.traces)
@@ -167,30 +166,25 @@ def cmd_replay_train(args) -> int:
     net, m = _network_for(cfg, args, ds)
     t_max = cfg.sim.t_max
     check_manifest(rf, m, t_max)
-    loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
     n_hidden, *blocks = split_layers(net)
     support = structure_masks(net.n_in, n_hidden, net.n_total - n_hidden)
-    g_ih, g_ho = (np.zeros_like(b) for b in blocks)
+    sums, counts = [np.zeros_like(b) for b in blocks], []
     for s in range(n):
         block = slice(s, s + 1)
         trace = replay_block_to_trace(
             rf.neurons[block], rf.times[block], net,
             ds.sorted_neurons[block], ds.sorted_times[block], t_max,
         )
-        _, g_w, g_w_in = gradient_from_trace(
-            net, trace[0], int(ds.labels[s]), loss_cfg, t_max, support
-        )
-        g_ih += g_w_in[:, :n_hidden]
-        g_ho += g_w[:n_hidden, n_hidden:]
-    grads = (g_ih / n, g_ho / n)
-    new_blocks, _ = adam_step(
-        blocks, grads, AdamState.init(blocks), cfg.train.lr,
-        (cfg.train.beta1, cfg.train.beta2),
+        _, *grads, c = gradient_from_trace(cfg, net, trace, ds.labels[block], support)
+        sums = [acc + g for acc, g in zip(sums, grads)]
+        counts.append(c)
+    new_blocks, _ = train_step(
+        cfg, blocks, AdamState.init(blocks), cfg.train.lr, sums, np.concatenate(counts)
     )
-    write_gradients(out / "gradients.txt", grads)
+    write_gradients(out / "gradients.txt", [g / n for g in sums])
     write_checkpoint(out / "checkpoint.txt", replace_weights(net, new_blocks), n_hidden)
     _echo_config(cfg, out)
-    print(f"applied one optimizer step from {n} replayed traces")
+    print(f"applied one training step from {n} replayed traces")
     return 0
 
 
@@ -239,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_export_traces)
 
     sp = sub.add_parser(
-        "replay-train", help="one optimizer step from replayed traces"
+        "replay-train", help="one training step from replayed traces"
     )
     common(sp)
     sp.add_argument("--traces", required=True)

@@ -283,6 +283,8 @@ class Network:
         w[:n_hidden, n_hidden:] = hidden_to_output
         w_in = np.zeros((n_in, n))
         w_in[:, :n_hidden] = input_to_hidden
+        for a in (w, w_in):  # frozen, Network takes them over without a copy
+            a.setflags(write=False)
         return Network(
             n_total=n,
             weights=w,

@@ -588,7 +588,7 @@ def eventprop_backward(
     strict: bool = True,
     support=None,
 ):
-    """Adjoint backward pass for a one-sample trace; returns (grad_w, grad_w_in)."""
+    """One-sample adjoint backward, (grad_w, grad_w_in); kept because the probe binds it."""
     return eventprop_backward_batch(
         trace.neurons[None, :],
         trace.times[None, :],

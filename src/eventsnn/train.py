@@ -7,7 +7,7 @@ rewards early correct spikes.
 
 Training runs the forward pass through the configured backend in vectorized
 batches, estimates weight gradients per sample with EventProp (or the
-analytic first-spike path), averages them over the batch, and applies Adam
+analytic first-spike path) and takes ``train_step`` (replay-train's step too)
 with a per-epoch learning-rate decay.  The parameters are the net's two layer
 blocks, the (n_in, H) input-to-hidden and (H, n_out) hidden-to-output weights,
 from the first step to the checkpoint file.  Everything is deterministic
@@ -116,7 +116,7 @@ def ttfs_loss(
 
     The returned gradient vector aligns with the trace: the derivative with
     respect to output k's first spike lands on that spike's slot, every other
-    slot is zero.
+    slot is zero.  No step calls it; the benchmark's probe binds it by name.
     """
     if not output_set:
         raise InvalidParameter("output_set must be nonempty")
@@ -402,20 +402,13 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     n_in = cfg.dataset.n_inputs
     n_hidden, n_out = cfg.network.n_hidden, cfg.network.n_out
     m = cfg.sim.budget(n_in, n_hidden + n_out)
-    t_max = cfg.sim.t_max
 
     rng = np.random.default_rng(cfg.train.seed)
     net = init_network(cfg, ds_train, rng, m, log=log)
     support = structure_masks(n_in, n_hidden, n_out)
     loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
-    # batch spike-fraction targets below which a neuron counts as silent.
-    # Outputs must spike on essentially every sample: a silent label output
-    # receives zero loss gradient, so such samples stop being learnable.
-    spike_target = np.concatenate([np.full(n_hidden, 0.5), np.full(n_out, 0.95)])
-
     params = split_layers(net)[1:]
     opt = AdamState.init(params)
-    betas = (cfg.train.beta1, cfg.train.beta2)
 
     history: list[EpochMetrics] = []
     best_acc, best_epoch = -1.0, -1
@@ -430,31 +423,16 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
         for lo in range(0, len(order), cfg.train.batch):
             idx = order[lo : lo + cfg.train.batch]
             t_out, fwd = _forward_times(cfg, net, ds_train, idx, m, epoch)
-            loss, g_times = ttfs_from_times(t_out, ds_train.labels[idx], loss_cfg, t_max)
+            loss, g_times = ttfs_from_times(t_out, ds_train.labels[idx], loss_cfg, cfg.sim.t_max)
             if cfg.train.estimator == "fud":
                 grads, counts = _fud_batch(
                     cfg, net, ds_train.by_neuron_times[idx], t_out, fwd, g_times
                 )
             else:
-                grads, counts = _eventprop_batch(cfg, net, *fwd, g_times, m, support)
+                grads, counts = _eventprop_batch(cfg, net, *fwd, g_times, support)
             losses.append(float(loss.mean()))
             n_correct += int(np.sum(predict_from_times(t_out) == ds_train.labels[idx]))
-            grads = [g / len(idx) for g in grads]
-            if cfg.train.gamma > 0.0:
-                # pull the incoming weights of under-active neurons upward:
-                # a first-spike net cannot revive a silent unit through the
-                # spike-time loss, which only sees spikes that happened
-                silent = (counts > 0).mean(axis=0) < spike_target
-                bump = np.where(silent, cfg.train.gamma, 0.0)
-                # a block's columns are its postsynaptic neurons: hidden, then output
-                grads = [g - b for g, b in zip(grads, np.split(bump, [n_hidden]))]
-            if cfg.train.rate_lambda > 0.0:
-                sq_rate = np.split(np.mean(counts**2, axis=0), [n_hidden])
-                rl = cfg.train.rate_lambda
-                grads = [g + rl * p * sq for g, p, sq in zip(grads, params, sq_rate)]
-            if cfg.train.grad_clip > 0.0:
-                grads = [_clip_norm(g, cfg.train.grad_clip) for g in grads]
-            params, opt = adam_step(params, grads, opt, lr, betas)
+            params, opt = train_step(cfg, params, opt, lr, grads, counts)
             net = replace_weights(net, params)
         test_acc = evaluate(cfg, net, ds_test, m)
         met = EpochMetrics(
@@ -492,6 +470,35 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     )
 
 
+# batch spike fractions, hidden then output, below which a neuron counts as
+# silent.  Outputs must spike on essentially every sample: a silent label output
+# receives zero loss gradient, so such samples stop being learnable.
+SPIKE_TARGETS = (0.5, 0.95)
+
+
+def train_step(cfg: ExperimentConfig, params, opt: AdamState, lr: float, grad_sums, counts):
+    """New blocks and Adam state from the block gradients summed over a batch
+    and its (B, N) spike counts: the batch mean, the ``gamma`` bump, the
+    ``rate_lambda`` decay, the ``grad_clip`` clip, then Adam at ``lr``."""
+    tcfg = cfg.train
+    grads = [g / len(counts) for g in grad_sums]
+    # a block's columns are its postsynaptic neurons: hidden, then output
+    n_hidden = params[0].shape[1]
+    if tcfg.gamma > 0.0:
+        # pull the incoming weights of under-active neurons upward: a
+        # first-spike net cannot revive a silent unit through the spike-time
+        # loss, which only sees spikes that happened
+        active = np.split((counts > 0).mean(axis=0), [n_hidden])
+        bumps = [np.where(a < t, tcfg.gamma, 0.0) for a, t in zip(active, SPIKE_TARGETS)]
+        grads = [g - b for g, b in zip(grads, bumps)]
+    if tcfg.rate_lambda > 0.0:
+        sq_rate = np.split(np.mean(counts**2, axis=0), [n_hidden])
+        grads = [g + tcfg.rate_lambda * p * sq for g, p, sq in zip(grads, params, sq_rate)]
+    if tcfg.grad_clip > 0.0:
+        grads = [_clip_norm(g, tcfg.grad_clip) for g in grads]
+    return adam_step(params, grads, opt, lr, (tcfg.beta1, tcfg.beta2))
+
+
 def _clip_norm(g: np.ndarray, max_norm: float) -> np.ndarray:
     norm = float(np.sqrt(np.sum(g * g)))
     if norm > max_norm:
@@ -512,11 +519,11 @@ def _spike_counts(neurons, kinds, n_total):
     return np.bincount(flat, minlength=b * n_total).reshape(b, n_total).astype(np.float64)
 
 
-def _eventprop_batch(cfg, net, batch, slots, g_times, m, support):
+def _eventprop_batch(cfg, net, batch, slots, g_times, support):
     """EventProp gradients of the two weight blocks and spike counts of a
     forward's trace, given the loss derivatives by the output first-spike
     times at ``slots``."""
-    slot_g = scatter_slot_grads(slots, g_times, m)
+    slot_g = scatter_slot_grads(slots, g_times, batch.times.shape[1])
     g_w, g_w_in = eventprop_backward_batch(
         batch.neurons, batch.times, batch.kinds, net, slot_g,
         strict=False, vdot_floor=cfg.train.vdot_floor, support=support,
@@ -526,16 +533,17 @@ def _eventprop_batch(cfg, net, batch, slots, g_times, m, support):
     return (g_w_in[:, :n_hidden], g_w[:n_hidden, n_hidden:]), counts
 
 
-def gradient_from_trace(
-    net, trace: EventTrace, label: int, loss_cfg: TtfsLoss, t_max: float, support=None
-):
-    """Loss and EventProp weight gradients of one externally produced
-    one-sample trace, on the gradient ``support`` (None: every weight)."""
-    from .grad import eventprop_backward
-
-    loss, slot_g = ttfs_loss(trace, net.output_set, label, loss_cfg, t_max)
-    g_w, g_w_in = eventprop_backward(trace, net, slot_g, strict=False, support=support)
-    return loss, g_w, g_w_in
+def gradient_from_trace(cfg: ExperimentConfig, net, trace: EventTrace, labels, support):
+    """Loss per row, the EventProp gradients of the two weight blocks summed
+    over the rows, and the (B, N) spike counts of an externally produced
+    trace, as a ``train`` step takes them from its forward's trace."""
+    t_first, slots = first_spike_times_batch(
+        trace.neurons, trace.times, trace.kinds, net.output_set
+    )
+    loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
+    loss, g_times = ttfs_from_times(t_first, labels, loss_cfg, cfg.sim.t_max)
+    grads, counts = _eventprop_batch(cfg, net, trace, slots, g_times, support)
+    return loss, *grads, counts
 
 
 def _fud_batch(cfg, net, t_in, t_o, t_h, g_times):
@@ -615,6 +623,8 @@ def read_checkpoint(path) -> tuple[Network, int]:
     try:
         params = LifParams(**{k: float(v) for k, v in values.items()})
         n_in, n_hidden, n_out = (int(sizes[k]) for k in CHECKPOINT_SIZES)
+        if not params.is_analytic:
+            raise ValueError(f"tau_mem/tau_syn {params.tau_mem / params.tau_syn:g} is not 1 or 2")
     except ValueError as e:
         raise InvalidParameter(f"checkpoint {path}: bad header: {e}") from e
     if n_in < 0 or n_hidden < 1 or n_out < 1:

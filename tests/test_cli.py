@@ -3,12 +3,21 @@ import numpy as np
 import pytest
 
 from eventsnn import data as data_mod
-from eventsnn.backend import read_replay_file
+from eventsnn.backend import forward_batch, read_replay_file
 from eventsnn.cli import main
 from eventsnn.config import load_config
 from eventsnn.core import InvalidParameter, Network, SpikeKind, classify_records, format_matrix
 from eventsnn.data import build_dataset, encode_dataset
-from eventsnn.train import pack_samples, read_checkpoint, write_checkpoint
+from eventsnn.train import (
+    AdamState,
+    gradient_from_trace,
+    pack_samples,
+    read_checkpoint,
+    split_layers,
+    structure_masks,
+    train_step,
+    write_checkpoint,
+)
 
 TINY = (
     "dataset.n_train = 30\n"
@@ -58,14 +67,14 @@ def test_smoke_chain_and_exit_codes(tmp_path, tiny, capsys):
     assert run(
         "replay-train", "--traces", truncated, "--checkpoint", checkpoint,
         "--out", tmp_path / "x", config=tiny,
-    ) == 3
+    ) == 2
 
     other_seed = tmp_path / "seed.txt"
     other_seed.write_text(TINY + "dataset.seed = 7\n")
     assert run(
         "replay-train", "--traces", traces, "--checkpoint", checkpoint,
         "--out", tmp_path / "x", config=other_seed,
-    ) == 3
+    ) == 2
     assert "input" in capsys.readouterr().err
 
 
@@ -156,6 +165,55 @@ def test_replay_of_a_file_without_samples_is_a_config_error(tmp_path, tiny, caps
     ) == 2
     assert "0 samples" in capsys.readouterr().err
     assert not (tmp_path / "replay" / "gradients.txt").exists()
+
+
+# each malformed replay file below, and the error it must report
+MALFORMED_REPLAY = {
+    "truncated": "replay body has",
+    "unsorted": "non-decreasing",
+    "neuron-out-of-range": "internal neuron out of range",
+    "dummy-with-a-time": "must be the dummy",
+    "other-t_max": "manifest t_max",
+    "other-samples": "not the sample's input spikes",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_REPLAY))
+def test_every_malformed_replay_file_is_a_config_error(tmp_path, tiny, capsys, case):
+    export = tmp_path / "export"
+    assert run("export-traces", "--samples", 5, "--out", export, config=tiny) == 0
+    traces = export / "traces.replay"
+    m = read_replay_file(traces).m
+    lines = traces.read_text().splitlines()
+    # the line numbers of the first block's real records
+    real = [i for i in range(2, 2 + m) if not lines[i].startswith("-1,")]
+    config = tiny
+    if case == "truncated":
+        lines = lines[:-3]
+    elif case == "unsorted":
+        a, b = real[-2:]
+        assert lines[a].split(",")[1] != lines[b].split(",")[1]
+        lines[a], lines[b] = lines[b], lines[a]
+    elif case == "neuron-out-of-range":
+        lines[real[-1]] = "9," + lines[real[-1]].split(",")[1]  # the net has 9 neurons
+    elif case == "dummy-with-a-time":
+        lines[1 + m] = "-1,0.5"
+    elif case == "other-t_max":
+        assert "t_max=4.0" in lines[0]
+        lines[0] = lines[0].replace("t_max=4.0", "t_max=5.0")
+    else:
+        config = tmp_path / "seed.txt"
+        config.write_text(TINY + "dataset.seed = 7\n")
+    traces.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "replay"
+    assert run(
+        "replay-train", "--traces", traces, "--checkpoint", export / "checkpoint.txt",
+        "--out", out, config=config,
+    ) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and MALFORMED_REPLAY[case] in err
+    assert not any((out / f).exists() for f in ("gradients.txt", "checkpoint.txt"))
 
 
 @pytest.mark.parametrize(
@@ -476,8 +534,9 @@ def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
         [(1, "v_reset", "1.5")],
         [(1, "tau_mem", "-2.0")],
         [(2, "n_out", "0")],
+        [(1, "tau_mem", "1.5")],
     ],
-    ids=["nan-weight", "inf-weight", "v_reset-1.5", "tau_mem-neg", "n_out-0"],
+    ids=["nan-weight", "inf-weight", "v_reset-1.5", "tau_mem-neg", "n_out-0", "tau_mem-1.5"],
 )
 def test_each_command_rejects_a_bad_checkpoint(tmp_path, tiny, capsys, edits):
     assert run("export-traces", "--samples", 5, "--out", tmp_path / "init", config=tiny) == 0
@@ -502,3 +561,49 @@ def test_each_command_rejects_a_bad_checkpoint(tmp_path, tiny, capsys, edits):
         assert str(checkpoint) in capsys.readouterr().err
         written = ("eval.txt", "traces.replay", "gradients.txt", "checkpoint.txt")
         assert not any((out / f).exists() for f in written)
+
+
+# the benchmark's replay net, 5-120-3 at m = 138: on 64 exported rows some
+# hidden neurons fire on fewer than half of them, so train's gamma bump acts
+WIDE = "network.n_hidden = 120\nsim.m = 138\ndataset.seed = 1\ntrain.seed = 1\n"
+
+
+def test_replay_train_takes_the_step_train_takes_on_the_forward_trace(tmp_path):
+    # export-traces then replay-train writes the checkpoint of train_step
+    # from a fresh Adam state on forward_batch's trace of the same rows: the
+    # per-row sum of the gradients differs from the batched one only in
+    # summation order, and the step's weights are equal bit for bit
+    wide = tmp_path / "wide.txt"
+    wide.write_text(WIDE)
+    cycle(tmp_path, wide, "wide", samples=64)
+    cfg = load_config(wide)
+    net, n_hidden = read_checkpoint(tmp_path / "export-wide" / "checkpoint.txt")
+    ds = pack_samples(encode_dataset(data_mod.draw_train(cfg.dataset, 64), cfg.dataset))
+    trace = forward_batch(
+        cfg.backend, net, ds.sorted_neurons, ds.sorted_times,
+        cfg.sim.budget(net.n_in, net.n_total), cfg.sim.t_max, seeds=range(64),
+    )
+    support = structure_masks(net.n_in, n_hidden, net.n_total - n_hidden)
+    _, g_ih, g_ho, counts = gradient_from_trace(cfg, net, trace, ds.labels, support)
+    assert np.any((counts[:, :n_hidden] > 0).mean(axis=0) < 0.5)
+    blocks = split_layers(net)[1:]
+    want, _ = train_step(cfg, blocks, AdamState.init(blocks), cfg.train.lr, (g_ih, g_ho), counts)
+    got, _ = read_checkpoint(tmp_path / "replay-wide" / "checkpoint.txt")
+    for got_block, want_block in zip(split_layers(got)[1:], want):
+        np.testing.assert_array_equal(got_block, want_block)
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("train.gamma", "0.1"), ("train.rate_lambda", "0.01"), ("train.grad_clip", "0.01"),
+        ("train.vdot_floor", "0.5"),
+    ],
+)
+def test_a_step_knob_moves_the_replayed_step(tmp_path, knob, value):
+    # replay-train takes train's step, so each of its knobs acts there too
+    wide = tmp_path / "wide.txt"
+    wide.write_text(WIDE)
+    checkpoint = cycle(tmp_path, wide, "default", samples=64)[3]
+    wide.write_text(WIDE + f"{knob} = {value}\n")
+    assert cycle(tmp_path, wide, "knob", samples=64)[3] != checkpoint

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,18 @@ class TestImmutability:
         net = make_net()
         with pytest.raises(ValueError):
             net.weights[0, 0] = 1.0
+
+    def test_a_feedforward_build_fills_its_matrices_once(self, rng):
+        # feedforward hands its fresh matrices over frozen, so the network
+        # takes them as they are instead of copying both again
+        w_ih, w_ho = rng.normal(size=(5, 500)), rng.normal(size=(500, 3))
+        tracemalloc.start()
+        try:
+            net = Network.feedforward(w_ih, w_ho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (net.weights.nbytes + net.input_weights.nbytes)
 
 
 class TestClassifyRecords:
