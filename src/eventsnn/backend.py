@@ -52,6 +52,10 @@ class ReplayUnsorted(InvalidParameter):
     """Replayed spike times must be non-decreasing."""
 
 
+# the largest bit width whose level count 2^(bits-1) - 1 is a float64
+MAX_WEIGHT_BITS = 1024
+
+
 @dataclass(frozen=True)
 class MockConfig:
     jitter_sigma: float = 0.01  # spike-time jitter, units of tau_syn
@@ -60,8 +64,10 @@ class MockConfig:
     spike_loss_prob: float = 0.0
 
     def __post_init__(self):
-        if self.weight_bits < 2:
-            raise InvalidParameter(f"backend.mock.weight_bits={self.weight_bits} must be >= 2")
+        if not 2 <= self.weight_bits <= MAX_WEIGHT_BITS:
+            raise InvalidParameter(
+                f"backend.mock.weight_bits={self.weight_bits} must lie in [2, {MAX_WEIGHT_BITS}]"
+            )
         if not 0.0 <= self.spike_loss_prob <= 1.0:
             raise InvalidParameter(
                 f"backend.mock.spike_loss_prob={self.spike_loss_prob} must lie in [0, 1]"
@@ -95,8 +101,8 @@ def quantize_weights(w: np.ndarray, bits: int, clip: float) -> np.ndarray:
     """Symmetric uniform quantizer: integer levels -(2^(bits-1)-1)..2^(bits-1)-1
     spread over [-clip, clip], nearest-level rounding with ties away from zero.
     """
-    if bits < 2:
-        raise InvalidParameter("weight_bits must be >= 2")
+    if not 2 <= bits <= MAX_WEIGHT_BITS:
+        raise InvalidParameter(f"weight_bits must lie in [2, {MAX_WEIGHT_BITS}]")
     if not clip > 0.0:
         raise InvalidParameter("weight_clip must be positive")
     levels = 2 ** (bits - 1) - 1

@@ -3,7 +3,8 @@
 Subcommands: generate, train, eval, export-traces, replay-train.
 ``--backend`` picks the forward pass (``numeric`` or ``mock``) of train,
 eval and export-traces; a recorded replay file is read by replay-train
-alone, which takes train's first step on its traces (``train.train_step``).
+alone, which takes train's first step on its traces (``train.train_step``
+from a fresh Adam state).
 Every run is reproducible from its config file; the effective config is
 echoed into each output directory.  Exit codes: 0 success, 2 config error,
 3 runtime error.
@@ -151,7 +152,11 @@ def cmd_replay_train(args) -> int:
     """``train``'s first step (``train_step`` from a fresh Adam state) on the
     checkpoint net's two weight blocks, from the replayed traces' EventProp
     gradients and spike counts.  gradients.txt holds their mean before the
-    step."""
+    step.
+
+    From a fresh Adam state the step moves each weight by about
+    lr * sign(g), whatever the size of g, so ``train.gamma`` and
+    ``train.vdot_floor`` barely act here."""
     cfg = _load_cfg(args)
     out = _out_dir(args)
     rf = read_replay_file(args.traces)
@@ -233,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_export_traces)
 
     sp = sub.add_parser(
-        "replay-train", help="one training step from replayed traces"
+        "replay-train",
+        help="one training step, from a fresh Adam state, on replayed traces",
+        description="One training step, from a fresh Adam state, on replayed "
+        "traces: each weight moves by about lr * sign(g), so train.gamma and "
+        "train.vdot_floor barely act.",
     )
     common(sp)
     sp.add_argument("--traces", required=True)

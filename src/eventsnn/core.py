@@ -106,12 +106,17 @@ class LifParams:
     Invariants: tau_mem > 0 and tau_syn > 0 (else NonpositiveTimeConstant),
     v_reset < v_th (else InvalidParameter); NaN fails both.  Any tau ratio
     builds; the crossing solvers raise UnsupportedTauRatio off 1 and 2.
+
+    ``analytic_ratio`` is decided once, when the value is built: 2 where
+    tau_mem = 2 tau_syn and 1 where tau_mem = tau_syn, each to a relative
+    tolerance of 1e-9 (``math.isclose``), else 0.  The solvers branch on it.
     """
 
     tau_mem: float = 2.0
     tau_syn: float = 1.0
     v_th: float = 1.0
     v_reset: float = 0.0
+    analytic_ratio: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.tau_mem > 0.0 and self.tau_syn > 0.0):
@@ -120,19 +125,25 @@ class LifParams:
             )
         if not self.v_reset < self.v_th:
             raise InvalidParameter(f"v_reset={self.v_reset} must lie below v_th={self.v_th}")
+        ratio = 0
+        if math.isclose(self.tau_mem, 2.0 * self.tau_syn, rel_tol=1e-9):
+            ratio = 2
+        elif math.isclose(self.tau_mem, self.tau_syn, rel_tol=1e-9):
+            ratio = 1
+        object.__setattr__(self, "analytic_ratio", ratio)
 
     @property
     def is_equal_tau(self) -> bool:
-        return math.isclose(self.tau_mem, self.tau_syn, rel_tol=1e-9)
+        return self.analytic_ratio == 1
 
     @property
     def is_double_tau(self) -> bool:
-        return math.isclose(self.tau_mem, 2.0 * self.tau_syn, rel_tol=1e-9)
+        return self.analytic_ratio == 2
 
     @property
     def is_analytic(self) -> bool:
         """A tau ratio the production root solvers cover: 1 or 2."""
-        return self.is_equal_tau or self.is_double_tau
+        return self.analytic_ratio != 0
 
 
 def _frozen_array(a, dtype) -> np.ndarray:
@@ -348,16 +359,15 @@ class FanOut:
 def csr_entries(start, count, sources):
     """The CSR entries of ``sources`` (any shape, read flat), source by
     source, where source s owns the positions start[s]:start[s] + count[s].
-    Returns each entry's position ``pos``, each source's entry count ``cnt``
-    (``np.repeat`` by it spreads a value per source onto its entries) and
-    their running sum ``end``: source q owns the entries end[q] - cnt[q]:end[q].
+    Returns each entry's position ``pos`` and each source's entry count
+    ``cnt`` (``np.repeat`` by it spreads a value per source onto its
+    entries).
     """
     sources = sources.ravel()
     cnt = count[sources]
-    end = cnt.cumsum()
-    pos = (start[sources] + cnt - end).repeat(cnt)
+    pos = (start[sources] + cnt - cnt.cumsum()).repeat(cnt)
     pos += np.arange(pos.size)
-    return pos, cnt, end
+    return pos, cnt
 
 
 @dataclass(frozen=True)

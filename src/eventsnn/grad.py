@@ -497,7 +497,7 @@ def eventprop_backward_batch(
             ev = sp[lv]
             transfer = np.zeros(lv.size)
             if lev:  # a neuron of level 0 has no internal fan-out
-                pos, cnt, _ = csr_entries(j_start, j_count, src[ev])
+                pos, cnt = csr_entries(j_start, j_count, src[ev])
                 ev_e = np.repeat(ev, cnt)
                 d, q = state_at(
                     r.take(ev_e) * n + fan.lanes[pos], k.take(ev_e),
@@ -531,7 +531,7 @@ def eventprop_backward_batch(
                 q_j += d_j
                 q_post[pn] = q_j
         # every event's gradient row over its support lanes
-        pos, cnt, _ = csr_entries(s_start, s_count, src)
+        pos, cnt = csr_entries(s_start, s_count, src)
         lane = lane_of.take(pos)
         lane += np.repeat(r * n, cnt)
         d, q = state_at(lane, np.repeat(k, cnt), np.repeat(f, cnt) if multi else None)

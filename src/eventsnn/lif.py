@@ -54,12 +54,13 @@ def propagate_arrays(v, i, dt, params: LifParams):
     v = np.asarray(v, dtype=np.float64)
     i = np.asarray(i, dtype=np.float64)
     dt = np.asarray(dt, dtype=np.float64)
-    tm, ts = params.tau_mem, params.tau_syn
-    if params.is_equal_tau:
-        es = np.exp(-dt / ts)
+    tm, ts, ratio = params.tau_mem, params.tau_syn, params.analytic_ratio
+    # dt / -tau is -dt / tau bit for bit, without negating the array
+    if ratio == 1:
+        es = np.exp(dt / -ts)
         return (v + np.where(np.isfinite(dt), i * dt, 0.0)) * es, i * es
-    em = np.exp(-dt / tm)
-    es = em * em if params.is_double_tau else np.exp(-dt / ts)
+    em = np.exp(dt / -tm)
+    es = em * em if ratio == 2 else np.exp(dt / -ts)
     return v * em + i * (es - em) / (1.0 / tm - 1.0 / ts), i * es
 
 
@@ -147,16 +148,16 @@ def _crossing_dt_equal_tau(v0, i0, params: LifParams):
 
 def next_crossing_safe(v0, i0, params: LifParams) -> np.ndarray:
     """Elementwise next-crossing times; +inf marks "no crossing", never NaN."""
+    ratio = params.analytic_ratio
+    if not ratio:
+        raise UnsupportedTauRatio(
+            f"no analytic crossing solver for tau_mem/tau_syn = {params.tau_mem / params.tau_syn:g}"
+        )
     v0 = np.asarray(v0, dtype=np.float64)
     i0 = np.asarray(i0, dtype=np.float64)
+    solve = _crossing_dt_double_tau if ratio == 2 else _crossing_dt_equal_tau
     with np.errstate(all="ignore"):
-        if params.is_double_tau:
-            return _crossing_dt_double_tau(v0, i0, params)
-        if params.is_equal_tau:
-            return _crossing_dt_equal_tau(v0, i0, params)
-    raise UnsupportedTauRatio(
-        f"no analytic crossing solver for tau_mem/tau_syn = {params.tau_mem / params.tau_syn:g}"
-    )
+        return solve(v0, i0, params)
 
 
 def _scalar_crossing(v0: float, i0: float, params: LifParams) -> CrossingResult:

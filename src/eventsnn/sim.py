@@ -160,7 +160,8 @@ def simulate_batch(
     # every row starts at rest, so one lane at rest gives every first crossing
     tc[:, k_in:stop] = next_crossing_safe(np.zeros(1), np.zeros(1), p)
     tc[:, stop] = lim
-    src_of = np.empty((b, width), dtype=np.int32)
+    # intp, the index type: a gather by an int32 index first converts it
+    src_of = np.empty((b, width), dtype=np.intp)
     src_of[:, :k_in] = np.where(np.isfinite(in_times), in_neurons + n, null)
     src_of[:, k_in:stop] = np.arange(n)
     src_of[:, stop] = null
@@ -171,6 +172,9 @@ def simulate_batch(
     tc_f, v_f, i_f, tref_f, src_f = (a.reshape(-1) for a in (tc, v, i, tref, src_of))
     base = np.arange(b) * width
     lane0 = base + k_in
+    # each neuron's own fan-out entry, the lane its spike resets
+    own = np.zeros(fan.lanes.size, dtype=bool)
+    own[fan.start[:n]] = True
     # the outputs each row has seen fire, one bit per output; beyond 63
     # outputs the bits are Python ints, which have no width
     n_out = len(net.output_set)
@@ -182,7 +186,7 @@ def simulate_batch(
     # slot k of every row, kept as (m, B) rows: the stacked source of its
     # event (null once the row is done) and its time; only the slots run
     # are read
-    src_k = np.empty((m, b), dtype=np.int32)
+    src_k = np.empty((m, b), dtype=np.intp)
     time_k = np.empty((m, b))
     k0 = 0
     if k_in and b:
@@ -196,7 +200,7 @@ def simulate_batch(
         # the touched lanes, all at rest, get (+0.0, w, t, t + c0[w])
         entry0 = fan.start[n]  # the input entries follow the neurons'
         c0 = next_crossing_safe(np.zeros(fan.lanes.size - entry0), fan.weights[entry0:], p)
-        pos, cnt, _ = csr_entries(fan.start, fan.count, src)
+        pos, cnt = csr_entries(fan.start, fan.count, src)
         lanes = fan.lanes[pos] + lane0.repeat(cnt)
         tn = t_next.repeat(cnt)
         i_f[lanes] = fan.weights[pos]
@@ -208,7 +212,7 @@ def simulate_batch(
         # neuron, then the limit
         at = base + tc.argmin(axis=1)
         src = src_f[at]
-        if (src == null).all():
+        if src.min(initial=null) == null:
             ran = k
             break
         t_next = tc_f[at]
@@ -218,11 +222,11 @@ def simulate_batch(
         tc_f[at] = np.inf
 
         # the flat fan-out lanes of every row; a spiking neuron's own comes first
-        pos, cnt, end = csr_entries(fan.start, fan.count, src)
+        pos, cnt = csr_entries(fan.start, fan.count, src)
         lanes = fan.lanes[pos] + lane0.repeat(cnt)
         tn = t_next.repeat(cnt)
         vv, ii = propagate_arrays(v_f[lanes], i_f[lanes], tn - tref_f[lanes], p)
-        vv[(end - cnt)[src < n]] = p.v_reset
+        vv[own[pos]] = p.v_reset
         ii += fan.weights[pos]
         v_f[lanes] = vv
         i_f[lanes] = ii

@@ -59,24 +59,24 @@ class TtfsLoss:
 def first_spike_times_batch(neurons, times, kinds, ids: Sequence[int]):
     """(B, len(ids)) first internal spike time per listed neuron, inf if silent,
     and its slot, -1 if silent.  Only the slots up to the batch's last
-    internal record are read."""
+    internal record are read, all ids (neuron indices, so >= 0) in one
+    masked argmin."""
     b, _ = times.shape
-    out = np.full((b, len(ids)), np.inf)
-    slots = np.full((b, len(ids)), -1, dtype=np.int64)
-    internal = kinds == int(SpikeKind.INTERNAL)
-    hit = np.flatnonzero(internal.any(axis=0))
+    ids = np.asarray(ids, dtype=np.int64)
+    # INTERNAL is the least kind: a column holds an internal record where
+    # its least kind is INTERNAL
+    hit = np.flatnonzero(kinds.min(axis=0, initial=int(SpikeKind.DUMMY)) == SpikeKind.INTERNAL)
     if not hit.size:
-        return out, slots
+        return np.full((b, ids.size), np.inf), np.full((b, ids.size), -1, dtype=np.int64)
     w = hit[-1] + 1
-    internal, neurons, times = internal[:, :w], neurons[:, :w], times[:, :w]
-    for col, neuron in enumerate(ids):
-        mask = internal & (neurons == neuron)
-        masked = np.where(mask, times, np.inf)
-        idx = np.argmin(masked, axis=1)
-        t = masked[np.arange(b), idx]
-        out[:, col] = t
-        slots[:, col] = np.where(np.isfinite(t), idx, -1)
-    return out, slots
+    # the neuron of each internal record, -1 for the other kinds
+    fired = np.where(kinds[:, :w] == SpikeKind.INTERNAL, neurons[:, :w], -1)
+    # (len(ids), B, w): the times of each id's internal records, else inf
+    masked = np.full((ids.size, b, w), np.inf)
+    np.copyto(masked, times[:, :w], where=fired == ids[:, None, None])
+    idx = masked.argmin(axis=2)
+    t = masked.reshape(-1, w)[np.arange(idx.size), idx.ravel()].reshape(idx.shape)
+    return np.ascontiguousarray(t.T), np.ascontiguousarray(np.where(np.isfinite(t), idx, -1).T)
 
 
 def ttfs_from_times(t_first, labels, cfg: TtfsLoss, t_max: float):

@@ -248,6 +248,19 @@ class TestMockBackend:
                 1.0,
             )
 
+    def test_weight_bits_end_where_the_level_count_stops_being_a_float(self):
+        # 2^(bits-1) - 1 levels is a float64 up to 1024 bits; from 1025 on
+        # the quantizer raised OverflowError at the first mock forward
+        w = np.array([-1.0, -0.3, 0.0, 0.7, 1.0])
+        q = quantize_weights(w, 1024, 1.0)
+        np.testing.assert_allclose(q, w, rtol=1e-12, atol=0.0)
+        assert MockConfig(weight_bits=1024).weight_bits == 1024
+        for bits in (1025, 1100):
+            with pytest.raises(InvalidParameter, match="backend.mock.weight_bits"):
+                MockConfig(weight_bits=bits)
+            with pytest.raises(InvalidParameter, match="weight_bits"):
+                quantize_weights(w, bits, 1.0)
+
 
 class TestReplayBackend:
     def make_traces(self, rng, n_samples=4, m=14, t_max=2.5):

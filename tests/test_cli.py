@@ -258,6 +258,20 @@ def test_eval_rejects_fud_on_a_checkpoint_off_tau_ratio_2(tmp_path, capsys):
     assert not (out / "eval.txt").exists()
 
 
+@pytest.mark.parametrize("bits", [1025, 1100])
+def test_eval_rejects_mock_weight_bits_past_a_float_level_count(tmp_path, tiny, bits, capsys):
+    # the quantizer's 2^(bits-1) - 1 levels overflowed a float: exit 3 at
+    # the first mock forward; now the config load names the key
+    assert run("train", "--out", tmp_path / "train", config=tiny) == 0
+    config = tmp_path / "config.txt"
+    config.write_text(TINY + f"backend.kind = mock\nbackend.mock.weight_bits = {bits}\n")
+    checkpoint = tmp_path / "train" / "checkpoint.txt"
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", checkpoint, "--out", out, config=config) == 2
+    assert "backend.mock.weight_bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command", [["train"], ["eval", "--checkpoint", "absent.txt"]], ids=lambda c: c[0]
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,59 @@ class TestPropagate:
             twice = propagate_arrays(*propagate_arrays(v, i, dt1, params), dt2, params)
             np.testing.assert_allclose(once[0], twice[0], atol=1e-12)
             np.testing.assert_allclose(once[1], twice[1], atol=1e-12)
+
+
+class TestTauRatio:
+    """``LifParams`` decides its tau ratio once, when it is built, by the
+    rule math.isclose(tau_mem, r * tau_syn, rel_tol=1e-9) for r = 2 and 1;
+    the solvers branch on that decision."""
+
+    @staticmethod
+    def rule(p):
+        double = math.isclose(p.tau_mem, 2.0 * p.tau_syn, rel_tol=1e-9)
+        equal = math.isclose(p.tau_mem, p.tau_syn, rel_tol=1e-9)
+        return double, equal
+
+    def test_agrees_with_isclose_on_both_sides_of_the_tolerance(self):
+        for ratio in (1.0, 2.0):
+            for tau_syn in (1e-3, 0.25, 1.0, 3.0, 1e6):
+                for sign in (1.0, -1.0):
+                    near = []
+                    for rel in (0.0, 1e-12, 5e-10, 0.99e-9, 1.01e-9, 2e-9, 1e-6, 0.1):
+                        p = LifParams(tau_mem=ratio * tau_syn * (1.0 + sign * rel), tau_syn=tau_syn)
+                        double, equal = self.rule(p)
+                        assert (p.is_double_tau, p.is_equal_tau) == (double, equal)
+                        assert p.is_analytic == (double or equal)
+                        assert p.analytic_ratio == (2 if double else 1 if equal else 0)
+                        if rel in (0.99e-9, 1.01e-9):
+                            near.append(double or equal)
+                    assert near == [True, False], (ratio, tau_syn, sign)
+
+    def test_decided_again_on_replace_and_kept_out_of_eq_and_repr(self):
+        p = dataclasses.replace(P2, tau_mem=1.0)
+        assert p.is_equal_tau and not p.is_double_tau
+        assert not dataclasses.replace(P2, tau_mem=1.5).is_analytic
+        assert p == LifParams(tau_mem=1.0) and hash(p) == hash(LifParams(tau_mem=1.0))
+        assert repr(P2) == "LifParams(tau_mem=2.0, tau_syn=1.0, v_th=1.0, v_reset=0.0)"
+
+    @pytest.mark.parametrize("tau_mem", [1.5, 3.0, 0.5, 2.0 * (1.0 + 2e-9), 1.0 - 2e-9])
+    def test_unsupported_ratio(self, tau_mem):
+        p = LifParams(tau_mem=tau_mem)
+        assert not p.is_analytic
+        for solve in (next_crossing_double_tau, next_crossing_equal_tau):
+            with pytest.raises(UnsupportedTauRatio):
+                solve(0.0, 4.0, p)
+        with pytest.raises(UnsupportedTauRatio):
+            next_crossing_safe(np.zeros(3), np.full(3, 4.0), p)
+        # the free flow integrates any ratio: the two-exponential closed form
+        v0, i0 = np.array([0.3, -0.2, 0.0]), np.array([1.5, 2.0, -0.7])
+        dt = np.array([0.25, 1.0, 3.0])
+        v, i = propagate_arrays(v0, i0, dt, p)
+        em, es = np.exp(-dt / tau_mem), np.exp(-dt)
+        np.testing.assert_allclose(i, i0 * es, rtol=1e-15)
+        if abs(tau_mem - 1.0) > 1e-3:  # off the near-equal ratio, where it cancels
+            want = v0 * em + i0 * (es - em) / (1.0 / tau_mem - 1.0)
+            np.testing.assert_allclose(v, want, rtol=1e-13, atol=1e-15)
 
 
 class TestDoubleTauCrossing:

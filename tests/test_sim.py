@@ -21,7 +21,7 @@ from eventsnn.core import (
 )
 from eventsnn.data import build_dataset, encode_dataset
 from eventsnn import sim as sim_mod
-from eventsnn.lif import next_crossing_double_tau, next_crossing_safe
+from eventsnn.lif import next_crossing_double_tau, next_crossing_safe, propagate_arrays
 from eventsnn.sim import (
     InvalidBudget,
     UnsortedInput,
@@ -835,3 +835,56 @@ class TestCrossingTableLayout:
             got = _mock_network(net, mock)
             assert got.weights.tobytes() == want[0].tobytes()
             assert got.input_weights.tobytes() == want[1].tobytes()
+
+
+class TestSolverCalls:
+    """The loop reaches the solver and the free flow through ``sim``'s own
+    bindings of ``lif.next_crossing_safe`` and ``lif.propagate_arrays``, one
+    call of each per iteration over the fan-out lanes of every row, beside
+    the at-rest solve and the solve of the input fan-out entries; the
+    benchmark's ``lif`` figures count these calls."""
+
+    @staticmethod
+    def expected(net, trace, k_in):
+        """Lanes per iteration, from the trace alone, and the first-input
+        solve's lane count, None where no first iteration runs."""
+        b = trace.times.shape[0]
+        fan = net.fan_out
+        k0 = int(k_in > 0 and b > 0)
+        real = np.flatnonzero((trace.kinds != DUMMY).any(axis=0))
+        ran = max(k0, int(real[-1]) + 1 if real.size else 0)
+        src = np.where(
+            trace.kinds == INTERNAL,
+            trace.neurons,
+            np.where(trace.kinds == INPUT, trace.neurons + net.n_total, fan.null),
+        )
+        lanes = fan.count[src[:, k0:ran]].sum(axis=0).tolist()
+        return lanes, (fan.lanes.size - int(fan.start[net.n_total]) if k0 else None)
+
+    def test_one_call_of_each_per_iteration(self, monkeypatch, rng):
+        solved, flowed = [], []
+
+        def solve(v, i, p):
+            solved.append(np.size(v))
+            return next_crossing_safe(v, i, p)
+
+        def flow(v, i, dt, p):
+            flowed.append(np.size(v))
+            return propagate_arrays(v, i, dt, p)
+
+        monkeypatch.setattr(sim_mod, "next_crossing_safe", solve)
+        monkeypatch.setattr(sim_mod, "propagate_arrays", flow)
+        cases = layout_cases()
+        for b, k in ((0, 3), (3, 0), (0, 0)):
+            cases.append((random_network(rng, params=P2), np.full((b, k), -1),
+                          np.full((b, k), np.inf), 5, 2.0))
+        iterations = 0
+        for net, neurons, times, m, t_max in cases:
+            solved.clear()
+            flowed.clear()
+            trace = simulate_batch(net, neurons, times, m, t_max)
+            lanes, first = self.expected(net, trace, times.shape[1])
+            assert flowed == lanes
+            assert solved == [1] + ([] if first is None else [first]) + lanes
+            iterations += len(lanes)
+        assert iterations >= 3000
