@@ -106,6 +106,10 @@ def quantize_weights(w: np.ndarray, bits: int, clip: float) -> np.ndarray:
     if not clip > 0.0:
         raise InvalidParameter("weight_clip must be positive")
     levels = 2 ** (bits - 1) - 1
+    if not np.isfinite(clip * levels):
+        raise InvalidParameter(
+            f"weight_bits={bits} with weight_clip={clip:g}: clip * levels overflows a float"
+        )
     w = np.clip(np.asarray(w, dtype=np.float64), -clip, clip)
     scaled = w * levels / clip
     # round half away from zero (np.round would round half to even)

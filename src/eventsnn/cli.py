@@ -211,14 +211,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, forward=True):
         sp.add_argument("--config", default=None, help="config file (key = value lines)")
-        sp.add_argument("--seed", type=int, default=None, help="override train.seed")
-        sp.add_argument("--backend", choices=KINDS, default=None)
+        if forward:
+            sp.add_argument("--seed", type=int, default=None, help="override train.seed")
+            sp.add_argument("--backend", choices=KINDS, default=None)
         sp.add_argument("--out", default="out", help="output directory")
 
+    # dataset.seed alone fixes the point sets: generate takes no --seed and,
+    # running no forward pass, no --backend
     sp = sub.add_parser("generate", help="write the train and test point sets")
-    common(sp)
+    common(sp, forward=False)
     sp.set_defaults(fn=cmd_generate)
 
     sp = sub.add_parser("train", help="train per config; writes metrics + checkpoint")

@@ -89,10 +89,6 @@ class Spike:
             if not (self.time >= 0.0 and math.isfinite(self.time)):
                 raise InvalidParameter(f"bad spike time {self.time}")
 
-    @staticmethod
-    def dummy() -> "Spike":
-        return Spike(DUMMY_NEURON, math.inf, SpikeKind.DUMMY)
-
     @property
     def is_dummy(self) -> bool:
         return self.kind == SpikeKind.DUMMY
@@ -104,8 +100,9 @@ class LifParams:
     potential 0).
 
     Invariants: tau_mem > 0 and tau_syn > 0 (else NonpositiveTimeConstant),
-    v_reset < v_th (else InvalidParameter); NaN fails both.  Any tau ratio
-    builds; the crossing solvers raise UnsupportedTauRatio off 1 and 2.
+    both finite, and v_reset < v_th (else InvalidParameter); a NaN tau or
+    voltage fails its first check.  Any tau ratio builds; the crossing
+    solvers raise UnsupportedTauRatio off 1 and 2.
 
     ``analytic_ratio`` is decided once, when the value is built: 2 where
     tau_mem = 2 tau_syn and 1 where tau_mem = tau_syn, each to a relative
@@ -122,6 +119,10 @@ class LifParams:
         if not (self.tau_mem > 0.0 and self.tau_syn > 0.0):
             raise NonpositiveTimeConstant(
                 f"tau_mem={self.tau_mem}, tau_syn={self.tau_syn} must be > 0"
+            )
+        if math.isinf(self.tau_mem) or math.isinf(self.tau_syn):
+            raise InvalidParameter(
+                f"tau_mem={self.tau_mem}, tau_syn={self.tau_syn} must be finite"
             )
         if not self.v_reset < self.v_th:
             raise InvalidParameter(f"v_reset={self.v_reset} must lie below v_th={self.v_th}")

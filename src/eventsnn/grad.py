@@ -99,6 +99,16 @@ class DegenerateCrossing(RuntimeError):
     """A spike with |dV/dt| < EPS_VDOT makes the adjoint jump ill-defined."""
 
 
+def _gate_vdot(vdot, vdot_floor):
+    """Both estimators' (live, divisor) for spike slopes ``vdot`` = dV/dt:
+    live where the raw |dV/dt| >= EPS_VDOT, and only then does ``vdot_floor``
+    > 0 clamp |dV/dt| from below, so the floor revives no grazing spike."""
+    live = np.abs(vdot) >= EPS_VDOT
+    if vdot_floor > 0.0:
+        vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
+    return live, vdot
+
+
 def _anchor(t, params):
     """Start of the frame window that time t falls in."""
     width = ANCHOR_WINDOW * min(params.tau_mem, params.tau_syn)
@@ -268,14 +278,12 @@ def _adjoint_coefficients(times, kinds, currents, net: Network, loss_grads, stri
     ts, tm = p.tau_syn, p.tau_mem
     i_rec, t_end = currents
     internal = kinds == int(SpikeKind.INTERNAL)
-    vdot = i_rec - p.v_th / tm
-    ok = np.abs(vdot) >= EPS_VDOT
+    raw = i_rec - p.v_th / tm
+    ok, vdot = _gate_vdot(raw, vdot_floor)
     if strict and np.any(internal & ~ok):
         raise DegenerateCrossing(
-            f"|dV/dt| = {np.abs(vdot[internal]).min():.3g} < {EPS_VDOT} at a spike"
+            f"|dV/dt| = {np.abs(raw[internal]).min():.3g} < {EPS_VDOT} at a spike"
         )
-    if vdot_floor > 0.0:
-        vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
 
     # frame time of slot k: the row's next real event at or after k (t_end
     # past its last one), so a dummy slot leaves time and anchor unchanged
@@ -756,10 +764,8 @@ def _layer_grads(t_pre, t_post, w, d_t_post, params, vdot_floor: float = 0.0):
     x2 = x * x
     kernel = np.subtract(x, x2, out=x)  # h / (2 tau_s)
     kernel_dot = np.subtract(x2, kernel, out=x2)  # x (2x - 1)
-    vdot = np.einsum("pq,bpq->bq", w, kernel_dot)
-    if vdot_floor > 0.0:
-        vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
-    live = fin_post & (np.abs(vdot) >= EPS_VDOT)
+    live, vdot = _gate_vdot(np.einsum("pq,bpq->bq", w, kernel_dot), vdot_floor)
+    live &= fin_post
     c = np.where(live, d_t_post / np.where(live, vdot, 1.0), 0.0)
     grad_w = np.einsum("bq,bpq->pq", -2.0 * ts * c, kernel)
     d_t_pre = np.einsum("bq,pq,bpq->bp", c, w, kernel_dot)

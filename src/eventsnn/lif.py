@@ -14,12 +14,11 @@ both.  Of the two quadratic roots the solver tests one candidate, the larger
 root below 1, and takes one log, with the bits of testing both.
 
 All solvers here are NaN-safe in the vectorized form: invalid lanes end at
-the +inf "no crossing" sentinel.  The tau_mem = 2 tau_syn solver divides,
-takes roots and logs unguarded under the ``errstate`` of
-``next_crossing_safe``: a NaN or infinite candidate fails its window and
-direction comparisons, which are false on NaN.  The Lambert W path keeps
-guarded divisions.  The simulator passes only the lanes an event touched,
-all of them in one call per event step.
+the +inf "no crossing" sentinel.  Both solvers divide, take roots and logs
+unguarded under the ``errstate`` of ``next_crossing_safe``: a NaN or
+infinite candidate fails its window and direction comparisons, which are
+false on NaN.  The simulator passes only the lanes an event touched, all of
+them in one call per event step.
 """
 from __future__ import annotations
 
@@ -34,8 +33,6 @@ from .core import LifParams, UnsupportedTauRatio
 EPS_ROOT = 1e-9
 # convergence target |w e^w - z| for the Lambert W evaluation
 EPS_LAMBERT = 1e-12
-
-_INV_E = -math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -62,11 +59,6 @@ def propagate_arrays(v, i, dt, params: LifParams):
     em = np.exp(dt / -tm)
     es = em * em if ratio == 2 else np.exp(dt / -ts)
     return v * em + i * (es - em) / (1.0 / tm - 1.0 / ts), i * es
-
-
-def _safe_div(num, den):
-    ok = den != 0.0
-    return np.where(ok, num / np.where(ok, den, 1.0), 0.0), ok
 
 
 def _crossing_dt_double_tau(v0, i0, params: LifParams):
@@ -109,41 +101,44 @@ def _crossing_dt_double_tau(v0, i0, params: LifParams):
 
 
 def _lambertw0(z):
-    """Principal-branch Lambert W on z >= -1/e by Halley iteration."""
-    z = np.asarray(z, dtype=np.float64)
-    rho = np.sqrt(np.maximum(2.0 * (np.e * z + 1.0), 0.0))
-    near = -1.0 + rho - rho * rho / 3.0 + (11.0 / 72.0) * rho**3
-    w = np.where(z < -0.25, near, z * (1.0 - z))
-    for _ in range(12):
-        ew = np.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        den = ew * wp1 - (w + 2.0) * f / np.where(wp1 != 0.0, 2.0 * wp1, 1.0)
-        step, ok = _safe_div(f, den)
-        w = w - np.where(ok, step, 0.0)
+    """Principal-branch Lambert W on -1/e <= z <= 0 by two Fritsch steps.
+
+    They reach double precision (Fritsch, Shafer & Crowley 1973; Veberic
+    2012) from the branch-point series in p = sqrt(2 (e z + 1)) below
+    z = -0.32 and from Winitzki's log guess elsewhere.  A step is NaN only
+    at z = -1/e and z = 0, where the start is exact and is kept.  Runs under
+    the caller's ``errstate``; below -1/e the start, so W, is NaN.
+    """
+    p, lg = np.sqrt(2.0 * (np.e * z + 1.0)), np.log1p(z)
+    near = -1.0 + p * (1.0 - p / 3.0 + (11.0 / 72.0) * p * p)
+    w = np.where(z < -0.32, near, lg * (1.0 - np.log1p(lg) / (2.0 + lg)))
+    for _ in range(2):
+        y = w + 1.0
+        zn = np.log(z / w) - w
+        q = 2.0 * y * (y + (2.0 / 3.0) * zn)
+        step = w * (1.0 + zn / y * (q - zn) / (q - 2.0 * zn))
+        w = np.where(np.isnan(step), w, step)
     return w
 
 
 def _crossing_dt_equal_tau(v0, i0, params: LifParams):
     """Vectorized crossing solver for tau_mem = tau_syn = tau.
 
-    V(dt) = (v0 + i0 dt) e^{-dt/tau} = v_th is solved by the principal
-    Lambert W branch; the argument is formed in log space so weak-current
-    lanes underflow to "no crossing" instead of overflowing.
+    V(dt) = (v0 + i0 dt) e^{-dt/tau} = v_th gives dt = -tau W(z) - v0/i0 on
+    the principal branch, z = -(v_th / (i0 tau)) e^{-v0 / (i0 tau)}, formed
+    in log space so weak-current lanes underflow to "no crossing" instead of
+    overflowing.  A threshold at or below rest, v_th <= 0, gives none.
+
+    Runs under the caller's ``errstate``: i0 <= 0 gives a NaN log, a peak
+    below v_th a z below -1/e and so a NaN W, and the window and direction
+    tests are comparisons, false on NaN; such a lane ends at +inf.
     """
     tau, vth, tm = params.tau_syn, params.v_th, params.tau_mem
-    pos = (i0 > 0.0) & (vth > 0.0)
-    i_safe = np.where(pos, i0, 1.0)
-    log_mag = np.log(vth / (i_safe * tau)) - v0 / (i_safe * tau)
-    # W argument -e^{log_mag} must lie in [-1/e, 0) => log_mag <= -1
-    feasible = pos & (log_mag <= -1.0)
-    z = -np.exp(np.where(feasible, log_mag, np.log(0.1)))
-    z = np.maximum(z, _INV_E)
-    w = _lambertw0(z)
-    dt = -tau * w - v0 / i_safe
-    dt_pos = np.where(feasible & (dt > 0.0), dt, np.inf)
-    upward = i0 * np.exp(-np.where(np.isfinite(dt_pos), dt_pos, 0.0) / tau) - vth / tm > 0.0
-    return np.where(np.isfinite(dt_pos) & upward, dt_pos, np.inf)
+    if not vth > 0.0:
+        return np.full(np.broadcast(v0, i0).shape, np.inf)
+    w = _lambertw0(-np.exp(np.log(vth / (i0 * tau)) - v0 / (i0 * tau)))
+    dt = -tau * w - v0 / i0
+    return np.where((dt > 0.0) & (i0 * np.exp(dt / -tau) > vth / tm), dt, np.inf)
 
 
 def next_crossing_safe(v0, i0, params: LifParams) -> np.ndarray:

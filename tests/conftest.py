@@ -6,9 +6,12 @@ input-by-input loop of the analytic forward and the point-by-point data
 path, independent of the closed-form, event-driven, prefix-sum and
 whole-array paths they are used to check.  Where a kernel was rewritten for
 speed with bitwise the same output, its previous form is kept here as a
-reference: the guarded crossing solver, the queue-pointer event loop with
-its dense fan-out scan, the float nonzero scan of the mock weights, the
-full-width first-spike scan and the repr-only matrix writer.  The slot loop
+reference: the guarded tau_mem = 2 tau_syn crossing solver, the
+queue-pointer event loop with its dense fan-out scan, the float nonzero scan
+of the mock weights, the full-width first-spike scan and the repr-only
+matrix writer.  The guarded tau_mem = tau_syn solver, whose Lambert W took
+12 Halley steps, is kept as the reference of the two-step one: they agree on
+which lanes cross, and on when to within the conditioning of W.  The slot loop
 of the EventProp backward and of its current replay, which the level-wise
 forms replaced, are kept as ``dense_row_adjoint`` and ``dense_row_currents``:
 both level-wise forms take only acyclic nets, and the slot loops are the
@@ -142,6 +145,51 @@ def crossing_dt_double_tau_guarded(v0, i0, params: LifParams):
         dt = -2.0 * ts * np.log(np.where(hit, x_star, 0.5))
     return np.where(hit, dt, np.inf)
 
+
+
+def lambertw0_halley(z):
+    """Reference principal-branch Lambert W on z >= -1/e: 12 guarded Halley
+    steps from the branch-point series below -0.25, else z (1 - z)."""
+    z = np.asarray(z, dtype=np.float64)
+    rho = np.sqrt(np.maximum(2.0 * (np.e * z + 1.0), 0.0))
+    near = -1.0 + rho - rho * rho / 3.0 + (11.0 / 72.0) * rho**3
+    w = np.where(z < -0.25, near, z * (1.0 - z))
+    for _ in range(12):
+        ew = np.exp(w)
+        f = w * ew - z
+        wp1 = w + 1.0
+        den = ew * wp1 - (w + 2.0) * f / np.where(wp1 != 0.0, 2.0 * wp1, 1.0)
+        step, ok = _safe_div(f, den)
+        w = w - np.where(ok, step, 0.0)
+    return w
+
+
+def crossing_dt_equal_tau_guarded(v0, i0, params: LifParams):
+    """Reference tau_mem = tau_syn crossing solver with guarded operations.
+
+    Every lane is fed only operands its division and logarithm accept: the
+    Lambert argument is clamped to [-1/e, 0) and infeasible lanes are masked
+    explicitly.  The production solver takes two unguarded Fritsch steps
+    under an ``errstate`` instead; the two agree on which lanes cross and,
+    within the conditioning of W near its branch point, on when.
+    """
+    tau, vth, tm = params.tau_syn, params.v_th, params.tau_mem
+    v0 = np.asarray(v0, dtype=np.float64)
+    i0 = np.asarray(i0, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        pos = (i0 > 0.0) & (vth > 0.0)
+        i_safe = np.where(pos, i0, 1.0)
+        log_mag = np.log(vth / (i_safe * tau)) - v0 / (i_safe * tau)
+        # W argument -e^{log_mag} must lie in [-1/e, 0) => log_mag <= -1
+        feasible = pos & (log_mag <= -1.0)
+        z = -np.exp(np.where(feasible, log_mag, np.log(0.1)))
+        z = np.maximum(z, -math.exp(-1.0))
+        w = lambertw0_halley(z)
+        dt = -tau * w - v0 / i_safe
+        dt_pos = np.where(feasible & (dt > 0.0), dt, np.inf)
+        t = np.where(np.isfinite(dt_pos), dt_pos, 0.0)
+        upward = i0 * np.exp(-t / tau) - vth / tm > 0.0
+    return np.where(np.isfinite(dt_pos) & upward, dt_pos, np.inf)
 
 def random_network(
     rng: np.random.Generator,
@@ -584,9 +632,9 @@ def two_exp_layer_grads(t_pre, t_post, w, d_t_post, params, vdot_floor=0.0):
     kernel = np.where(causal, _psp(s, ts), 0.0)
     kernel_dot = np.where(causal, _psp_dot(s, ts), 0.0)
     vdot = np.einsum("pq,bpq->bq", w, kernel_dot)
+    live = fin_post & (np.abs(vdot) >= EPS_VDOT)  # gated before the floor
     if vdot_floor > 0.0:
         vdot = np.sign(vdot) * np.maximum(np.abs(vdot), vdot_floor)
-    live = fin_post & (np.abs(vdot) >= EPS_VDOT)
     inv_vdot = np.where(live, 1.0 / np.where(live, vdot, 1.0), 0.0)
     g = d_t_post * live
     grad_w = np.einsum("bq,bpq->pq", -g * inv_vdot, kernel)

@@ -261,6 +261,18 @@ class TestMockBackend:
             with pytest.raises(InvalidParameter, match="weight_bits"):
                 quantize_weights(w, bits, 1.0)
 
+    def test_a_clip_whose_top_level_overflows_is_rejected(self):
+        # at 1024 bits 2^1023 - 1 levels times a clip of 3 is not a float:
+        # w * levels overflowed to an infinite weight; a clip of 1.5 still
+        # quantizes, to the same bits as the level arithmetic written out
+        w = np.array([0.5, -1.2, 3.0])
+        with pytest.raises(InvalidParameter, match="weight_bits=1024 with weight_clip=3"):
+            quantize_weights(w, 1024, 3.0)
+        levels = float(2**1023 - 1)
+        scaled = np.clip(w, -1.5, 1.5) * levels / 1.5
+        want = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5) * 1.5 / levels
+        np.testing.assert_array_equal(quantize_weights(w, 1024, 1.5), want)
+
 
 class TestReplayBackend:
     def make_traces(self, rng, n_samples=4, m=14, t_max=2.5):

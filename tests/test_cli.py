@@ -469,6 +469,18 @@ def test_the_removed_replay_backend_is_rejected_before_out_exists(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--backend", "numeric"]])
+def test_generate_takes_no_seed_or_backend(tmp_path, tiny, flag, capsys):
+    # dataset.seed alone fixes the point sets and generate runs no forward
+    # pass, so both flags, once ignored, are usage errors
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exit_:
+        run("generate", *flag, "--out", out, config=tiny)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-0.1", "nan", "0.26", "0.71", "1.0"])
 @pytest.mark.parametrize("command", ["generate", "train"])
 def test_r_small_outside_its_lobe_is_a_config_error(tmp_path, command, value, capsys):
@@ -549,8 +561,12 @@ def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
         [(1, "tau_mem", "-2.0")],
         [(2, "n_out", "0")],
         [(1, "tau_mem", "1.5")],
+        [(1, "tau_mem", "inf"), (1, "tau_syn", "inf")],
     ],
-    ids=["nan-weight", "inf-weight", "v_reset-1.5", "tau_mem-neg", "n_out-0", "tau_mem-1.5"],
+    ids=[
+        "nan-weight", "inf-weight", "v_reset-1.5", "tau_mem-neg", "n_out-0", "tau_mem-1.5",
+        "tau-inf",
+    ],
 )
 def test_each_command_rejects_a_bad_checkpoint(tmp_path, tiny, capsys, edits):
     assert run("export-traces", "--samples", 5, "--out", tmp_path / "init", config=tiny) == 0

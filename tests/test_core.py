@@ -45,7 +45,7 @@ def make_net(n=2, tau_mem=2.0, weights=None, input_weights=None, **params):
 
 class TestSpike:
     def test_dummy_encoding(self):
-        d = Spike.dummy()
+        d = Spike(-1, math.inf, SpikeKind.DUMMY)
         assert d.neuron == -1 and math.isinf(d.time) and d.is_dummy
 
     def test_dummy_must_be_minus_one_inf(self):
@@ -79,6 +79,12 @@ class TestValidateNetwork:
         for tau in ({"tau_mem": -1.0}, {"tau_syn": 0.0}, {"tau_mem": math.nan}):
             with pytest.raises(NonpositiveTimeConstant):
                 LifParams(**tau)
+
+    @pytest.mark.parametrize("tau", [(math.inf, 1.0), (2.0, math.inf), (math.inf, math.inf)])
+    def test_tau_must_be_finite(self, tau):
+        # (inf, inf) would decide ratio 2, and its flow is NaN
+        with pytest.raises(InvalidParameter, match="finite"):
+            LifParams(*tau)
 
     def test_reset_must_sit_below_threshold(self):
         for v_reset in (1.0, 1.5, math.nan):

@@ -16,8 +16,10 @@ from eventsnn.core import (
     UnsupportedTauRatio,
 )
 from eventsnn.grad import (
+    EPS_VDOT,
     DegenerateCrossing,
     _anchor,
+    _layer_grads,
     eventprop_backward,
     eventprop_backward_batch,
     fud_feedforward,
@@ -1342,6 +1344,25 @@ class TestFudLayerGrads:
             seen += [np.isinf(t_in).sum(), np.isinf(t_h).sum() + np.isinf(t_o).sum(),
                      (t_in[:, :, None] >= t_h[:, None, :]).sum()]
         assert np.all(seen > 0)
+
+    def test_a_grazing_spike_is_gated_before_the_floor(self):
+        # neuron 0 fires with dV/dt = 1e-9 < EPS_VDOT, neuron 1 with 0.42: at
+        # vdot_floor 0.5 the grazing spike still adds nothing, as in the
+        # EventProp backward, and the other divides by its clamped slope
+        t_pre, t_post = np.array([[0.0, 0.3]]), np.array([[1.0, 1.0]])
+        x = np.exp((t_pre[0] - 1.0) / (2.0 * P2.tau_syn))
+        kernel_dot = x * (2.0 * x - 1.0)
+        w = np.array([[1.0, 1.0], [(1e-9 - kernel_dot[0]) / kernel_dot[1], 1.0]])
+        vdot = kernel_dot @ w
+        assert abs(vdot[0]) < EPS_VDOT and EPS_VDOT < vdot[1] < 0.5
+        for floor in (0.0, 0.5):
+            grad_w, d_t_pre = _layer_grads(t_pre, t_post, w, np.array([[1.0, 0.0]]), P2, floor)
+            assert not grad_w.any() and not d_t_pre.any(), floor
+        both = _layer_grads(t_pre, t_post, w, np.array([[1.0, 1.0]]), P2, 0.5)
+        second = _layer_grads(t_pre, t_post, w, np.array([[0.0, 1.0]]), P2, 0.5)
+        for got, want in zip(both, second):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(second[0][:, 1], -2.0 * P2.tau_syn * (x - x * x) / 0.5)
 
 
 class TestFudNetwork:

@@ -7,6 +7,7 @@ import pytest
 from eventsnn.core import LifParams, UnsupportedTauRatio
 from eventsnn.lif import (
     EPS_LAMBERT,
+    EPS_ROOT,
     _lambertw0,
     next_crossing_double_tau,
     next_crossing_equal_tau,
@@ -17,7 +18,9 @@ from eventsnn.lif import (
 from conftest import (
     bisect_crossing,
     crossing_dt_double_tau_guarded,
+    crossing_dt_equal_tau_guarded,
     euler_first_crossing,
+    lambertw0_halley,
     voltage_at,
 )
 
@@ -132,7 +135,7 @@ class TestDoubleTauCrossing:
             next_crossing_double_tau(0.0, 4.0, P1)
 
     def test_residuals_and_agreement_with_bisection(self, rng):
-        # |V(t*) - v_th| <= 1e-9 and bisection agreement to 1e-10
+        # |V(t*) - v_th| <= EPS_ROOT and bisection agreement to 1e-10
         n_checked = 0
         for _ in range(2000):
             v0 = float(rng.uniform(-2.0, 0.99))
@@ -142,7 +145,7 @@ class TestDoubleTauCrossing:
                 assert bisect_crossing(v0, i0, P2, t_hi=12.0) is None
                 continue
             resid = abs(float(voltage_at(v0, i0, t_a, P2)) - P2.v_th)
-            assert resid <= 1e-9, (v0, i0, resid)
+            assert resid <= EPS_ROOT, (v0, i0, resid)
             t_b = bisect_crossing(v0, i0, P2, t_hi=max(2 * t_a, 1.0), tol=1e-13)
             assert t_b is not None and abs(t_a - t_b) <= 1e-10, (v0, i0, t_a, t_b)
             n_checked += 1
@@ -230,7 +233,7 @@ class TestEqualTauCrossing:
     def test_strong_drive_crossing_residual(self):
         t = next_crossing_equal_tau(0.0, 10.0, P1).time
         assert t is not None
-        assert abs(float(voltage_at(0.0, 10.0, t, P1)) - P1.v_th) <= 1e-9
+        assert abs(float(voltage_at(0.0, 10.0, t, P1)) - P1.v_th) <= EPS_ROOT
         t_euler = euler_first_crossing(0.0, 10.0, P1, dt=1e-6)
         assert t == pytest.approx(t_euler, abs=1e-4)
 
@@ -252,7 +255,7 @@ class TestEqualTauCrossing:
             if t is None:
                 assert t_b is None
                 continue
-            assert abs(float(voltage_at(v0, i0, t, P1)) - P1.v_th) <= 1e-9
+            assert abs(float(voltage_at(v0, i0, t, P1)) - P1.v_th) <= EPS_ROOT
             assert t_b is not None and abs(t - t_b) <= 1e-9
             hits += 1
         assert hits > 400
@@ -261,8 +264,57 @@ class TestEqualTauCrossing:
         z = np.concatenate(
             [rng.uniform(-1 / math.e, 0.0, size=1000), np.array([-1 / math.e, -1e-300, -0.367879])]
         )
-        w = _lambertw0(z)
+        with np.errstate(all="ignore"):
+            w = _lambertw0(z)
         assert np.all(np.abs(w * np.exp(w) - z) <= EPS_LAMBERT)
+
+    @pytest.mark.parametrize(
+        "params",
+        [LifParams(tau_mem=0.7, tau_syn=0.7, v_th=1.3), LifParams(tau_mem=1.0, v_th=0.6)],
+        ids=["scaled", "low_threshold"],
+    )
+    def test_matches_guarded_halley_reference(self, params, rng):
+        # 1M random lanes, lanes whose Lambert argument z lies 1e-18 to 0.1
+        # above the branch point -1/e or has |z| from 0.1 down to subnormal,
+        # and currents near the float maximum: the two-step solver and the
+        # 12-step guarded one agree on which lanes cross, every crossing
+        # meets EPS_ROOT, and dt agrees within 4 eps times its condition
+        # number tau / (1 + W) + |v0 / i0| (measured at most 1.3)
+        tau, vth = params.tau_syn, params.v_th
+        n = 1_000_000
+        v0 = rng.uniform(-3.0, 1.5, size=n) * 10.0 ** rng.integers(-3, 2, size=n)
+        i0 = rng.uniform(-3.0, 10.0, size=n) * 10.0 ** rng.integers(-3, 2, size=n)
+        k = n // 4
+        z = np.concatenate([
+            -1.0 / math.e + 10.0 ** rng.uniform(-18.0, -1.0, size=k),
+            -(10.0 ** rng.uniform(-323.5, -1.0, size=k)),
+        ])
+        i_z = rng.uniform(0.01, 10.0, size=2 * k) * 10.0 ** rng.integers(-2, 2, size=2 * k)
+        v_z = i_z * tau * (np.log(vth / (i_z * tau)) - np.log(-z))
+        i_big = 10.0 ** rng.uniform(300.0, 308.0, size=1000)
+        v0 = np.concatenate([v0, v_z, rng.uniform(-1.0, 0.0, size=1000), [0.0, -0.0, 0.5]])
+        i0 = np.concatenate([i0, i_z, i_big, [0.0, -0.0, 5e-324]])
+        got = next_crossing_safe(v0, i0, params)
+        want = crossing_dt_equal_tau_guarded(v0, i0, params)
+        hit = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), hit)
+        assert not np.isnan(got).any() and np.all(got[hit] > 0.0)
+        v0, i0, got, want = v0[hit], i0[hit], got[hit], want[hit]
+        assert np.all(np.abs(voltage_at(v0, i0, got, params) - vth) <= EPS_ROOT)
+        with np.errstate(divide="ignore", over="ignore"):
+            z = -np.exp(np.log(vth / (i0 * tau)) - v0 / (i0 * tau))
+            w = lambertw0_halley(z)
+            cond = tau / (1.0 + w) + np.abs(v0 / i0)
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * cond)
+        assert hit.sum() > 250_000 and (z < -1.0 / math.e + 1e-12).sum() > 10_000
+        assert (np.abs(z) < np.finfo(float).tiny).sum() > 5
+
+    def test_threshold_at_or_below_rest_never_crosses(self):
+        v0, i0 = np.array([-1.0, -0.5, 0.0]), np.array([2.0, 5.0, 1.0])
+        for vth in (0.0, -0.5):
+            p = LifParams(tau_mem=1.0, v_th=vth, v_reset=-1.0)
+            assert np.all(np.isinf(next_crossing_safe(v0, i0, p)))
+            assert np.all(np.isinf(crossing_dt_equal_tau_guarded(v0, i0, p)))
 
 
 class TestVectorizedSafety:
