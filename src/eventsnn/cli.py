@@ -35,6 +35,7 @@ from .backend import (
 )
 from .config import ExperimentConfig, load_config, save_config
 from .core import InvalidParameter, Network, format_matrix
+from .grad import Support
 from .train import (
     AdamState,
     evaluate,
@@ -172,7 +173,7 @@ def cmd_replay_train(args) -> int:
     t_max = cfg.sim.t_max
     check_manifest(rf, m, t_max)
     n_hidden, *blocks = split_layers(net)
-    support = structure_masks(net.n_in, n_hidden, net.n_total - n_hidden)
+    support = Support.of(net, structure_masks(net.n_in, n_hidden, net.n_total - n_hidden))
     sums, counts = [np.zeros_like(b) for b in blocks], []
     for s in range(n):
         block = slice(s, s + 1)

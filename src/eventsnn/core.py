@@ -431,21 +431,24 @@ def classify_records(neurons, times, in_neurons, in_times) -> np.ndarray:
     and input spikes are recognized by matching against the (B, K) inputs the
     caller fed the forward pass (padded with -1 / inf): walking a row's
     records in order, a record equal to the next unmatched input is that
-    input.  Every other record is internal.
+    input.  Every other record is internal.  The walk goes over the input
+    positions: a row's input p is its first record past its input p - 1
+    that equals it, and a row that has no such record matches no more.
     """
     b, m = times.shape
     dummy = neurons == DUMMY_NEURON
     kinds = np.where(dummy, SpikeKind.DUMMY, SpikeKind.INTERNAL).astype(np.int8)
+    # match[r, p, k]: record k of row r is input p of the row
+    match = (
+        (neurons[:, None, :] == in_neurons[:, :, None])
+        & (times[:, None, :] == in_times[:, :, None])
+        & ~dummy[:, None, :]
+    )
     slots = np.arange(m)
     rows = np.arange(b)  # rows whose inputs matched so far
     last = np.full(b, -1)  # slot of each row's last matched input
     for p in range(in_times.shape[1]):
-        hit = (
-            (neurons[rows] == in_neurons[rows, p, None])
-            & (times[rows] == in_times[rows, p, None])
-            & (kinds[rows] == SpikeKind.INTERNAL)
-            & (slots > last[rows, None])
-        )
+        hit = match[rows, p] & (slots > last[rows, None])
         found = hit.any(axis=1)
         rows, at = rows[found], hit.argmax(axis=1)[found]
         if not rows.size:

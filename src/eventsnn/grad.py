@@ -69,6 +69,8 @@ coefficients are rescaled by a factor of at most 1.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .core import EventTrace, InvalidParameter, Network, SpikeKind, UnsupportedTauRatio
@@ -321,22 +323,46 @@ def _adjoint_coefficients(times, kinds, currents, net: Network, loss_grads, stri
     return coef, anchor[:, :-1] - anchor[:, 1:], to_window
 
 
-def _support_rows(net: Network, support):
-    """The gradient support as stacked boolean rows [w; w_in; null]."""
-    n = net.n_total
-    keep = np.zeros((n + net.n_in + 1, n), dtype=bool)
-    if support is None:
-        keep[:-1] = True
-        return keep
-    masks = [np.asarray(s) for s in support]
-    shapes = [net.weights.shape, net.input_weights.shape]
-    if [s.shape for s in masks] != shapes:
-        raise InvalidParameter(
-            f"support shapes {[s.shape for s in masks]} != weight shapes {shapes}"
-        )
-    keep[:n] = masks[0] != 0
-    keep[n:-1] = masks[1] != 0
-    return keep
+@dataclass(frozen=True)
+class Support:
+    """A gradient support of the backward: the weights it computes the
+    gradient of, as boolean rows over the lanes of the stacked sources
+    [w; w_in; null] (as in ``FanOut``; the null row is empty).  Support
+    entry e is ``flat[e]`` of the rows, on lane ``lane[e]``; source s
+    holds the entries ``start[s] : start[s] + count[s]``.  It depends only
+    on the masks, so a caller that runs many backwards with the same masks
+    builds it once (``Support.of``)."""
+
+    rows: np.ndarray  # (N + n_in + 1, N) bool
+    flat: np.ndarray  # (S,) int64
+    count: np.ndarray  # (N + n_in + 1,) int64
+    start: np.ndarray  # (N + n_in + 1,) int64
+    lane: np.ndarray  # (S,) int64
+
+    def __post_init__(self):
+        for a in (self.rows, self.flat, self.count, self.start, self.lane):
+            a.setflags(write=False)
+
+    @staticmethod
+    def of(net: Network, masks=None) -> "Support":
+        """The support of ``masks``, a pair of 0/1 arrays shaped like
+        ``net``'s (weights, input_weights), or of every entry for None."""
+        n = net.n_total
+        rows = np.zeros((n + net.n_in + 1, n), dtype=bool)
+        if masks is None:
+            rows[:-1] = True
+        else:
+            masks = [np.asarray(s) for s in masks]
+            shapes = [net.weights.shape, net.input_weights.shape]
+            if [s.shape for s in masks] != shapes:
+                raise InvalidParameter(
+                    f"support shapes {[s.shape for s in masks]} != weight shapes {shapes}"
+                )
+            rows[:n] = masks[0] != 0
+            rows[n:-1] = masks[1] != 0
+        flat = np.flatnonzero(rows)
+        count = rows.sum(axis=1)
+        return Support(rows, flat, count, np.cumsum(count) - count, flat % n)
 
 
 def eventprop_backward_batch(
@@ -362,11 +388,12 @@ def eventprop_backward_batch(
     contribution whose true value is ill-conditioned anyway.  The default 0
     keeps the estimator exact.
 
-    ``support`` is a pair of 0/1 masks shaped like (weights, input_weights);
-    the gradient is computed on its nonzero entries and is zero elsewhere.
-    None means every entry, including weights that are zero today: their
-    gradient is defined, and the finite-difference tests check it.  The
-    result on a support equals the full-support result times the mask.
+    ``support`` is a pair of 0/1 masks shaped like (weights, input_weights),
+    or their ``Support`` built for a net of ``net``'s shape; the gradient is
+    computed on its nonzero entries and is zero elsewhere.  None means every
+    entry, including weights that are zero today: their gradient is
+    defined, and the finite-difference tests check it.  The result on a
+    support equals the full-support result times the mask.
 
     Everything that does not depend on the adjoint is computed for all
     slots first (``_adjoint_coefficients``).  A lane's (D, Q) changes only
@@ -426,7 +453,13 @@ def eventprop_backward_batch(
             f"{SpikeKind(kinds[r, k]).name.lower()} slot; only internal spikes take one"
         )
     level = net.levels
-    keep = _support_rows(net, support)
+    if not isinstance(support, Support):
+        support = Support.of(net, support)
+    elif support.rows.shape != (n + net.n_in + 1, n):
+        raise InvalidParameter(
+            f"support rows {support.rows.shape} do not fit a net of n_total={n}, "
+            f"n_in={net.n_in}: built for another net shape"
+        )
     coef, shift, to_window = _adjoint_coefficients(
         times, kinds, reconstruct_currents_batch(neurons, times, kinds, net), net,
         loss_grads, strict, vdot_floor,
@@ -449,15 +482,10 @@ def eventprop_backward_batch(
     jumps = np.where(internal & (slot <= lane_end), neurons, fan.null)
     del end, lane_end
 
-    # support entry e is flat[e] of the stacked rows; its lane is flat[e] % N
-    flat = np.flatnonzero(keep)
-    s_count = keep.sum(axis=1)
-    s_start = np.cumsum(s_count) - s_count
-    lane_of = flat % n
     # a row's entries: its events' support entries and its live spikes'
     # fan-out entries, each spike's own entry standing for the spike
-    per_row = (s_count[sources] + fan.count[jumps]).sum(axis=1)
-    acc = np.zeros(flat.size)
+    per_row = (support.count[sources] + fan.count[jumps]).sum(axis=1)
+    acc = np.zeros(support.flat.size)
     for lo, hi in _row_chunks(per_row):
         # the chunk's events e in (row, slot) order: row in the chunk, slot,
         # source and frame
@@ -539,17 +567,17 @@ def eventprop_backward_batch(
                 q_j += d_j
                 q_post[pn] = q_j
         # every event's gradient row over its support lanes
-        pos, cnt = csr_entries(s_start, s_count, src)
-        lane = lane_of.take(pos)
+        pos, cnt = csr_entries(support.start, support.count, src)
+        lane = support.lane.take(pos)
         lane += np.repeat(r * n, cnt)
         d, q = state_at(lane, np.repeat(k, cnt), np.repeat(f, cnt) if multi else None)
         d *= np.repeat(coef[0].take(e), cnt)  # a_v D
         q *= np.repeat(coef[1].take(e), cnt)  # a_q Q
         d += q
         np.add.at(acc, pos, d)
-    grad = np.zeros(keep.size)
-    grad[flat] = acc
-    grad = grad.reshape(keep.shape)
+    grad = np.zeros(support.rows.size)
+    grad[support.flat] = acc
+    grad = grad.reshape(support.rows.shape)
     return grad[:n], grad[n:-1]
 
 

@@ -29,6 +29,7 @@ from .config import ExperimentConfig
 from .core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
 from .core import format_matrix, format_time, parse_matrix
 from .grad import (
+    Support,
     eventprop_backward_batch,
     fud_feedforward,
     fud_feedforward_grads,
@@ -128,14 +129,13 @@ def ttfs_loss(
 
 
 def scatter_slot_grads(slots, grads, m: int):
-    """Spread per-output time derivatives onto their trace slots, batched."""
-    b, n_out = grads.shape
-    out = np.zeros((b, m))
-    rows = np.arange(b)
-    for col in range(n_out):
-        s = slots[:, col]
-        ok = s >= 0
-        out[rows[ok], s[ok]] += grads[ok, col]
+    """Spread per-output time derivatives onto their trace slots, batched.
+    A silent output's slot is -1 and takes nothing.  The sums go in
+    (row, output) order, so a slot that two outputs share adds them in
+    output order."""
+    out = np.zeros((grads.shape[0], m))
+    ok = slots >= 0
+    np.add.at(out, (np.nonzero(ok)[0], slots[ok]), grads[ok])
     return out
 
 
@@ -405,7 +405,7 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
 
     rng = np.random.default_rng(cfg.train.seed)
     net = init_network(cfg, ds_train, rng, m, log=log)
-    support = structure_masks(n_in, n_hidden, n_out)
+    support = Support.of(net, structure_masks(n_in, n_hidden, n_out))
     loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
     params = split_layers(net)[1:]
     opt = AdamState.init(params)
@@ -536,7 +536,9 @@ def _eventprop_batch(cfg, net, batch, slots, g_times, support):
 def gradient_from_trace(cfg: ExperimentConfig, net, trace: EventTrace, labels, support):
     """Loss per row, the EventProp gradients of the two weight blocks summed
     over the rows, and the (B, N) spike counts of an externally produced
-    trace, as a ``train`` step takes them from its forward's trace."""
+    trace, as a ``train`` step takes them from its forward's trace.
+    ``support`` is the masks pair or its ``grad.Support``, which a caller
+    that replays many traces builds once."""
     t_first, slots = first_spike_times_batch(
         trace.neurons, trace.times, trace.kinds, net.output_set
     )

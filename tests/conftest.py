@@ -8,8 +8,10 @@ whole-array paths they are used to check.  Where a kernel was rewritten for
 speed with bitwise the same output, its previous form is kept here as a
 reference: the guarded tau_mem = 2 tau_syn crossing solver, the
 queue-pointer event loop with its dense fan-out scan, the float nonzero scan
-of the mock weights, the full-width first-spike scan and the repr-only
-matrix writer.  The guarded tau_mem = tau_syn solver, whose Lambert W took
+of the mock weights, the full-width first-spike scan, the repr-only
+matrix writer, the record classifier that compared each input position
+against every record anew and the slot scatter that took one output at a
+time.  The guarded tau_mem = tau_syn solver, whose Lambert W took
 12 Halley steps, is kept as the reference of the two-step one: they agree on
 which lanes cross, and on when to within the conditioning of W.  The slot loop
 of the EventProp backward and of its current replay, which the level-wise
@@ -339,6 +341,43 @@ def classify_walk(records, inputs):
         else:
             kinds.append(SpikeKind.INTERNAL)
     return kinds
+
+
+def classify_records_reference(neurons, times, in_neurons, in_times) -> np.ndarray:
+    """``core.classify_records`` as it compared each input position against
+    every record of the rows still matching, with no table of matches."""
+    b, m = times.shape
+    dummy = neurons == DUMMY_NEURON
+    kinds = np.where(dummy, SpikeKind.DUMMY, SpikeKind.INTERNAL).astype(np.int8)
+    slots = np.arange(m)
+    rows = np.arange(b)
+    last = np.full(b, -1)
+    for p in range(in_times.shape[1]):
+        hit = (
+            (neurons[rows] == in_neurons[rows, p, None])
+            & (times[rows] == in_times[rows, p, None])
+            & (kinds[rows] == SpikeKind.INTERNAL)
+            & (slots > last[rows, None])
+        )
+        found = hit.any(axis=1)
+        rows, at = rows[found], hit.argmax(axis=1)[found]
+        if not rows.size:
+            break
+        kinds[rows, at] = SpikeKind.INPUT
+        last[rows] = at
+    return kinds
+
+
+def scatter_slot_grads_reference(slots, grads, m: int) -> np.ndarray:
+    """``train.scatter_slot_grads`` as it scattered one output at a time."""
+    b, n_out = grads.shape
+    out = np.zeros((b, m))
+    rows = np.arange(b)
+    for col in range(n_out):
+        s = slots[:, col]
+        ok = s >= 0
+        out[rows[ok], s[ok]] += grads[ok, col]
+    return out
 
 
 def replay_walk(trace: EventTrace, net: Network, t_max: float):

@@ -28,7 +28,7 @@ from eventsnn.train import (
     write_checkpoint,
 )
 
-from conftest import classify_walk, random_network
+from conftest import classify_records_reference, classify_walk, random_network
 
 INTERNAL, INPUT, DUMMY = int(SpikeKind.INTERNAL), int(SpikeKind.INPUT), int(SpikeKind.DUMMY)
 
@@ -239,6 +239,74 @@ class TestClassifyRecords:
             records = zip(neurons[r].tolist(), times[r].tolist())
             assert kinds[r].tolist() == [int(x) for x in classify_walk(records, inputs)]
         assert np.any(kinds == INPUT) and np.any((kinds == INTERNAL) & (neurons < 3))
+
+    def test_matches_the_per_position_loop(self, rng):
+        # the table of matches and the loop that compared each input
+        # position anew give the same kinds bitwise, on whole batches and
+        # on single rows, as replay-train classifies them
+        for b, m, k in ((200, 16, 5), (120, 40, 8)):
+            blocks = adversarial_blocks(rng, b, m, k)
+            args, cases = blocks[:4], blocks[4]
+            assert all(c.sum() >= 5 for c in cases.values()), {
+                key: int(c.sum()) for key, c in cases.items()
+            }
+            want = classify_records_reference(*args)
+            got = classify_records(*args)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            for r in range(b):
+                one = [a[r : r + 1] for a in args]
+                assert np.array_equal(classify_records(*one), want[r : r + 1])
+            assert np.any(got == INPUT) and np.any(got == DUMMY)
+
+
+def adversarial_blocks(rng, b, m, k, t_max=4.0):
+    """(B, m) records of rows run on (B, K) inputs, and per row which hard
+    cases it holds.  Inputs are padded (-1, inf) past a row's own count,
+    some lie past t_max and are not recorded, and some repeat the input
+    before them.  An internal record copies an input's (neuron, time)
+    before or after it, and a row is cut at a random record, as a budget or
+    an output stop cuts it, then padded with dummies."""
+    grid = np.array([0.1, 0.2, 0.3, 0.5, 3.9, 4.5, 5.0])
+    in_neurons, in_times = np.full((b, k), -1), np.full((b, k), np.inf)
+    neurons, times = np.full((b, m), -1), np.full((b, m), np.inf)
+    cases = {key: np.zeros(b, bool) for key in (
+        "padded", "twin_inputs", "past_t_max", "copy_before", "copy_after", "cut_inputs",
+    )}
+    for r in range(b):
+        k_r = rng.integers(0, k + 1)
+        cases["padded"][r] = k_r < k
+        n_in = rng.integers(0, 3, size=k_r)
+        t_in = np.sort(rng.choice(grid, size=k_r))
+        for p in range(1, k_r):
+            if rng.random() < 0.3:
+                n_in[p], t_in[p] = n_in[p - 1], t_in[p - 1]
+                cases["twin_inputs"][r] = True
+        in_neurons[r, :k_r], in_times[r, :k_r] = n_in, t_in
+        live = np.flatnonzero(t_in <= t_max)
+        cases["past_t_max"][r] = live.size < k_r
+        # (time, tie-break, neuron, input position or -1); inputs of one
+        # time keep their order, internal records fall anywhere among them
+        recs = [(t_in[p], p / k, n_in[p], p) for p in live]
+        for _ in range(rng.integers(0, m)):
+            if live.size and rng.random() < 0.4:
+                p = rng.choice(live)
+                tie = (p + rng.choice([-0.5, 0.5])) / k
+                recs.append((t_in[p], tie, n_in[p], -1))
+            else:
+                t = rng.choice(grid[grid <= t_max])
+                recs.append((t, rng.random(), rng.integers(0, 4), -1))
+        recs.sort(key=lambda x: x[:2])
+        recs = recs[: rng.integers(0, min(len(recs), m) + 1)]
+        kept = [x[3] for x in recs if x[3] >= 0]
+        cases["cut_inputs"][r] = 0 < len(kept) < live.size
+        for p in kept:
+            at = [i for i, x in enumerate(recs) if x[3] < 0 and x[2] == n_in[p] and x[0] == t_in[p]]
+            here = next(i for i, x in enumerate(recs) if x[3] == p)
+            cases["copy_before"][r] |= any(i < here for i in at)
+            cases["copy_after"][r] |= any(i > here for i in at)
+        neurons[r, : len(recs)] = [x[2] for x in recs]
+        times[r, : len(recs)] = [x[0] for x in recs]
+    return neurons, times, in_neurons, in_times, cases
 
 
 class TestEventTrace:

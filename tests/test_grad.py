@@ -18,6 +18,7 @@ from eventsnn.core import (
 from eventsnn.grad import (
     EPS_VDOT,
     DegenerateCrossing,
+    Support,
     _anchor,
     _layer_grads,
     eventprop_backward,
@@ -851,6 +852,12 @@ def first_spike_case(net, m):
 
 
 TRAINING_MASKS = structure_masks(5, 120, 3)
+# the masks' Support and the full one, built once for every 5-120-3 backward
+# below, as training and replay-train build theirs once for all their steps
+TRAINING_SUPPORT, FULL_SUPPORT = (
+    Support.of(Network.feedforward(np.zeros((5, 120)), np.zeros((120, 3))), s)
+    for s in (TRAINING_MASKS, None)
+)
 # tracemalloc peaks of one backward in bytes, of ``workload_case`` under the
 # training masks and the full support: 1.67e6 and 1.77e6 measured with numpy
 # 2.4 in row chunks of PLAN_ENTRIES (2.16e6 and 2.53e6 with the slot loop's
@@ -876,6 +883,8 @@ def assert_equals_dense_rows(neurons, times, kinds, net, loss_grads):
         assert_close(full, dense_row_adjoint(*args, loss_grads, **kw), (0.0, 0.0))
         got = eventprop_backward_batch(*args, loss_grads, support=TRAINING_MASKS, **kw)
         assert_bitwise(got, [f * mask for f, mask in zip(full, TRAINING_MASKS)])
+        for built, want in ((TRAINING_SUPPORT, got), (FULL_SUPPORT, full)):
+            assert_bitwise(eventprop_backward_batch(*args, loss_grads, support=built, **kw), want)
     return got
 
 
@@ -943,8 +952,10 @@ class TestWorkloadShapedPlans:
         monkeypatch.setattr(grad, "_row_chunks", lambda per_row: chunks.append(row_chunks(per_row)) or chunks[-1])
         assert_equals_dense_rows(*args)
         assert len(chunks[-1]) > 10
-        for s, want in zip((TRAINING_MASKS, None), default):
+        supports = zip((TRAINING_MASKS, None), (TRAINING_SUPPORT, FULL_SUPPORT), default)
+        for s, built, want in supports:
             assert_bitwise(eventprop_backward_batch(*args, support=s), want)
+            assert_bitwise(eventprop_backward_batch(*args, support=built), want)
 
     @pytest.mark.parametrize("support", ["masks", "full"])
     def test_backward_memory_peak(self, case, support):
@@ -1191,8 +1202,18 @@ class TestBackwardInputChecks:
         mask_w, mask_in = np.ones((n, n)), np.ones((n_in, n))
         wrong = ((np.ones((n + 1, n)), mask_in), (mask_w, np.ones((n_in, n + 1))), (mask_w,))
         for support in wrong:
-            with pytest.raises(InvalidParameter):
+            with pytest.raises(InvalidParameter, match=r"support shapes .* != weight shapes"):
                 eventprop_backward_batch(*args, g, support=support)
+            with pytest.raises(InvalidParameter, match=r"support shapes .* != weight shapes"):
+                Support.of(args[3], support)
+        # a Support built for a net of another (n_total, n_in)
+        for other in (n - 1, n_in), (n + 1, n_in), (n, n_in - 1), (n, n_in + 1):
+            if min(other) < 1:
+                continue
+            net = Network(other[0], np.zeros(other[:1] * 2), np.zeros(other[::-1]))
+            for masks in None, (np.ones(net.weights.shape), np.ones(net.input_weights.shape)):
+                with pytest.raises(InvalidParameter, match="another net shape"):
+                    eventprop_backward_batch(*args, g, support=Support.of(net, masks))
 
 
 def random_layer(rng, b, k, n_pre, h, spans):

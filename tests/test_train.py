@@ -26,6 +26,7 @@ from eventsnn.train import (
     init_network,
     pack_samples,
     read_checkpoint,
+    scatter_slot_grads,
     split_layers,
     train,
     ttfs_from_times,
@@ -38,6 +39,7 @@ from conftest import (
     format_matrix_reference,
     random_inputs,
     random_network,
+    scatter_slot_grads_reference,
 )
 
 P2 = LifParams(tau_mem=2.0)
@@ -192,6 +194,24 @@ class TestFirstSpikes:
         got = _spike_counts(tr.neurons, tr.kinds, net.n_total)
         assert got.dtype == np.float64 and want.sum() > 0
         np.testing.assert_array_equal(got, want)
+
+
+def test_scatter_slot_grads_equals_the_per_output_loop(rng):
+    # random slots, silent outputs (slot -1) and outputs that share a
+    # slot, whose derivatives sum in output order as the loop added them
+    for b, n_out, m in ((1, 3, 6), (64, 3, 20), (40, 7, 5)):
+        slots = rng.integers(-1, m, size=(b, n_out))
+        grads = rng.normal(size=(b, n_out)) * 10.0 ** rng.integers(-8, 9, size=(b, n_out))
+        grads[rng.random((b, n_out)) < 0.1] = -0.0
+        shared = rng.random(b) < 0.5
+        slots[shared, 1] = slots[shared, 0]
+        slots[0, :3] = m - 1, m - 1, -1
+        got = scatter_slot_grads(slots, grads, m)
+        want = scatter_slot_grads_reference(slots, grads, m)
+        assert got.shape == (b, m) and np.array_equal(got.view(np.int64), want.view(np.int64))
+    # three outputs on one slot: ((0 + 1e16) + 1) + -1e16 is 0.0, not 1.0
+    got = scatter_slot_grads(np.array([[2, 2, 2]]), np.array([[1e16, 1.0, -1e16]]), 4)
+    assert got.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
 
 class TestAdam:
