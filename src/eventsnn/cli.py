@@ -3,8 +3,10 @@
 Subcommands: generate, train, eval, export-traces, replay-train.
 ``--backend`` picks the forward pass (``numeric`` or ``mock``) of train,
 eval and export-traces; a recorded replay file is read by replay-train
-alone, which takes train's first step on its traces (``train.train_step``
-from a fresh Adam state).
+alone, which runs no forward pass and takes train's first step on its
+traces (``train.train_step`` from a fresh Adam state).  Without
+``--checkpoint`` export-traces and replay-train start from
+``train.init_network``'s draw from ``train.seed`` (``--seed``).
 Every run is reproducible from its config file; the effective config is
 echoed into each output directory.  Exit codes: 0 success, 2 config error,
 3 runtime error.
@@ -81,13 +83,12 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def _network_for(cfg: ExperimentConfig, args, ds):
-    """The ``--checkpoint`` net, else the config's initialized net, and the
+    """The ``--checkpoint`` net, else the config's initial net, and the
     event budget m of that net."""
     if getattr(args, "checkpoint", None):
         net, _ = read_checkpoint(args.checkpoint)
     else:
-        m = cfg.sim.budget(cfg.dataset.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
-        net = init_network(cfg, ds, np.random.default_rng(cfg.train.seed), m)
+        net = init_network(cfg, ds, np.random.default_rng(cfg.train.seed))
     return net, cfg.sim.budget(cfg.dataset.n_inputs, net.n_total)
 
 
@@ -212,17 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, forward=True):
+    def common(sp, seed=True, forward=True):
         sp.add_argument("--config", default=None, help="config file (key = value lines)")
-        if forward:
+        if seed:
             sp.add_argument("--seed", type=int, default=None, help="override train.seed")
+        if forward:
             sp.add_argument("--backend", choices=KINDS, default=None)
         sp.add_argument("--out", default="out", help="output directory")
 
     # dataset.seed alone fixes the point sets: generate takes no --seed and,
     # running no forward pass, no --backend
     sp = sub.add_parser("generate", help="write the train and test point sets")
-    common(sp, forward=False)
+    common(sp, seed=False, forward=False)
     sp.set_defaults(fn=cmd_generate)
 
     sp = sub.add_parser("train", help="train per config; writes metrics + checkpoint")
@@ -248,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "traces: each weight moves by about lr * sign(g), so train.gamma and "
         "train.vdot_floor barely act.",
     )
-    common(sp)
+    # running no forward pass, replay-train takes no --backend
+    common(sp, forward=False)
     sp.add_argument("--traces", required=True)
     sp.add_argument("--checkpoint", default=None)
     sp.set_defaults(fn=cmd_replay_train)

@@ -481,6 +481,29 @@ def test_generate_takes_no_seed_or_backend(tmp_path, tiny, flag, capsys):
     assert not out.exists()
 
 
+def test_replay_train_takes_no_backend(tmp_path, tiny, capsys):
+    # replay-train runs no forward pass, so the flag, once ignored, is a
+    # usage error; --seed stays, for the init when no --checkpoint is given
+    out = tmp_path / "replay"
+    with pytest.raises(SystemExit) as exit_:
+        run("replay-train", "--traces", "absent.replay", "--backend", "numeric", "--out", out,
+            config=tiny)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+    export = tmp_path / "export"
+    assert run("export-traces", "--seed", 5, "--samples", 5, "--out", export, config=tiny) == 0
+    written = []
+    for source in (["--seed", 5], ["--checkpoint", export / "checkpoint.txt"]):
+        out = tmp_path / f"replay{len(written)}"
+        assert run(
+            "replay-train", "--traces", export / "traces.replay", *source, "--out", out,
+            config=tiny,
+        ) == 0
+        written.append((out / "checkpoint.txt").read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("value", ["0", "-0.1", "nan", "0.26", "0.71", "1.0"])
 @pytest.mark.parametrize("command", ["generate", "train"])
 def test_r_small_outside_its_lobe_is_a_config_error(tmp_path, command, value, capsys):

@@ -13,6 +13,7 @@ from eventsnn.config import (
     load_config,
     save_config,
 )
+from eventsnn.backend import forward_batch
 from eventsnn.data import build_dataset, encode_dataset
 from eventsnn.core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
 from eventsnn.sim import pack_inputs, simulate_batch
@@ -521,13 +522,14 @@ class TestCheckpoint:
         assert "config error" in capsys.readouterr().err
 
 
-# sha256 prefixes of init_network's weights, recorded when every trace ran to
-# t_max: the probe asks whether each neuron spikes before t_max, so the stop
-# at the outputs must not change them
+# sha256 prefixes of init_network's weights: one draw at INIT_MEANS.  The
+# activity probe it replaced rewound the seed and raised the means until 90 %
+# of (row, neuron) pairs spiked within the budget; unstopped by the budget it
+# kept its first round, this draw, and the wide-mock digests are the probe's
 INIT_WEIGHTS = {
-    ("train", 1): "e0efa3f594b2568b",
-    ("train", 2): "b04b0cf3016747e4",
-    ("train", 3): "86fb3eea41e3c728",
+    ("train", 1): "195d93d968a9fc36",
+    ("train", 2): "fb958352153a035e",
+    ("train", 3): "60f646e2f1fafc84",
     ("wide-mock", 1): "de49fb3e9a2ddf66",
     ("wide-mock", 2): "59197438515cf3a3",
     ("wide-mock", 3): "1b23b4cbde46c25c",
@@ -552,8 +554,40 @@ def test_init_weights_are_those_of_the_unstopped_probe(name, seed):
     cfg = load_config(None, {**keys, "dataset.seed": str(seed), "train.seed": str(seed)})
     points, _ = build_dataset(cfg.dataset)
     ds = pack_samples(encode_dataset(points, cfg.dataset))
-    net = init_network(cfg, ds, np.random.default_rng(seed), cfg.sim.m)
+    rng = np.random.default_rng(seed)
+    net = init_network(cfg, ds, rng, cfg.sim.m)
     assert weights_digest(net) == INIT_WEIGHTS[name, seed]
+    # the generator ends where one draw leaves it, so the epoch orders that
+    # train draws next are those of the probe, which rewound before each round
+    one_draw = np.random.default_rng(seed)
+    init_network(cfg, ds, one_draw)
+    assert rng.bit_generator.state == one_draw.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n_hidden, kind, m", [(120, "numeric", 1000), (500, "mock", 4000)], ids=["120", "500-mock"]
+)
+def test_the_fixed_init_is_active_up_to_t_max(n_hidden, kind, m, seed):
+    # a first-spike net learns nothing while silent: on the benchmark's two
+    # nets at init, >= 90 % of hidden and of output (row, neuron) pairs spike
+    # before t_max.  The rows run without outputs, so none stops early, under
+    # a budget none reaches (about 400 and 1650 events are used)
+    cfg = load_config(None, {
+        "network.n_hidden": str(n_hidden), "backend.kind": kind, "dataset.n_train": "64",
+        "dataset.n_test": "3", "dataset.seed": str(seed), "train.seed": str(seed),
+    })
+    points, _ = build_dataset(cfg.dataset)
+    ds = pack_samples(encode_dataset(points, cfg.dataset))
+    net = init_network(cfg, ds, np.random.default_rng(seed))
+    batch = forward_batch(
+        cfg.backend, dataclasses.replace(net, output_set=()), ds.sorted_neurons,
+        ds.sorted_times, m, cfg.sim.t_max, seeds=range(64),
+    )
+    assert np.all(batch.kinds[:, -1] == SpikeKind.DUMMY)
+    spiked = _spike_counts(batch.neurons, batch.kinds, net.n_total) > 0
+    assert spiked[:, :n_hidden].mean() >= 0.9
+    assert spiked[:, n_hidden:].mean() >= 0.9
 
 
 # sha256 prefixes of train()'s best and final weights on two epochs of
