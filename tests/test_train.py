@@ -522,10 +522,9 @@ class TestCheckpoint:
         assert "config error" in capsys.readouterr().err
 
 
-# sha256 prefixes of init_network's weights: one draw at INIT_MEANS.  The
-# activity probe it replaced rewound the seed and raised the means until 90 %
-# of (row, neuron) pairs spiked within the budget; unstopped by the budget it
-# kept its first round, this draw, and the wide-mock digests are the probe's
+# sha256 prefixes of init_network's weights, one draw at INIT_MEANS: the net
+# that an activity probe (>= 90 % of pairs spiking) keeps when no budget cuts
+# its rows short
 INIT_WEIGHTS = {
     ("train", 1): "195d93d968a9fc36",
     ("train", 2): "fb958352153a035e",
@@ -557,8 +556,8 @@ def test_init_weights_are_those_of_the_unstopped_probe(name, seed):
     rng = np.random.default_rng(seed)
     net = init_network(cfg, ds, rng, cfg.sim.m)
     assert weights_digest(net) == INIT_WEIGHTS[name, seed]
-    # the generator ends where one draw leaves it, so the epoch orders that
-    # train draws next are those of the probe, which rewound before each round
+    # the generator ends where one draw leaves it: train draws its epoch
+    # orders from it next
     one_draw = np.random.default_rng(seed)
     init_network(cfg, ds, one_draw)
     assert rng.bit_generator.state == one_draw.bit_generator.state
