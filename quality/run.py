@@ -9,8 +9,11 @@ the run reads) with the cell's estimator, backend and epoch count and
 ``train.seed`` set to the seed; the point sets stay at ``dataset.seed``, so
 the seed picks the init and the batch orders.  ``--set`` overrides pinned
 keys.  Every run records its best and final test accuracy, the best epoch,
-the final net's no-decision rate (test rows whose outputs all stay silent)
-and predicted-class counts, and its wall time.
+the final net's no-decision rate (test rows whose outputs all stay silent),
+silent-output fraction (test (row, output) pairs that never fire),
+budget-fill rate (test rows whose trace fills the event budget, its last
+slot real; null for fud, which has no trace) and predicted-class counts,
+and its wall time.
 
 Each ``--side`` is a checkout whose ``src/`` is imported; the default is
 this one, labelled ``change``.  Every run goes in its own process, and per
@@ -95,6 +98,7 @@ def run_one(keys: dict) -> dict:
     import numpy as np
 
     # the package's train() shadows the module, so modules go by full name
+    core = importlib.import_module("eventsnn.core")
     data = importlib.import_module("eventsnn.data")
     train = importlib.import_module("eventsnn.train")
     load_config = importlib.import_module("eventsnn.config").load_config
@@ -109,11 +113,14 @@ def run_one(keys: dict) -> dict:
     ds = train.pack_samples(data.encode_dataset(test_pts, cfg.dataset))
     m = cfg.sim.budget(cfg.dataset.n_inputs, cfg.network.n_hidden + cfg.network.n_out)
     bs = max(cfg.train.batch, 256)
-    t_first = np.concatenate([
-        train._forward_times(cfg, result.final_net, ds, np.arange(lo, min(lo + bs, len(ds))),
-                             m, 999_983)[0]
-        for lo in range(0, len(ds), bs)
-    ])
+    t_first, filled = [], []
+    for lo in range(0, len(ds), bs):
+        idx = np.arange(lo, min(lo + bs, len(ds)))
+        t_out, extra = train._forward_times(cfg, result.final_net, ds, idx, m, 999_983)
+        t_first.append(t_out)
+        if cfg.train.estimator != "fud":
+            filled.append(extra[0].kinds[:, -1] != int(core.SpikeKind.DUMMY))
+    t_first = np.concatenate(t_first)
     predicted = train.predict_from_times(t_first)
     final_acc = result.history[-1].test_acc
     if float(np.mean(predicted == ds.labels)) != final_acc:
@@ -123,6 +130,8 @@ def run_one(keys: dict) -> dict:
         "best_epoch": result.best_epoch,
         "final_test_acc": final_acc,
         "final_no_decision_rate": float(np.isinf(t_first).all(axis=1).mean()),
+        "final_silent_output_frac": float(np.isinf(t_first).mean()),
+        "final_budget_fill_rate": float(np.concatenate(filled).mean()) if filled else None,
         "final_class_counts": np.bincount(predicted, minlength=cfg.network.n_out).tolist(),
         "epochs_run": len(result.history),
         "wall_s": wall_s,
@@ -205,7 +214,8 @@ def main(argv=None) -> int:
             run = {"side": side, "seed": seed, "cell": cell, **child(f"{sides[side]}/src", keys)}
             print(f"{side:>8} seed {seed} {cell:<20} best {run['best_test_acc']:.3f} "
                   f"(epoch {run['best_epoch']}) final {run['final_test_acc']:.3f} "
-                  f"no-decision {run['final_no_decision_rate']:.3f} {run['wall_s']:.1f} s",
+                  f"no-decision {run['final_no_decision_rate']:.3f} "
+                  f"silent {run['final_silent_output_frac']:.3f} {run['wall_s']:.1f} s",
                   flush=True)
             runs.append(run)
     command = ["python3", "quality/run.py", "--name", args.name, "--seeds", *map(str, args.seeds)]

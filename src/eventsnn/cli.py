@@ -84,9 +84,16 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
 
 def _network_for(cfg: ExperimentConfig, args, ds):
     """The ``--checkpoint`` net, else the config's initial net, and the
-    event budget m of that net."""
+    event budget m of that net.  A checkpoint must take as many inputs as
+    the config's encoding gives."""
     if getattr(args, "checkpoint", None):
         net, _ = read_checkpoint(args.checkpoint)
+        if net.n_in != cfg.dataset.n_inputs:
+            raise ConfigError(
+                f"checkpoint {args.checkpoint} takes {net.n_in} inputs, but the config's "
+                f"encoding gives {cfg.dataset.n_inputs} (dataset.bias_enabled = "
+                f"{str(cfg.dataset.bias_enabled).lower()})"
+            )
     else:
         net = init_network(cfg, ds, np.random.default_rng(cfg.train.seed))
     return net, cfg.sim.budget(cfg.dataset.n_inputs, net.n_total)
@@ -118,10 +125,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    net, _ = read_checkpoint(args.checkpoint)
     test_pts = data_mod.draw_test(cfg.dataset)
     ds_test = pack_samples(data_mod.encode_dataset(test_pts, cfg.dataset))
-    m = cfg.sim.budget(cfg.dataset.n_inputs, net.n_total)
+    net, m = _network_for(cfg, args, ds_test)
     acc = evaluate(cfg, net, ds_test, m)
     (out / "eval.txt").write_text(f"test_acc {acc:.6f}\n", encoding="utf-8")
     _echo_config(cfg, out)

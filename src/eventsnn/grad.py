@@ -66,6 +66,11 @@ A single anchor per row would overflow e^{|t-A|/tau} on long traces, so the
 anchor of an event is the start of its time window of ANCHOR_WINDOW times
 the shorter time constant; when a row moves to another window its
 coefficients are rescaled by a factor of at most 1.
+
+Both the analytic forward and the current replay take running sums along a
+short, strided axis of a 3-d array, where ``np.cumsum`` is slow.
+``_prefix_sums`` adds whole slices in order instead, the same left fold
+with the same bits, where that axis is no longer than the rest of the array.
 """
 from __future__ import annotations
 
@@ -111,6 +116,21 @@ def _gate_vdot(vdot, vdot_floor):
     return live, vdot
 
 
+def _prefix_sums(x, axis):
+    """``x`` replaced by its running sums along ``axis``, and returned: the
+    left fold of ``np.cumsum``, bit for bit.  An axis no longer than the
+    rest of the array takes one vector add per step along it, on whole
+    slices; a longer one takes ``np.cumsum``, whose strided scan costs less
+    than that many short adds."""
+    n = x.shape[axis]
+    if n * n > x.size:
+        return np.cumsum(x, axis=axis, out=x)
+    lead = (slice(None),) * axis
+    for k in range(1, n):
+        x[lead + (k,)] += x[lead + (k - 1,)]
+    return x
+
+
 def _anchor(t, params):
     """Start of the frame window that time t falls in."""
     width = ANCHOR_WINDOW * min(params.tau_mem, params.tau_syn)
@@ -145,15 +165,15 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
     (``Network.levels``, with the weights into each level from
     ``Network.level_inputs``), the row's events that drive a level fill one
     (1 + K, B, H) block, row 0 the carry and row p the adds of the p-th,
-    and ``np.cumsum`` along the events, a left fold in slot order like the
-    slot loop's, gives c after each.  A spike of the level reads it at its
-    row's count of driving events before it: no neuron drives its own
-    level.  The sum runs per anchor window (see the module docstring); a
-    window's carry is the last c of the window before, scaled by
-    e^{-(A'-A)/tau_s} <= 1.  The rows go in chunks whose blocks hold at
-    most REPLAY_ENTRIES entries (a single row may need more), which bounds
-    the memory however many events drive a wide level; each row's sums are
-    the same in any chunk.
+    and the running sums along the events (``_prefix_sums``, a left fold in
+    slot order like the slot loop's) give c after each.  A spike of the
+    level reads it at its row's count of driving events before it: no
+    neuron drives its own level.  The sum runs per anchor window (see the
+    module docstring); a window's carry is the last c of the window before,
+    scaled by e^{-(A'-A)/tau_s} <= 1.  The rows go in chunks whose blocks
+    hold at most REPLAY_ENTRIES entries (a single row may need more), which
+    bounds the memory however many events drive a wide level; each row's
+    sums are the same in any chunk.
     """
     b, m = times.shape
     ts = net.params.tau_syn
@@ -211,7 +231,7 @@ def reconstruct_currents_batch(neurons, times, kinds, net: Network):
                 add *= np.exp(u[c].take(e))[:, None]
                 block.reshape(-1, h)[cnt.take(e) * rows + e // m] = add
                 del add  # before the next block is allocated
-                np.cumsum(block, axis=0, out=block)
+                _prefix_sums(block, 0)
                 e = np.flatnonzero(spikes[c])
                 at = (cnt.take(e) * rows + e // m) * h + col.take(neurons[c].take(e))
                 out[c].reshape(-1)[e] = block.take(at) * np.exp(-u[c].take(e))
@@ -697,18 +717,20 @@ def fud_first_spike_times(
         i = e^{-(T-A)/tau_s} sum_j w_j e^{(t_j-A)/tau_s},
         v = 2 tau_s (e^{-(T-A)/tau_m} sum_j w_j e^{(t_j-A)/tau_m} - i).
 
-    Inputs are summed per anchor window, so no factor exceeds
-    e^ANCHOR_WINDOW, and a window's sum reaches a later interval's state
-    through a factor of at most 1 (``_interval_frames``).  The postsynaptic
-    neurons are solved in blocks of max(1, min(H, LANES_PER_CALL) // K) and
-    the rows in chunks of max(1, LANES_PER_CALL // (K block)) (``_call_shape``):
-    each chunk's (rows, K, block) interval lanes take one
-    ``next_crossing_safe`` call, so a call covers at most
+    The sums run along the K axis of each call's (rows, K, block) lanes
+    (``_prefix_sums``).  Inputs are summed per anchor window, so no factor
+    exceeds e^ANCHOR_WINDOW, and a window's sum reaches a later interval's
+    state through a factor of at most 1 (``_interval_frames``).  The
+    postsynaptic neurons are solved in blocks of max(1, min(H,
+    LANES_PER_CALL) // K) and the rows in chunks of max(1, LANES_PER_CALL //
+    (K block)) (``_call_shape``): each chunk's (rows, K, block) interval
+    lanes take one ``next_crossing_safe`` call, so a call covers at most
     max(LANES_PER_CALL, K) lanes however large B is.  Every row's arithmetic
     is the same in any chunk.  A lane spikes in its first interval whose
     crossing lies strictly before the next input and at or before t_max;
     crossings of later intervals come later, so that is the earliest such
-    crossing.
+    crossing: the minimum over the intervals, each crossing outside its own
+    interval set to +inf.
     """
     if not params.is_double_tau:
         raise UnsupportedTauRatio("the analytic forward requires tau_mem = 2 tau_syn")
@@ -729,12 +751,10 @@ def fud_first_spike_times(
             # i0: the current at T; i_m: the same sums decayed with tau_m
             i0 = i_m = 0.0
             for grow_s, grow_m, decay_s, decay_m in frames:
-                i0 = i0 + np.cumsum(w * grow_s[rows], axis=1) * decay_s[rows]
-                i_m = i_m + np.cumsum(w * grow_m[rows], axis=1) * decay_m[rows]
+                i0 = i0 + _prefix_sums(w * grow_s[rows], 1) * decay_s[rows]
+                i_m = i_m + _prefix_sums(w * grow_m[rows], 1) * decay_m[rows]
             cross = start[rows] + next_crossing_safe(2.0 * ts * (i_m - i0), i0, params)
-            out[rows, lo : lo + block] = np.min(
-                cross, axis=1, initial=np.inf, where=cross < bound[rows]
-            )
+            out[rows, lo : lo + block] = np.where(cross < bound[rows], cross, np.inf).min(axis=1)
     return out
 
 

@@ -11,7 +11,10 @@ queue-pointer event loop with its dense fan-out scan, the float nonzero scan
 of the mock weights, the full-width first-spike scan, the repr-only
 matrix writer, the record classifier that compared each input position
 against every record anew and the slot scatter that took one output at a
-time.  The guarded tau_mem = tau_syn solver, whose Lambert W took
+time.  The analytic forward's interval sums by ``np.cumsum`` with its
+masked ``np.min(where=)``, and the current replay's block sums by
+``np.cumsum``, are kept as the references of ``grad._prefix_sums``' vector
+adds.  The guarded tau_mem = tau_syn solver, whose Lambert W took
 12 Halley steps, is kept as the reference of the two-step one: they agree on
 which lanes cross, and on when to within the conditioning of W.  The slot loop
 of the EventProp backward and of its current replay, which the level-wise
@@ -23,6 +26,7 @@ reference for every cyclic one (``backward_or_reference``,
 import dataclasses
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,11 +42,14 @@ from eventsnn.core import (
     Spike,
     SpikeKind,
 )
+import eventsnn.grad as grad
 from eventsnn.grad import (
     EPS_VDOT,
     DegenerateCrossing,
     _adjoint_coefficients,
     _anchor,
+    _call_shape,
+    _interval_frames,
     _stacked_source,
     eventprop_backward_batch,
     fud_first_spike_times,
@@ -646,6 +653,47 @@ def loop_first_spike_times(in_neurons, in_times, weights, params, t_max):
         i = i + np.where(alive[:, None], w_rows, 0.0)
         t = np.where(alive, t_next, t)
     return out
+
+
+def fud_first_spike_times_reference(in_neurons, in_times, weights, params, t_max):
+    """``grad.fud_first_spike_times`` as it took the interval sums with
+    ``np.cumsum`` along the strided K axis and each lane's first crossing
+    with ``np.min(initial=inf, where=)``."""
+    ts = params.tau_syn
+    t = np.asarray(in_times, dtype=np.float64)
+    b, kk = t.shape
+    n_pre, n_post = weights.shape
+    out = np.full((b, n_post), np.inf)
+    if kk == 0:
+        return out
+    start, bound, frames = _interval_frames(t, params, t_max)
+    ids = np.clip(in_neurons, 0, n_pre - 1)
+    block, chunk = _call_shape(kk, n_post)
+    for r in range(0, b, chunk):
+        rows = slice(r, r + chunk)
+        for lo in range(0, n_post, block):
+            w = weights[:, lo : lo + block][ids[rows]]
+            i0 = i_m = 0.0
+            for grow_s, grow_m, decay_s, decay_m in frames:
+                i0 = i0 + np.cumsum(w * grow_s[rows], axis=1) * decay_s[rows]
+                i_m = i_m + np.cumsum(w * grow_m[rows], axis=1) * decay_m[rows]
+            cross = start[rows] + next_crossing_safe(2.0 * ts * (i_m - i0), i0, params)
+            out[rows, lo : lo + block] = np.min(
+                cross, axis=1, initial=np.inf, where=cross < bound[rows]
+            )
+    return out
+
+
+def cumsum_in_place(x, axis):
+    """The running sums of ``x`` along ``axis`` by ``np.cumsum``, into ``x``."""
+    return np.cumsum(x, axis=axis, out=x)
+
+
+def currents_cumsum_reference(neurons, times, kinds, net: Network):
+    """``grad.reconstruct_currents_batch`` with every replay block summed by
+    ``np.cumsum`` along its events."""
+    with mock.patch.object(grad, "_prefix_sums", cumsum_in_place):
+        return reconstruct_currents_batch(neurons, times, kinds, net)
 
 
 def _psp(s, ts):

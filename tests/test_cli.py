@@ -616,6 +616,37 @@ def test_each_command_rejects_a_bad_checkpoint(tmp_path, tiny, capsys, edits):
         assert not any((out / f).exists() for f in written)
 
 
+@pytest.mark.parametrize("n_in", [5, 4])
+def test_each_command_rejects_a_checkpoint_of_another_input_count(tmp_path, capsys, n_in):
+    # a 5-input checkpoint (the bias channel) under an encoding without the
+    # bias, whose bias input would never fire, and a 4-input one under the
+    # default encoding
+    bias = {5: "true", 4: "false"}
+    configs = {}
+    for count, value in bias.items():
+        configs[count] = tmp_path / f"config-{count}.txt"
+        configs[count].write_text(TINY + f"dataset.bias_enabled = {value}\n")
+    init = tmp_path / "init"
+    assert run("export-traces", "--samples", 5, "--out", init, config=configs[n_in]) == 0
+    checkpoint = init / "checkpoint.txt"
+    assert f"n_in {n_in} " in checkpoint.read_text().splitlines()[2]
+    commands = {
+        "eval": ["eval"],
+        "export": ["export-traces", "--samples", 5],
+        "replay": ["replay-train", "--traces", init / "traces.replay"],
+    }
+    other = 9 - n_in
+    capsys.readouterr()
+    for name, command in commands.items():
+        out = tmp_path / name
+        got = run(*command, "--checkpoint", checkpoint, "--out", out, config=configs[other])
+        assert got == 2, name
+        err = capsys.readouterr().err
+        assert str(checkpoint) in err and f"takes {n_in} inputs" in err and f"gives {other}" in err
+        written = ("eval.txt", "traces.replay", "gradients.txt", "checkpoint.txt")
+        assert not any((out / f).exists() for f in written)
+
+
 # the benchmark's replay net, 5-120-3 at m = 138: on 64 exported rows some
 # hidden neurons fire on fewer than half of them, so train's gamma bump acts
 WIDE = "network.n_hidden = 120\nsim.m = 138\ndataset.seed = 1\ntrain.seed = 1\n"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,10 +46,13 @@ from conftest import (
     NoSpike,
     assert_bitwise_trace,
     backward_or_reference,
+    cumsum_in_place,
+    currents_cumsum_reference,
     currents_or_reference,
     dense_adjoint,
     dense_row_adjoint,
     dense_row_currents,
+    fud_first_spike_times_reference,
     fud_spike_time_grad,
     is_acyclic,
     loop_first_spike_times,
@@ -727,6 +731,12 @@ def assert_bitwise(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
 
 
+def assert_same_bits(got, want):
+    """Equal arrays down to the bit: signed zeros and NaN payloads included."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestGradientSupport:
     """The gradient on a support equals the full-support gradient times the
     mask bitwise, the full support equals the slot-loop reference to 1e-12
@@ -938,6 +948,28 @@ class TestWorkloadShapedPlans:
         neurons, times = np.array([[7], [121]]), np.array([[0.5], [0.8]])
         kinds = np.full((2, 1), INTERNAL, dtype=np.int8)
         assert_equals_dense_rows(neurons, times, kinds, net, np.array([[0.3], [-1.0]]))
+
+    def test_current_replay_equals_the_cumsum_scan_bit_for_bit(self, case, monkeypatch):
+        # the (1 + K, rows, H) blocks of the batch take vector adds, those of
+        # a single row's output level np.cumsum; both equal np.cumsum's bits
+        net, batch, _ = case
+        shapes = []
+        scan = grad._prefix_sums
+
+        def recorded(x, axis):
+            shapes.append(x.shape)
+            return scan(x, axis)
+
+        monkeypatch.setattr(grad, "_prefix_sums", recorded)
+        capped = batch.kinds[:, -1] != DUMMY
+        rows = [slice(None), *(slice(r, r + 1) for r in np.flatnonzero(capped)[:2])]
+        for r in rows:
+            args = (*(a[r] for a in slots_of(batch)), net)
+            got = reconstruct_currents_batch(*args)
+            for g, w in zip(got, currents_cumsum_reference(*args)):
+                assert_same_bits(g, w)
+        adds = {shape[0] ** 2 <= math.prod(shape) for shape in shapes}
+        assert adds == {True, False}
 
     @pytest.mark.parametrize("plan_entries", [1, 500])
     def test_runs_of_any_size(self, case, monkeypatch, plan_entries):
@@ -1286,9 +1318,98 @@ class TestFudFirstSpikeTimes:
                 single = fud_first_spike_times(ids[r : r + 1], times[r : r + 1], w, P2, np.inf)
                 assert np.array_equal(batch[r], single[0])
 
+    @pytest.mark.parametrize("b", [1, 64, 256])
+    def test_equals_the_cumsum_form_bit_for_bit(self, rng, b):
+        # a training net's hidden (K = 5, H = 120) and output (K = 120, H =
+        # 3) layer shapes: at B = 256 the rows split into chunks of
+        # LANES_PER_CALL lanes, and the output layer's long K axis takes
+        # np.cumsum where the hidden layer's takes vector adds
+        seen = np.zeros(4, dtype=int)  # silent, spiking, padded, past t_max
+        for k, n_pre, h, scale in ((5, 5, 120, 1.0), (120, 120, 3, 0.05)):
+            ids, times, w = random_layer(rng, b, k, n_pre, h, [(0.0, 6.0), *self.WINDOWS])
+            w *= scale
+            # row 0 puts its inputs in each anchor window in turn, then one
+            # padding slot
+            lo, hi = np.array([(0.0, 3.0), (100.0, 101.5), (200.0, 203.0)])[np.arange(k - 1) % 3].T
+            times[0] = np.append(np.sort(rng.uniform(lo, hi)), np.inf)
+            ids[0] = np.append(rng.integers(0, n_pre, size=k - 1), -1)
+            assert np.unique(_anchor(times[0, :-1], P2)).size == 3
+            if b == 256:
+                assert b > grad._call_shape(k, h)[1]
+            for t_max in (self.T_MAX, np.inf):
+                got = fud_first_spike_times(ids, times, w, P2, t_max)
+                assert_same_bits(got, fud_first_spike_times_reference(ids, times, w, P2, t_max))
+                fin = np.isfinite(times)
+                seen += [np.isinf(got).sum(), np.isfinite(got).sum(), (~fin).sum(),
+                         (times[fin] > self.T_MAX).sum()]
+        assert np.all(seen > 0)
+
+    def test_a_crossing_exactly_at_an_interval_bound(self):
+        # neuron j of row j first crosses at c_j, where an inhibiting input
+        # then arrives: a crossing at the next input does not count, so the
+        # neuron stays silent, and one an ulp before it does.  A crossing at
+        # t_max counts, one an ulp past it does not.
+        h = 6
+        w0 = np.linspace(1.5, 4.0, h)
+        row = (np.array([[0]]), np.array([[0.3]]))
+        c = fud_first_spike_times(*row, w0[None], P2, self.T_MAX)[0]
+        crossing = np.isfinite(c)
+        assert 0 < crossing.sum() < h
+        ids = np.tile([0, 1], (h, 1))
+        w = np.stack([w0, np.full(h, -50.0)])
+        for at, want in ((c, np.inf), (np.nextafter(c, np.inf), c)):
+            times = np.stack([np.full(h, 0.3), at], axis=1)
+            got = fud_first_spike_times(ids, times, w, P2, self.T_MAX)
+            assert_same_bits(got, fud_first_spike_times_reference(ids, times, w, P2, self.T_MAX))
+            assert np.array_equal(np.diag(got)[crossing], np.broadcast_to(want, h)[crossing])
+        for j in np.flatnonzero(crossing):
+            for t_max, want in ((c[j], c[j]), (np.nextafter(c[j], -np.inf), np.inf)):
+                args = (*row, w0[None], P2, float(t_max))
+                got = fud_first_spike_times(*args)
+                assert_same_bits(got, fud_first_spike_times_reference(*args))
+                assert got[0, j] == want
+
     def test_requires_double_tau(self):
         with pytest.raises(UnsupportedTauRatio):
             fud_first_spike_times(np.zeros((1, 1), int), np.zeros((1, 1)), np.ones((1, 1)), P1, 1.0)
+
+
+# (shape, axis) on both sides of ``grad._prefix_sums``' rule: the first ten
+# take vector adds, the last eight np.cumsum
+SCAN_CASES = [
+    ((6, 40), 0), ((3, 5, 7), 1), ((2, 3, 4), 2), ((1, 9), 0), ((9, 1), 1),
+    ((1, 1), 0), ((1,), 0), ((0, 4), 0), ((64, 5, 24), 1), ((7, 64, 120), 0),
+    ((40, 6), 0), ((2, 30, 1), 1), ((9, 1), 0), ((1, 9), 1), ((7,), 0),
+    ((4, 0), 0), ((64, 120, 1), 1), ((116, 1, 3), 0),
+]
+
+
+class TestPrefixSums:
+    """``grad._prefix_sums`` equals ``np.cumsum`` bit for bit, with vector
+    adds on an axis no longer than the rest of the array and ``np.cumsum``
+    on a longer one."""
+
+    @pytest.mark.parametrize("shape, axis", SCAN_CASES)
+    def test_equals_cumsum_bit_for_bit(self, rng, shape, axis):
+        n = shape[axis]
+        adds = n * n <= math.prod(shape)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        special = np.array([0.0, -0.0, np.inf, -np.inf])
+        pick = rng.random(shape) < 0.3
+        x[pick] = rng.choice(special, size=int(pick.sum()))
+        if x.size:
+            x.flat[0] = -0.0  # a leading -0.0 stays -0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = cumsum_in_place(x.copy(), axis)
+            with mock.patch.object(np, "cumsum", wraps=np.cumsum) as spy:
+                got = grad._prefix_sums(x, axis)
+        assert got is x
+        assert spy.called != adds
+        assert_same_bits(got, want)
+
+    def test_cases_cover_both_sides_of_the_rule(self):
+        adds = [s[a] ** 2 <= math.prod(s) for s, a in SCAN_CASES]
+        assert adds == [True] * 10 + [False] * 8
 
 
 class TestFudSpikeTimeGrad:
