@@ -13,10 +13,11 @@ consumes unchanged; ``forward`` is row 0 of a one-sample batch.
   re-sorted and re-padded.
 
 A recorded run is not a backend: ``export-traces`` writes a forward's
-trace as a replay file, one block per sample, and ``replay-train`` reads it
-back through ``replay_block_to_trace``, which validates shape, ordering and
-the inputs.  A block ends where its run stopped, so its input records are
-often a prefix of the inputs.
+trace as a replay file, a block file whose blocks ``neurons`` and ``times``
+hold the (S, m) records of its S samples, and ``replay-train`` reads it back
+one row at a time through ``replay_block_to_trace``, which validates shape,
+ordering and the inputs.  A row ends where its run stopped, so its input
+records are often a prefix of the inputs.
 
 A trace carries events only.  The backward pass always assumes the ideal
 dynamics with the caller's float weights, whatever produced the spikes.
@@ -24,22 +25,21 @@ dynamics with the caller's float weights, whatever produced the spikes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
     DUMMY_NEURON,
-    RECORDS_HEADER,
     EventTrace,
     InvalidParameter,
     Network,
     Spike,
     SpikeKind,
     classify_records,
-    format_records,
     format_time,
+    read_block_file,
+    write_block_file,
 )
 from .sim import pack_inputs, simulate_batch
 
@@ -214,21 +214,22 @@ def forward(
 
 
 # ---------------------------------------------------------------------------
-# replay files, the one spike-record format: "m=<int> t_max=<float>
-# samples=<int>" header, then one record block (``core.format_records``:
-# header + exactly m records) per sample.
+# replay files, a block file (``core.read_block_file``): the header
+# "m <int> t_max <float> samples <int>", then the (samples, m) records of the
+# rows as the blocks "neurons" and "times", a dummy written as (-1.0, inf).
+
+REPLAY_MAGIC = "eventsnn-replay v2"
 
 
 def write_replay_file(path, traces: EventTrace, m: int, t_max: float) -> None:
-    """Write each row of a (S, m) trace as one block."""
+    """Write each row of a (S, m) trace as one row of each block."""
     if traces.times.shape[1] != m:
         raise ReplayShapeMismatch(
             f"trace has {traces.times.shape[1]} records, manifest says m={m}"
         )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"m={m} t_max={format_time(t_max)} samples={len(traces)}\n")
-        for neurons, times in zip(traces.neurons, traces.times):
-            f.write(format_records(neurons, times))
+    header = {"m": m, "t_max": format_time(t_max), "samples": len(traces)}
+    blocks = [("neurons", traces.neurons), ("times", traces.times)]
+    write_block_file(path, REPLAY_MAGIC, [header], blocks)
 
 
 @dataclass(frozen=True)
@@ -247,50 +248,17 @@ class ReplayFile:
 
 
 def read_replay_file(path) -> ReplayFile:
-    return _parse_replay(Path(path).read_bytes())
-
-
-# every byte but the two record separators of ``_parse_replay``
-_NOT_A_SEPARATOR = bytes(sorted(set(range(256)) - set(b",;")))
-
-
-def _parse_replay(raw: bytes) -> ReplayFile:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ReplayShapeMismatch(f"replay file is not UTF-8 text: {e}") from e
-    head, _, body = text.lstrip().partition("\n")
-    if not head:
-        raise ReplayShapeMismatch("empty replay file")
-    try:
-        fields = dict(part.split("=") for part in head.split())
-        m = int(fields["m"])
-        t_max = float(fields["t_max"])
-        n_samples = int(fields["samples"])
-    except (ValueError, KeyError) as e:
-        raise ReplayShapeMismatch(f"bad replay header {head.strip()!r}") from e
-    lines = body.split()  # no line of a block holds whitespace
-    expected = n_samples * (m + 1)
-    if m < 1 or len(lines) != expected:
+    shape = ("samples", "m")
+    values, (ids, times) = read_block_file(
+        path, REPLAY_MAGIC, (("m", "t_max", "samples"),), {"m": 1, "samples": 0},
+        (("neurons", shape), ("times", shape)), error=ReplayShapeMismatch,
+    )
+    # every integer of magnitude up to 2^53 is a float64; NaN and +-inf fail
+    if not np.all((np.abs(ids) <= 2.0**53) & (np.floor(ids) == ids)):
         raise ReplayShapeMismatch(
-            f"replay body has {len(lines)} lines, expected {expected} "
-            f"({n_samples} samples x (1 + m={m}))"
+            f"replay {path}: a neuron id is not an integer of magnitude at most 2^53"
         )
-    for s, line in enumerate(lines[:: m + 1]):
-        if line != RECORDS_HEADER:
-            raise ReplayShapeMismatch(f"sample {s} missing the {RECORDS_HEADER!r} header")
-    del lines[:: m + 1]
-    records = ";".join(lines)
-    # one comma per record: its separators alternate with the ";" between records
-    if records.encode().translate(None, _NOT_A_SEPARATOR) != (b",;" * len(lines))[:-1]:
-        raise InvalidParameter("malformed spike record: a record is one 'neuron,time' pair")
-    values = records.replace(";", ",").split(",") if records else []
-    try:
-        neurons = np.array(values[0::2], dtype=np.int64)
-        times = np.array(values[1::2], dtype=np.float64)
-    except (ValueError, OverflowError) as e:
-        raise InvalidParameter(f"malformed spike record: {e}") from e
-    return ReplayFile(m, t_max, neurons.reshape(n_samples, m), times.reshape(n_samples, m))
+    return ReplayFile(values["m"], values["t_max"], ids.astype(np.int64), times)
 
 
 def check_manifest(rf: ReplayFile, m: int, t_max: float) -> None:

@@ -9,7 +9,10 @@ traces (``train.train_step`` from a fresh Adam state).  Without
 ``train.init_network``'s draw from ``train.seed`` (``--seed``).
 Every run is reproducible from its config file; the effective config is
 echoed into each output directory.  Exit codes: 0 success, 2 config error,
-3 runtime error.
+3 runtime error.  A named input file (``--config``, ``--checkpoint``,
+``--traces``) that cannot be read or parsed is a config error, and eval,
+export-traces and replay-train create ``--out`` only once they have read
+their inputs and computed what they write; a failed write stays exit 3.
 
 Each command draws only the point set and the rows it reads (``data``):
 generate writes both full sets, train draws both, eval only the test set,
@@ -36,7 +39,7 @@ from .backend import (
     write_replay_file,
 )
 from .config import ExperimentConfig, load_config, save_config
-from .core import InvalidParameter, Network, format_matrix
+from .core import InvalidParameter, Network, write_block_file
 from .grad import Support
 from .train import (
     AdamState,
@@ -72,6 +75,14 @@ def _load_cfg(args) -> ExperimentConfig:
         raise ConfigError(str(e)) from e
 
 
+def _read_input(read, path):
+    """``read(path)``; an input file that cannot be read is a config error."""
+    try:
+        return read(path)
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e.strerror or e}") from e
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,7 +98,7 @@ def _network_for(cfg: ExperimentConfig, args, ds):
     event budget m of that net.  A checkpoint must take as many inputs as
     the config's encoding gives."""
     if getattr(args, "checkpoint", None):
-        net, _ = read_checkpoint(args.checkpoint)
+        net, _ = _read_input(read_checkpoint, args.checkpoint)
         if net.n_in != cfg.dataset.n_inputs:
             raise ConfigError(
                 f"checkpoint {args.checkpoint} takes {net.n_in} inputs, but the config's "
@@ -124,11 +135,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    out = _out_dir(args)
     test_pts = data_mod.draw_test(cfg.dataset)
     ds_test = pack_samples(data_mod.encode_dataset(test_pts, cfg.dataset))
     net, m = _network_for(cfg, args, ds_test)
     acc = evaluate(cfg, net, ds_test, m)
+    out = _out_dir(args)
     (out / "eval.txt").write_text(f"test_acc {acc:.6f}\n", encoding="utf-8")
     _echo_config(cfg, out)
     print(f"test accuracy {acc:.4f}")
@@ -139,7 +150,6 @@ def cmd_export_traces(args) -> int:
     cfg = _load_cfg(args)
     if args.samples < 1:
         raise ConfigError(f"--samples {args.samples}: export at least one sample")
-    out = _out_dir(args)
     train_pts = data_mod.draw_train(cfg.dataset, min(args.samples, cfg.dataset.n_train))
     ds = pack_samples(data_mod.encode_dataset(train_pts, cfg.dataset))
     net, m = _network_for(cfg, args, ds)
@@ -147,6 +157,7 @@ def cmd_export_traces(args) -> int:
         cfg.backend, net, ds.sorted_neurons, ds.sorted_times, m, cfg.sim.t_max,
         seeds=range(len(ds)),
     )
+    out = _out_dir(args)
     path = out / "traces.replay"
     write_replay_file(path, traces, m, cfg.sim.t_max)
     if not getattr(args, "checkpoint", None):
@@ -166,8 +177,7 @@ def cmd_replay_train(args) -> int:
     lr * sign(g), whatever the size of g, so ``train.gamma`` and
     ``train.vdot_floor`` barely act here."""
     cfg = _load_cfg(args)
-    out = _out_dir(args)
-    rf = read_replay_file(args.traces)
+    rf = _read_input(read_replay_file, args.traces)
     n = rf.times.shape[0]
     n_train = cfg.dataset.n_train
     if not 1 <= n <= n_train:
@@ -194,6 +204,7 @@ def cmd_replay_train(args) -> int:
     new_blocks, _ = train_step(
         cfg, blocks, AdamState.init(blocks), cfg.train.lr, sums, np.concatenate(counts)
     )
+    out = _out_dir(args)
     write_gradients(out / "gradients.txt", [g / n for g in sums])
     write_checkpoint(out / "checkpoint.txt", replace_weights(net, new_blocks), n_hidden)
     _echo_config(cfg, out)
@@ -205,11 +216,9 @@ def write_gradients(path, grads) -> None:
     # gradients.txt stays dense, the (n_in, N) and (N, N) matrices of the
     # Network of the two blocks, because the benchmark parses that layout
     dense = Network.feedforward(*grads)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(GRADIENTS_MAGIC + "\n")
-        f.write(f"n_in {dense.n_in} n_total {dense.n_total}\n")
-        f.writelines(format_matrix("grad_input_weights", dense.input_weights))
-        f.writelines(format_matrix("grad_weights", dense.weights))
+    blocks = [("grad_input_weights", dense.input_weights), ("grad_weights", dense.weights)]
+    sizes = {"n_in": dense.n_in, "n_total": dense.n_total}
+    write_block_file(path, GRADIENTS_MAGIC, [sizes], blocks)
 
 
 def build_parser() -> argparse.ArgumentParser:

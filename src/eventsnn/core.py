@@ -20,10 +20,11 @@ safe to share between threads.  Each checks its invariants once, when it is
 built (``dataclasses.replace`` included), and raises a typed error on the
 first one broken; no function re-checks them per call.
 
-Two blocks hold every number the files carry, each written with ``repr`` so
-that a float64 reads back bit for bit: a record block, the "neuron,time"
-records of one trace row (the body of a replay file, see ``backend``), and a
-matrix block (the body of checkpoint and gradients files).
+One block holds every number the files carry: the matrix block, a name line
+and then one line of ``repr`` floats per row, so that a float64 reads back
+bit for bit.  The checkpoint, gradients and replay files are block files
+(``write_block_file``/``read_block_file``): a "<name> <version>" line,
+"key value" header lines, then matrix blocks.
 """
 from __future__ import annotations
 
@@ -31,13 +32,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 DUMMY_NEURON = -1
-
-RECORDS_HEADER = "neuron,time"
 
 
 class DimensionMismatch(ValueError):
@@ -406,24 +406,6 @@ class EventTrace:
         return EventTrace(self.neurons[b], self.times[b], self.kinds[b])
 
 
-# ---------------------------------------------------------------------------
-# record blocks, one per row of a replay file: the header "neuron,time", then
-# one "index,repr(time)" record per line, the dummy written as "-1,inf".
-# repr round-trips float64 exactly, so a write/read cycle is the identity on
-# (neuron, time).  A record is checked where it is read into a trace
-# (``backend.replay_block_to_trace``).
-
-
-def format_time(t: float) -> str:
-    return repr(float(t))
-
-
-def format_records(neurons, times) -> str:
-    """A record block: the header line, then one line per record."""
-    pairs = zip(np.asarray(neurons).tolist(), np.asarray(times, dtype=np.float64).tolist())
-    return RECORDS_HEADER + "\n" + "".join(f"{n},{t!r}\n" for n, t in pairs)
-
-
 def classify_records(neurons, times, in_neurons, in_times) -> np.ndarray:
     """Kinds of raw (B, m) (neuron, time) records, given each row's inputs.
 
@@ -459,8 +441,15 @@ def classify_records(neurons, times, in_neurons, in_times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix blocks, the body of checkpoint and gradients files: a name line,
-# then one line per row of space-separated repr floats.
+# block files, the one layout of checkpoint, gradients and replay files: a
+# "<name> <version>" line, "key value ..." header lines, then named matrix
+# blocks, each a name line and one line per row of space-separated repr
+# floats.  Blank lines and CRLF line ends read alike; no line may follow the
+# last block.
+
+
+def format_time(t: float) -> str:
+    return repr(float(t))
 
 
 def format_matrix(name: str, matrix):
@@ -478,13 +467,77 @@ def format_matrix(name: str, matrix):
         yield " ".join(text) + "\n"
 
 
-def parse_matrix(lines: Sequence[str], at: int, name: str, shape, source) -> np.ndarray:
-    """The ``shape`` matrix of the block named at ``lines[at]``; a bad block
-    raises InvalidParameter naming ``source``."""
+def write_block_file(path, magic: str, header: Sequence[dict], blocks) -> None:
+    """Write the ``magic`` line "<name> <version>", one "key value ..." line
+    per dict of ``header``, then one matrix block per (name, matrix) of
+    ``blocks``."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(magic + "\n")
+        for line in header:
+            f.write(" ".join(f"{k} {v}" for k, v in line.items()) + "\n")
+        for name, matrix in blocks:
+            f.writelines(format_matrix(name, matrix))
+
+
+def read_block_file(path, magic: str, header, sizes: dict, blocks, error=InvalidParameter):
+    """The header values and the matrices of a block file.
+
+    ``header`` holds the keys of each header line, in any order there;
+    ``sizes`` maps each header key that is a size to its least value, and
+    ``blocks`` lists each block's (name, (rows key, columns key)) in file
+    order.  Returns the header values by key, a size as an int and any
+    other value as a float, and the list of matrices.  A fault raises
+    ``error`` naming the file.
+    """
+    name, _, version = magic.partition(" ")
+    kind = name.removeprefix("eventsnn-")
+    source = f"{kind} {path}"
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"not a {kind} file: {path}: not UTF-8 text ({e})") from e
+    lines = [line for line in text.splitlines() if line.strip()]
+    got, _, got_version = (lines or [""])[0].partition(" ")
+    if got != name:
+        raise error(f"not a {kind} file: {path}")
+    if got_version != version:
+        raise error(f"{source}: version {got_version!r}; only {version} is read")
+    values = {}
+    for at, keys in enumerate(header, 1):
+        values.update(_header_line((lines + [""])[at], keys, source, error))
+    try:
+        values = {k: int(v) if k in sizes else float(v) for k, v in values.items()}
+    except ValueError as e:
+        raise error(f"{source}: bad header: {e}") from e
+    for key, least in sizes.items():
+        if values[key] < least:
+            raise error(f"{source}: bad sizes: need {key} >= {least}, got {values[key]}")
+    at, matrices = 1 + len(header), []
+    for block, (rows, cols) in blocks:
+        shape = values[rows], values[cols]
+        matrices.append(_parse_matrix(lines[at : at + 1 + shape[0]], block, shape, source, error))
+        at += 1 + shape[0]
+    if at < len(lines):
+        raise error(f"{source}: {lines[at]!r} follows the last block")
+    return values, matrices
+
+
+def _header_line(line: str, keys, source, error) -> dict[str, str]:
+    """The values of a "key value ..." header line that holds each of
+    ``keys`` once, in any order."""
+    words = line.split()
+    values = dict(zip(words[::2], words[1::2]))
+    if len(words) != 2 * len(keys) or sorted(values) != sorted(keys):
+        raise error(f"{source}: header {line!r} must hold each of {', '.join(keys)} once")
+    return values
+
+
+def _parse_matrix(lines: Sequence[str], name: str, shape, source, error) -> np.ndarray:
+    """The ``shape`` matrix of the block ``lines``, its name line first."""
     rows, width = shape
-    body = lines[at + 1 : at + 1 + rows]
-    if lines[at : at + 1] != [name] or len(body) < rows:
-        raise InvalidParameter(f"{source}: expected {rows} rows of {name} at line {at + 1}")
+    body = lines[1:]
+    if lines[:1] != [name] or len(body) < rows:
+        raise error(f"{source}: expected {rows} rows of {name}")
     block, err = None, None
     try:
         block = np.loadtxt(body, comments=None, ndmin=2) if rows else np.zeros(shape)
@@ -493,8 +546,6 @@ def parse_matrix(lines: Sequence[str], at: int, name: str, shape, source) -> np.
     if block is not None and block.shape == shape:
         return block
     for r, line in enumerate(body):  # the error path: name the first bad row
-        if len(line.split()) != width:
-            raise InvalidParameter(
-                f"{source}: {name} row {r} has {len(line.split())} entries, expected {width}"
-            )
-    raise InvalidParameter(f"{source}: bad {name} entry: {err}")
+        if (n := len(line.split())) != width:
+            raise error(f"{source}: {name} row {r} has {n} entries, expected {width}")
+    raise error(f"{source}: bad {name} entry: {err}")

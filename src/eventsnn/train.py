@@ -28,7 +28,7 @@ from . import backend as backend_mod
 from . import data as data_mod
 from .config import ExperimentConfig
 from .core import EventTrace, InvalidParameter, LifParams, Network, SpikeKind
-from .core import format_matrix, format_time, parse_matrix
+from .core import format_time, read_block_file, write_block_file
 from .grad import (
     Support,
     eventprop_backward_batch,
@@ -37,9 +37,10 @@ from .grad import (
 )
 
 METRICS_HEADER = "epoch,train_loss,train_acc,test_acc,seconds"
-CHECKPOINT_FORMAT, CHECKPOINT_VERSION = "eventsnn-checkpoint", "v2"
+CHECKPOINT_MAGIC = "eventsnn-checkpoint v2"
 CHECKPOINT_PARAMS = ("tau_mem", "tau_syn", "v_th", "v_reset")
-CHECKPOINT_SIZES = ("n_in", "n_hidden", "n_out")
+# the sizes of a checkpoint, each with its least value
+CHECKPOINT_SIZES = {"n_in": 0, "n_hidden": 1, "n_out": 1}
 # means of the initial input-to-hidden and hidden-to-output weights: the 5-120-3
 # and 5-500-3 nets spike before t_max on >= 90 % of (row, neuron) pairs
 INIT_MEANS = (0.8, 0.15)
@@ -537,57 +538,23 @@ def write_checkpoint(path, net: Network, n_hidden: int) -> None:
     nonzero = np.count_nonzero(net.weights) + np.count_nonzero(net.input_weights)
     if nonzero != np.count_nonzero(w_ih) + np.count_nonzero(w_ho):
         raise InvalidParameter(f"checkpoint {path}: nonzero weights outside the two layer blocks")
-    p = net.params
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\n")
-        f.write(" ".join(f"{k} {format_time(getattr(p, k))}" for k in CHECKPOINT_PARAMS) + "\n")
-        f.write(f"n_in {net.n_in} n_hidden {n_hidden} n_out {n - n_hidden}\n")
-        f.writelines(format_matrix("input_to_hidden", w_ih))
-        f.writelines(format_matrix("hidden_to_output", w_ho))
-
-
-def _header_line(line: str, keys, path) -> dict[str, str]:
-    """The values of a "key value ..." header line that holds each of
-    ``keys`` once, in any order."""
-    words = line.split()
-    values = dict(zip(words[::2], words[1::2]))
-    if len(words) != 2 * len(keys) or sorted(values) != sorted(keys):
-        raise InvalidParameter(
-            f"checkpoint {path}: header {line!r} must hold each of {', '.join(keys)} once"
-        )
-    return values
+    params = {k: format_time(getattr(net.params, k)) for k in CHECKPOINT_PARAMS}
+    sizes = {"n_in": net.n_in, "n_hidden": n_hidden, "n_out": n - n_hidden}
+    blocks = [("input_to_hidden", w_ih), ("hidden_to_output", w_ho)]
+    write_block_file(path, CHECKPOINT_MAGIC, [params, sizes], blocks)
 
 
 def read_checkpoint(path) -> tuple[Network, int]:
     """The feedforward net of a checkpoint file and its hidden count H."""
+    values, (w_ih, w_ho) = read_block_file(
+        path, CHECKPOINT_MAGIC, (CHECKPOINT_PARAMS, tuple(CHECKPOINT_SIZES)), CHECKPOINT_SIZES,
+        [("input_to_hidden", ("n_in", "n_hidden")), ("hidden_to_output", ("n_hidden", "n_out"))],
+    )
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        raise InvalidParameter(f"not a checkpoint file: {path}: {e}") from e
-    name, _, version = (lines or [""])[0].partition(" ")
-    if name != CHECKPOINT_FORMAT:
-        raise InvalidParameter(f"not a checkpoint file: {path}")
-    if version != CHECKPOINT_VERSION:
-        raise InvalidParameter(f"checkpoint {path}: version {version!r}; only v2 is read")
-    params_line, sizes_line = (lines + ["", ""])[1:3]
-    values = _header_line(params_line, CHECKPOINT_PARAMS, path)
-    sizes = _header_line(sizes_line, CHECKPOINT_SIZES, path)
-    try:
-        params = LifParams(**{k: float(v) for k, v in values.items()})
-        n_in, n_hidden, n_out = (int(sizes[k]) for k in CHECKPOINT_SIZES)
+        params = LifParams(**{k: values[k] for k in CHECKPOINT_PARAMS})
         if not params.is_analytic:
             raise ValueError(f"tau_mem/tau_syn {params.tau_mem / params.tau_syn:g} is not 1 or 2")
-    except ValueError as e:
-        raise InvalidParameter(f"checkpoint {path}: bad header: {e}") from e
-    if n_in < 0 or n_hidden < 1 or n_out < 1:
-        raise InvalidParameter(
-            f"checkpoint {path}: bad sizes {sizes_line!r}: need n_hidden >= 1 and n_out >= 1"
-        )
-    source = f"checkpoint {path}"
-    w_ih = parse_matrix(lines, 3, "input_to_hidden", (n_in, n_hidden), source)
-    w_ho = parse_matrix(lines, 4 + n_in, "hidden_to_output", (n_hidden, n_out), source)
-    try:
         net = Network.feedforward(w_ih, w_ho, params)
     except ValueError as e:
-        raise InvalidParameter(f"{source}: {e}") from e
-    return net, n_hidden
+        raise InvalidParameter(f"checkpoint {path}: {e}") from e
+    return net, values["n_hidden"]

@@ -969,6 +969,25 @@ def format_matrix_reference(name: str, matrix):
         yield " ".join(map(repr, row.tolist())) + "\n"
 
 
+def replay_row_lines(lines, sample=0):
+    """The indices of row ``sample`` of the neurons block and of the times
+    block among the lines of a replay file written without blank lines."""
+    words = lines[1].split()
+    samples = int(dict(zip(words[::2], words[1::2]))["samples"])
+    return 3 + sample, 4 + samples + sample
+
+
+def edit_replay_record(lines, sample, slot, neuron=None, time=None):
+    """Put the tokens ``neuron`` and ``time`` (None keeps the present one)
+    into record ``slot`` of row ``sample`` of a replay file's ``lines``, in
+    place."""
+    for at, token in zip(replay_row_lines(lines, sample), (neuron, time)):
+        if token is not None:
+            words = lines[at].split()
+            words[slot] = token
+            lines[at] = " ".join(words)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -25,9 +25,11 @@ from eventsnn.sim import pack_inputs, simulate, simulate_batch
 
 from conftest import (
     backward_or_reference,
+    edit_replay_record,
     mock_weights_reference,
     random_inputs,
     random_network,
+    replay_row_lines,
     replay_walk,
 )
 
@@ -449,52 +451,117 @@ class TestReplayRecords:
 
     def test_dummy_is_literal_inf_token(self, tmp_path):
         self.write(tmp_path / "t.replay", [-1], [math.inf])
-        assert (tmp_path / "t.replay").read_text().splitlines()[2] == "-1,inf"
+        lines = (tmp_path / "t.replay").read_text().splitlines()
+        assert lines == [
+            "eventsnn-replay v2", "m 1 t_max 4.0 samples 1", "neurons", "-1.0", "times", "inf",
+        ]
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "t.replay"
         self.write(path, [0, -1], [1.0, math.inf])
         lines = path.read_text().splitlines()
-        assert lines[1] == "neuron,time"
-        lines[1] = "0,1.0"  # same line count, no header
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ReplayShapeMismatch, match="header"):
+        cases = [
+            (1, "m 2 t_max 4.0", "samples"),  # a header key missing
+            (1, "m 2 t_max 4.0 samples 1 m 2", "m, t_max, samples"),  # a key twice
+            (1, "m 0 t_max 4.0 samples 1", "m >= 1"),
+            (1, "m 2 t_max 4.0 samples -1", "samples >= 0"),
+            (1, "m two t_max 4.0 samples 1", "bad header"),
+            (1, "m 2 t_max x samples 1", "bad header"),
+            (2, lines[3], "rows of neurons"),  # same line count, no block name
+            (4, "time", "rows of times"),
+        ]
+        for at, line, match in cases:
+            path.write_text("\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n")
+            with pytest.raises(ReplayShapeMismatch, match=match) as err:
+                read_replay_file(path)
+            assert str(path) in str(err.value)
+
+    def test_record_format_file_rejected(self, tmp_path):
+        # the "m=<int> t_max=<float> samples=<int>" file of "neuron,time"
+        # record blocks is not read any more
+        path = tmp_path / "t.replay"
+        path.write_text("m=2 t_max=4.0 samples=1\nneuron,time\n0,1.0\n-1,inf\n")
+        with pytest.raises(ReplayShapeMismatch, match="not a replay file") as err:
             read_replay_file(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("version", ["v1", "v3", ""])
+    def test_other_version_rejected(self, tmp_path, version):
+        path = tmp_path / "t.replay"
+        self.write(path, [0, -1], [1.0, math.inf])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([f"eventsnn-replay {version}"] + lines[1:]) + "\n")
+        with pytest.raises(ReplayShapeMismatch, match=f"version '{version}'; only v2"):
+            read_replay_file(path)
+
+    def test_line_after_the_last_block_rejected(self, tmp_path):
+        path = tmp_path / "t.replay"
+        self.write(path, [0, -1], [1.0, math.inf])
+        text = path.read_text()
+        for extra in ("1.0 inf", "neurons", "#"):
+            path.write_text(text + "\n" + extra + "\r\n")
+            with pytest.raises(ReplayShapeMismatch, match="follows the last block"):
+                read_replay_file(path)
 
     def test_invalid_records_rejected(self, tmp_path):
         # the records a Spike could not hold: bad times, a neuron below -1,
-        # and a -1 record that is not the dummy; each replaces the dummy
-        # after the input record (1, 0.25) of a valid block
+        # a -1 record that is not the dummy, and ids that are no integer;
+        # each (neuron, time) replaces the dummy after the input record
+        # (1, 0.25) of a valid block
         cases = [
-            ("0,nan", ReplayShapeMismatch, "outside"),
-            ("0,-0.5", ReplayShapeMismatch, "outside"),
-            ("0,inf", ReplayShapeMismatch, "outside"),
-            ("-3,0.5", ReplayShapeMismatch, "out of range"),
-            ("-1,0.5", ReplayShapeMismatch, "-1"),
-            ("1,2,3", InvalidParameter, "malformed"),
-            ("x,1.0", InvalidParameter, "malformed"),
+            (None, "nan", ReplayShapeMismatch, "outside"),
+            (None, "-0.5", ReplayShapeMismatch, "outside"),
+            ("0", "inf", ReplayShapeMismatch, "outside"),
+            ("-3", "0.5", ReplayShapeMismatch, "out of range"),
+            ("-1", "0.5", ReplayShapeMismatch, "-1"),
+            ("1.5", "0.5", ReplayShapeMismatch, "not an integer"),
+            ("inf", "0.5", ReplayShapeMismatch, "not an integer"),
+            ("-inf", "0.5", ReplayShapeMismatch, "not an integer"),
+            ("nan", "0.5", ReplayShapeMismatch, "not an integer"),
+            (repr(2.0**53 + 2), "0.5", ReplayShapeMismatch, "not an integer"),
+            ("1e300", "0.5", ReplayShapeMismatch, "not an integer"),
+            ("1,2", "0.5", InvalidParameter, "bad neurons entry"),
+            ("x", "1.0", InvalidParameter, "bad neurons entry"),
+            ("0", "0.5,", InvalidParameter, "bad times entry"),
         ]
         path = tmp_path / "t.replay"
         self.write(path, [1, -1, -1], [0.25, math.inf, math.inf])
         lines = path.read_text().splitlines()
         assert self.read(path, [1], [0.25]).kinds.tolist() == [INPUT, DUMMY, DUMMY]
-        for record, error, match in cases:
-            path.write_text("\n".join(lines[:3] + [record] + lines[4:]) + "\n")
+        for neuron, time, error, match in cases:
+            bad = list(lines)
+            edit_replay_record(bad, 0, 1, "0" if neuron is None else neuron, time)
+            path.write_text("\n".join(bad) + "\n")
             with pytest.raises(error, match=match):
                 self.read(path, [1], [0.25])
+        # an id of 2^53, the bound itself, reads; only the net's range
+        # check rejects it
+        bad = list(lines)
+        edit_replay_record(bad, 0, 1, repr(2.0**53), "0.5")
+        path.write_text("\n".join(bad) + "\n")
+        assert read_replay_file(path).neurons[0, 1] == 2**53
+        with pytest.raises(ReplayShapeMismatch, match="out of range"):
+            self.read(path, [1], [0.25])
 
     def test_records_that_pair_up_only_across_lines_rejected(self, tmp_path):
-        # "1,2,3" then "5" holds two records' worth of fields, but neither
-        # line is one record
+        # row 0 one entry too long and row 1 one too short: the block holds
+        # 2 x m entries, but neither row is one entry per record
         path = tmp_path / "t.replay"
-        self.write(path, [1, -1, -1], [0.25, math.inf, math.inf])
+        neurons, times = np.array([[1, -1, -1], [0, 1, -1]]), np.full((2, 3), math.inf)
+        times[:, 0] = 0.25
+        write_replay_file(path, EventTrace(neurons, times, np.zeros((2, 3), np.int8)), 3, 4.0)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3] + ["1,2,3", "5"]) + "\n")
-        with pytest.raises(InvalidParameter, match="malformed"):
-            read_replay_file(path)
-        path.write_text("\n".join(lines[:3] + ["1,", "0.5"]) + "\n")
-        with pytest.raises(InvalidParameter, match="malformed"):
-            read_replay_file(path)
+        for name, block in (("neurons", 0), ("times", 1)):
+            at = [replay_row_lines(lines, row)[block] for row in (0, 1)]
+            for change in ((1, -1), (-1, 1), (1, 0), (0, -1)):  # entries added to rows 0, 1
+                bad = list(lines)
+                for row, d in zip(at, change):
+                    words = bad[row].split()
+                    bad[row] = " ".join(words + words[:d] if d >= 0 else words[:d])
+                path.write_text("\n".join(bad) + "\n")
+                r = 0 if change[0] else 1  # the first bad row
+                with pytest.raises(InvalidParameter, match=f"{name} row {r} has {3 + change[r]} "):
+                    read_replay_file(path)
 
 
 class TestReplayTrainValidation:
@@ -544,9 +611,8 @@ class TestReplayTrainValidation:
     def test_rejects_minus_one_record_with_a_time(self, tmp_path, capsys):
         cfg, traces, checkpoint = self.exported(tmp_path, capsys)
         lines = traces.read_text().splitlines()
-        m = int(lines[0].split()[0].split("=")[1])
-        last = 1 + m  # the last record of the first block
-        lines[last] = "-1,0.5"
+        m = read_replay_file(traces).m
+        edit_replay_record(lines, 0, m - 1, "-1", "0.5")  # the last record of the first row
         traces.write_text("\n".join(lines) + "\n")
         with pytest.raises(ReplayShapeMismatch, match="-1"):
             self.replay(tmp_path, cfg, traces, checkpoint)

@@ -19,6 +19,8 @@ from eventsnn.train import (
     write_checkpoint,
 )
 
+from conftest import edit_replay_record, replay_row_lines
+
 TINY = (
     "dataset.n_train = 30\n"
     "dataset.n_test = 12\n"
@@ -154,9 +156,10 @@ def test_replay_of_more_samples_than_the_training_set_is_a_config_error(
 def test_replay_of_a_file_without_samples_is_a_config_error(tmp_path, tiny, capsys):
     export = tmp_path / "export"
     assert run("export-traces", "--samples", 2, "--out", export, config=tiny) == 0
-    head = (export / "traces.replay").read_text().splitlines()[0]
+    magic, head = (export / "traces.replay").read_text().splitlines()[:2]
     empty = tmp_path / "empty.replay"
-    empty.write_text(head.replace("samples=2", "samples=0") + "\n")
+    head = head.replace("samples 2", "samples 0")
+    empty.write_text("\n".join([magic, head, "neurons", "times"]) + "\n")
     assert read_replay_file(empty).times.shape == (0, read_replay_file(export / "traces.replay").m)
     capsys.readouterr()
     assert run(
@@ -169,12 +172,19 @@ def test_replay_of_a_file_without_samples_is_a_config_error(tmp_path, tiny, caps
 
 # each malformed replay file below, and the error it must report
 MALFORMED_REPLAY = {
-    "truncated": "replay body has",
+    "truncated": "expected 5 rows of times",
     "unsorted": "non-decreasing",
     "neuron-out-of-range": "internal neuron out of range",
     "dummy-with-a-time": "must be the dummy",
     "other-t_max": "manifest t_max",
     "other-samples": "not the sample's input spikes",
+    "id-1.5": "not an integer",
+    "id-inf": "not an integer",
+    "id-above-2^53": "not an integer",
+    "record-format": "not a replay file",
+    "line-after-the-last-block": "follows the last block",
+    "row-too-long": "neurons row 0 has",
+    "row-too-short": "times row 0 has",
 }
 
 
@@ -185,22 +195,37 @@ def test_every_malformed_replay_file_is_a_config_error(tmp_path, tiny, capsys, c
     traces = export / "traces.replay"
     m = read_replay_file(traces).m
     lines = traces.read_text().splitlines()
-    # the line numbers of the first block's real records
-    real = [i for i in range(2, 2 + m) if not lines[i].startswith("-1,")]
+    # the first row's records, and the slots of its real records
+    ids, times = (lines[at].split() for at in replay_row_lines(lines))
+    real = [k for k in range(m) if ids[k] != "-1.0"]
     config = tiny
     if case == "truncated":
         lines = lines[:-3]
     elif case == "unsorted":
         a, b = real[-2:]
-        assert lines[a].split(",")[1] != lines[b].split(",")[1]
-        lines[a], lines[b] = lines[b], lines[a]
+        assert times[a] != times[b]
+        edit_replay_record(lines, 0, a, ids[b], times[b])
+        edit_replay_record(lines, 0, b, ids[a], times[a])
     elif case == "neuron-out-of-range":
-        lines[real[-1]] = "9," + lines[real[-1]].split(",")[1]  # the net has 9 neurons
+        edit_replay_record(lines, 0, real[-1], "9.0")  # the net has 9 neurons
     elif case == "dummy-with-a-time":
-        lines[1 + m] = "-1,0.5"
+        edit_replay_record(lines, 0, m - 1, "-1.0", "0.5")
     elif case == "other-t_max":
-        assert "t_max=4.0" in lines[0]
-        lines[0] = lines[0].replace("t_max=4.0", "t_max=5.0")
+        assert "t_max 4.0" in lines[1]
+        lines[1] = lines[1].replace("t_max 4.0", "t_max 5.0")
+    elif case.startswith("id-"):
+        token = {"id-1.5": "1.5", "id-inf": "inf", "id-above-2^53": repr(2.0**53 + 2)}[case]
+        edit_replay_record(lines, 0, real[-1], token)
+    elif case == "record-format":
+        records = [f"{int(float(k))},{t}" for k, t in zip(ids, times)]
+        lines = [f"m={m} t_max=4.0 samples=1", "neuron,time", *records]
+    elif case == "line-after-the-last-block":
+        lines.append(lines[-1])
+    elif case == "row-too-long":
+        lines[3] += " -1.0"
+    elif case == "row-too-short":
+        at = replay_row_lines(lines)[1]
+        lines[at] = lines[at].rsplit(" ", 1)[0]
     else:
         config = tmp_path / "seed.txt"
         config.write_text(TINY + "dataset.seed = 7\n")
@@ -213,7 +238,7 @@ def test_every_malformed_replay_file_is_a_config_error(tmp_path, tiny, capsys, c
     ) == 2
     err = capsys.readouterr().err
     assert "config error" in err and MALFORMED_REPLAY[case] in err
-    assert not any((out / f).exists() for f in ("gradients.txt", "checkpoint.txt"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -550,6 +575,40 @@ def test_a_bad_encoding_window_leaves_no_output_directory(tmp_path, command, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["absent", "directory", "malformed"])
+def test_an_input_file_that_cannot_be_read_is_a_config_error_before_out_exists(
+    tmp_path, tiny, capsys, kind
+):
+    init = tmp_path / "init"
+    assert run("export-traces", "--samples", 5, "--out", init, config=tiny) == 0
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "malformed":
+        bad.write_text("eventsnn\n")
+    checkpoint, traces = init / "checkpoint.txt", init / "traces.replay"
+    commands = {
+        "eval": (["eval", "--checkpoint", bad], tiny),
+        "export": (["export-traces", "--checkpoint", bad], tiny),
+        "replay-traces": (["replay-train", "--traces", bad, "--checkpoint", checkpoint], tiny),
+        "replay-checkpoint": (["replay-train", "--traces", traces, "--checkpoint", bad], tiny),
+        "generate-config": (["generate"], bad),
+        "train-config": (["train"], bad),
+        "eval-config": (["eval", "--checkpoint", checkpoint], bad),
+        "export-config": (["export-traces"], bad),
+        "replay-config": (["replay-train", "--traces", traces], bad),
+    }
+    capsys.readouterr()
+    for name, (command, config) in commands.items():
+        out = tmp_path / name
+        assert run(*command, "--out", out, config=config) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error"), name
+        # a config parse error names its line, not the file
+        assert str(bad) in err or (kind, config) == ("malformed", bad), name
+        assert not out.exists(), name
+
+
 def test_replay_of_blocks_that_stop_before_their_last_input(tmp_path):
     # each exported row stops once every output has fired; at 120 hidden
     # neurons that is before the last input, so a block holds only a prefix
@@ -652,16 +711,20 @@ def test_each_command_rejects_a_checkpoint_of_another_input_count(tmp_path, caps
 WIDE = "network.n_hidden = 120\nsim.m = 138\ndataset.seed = 1\ntrain.seed = 1\n"
 
 
-def test_replay_train_takes_the_step_train_takes_on_the_forward_trace(tmp_path):
+@pytest.mark.parametrize("ratio", ["2", "1"], ids=["tau_ratio_2", "tau_ratio_1"])
+def test_replay_train_takes_the_step_train_takes_on_the_forward_trace(tmp_path, ratio):
     # export-traces then replay-train writes the checkpoint of train_step
     # from a fresh Adam state on forward_batch's trace of the same rows: the
     # per-row sum of the gradients differs from the batched one only in
-    # summation order, and the step's weights are equal bit for bit
+    # summation order, and the step's weights are equal bit for bit.  At
+    # tau_mem = tau_syn this runs the equal-tau solver, current replay and
+    # adjoint end to end
     wide = tmp_path / "wide.txt"
-    wide.write_text(WIDE)
+    wide.write_text(WIDE + f"network.tau_mem_ratio = {ratio}\n")
     cycle(tmp_path, wide, "wide", samples=64)
     cfg = load_config(wide)
     net, n_hidden = read_checkpoint(tmp_path / "export-wide" / "checkpoint.txt")
+    assert net.params.analytic_ratio == int(ratio)
     ds = pack_samples(encode_dataset(data_mod.draw_train(cfg.dataset, 64), cfg.dataset))
     trace = forward_batch(
         cfg.backend, net, ds.sorted_neurons, ds.sorted_times,
@@ -669,7 +732,12 @@ def test_replay_train_takes_the_step_train_takes_on_the_forward_trace(tmp_path):
     )
     support = structure_masks(net.n_in, n_hidden, net.n_total - n_hidden)
     _, g_ih, g_ho, counts = gradient_from_trace(cfg, net, trace, ds.labels, support)
-    assert np.any((counts[:, :n_hidden] > 0).mean(axis=0) < 0.5)
+    # not vacuous: about half of the hidden and every output (row, neuron)
+    # pair fires, and both gradient blocks are nonzero
+    fired = counts > 0
+    assert fired[:, :n_hidden].mean() > 0.4 and fired[:, n_hidden:].all()
+    assert np.any(g_ih) and np.any(g_ho)
+    assert np.any(fired[:, :n_hidden].mean(axis=0) < 0.5)
     blocks = split_layers(net)[1:]
     want, _ = train_step(cfg, blocks, AdamState.init(blocks), cfg.train.lr, (g_ih, g_ho), counts)
     got, _ = read_checkpoint(tmp_path / "replay-wide" / "checkpoint.txt")

@@ -415,6 +415,33 @@ class TestCheckpoint:
             with pytest.raises(InvalidParameter, match="entries"):
                 read_checkpoint(path)
 
+    def test_long_row_raises_typed_error(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        for row, name in ((4, "input_to_hidden"), (len(lines) - 1, "hidden_to_output")):
+            bad = list(lines)
+            bad[row] += " 0.5"
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(InvalidParameter, match=f"{name} row .* entries") as err:
+                read_checkpoint(path)
+            assert str(path) in str(err.value)
+
+    def test_line_after_the_last_block_raises_typed_error(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        for extra in (lines[-1], "hidden_to_output", "0.5"):
+            path.write_text("\n".join(lines + [extra]) + "\n")
+            with pytest.raises(InvalidParameter, match="follows the last block") as err:
+                read_checkpoint(path)
+            assert str(path) in str(err.value)
+
+    def test_crlf_and_blank_lines_read_alike(self, tmp_path, rng):
+        path, lines = self.written(tmp_path, rng)
+        want, _ = read_checkpoint(path)
+        path.write_bytes(("\r\n\n".join(lines) + "\r\n \n").encode())
+        back, n_hidden = read_checkpoint(path)
+        assert back.params == want.params and n_hidden == 6
+        np.testing.assert_array_equal(back.weights, want.weights)
+        np.testing.assert_array_equal(back.input_weights, want.input_weights)
+
     def test_header_is_read_by_key(self, tmp_path, rng):
         # each header line with its pairs in another order: the same net
         path, lines = self.written(tmp_path, rng)
