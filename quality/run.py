@@ -119,7 +119,7 @@ def run_one(keys: dict) -> dict:
         t_out, extra = train._forward_times(cfg, result.final_net, ds, idx, m, 999_983)
         t_first.append(t_out)
         if cfg.train.estimator != "fud":
-            filled.append(extra[0].kinds[:, -1] != int(core.SpikeKind.DUMMY))
+            filled.append(extra.kinds[:, -1] != int(core.SpikeKind.DUMMY))
     t_first = np.concatenate(t_first)
     predicted = train.predict_from_times(t_first)
     final_acc = result.history[-1].test_acc

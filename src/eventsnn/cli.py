@@ -3,8 +3,8 @@
 Subcommands: generate, train, eval, export-traces, replay-train.
 ``--backend`` picks the forward pass (``numeric`` or ``mock``) of train,
 eval and export-traces; a recorded replay file is read by replay-train
-alone, which runs no forward pass and takes train's first step on its
-traces (``train.train_step`` from a fresh Adam state).  Without
+alone, which runs no forward pass and takes train's first EventProp step on
+its traces (``train.train_step`` from a fresh Adam state).  Without
 ``--checkpoint`` export-traces and replay-train start from
 ``train.init_network``'s draw from ``train.seed`` (``--seed``).
 Every run is reproducible from its config file; the effective config is
@@ -96,7 +96,7 @@ def _echo_config(cfg: ExperimentConfig, out: Path) -> None:
 def _network_for(cfg: ExperimentConfig, args, ds):
     """The ``--checkpoint`` net, else the config's initial net, and the
     event budget m of that net.  A checkpoint must take as many inputs as
-    the config's encoding gives."""
+    the config's encoding gives, and have an output per class."""
     if getattr(args, "checkpoint", None):
         net, _ = _read_input(read_checkpoint, args.checkpoint)
         if net.n_in != cfg.dataset.n_inputs:
@@ -104,6 +104,12 @@ def _network_for(cfg: ExperimentConfig, args, ds):
                 f"checkpoint {args.checkpoint} takes {net.n_in} inputs, but the config's "
                 f"encoding gives {cfg.dataset.n_inputs} (dataset.bias_enabled = "
                 f"{str(cfg.dataset.bias_enabled).lower()})"
+            )
+        n_classes = len(data_mod.YinYangLabel)
+        if len(net.output_set) < n_classes:
+            raise ConfigError(
+                f"checkpoint {args.checkpoint} has {len(net.output_set)} outputs, "
+                f"fewer than the {n_classes} classes"
             )
     else:
         net = init_network(cfg, ds, np.random.default_rng(cfg.train.seed))
@@ -168,15 +174,22 @@ def cmd_export_traces(args) -> int:
 
 
 def cmd_replay_train(args) -> int:
-    """``train``'s first step (``train_step`` from a fresh Adam state) on the
-    checkpoint net's two weight blocks, from the replayed traces' EventProp
-    gradients and spike counts.  gradients.txt holds their mean before the
-    step.
+    """``train``'s first EventProp step (``train_step`` from a fresh Adam
+    state) on the checkpoint net's two weight blocks: ``gradient_from_trace``,
+    the function ``train`` calls on its forward's trace, gives each replayed
+    trace's gradients and spike counts.  gradients.txt holds their mean before
+    the step.  The analytic estimator reads no trace, so ``train.estimator =
+    fud`` is a config error here.
 
     From a fresh Adam state the step moves each weight by about
     lr * sign(g), whatever the size of g, so ``train.gamma`` and
     ``train.vdot_floor`` barely act here."""
     cfg = _load_cfg(args)
+    if cfg.train.estimator != "eventprop":
+        raise ConfigError(
+            f"train.estimator = {cfg.train.estimator}: replay-train takes the EventProp "
+            "step of a replayed trace"
+        )
     rf = _read_input(read_replay_file, args.traces)
     n = rf.times.shape[0]
     n_train = cfg.dataset.n_train
@@ -198,7 +211,7 @@ def cmd_replay_train(args) -> int:
             rf.neurons[block], rf.times[block], net,
             ds.sorted_neurons[block], ds.sorted_times[block], t_max,
         )
-        _, *grads, c = gradient_from_trace(cfg, net, trace, ds.labels[block], support)
+        _, *grads, c, _ = gradient_from_trace(cfg, net, trace, ds.labels[block], support)
         sums = [acc + g for acc, g in zip(sums, grads)]
         counts.append(c)
     new_blocks, _ = train_step(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .backend import BackendConfig
 from .core import InvalidParameter, LifParams
-from .data import R_SMALL_MAX, EncodingConfig
+from .data import R_SMALL_MAX, EncodingConfig, YinYangLabel
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,11 @@ class NetworkConfig:
     v_reset: float = 0.0
 
     def __post_init__(self):
-        for key in ("n_hidden", "n_out"):
+        # one output per Yin-Yang class: with fewer, a class is never predicted
+        for key, least in (("n_hidden", 1), ("n_out", len(YinYangLabel))):
             val = getattr(self, key)
-            if val < 1:
-                raise InvalidParameter(f"network.{key}={val} must be >= 1")
+            if val < least:
+                raise InvalidParameter(f"network.{key}={val} must be >= {least}")
         for key in ("v_th", "v_reset"):
             val = getattr(self, key)
             if not math.isfinite(val):
@@ -91,8 +92,9 @@ class SimConfig:
     def __post_init__(self):
         if self.m < 0:
             raise InvalidParameter(f"sim.m={self.m} must be >= 0 (0 picks the default budget)")
-        if not self.t_max > 0.0:
-            raise InvalidParameter(f"sim.t_max={self.t_max} must be positive")
+        # the loss puts t_max in place of a silent output's time
+        if not 0.0 < self.t_max < math.inf:
+            raise InvalidParameter(f"sim.t_max={self.t_max} must be positive and finite")
 
     def budget(self, n_inputs: int, n_neurons: int) -> int:
         return self.m if self.m > 0 else n_inputs + n_neurons + 10
@@ -254,8 +256,15 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """The defaults, then the keys of the file at ``path``, then ``overrides``."""
-    keys = {} if path is None else parse_config_text(Path(path).read_text(encoding="utf-8"))
+    """The defaults, then the keys of the file at ``path``, then ``overrides``.
+    A file that is not UTF-8 or not ``key = value`` lines raises
+    InvalidParameter naming it."""
+    keys = {}
+    if path is not None:
+        try:
+            keys = parse_config_text(Path(path).read_text(encoding="utf-8"))
+        except (InvalidParameter, UnicodeDecodeError) as e:
+            raise InvalidParameter(f"config {path}: {e}") from e
     return apply_overrides(ExperimentConfig(), {**keys, **(overrides or {})})
 
 

@@ -5,14 +5,15 @@ where t_k is output k's first spike time (a silent output substitutes
 t_max and receives zero gradient).  An optional regularizer alpha * t_label
 rewards early correct spikes.
 
-Training starts from one fixed Gaussian draw per layer (``init_network``),
-runs the forward pass through the configured backend in vectorized batches,
-estimates weight gradients per sample with EventProp (or the analytic
-first-spike path) and takes ``train_step`` (replay-train's step too) with a
-per-epoch learning-rate decay.  The parameters are the net's two layer
-blocks, the (n_in, H) input-to-hidden and (H, n_out) hidden-to-output weights,
-from the first step to the checkpoint file.  Everything is deterministic
-given the config seeds.
+Training starts from one fixed Gaussian draw per layer (``init_network``)
+and takes one step per batch.  With EventProp the configured backend's
+forward trace of the batch goes through ``gradient_from_trace``, the function
+replay-train calls on a replayed trace; the analytic first-spike path is
+``_fud_gradient``, of the same five results.  Either feeds ``train_step``
+(replay-train's step too), with a per-epoch learning-rate decay.  The
+parameters are the net's two layer blocks, the (n_in, H) input-to-hidden and
+(H, n_out) hidden-to-output weights, from the first step to the checkpoint
+file.  Everything is deterministic given the config seeds.
 """
 from __future__ import annotations
 
@@ -288,37 +289,24 @@ class TrainResult:
     best_epoch: int
 
 
-def _forward_times(
-    cfg: ExperimentConfig,
-    net: Network,
-    ds: PackedDataset,
-    idx: np.ndarray,
-    m: int,
-    seed_tag: int,
-):
-    """First-spike output times for a slice of the dataset, beside what the
-    estimator's gradient reads: the analytic path's hidden times, or the
-    trace and the slots of those times."""
-    t_max = cfg.sim.t_max
-    if cfg.train.estimator == "fud":
-        _, w_in, w_ho = split_layers(net)
-        t_hidden, t_out = fud_feedforward(
-            ds.by_neuron_times[idx], w_in, w_ho, net.params, t_max
-        )
-        return t_out, t_hidden
-    batch = backend_mod.forward_batch(
-        cfg.backend,
-        net,
-        ds.sorted_neurons[idx],
-        ds.sorted_times[idx],
-        m,
-        t_max,
+def _forward(cfg: ExperimentConfig, net: Network, ds: PackedDataset, idx, m: int, seed_tag):
+    """The configured backend's trace of rows ``idx``, each seeded by ``_sample_seed``."""
+    return backend_mod.forward_batch(
+        cfg.backend, net, ds.sorted_neurons[idx], ds.sorted_times[idx], m, cfg.sim.t_max,
         seeds=[_sample_seed(cfg.train.seed, seed_tag, int(k)) for k in idx],
     )
-    t_first, slots = first_spike_times_batch(
-        batch.neurons, batch.times, batch.kinds, net.output_set
-    )
-    return t_first, (batch, slots)
+
+
+def _forward_times(cfg: ExperimentConfig, net: Network, ds: PackedDataset, idx, m: int, seed_tag):
+    """First-spike output times for a slice of the dataset and the trace they
+    come from, None on the analytic path."""
+    if cfg.train.estimator == "fud":
+        _, w_in, w_ho = split_layers(net)
+        _, t_out = fud_feedforward(ds.by_neuron_times[idx], w_in, w_ho, net.params, cfg.sim.t_max)
+        return t_out, None
+    batch = _forward(cfg, net, ds, idx, m, seed_tag)
+    t_first, _ = first_spike_times_batch(batch.neurons, batch.times, batch.kinds, net.output_set)
+    return t_first, batch
 
 
 def _sample_seed(train_seed: int, tag: int, idx: int) -> int:
@@ -357,7 +345,6 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
     rng = np.random.default_rng(cfg.train.seed)
     net = init_network(cfg, ds_train, rng)
     support = Support.of(net, structure_masks(n_in, n_hidden, n_out))
-    loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
     params = split_layers(net)[1:]
     opt = AdamState.init(params)
 
@@ -373,16 +360,15 @@ def train(cfg: ExperimentConfig, out_dir=None, log=None) -> TrainResult:
         n_correct = 0
         for lo in range(0, len(order), cfg.train.batch):
             idx = order[lo : lo + cfg.train.batch]
-            t_out, fwd = _forward_times(cfg, net, ds_train, idx, m, epoch)
-            loss, g_times = ttfs_from_times(t_out, ds_train.labels[idx], loss_cfg, cfg.sim.t_max)
+            labels = ds_train.labels[idx]
             if cfg.train.estimator == "fud":
-                grads, counts = _fud_batch(
-                    cfg, net, ds_train.by_neuron_times[idx], t_out, fwd, g_times
-                )
+                step = _fud_gradient(cfg, net, ds_train.by_neuron_times[idx], labels)
             else:
-                grads, counts = _eventprop_batch(cfg, net, *fwd, g_times, support)
+                trace = _forward(cfg, net, ds_train, idx, m, epoch)
+                step = gradient_from_trace(cfg, net, trace, labels, support)
+            loss, *grads, counts, predicted = step
             losses.append(float(loss.mean()))
-            n_correct += int(np.sum(predict_from_times(t_out) == ds_train.labels[idx]))
+            n_correct += int(np.sum(predicted == labels))
             params, opt = train_step(cfg, params, opt, lr, grads, counts)
             net = replace_weights(net, params)
         test_acc = evaluate(cfg, net, ds_test, m)
@@ -470,46 +456,39 @@ def _spike_counts(neurons, kinds, n_total):
     return np.bincount(flat, minlength=b * n_total).reshape(b, n_total).astype(np.float64)
 
 
-def _eventprop_batch(cfg, net, batch, slots, g_times, support):
-    """EventProp gradients of the two weight blocks and spike counts of a
-    forward's trace, given the loss derivatives by the output first-spike
-    times at ``slots``."""
-    slot_g = scatter_slot_grads(slots, g_times, batch.times.shape[1])
+def gradient_from_trace(cfg: ExperimentConfig, net, trace: EventTrace, labels, support):
+    """The EventProp step of a trace, ``train``'s forward's or a replayed one:
+    the loss per row, the gradients of the two weight blocks summed over the
+    rows, the (B, N) spike counts and the predicted classes.  ``support`` is
+    the masks pair or its ``grad.Support``, which a caller that replays many
+    traces builds once."""
+    neurons, times, kinds = trace.neurons, trace.times, trace.kinds
+    t_first, slots = first_spike_times_batch(neurons, times, kinds, net.output_set)
+    loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
+    loss, g_times = ttfs_from_times(t_first, labels, loss_cfg, cfg.sim.t_max)
+    slot_g = scatter_slot_grads(slots, g_times, times.shape[1])
     g_w, g_w_in = eventprop_backward_batch(
-        batch.neurons, batch.times, batch.kinds, net, slot_g,
+        neurons, times, kinds, net, slot_g,
         strict=False, vdot_floor=cfg.train.vdot_floor, support=support,
     )
     n_hidden = split_layers(net)[0]
-    counts = _spike_counts(batch.neurons, batch.kinds, net.n_total)
-    return (g_w_in[:, :n_hidden], g_w[:n_hidden, n_hidden:]), counts
+    counts = _spike_counts(neurons, kinds, net.n_total)
+    predicted = predict_from_times(t_first)
+    return loss, g_w_in[:, :n_hidden], g_w[:n_hidden, n_hidden:], counts, predicted
 
 
-def gradient_from_trace(cfg: ExperimentConfig, net, trace: EventTrace, labels, support):
-    """Loss per row, the EventProp gradients of the two weight blocks summed
-    over the rows, and the (B, N) spike counts of an externally produced
-    trace, as a ``train`` step takes them from its forward's trace.
-    ``support`` is the masks pair or its ``grad.Support``, which a caller
-    that replays many traces builds once."""
-    t_first, slots = first_spike_times_batch(
-        trace.neurons, trace.times, trace.kinds, net.output_set
-    )
-    loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
-    loss, g_times = ttfs_from_times(t_first, labels, loss_cfg, cfg.sim.t_max)
-    grads, counts = _eventprop_batch(cfg, net, trace, slots, g_times, support)
-    return loss, *grads, counts
-
-
-def _fud_batch(cfg, net, t_in, t_o, t_h, g_times):
-    """Analytic gradients of the two weight blocks and spike indicators of a
-    forward from the input times ``t_in`` to the hidden and output times
-    ``t_h``/``t_o``."""
+def _fud_gradient(cfg: ExperimentConfig, net, t_in, labels):
+    """The analytic step of the (B, n_in) input times ``t_in``, in the results
+    of ``gradient_from_trace``; a neuron's count is 1 if it fires, else 0."""
     _, w_in, w_ho = split_layers(net)
+    t_h, t_o = fud_feedforward(t_in, w_in, w_ho, net.params, cfg.sim.t_max)
+    loss_cfg = TtfsLoss(xi=cfg.train.xi, alpha=cfg.train.alpha)
+    loss, g_times = ttfs_from_times(t_o, labels, loss_cfg, cfg.sim.t_max)
     g_ho, g_in = fud_feedforward_grads(
-        t_in, t_h, t_o, w_in, w_ho, g_times, net.params,
-        vdot_floor=cfg.train.vdot_floor,
+        t_in, t_h, t_o, w_in, w_ho, g_times, net.params, vdot_floor=cfg.train.vdot_floor
     )
     counts = np.concatenate([np.isfinite(t_h), np.isfinite(t_o)], axis=1).astype(float)
-    return (g_in, g_ho), counts
+    return loss, g_in, g_ho, counts, predict_from_times(t_o)
 
 
 # ---------------------------------------------------------------------------

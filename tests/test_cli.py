@@ -1,4 +1,9 @@
 """The CLI's exit-code contract: 0 success, 2 config error, 3 runtime error."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +44,41 @@ def tiny(tmp_path):
 
 def run(*argv, config):
     return main([*map(str, argv), "--config", str(config)])
+
+
+def test_the_module_entry_point_exits_with_the_contract_codes(tmp_path, tiny):
+    # python -m eventsnn.cli in a process of its own: main's code must reach
+    # the process's exit status through sys.exit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def cli(*argv, config=tiny):
+        argv = [sys.executable, "-m", "eventsnn.cli", *map(str, argv), "--config", str(config)]
+        done = subprocess.run(
+            argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        return done.returncode, done.stderr
+
+    checkpoint = tmp_path / "train" / "checkpoint.txt"
+    traces = tmp_path / "export" / "traces.replay"
+    for argv in (
+        ["generate"],
+        ["train"],
+        ["eval", "--checkpoint", checkpoint],
+        ["export-traces", "--samples", 5, "--checkpoint", checkpoint],
+        ["replay-train", "--traces", traces, "--checkpoint", checkpoint],
+    ):
+        code, err = cli(*argv, "--out", tmp_path / argv[0].partition("-")[0])
+        assert code == 0, err
+    assert (tmp_path / "replay" / "checkpoint.txt").is_file()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff" + TINY.encode())
+    code, err = cli("eval", "--checkpoint", checkpoint, "--out", tmp_path / "x", config=bad)
+    assert code == 2 and str(bad) in err and not (tmp_path / "x").exists()
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, err = cli("train", "--out", taken)
+    assert code == 3 and "File exists" in err
 
 
 def test_smoke_chain_and_exit_codes(tmp_path, tiny, capsys):
@@ -312,6 +352,23 @@ def test_fud_on_the_mock_backend_is_a_config_error(tmp_path, command, capsys):
         assert not out.exists()
 
 
+def test_replay_train_under_fud_is_a_config_error_before_out_exists(tmp_path, tiny, capsys):
+    # the analytic path reads no trace: replay-train would take an EventProp
+    # step while the config asks for fud
+    init = tmp_path / "init"
+    assert run("export-traces", "--samples", 5, "--out", init, config=tiny) == 0
+    config = tmp_path / "fud.txt"
+    config.write_text(TINY + "train.estimator = fud\n")
+    out = tmp_path / "replay"
+    capsys.readouterr()
+    assert run(
+        "replay-train", "--traces", init / "traces.replay",
+        "--checkpoint", init / "checkpoint.txt", "--out", out, config=config,
+    ) == 2
+    assert "train.estimator" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fud_eval_splits_the_checkpoint_where_its_outputs_start(tmp_path):
     # the hidden layer's width comes from the checkpoint, not from the
     # config's network.n_hidden
@@ -397,7 +454,10 @@ def test_eval_and_replay_reject_a_v1_checkpoint_and_name_its_version(tmp_path, t
 
 @pytest.mark.parametrize(
     "key",
-    ["sim.t_max = -1", "sim.t_max = 0", "sim.t_max = nan", "sim.m = -5", "sim.m = auto"],
+    [
+        "sim.t_max = -1", "sim.t_max = 0", "sim.t_max = nan", "sim.t_max = inf", "sim.m = -5",
+        "sim.m = auto",
+    ],
 )
 def test_train_rejects_a_bad_sim_section(tmp_path, key, capsys):
     config = tmp_path / "config.txt"
@@ -416,6 +476,7 @@ def test_train_rejects_a_bad_sim_section(tmp_path, key, capsys):
         "train.epochs = -3",
         "network.n_hidden = 0",
         "network.n_out = 0",
+        "network.n_out = 2",
         "train.lr = nan",
         "train.lr = -0.001",
         "train.lr = inf",
@@ -575,7 +636,7 @@ def test_a_bad_encoding_window_leaves_no_output_directory(tmp_path, command, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["absent", "directory", "malformed"])
+@pytest.mark.parametrize("kind", ["absent", "directory", "malformed", "non_utf8"])
 def test_an_input_file_that_cannot_be_read_is_a_config_error_before_out_exists(
     tmp_path, tiny, capsys, kind
 ):
@@ -586,6 +647,8 @@ def test_an_input_file_that_cannot_be_read_is_a_config_error_before_out_exists(
         bad.mkdir()
     elif kind == "malformed":
         bad.write_text("eventsnn\n")
+    elif kind == "non_utf8":
+        bad.write_bytes(b"\xffeventsnn\n")
     checkpoint, traces = init / "checkpoint.txt", init / "traces.replay"
     commands = {
         "eval": (["eval", "--checkpoint", bad], tiny),
@@ -604,8 +667,7 @@ def test_an_input_file_that_cannot_be_read_is_a_config_error_before_out_exists(
         assert run(*command, "--out", out, config=config) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("config error"), name
-        # a config parse error names its line, not the file
-        assert str(bad) in err or (kind, config) == ("malformed", bad), name
+        assert str(bad) in err, name
         assert not out.exists(), name
 
 
@@ -706,6 +768,32 @@ def test_each_command_rejects_a_checkpoint_of_another_input_count(tmp_path, caps
         assert not any((out / f).exists() for f in written)
 
 
+def test_each_command_rejects_a_checkpoint_with_fewer_outputs_than_classes(
+    tmp_path, tiny, capsys
+):
+    # a 2-output net can never predict class 2: eval would score it and
+    # replay-train index its label past the outputs
+    init = tmp_path / "init"
+    assert run("export-traces", "--samples", 5, "--out", init, config=tiny) == 0
+    checkpoint = tmp_path / "two.txt"
+    rng = np.random.default_rng(0)
+    two = Network.feedforward(rng.normal(size=(5, 6)), rng.normal(size=(6, 2)))
+    write_checkpoint(checkpoint, two, 6)
+    assert len(read_checkpoint(checkpoint)[0].output_set) == 2
+    commands = {
+        "eval": ["eval"],
+        "export": ["export-traces", "--samples", 5],
+        "replay": ["replay-train", "--traces", init / "traces.replay"],
+    }
+    capsys.readouterr()
+    for name, command in commands.items():
+        out = tmp_path / name
+        assert run(*command, "--checkpoint", checkpoint, "--out", out, config=tiny) == 2, name
+        err = capsys.readouterr().err
+        assert str(checkpoint) in err and "2 outputs" in err, name
+        assert not out.exists(), name
+
+
 # the benchmark's replay net, 5-120-3 at m = 138: on 64 exported rows some
 # hidden neurons fire on fewer than half of them, so train's gamma bump acts
 WIDE = "network.n_hidden = 120\nsim.m = 138\ndataset.seed = 1\ntrain.seed = 1\n"
@@ -731,7 +819,7 @@ def test_replay_train_takes_the_step_train_takes_on_the_forward_trace(tmp_path, 
         cfg.sim.budget(net.n_in, net.n_total), cfg.sim.t_max, seeds=range(64),
     )
     support = structure_masks(net.n_in, n_hidden, net.n_total - n_hidden)
-    _, g_ih, g_ho, counts = gradient_from_trace(cfg, net, trace, ds.labels, support)
+    _, g_ih, g_ho, counts, _ = gradient_from_trace(cfg, net, trace, ds.labels, support)
     # not vacuous: about half of the hidden and every output (row, neuron)
     # pair fires, and both gradient blocks are nonzero
     fired = counts > 0

@@ -1,6 +1,7 @@
 """quality/run.py's one-run mode on tiny configs.  The harness reads private
-parts of ``train`` (``_forward_times`` and the traces it returns), so a
-change there that breaks the accuracy runs fails here first."""
+parts of ``train`` (``_forward_times`` and the trace it returns beside the
+output times, None on the analytic path), so a change there that breaks the
+accuracy runs fails here first."""
 import importlib.util
 import json
 import os

@@ -627,6 +627,21 @@ TRAINED_WEIGHTS = {
 }
 
 
+# train()'s (train_loss, train_acc, test_acc) per epoch on the same runs,
+# recorded when the loop wired the loss, slots and backward itself: each
+# batch's loss and predictions now come from the step functions
+TRAINED_HISTORY = {
+    "eventprop": [
+        (1.1827337383769643, 0.11428571428571428, 0.14444444444444443),
+        (1.1013381228981782, 0.2523809523809524, 0.4666666666666667),
+    ],
+    "fud": [
+        (1.1353222843433235, 0.2761904761904762, 0.08888888888888889),
+        (1.1131045620578015, 0.14761904761904762, 0.17777777777777778),
+    ],
+}
+
+
 class TestTrainingLoop:
     def small_cfg(self, **over):
         cfg = ExperimentConfig()
@@ -669,6 +684,12 @@ class TestTrainingLoop:
         result = train(cfg)
         got = (weights_digest(result.best_net), weights_digest(result.final_net))
         assert got == TRAINED_WEIGHTS[estimator]
+
+    @pytest.mark.parametrize("estimator", sorted(TRAINED_HISTORY))
+    def test_trained_history_is_that_of_the_loop_that_wired_its_step(self, estimator):
+        cfg = self.small_cfg(**{"train.epochs": "2", "train.estimator": estimator})
+        got = [(m.train_loss, m.train_acc, m.test_acc) for m in train(cfg).history]
+        assert got == TRAINED_HISTORY[estimator]
 
     @pytest.mark.parametrize("knob", ["train.alpha", "train.rate_lambda", "train.grad_clip"])
     def test_a_regularizing_knob_moves_the_weights_of_one_epoch(self, knob):
